@@ -33,7 +33,6 @@ import numpy as np
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_distributed
-from repro.decomposition.minhash import SKETCH_ENGINES
 from repro.decomposition.validation import validate_decomposition
 from repro.dynamic import DynamicColoring
 from repro.graphs.families import CHURN_FAMILIES, FAMILIES, make_churn, make_graph
@@ -299,7 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = ColoringConfig.practical(seed=args.seed, acd_sketch_engine=args.sketch_engine)
+    cfg = ColoringConfig.practical(seed=args.seed)
     g = planted_acd_graph(
         args.cliques, args.size, cfg.eps, sparse_nodes=args.sparse, seed=args.seed
     )
@@ -313,7 +312,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "cliques_planted": args.cliques,
         "sparse_nodes": int(acd.sparse_nodes.size),
         "rounds": acd.rounds_used,
-        "sketch_engine": cfg.acd_sketch_engine,
         "sketch_seconds": round(net.metrics.phase_seconds.get("acd/sketch", 0.0), 4),
         "validator": rep.as_dict(),
     }
@@ -607,9 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--size", type=int, default=56)
     p_dec.add_argument("--sparse", type=int, default=100)
     p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument("--sketch-engine", default="packed", choices=list(SKETCH_ENGINES),
-                       help="ACD similarity estimator: packed SWAR words (default) "
-                            "or the unpacked reference")
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(fn=cmd_decompose)
 

@@ -46,14 +46,6 @@ class ColoringConfig:
     acd_minhash_bits: int = 2
     """b of b-bit minwise hashing (fingerprint width)."""
 
-    acd_sketch_engine: str = "packed"
-    """Similarity-estimator engine for the ACD sketches: "packed" (b-bit
-    fingerprints packed ⌊64/b⌋ per uint64 word, per-edge XOR + branch-free
-    SWAR zero-field count, chunked over edges — the fast default, see
-    DESIGN.md §4) or "unpacked" (the (T × m) fingerprint-matrix comparison
-    kept as the reference).  Both engines return bit-identical similarity
-    estimates; the choice never affects rounds, bits, or the decomposition."""
-
     acd_friend_slack: float = 1.5
     """Friend threshold: uv is a friend edge when the estimated Jaccard
     similarity of closed neighborhoods is at least ``1 - friend_slack*eps``."""

@@ -342,7 +342,6 @@ def decompose_distributed(
         num_samples=cfg.acd_minhash_samples,
         bits=cfg.acd_minhash_bits,
         salt=seq.derive_seed("acd-hash") % (1 << 31),
-        engine=cfg.acd_sketch_engine,
     )
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)

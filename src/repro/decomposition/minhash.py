@@ -11,9 +11,9 @@ decomposition achieves its O(ε⁻⁴)-round budget (Lemma 2.5, following the
 The same packing idea drives the similarity estimator itself (DESIGN.md
 §4): fingerprints are packed ⌊64/b⌋ samples per uint64 word, node-major,
 and per edge the two packed rows are XOR-ed and the zero b-bit fields
-counted with a branch-free SWAR reduction — ``engine="packed"``, the
-default.  ``engine="unpacked"`` keeps the (T × m) fingerprint-matrix
-comparison as the reference; both return bit-identical estimates.
+counted with a branch-free SWAR reduction.  Its estimates must equal, bit
+for bit, those of the plain (T × m) fingerprint comparison the tests
+keep as an oracle.
 
 The hash functions are shared randomness: all nodes derive ``h_j`` from the
 public seed and the sample index — exactly the kind of shared coin the
@@ -23,7 +23,7 @@ round, which we account for).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,11 @@ from repro.hashing.fingerprints import minwise_fingerprints, pack_fingerprints
 from repro.simulator.network import BroadcastNetwork
 
 __all__ = [
-    "SKETCH_ENGINES",
     "SimilaritySketch",
+    "account_sketch_rounds",
     "compute_sketches",
     "estimate_edge_similarity",
 ]
-
-SKETCH_ENGINES = ("packed", "unpacked")
 
 # Edges per chunk in the packed estimator: bounds every temporary to
 # (chunk × words) uint64, so no (T × m) matrix is ever materialized.
@@ -46,22 +44,36 @@ _EDGE_CHUNK = 1 << 18
 
 @dataclass
 class SimilaritySketch:
-    """Fingerprint matrix plus the accounting of the rounds that shipped it."""
+    """Fingerprints, their packed words, and the accounting of the rounds
+    that shipped them."""
 
     fingerprints: np.ndarray  # (T, n) uint16
+    packed: np.ndarray  # (n, words) uint64, see pack_fingerprints
     bits_per_sample: int
     samples: int
     rounds_used: int
-    engine: str = "packed"
     phase: str = "acd/sketch"
-    _packed: np.ndarray | None = field(default=None, repr=False)  # (n, words) uint64
 
-    @property
-    def packed(self) -> np.ndarray:
-        """Node-major ``(n, words)`` packed fingerprint words (lazy)."""
-        if self._packed is None:
-            self._packed = pack_fingerprints(self.fingerprints, self.bits_per_sample)
-        return self._packed
+
+def account_sketch_rounds(
+    net: BroadcastNetwork,
+    num_samples: int,
+    bits: int,
+    senders: int,
+    phase: str = "acd/sketch",
+) -> int:
+    """Charge ``senders`` nodes' broadcast of ``num_samples`` b-bit
+    fingerprints under the network's bandwidth cap; returns the rounds.
+
+    Closed form: ``full`` saturated rounds of ``⌊budget/b⌋`` samples plus
+    one remainder round — no python loop."""
+    budget = net.bandwidth_bits or (64 * max(1, num_samples))
+    per_round = max(1, budget // bits)
+    full, rem = divmod(num_samples, per_round)
+    net.account_vector_rounds(full, senders, per_round * bits, phase=phase)
+    if rem:
+        net.account_vector_round(senders, rem * bits, phase=phase)
+    return full + (1 if rem else 0)
 
 
 def compute_sketches(
@@ -70,36 +82,23 @@ def compute_sketches(
     bits: int,
     salt: int,
     phase: str = "acd/sketch",
-    engine: str = "packed",
 ) -> SimilaritySketch:
-    """Compute fingerprints and account the broadcast rounds needed to
-    exchange them under the network's bandwidth cap."""
-    if engine not in SKETCH_ENGINES:
-        raise ValueError(f"unknown sketch engine: {engine!r} (use {SKETCH_ENGINES})")
+    """Compute and pack fingerprints and account the broadcast rounds
+    needed to exchange them under the network's bandwidth cap."""
     with net.metrics.time_phase(phase):
         fps = minwise_fingerprints(
             net.indptr, net.indices, net.n, num_samples=num_samples, bits=bits, salt=salt
         )
-        sketch = SimilaritySketch(
-            fingerprints=fps,
-            bits_per_sample=bits,
-            samples=num_samples,
-            rounds_used=0,
-            engine=engine,
-            phase=phase,
-        )
-        if engine == "packed":
-            sketch.packed  # materialize inside the timed region
-    # Closed-form round/bit accounting: ``full`` saturated rounds of
-    # ``per_round`` samples plus one remainder round — no python loop.
-    budget = net.bandwidth_bits or (64 * max(1, num_samples))
-    per_round = max(1, budget // bits)
-    full, rem = divmod(num_samples, per_round)
-    net.account_vector_rounds(full, net.n, per_round * bits, phase=phase)
-    if rem:
-        net.account_vector_round(net.n, rem * bits, phase=phase)
-    sketch.rounds_used = full + (1 if rem else 0)
-    return sketch
+        packed = pack_fingerprints(fps, bits)
+    rounds = account_sketch_rounds(net, num_samples, bits, net.n, phase=phase)
+    return SimilaritySketch(
+        fingerprints=fps,
+        packed=packed,
+        bits_per_sample=bits,
+        samples=num_samples,
+        rounds_used=rounds,
+        phase=phase,
+    )
 
 
 def _swar_match_counts(
@@ -138,27 +137,17 @@ def estimate_edge_similarity(
     Uses the standard b-bit minhash debiasing: if fingerprints collide with
     empirical rate ``r``, then ``Ĵ = (r − 2^{-b}) / (1 − 2^{-b})`` clipped
     to [0, 1].  Each endpoint of an edge computes this locally from the
-    fingerprints it received — no extra rounds.
-
-    Engine dispatch (``sketch.engine``): "packed" XOR-and-SWAR-counts the
-    packed word rows chunk-by-chunk; "unpacked" compares the raw (T × m)
-    fingerprint gather.  Both produce the same integer match counts, hence
-    bit-identical estimates.
+    fingerprints it received — no extra rounds.  The match counts come
+    from the packed words, chunk-by-chunk over edges.
     """
     edges = net.undirected_edges()
     if edges.size == 0:
         return np.empty(0, dtype=np.float64)
     with net.metrics.time_phase(sketch.phase):
-        samples = sketch.samples
-        if sketch.engine == "packed":
-            matches = _swar_match_counts(
-                sketch.packed, edges, sketch.bits_per_sample, samples
-            )
-        else:
-            fps = sketch.fingerprints
-            eq = fps[:, edges[:, 0]] == fps[:, edges[:, 1]]
-            matches = eq.sum(axis=0, dtype=np.int64)
-        rate = matches / samples
+        matches = _swar_match_counts(
+            sketch.packed, edges, sketch.bits_per_sample, sketch.samples
+        )
+        rate = matches / sketch.samples
         floor = 2.0 ** (-sketch.bits_per_sample)
         est = (rate - floor) / (1.0 - floor)
         return np.clip(est, 0.0, 1.0)

@@ -5,12 +5,15 @@ The BCONGEST almost-clique decomposition (Lemma 2.5, implemented per
 similarity of their neighborhoods from broadcast-size sketches.  We use
 b-bit minwise hashing: per sample ``j`` a shared hash ``h_j`` (the top 32
 bits of splitmix64) orders the vertex universe; each node's fingerprint is
-the low ``b`` bits of the minimum hash over its closed neighborhood —
-computed batched over sample chunks, see :func:`minwise_fingerprints`.
-:func:`pack_fingerprints` packs the samples ⌊64/b⌋ per uint64 word for the
-SWAR similarity estimator.  Two nodes' fingerprints agree
-with probability ``J + (1-J)·2^{-b}`` where ``J`` is the Jaccard similarity
-of the closed neighborhoods — the standard estimator, which
+the low ``b`` bits of the minimum hash over its closed neighborhood.  One
+kernel computes them, batched over sample chunks and gathered through
+closed rows ``[v, N(v)...]``; it serves both the from-scratch
+:func:`minwise_fingerprints` and the delta-aware
+:func:`refresh_minwise_fingerprints`.  :func:`pack_fingerprints` packs
+the samples ⌊64/b⌋ per uint64 word for the SWAR similarity estimator.
+Two nodes' fingerprints agree with probability ``J + (1-J)·2^{-b}`` where
+``J`` is the Jaccard similarity of the closed neighborhoods — the
+standard estimator, which
 :func:`repro.decomposition.minhash.estimate_edge_similarity` inverts.
 
 Since ``b`` is constant, ``Θ(log n)`` samples fit into one ``O(log n)``-bit
@@ -65,37 +68,49 @@ def hash_array_u64(values: np.ndarray, salt: int = 0) -> np.ndarray:
     return mix_u64(z)
 
 
-# Per-chunk gather budget for the batched fingerprint kernel: chunks are
-# sized so a chunk's gather temporary stays around this many bytes.
-_CHUNK_BYTES = 32 << 20
-# The padded-dense path gathers n·(Δ+1) elements per sample; fall back to
-# the CSR reduceat path when the padding waste over nnz+n exceeds this
-# factor (skewed degree sequences) or the padded table itself is huge.
-_PAD_WASTE_LIMIT = 4
-_PAD_ELEMENT_CAP = 1 << 25
+# Per-chunk gather budget of the fingerprint kernel: a chunk of samples
+# is sized so its gathered ``(Tc, nnz + rows)`` hash temporary stays
+# around this many bytes.  Larger budgets were no faster and raised peak
+# memory on the dense benchmark graph (DESIGN.md §4).
+_CHUNK_BYTES = 4 << 20
 
 
-def _padded_closed_adjacency(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> tuple[np.ndarray, int] | None:
-    """Flat ``(n · width)`` closed-adjacency table, each node's row
-    ``[v, neighbors..., v, v, ...]`` padded *with the node itself* — extra
-    copies of v never change a closed-neighborhood min, so no sentinel is
-    needed.  Returns None when padding to ``width = Δ+1`` would waste too
-    much over the CSR size (the reduceat path wins there)."""
-    degrees = np.diff(indptr)
-    width = int(degrees.max()) + 1 if n else 1
-    total = n * width
-    if total > _PAD_ELEMENT_CAP or total > max(
-        _PAD_WASTE_LIMIT * (indices.size + n), 1 << 16
-    ):
-        return None
-    padded = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
-    if indices.size:
-        rows = np.repeat(np.arange(n), degrees)
-        cols = np.arange(indices.size) - np.repeat(indptr[:-1], degrees) + 1
-        padded[rows, cols] = indices
-    return padded.ravel(), width
+def _closed_row_fingerprints(
+    ids: np.ndarray,
+    heads: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    num_samples: int,
+    bits: int,
+    salt: int,
+) -> np.ndarray:
+    """The one fingerprint kernel: ``(T, rows)`` b-bit minwise fingerprints
+    of the closed rows ``[heads[r], indices[indptr[r]:indptr[r+1]]...]``.
+
+    ``ids`` are the node ids of a hash universe; ``heads`` and ``indices``
+    are positions into it.  Each row is laid out with its node at its head,
+    so every row is non-empty and one axis-1 ``minimum.reduceat`` folds a
+    whole chunk of samples.  Per chunk of Tc samples, the splitmix64 grid
+    over ``(Tc, |ids|)`` is one vectorized mix (salt j enters as the
+    additive offset γ·(salt_j + 1)); its top 32 bits are gathered through
+    the closed rows, min-folded, and masked to ``bits``.
+    """
+    rows = heads.size
+    fps = np.empty((num_samples, rows), dtype=np.uint16)
+    starts = indptr[:-1] + np.arange(rows)
+    closed = np.insert(indices, indptr[:-1], heads)
+    mask = np.uint32((1 << bits) - 1)
+    base = int(salt) * int(num_samples)
+    chunk = int(np.clip(_CHUNK_BYTES // (4 * closed.size), 1, num_samples))
+    for j0 in range(0, num_samples, chunk):
+        j1 = min(j0 + chunk, num_samples)
+        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            h64 = mix_u64(ids[None, :] + salts[:, None] * np.uint64(_GAMMA))
+        h = (h64 >> np.uint64(32)).astype(np.uint32)
+        mins = np.minimum.reduceat(h.take(closed, axis=1), starts, axis=1)
+        fps[j0:j1] = mins & mask
+    return fps
 
 
 def minwise_fingerprints(
@@ -109,19 +124,10 @@ def minwise_fingerprints(
     """b-bit minwise fingerprints of the *closed* neighborhoods.
 
     The sample loop is batched: a chunk of Tc hash functions is one
-    vectorized splitmix64 evaluation over a ``(Tc, n)`` salt×node grid
-    (per-sample salts broadcast down the rows), and the per-neighborhood
-    minima of a whole chunk are folded by array kernels instead of T
-    python-level iterations.  Two equivalent gather strategies are chosen
-    from the graph's shape (identical outputs either way):
-
-    * *padded-dense* — gather each sample's hashes through a self-padded
-      ``(n, Δ+1)`` closed-adjacency table and take one contiguous
-      ``min(axis=1)`` (SIMD-friendly; the default for near-regular
-      degree sequences, where padding waste is small);
-    * *CSR reduceat* — gather ``h.take(indices, axis=1)`` once per chunk
-      and fold the node segments with one axis-1 ``minimum.reduceat``
-      (no padding waste; used for skewed degree sequences).
+    vectorized splitmix64 evaluation over a ``(Tc, n)`` salt×node grid,
+    gathered through the closed rows ``[v, N(v)...]`` of the CSR and
+    folded by one axis-1 ``minimum.reduceat`` (see
+    :func:`_closed_row_fingerprints`).
 
     Hashes are the top 32 bits of splitmix64: halving the lane width
     halves gather traffic through the hot path, and at simulable n the
@@ -146,43 +152,12 @@ def minwise_fingerprints(
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
-    fps = np.empty((num_samples, n), dtype=np.uint16)
     if n == 0 or num_samples == 0:
-        return fps
-    node_ids = np.arange(n, dtype=np.uint64)
-    mask = np.uint32((1 << bits) - 1)
-    base = int(salt) * int(num_samples)
-    pad = _padded_closed_adjacency(indptr, indices, n)
-    if pad is not None:
-        flat, width = pad
-        row_bytes = 4 * n
-    else:
-        has_nbrs = np.diff(indptr) > 0
-        starts = indptr[:-1][has_nbrs]
-        row_bytes = 4 * max(int(indices.size), n)
-    chunk = int(np.clip(_CHUNK_BYTES // row_bytes, 1, num_samples))
-    for j0 in range(0, num_samples, chunk):
-        j1 = min(j0 + chunk, num_samples)
-        # salt j enters splitmix64 as an additive offset γ·(salt+1); the
-        # whole chunk shares one vectorized mix.
-        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            offsets = salts * np.uint64(_GAMMA)
-            h64 = mix_u64(node_ids[None, :] + offsets[:, None])
-        h = (h64 >> np.uint64(32)).astype(np.uint32)
-        if pad is not None:
-            for t in range(j1 - j0):
-                mins = h[t].take(flat).reshape(n, width).min(axis=1)
-                fps[j0 + t] = (mins & mask).astype(np.uint16)
-        else:
-            # Min over the closed neighborhood N[v] = {v} ∪ N(v).
-            m = h.copy()
-            if indices.size:
-                gathered = h.take(indices, axis=1)
-                mins = np.minimum.reduceat(gathered, starts, axis=1)
-                m[:, has_nbrs] = np.minimum(m[:, has_nbrs], mins)
-            fps[j0:j1] = (m & mask).astype(np.uint16)
-    return fps
+        return np.empty((num_samples, n), dtype=np.uint16)
+    nodes = np.arange(n, dtype=np.int64)
+    return _closed_row_fingerprints(
+        nodes.astype(np.uint64), nodes, indptr, indices, num_samples, bits, salt
+    )
 
 
 def refresh_minwise_fingerprints(
@@ -200,12 +175,12 @@ def refresh_minwise_fingerprints(
     :func:`minwise_fingerprints` call on the current CSR, restricted to
     the listed nodes.
 
-    This is the delta-aware sketch maintenance path (ISSUE 10): a node's
-    fingerprint is a pure function of ``(salt, sample, N[v])``, so after
-    a topology delta only nodes whose *closed* neighborhood changed need
-    re-hashing.  The hash grid is evaluated only over the closed
-    neighborhoods of ``nodes`` (their ids plus their current neighbors),
-    so the cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
+    This is the delta-aware sketch maintenance path: a node's fingerprint
+    is a pure function of ``(salt, sample, N[v])``, so after a topology
+    delta only nodes whose *closed* neighborhood changed need re-hashing.
+    The same kernel as :func:`minwise_fingerprints` runs over the
+    sub-universe of the listed nodes and their current neighbors, so the
+    cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
     ``O(T · (n + m))``.
 
     ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
@@ -221,41 +196,24 @@ def refresh_minwise_fingerprints(
         raise ValueError(f"node id out of range [0, {n})")
     if nodes.size == 0 or num_samples == 0:
         return fps
-    deg = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    total = int(deg.sum())
-    if total:
-        # Concatenated adjacency of the refreshed rows (one fancy gather).
-        row_base = np.concatenate(([0], np.cumsum(deg)[:-1]))
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            indptr[nodes] - row_base, deg
-        )
-        nb = np.asarray(indices[idx], dtype=np.int64)
-    else:
-        nb = np.empty(0, dtype=np.int64)
+    # The listed nodes' rows as a sub-CSR (one fancy gather of their
+    # adjacency), renumbered into the universe they and their neighbors span.
+    deg = indptr[nodes + 1] - indptr[nodes]
+    sub_indptr = np.concatenate(([0], np.cumsum(deg)))
+    idx = np.arange(sub_indptr[-1], dtype=np.int64) + np.repeat(
+        indptr[nodes] - sub_indptr[:-1], deg
+    )
+    nb = np.asarray(indices[idx], dtype=np.int64)
     universe = np.union1d(nodes, nb)
-    pos_self = np.searchsorted(universe, nodes)
-    has_nbrs = deg > 0
-    if total:
-        pos_nb = np.searchsorted(universe, nb)
-        starts = row_base[has_nbrs]
-    u64_universe = universe.astype(np.uint64)
-    mask = np.uint32((1 << bits) - 1)
-    base = int(salt) * int(num_samples)
-    row_bytes = 4 * max(universe.size + nb.size, 1)
-    chunk = int(np.clip(_CHUNK_BYTES // row_bytes, 1, num_samples))
-    for j0 in range(0, num_samples, chunk):
-        j1 = min(j0 + chunk, num_samples)
-        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            offsets = salts * np.uint64(_GAMMA)
-            h64 = mix_u64(u64_universe[None, :] + offsets[:, None])
-        h = (h64 >> np.uint64(32)).astype(np.uint32)
-        m = h[:, pos_self]
-        if total:
-            gathered = h[:, pos_nb]
-            mins = np.minimum.reduceat(gathered, starts, axis=1)
-            m[:, has_nbrs] = np.minimum(m[:, has_nbrs], mins)
-        fps[j0:j1, nodes] = (m & mask).astype(np.uint16)
+    fps[:, nodes] = _closed_row_fingerprints(
+        universe.astype(np.uint64),
+        np.searchsorted(universe, nodes),
+        sub_indptr,
+        np.searchsorted(universe, nb),
+        num_samples,
+        bits,
+        salt,
+    )
     return fps
 
 

@@ -55,6 +55,11 @@ SNAPSHOT_FORMAT = 1
 """Version stamp inside every snapshot; bumped on incompatible layout
 changes.  ``load_snapshot`` refuses snapshots with a larger stamp."""
 
+_RETIRED_CONFIG_FIELDS = frozenset({"acd_sketch_engine"})
+"""Config fields older snapshots carry that no longer exist.  Each was
+result-neutral (the sketch estimator choice: both estimators gave
+bit-identical estimates), so dropping it on load restores exactly."""
+
 
 @dataclass(frozen=True)
 class SnapshotInfo:
@@ -212,11 +217,12 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
     ``colors`` and ``active``.  Raises ``ValueError`` for a snapshot
     written by a newer format or with unknown config fields (a snapshot
     is a contract, not a suggestion — silently dropping knobs would
-    break the restore ≡ never-crashed guarantee).  Every *corruption*
-    mode — truncated zip, missing member, garbled JSON — is likewise
-    normalized to ``ValueError`` so :func:`restore_engine` has a single
-    failure type to fall back on; only a genuinely missing file keeps
-    raising ``FileNotFoundError``.
+    break the restore ≡ never-crashed guarantee); only the retired,
+    result-neutral fields in ``_RETIRED_CONFIG_FIELDS`` are dropped.
+    Every *corruption* mode — truncated zip, missing member, garbled
+    JSON — is likewise normalized to ``ValueError`` so
+    :func:`restore_engine` has a single failure type to fall back on;
+    only a genuinely missing file keeps raising ``FileNotFoundError``.
     """
     path = Path(path)
     try:
@@ -241,13 +247,16 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
         raise ValueError(
             f"snapshot {path} has format {fmt}; this build reads ≤ {SNAPSHOT_FORMAT}"
         )
+    config = {
+        k: v for k, v in meta["config"].items() if k not in _RETIRED_CONFIG_FIELDS
+    }
     known = {f.name for f in dataclasses.fields(ColoringConfig)}
-    unknown = set(meta["config"]) - known
+    unknown = set(config) - known
     if unknown:
         raise ValueError(
             f"snapshot {path} carries unknown config fields {sorted(unknown)}"
         )
-    cfg = ColoringConfig(**meta["config"])
+    cfg = ColoringConfig(**config)
     info = SnapshotInfo(
         path=str(path),
         format=fmt,

@@ -50,7 +50,7 @@ import numpy as np
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_from_sketch
-from repro.decomposition.minhash import SimilaritySketch
+from repro.decomposition.minhash import SimilaritySketch, account_sketch_rounds
 from repro.dynamic.engine import BatchReport, DynamicColoring, conflict_victims
 from repro.dynamic.events import ChurnSchedule, UpdateBatch
 from repro.hashing.fingerprints import (
@@ -394,27 +394,16 @@ class ShardedDynamicColoring(DynamicColoring):
                     )
                 changed = int(dirty.size)
             self._acd_dirty[:] = False
-            sketch = SimilaritySketch(
-                fingerprints=self._acd_fps,
-                bits_per_sample=bits,
-                samples=samples,
-                rounds_used=0,
-                engine=cfg.acd_sketch_engine,
-                _packed=self._acd_packed,
-            )
-        if changed:
-            # Same closed-form packing as compute_sketches, but only the
-            # changed nodes broadcast — the saved announcement traffic is
-            # the point of maintaining the sketch.
-            budget = net.bandwidth_bits or (64 * max(1, samples))
-            per_round = max(1, budget // bits)
-            full_r, rem = divmod(samples, per_round)
-            net.account_vector_rounds(
-                full_r, changed, per_round * bits, phase="acd/sketch"
-            )
-            if rem:
-                net.account_vector_round(changed, rem * bits, phase="acd/sketch")
-            sketch.rounds_used = full_r + (1 if rem else 0)
+        # Only the changed nodes re-broadcast — the saved announcement
+        # traffic is the point of maintaining the sketch.
+        rounds = account_sketch_rounds(net, samples, bits, changed) if changed else 0
+        sketch = SimilaritySketch(
+            fingerprints=self._acd_fps,
+            packed=self._acd_packed,
+            bits_per_sample=bits,
+            samples=samples,
+            rounds_used=rounds,
+        )
         return decompose_from_sketch(net, sketch, cfg)
 
     # ------------------------------------------------------------------

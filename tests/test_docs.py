@@ -7,7 +7,8 @@
 * Every ``ERROR_CODES`` entry must appear in PROTOCOL.md's error table.
 * Every relative link in docs/*.md must resolve inside the repo.
 * The public surfaces docs/API.md indexes (repro.dynamic, repro.shard,
-  repro.serve) must be fully docstringed — API.md promises that.
+  repro.serve, repro.faults, repro.obs, repro.decomposition.minhash)
+  must be fully docstringed — API.md promises that.
 """
 
 import inspect
@@ -79,7 +80,8 @@ class TestDocLinks:
 class TestApiDocstrings:
     @pytest.mark.parametrize("modname",
                              ["repro.dynamic", "repro.shard", "repro.serve",
-                              "repro.faults", "repro.obs"])
+                              "repro.faults", "repro.obs",
+                              "repro.decomposition.minhash"])
     def test_public_surface_is_docstringed(self, modname):
         mod = importlib.import_module(modname)
         missing = []

@@ -1,9 +1,11 @@
 """Tests for the pseudorandomness substrate (repro.hashing)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hashing.fingerprints as fingerprints_mod
 from repro.hashing.fingerprints import (
     hash_array_u64,
     hash_u64,
@@ -109,10 +111,25 @@ class TestMinwise:
         with pytest.raises(ValueError):
             minwise_fingerprints(net.indptr, net.indices, net.n, 4, bits=0)
 
-    def test_batched_matches_naive_per_sample(self):
+    GRAPHS = {
+        # a 6-node path, a lone edge, and isolated node 6
+        "mixed": (9, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5), (7, 8)]),
+        "star": (12, [(0, i) for i in range(1, 12)]),  # Δ = n − 1
+        "edgeless": (5, []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("per_chunk", [None, 1, 4])
+    def test_batched_matches_naive_per_sample(self, name, per_chunk, monkeypatch):
         """The chunk-batched kernel must equal the definition: per sample,
-        fingerprint[v] = (min over N[v] of the 32-bit hash) & mask."""
-        net = BroadcastNetwork((9, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5), (7, 8)]))
+        fingerprint[v] = (min over N[v] of the 32-bit hash) & mask — also
+        across chunk boundaries (``per_chunk`` samples per chunk; None
+        keeps the default budget, one chunk here) and for the in-place
+        refresh, which runs the same kernel."""
+        net = BroadcastNetwork(self.GRAPHS[name])
+        if per_chunk is not None:
+            row_bytes = 4 * (net.n + net.indices.size)
+            monkeypatch.setattr(fingerprints_mod, "_CHUNK_BYTES", row_bytes * per_chunk)
         T, bits, salt = 37, 3, 5
         got = minwise_fingerprints(net.indptr, net.indices, net.n, T, bits, salt=salt)
         ids = np.arange(net.n, dtype=np.int64)
@@ -124,6 +141,11 @@ class TestMinwise:
                 closed = np.append(net.neighbors(v), v)
                 expect = int(h[closed].min()) & ((1 << bits) - 1)
                 assert int(got[j, v]) == expect
+        stale = got ^ np.uint16(1)
+        refresh_minwise_fingerprints(
+            net.indptr, net.indices, net.n, T, bits, salt, stale, ids
+        )
+        assert np.array_equal(stale, got)
 
     def test_isolated_node_fingerprint_is_own_hash(self):
         net = BroadcastNetwork((3, [(0, 1)]))

@@ -316,6 +316,45 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="not_a_knob"):
             load_snapshot(path)
 
+    def test_retired_sketch_engine_field_restores(self, tmp_path):
+        """Snapshots written while the config still had the result-neutral
+        ``acd_sketch_engine`` knob restore exactly; any other unknown
+        field is still refused."""
+        import dataclasses
+        import json
+
+        schedule, cfg = self.make_run()
+        batches = list(schedule)
+        reference = DynamicColoring(schedule.initial, cfg)
+        for batch in batches:
+            reference.apply_batch(batch)
+
+        engine = DynamicColoring(schedule.initial, cfg)
+        engine.apply_batch(batches[0])
+        path = tmp_path / "state.npz"
+        save_snapshot(engine, path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            arrays = {k: data[k] for k in ("edges", "colors", "active")}
+
+        def rewrite(config):
+            meta["config"] = config
+            np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
+                                              dtype=np.uint8), **arrays)
+
+        old_cfg = dict(dataclasses.asdict(cfg), acd_sketch_engine="unpacked")
+        rewrite(old_cfg)
+        restored = restore_engine(path, fallback=False)
+        assert restored.cfg == cfg
+        for batch in batches[1:]:
+            restored.apply_batch(batch)
+        assert restored.colors.tolist() == reference.colors.tolist()
+
+        rewrite(dict(old_cfg, not_a_knob=1))
+        with pytest.raises(ValueError, match="not_a_knob") as exc:
+            load_snapshot(path)
+        assert "acd_sketch_engine" not in str(exc.value)
+
 
 # ----------------------------------------------------------------------
 # Live daemon tests (subprocess behind a unix socket)

@@ -1,11 +1,11 @@
-"""Tests for the bit-packed SWAR sketch engine (DESIGN.md §4).
+"""Tests for the bit-packed SWAR sketch estimator (DESIGN.md §4).
 
-Covers the three contracts the `acd_sketch_engine` knob rests on:
+Covers the three contracts the ACD sketch rests on:
 
-1. packed and unpacked similarity estimates agree *exactly* (property
-   test over graphs, fingerprint widths, and sample counts crossing word
-   boundaries);
-2. both engines converge to the brute-force Jaccard similarity of closed
+1. the packed estimator agrees *exactly* with the (T × m) match-count
+   oracle in ``tests/helpers.py`` (property test over graphs,
+   fingerprint widths, and sample counts crossing word boundaries);
+2. both converge to the brute-force Jaccard similarity of closed
    neighborhoods on small random graphs;
 3. the packing layout, the round accounting, and the `acd/sketch` phase
    timing behave as documented.
@@ -16,21 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.hashing.fingerprints as fingerprints_mod
-from repro.config import ColoringConfig
-from repro.decomposition.acd import decompose_distributed
-from repro.decomposition.minhash import (
-    SKETCH_ENGINES,
-    SimilaritySketch,
-    compute_sketches,
-    estimate_edge_similarity,
-)
-from repro.hashing.fingerprints import (
-    _padded_closed_adjacency,
-    minwise_fingerprints,
-    pack_fingerprints,
-    packed_words_per_node,
-)
+from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
+from repro.hashing.fingerprints import pack_fingerprints, packed_words_per_node
 from repro.graphs.generators import (
     complete_graph,
     gnp_graph,
@@ -38,20 +25,19 @@ from repro.graphs.generators import (
     ring_graph,
 )
 from repro.simulator.network import BroadcastNetwork
+from tests.helpers import unpacked_edge_similarity
+
+ESTIMATORS = {"packed": estimate_edge_similarity, "unpacked": unpacked_edge_similarity}
 
 
 def sketch_pair(net, samples, bits, salt=0):
-    """(packed estimate, unpacked estimate) for one workload."""
-    ests = []
-    for engine in SKETCH_ENGINES:
-        fresh = BroadcastNetwork((net.n, net.undirected_edges()))
-        sk = compute_sketches(fresh, samples, bits, salt=salt, engine=engine)
-        ests.append(estimate_edge_similarity(fresh, sk))
-    return ests
+    """(packed estimate, oracle estimate) for one workload."""
+    sk = compute_sketches(net, samples, bits, salt=salt)
+    return estimate_edge_similarity(net, sk), unpacked_edge_similarity(net, sk)
 
 
 class TestEngineEquivalence:
-    """Packed and unpacked estimators must agree bit for bit."""
+    """The packed estimator must agree with the oracle bit for bit."""
 
     GRAPHS = {
         "gnp-dense": lambda: gnp_graph(80, 0.4, seed=3),
@@ -85,40 +71,10 @@ class TestEngineEquivalence:
         packed, unpacked = sketch_pair(net, samples, bits, salt=1)
         assert np.array_equal(packed, unpacked)
 
-    def test_decomposition_identical_across_engines(self):
-        g = planted_acd_graph(4, 30, 0.1, sparse_nodes=40, seed=9)
-        labels = []
-        for engine in SKETCH_ENGINES:
-            cfg = ColoringConfig.practical(acd_sketch_engine=engine)
-            net = BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0]))
-            labels.append(decompose_distributed(net, cfg).labels)
-        assert np.array_equal(labels[0], labels[1])
-
-    def test_unknown_engine_rejected(self):
-        net = BroadcastNetwork((4, [(0, 1)]))
-        with pytest.raises(ValueError, match="sketch engine"):
-            compute_sketches(net, 8, 2, salt=0, engine="simd")
-
-    def test_padded_and_reduceat_paths_agree(self, monkeypatch):
-        """The two gather strategies inside minwise_fingerprints are an
-        internal choice; forcing the fallback must not change a bit."""
-        g = gnp_graph(64, 0.2, seed=6)
-        net = BroadcastNetwork(g)
-        fast = minwise_fingerprints(net.indptr, net.indices, net.n, 50, 3, salt=4)
-        monkeypatch.setattr(fingerprints_mod, "_PAD_ELEMENT_CAP", 0)
-        slow = minwise_fingerprints(net.indptr, net.indices, net.n, 50, 3, salt=4)
-        assert np.array_equal(fast, slow)
-
-    def test_skewed_graph_uses_reduceat_fallback(self):
-        # A star's Δ+1 = n padding would square the CSR size; the helper
-        # must decline so the kernel takes the reduceat path.
-        net = BroadcastNetwork((4000, [(0, i) for i in range(1, 4000)]))
-        assert _padded_closed_adjacency(net.indptr, net.indices, net.n) is None
-
 
 class TestJaccardConvergence:
-    """Estimates from either engine converge to the brute-force Jaccard
-    similarity of closed neighborhoods."""
+    """Estimates from the packed estimator and the oracle converge to the
+    brute-force Jaccard similarity of closed neighborhoods."""
 
     @staticmethod
     def brute_force(net):
@@ -132,22 +88,22 @@ class TestJaccardConvergence:
             out[i] = len(a & b) / len(a | b)
         return out
 
-    @pytest.mark.parametrize("engine", SKETCH_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(ESTIMATORS))
     @pytest.mark.parametrize("seed,p", [(0, 0.15), (1, 0.35)])
     def test_converges_on_gnp(self, engine, seed, p):
         net = BroadcastNetwork(gnp_graph(60, p, seed=seed))
-        sk = compute_sketches(net, 2048, 4, salt=seed, engine=engine)
-        est = estimate_edge_similarity(net, sk)
+        sk = compute_sketches(net, 2048, 4, salt=seed)
+        est = ESTIMATORS[engine](net, sk)
         true = self.brute_force(net)
         err = np.abs(est - true)
         assert err.max() < 0.12
         assert err.mean() < 0.03
 
-    @pytest.mark.parametrize("engine", SKETCH_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(ESTIMATORS))
     def test_clique_estimates_one(self, engine):
         net = BroadcastNetwork(complete_graph(16))
-        sk = compute_sketches(net, 512, 2, salt=3, engine=engine)
-        est = estimate_edge_similarity(net, sk)
+        sk = compute_sketches(net, 512, 2, salt=3)
+        est = ESTIMATORS[engine](net, sk)
         assert est.min() > 0.95
 
 
@@ -179,13 +135,6 @@ class TestPacking:
         fps = np.array([[4]], dtype=np.uint16)
         with pytest.raises(ValueError, match="exceeds"):
             pack_fingerprints(fps, 2)
-
-    def test_lazy_packing_cached(self):
-        fps = np.zeros((8, 3), dtype=np.uint16)
-        sk = SimilaritySketch(
-            fingerprints=fps, bits_per_sample=2, samples=8, rounds_used=0
-        )
-        assert sk.packed is sk.packed
 
     @given(
         n=st.integers(1, 6),
