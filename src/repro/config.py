@@ -20,6 +20,7 @@ the whole pipeline follows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -362,6 +363,20 @@ class ColoringConfig:
 
     seed: int = 0
     """Root seed; a run is a pure function of (graph, config, seed)."""
+
+    def __post_init__(self) -> None:
+        # The sketch fields can arrive from outside the program (load_graph
+        # and spec-file overrides, snapshots): refuse here, naming the
+        # field, what the fingerprint kernel cannot run.
+        samples, bits = self.acd_minhash_samples, self.acd_minhash_bits
+        if not isinstance(samples, numbers.Integral) or samples < 1:
+            raise ValueError(
+                f"acd_minhash_samples must be an integer >= 1, got {samples!r}"
+            )
+        if not isinstance(bits, numbers.Integral) or not 1 <= bits <= 16:
+            raise ValueError(
+                f"acd_minhash_bits must be an integer in [1, 16], got {bits!r}"
+            )
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -6,11 +6,14 @@ similarity of their neighborhoods from broadcast-size sketches.  We use
 b-bit minwise hashing: per sample ``j`` a shared hash ``h_j`` (the top 32
 bits of splitmix64) orders the vertex universe; each node's fingerprint is
 the low ``b`` bits of the minimum hash over its closed neighborhood.  One
-kernel computes them, batched over sample chunks and gathered through
-closed rows ``[v, N(v)...]``; it serves both the from-scratch
-:func:`minwise_fingerprints` and the delta-aware
-:func:`refresh_minwise_fingerprints`.  :func:`pack_fingerprints` packs
-the samples ⌊64/b⌋ per uint64 word for the SWAR similarity estimator.
+kernel computes them: per chunk of samples it hashes a node-major grid,
+starts each node's minima from its own hash row, and folds its
+neighbors in one slot at a time (a slot pass per neighbor rank, rows
+sorted by degree), with hubs folding the rest of their rows in one
+reduceat.  It serves both the from-scratch :func:`minwise_fingerprints`
+and the delta-aware :func:`refresh_minwise_fingerprints`.
+:func:`pack_fingerprints` packs the samples ⌊64/b⌋ per uint64 word, one
+field at a time, for the SWAR similarity estimator.
 Two nodes' fingerprints agree with probability ``J + (1-J)·2^{-b}`` where
 ``J`` is the Jaccard similarity of the closed neighborhoods — the
 standard estimator, which
@@ -21,6 +24,8 @@ broadcast, giving the O(ε⁻⁴) round count of Lemma 2.5.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,11 +73,71 @@ def hash_array_u64(values: np.ndarray, salt: int = 0) -> np.ndarray:
     return mix_u64(z)
 
 
-# Per-chunk gather budget of the fingerprint kernel: a chunk of samples
-# is sized so its gathered ``(Tc, nnz + rows)`` hash temporary stays
-# around this many bytes.  Larger budgets were no faster and raised peak
-# memory on the dense benchmark graph (DESIGN.md §4).
+# Per-chunk hash budget of the fingerprint kernel: a chunk of Tc samples
+# is sized so its node-major ``(|ids|, Tc)`` uint32 hash grid stays around
+# this many bytes.  Larger budgets were no faster and raised the kernel's
+# peak memory (DESIGN.md §4).
 _CHUNK_BYTES = 4 << 20
+# The hash grid is mixed in row blocks of about this many bytes of uint64
+# lanes, so the splitmix temporaries stay cache-sized.
+_HASH_BLOCK_BYTES = 1 << 18
+# Slot passes stop at the first slot that covers fewer hash lanes
+# (rows × Tc) than this; rows still longer fold their remaining
+# neighbors in one reduceat, so a hub costs O(1) numpy calls, not Δ.
+_SLOT_MIN_LANES = 1 << 12
+
+
+def _ragged_take(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``values[starts[r] : starts[r] + lens[r]]`` for every r, concatenated
+    (one fancy gather, no per-row loop)."""
+    offsets = np.cumsum(lens) - lens
+    return values[np.arange(int(lens.sum())) + np.repeat(starts - offsets, lens)]
+
+
+def _hash_grid(ids: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """The node-major ``(|ids|, |salts|)`` uint32 grid of the top 32 bits
+    of splitmix64 of each id under each salt (as in :func:`hash_array_u64`,
+    salt s enters as the additive offset γ·(s + 1))."""
+    grid = np.empty((ids.size, salts.size), dtype=np.uint32)
+    offsets = (salts + np.uint64(1)) * np.uint64(_GAMMA)
+    rows = max(1, _HASH_BLOCK_BYTES // (8 * salts.size))
+    for r in range(0, ids.size, rows):
+        with np.errstate(over="ignore"):
+            block = mix_u64(ids[r : r + rows, None] + offsets)
+        grid[r : r + rows] = block >> np.uint64(32)
+    return grid
+
+
+class _SlotPlan(NamedTuple):
+    """How the kernel folds a CSR's rows.  Rows run in ``order``, by
+    degree (descending, stable), so the rows with an s-th neighbor are
+    always a prefix of it."""
+
+    order: np.ndarray
+    """Row ids in fold order."""
+    slots: list[np.ndarray]
+    """Pass s: the s-th neighbor of each of rows ``order[:slots[s].size]``."""
+    tail: np.ndarray
+    """The hubs' neighbors past the last pass, row after row.  The hubs
+    are rows ``order[:tail_starts.size]``."""
+    tail_starts: np.ndarray
+    """Offset of each hub's run in ``tail``."""
+
+
+def _slot_plan(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> _SlotPlan:
+    """The slot passes and the hub tail for chunks of ``chunk`` samples."""
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    deg = deg[order]
+    start = indptr[:-1][order]
+    # widths[s]: rows with degree > s, i.e. with a neighbor in slot s.
+    widths = deg.size - np.cumsum(np.bincount(deg))[:-1]
+    passes = int(np.count_nonzero(widths * chunk >= _SLOT_MIN_LANES))
+    slots = [indices[start[:w] + s] for s, w in enumerate(widths[:passes].tolist())]
+    hubs = widths[passes] if passes < widths.size else 0
+    lens = deg[:hubs] - passes
+    tail = _ragged_take(indices, start[:hubs] + passes, lens)
+    return _SlotPlan(order, slots, tail, np.cumsum(lens) - lens)
 
 
 def _closed_row_fingerprints(
@@ -88,28 +153,43 @@ def _closed_row_fingerprints(
     of the closed rows ``[heads[r], indices[indptr[r]:indptr[r+1]]...]``.
 
     ``ids`` are the node ids of a hash universe; ``heads`` and ``indices``
-    are positions into it.  Each row is laid out with its node at its head,
-    so every row is non-empty and one axis-1 ``minimum.reduceat`` folds a
-    whole chunk of samples.  Per chunk of Tc samples, the splitmix64 grid
-    over ``(Tc, |ids|)`` is one vectorized mix (salt j enters as the
-    additive offset γ·(salt_j + 1)); its top 32 bits are gathered through
-    the closed rows, min-folded, and masked to ``bits``.
+    are positions into it.  Per chunk of Tc samples the kernel hashes the
+    node-major ``(|ids|, Tc)`` grid (:func:`_hash_grid`), starts every
+    row's minima from its head's hash row, and folds one neighbor slot at
+    a time: with rows sorted by degree, slot s touches a prefix of them,
+    so each pass gathers whole grid rows and takes an in-place
+    elementwise minimum.  Once a slot covers fewer than
+    ``_SLOT_MIN_LANES`` lanes, the rows still longer (hubs) fold their
+    remaining neighbors with one axis-0 ``minimum.reduceat``, so a hub
+    costs O(1) numpy calls per chunk instead of one per slot.
     """
-    rows = heads.size
-    fps = np.empty((num_samples, rows), dtype=np.uint16)
-    starts = indptr[:-1] + np.arange(rows)
-    closed = np.insert(indices, indptr[:-1], heads)
+    fps = np.empty((num_samples, heads.size), dtype=np.uint16)
     mask = np.uint32((1 << bits) - 1)
     base = int(salt) * int(num_samples)
-    chunk = int(np.clip(_CHUNK_BYTES // (4 * closed.size), 1, num_samples))
+    chunk = int(np.clip(_CHUNK_BYTES // (4 * ids.size), 1, num_samples))
+    plan = _slot_plan(indptr, indices, chunk)
+    heads = heads[plan.order]
+    hubs = plan.tail_starts.size
+    # The hubs fold ``step`` samples at a time, so their gather stays
+    # within about one hash grid however long their rows are.
+    step = max(1, ids.size * chunk // max(plan.tail.size, 1))
     for j0 in range(0, num_samples, chunk):
         j1 = min(j0 + chunk, num_samples)
-        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h64 = mix_u64(ids[None, :] + salts[:, None] * np.uint64(_GAMMA))
-        h = (h64 >> np.uint64(32)).astype(np.uint32)
-        mins = np.minimum.reduceat(h.take(closed, axis=1), starts, axis=1)
-        fps[j0:j1] = mins & mask
+        h = _hash_grid(ids, np.arange(base + j0, base + j1, dtype=np.uint64))
+        acc = h.take(heads, axis=0)
+        lanes = np.empty_like(acc)
+        for nbr in plan.slots:
+            # mode="clip" (a no-op: every index is in range) lets take
+            # write straight into ``lanes`` instead of a buffered copy.
+            got = h.take(nbr, axis=0, out=lanes[: nbr.size], mode="clip")
+            np.minimum(acc[: nbr.size], got, out=acc[: nbr.size])
+        for c in range(0, j1 - j0, step):
+            cols = slice(c, c + step)
+            rest = h[:, cols].take(plan.tail, axis=0)
+            rest = np.minimum.reduceat(rest, plan.tail_starts, axis=0)
+            np.minimum(acc[:hubs, cols], rest, out=acc[:hubs, cols])
+        acc &= mask
+        fps[j0:j1, plan.order] = acc.T
     return fps
 
 
@@ -124,10 +204,12 @@ def minwise_fingerprints(
     """b-bit minwise fingerprints of the *closed* neighborhoods.
 
     The sample loop is batched: a chunk of Tc hash functions is one
-    vectorized splitmix64 evaluation over a ``(Tc, n)`` salt×node grid,
-    gathered through the closed rows ``[v, N(v)...]`` of the CSR and
-    folded by one axis-1 ``minimum.reduceat`` (see
-    :func:`_closed_row_fingerprints`).
+    splitmix64 evaluation over an ``(n, Tc)`` node×salt grid.  Each node's
+    minima start from its own hash row; one slot pass per neighbor rank
+    then gathers the s-th neighbor's row for every node that has one
+    (rows sorted by degree, so those are a prefix) and takes an in-place
+    elementwise minimum, and hubs fold the rest of their rows in one
+    ``minimum.reduceat`` (see :func:`_closed_row_fingerprints`).
 
     Hashes are the top 32 bits of splitmix64: halving the lane width
     halves gather traffic through the hot path, and at simulable n the
@@ -178,10 +260,10 @@ def refresh_minwise_fingerprints(
     This is the delta-aware sketch maintenance path: a node's fingerprint
     is a pure function of ``(salt, sample, N[v])``, so after a topology
     delta only nodes whose *closed* neighborhood changed need re-hashing.
-    The same kernel as :func:`minwise_fingerprints` runs over the
-    sub-universe of the listed nodes and their current neighbors, so the
-    cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
-    ``O(T · (n + m))``.
+    The same slot-pass kernel as :func:`minwise_fingerprints` runs on
+    the listed nodes' rows, hashing only the sub-universe of those nodes
+    and their current neighbors, so the cost is
+    ``O(T · (|nodes| + Σ deg(nodes)))`` instead of ``O(T · (n + m))``.
 
     ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
     ``salt``/``num_samples``/``bits`` must match the call that built it.
@@ -200,10 +282,7 @@ def refresh_minwise_fingerprints(
     # adjacency), renumbered into the universe they and their neighbors span.
     deg = indptr[nodes + 1] - indptr[nodes]
     sub_indptr = np.concatenate(([0], np.cumsum(deg)))
-    idx = np.arange(sub_indptr[-1], dtype=np.int64) + np.repeat(
-        indptr[nodes] - sub_indptr[:-1], deg
-    )
-    nb = np.asarray(indices[idx], dtype=np.int64)
+    nb = np.asarray(_ragged_take(indices, indptr[nodes], deg), dtype=np.int64)
     universe = np.union1d(nodes, nb)
     fps[:, nodes] = _closed_row_fingerprints(
         universe.astype(np.uint64),
@@ -231,7 +310,10 @@ def pack_fingerprints(fps: np.ndarray, bits: int) -> np.ndarray:
     Sample j lands in word ``j // fields`` at bit offset
     ``(j % fields) * bits``; unused tail fields (and the ``64 % b``
     leftover bits when b ∤ 64) stay zero, so XOR-ing two packed rows
-    yields zero in every non-sample field.
+    yields zero in every non-sample field.  Field f's samples
+    ``fps[f::fields]`` are shifted and OR-ed into a word-major
+    ``(words, n)`` array in one pass, so no temporary is larger than
+    ``(words, n)``; the result is its C-contiguous transpose.
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
@@ -240,9 +322,9 @@ def pack_fingerprints(fps: np.ndarray, bits: int) -> np.ndarray:
     words = packed_words_per_node(num_samples, bits)
     if fps.size and int(fps.max()) >> bits:
         raise ValueError(f"fingerprint value exceeds {bits} bits")
-    padded = np.zeros((n, words * fields), dtype=np.uint64)
-    padded[:, :num_samples] = fps.T
-    shifts = (np.arange(fields, dtype=np.uint64) * np.uint64(bits))[None, None, :]
-    return np.bitwise_or.reduce(
-        padded.reshape(n, words, fields) << shifts, axis=2
-    )
+    packed = np.zeros((words, n), dtype=np.uint64)
+    for f in range(min(fields, num_samples)):
+        field = fps[f::fields].astype(np.uint64)
+        field <<= np.uint64(f * bits)
+        packed[: field.shape[0]] |= field
+    return np.ascontiguousarray(packed.T)

@@ -593,7 +593,12 @@ class ColoringServer:
                 f"load_graph: unknown config fields {sorted(unknown)}",
                 id=frame.id,
             )
-        cfg = dataclasses.replace(self.cfg, **overrides)
+        try:
+            cfg = dataclasses.replace(self.cfg, **overrides)
+        except ValueError as exc:
+            raise wire.ProtocolError(
+                "bad-payload", f"load_graph: {exc}", id=frame.id
+            ) from exc
         edges = np.asarray(frame.edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= frame.n):
             raise wire.ProtocolError(

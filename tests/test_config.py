@@ -1,5 +1,6 @@
 """Tests for ColoringConfig: presets, derived quantities, Eq. (3)/(5)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -38,6 +39,32 @@ class TestPresets:
         cfg = ColoringConfig.practical()
         with pytest.raises(Exception):
             cfg.eps = 0.5
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("acd_minhash_samples", 0),
+            ("acd_minhash_samples", -3),
+            ("acd_minhash_samples", 2.5),
+            ("acd_minhash_bits", 0),
+            ("acd_minhash_bits", 17),
+            ("acd_minhash_bits", "2"),
+        ],
+    )
+    def test_rejects_invalid_sketch_parameters(self, field, value):
+        """Both presets and ``dataclasses.replace`` (the path of
+        load_graph overrides) refuse a sketch the fingerprint kernel
+        cannot run, naming the field; the edges of the valid range still
+        build."""
+        for build in (
+            lambda: ColoringConfig.practical(**{field: value}),
+            lambda: ColoringConfig.paper(**{field: value}),
+            lambda: dataclasses.replace(ColoringConfig(), **{field: value}),
+        ):
+            with pytest.raises(ValueError, match=field):
+                build()
+        ColoringConfig.practical(acd_minhash_samples=1, acd_minhash_bits=1)
+        ColoringConfig.practical(acd_minhash_bits=16)
 
 
 class TestDerived:

@@ -14,7 +14,21 @@ from repro.hashing.fingerprints import (
 )
 from repro.hashing.prg import RepresentativeSampler, expand_colors, expand_indices
 from repro.simulator.network import BroadcastNetwork
-from repro.graphs.generators import complete_graph
+from repro.graphs.generators import complete_graph, star_graph
+
+
+def record_slot_plans(monkeypatch):
+    """Patch the fingerprint kernel's planner to record every
+    ``(samples per chunk, plan)`` it builds."""
+    seen = []
+    slot_plan = fingerprints_mod._slot_plan
+
+    def spy(indptr, indices, chunk):
+        seen.append((chunk, slot_plan(indptr, indices, chunk)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fingerprints_mod, "_slot_plan", spy)
+    return seen
 
 
 class TestSplitmix:
@@ -116,21 +130,43 @@ class TestMinwise:
         "mixed": (9, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5), (7, 8)]),
         "star": (12, [(0, i) for i in range(1, 12)]),  # Δ = n − 1
         "edgeless": (5, []),
+        # degrees 11, 4, 3, 2, 1 and 0: hub 9, isolated node 0
+        "classes": (
+            13,
+            [(9, i) for i in (1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12)]
+            + [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (6, 7), (10, 11),
+               (11, 12), (12, 10)],
+        ),
     }
+    # (samples per chunk, slot cut-off in rows per pass): None keeps the
+    # default constant.  A cut-off of 0 runs slot passes only, 10**9 the
+    # hub fold only, and 5 both on every graph with edges.
+    CHUNKINGS = [
+        pytest.param(p, c, id=f"{p}{tag}")
+        for c, tag in ((None, ""), (0, "-slots"), (5, "-both"), (10**9, "-fold"))
+        for p in (None, 1, 4)
+    ]
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    @pytest.mark.parametrize("per_chunk", [None, 1, 4])
-    def test_batched_matches_naive_per_sample(self, name, per_chunk, monkeypatch):
-        """The chunk-batched kernel must equal the definition: per sample,
-        fingerprint[v] = (min over N[v] of the 32-bit hash) & mask — also
-        across chunk boundaries (``per_chunk`` samples per chunk; None
-        keeps the default budget, one chunk here) and for the in-place
-        refresh, which runs the same kernel."""
+    @pytest.mark.parametrize("per_chunk,cut_rows", CHUNKINGS)
+    def test_batched_matches_naive_per_sample(
+        self, name, per_chunk, cut_rows, monkeypatch
+    ):
+        """The kernel must equal the definition: per sample,
+        fingerprint[v] = (min over N[v] of the 32-bit hash) & mask — across
+        chunk boundaries (``per_chunk`` samples per chunk; None keeps the
+        default budget, one chunk here), through the slot passes and the
+        hub fold (``cut_rows``), and for the in-place refresh, which runs
+        the same kernel."""
         net = BroadcastNetwork(self.GRAPHS[name])
-        if per_chunk is not None:
-            row_bytes = 4 * (net.n + net.indices.size)
-            monkeypatch.setattr(fingerprints_mod, "_CHUNK_BYTES", row_bytes * per_chunk)
         T, bits, salt = 37, 3, 5
+        chunk = per_chunk or T
+        if per_chunk is not None:
+            # A chunk's hash grid holds 4 bytes per node per sample.
+            monkeypatch.setattr(fingerprints_mod, "_CHUNK_BYTES", 4 * net.n * per_chunk)
+        if cut_rows is not None:
+            monkeypatch.setattr(fingerprints_mod, "_SLOT_MIN_LANES", cut_rows * chunk)
+        seen = record_slot_plans(monkeypatch)
         got = minwise_fingerprints(net.indptr, net.indices, net.n, T, bits, salt=salt)
         ids = np.arange(net.n, dtype=np.int64)
         for j in range(T):
@@ -146,6 +182,32 @@ class TestMinwise:
             net.indptr, net.indices, net.n, T, bits, salt, stale, ids
         )
         assert np.array_equal(stale, got)
+        assert [c for c, _ in seen] == [chunk, chunk]
+        if cut_rows is not None and net.m:
+            for _, plan in seen:
+                assert bool(plan.slots) == (cut_rows < 10**9)
+                assert bool(plan.tail_starts.size) == (cut_rows > 0)
+
+    def test_hub_folds_through_the_tail(self, monkeypatch):
+        """On a star with n = 10⁵ the kernel makes one slot pass per chunk
+        (every leaf's only neighbor) and folds the hub's other 99 998
+        neighbors through the tail, instead of one pass per slot up to Δ."""
+        n, T, bits = 10**5, 20, 2
+        net = BroadcastNetwork(star_graph(n))
+        seen = record_slot_plans(monkeypatch)
+        got = minwise_fingerprints(net.indptr, net.indices, n, T, bits, salt=1)
+        ((_, plan),) = seen
+        assert [nbr.size for nbr in plan.slots] == [n]
+        assert plan.order[0] == 0 and plan.tail_starts.tolist() == [0]
+        assert np.array_equal(np.sort(plan.tail), np.arange(2, n))
+        # Spot-check against the definition: the hub sees every node,
+        # a leaf itself and the hub.
+        ids = np.arange(n, dtype=np.int64)
+        for j in (0, T - 1):
+            h = hash_array_u64(ids, salt=T + j) >> np.uint64(32)
+            assert int(got[j, 0]) == int(h.min()) & 3
+            leaves = np.minimum(h[1:], h[0]) & np.uint64(3)
+            assert np.array_equal(got[j, 1:], leaves.astype(np.uint16))
 
     def test_isolated_node_fingerprint_is_own_hash(self):
         net = BroadcastNetwork((3, [(0, 1)]))

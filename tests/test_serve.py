@@ -534,6 +534,42 @@ class TestLiveServer:
         finally:
             stop(proc)
 
+    def test_invalid_sketch_config_keeps_engine(self, tmp_path):
+        """A load_graph whose config overrides ColoringConfig refuses is a
+        bad-payload error naming the field, not an internal one, and the
+        engine loaded before it keeps serving."""
+        seed = 3
+        n, edges = make_graph("gnp", 150, 8.0, seed)
+        proc, sock = spawn_server(tmp_path, "--coalesce-max", "1")
+        try:
+            with ServeClient(socket_path=sock) as client:
+                loaded = client.load_graph(n, edges, seed=seed)
+                before = client.query_colors()
+                bad = [("acd_minhash_samples", 0), ("acd_minhash_samples", -1),
+                       ("acd_minhash_bits", 17)]
+                for request_id, (field, value) in enumerate(bad, start=20):
+                    client.send(wire.LoadGraph(
+                        id=request_id, n=4, edges=[[0, 1]], config={field: value}
+                    ))
+                    reply = client.recv()
+                    assert isinstance(reply, wire.ErrorFrame)
+                    assert reply.code == "bad-payload" and reply.id == request_id
+                    assert field in reply.message
+                stats = client.stats()
+                assert stats["graph_loaded"] and stats["n"] == loaded.n
+                assert client.query_colors().colors == before.colors
+                present = {tuple(sorted(e)) for e in edges.tolist()}
+                new_edge = next(
+                    (u, v) for u in range(n) for v in range(u + 1, n)
+                    if (u, v) not in present
+                )
+                report = client.update_batch(UpdateBatch(insert_edges=[new_edge]))
+                assert report.report["proper"]
+                client.shutdown()
+            proc.wait(timeout=20)
+        finally:
+            stop(proc)
+
     def test_sharded_backend(self, tmp_path):
         """backend="sharded" installs the delta-routed sharded
         maintenance engine (ISSUE 10 tentpole's serve surface)."""

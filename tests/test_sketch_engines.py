@@ -148,11 +148,22 @@ class TestPacking:
         fps = rng.integers(0, 1 << bits, size=(samples, n), dtype=np.uint16)
         packed = pack_fingerprints(fps, bits)
         fields = 64 // bits
+        words = packed_words_per_node(samples, bits)
+        assert packed.shape == (n, words) and packed.dtype == np.uint64
+        assert packed.flags.c_contiguous
         mask = np.uint64((1 << bits) - 1)
         for j in range(samples):
             w, f = divmod(j, fields)
             got = (packed[:, w] >> np.uint64(f * bits)) & mask
             assert np.array_equal(got.astype(np.uint16), fps[j])
+        # Whole words: every bit outside a sample field (the unused tail
+        # fields and the 64 mod b leftover bits) is zero, which the SWAR
+        # estimator's exact match count relies on.
+        for v in range(n):
+            for w in range(words):
+                word = range(w * fields, min((w + 1) * fields, samples))
+                expect = sum(int(fps[j, v]) << ((j % fields) * bits) for j in word)
+                assert int(packed[v, w]) == expect
 
 
 class TestAccountingAndTiming:
