@@ -365,9 +365,14 @@ class ColoringConfig:
     """Root seed; a run is a pure function of (graph, config, seed)."""
 
     def __post_init__(self) -> None:
-        # The sketch fields can arrive from outside the program (load_graph
-        # and spec-file overrides, snapshots): refuse here, naming the
-        # field, what the fingerprint kernel cannot run.
+        # eps and the sketch fields can arrive from outside the program
+        # (load_graph and spec-file overrides, snapshots): refuse here,
+        # naming the field, what the decomposition cannot run.  An eps
+        # outside (0, 1) finds no cliques or too many, and the validator,
+        # checking against the same eps, would pass either.
+        eps = self.eps
+        if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
         samples, bits = self.acd_minhash_samples, self.acd_minhash_bits
         if not isinstance(samples, numbers.Integral) or samples < 1:
             raise ValueError(

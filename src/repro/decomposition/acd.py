@@ -26,7 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import ColoringConfig
-from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
+from repro.decomposition.minhash import (
+    SimilaritySketch,
+    compute_sketches,
+    estimate_edge_similarity,
+)
 from repro.decomposition.sparsity import edge_common_neighbors
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
@@ -270,6 +274,38 @@ def _friend_degree(net: BroadcastNetwork, friend_edge_mask: np.ndarray) -> np.nd
     return np.bincount(fe.ravel(), minlength=net.n).astype(np.int64)
 
 
+def _density_floor(net: BroadcastNetwork, eps: float) -> float:
+    """(1−2ε)·max(Δ, 1): the friend degree that makes a node dense.
+    Friend degree is at most degree, so it is also the degree a node needs
+    to be dense at all — a *candidate*."""
+    return (1.0 - 2.0 * eps) * max(net.delta, 1)
+
+
+def _candidate_edges(net: BroadcastNetwork, eps: float) -> np.ndarray:
+    """Indices into ``net.undirected_edges()`` of the edges that touch a
+    candidate — the only similarities :func:`_build` reads.
+
+    A candidate's friend degree counts only its own edges, all of which
+    are listed; a non-candidate stays sparse whatever its edges hold; and
+    clusters form over friend edges between two dense nodes, both
+    candidates.  So any value on an unlisted edge gives the same labels."""
+    cand = net.degrees >= _density_floor(net, eps)
+    edges = net.undirected_edges()
+    return np.flatnonzero(cand[edges[:, 0]] | cand[edges[:, 1]])
+
+
+def _candidate_similarity(
+    net: BroadcastNetwork, sketch: SimilaritySketch, touched: np.ndarray
+) -> np.ndarray:
+    """Per-edge similarity for :func:`_build`: the sketch's estimate on
+    the ``touched`` edges and 0 on every other edge."""
+    similarity = np.zeros(net.m, dtype=np.float64)
+    similarity[touched] = estimate_edge_similarity(
+        net, sketch, net.undirected_edges()[touched]
+    )
+    return similarity
+
+
 def _build(
     net: BroadcastNetwork,
     similarity: np.ndarray,
@@ -277,11 +313,10 @@ def _build(
     rounds_used: int,
 ) -> AlmostCliqueDecomposition:
     eps = cfg.eps
-    delta = max(net.delta, 1)
     friend_threshold = 1.0 - cfg.acd_friend_slack * eps
     friend_mask = similarity >= friend_threshold
     fdeg = _friend_degree(net, friend_mask)
-    dense_mask = fdeg >= (1.0 - 2.0 * eps) * delta
+    dense_mask = fdeg >= _density_floor(net, eps)
     labels = _clusters_from_friend_edges(net, friend_mask, dense_mask)
     # cluster formation: 2 rounds of id broadcasts.
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
@@ -330,20 +365,29 @@ def decompose_distributed(
     seq: SeedSequencer | None = None,
 ) -> AlmostCliqueDecomposition:
     """The broadcast protocol of Lemma 2.5: minhash sketches → friendship →
-    min-ID clustering → O(1) repair rounds.  All rounds accounted."""
+    min-ID clustering → O(1) repair rounds.  All rounds accounted.
+
+    The simulator fingerprints only the endpoints of the edges that touch
+    a candidate (:func:`_candidate_edges`) and estimates only those edges,
+    which gives the labels of the all-nodes sketch.  Rounds and bits still
+    charge every node's broadcast, as the protocol sends them."""
     cfg = cfg or ColoringConfig.practical()
     seq = seq or SeedSequencer(cfg.seed)
     if net.undirected_edges().size == 0:
         return AlmostCliqueDecomposition(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
         )
+    touched = _candidate_edges(net, cfg.eps)
+    endpoints = np.zeros(net.n, dtype=bool)
+    endpoints[net.undirected_edges()[touched]] = True
     sketch = compute_sketches(
         net,
         num_samples=cfg.acd_minhash_samples,
         bits=cfg.acd_minhash_bits,
         salt=seq.derive_seed("acd-hash") % (1 << 31),
+        nodes=np.flatnonzero(endpoints),
     )
-    similarity = estimate_edge_similarity(net, sketch)
+    similarity = _candidate_similarity(net, sketch, touched)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
 
 
@@ -362,12 +406,15 @@ def decompose_from_sketch(
     :func:`repro.hashing.fingerprints.refresh_minwise_fingerprints`) and
     accounts the re-broadcast of only the changed fingerprints itself.
     Friendship estimation, min-ID clustering, and the repair rounds run —
-    and are accounted — exactly as in the from-scratch path.
+    and are accounted — exactly as in the from-scratch path, which
+    estimates only the edges that touch a candidate.  The sketch must
+    hold those edges' endpoints; a maintained sketch stays full, because
+    churn moves the candidate set.
     """
     cfg = cfg or ColoringConfig.practical()
     if net.undirected_edges().size == 0:
         return AlmostCliqueDecomposition(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
         )
-    similarity = estimate_edge_similarity(net, sketch)
+    similarity = _candidate_similarity(net, sketch, _candidate_edges(net, cfg.eps))
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)

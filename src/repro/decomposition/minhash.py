@@ -45,14 +45,20 @@ _EDGE_CHUNK = 1 << 18
 @dataclass
 class SimilaritySketch:
     """Fingerprints, their packed words, and the accounting of the rounds
-    that shipped them."""
+    that shipped them.
 
-    fingerprints: np.ndarray  # (T, n) uint16
-    packed: np.ndarray  # (n, words) uint64, see pack_fingerprints
+    ``nodes`` says which nodes have a row.  None: every node, row v is
+    node v.  Otherwise the sketch holds only the listed nodes' rows, row
+    i for node ``nodes[i]``; other nodes have no row, and estimating an
+    edge that touches one raises ``ValueError``."""
+
+    fingerprints: np.ndarray  # (T, rows) uint16
+    packed: np.ndarray  # (rows, words) uint64, see pack_fingerprints
     bits_per_sample: int
     samples: int
     rounds_used: int
     phase: str = "acd/sketch"
+    nodes: np.ndarray | None = None
 
 
 def account_sketch_rounds(
@@ -82,12 +88,22 @@ def compute_sketches(
     bits: int,
     salt: int,
     phase: str = "acd/sketch",
+    nodes: np.ndarray | None = None,
 ) -> SimilaritySketch:
     """Compute and pack fingerprints and account the broadcast rounds
-    needed to exchange them under the network's bandwidth cap."""
+    needed to exchange them under the network's bandwidth cap.
+
+    With ``nodes`` only those nodes' fingerprints are computed and
+    packed (the sketch's ``nodes`` then lists its rows).  The charge is
+    the same either way: in the model every node broadcasts its
+    fingerprint, and the simulator only skips computing the ones no
+    caller reads."""
+    if nodes is not None:
+        nodes = np.asarray(nodes, dtype=np.int64)
     with net.metrics.time_phase(phase):
         fps = minwise_fingerprints(
-            net.indptr, net.indices, net.n, num_samples=num_samples, bits=bits, salt=salt
+            net.indptr, net.indices, net.n, num_samples=num_samples, bits=bits, salt=salt,
+            nodes=nodes,
         )
         packed = pack_fingerprints(fps, bits)
     rounds = account_sketch_rounds(net, num_samples, bits, net.n, phase=phase)
@@ -98,6 +114,7 @@ def compute_sketches(
         samples=num_samples,
         rounds_used=rounds,
         phase=phase,
+        nodes=nodes,
     )
 
 
@@ -129,8 +146,22 @@ def _swar_match_counts(
     return matches
 
 
+def _sketch_rows(sketch: SimilaritySketch, n: int, edges: np.ndarray) -> np.ndarray:
+    """``edges`` with each endpoint replaced by its row in ``sketch``."""
+    if sketch.nodes is None:
+        return edges
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[sketch.nodes] = np.arange(sketch.nodes.size)
+    rows = pos[edges]
+    if (rows < 0).any():
+        raise ValueError("an edge endpoint has no row in the sketch")
+    return rows
+
+
 def estimate_edge_similarity(
-    net: BroadcastNetwork, sketch: SimilaritySketch
+    net: BroadcastNetwork,
+    sketch: SimilaritySketch,
+    edges: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-undirected-edge estimate of Jaccard(N[u], N[v]).
 
@@ -139,13 +170,19 @@ def estimate_edge_similarity(
     to [0, 1].  Each endpoint of an edge computes this locally from the
     fingerprints it received — no extra rounds.  The match counts come
     from the packed words, chunk-by-chunk over edges.
+
+    ``edges`` (a ``(k, 2)`` node-id array) restricts the estimate to
+    those edges, in that order; the default is every edge of
+    ``net.undirected_edges()``.  Each endpoint needs a row in the sketch.
     """
-    edges = net.undirected_edges()
+    if edges is None:
+        edges = net.undirected_edges()
     if edges.size == 0:
         return np.empty(0, dtype=np.float64)
     with net.metrics.time_phase(sketch.phase):
+        rows = _sketch_rows(sketch, net.n, edges)
         matches = _swar_match_counts(
-            sketch.packed, edges, sketch.bits_per_sample, sketch.samples
+            sketch.packed, rows, sketch.bits_per_sample, sketch.samples
         )
         rate = matches / sketch.samples
         floor = 2.0 ** (-sketch.bits_per_sample)

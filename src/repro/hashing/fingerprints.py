@@ -10,8 +10,10 @@ kernel computes them: per chunk of samples it hashes a node-major grid,
 starts each node's minima from its own hash row, and folds its
 neighbors in one slot at a time (a slot pass per neighbor rank, rows
 sorted by degree), with hubs folding the rest of their rows in one
-reduceat.  It serves both the from-scratch :func:`minwise_fingerprints`
-and the delta-aware :func:`refresh_minwise_fingerprints`.
+reduceat.  It serves the from-scratch :func:`minwise_fingerprints`, for
+every node or for a node subset, and the delta-aware
+:func:`refresh_minwise_fingerprints`; a subset's rows are gathered and
+hashed over the universe its closed neighborhoods span.
 :func:`pack_fingerprints` packs the samples ⌊64/b⌋ per uint64 word, one
 field at a time, for the SWAR similarity estimator.
 Two nodes' fingerprints agree with probability ``J + (1-J)·2^{-b}`` where
@@ -193,6 +195,44 @@ def _closed_row_fingerprints(
     return fps
 
 
+def _node_fingerprints(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    nodes: np.ndarray,
+    num_samples: int,
+    bits: int,
+    salt: int,
+) -> np.ndarray:
+    """The kernel on a node subset: ``(T, |nodes|)`` fingerprints whose
+    column i is node ``nodes[i]``'s column of the all-nodes call.
+
+    The listed rows are gathered as a sub-CSR (one fancy gather of their
+    adjacency).  Their closed neighborhoods N[nodes] are marked in a
+    length-n mask, whose nonzero positions are the hash universe; ids
+    are renumbered into it through a dense position map, except when the
+    universe is all of V, where ids already are positions.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        raise ValueError(f"node id out of range [0, {n})")
+    if nodes.size == 0 or num_samples == 0:
+        return np.empty((num_samples, nodes.size), dtype=np.uint16)
+    deg = indptr[nodes + 1] - indptr[nodes]
+    sub_indptr = np.concatenate(([0], np.cumsum(deg)))
+    nb = _ragged_take(indices, indptr[nodes], deg)
+    spanned = np.zeros(n, dtype=bool)
+    spanned[nodes] = True
+    spanned[nb] = True
+    universe = np.flatnonzero(spanned)
+    if universe.size < n:
+        pos = np.cumsum(spanned) - 1
+        nodes, nb = pos[nodes], pos[nb]
+    return _closed_row_fingerprints(
+        universe.astype(np.uint64), nodes, sub_indptr, nb, num_samples, bits, salt
+    )
+
+
 def minwise_fingerprints(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -200,6 +240,7 @@ def minwise_fingerprints(
     num_samples: int,
     bits: int,
     salt: int = 0,
+    nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """b-bit minwise fingerprints of the *closed* neighborhoods.
 
@@ -211,6 +252,12 @@ def minwise_fingerprints(
     elementwise minimum, and hubs fold the rest of their rows in one
     ``minimum.reduceat`` (see :func:`_closed_row_fingerprints`).
 
+    With ``nodes`` the same kernel runs on those nodes' rows only,
+    hashing just the universe their closed neighborhoods span, so the
+    cost is ``O(T · |N[nodes]| + T · Σ deg(nodes))`` instead of
+    ``O(T · (n + m))``.  Each fingerprint is a pure function of
+    ``(salt, sample, N[v])``, so the columns equal the all-nodes call's.
+
     Hashes are the top 32 bits of splitmix64: halving the lane width
     halves gather traffic through the hot path, and at simulable n the
     probability that a 32-bit tie involves two distinct neighborhood
@@ -221,24 +268,31 @@ def minwise_fingerprints(
     ----------
     indptr, indices:
         CSR adjacency of the graph.
+    n:
+        Number of nodes.
     num_samples:
         Number of independent hash functions (T).
     bits:
         Fingerprint width b (1..16).
     salt:
         Base salt; sample j uses ``salt*num_samples + j``.
+    nodes:
+        Node ids to fingerprint, in any order; None for every node.
 
     Returns
     -------
-    ``(T, n)`` uint16 array of fingerprints.
+    ``(T, n)`` uint16 array of fingerprints, or with ``nodes`` a
+    ``(T, |nodes|)`` one whose column i is node ``nodes[i]``'s.
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
+    if nodes is not None:
+        return _node_fingerprints(indptr, indices, n, nodes, num_samples, bits, salt)
     if n == 0 or num_samples == 0:
         return np.empty((num_samples, n), dtype=np.uint16)
-    nodes = np.arange(n, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
     return _closed_row_fingerprints(
-        nodes.astype(np.uint64), nodes, indptr, indices, num_samples, bits, salt
+        ids.astype(np.uint64), ids, indptr, indices, num_samples, bits, salt
     )
 
 
@@ -260,10 +314,10 @@ def refresh_minwise_fingerprints(
     This is the delta-aware sketch maintenance path: a node's fingerprint
     is a pure function of ``(salt, sample, N[v])``, so after a topology
     delta only nodes whose *closed* neighborhood changed need re-hashing.
-    The same slot-pass kernel as :func:`minwise_fingerprints` runs on
-    the listed nodes' rows, hashing only the sub-universe of those nodes
-    and their current neighbors, so the cost is
-    ``O(T · (|nodes| + Σ deg(nodes)))`` instead of ``O(T · (n + m))``.
+    It computes the columns with the subset entry of
+    :func:`minwise_fingerprints` (the same kernel, on the listed rows and
+    the universe their closed neighborhoods span), so the cost is
+    ``O(T · (|N[nodes]| + Σ deg(nodes)))`` instead of ``O(T · (n + m))``.
 
     ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
     ``salt``/``num_samples``/``bits`` must match the call that built it.
@@ -273,25 +327,9 @@ def refresh_minwise_fingerprints(
         raise ValueError("bits must be in [1, 16]")
     if fps.shape != (num_samples, n):
         raise ValueError(f"fps shape {fps.shape} != ({num_samples}, {n})")
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
-        raise ValueError(f"node id out of range [0, {n})")
-    if nodes.size == 0 or num_samples == 0:
-        return fps
-    # The listed nodes' rows as a sub-CSR (one fancy gather of their
-    # adjacency), renumbered into the universe they and their neighbors span.
-    deg = indptr[nodes + 1] - indptr[nodes]
-    sub_indptr = np.concatenate(([0], np.cumsum(deg)))
-    nb = np.asarray(_ragged_take(indices, indptr[nodes], deg), dtype=np.int64)
-    universe = np.union1d(nodes, nb)
-    fps[:, nodes] = _closed_row_fingerprints(
-        universe.astype(np.uint64),
-        np.searchsorted(universe, nodes),
-        sub_indptr,
-        np.searchsorted(universe, nb),
-        num_samples,
-        bits,
-        salt,
+    nodes = np.asarray(nodes, dtype=np.int64)
+    fps[:, nodes] = _node_fingerprints(
+        indptr, indices, n, nodes, num_samples, bits, salt
     )
     return fps
 

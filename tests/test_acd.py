@@ -2,18 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.decomposition.acd as acd_mod
+import repro.decomposition.minhash as minhash_mod
 from repro.config import ColoringConfig
 from repro.decomposition.acd import (
     SPARSE,
     AlmostCliqueDecomposition,
     decompose_distributed,
     decompose_exact,
+    decompose_from_sketch,
 )
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.decomposition.validation import validate_decomposition
-from repro.graphs.generators import complete_graph, gnp_graph, planted_acd_graph, ring_graph
+from repro.graphs.generators import (
+    complete_graph,
+    geometric_graph,
+    gnp_graph,
+    planted_acd_graph,
+    ring_graph,
+    star_graph,
+)
 from repro.simulator.network import BroadcastNetwork
+from tests.helpers import all_nodes_decomposition
 
 
 @pytest.fixture
@@ -103,6 +116,82 @@ class TestDistributedDecomposition:
         a = decompose_distributed(net1, cfg)
         b = decompose_distributed(net2, cfg)
         assert np.array_equal(a.labels, b.labels)
+
+
+def ring_with_hub(ring: int) -> tuple[int, list[tuple[int, int]]]:
+    """A ring of ``ring`` nodes plus hub ``ring`` adjacent to every other
+    ring node: the hub sets Δ = ring/2, and at small ε it is the only node
+    of degree ≥ (1−2ε)Δ."""
+    edges = [(i, (i + 1) % ring) for i in range(ring)]
+    return ring + 1, edges + [(ring, i) for i in range(0, ring, 2)]
+
+
+class TestCandidateSketch:
+    """The decomposition reads only the similarities of edges that touch a
+    candidate (a node of degree ≥ (1−2ε)Δ).  Sketching and estimating just
+    those must give the labels, rounds and bits of the all-nodes oracle."""
+
+    GRAPHS = {
+        "planted": lambda seed: planted_acd_graph(3, 20, 0.1, sparse_nodes=20, seed=seed),
+        "star": lambda seed: star_graph(25 + seed % 8),
+        "edgeless": lambda seed: (12, []),
+        "ring-hub": lambda seed: ring_with_hub(40 + 2 * (seed % 8)),
+        "gnp": lambda seed: gnp_graph(60, 0.15, seed=seed),
+        "geometric": lambda seed: geometric_graph(80, 0.2, seed=seed),
+    }
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.45, 0.5, 0.7])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_all_nodes_oracle(self, graph, eps, seed):
+        g = self.GRAPHS[graph](seed)
+        cfg = ColoringConfig.practical(eps=eps, seed=seed)
+
+        def nets():
+            return [BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0])) for _ in "ab"]
+
+        def assert_same(got, want, got_net, want_net):
+            assert np.array_equal(got.labels, want.labels)
+            assert got.rounds_used == want.rounds_used
+            assert got_net.metrics.total_bits == want_net.metrics.total_bits
+
+        got_net, want_net = nets()
+        got = decompose_distributed(got_net, cfg)
+        assert_same(got, all_nodes_decomposition(want_net, cfg), got_net, want_net)
+
+        got_net, want_net = nets()
+        sketches = [
+            compute_sketches(net, cfg.acd_minhash_samples, cfg.acd_minhash_bits, salt=seed)
+            for net in (got_net, want_net)
+        ]
+        got = decompose_from_sketch(got_net, sketches[0], cfg)
+        want = all_nodes_decomposition(want_net, cfg, sketches[1])
+        assert_same(got, want, got_net, want_net)
+
+    def test_sketches_only_around_the_hub(self, monkeypatch):
+        """With the hub the only candidate, only N[hub] is fingerprinted
+        and only the hub's edges are estimated."""
+        n, edges = ring_with_hub(40)
+        net = BroadcastNetwork((n, edges))
+        seen = {}
+        fingerprint, estimate = minhash_mod.minwise_fingerprints, acd_mod.estimate_edge_similarity
+
+        def fingerprint_spy(*args, nodes=None, **kwargs):
+            seen["nodes"] = nodes
+            return fingerprint(*args, nodes=nodes, **kwargs)
+
+        def estimate_spy(net, sketch, edges=None):
+            seen["edges"] = edges
+            return estimate(net, sketch, edges)
+
+        monkeypatch.setattr(minhash_mod, "minwise_fingerprints", fingerprint_spy)
+        monkeypatch.setattr(acd_mod, "estimate_edge_similarity", estimate_spy)
+        decompose_distributed(net, ColoringConfig.practical(eps=0.1))
+        hub = n - 1
+        assert seen["nodes"].tolist() == list(range(0, 40, 2)) + [hub]
+        assert (seen["edges"] == hub).any(axis=1).all()
+        assert len(seen["edges"]) == 20
 
 
 class TestSimilaritySketches:

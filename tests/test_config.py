@@ -49,13 +49,18 @@ class TestPresets:
             ("acd_minhash_bits", 0),
             ("acd_minhash_bits", 17),
             ("acd_minhash_bits", "2"),
+            ("eps", 0),
+            ("eps", -0.1),
+            ("eps", 1.0),
+            ("eps", float("nan")),
+            ("eps", float("inf")),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
-        load_graph overrides) refuse a sketch the fingerprint kernel
-        cannot run, naming the field; the edges of the valid range still
-        build."""
+        load_graph overrides) refuse an eps outside (0, 1) and a sketch
+        the fingerprint kernel cannot run, naming the field; the edges of
+        the valid range still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -65,6 +70,7 @@ class TestPresets:
                 build()
         ColoringConfig.practical(acd_minhash_samples=1, acd_minhash_bits=1)
         ColoringConfig.practical(acd_minhash_bits=16)
+        ColoringConfig.practical(eps=0.999)
 
 
 class TestDerived:

@@ -156,8 +156,8 @@ class TestMinwise:
         fingerprint[v] = (min over N[v] of the 32-bit hash) & mask — across
         chunk boundaries (``per_chunk`` samples per chunk; None keeps the
         default budget, one chunk here), through the slot passes and the
-        hub fold (``cut_rows``), and for the in-place refresh, which runs
-        the same kernel."""
+        hub fold (``cut_rows``), and for the subset entry and the in-place
+        refresh, which run the same kernel."""
         net = BroadcastNetwork(self.GRAPHS[name])
         T, bits, salt = 37, 3, 5
         chunk = per_chunk or T
@@ -187,6 +187,29 @@ class TestMinwise:
             for _, plan in seen:
                 assert bool(plan.slots) == (cut_rows < 10**9)
                 assert bool(plan.tail_starts.size) == (cut_rows > 0)
+        # The subset entry on no node, an isolated node (if any), a hub
+        # alone, nodes whose closed neighborhoods span a strict subset of V
+        # (renumbered into it) and every node in reverse (the universe is
+        # V: no renumbering).
+        deg = net.degrees
+        subsets = [
+            [],
+            np.flatnonzero(deg == 0)[:1],
+            [int(deg.argmax())],
+            [net.n - 2, net.n - 1],
+            ids[::-1],
+        ]
+        spanned = [
+            np.union1d(s, net.indices[np.isin(net.edge_src, s)]).size for s in subsets
+        ]
+        assert spanned[3] < net.n and spanned[4] == net.n
+        for s in subsets:
+            s = np.asarray(s, dtype=np.int64)
+            sub = minwise_fingerprints(
+                net.indptr, net.indices, net.n, T, bits, salt=salt, nodes=s
+            )
+            assert sub.shape == (T, s.size)
+            assert np.array_equal(sub, got[:, s])
 
     def test_hub_folds_through_the_tail(self, monkeypatch):
         """On a star with n = 10⁵ the kernel makes one slot pass per chunk

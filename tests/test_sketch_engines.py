@@ -55,6 +55,11 @@ class TestEngineEquivalence:
         net = BroadcastNetwork(self.GRAPHS[name]())
         packed, unpacked = sketch_pair(net, samples, bits, salt=2)
         assert np.array_equal(packed, unpacked)
+        # A sketch of only every other edge's endpoints, estimated on
+        # those edges, reads the oracle's estimates there.
+        edges = net.undirected_edges()[::2]
+        sk = compute_sketches(net, samples, bits, salt=2, nodes=np.unique(edges))
+        assert np.array_equal(estimate_edge_similarity(net, sk, edges), unpacked[::2])
 
     @given(
         n=st.integers(min_value=2, max_value=24),
@@ -169,19 +174,28 @@ class TestPacking:
 class TestAccountingAndTiming:
     def test_closed_form_matches_per_round_loop(self):
         # 100 samples, 48-bit budget, b=2 → 24/round → 4 full + 1 partial.
-        net = BroadcastNetwork(ring_graph(12), bandwidth_bits=48)
-        compute_sketches(net, 100, 2, salt=0)
-        stats = net.metrics.phases["acd/sketch"]
-        assert stats.rounds == 5
-        assert stats.messages == 5 * 12
-        assert stats.total_bits == 12 * 100 * 2  # every sample shipped once
-        assert stats.max_message_bits == 48
+        # Every node broadcasts, however few fingerprints are computed.
+        for nodes in (None, [0, 1]):
+            net = BroadcastNetwork(ring_graph(12), bandwidth_bits=48)
+            compute_sketches(net, 100, 2, salt=0, nodes=nodes)
+            stats = net.metrics.phases["acd/sketch"]
+            assert stats.rounds == 5
+            assert stats.messages == 5 * 12
+            assert stats.total_bits == 12 * 100 * 2  # every sample shipped once
+            assert stats.max_message_bits == 48
 
     def test_exact_multiple_no_partial_round(self):
         net = BroadcastNetwork(ring_graph(8), bandwidth_bits=32)
         sk = compute_sketches(net, 64, 2, salt=0)
         assert sk.rounds_used == 4
         assert net.metrics.phases["acd/sketch"].rounds == 4
+
+    def test_edge_without_a_row_refused(self):
+        net = BroadcastNetwork(ring_graph(12))
+        sk = compute_sketches(net, 64, 2, salt=0, nodes=[0, 1, 2])
+        assert estimate_edge_similarity(net, sk, np.array([[0, 1], [1, 2]])).shape == (2,)
+        with pytest.raises(ValueError, match="no row"):
+            estimate_edge_similarity(net, sk)
 
     def test_sketch_phase_seconds_recorded(self):
         net = BroadcastNetwork(gnp_graph(80, 0.2, seed=0))
