@@ -77,13 +77,18 @@ def test_e8_compress_try_reduction(benchmark):
     for k in [1, 2, 4, 8, 16]:
         colored_fracs = []
         for seed in range(4):
-            cfg, net, state, info = full_setup(seed=seed, compress_try_colors=k)
+            cfg, net, state, info = full_setup(
+                seed=seed, compress_try_colors=k, compress_try_repeats=1
+            )
             members = info.members(0)
             s_nodes = members[:24]
-            lists = {
-                int(v): np.arange(state.num_colors, dtype=np.int64) for v in s_nodes
-            }
-            nodes, _ = compress_try(state, s_nodes, lists, cfg, SeedSequencer(seed))
+            # Nothing is colored yet and the lists are the whole palette:
+            # every color is usable.
+            usable = np.ones((s_nodes.size, state.num_colors), dtype=bool)
+            nodes, _ = compress_try(
+                s_nodes, np.zeros(s_nodes.size, dtype=np.int64), usable, [0], 0, cfg,
+                SeedSequencer(seed),
+            )
             colored_fracs.append(len(nodes) / s_nodes.size)
         fractions.append(np.mean(colored_fracs))
         rows.append((k, f"{np.mean(colored_fracs):.2%}"))

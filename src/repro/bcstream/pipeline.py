@@ -84,7 +84,7 @@ def _phase_memory_audit(cfg: ColoringConfig, n: int, delta: int) -> dict[str, in
         "learn-palette": z0 // 64 + 2,
         "permute": x_labels + 4,
         "prefix-sums": z0 + 2,
-        "putaside": cfg.compress_try_colors * max(1, cfg.compress_try_repeats)
+        "putaside": cfg.compress_try_colors * cfg.compress_try_repeats
         + cfg.putaside_size(n)
         + 2,
         "cleanup": 2,

@@ -365,11 +365,12 @@ class ColoringConfig:
     """Root seed; a run is a pure function of (graph, config, seed)."""
 
     def __post_init__(self) -> None:
-        # eps and the sketch fields can arrive from outside the program
-        # (load_graph and spec-file overrides, snapshots): refuse here,
-        # naming the field, what the decomposition cannot run.  An eps
-        # outside (0, 1) finds no cliques or too many, and the validator,
-        # checking against the same eps, would pass either.
+        # eps, the sketch fields and the CompressTry counts can arrive from
+        # outside the program (load_graph and spec-file overrides,
+        # snapshots): refuse here, naming the field, what the pipeline
+        # cannot run.  An eps outside (0, 1) finds no cliques or too many,
+        # and the validator, checking against the same eps, would pass
+        # either.
         eps = self.eps
         if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
@@ -382,6 +383,12 @@ class ColoringConfig:
             raise ValueError(
                 f"acd_minhash_bits must be an integer in [1, 16], got {bits!r}"
             )
+        # CompressTry draws and charges k color indices in each of its
+        # repeats: a count below 1 would charge negative or phantom bits.
+        for name in ("compress_try_colors", "compress_try_repeats"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -16,17 +16,25 @@ be colored purely inside K:
 2. Once |P̂_K| = O(log n / log log n), nodes broadcast entire candidate
    lists using O(log log n)-bit color indices and finish by simulating the
    greedy with no further communication (Lemma 3.10).
+
+Because no edge joins two cliques' put-aside sets, one clique's adoptions
+change nothing another clique reads, so each step runs for every clique
+at once: color sets are bool rows over the palette, the ID-order greedy
+runs as rank passes (pass j takes the j-th pending node of every
+instance), and each step ends in one adoption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import ColoringConfig
 from repro.core.cliques import CliqueInfo
 from repro.core.state import ColoringState
+from repro.simulator.network import gather_csr_rows
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_id, bits_for_int
 from repro.util.mathx import poly_log
@@ -131,69 +139,203 @@ def select_putaside_sets(
 
 
 # ---------------------------------------------------------------------------
-# CompressTry (Algorithm 6)
+# CompressTry (Algorithm 6) and the finish (Lemma 3.10), all cliques at once
 # ---------------------------------------------------------------------------
 
 
+class _PendingRows:
+    """The put-aside nodes still uncolored when the phase starts, clique by
+    clique in key order, with their CSR rows.  ``group`` maps a row to its
+    clique among the G cliques with a pending node."""
+
+    def __init__(
+        self,
+        state: ColoringState,
+        info: CliqueInfo,
+        keys: list,
+        sets: list[np.ndarray],
+    ):
+        net = state.net
+        labels = info.labels
+        pending = [np.sort(p[state.colors[p] < 0]) for p in sets]
+        active = [i for i, p in enumerate(pending) if p.size]
+        sizes = np.array([pending[i].size for i in active], dtype=np.int64)
+        self.tags = [keys[i] for i in active]
+        self.clique = np.array([int(keys[i]) for i in active], dtype=np.int64)
+        self.nodes = (
+            np.concatenate([pending[i] for i in active])
+            if active
+            else np.empty(0, dtype=np.int64)
+        )
+        self.group = np.repeat(np.arange(len(active), dtype=np.int64), sizes)
+        self.starts = np.cumsum(sizes) - sizes
+        self.nbr = gather_csr_rows(net.indptr, net.indices, self.nodes)
+        self.row = np.repeat(
+            np.arange(self.nodes.size, dtype=np.int64), net.degrees[self.nodes]
+        )
+
+        # The batched order is exact only under Lemma 3.4: refuse a node
+        # outside its key's clique and an edge between two cliques' sets.
+        own = labels[self.nodes]
+        stray = (own < 0) | (own != self.clique[self.group])
+        if stray.any():
+            i = int(np.flatnonzero(stray)[0])
+            raise ValueError(
+                f"put-aside node {self.nodes[i]} is not a member of clique "
+                f"{self.tags[self.group[i]]}"
+            )
+        owner = np.full(net.n, -1, dtype=np.int64)
+        for i, p in enumerate(sets):
+            owner[p] = i
+        theirs = owner[self.nbr]
+        cross = (theirs >= 0) & (theirs != np.asarray(active)[self.group[self.row]])
+        if cross.any():
+            e = int(np.flatnonzero(cross)[0])
+            v, u = int(self.nodes[self.row[e]]), int(self.nbr[e])
+            raise ValueError(
+                f"put-aside sets of cliques {keys[owner[v]]} and "
+                f"{keys[theirs[e]]} are adjacent: edge ({v}, {u}) breaks "
+                "Lemma 3.4"
+            )
+
+        clique_group = np.full(info.num_cliques, -1, dtype=np.int64)
+        clique_group[self.clique] = np.arange(self.clique.size)
+        member = np.flatnonzero(labels >= 0)
+        g = clique_group[labels[member]]
+        self.members, self.member_group = member[g >= 0], g[g >= 0]
+        self.in_clique = labels[self.nbr] == self.clique[self.group[self.row]]
+
+    def usable(
+        self, colors: np.ndarray, lists: np.ndarray, runs: np.ndarray
+    ) -> np.ndarray:
+        """L(v) ∩ Ψ(v) per row, where Ψ(v) is the colors no neighbor
+        holds; rows outside ``runs`` are empty."""
+        cols = colors[self.nbr]
+        held = (cols >= 0) & runs[self.row]
+        usable = lists & runs[:, None]
+        usable[self.row[held], cols[held]] = False
+        return usable
+
+    def lists(self, colors: np.ndarray, num_colors: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ψ(K) per clique and L(v) = Ψ(K) ∪ C(K\\N(v)) per row.
+
+        C(K\\N(v)) is the clique's color histogram minus that of v's
+        in-clique neighbors; v itself is uncolored, so it adds nothing.
+        """
+        cols = colors[self.members]
+        held = cols >= 0
+        in_k = np.bincount(
+            self.member_group[held] * num_colors + cols[held],
+            minlength=self.clique.size * num_colors,
+        ).reshape(-1, num_colors)
+        cols = colors[self.nbr]
+        held = self.in_clique & (cols >= 0)
+        near = np.bincount(
+            self.row[held] * num_colors + cols[held],
+            minlength=self.nodes.size * num_colors,
+        ).reshape(-1, num_colors)
+        psi_k = in_k == 0
+        return psi_k, psi_k[self.group] | (in_k[self.group] > near)
+
+
+def _presample(
+    seq: SeedSequencer, nodes: np.ndarray, sizes: np.ndarray, tags: list, k: int
+) -> np.ndarray:
+    """CompressTry's pre-samples: row i holds k uniform ranks into the
+    usable colors of ``nodes[i]``, drawn from that node's private stream
+    for the instance ``tags[i]`` (one generator per node and instance)."""
+    out = np.empty((len(tags), k), dtype=np.int64)
+    for i, (v, size, tag) in enumerate(zip(nodes.tolist(), sizes.tolist(), tags)):
+        out[i] = seq.node_stream("compress-try", v, tag).integers(0, size, size=k)
+    return out
+
+
+def _greedy_passes(
+    nodes: np.ndarray, inst: np.ndarray, cand: np.ndarray, num_inst: int, num_colors: int
+) -> np.ndarray:
+    """The sequential ID-order greedy of many independent instances, run
+    as rank passes: pass j takes the j-th smallest node of every instance,
+    and each takes its first candidate color (−1 = none) that no earlier
+    node of its instance took.  Returns the color per item, −1 for none."""
+    order = np.lexsort((nodes, inst))
+    by_inst = inst[order]
+    rank = np.arange(order.size) - np.searchsorted(by_inst, by_inst)
+    step = np.argsort(rank, kind="stable")
+    taken = np.zeros((num_inst, num_colors), dtype=bool)
+    got = np.full(nodes.size, -1, dtype=np.int64)
+    for items in np.split(order[step], np.flatnonzero(np.diff(rank[step])) + 1):
+        c, where = cand[items], inst[items]
+        free = (c >= 0) & ~taken[where[:, None], c]
+        hit = free.any(axis=1)
+        pick = c[np.arange(items.size), free.argmax(axis=1)][hit]
+        taken[where[hit], pick] = True
+        got[items[hit]] = pick
+    return got
+
+
 def compress_try(
-    state: ColoringState,
-    s_nodes: np.ndarray,
-    lists: dict[int, np.ndarray],
+    nodes: np.ndarray,
+    group: np.ndarray,
+    usable: np.ndarray,
+    cliques: Sequence[object],
+    stage: int,
     cfg: ColoringConfig,
     seq: SeedSequencer,
-    tag: object = 0,
-) -> tuple[list[int], list[int]]:
-    """One CompressTry instance: returns (nodes, colors) the sequential
-    ID-order greedy would color.  Nothing is adopted here — the caller
-    composes instances (the §3.3 log log n parallel repetitions) and adopts
-    the best outcome.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One CompressTry stage (Algorithm 6) in every clique at once.
 
-    Every node v pre-samples k colors from L(v) ∩ Ψ(v); in ID order, v
-    takes its first sample not already taken by a smaller-ID node of S.
+    Row i is node ``nodes[i]`` of clique ``cliques[group[i]]``, and
+    ``usable[i]`` its L(v) ∩ Ψ(v) as a bool row over the palette.  Each
+    clique runs ``cfg.compress_try_repeats`` instances side by side (the
+    §3.3 log log n repetitions).  In instance r every row pre-samples
+    ``cfg.compress_try_colors`` colors from its usable row, with the
+    node's stream for (clique, stage, r); a row with nothing usable draws
+    nothing.  Then, in ID order, each node takes its first sample that no
+    smaller-ID node of its instance took.  Every clique keeps its first
+    instance with the most nodes colored.  Nothing is adopted here.
+    Returns the (rows, colors) of the kept instances.
     """
-    k = max(1, cfg.compress_try_colors)
-    order = np.sort(np.asarray(s_nodes, dtype=np.int64))
-    taken: set[int] = set()
-    nodes_out: list[int] = []
-    colors_out: list[int] = []
-    for v in order:
-        v = int(v)
-        lv = lists.get(v)
-        if lv is None or lv.size == 0:
-            continue
-        pal = state.palette(v)
-        usable = np.intersect1d(lv, pal, assume_unique=False)
-        if usable.size == 0:
-            continue
-        rng = seq.node_stream("compress-try", v, tag)
-        samples = usable[rng.integers(0, usable.size, size=k)]
-        for c in samples:
-            c = int(c)
-            if c not in taken:
-                taken.add(c)
-                nodes_out.append(v)
-                colors_out.append(c)
-                break
-    return nodes_out, colors_out
+    k, reps = cfg.compress_try_colors, cfg.compress_try_repeats
+    num_colors = usable.shape[1]
+    sizes = usable.sum(axis=1)
+    drawn = np.flatnonzero(sizes)
+    rows = np.repeat(drawn, reps)
+    rep = np.tile(np.arange(reps, dtype=np.int64), drawn.size)
+    tags = [(cliques[g], stage, r) for g, r in zip(group[rows].tolist(), rep.tolist())]
+    ranks = _presample(seq, nodes[rows], sizes[rows], tags, k)
+    # Rank r of a row is its r-th usable color: read it off the row's run
+    # of set positions in the flattened usable rows.
+    d = np.repeat(np.arange(drawn.size, dtype=np.int64), reps)
+    flat = np.flatnonzero(usable[drawn])
+    first = np.cumsum(sizes[drawn]) - sizes[drawn]
+    samples = flat[first[d][:, None] + ranks] - (d * num_colors)[:, None]
+    inst = group[rows] * reps + rep
+    got = _greedy_passes(nodes[rows], inst, samples, len(cliques) * reps, num_colors)
+    wins = np.bincount(inst[got >= 0], minlength=len(cliques) * reps)
+    best = wins.reshape(-1, reps).argmax(axis=1)
+    keep = (got >= 0) & (rep == best[group[rows]])
+    return rows[keep], got[keep]
 
 
-def _clique_palette(state: ColoringState, members: np.ndarray) -> np.ndarray:
-    """Ψ(K) = [Δ+1] \\ C(K) (Definition 2.7)."""
-    used = np.zeros(state.num_colors, dtype=bool)
-    mc = state.colors[members]
-    used[mc[mc >= 0]] = True
-    return np.flatnonzero(~used).astype(np.int64)
+def _finish(
+    nodes: np.ndarray, group: np.ndarray, usable: np.ndarray, num_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Lemma 3.10 finish in every clique at once: in ID order, each row
+    takes the lowest color of its ``usable`` row not yet taken in its
+    clique.  Returns (rows, colors)."""
+    rows = np.flatnonzero(usable.any(axis=1))
+    num_colors = usable.shape[1]
+    cand = np.where(usable[rows], np.arange(num_colors, dtype=np.int64), -1)
+    got = _greedy_passes(nodes[rows], group[rows], cand, num_groups, num_colors)
+    return rows[got >= 0], got[got >= 0]
 
 
-def _anti_neighbor_colors(
-    state: ColoringState, members: np.ndarray, v: int
-) -> np.ndarray:
-    """C(K \\ N(v)): colors of v's anti-neighbors inside K — the list
-    augmentation of Lemma 3.13's second stage."""
-    nbrs = set(int(u) for u in state.net.neighbors(v))
-    anti = [int(u) for u in members if int(u) != v and int(u) not in nbrs]
-    cols = state.colors[np.asarray(anti, dtype=np.int64)] if anti else np.empty(0, dtype=np.int64)
-    return np.unique(cols[cols >= 0]).astype(np.int64)
+def _waves(msg_bits: int, budget: int | None) -> tuple[int, int]:
+    """Rounds and per-message bits of a 2-round exchange whose message may
+    need several waves under the bandwidth cap."""
+    if budget is not None and msg_bits > budget:
+        return 2 * int(np.ceil(msg_bits / budget)), budget
+    return 2, msg_bits
 
 
 # ---------------------------------------------------------------------------
@@ -209,134 +351,97 @@ def color_putaside_sets(
     seq: SeedSequencer,
     phase: str = "putaside",
 ) -> PutAsideReport:
-    """Color every put-aside set.  Put-aside sets have no cross edges, so
-    cliques are processed independently (simultaneously in model time)."""
+    """Color every put-aside set, all cliques at once.
+
+    Stage 0 runs CompressTry on the clique palette Ψ(K).  Cliques with
+    a_K < C log n then run stage 1 on the augmented lists
+    Ψ(K) ∪ C(K\\N(v)) (second case of Lemma 3.13); those lists are built
+    from the colors *before* stage 0.  Last, the Lemma 3.10 finish gives
+    every pending node the lowest free color of L(v) ∩ Ψ(v).  Ψ(v) is
+    read at the start of each step, and each step adopts once.
+
+    Batching is exact because no edge joins the put-aside sets of two
+    cliques (Lemma 3.4): a clique's adoptions change no Ψ(v), Ψ(K') or
+    C(K'\\N(v)) another clique reads, and every random stream is keyed by
+    (clique, stage, repeat, node).  A node outside its key's clique, or an
+    edge between two cliques' sets, raises ``ValueError`` before anything
+    is adopted.  Rounds are the maximum over cliques; messages the sum.
+    """
     net = state.net
     report = PutAsideReport()
-    log_thr = cfg.log_threshold(net.n)
+    keys = list(putaside)
+    sets = [np.asarray(putaside[c], dtype=np.int64) for c in keys]
+    pend = _PendingRows(state, info, keys, sets)
+    if not pend.nodes.size:
+        return report
 
-    max_compress_rounds = 0
-    max_finish_rounds = 0
-    compress_msgs: list[tuple[int, int]] = []  # (participants, bits) per clique
+    num_colors = state.num_colors
+    budget = net.bandwidth_bits
+    compress_rounds = np.zeros(pend.clique.size, dtype=np.int64)
+    compress_msgs: list[tuple[int, int]] = []  # (participants, bits) per clique and stage
     finish_msgs: list[tuple[int, int]] = []
-    for c, p_nodes in putaside.items():
-        members = info.members(c)
-        pending = p_nodes[state.colors[p_nodes] < 0]
-        if pending.size == 0:
-            continue
+    max_finish_rounds = 0
+    psi_k, augmented = pend.lists(state.colors, num_colors)
+    # With a_K ≥ C log n the colorful matching left the clique palette
+    # a surplus of a_K ≥ a_v, so Ψ(K) alone suffices (first case of
+    # Lemma 3.13); other cliques go on to the augmented lists.
+    two_stage = info.a_k[pend.clique] < cfg.log_threshold(net.n)
+    stages = (
+        (psi_k[pend.group], psi_k.sum(axis=1)),
+        (augmented, np.maximum.reduceat(augmented.sum(axis=1), pend.starts)),
+    )
+    # Bits: k color indices per instance, every instance in one
+    # Many-to-All wave (2 rounds); the index width follows the largest
+    # list of the nodes pending when the clique started.
+    per_index = cfg.compress_try_colors * cfg.compress_try_repeats
+    for stage, (lists, list_size) in enumerate(stages):
+        runs = state.colors[pend.nodes] < 0
+        if stage:
+            runs &= two_stage[pend.group]
+        if not runs.any():
+            break
+        usable = pend.usable(state.colors, lists, runs)
+        rows, cols = compress_try(
+            pend.nodes, pend.group, usable, pend.tags, stage, cfg, seq
+        )
+        state.adopt(pend.nodes[rows], cols)
+        report.colored += int(rows.size)
+        part = np.bincount(pend.group[runs], minlength=pend.clique.size)
+        for g in np.flatnonzero(part).tolist():
+            msg_bits = per_index * bits_for_int(max(int(list_size[g]), 2))
+            rounds, msg_bits = _waves(msg_bits + bits_for_id(net.n), budget)
+            compress_msgs.append((int(part[g]), msg_bits))
+            compress_rounds[g] += rounds
 
-        # --- reduction stage(s) via CompressTry ---
-        stages: list[dict[int, np.ndarray]] = []
-        psi_k = _clique_palette(state, members)
-        if info.a_k[c] >= log_thr:
-            # Colorful matching gave the clique palette surplus a_K ≥ a_v:
-            # the clique palette alone suffices (first case of Lemma 3.13).
-            stages.append({int(v): psi_k for v in pending})
-        else:
-            # Two-stage: clique palette first, then augmented lists with
-            # anti-neighbor colors (second case of Lemma 3.13).
-            stages.append({int(v): psi_k for v in pending})
-            stages.append(
-                {
-                    int(v): np.union1d(
-                        psi_k, _anti_neighbor_colors(state, members, int(v))
-                    )
-                    for v in pending
-                }
-            )
-
-        rounds_here = 0
-        for stage_idx, lists in enumerate(stages):
-            pending = pending[state.colors[pending] < 0]
-            if pending.size == 0:
-                break
-            # log log n independent instances in parallel; adopt the best.
-            best: tuple[list[int], list[int]] = ([], [])
-            for rep in range(max(1, cfg.compress_try_repeats)):
-                nodes_out, colors_out = compress_try(
-                    state, pending, lists, cfg, seq, tag=(c, stage_idx, rep)
-                )
-                if len(nodes_out) > len(best[0]):
-                    best = (nodes_out, colors_out)
-            if best[0]:
-                state.adopt(
-                    np.asarray(best[0], dtype=np.int64),
-                    np.asarray(best[1], dtype=np.int64),
-                )
-                report.colored += len(best[0])
-            # Bits: k color-indices per instance, all instances in one
-            # Many-to-All wave (2 rounds).
-            list_size = max((arr.size for arr in lists.values()), default=1)
-            msg_bits = (
-                cfg.compress_try_colors
-                * max(1, cfg.compress_try_repeats)
-                * bits_for_int(max(list_size, 2))
-                + bits_for_id(net.n)
-            )
-            waves = 1
-            budget = net.bandwidth_bits
-            if budget is not None and msg_bits > budget:
-                waves = int(np.ceil(msg_bits / budget))
-                msg_bits = budget
-            compress_msgs.append((int(pending.size), msg_bits))
-            rounds_here += 2 * waves
-        max_compress_rounds = max(max_compress_rounds, rounds_here)
-
-        # --- finish (Lemma 3.10): broadcast lists, simulate greedy ---
-        pending = p_nodes[state.colors[p_nodes] < 0]
-        if pending.size:
-            psi_k = _clique_palette(state, members)
-            nodes_fin: list[int] = []
-            cols_fin: list[int] = []
-            taken: set[int] = set()
-            for v in np.sort(pending):
-                v = int(v)
-                lv = np.union1d(psi_k, _anti_neighbor_colors(state, members, v))
-                pal = state.palette(v)
-                usable = np.setdiff1d(
-                    np.intersect1d(lv, pal), np.asarray(sorted(taken), dtype=np.int64)
-                )
-                if usable.size:
-                    cchoice = int(usable[0])
-                    taken.add(cchoice)
-                    nodes_fin.append(v)
-                    cols_fin.append(cchoice)
-            if nodes_fin:
-                state.adopt(
-                    np.asarray(nodes_fin, dtype=np.int64),
-                    np.asarray(cols_fin, dtype=np.int64),
-                )
-                report.colored += len(nodes_fin)
-            # Bits: |P̂_K|+1 colors of O(log log n) bits each.
-            color_code_bits = bits_for_int(
-                max(int(poly_log(net.n, 3.0, 1.0)), 2)
-            )
-            msg_bits = (pending.size + 1) * max(1, color_code_bits // 2)
-            budget = net.bandwidth_bits
-            waves = 1
-            if budget is not None and msg_bits > budget:
-                waves = int(np.ceil(msg_bits / budget))
-                msg_bits = budget
-            finish_msgs.append((int(pending.size), msg_bits))
-            max_finish_rounds = max(max_finish_rounds, 2 * waves)
+    runs = state.colors[pend.nodes] < 0
+    if runs.any():
+        _, lists = pend.lists(state.colors, num_colors)
+        usable = pend.usable(state.colors, lists, runs)
+        rows, cols = _finish(pend.nodes, pend.group, usable, pend.clique.size)
+        state.adopt(pend.nodes[rows], cols)
+        report.colored += int(rows.size)
+        # Bits: |P̂_K|+1 colors of O(log log n) bits each.
+        code_bits = bits_for_int(max(int(poly_log(net.n, 3.0, 1.0)), 2))
+        part = np.bincount(pend.group[runs], minlength=pend.clique.size)
+        for g in np.flatnonzero(part).tolist():
+            msg_bits = (int(part[g]) + 1) * max(1, code_bits // 2)
+            rounds, msg_bits = _waves(msg_bits, budget)
+            finish_msgs.append((int(part[g]), msg_bits))
+            max_finish_rounds = max(max_finish_rounds, rounds)
 
     # Cliques run in parallel: charge the max round count once, with the
     # aggregate message volume.
-    if compress_msgs:
-        total_part = sum(p for p, _ in compress_msgs)
-        bit_level = max(b for _, b in compress_msgs)
-        for _ in range(max_compress_rounds):
-            net.account_vector_round(total_part, bit_level, phase=phase)
-    if finish_msgs:
-        total_part = sum(p for p, _ in finish_msgs)
-        bit_level = max(b for _, b in finish_msgs)
-        for _ in range(max_finish_rounds):
-            net.account_vector_round(total_part, bit_level, phase=phase)
+    max_compress_rounds = int(compress_rounds.max())
+    for rounds, msgs in ((max_compress_rounds, compress_msgs), (max_finish_rounds, finish_msgs)):
+        if msgs:
+            net.account_vector_rounds(
+                rounds,
+                sum(p for p, _ in msgs),
+                max(b for _, b in msgs),
+                phase=phase,
+            )
 
     report.compress_rounds = max_compress_rounds
     report.finish_rounds = max_finish_rounds
-    leftovers = 0
-    for c, p_nodes in putaside.items():
-        leftovers += int((state.colors[p_nodes] < 0).sum())
-    report.left_uncolored = leftovers
+    report.left_uncolored = int((state.colors[np.concatenate(sets)] < 0).sum())
     return report

@@ -16,6 +16,11 @@ the maximum over cliques, messages as the sum):
    adoption;
 5. open cliques only: O(1) extra TryColor rounds restricted to
    Ψ(v)\\[x(v)] (proof of Lemma 3.7).
+
+The simulator runs steps 1 and 3 for every clique at once: one
+LearnPalette kernel over all cliques with a nonempty S, and one select
+that reads every proposal off the learned rows.  Only the permutation is
+sampled clique by clique.
 """
 
 from __future__ import annotations
@@ -67,32 +72,47 @@ def synchronized_color_trial(
     seq: SeedSequencer,
     phase: str = "sct",
 ) -> SCTReport:
-    """Run the SCT in every almost-clique simultaneously."""
+    """Run the SCT in every almost-clique simultaneously.
+
+    S is a clique's uncolored members that are not put aside; cliques
+    with an empty S sit out.  Nothing is adopted before the trial
+    resolves, so LearnPalette runs once for all of them before any
+    permutation.  Permute stays per clique.  Node v proposes the
+    π(v)-th learned-free color ≥ x(K), read off its learned row in one
+    vectorized select over every proposing node.
+    """
     net = state.net
     report = SCTReport()
     proposals = np.full(state.n, -1, dtype=np.int64)
+    labels = info.labels
+    aside = np.zeros(state.n, dtype=bool)
+    for c, nodes in putaside.items():
+        nodes = np.asarray(nodes, dtype=np.int64)
+        aside[nodes[labels[nodes] == c]] = True
+
+    def trial_set() -> np.ndarray:
+        """S of every clique, by clique and then by ID."""
+        s = np.flatnonzero((labels >= 0) & (state.colors < 0) & ~aside)
+        return s[np.argsort(labels[s], kind="stable")]
+
+    s_all = trial_set()
+    s_size = np.bincount(labels[s_all], minlength=info.num_cliques)
+    cliques = np.flatnonzero(s_size).tolist()
+    report.cliques = len(cliques)
+    members = [info.members(c) for c in cliques]
+    knowledge = learn_palette(
+        state, members, cfg, seq, phase=f"{phase}/learn-palette", tags=cliques, account=False
+    )
+    lp_messages = int(knowledge.offsets[-1])
+    report.learn_palette_incomplete = int((~knowledge.complete).sum())
 
     permute_rounds = 0
-    lp_messages = 0
-    for c in range(info.num_cliques):
-        members = info.members(c)
-        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
-        unc = members[state.colors[members] < 0]
-        s_nodes = np.array([v for v in unc if int(v) not in aside], dtype=np.int64)
-        if s_nodes.size == 0:
-            continue
-        report.cliques += 1
-
-        knowledge = learn_palette(
-            state, members, cfg, seq, phase=f"{phase}/learn-palette", tag=c, account=False
-        )
-        lp_messages += members.size
-        if not knowledge.complete:
-            report.learn_palette_incomplete += 1
-
+    perms = []
+    s_of = np.split(s_all, np.cumsum(s_size[cliques])[:-1])
+    for c, clique_members, s_nodes in zip(cliques, members, s_of):
         perm = sample_permutation(
             net,
-            members,
+            clique_members,
             s_nodes,
             cfg,
             seq,
@@ -101,21 +121,31 @@ def synchronized_color_trial(
             account=False,
         )
         permute_rounds = max(permute_rounds, perm.rounds)
+        perms.append(perm)
 
-        x_k = int(info.x_k[c])
-        row_of = {int(v): i for i, v in enumerate(knowledge.members)}
+    if cliques:
         # Lemma 3.6 feasibility diagnostic: enough colors above the prefix?
-        available_true = int((np.flatnonzero(knowledge.true_free) >= x_k).sum())
-        if available_true < s_nodes.size:
-            report.palette_deficits += 1
+        colors_idx = np.arange(state.num_colors, dtype=np.int64)
+        x_k = info.x_k[cliques].astype(np.int64)
+        above = colors_idx[None, :] >= x_k[:, None]
+        available_true = (knowledge.true_free & above).sum(axis=1)
+        report.palette_deficits = int((available_true < s_size[cliques]).sum())
 
-        for v, p in zip(perm.nodes, perm.pi):
-            v = int(v)
-            learned = knowledge.learned_palette(row_of[v])
-            learned = learned[learned >= x_k]
-            if p < learned.size:
-                proposals[v] = int(learned[p])
-                report.tried += 1
+        # Node v with position p tries the p-th learned-free color ≥ x(K).
+        nodes = np.concatenate([perm.nodes for perm in perms]).astype(np.int64)
+        pi = np.concatenate([perm.pi for perm in perms]).astype(np.int64)
+        row_of = np.full(state.n, -1, dtype=np.int64)
+        row_of[knowledge.members] = np.arange(knowledge.members.size)
+        rows = row_of[nodes]
+        x_row = np.repeat(x_k, np.diff(knowledge.offsets))[rows]
+        learned = knowledge.known_free[rows] & (colors_idx[None, :] >= x_row[:, None])
+        sizes = learned.sum(axis=1)
+        ok = pi < sizes
+        flat = np.flatnonzero(learned)
+        first = np.cumsum(sizes) - sizes
+        chosen = flat[first[ok] + pi[ok]] - np.flatnonzero(ok) * state.num_colors
+        proposals[nodes[ok]] = chosen
+        report.tried = int(ok.sum())
 
     # Charge the parallel LearnPalette round(s) and the max permute rounds.
     if report.cliques:
@@ -134,19 +164,13 @@ def synchronized_color_trial(
     )
 
     # Leftovers per clique (the Lemma 3.5 / Claim 3.8 measurement).
-    for c in range(info.num_cliques):
-        members = info.members(c)
-        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
-        unc = [v for v in members[state.colors[members] < 0] if int(v) not in aside]
-        report.leftover_by_clique[c] = len(unc)
+    left = np.bincount(labels[trial_set()], minlength=info.num_cliques)
+    report.leftover_by_clique = dict(enumerate(left.tolist()))
 
     # Open cliques: extra TryColor rounds from Ψ(v)\[x(v)] (Lemma 3.7).
     open_cliques = info.cliques_of_kind("open")
     if open_cliques:
-        open_nodes_mask = np.zeros(state.n, dtype=bool)
-        for c in open_cliques:
-            members = info.members(c)
-            open_nodes_mask[members] = True
+        open_nodes_mask = np.isin(labels, open_cliques)
         sampler = palette_interval_sampler(state, info.x_node, state.num_colors)
         for r in range(cfg.sct_extra_trycolor_rounds):
             participants = np.flatnonzero(open_nodes_mask & (state.colors < 0))

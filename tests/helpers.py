@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.permute import sample_permutation
+from repro.core.putaside import PutAsideReport
+from repro.core.sct import SCTReport
+from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
 from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
+from repro.util.bitio import bits_for_color, bits_for_id, bits_for_int
+from repro.util.mathx import poly_log
 
 
 def brute_force_proper(net: BroadcastNetwork, colors: np.ndarray) -> bool:
@@ -57,3 +63,282 @@ def all_nodes_decomposition(net: BroadcastNetwork, cfg, sketch=None):
         )
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
+
+
+# ---------------------------------------------------------------------------
+# Per-node oracles of the dense-clique phases (put-aside, LearnPalette, SCT).
+# The library runs each phase for all cliques at once; these loops run one
+# clique, one member, one node at a time, and the batched phases must match
+# them in every color, report field, round and bit.
+# ---------------------------------------------------------------------------
+
+
+def compress_try_oracle(state, s_nodes, lists, cfg, seq, tag=0):
+    """One CompressTry instance, node by node: in ID order, v pre-samples
+    k colors from L(v) ∩ Ψ(v) and takes the first one no smaller-ID node
+    took.  Returns (nodes, colors); nothing is adopted."""
+    k = cfg.compress_try_colors
+    taken: set[int] = set()
+    nodes_out: list[int] = []
+    colors_out: list[int] = []
+    for v in np.sort(np.asarray(s_nodes, dtype=np.int64)):
+        v = int(v)
+        lv = lists.get(v)
+        if lv is None or lv.size == 0:
+            continue
+        usable = np.intersect1d(lv, state.palette(v))
+        if usable.size == 0:
+            continue
+        rng = seq.node_stream("compress-try", v, tag)
+        for c in usable[rng.integers(0, usable.size, size=k)]:
+            c = int(c)
+            if c not in taken:
+                taken.add(c)
+                nodes_out.append(v)
+                colors_out.append(c)
+                break
+    return nodes_out, colors_out
+
+
+def clique_palette(state, members):
+    """Ψ(K) = [Δ+1] \\ C(K) (Definition 2.7)."""
+    used = np.zeros(state.num_colors, dtype=bool)
+    mc = state.colors[members]
+    used[mc[mc >= 0]] = True
+    return np.flatnonzero(~used).astype(np.int64)
+
+
+def anti_neighbor_colors(state, members, v):
+    """C(K \\ N(v)): colors of v's anti-neighbors inside K."""
+    nbrs = set(int(u) for u in state.net.neighbors(v))
+    anti = [int(u) for u in members if int(u) != v and int(u) not in nbrs]
+    cols = state.colors[np.asarray(anti, dtype=np.int64)] if anti else np.empty(0, dtype=np.int64)
+    return np.unique(cols[cols >= 0]).astype(np.int64)
+
+
+def color_putaside_sets_oracle(state, info, putaside, cfg, seq, phase="putaside"):
+    """Put-aside coloring one clique at a time: CompressTry stages, each
+    adopted per clique, then the Lemma 3.10 finish, node by node."""
+    net = state.net
+    report = PutAsideReport()
+    log_thr = cfg.log_threshold(net.n)
+    max_compress_rounds = 0
+    max_finish_rounds = 0
+    compress_msgs: list[tuple[int, int]] = []
+    finish_msgs: list[tuple[int, int]] = []
+    for c, p_nodes in putaside.items():
+        members = info.members(c)
+        pending = p_nodes[state.colors[p_nodes] < 0]
+        if pending.size == 0:
+            continue
+        psi_k = clique_palette(state, members)
+        stages = [{int(v): psi_k for v in pending}]
+        if info.a_k[c] < log_thr:
+            stages.append(
+                {
+                    int(v): np.union1d(psi_k, anti_neighbor_colors(state, members, int(v)))
+                    for v in pending
+                }
+            )
+        rounds_here = 0
+        for stage_idx, lists in enumerate(stages):
+            pending = pending[state.colors[pending] < 0]
+            if pending.size == 0:
+                break
+            best: tuple[list[int], list[int]] = ([], [])
+            for rep in range(cfg.compress_try_repeats):
+                nodes_out, colors_out = compress_try_oracle(
+                    state, pending, lists, cfg, seq, tag=(c, stage_idx, rep)
+                )
+                if len(nodes_out) > len(best[0]):
+                    best = (nodes_out, colors_out)
+            if best[0]:
+                state.adopt(np.asarray(best[0]), np.asarray(best[1]))
+                report.colored += len(best[0])
+            list_size = max((arr.size for arr in lists.values()), default=1)
+            msg_bits = (
+                cfg.compress_try_colors
+                * cfg.compress_try_repeats
+                * bits_for_int(max(list_size, 2))
+                + bits_for_id(net.n)
+            )
+            waves = 1
+            budget = net.bandwidth_bits
+            if budget is not None and msg_bits > budget:
+                waves = int(np.ceil(msg_bits / budget))
+                msg_bits = budget
+            compress_msgs.append((int(pending.size), msg_bits))
+            rounds_here += 2 * waves
+        max_compress_rounds = max(max_compress_rounds, rounds_here)
+
+        pending = p_nodes[state.colors[p_nodes] < 0]
+        if pending.size:
+            psi_k = clique_palette(state, members)
+            nodes_fin: list[int] = []
+            cols_fin: list[int] = []
+            taken: set[int] = set()
+            for v in np.sort(pending):
+                v = int(v)
+                lv = np.union1d(psi_k, anti_neighbor_colors(state, members, v))
+                usable = np.setdiff1d(
+                    np.intersect1d(lv, state.palette(v)),
+                    np.asarray(sorted(taken), dtype=np.int64),
+                )
+                if usable.size:
+                    taken.add(int(usable[0]))
+                    nodes_fin.append(v)
+                    cols_fin.append(int(usable[0]))
+            if nodes_fin:
+                state.adopt(np.asarray(nodes_fin), np.asarray(cols_fin))
+                report.colored += len(nodes_fin)
+            color_code_bits = bits_for_int(max(int(poly_log(net.n, 3.0, 1.0)), 2))
+            msg_bits = (pending.size + 1) * max(1, color_code_bits // 2)
+            budget = net.bandwidth_bits
+            waves = 1
+            if budget is not None and msg_bits > budget:
+                waves = int(np.ceil(msg_bits / budget))
+                msg_bits = budget
+            finish_msgs.append((int(pending.size), msg_bits))
+            max_finish_rounds = max(max_finish_rounds, 2 * waves)
+
+    for rounds, msgs in ((max_compress_rounds, compress_msgs), (max_finish_rounds, finish_msgs)):
+        if msgs:
+            for _ in range(rounds):
+                net.account_vector_round(
+                    sum(p for p, _ in msgs), max(b for _, b in msgs), phase=phase
+                )
+    report.compress_rounds = max_compress_rounds
+    report.finish_rounds = max_finish_rounds
+    report.left_uncolored = sum(
+        int((state.colors[p_nodes] < 0).sum()) for p_nodes in putaside.values()
+    )
+    return report
+
+
+def learn_palette_oracle(state, members, cfg, seq, phase="sct/learn-palette", tag=0):
+    """Algorithm 2 in one clique, member by member.  Returns
+    (known_free, true_free, complete, incomplete_members)."""
+    net = state.net
+    members = np.asarray(members, dtype=np.int64)
+    num_colors = state.num_colors
+    size = members.size
+    k = max(1, int(net.delta // max(cfg.log_threshold(net.n), 1.0)))
+    k = min(k, max(size, 1))
+    bounds = np.linspace(0, num_colors, k + 1).astype(np.int64)
+    t = seq.stream("learn-palette", phase, tag).integers(0, k, size=size)
+    member_row = {int(v): i for i, v in enumerate(members)}
+    in_clique = np.zeros(net.n, dtype=bool)
+    in_clique[members] = True
+
+    bitmaps = np.zeros((size, num_colors), dtype=bool)
+    for i, v in enumerate(members):
+        lo, hi = int(bounds[t[i]]), int(bounds[t[i] + 1])
+        nbrs = net.neighbors(int(v))
+        cols = state.colors[nbrs[in_clique[nbrs]]]
+        bitmaps[i, cols[(cols >= lo) & (cols < hi)]] = True
+
+    known_used = np.zeros((size, num_colors), dtype=bool)
+    for i, v in enumerate(members):
+        nbrs = net.neighbors(int(v))
+        nbrs = nbrs[in_clique[nbrs]]
+        rows = np.array([member_row[int(u)] for u in nbrs], dtype=np.int64)
+        if rows.size:
+            known_used[i] = bitmaps[rows].any(axis=0)
+        cols = state.colors[nbrs]
+        known_used[i, cols[cols >= 0]] = True
+        if state.colors[v] >= 0:
+            known_used[i, state.colors[v]] = True
+
+    true_used = np.zeros(num_colors, dtype=bool)
+    mc = state.colors[members]
+    true_used[mc[mc >= 0]] = True
+    incomplete = int((~known_used & true_used[None, :]).any(axis=1).sum())
+    return ~known_used, ~true_used, incomplete == 0, incomplete
+
+
+def sct_oracle(state, info, putaside, cfg, seq, phase="sct"):
+    """The synchronized color trial one clique at a time, with the
+    per-member LearnPalette and a per-node proposal loop.  Returns
+    (report, proposals)."""
+    net = state.net
+    report = SCTReport()
+    proposals = np.full(state.n, -1, dtype=np.int64)
+    permute_rounds = 0
+    lp_messages = 0
+    for c in range(info.num_cliques):
+        members = info.members(c)
+        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
+        unc = members[state.colors[members] < 0]
+        s_nodes = np.array([v for v in unc if int(v) not in aside], dtype=np.int64)
+        if s_nodes.size == 0:
+            continue
+        report.cliques += 1
+        known_free, true_free, complete, _ = learn_palette_oracle(
+            state, members, cfg, seq, phase=f"{phase}/learn-palette", tag=c
+        )
+        lp_messages += members.size
+        if not complete:
+            report.learn_palette_incomplete += 1
+        perm = sample_permutation(
+            net, members, s_nodes, cfg, seq, phase=f"{phase}/permute", tag=c, account=False
+        )
+        permute_rounds = max(permute_rounds, perm.rounds)
+        x_k = int(info.x_k[c])
+        row_of = {int(v): i for i, v in enumerate(members)}
+        if int((np.flatnonzero(true_free) >= x_k).sum()) < s_nodes.size:
+            report.palette_deficits += 1
+        for v, p in zip(perm.nodes, perm.pi):
+            learned = np.flatnonzero(known_free[row_of[int(v)]])
+            learned = learned[learned >= x_k]
+            if p < learned.size:
+                proposals[int(v)] = int(learned[p])
+                report.tried += 1
+
+    if report.cliques:
+        net.account_vector_round(
+            lp_messages, net.bandwidth_bits or 64, phase=f"{phase}/learn-palette"
+        )
+        for _ in range(permute_rounds):
+            net.account_vector_round(
+                lp_messages, net.bandwidth_bits or 64, phase=f"{phase}/permute"
+            )
+    report.permute_rounds_max = permute_rounds
+    report.colored = resolve_proposals(
+        state, proposals.copy(), phase=f"{phase}/trial", bits=bits_for_color(state.delta)
+    )
+    for c in range(info.num_cliques):
+        members = info.members(c)
+        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
+        unc = [v for v in members[state.colors[members] < 0] if int(v) not in aside]
+        report.leftover_by_clique[c] = len(unc)
+    open_cliques = info.cliques_of_kind("open")
+    if open_cliques:
+        open_nodes_mask = np.zeros(state.n, dtype=bool)
+        for c in open_cliques:
+            open_nodes_mask[info.members(c)] = True
+        sampler = palette_interval_sampler(state, info.x_node, state.num_colors)
+        for r in range(cfg.sct_extra_trycolor_rounds):
+            participants = np.flatnonzero(open_nodes_mask & (state.colors < 0))
+            if participants.size == 0:
+                break
+            report.colored += try_color_round(
+                state, participants, sampler, seq, phase=f"{phase}/open-trycolor", round_tag=r
+            )
+            report.extra_trycolor_rounds += 1
+    return report, proposals
+
+
+def greedy_color(state, nodes, rng):
+    """Color ``nodes`` greedily in a random order, each with one of its
+    three smallest free colors, and adopt them in one batch: a varied,
+    proper partial coloring to run the dense phases on."""
+    colors = state.colors.copy()
+    for v in rng.permutation(np.asarray(nodes, dtype=np.int64)):
+        nb = colors[state.net.neighbors(v)]
+        used = np.zeros(state.num_colors, dtype=bool)
+        used[nb[nb >= 0]] = True
+        free = np.flatnonzero(~used)
+        if free.size:
+            colors[v] = free[rng.integers(0, min(free.size, 3))]
+    fresh = np.flatnonzero((colors >= 0) & (state.colors < 0))
+    state.adopt(fresh, colors[fresh])

@@ -54,13 +54,19 @@ class TestPresets:
             ("eps", 1.0),
             ("eps", float("nan")),
             ("eps", float("inf")),
+            ("compress_try_colors", 0),
+            ("compress_try_colors", -4),
+            ("compress_try_colors", 2.5),
+            ("compress_try_repeats", 0),
+            ("compress_try_repeats", -1),
+            ("compress_try_repeats", 2.0),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
-        load_graph overrides) refuse an eps outside (0, 1) and a sketch
-        the fingerprint kernel cannot run, naming the field; the edges of
-        the valid range still build."""
+        load_graph overrides) refuse an eps outside (0, 1), a sketch the
+        fingerprint kernel cannot run and a CompressTry count below 1,
+        naming the field; the edges of the valid range still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -71,6 +77,7 @@ class TestPresets:
         ColoringConfig.practical(acd_minhash_samples=1, acd_minhash_bits=1)
         ColoringConfig.practical(acd_minhash_bits=16)
         ColoringConfig.practical(eps=0.999)
+        ColoringConfig.practical(compress_try_colors=1, compress_try_repeats=1)
 
 
 class TestDerived:

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ColoringConfig
+from repro.core import sct as sct_module
 from repro.core.cliques import compute_clique_info
+from repro.core.putaside import select_putaside_sets
 from repro.core.sct import synchronized_color_trial
 from repro.core.state import ColoringState
+from repro.core.trycolor import resolve_proposals
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.graphs.generators import clique_blob_graph
+from repro.graphs.generators import clique_blob_graph, planted_acd_graph
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
+from tests.helpers import greedy_color, sct_oracle
 
 
 def blob_setup(num=3, size=40, anti=20, ext=10, seed=0, **cfg_kw):
@@ -115,3 +121,62 @@ class TestSCT:
         d = rep.as_dict()
         for key in ("tried", "colored", "cliques", "permute_rounds_max"):
             assert key in d
+
+
+def sct_instance(family, size, ext, colored, seed, **cfg_kw):
+    """Cliques with put-aside sets selected and a random part of the graph
+    colored: the state the SCT starts from."""
+    cfg = ColoringConfig.practical(**cfg_kw)
+    if family == "blob":
+        g = clique_blob_graph(3, size, size // 2, ext, seed=seed)
+        labels = np.arange(g[0]) // size
+    else:
+        g = planted_acd_graph(3, size, 0.1, sparse_nodes=size, seed=seed)
+        labels = np.where(np.arange(g[0]) < 3 * size, np.arange(g[0]) // size, -1)
+    net = BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0]))
+    acd = AlmostCliqueDecomposition(labels=labels, eps=cfg.eps)
+    state = ColoringState(net)
+    info = compute_clique_info(net, acd, cfg, num_colors=state.num_colors)
+    aside, _ = select_putaside_sets(state, info, cfg, SeedSequencer(seed))
+    rng = np.random.default_rng(seed)
+    pre = rng.random(net.n) < colored
+    for nodes in aside.values():
+        pre[nodes] = False
+    greedy_color(state, np.flatnonzero(pre), rng)
+    return cfg, net, state, info, aside
+
+
+class TestBatchedMatchesOracle:
+    @given(
+        family=st.sampled_from(["blob", "planted"]),
+        size=st.sampled_from([20, 40, 70, 140]),
+        ext=st.sampled_from([2, 40, 300]),
+        colored=st.sampled_from([0.0, 0.4]),
+        constant_round=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_clique_oracle(self, family, size, ext, colored, constant_round, seed):
+        """Proposals, the SCTReport, colors, rounds and bits equal the
+        clique-by-clique trial with per-member LearnPalette."""
+        kw = dict(permute_constant_round=constant_round, ell_factor=0.4)
+        cfg, net, state, info, aside = sct_instance(family, size, ext, colored, seed, **kw)
+        seen = []
+
+        def capture(state, proposals, **kwargs):
+            seen.append(proposals.copy())
+            return resolve_proposals(state, proposals, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sct_module, "resolve_proposals", capture)
+            rep = synchronized_color_trial(state, info, aside, cfg, SeedSequencer(seed), phase="s")
+        cfg, net2, state2, info2, aside2 = sct_instance(family, size, ext, colored, seed, **kw)
+        oracle, proposals = sct_oracle(state2, info2, aside2, cfg, SeedSequencer(seed), phase="s")
+        assert np.array_equal(seen[0], proposals)
+        assert rep == oracle
+        assert np.array_equal(state.colors, state2.colors)
+        for name, stats in net2.metrics.phases.items():
+            mine = net.metrics.phases[name]
+            assert (mine.rounds, mine.messages, mine.total_bits) == (
+                stats.rounds, stats.messages, stats.total_bits
+            )

@@ -546,7 +546,8 @@ class TestLiveServer:
                 loaded = client.load_graph(n, edges, seed=seed)
                 before = client.query_colors()
                 bad = [("acd_minhash_samples", 0), ("acd_minhash_samples", -1),
-                       ("acd_minhash_bits", 17), ("eps", 0), ("eps", 1.5)]
+                       ("acd_minhash_bits", 17), ("eps", 0), ("eps", 1.5),
+                       ("compress_try_colors", -4), ("compress_try_repeats", 0)]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}
