@@ -6,7 +6,7 @@ safety net keeps the output proper, and its rounds expose the cost).
 
 EA1: colorful matching off → closed cliques run out of clique palette.
 EA2: put-aside sets off → full cliques lose their ℓ of temporary slack.
-EA3: representative-set sampler — counter-mode PRG vs the [HN23]
+EA3: representative-set sampler — batched counter-mode PRG vs the [HN23]
      expander walk (results should agree; the device is interchangeable).
 EA4: reserved prefix x(K) scaled to ~0 → MultiTrial's inlier lists decay.
 """
@@ -110,19 +110,19 @@ def test_ea2_putaside_ablation(benchmark):
 def test_ea3_sampler_ablation(benchmark):
     rows = []
     for seed in range(3):
-        prg = _run(full_blobs(seed), seed=seed, multitrial_sampler="prg")
+        batched = _run(full_blobs(seed), seed=seed, multitrial_sampler="batched")
         exp = _run(full_blobs(seed), seed=seed, multitrial_sampler="expander")
         rows.append(
             (
                 seed,
-                prg.rounds_algorithm,
+                batched.rounds_algorithm,
                 exp.rounds_algorithm,
-                prg.rounds_cleanup,
+                batched.rounds_cleanup,
                 exp.rounds_cleanup,
             )
         )
     print_table(
-        "EA3 representative-set device: counter-mode PRG vs expander walk",
+        "EA3 representative-set device: batched counter-mode PRG vs expander walk",
         ["seed", "PRG rounds", "expander rounds", "PRG cleanup", "expander cleanup"],
         rows,
     )

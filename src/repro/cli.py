@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.config import ColoringConfig
+from repro.config import VICTIM_POLICIES, ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_distributed
 from repro.decomposition.validation import validate_decomposition
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how workers receive their shard: 'shm' attaches a "
                               "zero-copy shared-memory arena, 'pickle' ships the "
                               "view arrays through the pool pipe (same results)")
-    p_shard.add_argument("--victim", default="id", choices=["id", "slack"],
+    p_shard.add_argument("--victim", default="id", choices=VICTIM_POLICIES,
                          help="conflict victim selection during reconciliation")
     p_shard.add_argument("--verbose", action="store_true",
                          help="also print the per-sweep reconcile table "

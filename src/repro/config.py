@@ -26,7 +26,13 @@ from typing import Any
 
 from repro.util.mathx import poly_log
 
-__all__ = ["ColoringConfig"]
+__all__ = ["ColoringConfig", "MULTITRIAL_SAMPLERS", "VICTIM_POLICIES"]
+
+MULTITRIAL_SAMPLERS = ("batched", "expander")
+"""The seed-expansion devices ``multitrial_sampler`` accepts."""
+
+VICTIM_POLICIES = ("id", "slack")
+"""The conflict-victim rules ``conflict_victim`` accepts."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,6 @@ class ColoringConfig:
     Θ(log log n) of them)."""
 
     # --- synchronized color trial (§4) ---
-    group_size_target: float = 2.0
-    """Rough buckets aim for ``group_size_target·C·log n`` nodes per bucket
-    (the ∆/(C log n) bucketing of Lemma 4.1, inverted)."""
-
     permute_constant_round: bool = False
     """Use Algorithm 5 (O(1) rounds) instead of Algorithm 4 (O(log log n)).
     The paper notes Algorithm 4 "suffices for Theorems 1 and 2"; Algorithm
@@ -140,14 +142,13 @@ class ColoringConfig:
     """Safety bound on MultiTrial iterations before falling back."""
 
     multitrial_sampler: str = "batched"
-    """Seed-expansion device for representative sets: "batched" (vectorized
-    counter-mode splitmix64 — one numpy call expands every active node's
-    seed, see DESIGN.md §4), "prg" (per-node counter-mode PCG64, the
-    pre-vectorization default, kept for stream-level reproducibility) or
-    "expander" (the [HN23] construction itself: deterministic walks on a
-    Margulis–Gabber–Galil expander over the color space).  All three keep
-    the broadcaster/listener symmetry of Lemma 2.14: the expansion is a
-    pure function of (seed, list)."""
+    """Seed-expansion device for representative sets (one of
+    :data:`MULTITRIAL_SAMPLERS`): "batched" (vectorized counter-mode
+    splitmix64 — one numpy call expands every active node's seed, see
+    DESIGN.md §4) or "expander" (the [HN23] construction itself:
+    deterministic walks on a Margulis–Gabber–Galil expander over the color
+    space).  Both keep the broadcaster/listener symmetry of Lemma 2.14:
+    the expansion is a pure function of (seed, list)."""
 
     # --- dynamic graphs / incremental recoloring (repro.dynamic, DESIGN.md §6) ---
     dynamic_fallback_fraction: float = 0.25
@@ -177,8 +178,9 @@ class ColoringConfig:
     mobility step scale (mobile geometric)."""
 
     conflict_victim: str = "id"
-    """Victim selection for monochromatic-edge repair (shared by the
-    dynamic engine's conflict detector and the shard reconciler): "id"
+    """Victim selection for monochromatic-edge repair (one of
+    :data:`VICTIM_POLICIES`, shared by the dynamic engine's conflict
+    detector and the shard reconciler): "id"
     uncolors the larger-ID endpoint (the original rule), "slack" uncolors
     the endpoint with the larger palette — the node with more free colors
     re-colors fastest, so the more constrained endpoint (smaller palette
@@ -236,9 +238,10 @@ class ColoringConfig:
     (:class:`repro.shard.shm.ShmArena`) and workers attach zero-copy —
     the argument pipe carries a descriptor of a few hundred bytes and
     per-worker memory scales with interior + ghost size, not n.
-    ``"pickle"``: the legacy path — each worker receives its full
+    ``"pickle"``: each worker receives its
     :class:`~repro.simulator.network.ShardView` pickled through the pool
-    pipe (O(n_i + m_i) bytes per worker).  Results are byte-identical
+    pipe (O(n_i + m_i) bytes per worker) — the pooled path on hosts whose
+    ``/dev/shm`` cannot hold the arena.  Results are byte-identical
     either way; the tests pin that."""
 
     shard_start_method: str = "default"
@@ -252,29 +255,6 @@ class ColoringConfig:
     bare interpreter and fault in only the shared-memory pages they
     touch, which is how the per-worker ``peak_rss_mb`` ∝ interior+ghost
     claim is benchmarked."""
-
-    shard_repair_pool_min: int = 20000
-    """Dispatch a reconciliation sweep to the worker pool only when its
-    repair set (monochromatic cut edges + uncolored stragglers) is at
-    least this many nodes; smaller sweeps run inline in the driver.
-    Boundary repair is cut-sized, so below this scale pool dispatch —
-    worker boot under ``shard_start_method="spawn"`` especially — costs
-    more than the repair itself.  Inline and pooled repair are the same
-    pure function, so this knob never changes the coloring, only where
-    it is computed.  0 forces the pool path (the tests use it)."""
-
-    dynamic_shard_resketch: bool = True
-    """Delta-aware ACD maintenance in
-    :class:`~repro.shard.dynamic.ShardedDynamicColoring` (k > 1): the
-    driver caches the minhash fingerprint grid under a fixed salt and, on
-    fallback, re-sketches only nodes whose closed neighborhood changed
-    since the last sketch
-    (:func:`~repro.hashing.fingerprints.refresh_minwise_fingerprints`)
-    instead of paying the full ``O(T·(n+m))`` sketch — the refreshed grid
-    is byte-identical to a from-scratch sketch of the current topology,
-    and only the changed fingerprints are re-broadcast.  ``False``
-    recomputes the decomposition from scratch inside the fallback
-    pipeline (the unsharded engine's discipline)."""
 
     # --- streaming service (repro.serve, DESIGN.md §8) ---
     serve_queue_max: int = 64
@@ -350,9 +330,6 @@ class ColoringConfig:
     """Off = skip put-aside sets (Lemma 3.4).  Ablation EA2: full cliques
     lose the ℓ of temporary slack that MultiTrial's Property 3 needs."""
 
-    record_trace: bool = False
-    """On = the run records a per-round trace (phase, uncolored count)."""
-
     # --- model / simulator ---
     bandwidth_factor: float = 32.0
     """Messages may carry at most ``bandwidth_factor·ceil(log2 n)`` bits —
@@ -365,12 +342,12 @@ class ColoringConfig:
     """Root seed; a run is a pure function of (graph, config, seed)."""
 
     def __post_init__(self) -> None:
-        # eps, the sketch fields and the CompressTry counts can arrive from
-        # outside the program (load_graph and spec-file overrides,
-        # snapshots): refuse here, naming the field, what the pipeline
-        # cannot run.  An eps outside (0, 1) finds no cliques or too many,
-        # and the validator, checking against the same eps, would pass
-        # either.
+        # eps, the sketch fields, the CompressTry counts and the two named
+        # choices can arrive from outside the program (load_graph and
+        # spec-file overrides, snapshots): refuse here, naming the field,
+        # what the pipeline cannot run.  An eps outside (0, 1) finds no
+        # cliques or too many, and the validator, checking against the
+        # same eps, would pass either.
         eps = self.eps
         if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
@@ -389,6 +366,17 @@ class ColoringConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # Checked here, not where they are used: an unknown victim rule
+        # would fail only inside the first repair, after the batch had
+        # changed the topology, and an unknown sampler name would
+        # silently run the expander.
+        for name, accepted in (
+            ("multitrial_sampler", MULTITRIAL_SAMPLERS),
+            ("conflict_victim", VICTIM_POLICIES),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in accepted:
+                raise ValueError(f"{name} must be one of {accepted}, got {value!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities

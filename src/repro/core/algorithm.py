@@ -57,7 +57,6 @@ from repro.decomposition.acd import (
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
-from repro.simulator.trace import TraceRecorder
 
 __all__ = ["BroadcastColoring", "ColoringResult"]
 
@@ -83,7 +82,6 @@ class ColoringResult:
     reports: dict[str, Any] = field(default_factory=dict)
     metrics: RoundMetrics | None = None
     clique_summary: dict | None = None
-    trace: TraceRecorder | None = None
 
     @property
     def rounds_algorithm(self) -> int:
@@ -155,10 +153,6 @@ class BroadcastColoring:
         metrics = net.metrics
         state = ColoringState(net)
         reports: dict[str, Any] = {}
-        trace = None
-        if cfg.record_trace:
-            trace = TraceRecorder(progress_probe=state.num_uncolored)
-            metrics.observers.append(lambda phase, k: trace.record(phase, k))
 
         # ---- phase 1: setup --------------------------------------------
         metrics.begin_phase("setup")
@@ -305,5 +299,4 @@ class BroadcastColoring:
             reports=reports,
             metrics=metrics,
             clique_summary=info.summary(),
-            trace=trace,
         )

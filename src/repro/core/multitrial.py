@@ -19,27 +19,19 @@ the O(log* n) bound: with slack ≥ 2d̂ each try fails with probability
 ≤ 1/2, so the uncolored degree decays doubly exponentially while the try
 budget catches up.
 
-Execution engines (DESIGN.md §4): the round is a pure function of the
-per-node expansions, so the adoption rule admits two implementations that
-must agree entry for entry.
-
-* ``"vectorized"`` (default) — the whole iteration runs on the CSR edge
-  arrays: the (A×k) proposal matrix is built in one call, colored-neighbor
-  collisions die via a sorted join (``searchsorted`` over per-node sorted
-  neighbor colors), smaller-ID expansion collisions die via a sorted
-  membership join over per-node sorted expansions, and each row adopts its
-  first surviving column with one ``argmax``.  No per-node Python.
-* ``"pernode"`` — the reference loop (one node at a time), kept for the
-  engine-equivalence tests and the tracked perf baseline
-  (``BENCH_multitrial.json``).
-
-Round and bit accounting is engine-independent; with the ``"prg"`` sampler
-both engines reproduce the pre-vectorization color streams byte for byte.
+The round is a pure function of the per-node expansions, and one kernel
+implements it (DESIGN.md §4): the whole iteration runs on the CSR edge
+arrays.  The (A×k) proposal matrix is built in one call, colored-neighbor
+collisions die via a sorted join (``searchsorted`` over per-node sorted
+neighbor colors), smaller-ID expansion collisions die via a sorted
+membership join over per-node sorted expansions, and each row adopts its
+first surviving column with one ``argmax``.  No per-node Python; the
+node-at-a-time oracle the tests compare it with is
+``tests/helpers.py:resolve_pernode_oracle``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,15 +39,11 @@ import numpy as np
 from repro.config import ColoringConfig
 from repro.core.state import ColoringState
 from repro.hashing.expander import walk_colors
-from repro.hashing.prg import derive_seeds_batch, expand_indices, expand_indices_batch
+from repro.hashing.prg import derive_seeds_batch, expand_indices_batch
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
-__all__ = ["MultiTrialReport", "multitrial", "ENGINES"]
-
-ENGINES = ("vectorized", "pernode")
-
-_ENGINE_ENV = "REPRO_MULTITRIAL_ENGINE"
+__all__ = ["MultiTrialReport", "multitrial"]
 
 
 @dataclass
@@ -63,7 +51,6 @@ class MultiTrialReport:
     iterations: int = 0
     colored: int = 0
     remaining: int = 0
-    engine: str = "vectorized"
     per_iteration: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -71,20 +58,7 @@ class MultiTrialReport:
             "iterations": self.iterations,
             "colored": self.colored,
             "remaining": self.remaining,
-            "engine": self.engine,
         }
-
-
-def _expand_list(seed: int, k: int, lo: int, hi: int, sampler: str = "prg") -> np.ndarray:
-    """The public expansion both v and its neighbors compute: k colors from
-    the interval [lo, hi) — via counter-mode PRG or the [HN23] expander
-    walk, per config."""
-    width = hi - lo
-    if width <= 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    if sampler == "expander":
-        return walk_colors(seed, k, lo, hi)
-    return lo + expand_indices(seed, k, width)
 
 
 def _proposal_matrix(
@@ -110,47 +84,14 @@ def _proposal_matrix(
         seeds = derive_seeds_batch(active, base)
         idx = expand_indices_batch(seeds, k, hi - lo)
         return np.where(idx >= 0, lo[:, None] + idx, np.int64(-1))
+    # "expander": one [HN23] walk per node over its interval.
     proposals = np.full((active.size, k), -1, dtype=np.int64)
     for i, v in enumerate(active):
         seed = seq.derive_seed("mt", phase, it, int(v))
-        x_v = _expand_list(seed, k, int(lo[i]), int(hi[i]), cfg.multitrial_sampler)
+        x_v = walk_colors(seed, k, int(lo[i]), int(hi[i]))
         if x_v.size:
             proposals[i] = x_v
     return proposals
-
-
-def _resolve_pernode(
-    state: ColoringState, active: np.ndarray, proposals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference adoption rule, one node at a time (the pre-vectorization
-    loop).  Kept as the equivalence/bench baseline."""
-    net = state.net
-    pos = np.full(state.n, -1, dtype=np.int64)
-    pos[active] = np.arange(active.size)
-    adopt_nodes: list[int] = []
-    adopt_colors: list[int] = []
-    for i, v in enumerate(active):
-        v = int(v)
-        x_v = proposals[i]
-        if x_v[0] < 0:  # empty interval — rows are homogeneous
-            continue
-        nbrs = net.neighbors(v)
-        nbr_colors = state.colors[nbrs]
-        nbr_colors = nbr_colors[nbr_colors >= 0]
-        forbidden_parts = [nbr_colors]
-        for u in nbrs:
-            u = int(u)
-            if u < v and pos[u] >= 0:
-                forbidden_parts.append(proposals[pos[u]])
-        forbidden = (
-            np.concatenate(forbidden_parts) if len(forbidden_parts) > 1 else nbr_colors
-        )
-        ok = ~np.isin(x_v, forbidden)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            adopt_nodes.append(v)
-            adopt_colors.append(int(x_v[hits[0]]))
-    return np.asarray(adopt_nodes, dtype=np.int64), np.asarray(adopt_colors, dtype=np.int64)
 
 
 def _resolve_vectorized(
@@ -233,7 +174,6 @@ def multitrial(
     cfg: ColoringConfig,
     seq: SeedSequencer,
     phase: str,
-    engine: str | None = None,
 ) -> MultiTrialReport:
     """Color (as many as possible of) the nodes in ``mask`` whose color
     lists are the intervals ``[list_lo[v], list_hi[v])``.
@@ -241,19 +181,9 @@ def multitrial(
     Returns a report; nodes still uncolored after ``cfg.multitrial_max_iters``
     iterations are left for the caller (the cleanup phase picks them up —
     with the paper's slack guarantees this does not happen w.h.p.).
-
-    ``engine`` selects the adoption-rule implementation ("vectorized" or
-    "pernode"); the two are equivalent by construction and by test.  The
-    default is "vectorized" (override per call or via the
-    ``REPRO_MULTITRIAL_ENGINE`` environment variable).
     """
-    if engine is None:
-        engine = os.environ.get(_ENGINE_ENV, "vectorized")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown multitrial engine: {engine!r}")
-    resolve = _resolve_vectorized if engine == "vectorized" else _resolve_pernode
     net = state.net
-    report = MultiTrialReport(engine=engine)
+    report = MultiTrialReport()
     k = float(cfg.multitrial_initial)
     for it in range(cfg.multitrial_max_iters):
         active = np.flatnonzero(mask & (state.colors < 0))
@@ -265,7 +195,7 @@ def multitrial(
         proposals = _proposal_matrix(
             active, k_i, list_lo, list_hi, cfg, seq, phase, it
         )
-        adopt_nodes, adopt_colors = resolve(state, active, proposals)
+        adopt_nodes, adopt_colors = _resolve_vectorized(state, active, proposals)
 
         if adopt_nodes.size:
             state.adopt(adopt_nodes, adopt_colors)

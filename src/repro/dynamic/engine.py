@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import obs
-from repro.config import ColoringConfig
+from repro.config import VICTIM_POLICIES, ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.core.multitrial import multitrial
 from repro.core.state import ColoringState
@@ -55,8 +55,6 @@ __all__ = [
     "monochromatic_edges",
     "VICTIM_POLICIES",
 ]
-
-VICTIM_POLICIES = ("id", "slack")
 
 
 def monochromatic_edges(

@@ -55,10 +55,20 @@ SNAPSHOT_FORMAT = 1
 """Version stamp inside every snapshot; bumped on incompatible layout
 changes.  ``load_snapshot`` refuses snapshots with a larger stamp."""
 
-_RETIRED_CONFIG_FIELDS = frozenset({"acd_sketch_engine"})
-"""Config fields older snapshots carry that no longer exist.  Each was
-result-neutral (the sketch estimator choice: both estimators gave
-bit-identical estimates), so dropping it on load restores exactly."""
+_RETIRED_CONFIG_FIELDS = frozenset(
+    {
+        "acd_sketch_engine",
+        "group_size_target",
+        "record_trace",
+        "shard_repair_pool_min",
+        "dynamic_shard_resketch",
+    }
+)
+"""Config fields older snapshots carry that no longer exist.  None of
+them changes what a restored engine computes: both sketch estimators
+gave bit-identical estimates, nothing read the bucket size, and the
+:class:`DynamicColoring` a restore builds reads neither the trace switch
+nor the two shard knobs.  So dropping them on load restores exactly."""
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from repro.shard.engine import (
 from repro.shard.partition import (
     STRATEGIES,
     Partition,
-    build_shard_views,
     partition_nodes,
 )
 from repro.shard.shm import ArenaDescriptor, ShmArena, leaked_segments
@@ -39,7 +38,6 @@ __all__ = [
     "ShardedResult",
     "ShmArena",
     "TRANSPORTS",
-    "build_shard_views",
     "leaked_segments",
     "partition_nodes",
     "repair_boundary",

@@ -31,12 +31,13 @@ benchmark gates this).  At ``k > 1`` three seams are overridden:
    nodes' CSR rows (cost ∝ Σ deg(recolored), never the full cut) and
    runs the boundary exchange on exactly those, shard by shard.
 
-Fallbacks pair with **delta-aware ACD maintenance**: the driver caches
-the minhash fingerprint grid under a fixed salt and, on fallback,
-re-hashes only nodes whose closed neighborhood changed since the last
-sketch (:func:`~repro.hashing.fingerprints.refresh_minwise_fingerprints`
-— a node's fingerprint is a pure function of ``(salt, sample, N[v])``,
-so the refreshed grid is byte-identical to a from-scratch sketch), then
+Fallbacks at ``k > 1`` always pair with **delta-aware ACD maintenance**:
+the engine caches the minhash fingerprint grid under a fixed salt and,
+on fallback, re-hashes only nodes whose closed neighborhood changed
+since the last sketch
+(:func:`~repro.hashing.fingerprints.refresh_minwise_fingerprints` — a
+node's fingerprint is a pure function of ``(salt, sample, N[v])``, so
+the refreshed grid is byte-identical to a from-scratch sketch), then
 feeds the sketch to
 :func:`~repro.decomposition.acd.decompose_from_sketch` and injects the
 decomposition into the pipeline.  Only the changed fingerprints are
@@ -89,8 +90,7 @@ class ShardedDynamicColoring(DynamicColoring):
         The initial ``(n, edges)`` pair or a :class:`ChurnSchedule`.
     config:
         :class:`ColoringConfig`; ``dynamic_*`` knobs drive repair-vs-
-        fallback, ``shard_*`` knobs the partition geometry, and
-        ``dynamic_shard_resketch`` the delta-aware ACD maintenance.
+        fallback and ``shard_*`` knobs the partition geometry.
     k, strategy:
         Shard count and partition strategy (default: the ``shard_k`` /
         ``shard_strategy`` config knobs).  The partition is computed
@@ -159,7 +159,7 @@ class ShardedDynamicColoring(DynamicColoring):
         repair / fallback) substituted when ``k > 1``.  Also accumulates
         the delta's endpoints into the ACD dirty set for the delta-aware
         re-sketch."""
-        if self.k > 1 and self.cfg.dynamic_shard_resketch:
+        if self.k > 1:
             self._mark_dirty(batch)
         return super().apply_batch(batch)
 
@@ -349,13 +349,12 @@ class ShardedDynamicColoring(DynamicColoring):
 
     # ------------------------------------------------------------------
     def _full_recolor(self, t: int) -> None:
-        """Fallback (k > 1 with ``dynamic_shard_resketch``): rebuild the
-        coloring through the pipeline, but hand it the ACD built from
-        the incrementally maintained sketch — only nodes whose closed
-        neighborhood changed since the last sketch are re-hashed and
-        re-broadcast.  ``k == 1`` (or the knob off) delegates to the
-        parent's from-scratch fallback."""
-        if self.k == 1 or not self.cfg.dynamic_shard_resketch:
+        """Fallback (k > 1): rebuild the coloring through the pipeline,
+        but hand it the ACD built from the incrementally maintained
+        sketch — only nodes whose closed neighborhood changed since the
+        last sketch are re-hashed and re-broadcast.  ``k == 1`` delegates
+        to the parent's from-scratch fallback."""
+        if self.k == 1:
             super()._full_recolor(t)
             return
         net = self.net

@@ -12,10 +12,9 @@ The control flow of :class:`ShardedColoring.run`:
    :class:`~repro.simulator.network.ShardView` from the shared buffers
    (:func:`~repro.simulator.network.shard_view_from_csr`) — the pool
    pipe carries a descriptor of a few hundred bytes, never O(n + m)
-   arrays.  ``shard_transport="pickle"`` keeps the legacy path: views
-   extracted in the driver (batched —
-   :func:`repro.shard.partition.build_shard_views`) and pickled to the
-   workers.
+   arrays.  Under ``shard_transport="pickle"`` (and inline) each view is
+   built with the same function in this process and pickled to the
+   worker.
 2. **interior** — each shard's interior subgraph is colored by the full
    existing pipeline (:class:`BroadcastColoring`), one worker per shard on
    a ``ProcessPoolExecutor`` (``workers=1`` runs inline — same results,
@@ -34,8 +33,9 @@ The control flow of :class:`ShardedColoring.run`:
    yields victims by a symmetric rule, and repairs them against the
    fixed ghost fringe on a halo-sized scratch network; the driver only
    merges the returned ``(node, color)`` deltas and re-checks the cut
-   for convergence.  k=1 keeps the original central loop, bit for bit —
-   that is the identity gate against the unsharded engine.
+   for convergence.  k=1 runs the same loop: with no cut and a complete
+   interior coloring it stops at its first check, so a one-shard run is
+   bit for bit the unsharded engine.
 
 The proper-coloring invariant is thus re-established *by protocol*: no
 single worker ever holds the whole graph, and the driver only ever
@@ -55,18 +55,9 @@ import numpy as np
 from repro import obs
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
-from repro.dynamic.engine import (
-    conflict_repair,
-    conflict_victims,
-    monochromatic_edges,
-)
 from repro.faults import plan as faults
 from repro.shard.boundary import CutPlan, repair_boundary
-from repro.shard.partition import (
-    Partition,
-    build_shard_views,
-    partition_nodes,
-)
+from repro.shard.partition import Partition, partition_nodes
 from repro.shard.shm import ArenaDescriptor, ShmArena
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import (
@@ -93,6 +84,24 @@ def _peak_rss_mb() -> float:
     return round(kb / 1024.0, 3)
 
 TRANSPORTS = ("shm", "pickle")
+
+_REPAIR_POOL_MIN = 20_000
+"""Dispatch a reconciliation sweep to the worker pool only when its
+repair set (monochromatic cut edges + uncolored stragglers) is at least
+this many nodes; smaller sweeps run inline, in this process.  Boundary
+repair is cut-sized, so below this scale pool dispatch — worker boot
+under ``shard_start_method="spawn"`` especially — costs more than the
+repair itself.  Inline and pooled repair are the same pure function, so
+the threshold never changes the coloring, only where it is computed."""
+
+_FAULT_KINDS = {
+    "retries": "retry",
+    "worker_crashes": "worker_crash",
+    "worker_timeouts": "worker_timeout",
+    "inline_fallbacks": "inline_fallback",
+}
+""":attr:`ShardedResult.faults` key → the :meth:`RoundMetrics.record_fault`
+kind it counts."""
 
 __all__ = [
     "ShardedColoring",
@@ -145,11 +154,12 @@ class ShardReport:
     ``seconds`` it is an environment measurement, not part of the
     deterministic result."""
     reconcile_sweeps: list = field(default_factory=list)
-    """Per-sweep reconciliation rows for this shard (k>1 boundary
-    exchange only; the k=1 central loop has no per-shard sweeps).  Each
-    row is ``{"sweep", "victims", "halo_nodes", "repair_rounds",
-    "seconds"}`` — previously only the totals survived the merge, so a
-    slow sweep was invisible.  Surfaced by ``repro shard --verbose``."""
+    """Per-sweep reconciliation rows for this shard, one per sweep in
+    which it had work (none when the merge is already proper and
+    complete — always so at k=1, which has no cut).  Each row is
+    ``{"sweep", "victims", "halo_nodes", "repair_rounds", "seconds"}``,
+    so a slow sweep is visible, not only the totals.  Surfaced by
+    ``repro shard --verbose``."""
 
     def as_dict(self) -> dict:
         """JSON-safe flat dict of this shard's interior account (one row
@@ -208,8 +218,9 @@ class ShardedResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     faults: dict = field(default_factory=dict)
     """Supervision account (DESIGN.md §9): retries, worker_crashes,
-    worker_timeouts, inline_fallbacks and time_lost_s — all zero on a
-    fault-free run."""
+    worker_timeouts, inline_fallbacks and time_lost_s — the run's delta
+    of the network's :attr:`RoundMetrics.faults` and ``fault_seconds``,
+    all zero on a fault-free run."""
 
     @property
     def touched_fraction(self) -> float:
@@ -423,7 +434,7 @@ class ShardedColoring:
         shards inline in spec order — identical results, no pool.
     transport:
         Overrides the config's ``shard_transport`` ("shm" zero-copy
-        arena / "pickle" legacy views).  Results are byte-identical
+        arena / "pickle" pickled views).  Results are byte-identical
         either way; only bytes-on-the-pipe and per-worker RSS differ.
     """
 
@@ -475,8 +486,8 @@ class ShardedColoring:
         )
 
     def _view(self, shard: int) -> ShardView:
-        """Driver-side view of one shard, built on demand (inline
-        execution and pool-failure fallbacks) and cached."""
+        """One shard's view, built on demand in this process (inline and
+        pickle-transport tasks, pool-failure fallbacks) and cached."""
         view = self._views.get(shard)
         if view is None:
             if self._local is None:
@@ -516,6 +527,8 @@ class ShardedColoring:
         t0 = time.perf_counter()
         rounds_before = metrics.total_rounds
         bits_before = metrics.total_bits
+        faults_before = dict(metrics.faults)
+        fault_seconds_before = metrics.fault_seconds
 
         # ---- 1. partition --------------------------------------------
         with metrics.time_phase("shard/partition"):
@@ -553,14 +566,12 @@ class ShardedColoring:
                 tasks: list = [(arena.descriptor(), i) for i in range(self.k)]
             else:
                 with metrics.time_phase("shard/pack"):
-                    views = build_shard_views(net, part)
-                self._views = dict(enumerate(views))
-                tasks = list(views)
+                    tasks = [self._view(i) for i in range(self.k)]
                 colors = np.full(net.n, -1, dtype=np.int64)
 
             # ---- 2. interior (parallel over shards, supervised) ------
             with metrics.time_phase("shard/interior"):
-                outs, fault_account = self._run_interiors(tasks)
+                outs = self._run_interiors(tasks)
 
                 # ---- 3. merge ----------------------------------------
                 # shm workers already wrote their disjoint interior slots;
@@ -581,17 +592,10 @@ class ShardedColoring:
             touched = np.zeros(net.n, dtype=bool)
             reconcile_rounds_before = metrics.rounds_in("shard/reconcile")
             with metrics.time_phase("shard/reconcile"):
-                if self.k == 1:
-                    initial_conflicts, iterations, unresolved, colors = (
-                        self._reconcile_central(colors, boundary, num_colors, color_bits, touched)
-                    )
-                else:
-                    initial_conflicts, iterations, unresolved = (
-                        self._reconcile_boundary(
-                            plan, colors, touched, num_colors, color_bits,
-                            arena, fault_account, shard_reports,
-                        )
-                    )
+                initial_conflicts, iterations, unresolved = self._reconcile_boundary(
+                    plan, colors, touched, num_colors, color_bits, arena,
+                    shard_reports,
+                )
             reconcile_rounds = (
                 metrics.rounds_in("shard/reconcile") - reconcile_rounds_before
             )
@@ -601,6 +605,13 @@ class ShardedColoring:
             if arena is not None:
                 arena.unlink()
 
+        fault_account = {
+            key: metrics.faults.get(kind, 0) - faults_before.get(kind, 0)
+            for key, kind in _FAULT_KINDS.items()
+        }
+        fault_account["time_lost_s"] = round(
+            metrics.fault_seconds - fault_seconds_before, 6
+        )
         src, dst = net.edge_src, net.indices
         proper = not bool(((colors[src] >= 0) & (colors[src] == colors[dst])).any())
         complete = bool((colors >= 0).all())
@@ -640,58 +651,6 @@ class ShardedColoring:
     # ------------------------------------------------------------------
     # Reconciliation
     # ------------------------------------------------------------------
-    def _reconcile_central(
-        self,
-        colors: np.ndarray,
-        boundary: np.ndarray,
-        num_colors: int,
-        color_bits: int,
-        touched: np.ndarray,
-    ) -> tuple[int, int, int, np.ndarray]:
-        """The original central reconcile loop, kept verbatim for k=1:
-        it is the bit-identity gate against the unsharded engine (same
-        kernels, same seeds, same round accounting)."""
-        cfg, net = self.cfg, self.net
-        initial_conflicts = 0
-        iterations = 0
-        unresolved = 0
-        while iterations < cfg.shard_reconcile_max_iters:
-            net.account_vector_round(
-                int(boundary.size), color_bits, phase="shard/reconcile"
-            )
-            mono = monochromatic_edges(net, colors)
-            unresolved = int(mono[0].size)
-            if iterations == 0:
-                initial_conflicts = unresolved
-            victims = conflict_victims(
-                net,
-                colors,
-                policy=cfg.conflict_victim,
-                num_colors=num_colors,
-                edges=mono,
-            )
-            pending = victims | (colors < 0)
-            if not pending.any():
-                break
-            touched |= pending
-            colors[victims] = -1
-            colors, _, _ = conflict_repair(
-                net,
-                colors,
-                np.flatnonzero(colors < 0),
-                num_colors,
-                cfg,
-                self.seq,
-                tag=iterations,
-                phase="shard/reconcile",
-                mt_label="shard-mt",
-            )
-            iterations += 1
-        if iterations == cfg.shard_reconcile_max_iters:
-            # The loop exited on the cap, not on a clean sweep: recount.
-            unresolved = int(monochromatic_edges(net, colors)[0].size)
-        return initial_conflicts, iterations, unresolved, colors
-
     def _repair_inline(
         self,
         plan: CutPlan,
@@ -728,17 +687,17 @@ class ShardedColoring:
         num_colors: int,
         color_bits: int,
         arena: ShmArena | None,
-        account: dict,
-        shard_reports: list[ShardReport] | None = None,
+        shard_reports: list[ShardReport],
     ) -> tuple[int, int, int]:
-        """The boundary-exchange sweep loop (k>1): shards with work
-        repair their own boundary shard-locally (pool under shm,
+        """The boundary-exchange sweep loop, for every k: shards with
+        work repair their own boundary shard-locally (pool under shm,
         otherwise inline — byte-identical either way); the driver merges
-        the disjoint deltas and re-checks only the cut.  Pool failures
-        degrade to inline execution with faults suppressed — the sweep
-        must finish, and the inline kernel is the same pure function.
-        Each merged sweep appends a timing row to the owning shard's
-        :attr:`ShardReport.reconcile_sweeps`."""
+        the disjoint deltas and re-checks only the cut.  At k=1 there is
+        no cut, so the loop can only pick up uncolored stragglers.  Pool
+        failures degrade to inline execution with faults suppressed —
+        the sweep must finish, and the inline kernel is the same pure
+        function.  Each merged sweep appends a timing row to the owning
+        shard's :attr:`ShardReport.reconcile_sweeps`."""
         cfg, net = self.cfg, self.net
         metrics = net.metrics
         cu_idx, cv_idx = plan.cut[:, 0], plan.cut[:, 1]
@@ -791,7 +750,7 @@ class ShardedColoring:
                     arena is not None
                     and self.workers > 1
                     and shards
-                    and sweep_work >= cfg.shard_repair_pool_min
+                    and sweep_work >= _REPAIR_POOL_MIN
                 )
                 if use_pool:
                     if pool is None:
@@ -817,13 +776,9 @@ class ShardedColoring:
                         try:
                             outs.append(fut.result(timeout=timeout))
                         except Exception:
-                            lost = time.perf_counter() - t_fail
-                            account["worker_crashes"] += 1
-                            account["time_lost_s"] = round(
-                                account["time_lost_s"] + lost, 6
+                            metrics.record_fault(
+                                "worker_crash", time.perf_counter() - t_fail
                             )
-                            metrics.record_fault("worker_crash", lost)
-                            account["inline_fallbacks"] += 1
                             metrics.record_fault("inline_fallback")
                             # A dead/hung worker poisons the pool: rebuild
                             # it lazily on the next sweep.
@@ -854,16 +809,15 @@ class ShardedColoring:
                     if nodes.size:
                         colors[nodes] = out["colors"]
                         touched[nodes] = True
-                    if shard_reports is not None:
-                        shard_reports[int(out["shard"])].reconcile_sweeps.append(
-                            {
-                                "sweep": iterations,
-                                "victims": int(out["victims"]),
-                                "halo_nodes": int(out["halo_nodes"]),
-                                "repair_rounds": int(out["repair_rounds"]),
-                                "seconds": round(float(out.get("seconds", 0.0)), 6),
-                            }
-                        )
+                    shard_reports[int(out["shard"])].reconcile_sweeps.append(
+                        {
+                            "sweep": iterations,
+                            "victims": int(out["victims"]),
+                            "halo_nodes": int(out["halo_nodes"]),
+                            "repair_rounds": int(out["repair_rounds"]),
+                            "seconds": round(float(out.get("seconds", 0.0)), 6),
+                        }
+                    )
                 metrics.absorb_parallel(
                     [out["metrics"] for out in outs], phase="shard/reconcile"
                 )
@@ -893,7 +847,7 @@ class ShardedColoring:
         return min(base * (2 ** (attempt - 1)), 30.0) * jitter
 
     def _fail_or_fallback(
-        self, shard: int, cfg_i, attempts: int, cause: str, account: dict
+        self, shard: int, cfg_i, attempts: int, cause: str
     ) -> dict:
         """Retries exhausted: degrade to inline execution in the driver
         (fault plan suppressed — the work must *succeed*, not re-die),
@@ -902,31 +856,23 @@ class ShardedColoring:
         extracted one up front."""
         if not self.cfg.shard_inline_fallback:
             raise ShardWorkerError(shard, attempts, cause)
-        account["inline_fallbacks"] += 1
         self.net.metrics.record_fault("inline_fallback")
         with faults.suppressed():
             return _color_shard(self._view(shard), cfg_i, attempt=attempts + 1)
 
-    def _run_interiors(self, tasks: list) -> tuple[list, dict]:
+    def _run_interiors(self, tasks: list) -> list:
         """The supervisor loop around the interior phase: submit every
         shard, detect crashes (``BrokenProcessPool``, injected faults),
         enforce the per-shard wall-clock deadline, retry with backoff
         (same derived seed → bit-identical recovery), and degrade to
-        inline execution for shards that keep failing.  Returns the
-        per-shard outputs in shard order plus the fault account.
-        ``tasks`` holds one picklable spec per shard: a
-        :class:`ShardView` (pickle transport / inline) or an
+        inline execution for shards that keep failing; every event goes
+        to :meth:`RoundMetrics.record_fault`.  Returns the per-shard
+        outputs in shard order.  ``tasks`` holds one picklable spec per
+        shard: a :class:`ShardView` (pickle transport / inline) or an
         ``(ArenaDescriptor, shard)`` pair (shm)."""
         cfg = self.cfg
         metrics = self.net.metrics
         shard_cfgs = [self._shard_config(i) for i in range(self.k)]
-        account = {
-            "retries": 0,
-            "worker_crashes": 0,
-            "worker_timeouts": 0,
-            "inline_fallbacks": 0,
-            "time_lost_s": 0.0,
-        }
         outs: list = [None] * self.k
         max_attempts = 1 + max(0, int(cfg.shard_max_retries))
 
@@ -940,21 +886,16 @@ class ShardedColoring:
                     try:
                         outs[i] = _color_shard(tasks[i], shard_cfgs[i], attempt=attempt)
                     except Exception as exc:
-                        lost = time.perf_counter() - t0
-                        account["worker_crashes"] += 1
-                        account["time_lost_s"] += lost
-                        metrics.record_fault("worker_crash", lost)
+                        metrics.record_fault("worker_crash", time.perf_counter() - t0)
                         if attempt >= max_attempts:
                             outs[i] = self._fail_or_fallback(
-                                i, shard_cfgs[i], attempt, repr(exc), account
+                                i, shard_cfgs[i], attempt, repr(exc)
                             )
                             break
-                        account["retries"] += 1
                         metrics.record_fault("retry")
                         time.sleep(self._backoff(i, attempt))
                         attempt += 1
-            account["time_lost_s"] = round(account["time_lost_s"], 6)
-            return outs, account
+            return outs
 
         plan = faults.armed_plan()
         plan_payload = plan.as_dict() if plan is not None else None
@@ -981,20 +922,14 @@ class ShardedColoring:
                         fut.cancel()
                         failed.append((i, "worker_timeout", f"no result within {timeout}s"))
                         metrics.record_fault("worker_timeout", time.perf_counter() - t0)
-                        account["worker_timeouts"] += 1
-                        account["time_lost_s"] += time.perf_counter() - t0
                         pool_broken = True  # a hung worker poisons its slot
                     except BrokenProcessPool as exc:
                         failed.append((i, "worker_crash", repr(exc)))
                         metrics.record_fault("worker_crash", time.perf_counter() - t0)
-                        account["worker_crashes"] += 1
-                        account["time_lost_s"] += time.perf_counter() - t0
                         pool_broken = True
                     except Exception as exc:  # soft crash inside the worker
                         failed.append((i, "worker_crash", repr(exc)))
                         metrics.record_fault("worker_crash", time.perf_counter() - t0)
-                        account["worker_crashes"] += 1
-                        account["time_lost_s"] += time.perf_counter() - t0
                 pending = []
                 if not failed:
                     continue
@@ -1004,15 +939,13 @@ class ShardedColoring:
                 for i, _kind, cause in failed:
                     if attempt[i] >= max_attempts:
                         outs[i] = self._fail_or_fallback(
-                            i, shard_cfgs[i], attempt[i], cause, account
+                            i, shard_cfgs[i], attempt[i], cause
                         )
                         continue
-                    account["retries"] += 1
                     metrics.record_fault("retry")
                     time.sleep(self._backoff(i, attempt[i]))
                     attempt[i] += 1
                     pending.append(i)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        account["time_lost_s"] = round(account["time_lost_s"], 6)
-        return outs, account
+        return outs

@@ -33,14 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simulator.network import (
-    BroadcastNetwork,
-    ShardView,
-    gather_csr_rows,
-    shard_view_from_csr,
-)
+from repro.simulator.network import BroadcastNetwork, gather_csr_rows
 
-__all__ = ["Partition", "partition_nodes", "build_shard_views", "STRATEGIES"]
+__all__ = ["Partition", "partition_nodes", "STRATEGIES"]
 
 STRATEGIES = ("contiguous", "random", "greedy")
 
@@ -325,32 +320,6 @@ def _greedy(net: BroadcastNetwork, k: int) -> np.ndarray:
     """Vectorized greedy: bucketed-frontier growing + balanced
     label-propagation refinement (both deterministic in the graph)."""
     return _refine_balanced(net, _greedy_grow(net, k), k)
-
-
-def build_shard_views(
-    net: BroadcastNetwork, partition: Partition
-) -> list[ShardView]:
-    """Extract every shard's :class:`ShardView` in one batched pass.
-
-    Reuses the partition's cached sorted-by-shard index and gathers only
-    each shard's CSR rows (total O(m) across all shards), instead of the
-    former per-shard ``induced_subgraph`` scan of the full edge array
-    (O(m·k)).  The views are bit-identical to the ``induced_subgraph``
-    path — same arrays, same order — which the shard tests assert.
-    """
-    local = partition.local_ids()
-    return [
-        shard_view_from_csr(
-            net.n,
-            net.indptr,
-            net.indices,
-            partition.members(s),
-            partition.assignment,
-            local,
-            s,
-        )
-        for s in range(partition.k)
-    ]
 
 
 def partition_nodes(

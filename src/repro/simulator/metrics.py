@@ -45,7 +45,8 @@ class RoundMetrics:
     Phases nest by naming convention only ("sct/permute" etc.); the
     aggregate across all phases is maintained under the key ``"total"``.
     ``observers`` (callables taking ``(phase, num_messages)``) fire once
-    per recorded round — the trace recorder subscribes here.
+    per recorded round — the tests' per-round trace recorder subscribes
+    here.
     """
 
     def __init__(self) -> None:

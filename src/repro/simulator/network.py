@@ -152,18 +152,25 @@ def shard_view_from_csr(
     shard: int,
 ) -> ShardView:
     """Build one shard's :class:`ShardView` straight from CSR buffers —
-    the zero-copy twin of :meth:`BroadcastNetwork.induced_subgraph`.
+    the shard subsystem's one way to build a view (DESIGN.md §7).
 
-    Where ``induced_subgraph`` scans the full undirected edge array per
-    shard (O(m) each, O(m·k) across a partition), this gathers only the
-    *members'* CSR rows — O(vol(shard)) — and works equally on in-process
-    arrays and read-only ``multiprocessing.shared_memory`` attachments,
-    which is how ``shard_transport="shm"`` workers reconstruct their view
-    without ever receiving O(n + m) pickled bytes.  Output arrays are
-    bit-identical to ``induced_subgraph``'s (same contents, same order):
-    members ascend and CSR rows are sorted, so interior edges fall out
-    already in undirected (u, v)-lexicographic order; cut edges get one
-    small lexsort over the cut only to match the reference order.
+    Interior-interior edges are relabeled into local ids
+    ``0..|members|-1`` (the worker's coloring instance); edges with
+    exactly one endpoint inside become cut edges against the ghost
+    frontier (the outside endpoints, deduplicated).  The frontier arrays
+    come back write-protected — the ghost contract is enforced by numpy,
+    not by convention.
+
+    Only the *members'* CSR rows are gathered — O(vol(shard)) — so it
+    works equally on in-process arrays (the views
+    :class:`~repro.shard.engine.ShardedColoring` builds for inline and
+    pickle-transport tasks) and on read-only
+    ``multiprocessing.shared_memory`` attachments, which is how
+    ``shard_transport="shm"`` workers reconstruct their view without ever
+    receiving O(n + m) pickled bytes.  Members ascend and CSR rows are
+    sorted, so interior edges fall out already in undirected
+    (u, v)-lexicographic order; cut edges get one small lexsort over the
+    cut only, into the same order.
 
     ``members`` must be the shard's sorted global ids, ``assignment`` the
     full shard-id-per-node array, and ``local`` the per-node local rank
@@ -384,57 +391,6 @@ class BroadcastNetwork:
             has = self.degrees > 0
             out[has] = np.add.reduceat(inside, self.indptr[:-1][has])
         return out
-
-    def induced_subgraph(self, members: np.ndarray, shard: int = 0) -> ShardView:
-        """Extract the induced subgraph of ``members`` (bool mask or id
-        array) with *frontier ghosting* — the :class:`ShardView` a
-        :mod:`repro.shard` worker receives.
-
-        Interior-interior edges are relabeled into local ids
-        ``0..|members|-1`` (the worker's coloring instance); edges with
-        exactly one endpoint inside become cut edges against the ghost
-        frontier (the outside endpoints, deduplicated).  The frontier
-        arrays come back write-protected — the ghost contract is enforced
-        by numpy, not by convention.
-        """
-        mask = np.asarray(members)
-        if mask.dtype != np.bool_:
-            idx = np.asarray(members, dtype=np.int64)
-            mask = np.zeros(self.n, dtype=bool)
-            mask[idx] = True
-        nodes = np.flatnonzero(mask).astype(np.int64)
-        local = np.full(self.n, -1, dtype=np.int64)
-        local[nodes] = np.arange(nodes.size, dtype=np.int64)
-        und = self._und_edges
-        if und.size:
-            in_u, in_v = mask[und[:, 0]], mask[und[:, 1]]
-            both = in_u & in_v
-            interior = np.stack(
-                [local[und[both, 0]], local[und[both, 1]]], axis=1
-            )
-            cross = in_u ^ in_v
-            ce = und[cross]
-            inner_end = np.where(in_u[cross], ce[:, 0], ce[:, 1])
-            ghost_end = np.where(in_u[cross], ce[:, 1], ce[:, 0])
-            ghost_nodes = np.unique(ghost_end)
-            cut = np.stack(
-                [local[inner_end], np.searchsorted(ghost_nodes, ghost_end)],
-                axis=1,
-            )
-        else:
-            interior = np.empty((0, 2), dtype=np.int64)
-            ghost_nodes = np.empty(0, dtype=np.int64)
-            cut = np.empty((0, 2), dtype=np.int64)
-        ghost_nodes.flags.writeable = False
-        cut.flags.writeable = False
-        return ShardView(
-            shard=int(shard),
-            n_global=self.n,
-            nodes=nodes,
-            interior_edges=interior,
-            ghost_nodes=ghost_nodes,
-            cut_edges=cut,
-        )
 
     # ------------------------------------------------------------------
     # Dynamic topology (the repro.dynamic substrate)

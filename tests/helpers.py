@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+from repro.core import algorithm
+from repro.core.algorithm import BroadcastColoring
 from repro.core.permute import sample_permutation
 from repro.core.putaside import PutAsideReport
 from repro.core.sct import SCTReport
+from repro.core.state import ColoringState
 from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
 from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
-from repro.simulator.network import BroadcastNetwork
+from repro.simulator.network import BroadcastNetwork, ShardView
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color, bits_for_id, bits_for_int
 from repro.util.mathx import poly_log
@@ -342,3 +347,116 @@ def greedy_color(state, nodes, rng):
             colors[v] = free[rng.integers(0, min(free.size, 3))]
     fresh = np.flatnonzero((colors >= 0) & (state.colors < 0))
     state.adopt(fresh, colors[fresh])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the library folded into one path.
+# ---------------------------------------------------------------------------
+
+
+def resolve_pernode_oracle(state, active, proposals):
+    """MultiTrial's adoption rule one node at a time: v adopts the first
+    color of its expansion that no colored neighbor holds and no
+    smaller-ID active neighbor has anywhere in its own expansion.  The
+    oracle of ``repro.core.multitrial._resolve_vectorized`` (same
+    signature, so tests can swap it into the pipeline)."""
+    net = state.net
+    pos = np.full(state.n, -1, dtype=np.int64)
+    pos[active] = np.arange(active.size)
+    adopt_nodes: list[int] = []
+    adopt_colors: list[int] = []
+    for i, v in enumerate(active):
+        v = int(v)
+        x_v = proposals[i]
+        if x_v[0] < 0:  # empty interval — rows are homogeneous
+            continue
+        nbrs = net.neighbors(v)
+        nbr_colors = state.colors[nbrs]
+        forbidden = [nbr_colors[nbr_colors >= 0]]
+        forbidden += [proposals[pos[u]] for u in nbrs if u < v and pos[u] >= 0]
+        hits = np.flatnonzero(~np.isin(x_v, np.concatenate(forbidden)))
+        if hits.size:
+            adopt_nodes.append(v)
+            adopt_colors.append(int(x_v[hits[0]]))
+    return np.asarray(adopt_nodes, dtype=np.int64), np.asarray(adopt_colors, dtype=np.int64)
+
+
+def induced_subgraph_oracle(net: BroadcastNetwork, members, shard: int = 0) -> ShardView:
+    """One shard's view by a scan of the whole undirected edge array:
+    interior edges relabeled to local ids, cut edges against the sorted
+    ghost frontier, frontier write-protected.  The oracle of
+    :func:`repro.simulator.network.shard_view_from_csr`."""
+    mask = np.zeros(net.n, dtype=bool)
+    mask[np.asarray(members, dtype=np.int64)] = True
+    nodes = np.flatnonzero(mask).astype(np.int64)
+    local = np.full(net.n, -1, dtype=np.int64)
+    local[nodes] = np.arange(nodes.size, dtype=np.int64)
+    und = net.undirected_edges()
+    in_u, in_v = mask[und[:, 0]], mask[und[:, 1]]
+    both = in_u & in_v
+    interior = np.stack([local[und[both, 0]], local[und[both, 1]]], axis=1)
+    cross = in_u ^ in_v
+    inner_end = np.where(in_u[cross], und[cross, 0], und[cross, 1])
+    ghost_end = np.where(in_u[cross], und[cross, 1], und[cross, 0])
+    ghost_nodes = np.unique(ghost_end)
+    cut = np.stack([local[inner_end], np.searchsorted(ghost_nodes, ghost_end)], axis=1)
+    ghost_nodes.flags.writeable = False
+    cut.flags.writeable = False
+    return ShardView(
+        shard=int(shard),
+        n_global=net.n,
+        nodes=nodes,
+        interior_edges=interior,
+        ghost_nodes=ghost_nodes,
+        cut_edges=cut,
+    )
+
+
+class TraceRecorder:
+    """One ``(phase, uncolored, messages)`` event per synchronous round,
+    recorded by an observer on the run's :class:`RoundMetrics`; see
+    :func:`traced_run`."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, int, int]] = []
+        self.probe = None  # returns the run's current uncolored count
+
+    def record(self, phase: str, messages: int) -> None:
+        self.events.append((phase, int(self.probe()), int(messages)))
+
+    def uncolored_series(self) -> list[int]:
+        return [uncolored for _, uncolored, _ in self.events]
+
+    def phases_seen(self) -> list[str]:
+        out: list[str] = []
+        for phase, _, _ in self.events:
+            if not out or out[-1] != phase:
+                out.append(phase)
+        return out
+
+    def rounds_in_phase(self, phase: str) -> int:
+        return sum(1 for p, _, _ in self.events if p == phase)
+
+    def is_monotone(self) -> bool:
+        series = self.uncolored_series()
+        return all(b <= a for a, b in zip(series, series[1:]))
+
+
+def traced_run(graph, cfg):
+    """Run the pipeline on ``graph`` with a :class:`TraceRecorder`
+    subscribed to ``RoundMetrics.observers``; returns ``(result,
+    recorder)``.  The recorder probes the run's own
+    :class:`ColoringState`, which it picks up as the pipeline builds it."""
+    recorder = TraceRecorder()
+
+    class ProbedState(ColoringState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            recorder.probe = self.num_uncolored
+
+    net = BroadcastNetwork(graph)
+    net.bandwidth_bits = cfg.bandwidth_bits(net.n)
+    net.metrics.observers.append(recorder.record)
+    with mock.patch.object(algorithm, "ColoringState", ProbedState):
+        result = BroadcastColoring(net, cfg).run()
+    return result, recorder

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.config import ColoringConfig
+from repro.config import MULTITRIAL_SAMPLERS, VICTIM_POLICIES, ColoringConfig
 
 
 class TestPresets:
@@ -60,13 +60,18 @@ class TestPresets:
             ("compress_try_repeats", 0),
             ("compress_try_repeats", -1),
             ("compress_try_repeats", 2.0),
+            ("conflict_victim", "bogus"),
+            ("conflict_victim", None),
+            ("multitrial_sampler", "prg"),
+            ("multitrial_sampler", "expandr"),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
         load_graph overrides) refuse an eps outside (0, 1), a sketch the
-        fingerprint kernel cannot run and a CompressTry count below 1,
-        naming the field; the edges of the valid range still build."""
+        fingerprint kernel cannot run, a CompressTry count below 1 and a
+        victim rule or sampler that does not exist, naming the field;
+        the edges of the valid range still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -78,6 +83,10 @@ class TestPresets:
         ColoringConfig.practical(acd_minhash_bits=16)
         ColoringConfig.practical(eps=0.999)
         ColoringConfig.practical(compress_try_colors=1, compress_try_repeats=1)
+        for victim in VICTIM_POLICIES:
+            ColoringConfig.practical(conflict_victim=victim)
+        for sampler in MULTITRIAL_SAMPLERS:
+            ColoringConfig.practical(multitrial_sampler=sampler)
 
 
 class TestDerived:

@@ -108,10 +108,18 @@ class TestExpanderMultiTrial:
 
     def test_samplers_agree_on_interface(self):
         """Both samplers fill the same role: k in-interval colors from a
-        seed — interchangeable by construction."""
-        from repro.core.multitrial import _expand_list
+        seed, -1 rows for empty intervals — interchangeable by
+        construction."""
+        from repro.config import MULTITRIAL_SAMPLERS
+        from repro.core.multitrial import _proposal_matrix
 
-        for sampler in ("prg", "expander"):
-            out = _expand_list(99, 12, 5, 30, sampler)
-            assert out.size == 12
-            assert (out >= 5).all() and (out < 30).all()
+        active = np.array([0, 3, 7], dtype=np.int64)
+        lo = np.full(8, 5, dtype=np.int64)
+        hi = np.full(8, 30, dtype=np.int64)
+        hi[3] = 5  # empty interval
+        for sampler in MULTITRIAL_SAMPLERS:
+            cfg = ColoringConfig.practical(multitrial_sampler=sampler)
+            out = _proposal_matrix(active, 12, lo, hi, cfg, SeedSequencer(99), "mt", 0)
+            assert out.shape == (3, 12)
+            assert (out[[0, 2]] >= 5).all() and (out[[0, 2]] < 30).all()
+            assert (out[1] == -1).all()

@@ -1,4 +1,4 @@
-"""Tests for the (deg+1)-coloring extension and the trace recorder."""
+"""Tests for the (deg+1)-coloring extension and the per-round trace."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,8 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.simulator.network import BroadcastNetwork
-from repro.simulator.trace import TraceRecorder
 
-from tests.helpers import brute_force_proper
+from tests.helpers import brute_force_proper, traced_run
 
 
 class TestDegPlusOne:
@@ -72,52 +71,38 @@ class TestDegPlusOne:
 
 
 class TestTraceRecorder:
+    """The per-round recorder on ``RoundMetrics.observers`` sees every
+    round the metrics account, in phase order."""
+
     def test_trace_records_every_round(self):
-        cfg = ColoringConfig.practical(record_trace=True, seed=1)
+        cfg = ColoringConfig.practical(seed=1)
         g = clique_blob_graph(2, 30, 10, 5, seed=1)
-        res = BroadcastColoring(g, cfg).run()
-        assert res.trace is not None
-        assert len(res.trace.events) == res.rounds_total
+        res, trace = traced_run(g, cfg)
+        assert len(trace.events) == res.rounds_total
 
     def test_uncolored_series_monotone(self):
-        cfg = ColoringConfig.practical(record_trace=True, seed=2)
+        cfg = ColoringConfig.practical(seed=2)
         g = gnp_graph(150, 0.06, seed=2)
-        res = BroadcastColoring(g, cfg).run()
-        assert res.trace.is_monotone()
-        assert res.trace.uncolored_series()[-1] == 0
+        _, trace = traced_run(g, cfg)
+        assert trace.is_monotone()
+        assert trace.uncolored_series()[-1] == 0
 
     def test_phases_seen_in_order(self):
-        cfg = ColoringConfig.practical(record_trace=True, seed=3)
+        cfg = ColoringConfig.practical(seed=3)
         g = clique_blob_graph(3, 30, 10, 5, seed=3)
-        res = BroadcastColoring(g, cfg).run()
-        phases = res.trace.phases_seen()
+        _, trace = traced_run(g, cfg)
+        phases = trace.phases_seen()
         # ACD phases come before slack, which comes before SCT.
         acd_idx = min(i for i, p in enumerate(phases) if p.startswith("acd"))
         slack_idx = phases.index("slack")
         assert acd_idx < slack_idx
 
     def test_rounds_in_phase_matches_metrics(self):
-        cfg = ColoringConfig.practical(record_trace=True, seed=4)
+        cfg = ColoringConfig.practical(seed=4)
         g = gnp_graph(100, 0.05, seed=4)
-        res = BroadcastColoring(g, cfg).run()
+        res, trace = traced_run(g, cfg)
         for phase, rounds in res.phase_rounds.items():
-            assert res.trace.rounds_in_phase(phase) == rounds
-
-    def test_no_trace_by_default(self):
-        g = gnp_graph(80, 0.05, seed=5)
-        res = BroadcastColoring(g).run()
-        assert res.trace is None
-
-    def test_recorder_standalone(self):
-        values = [10, 8, 8, 3, 0]
-        it = iter(values)
-        rec = TraceRecorder(progress_probe=lambda: next(it))
-        for i in range(5):
-            rec.record("p", i)
-        assert rec.uncolored_series() == values
-        assert rec.is_monotone()
-        assert rec.rounds_in_phase("p") == 5
-        assert rec.as_rows()[0] == (0, "p", 10, 0)
+            assert trace.rounds_in_phase(phase) == rounds
 
 
 class TestAblationFlags:

@@ -55,6 +55,7 @@ from repro.serve.snapshot import (
     sweep_stale_tmp,
 )
 from repro.shard.engine import ShardedColoring, ShardWorkerError
+from repro.simulator.network import BroadcastNetwork
 
 
 @pytest.fixture(autouse=True)
@@ -315,6 +316,52 @@ class TestShardSupervision:
         d = res.as_dict()
         assert d["faults"]["retries"] >= 1
         assert d["faults"]["time_lost_s"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "case,workers,setup,rule,key",
+        [
+            ("crash", 1, {}, crash_rule(shard=1, attempt=1), "worker_crashes"),
+            (
+                "timeout", 2, {"shard_worker_timeout_s": 0.3},
+                FaultRule(site="shard.worker", kind="hang", seconds=5.0,
+                          match={"shard": 0, "attempt": 1}),
+                "worker_timeouts",
+            ),
+            (
+                "fallback", 1, {"retries": 1},
+                FaultRule(site="shard.worker", kind="crash",
+                          match={"shard": 1}, max_fires=0),
+                "inline_fallbacks",
+            ),
+        ],
+        ids=["crash", "timeout", "fallback"],
+    )
+    def test_fault_account_is_the_metrics_delta(self, case, workers, setup, rule, key):
+        """Supervision events are recorded once, in the network's
+        RoundMetrics: ShardedResult.faults is the run's delta of
+        ``faults`` and ``fault_seconds``, under the same five keys."""
+        graph, cfg, _ = shard_setup(**setup)
+        net = BroadcastNetwork(graph)
+        net.metrics.record_fault("retry", 0.25)  # before the run: not counted
+        before, seconds_before = dict(net.metrics.faults), net.metrics.fault_seconds
+        fplan.arm(FaultPlan(name=case, rules=(rule,)))
+        try:
+            res = ShardedColoring(net, cfg, workers=workers).run()
+        finally:
+            fplan.disarm()
+        kinds = {
+            "retries": "retry",
+            "worker_crashes": "worker_crash",
+            "worker_timeouts": "worker_timeout",
+            "inline_fallbacks": "inline_fallback",
+        }
+        assert list(res.faults) == [*kinds, "time_lost_s"]
+        for name, kind in kinds.items():
+            assert res.faults[name] == net.metrics.faults[kind] - before.get(kind, 0)
+        assert res.faults["time_lost_s"] == round(
+            net.metrics.fault_seconds - seconds_before, 6
+        )
+        assert res.faults[key] >= 1
 
 
 # ----------------------------------------------------------------------

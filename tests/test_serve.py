@@ -316,12 +316,25 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="not_a_knob"):
             load_snapshot(path)
 
-    def test_retired_sketch_engine_field_restores(self, tmp_path):
-        """Snapshots written while the config still had the result-neutral
-        ``acd_sketch_engine`` knob restore exactly; any other unknown
-        field is still refused."""
-        import dataclasses
+    @staticmethod
+    def rewrite_config(path, config):
+        """Swap the config stored in the snapshot at ``path``, as an
+        older build would have written it."""
         import json
+
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            arrays = {k: data[k] for k in ("edges", "colors", "active")}
+        meta["config"] = config
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
+                                          dtype=np.uint8), **arrays)
+
+    def restore_with_fields(self, tmp_path, **fields):
+        """Crash after the first batch with ``fields`` added to the
+        snapshot's config, restore, and finish the schedule: the colors
+        must equal a never-crashed run's.  Returns the snapshot path and
+        the config it carries."""
+        import dataclasses
 
         schedule, cfg = self.make_run()
         batches = list(schedule)
@@ -333,27 +346,56 @@ class TestSnapshot:
         engine.apply_batch(batches[0])
         path = tmp_path / "state.npz"
         save_snapshot(engine, path)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {k: data[k] for k in ("edges", "colors", "active")}
-
-        def rewrite(config):
-            meta["config"] = config
-            np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
-                                              dtype=np.uint8), **arrays)
-
-        old_cfg = dict(dataclasses.asdict(cfg), acd_sketch_engine="unpacked")
-        rewrite(old_cfg)
+        old_cfg = dict(dataclasses.asdict(cfg), **fields)
+        self.rewrite_config(path, old_cfg)
         restored = restore_engine(path, fallback=False)
         assert restored.cfg == cfg
         for batch in batches[1:]:
             restored.apply_batch(batch)
         assert restored.colors.tolist() == reference.colors.tolist()
+        return path, old_cfg
 
-        rewrite(dict(old_cfg, not_a_knob=1))
+    def test_retired_sketch_engine_field_restores(self, tmp_path):
+        """Snapshots written while the config still had the result-neutral
+        ``acd_sketch_engine`` knob restore exactly; any other unknown
+        field is still refused."""
+        path, old_cfg = self.restore_with_fields(
+            tmp_path, acd_sketch_engine="unpacked"
+        )
+        self.rewrite_config(path, dict(old_cfg, not_a_knob=1))
         with pytest.raises(ValueError, match="not_a_knob") as exc:
             load_snapshot(path)
         assert "acd_sketch_engine" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("group_size_target", 2.0),
+            ("record_trace", True),
+            ("shard_repair_pool_min", 0),
+            ("dynamic_shard_resketch", False),
+        ],
+    )
+    def test_retired_config_field_restores(self, tmp_path, field, value):
+        """Snapshots written while the config still had a field this
+        build retired restore exactly: the restored DynamicColoring reads
+        none of them, so it continues as if it never crashed."""
+        self.restore_with_fields(tmp_path, **{field: value})
+
+    def test_removed_sampler_refused_naming_field(self, tmp_path):
+        """A snapshot written with the removed "prg" sampler fails to
+        load, naming the field: its color stream no longer exists, so no
+        restore could continue it."""
+        import dataclasses
+
+        schedule, cfg = self.make_run()
+        path = tmp_path / "state.npz"
+        save_snapshot(DynamicColoring(schedule.initial, cfg), path)
+        self.rewrite_config(
+            path, dict(dataclasses.asdict(cfg), multitrial_sampler="prg")
+        )
+        with pytest.raises(ValueError, match="multitrial_sampler"):
+            load_snapshot(path)
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +589,11 @@ class TestLiveServer:
                 before = client.query_colors()
                 bad = [("acd_minhash_samples", 0), ("acd_minhash_samples", -1),
                        ("acd_minhash_bits", 17), ("eps", 0), ("eps", 1.5),
-                       ("compress_try_colors", -4), ("compress_try_repeats", 0)]
+                       ("compress_try_colors", -4), ("compress_try_repeats", 0),
+                       ("conflict_victim", "bogus"), ("multitrial_sampler", "prg"),
+                       ("group_size_target", 2.0), ("record_trace", True),
+                       ("shard_repair_pool_min", 0),
+                       ("dynamic_shard_resketch", False)]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}

@@ -1,5 +1,5 @@
-"""Tests for the multi-shard subsystem (repro.shard + induced_subgraph +
-the shared conflict kernel).
+"""Tests for the multi-shard subsystem (repro.shard, shard_view_from_csr
+and the shared conflict kernel).
 
 The load-bearing guarantee (ISSUE 5 acceptance): for any graph, partition
 strategy and k, the reconciled coloring is proper, complete, and uses at
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_proper
+from helpers import brute_force_proper, induced_subgraph_oracle
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.graphs.families import make_graph
@@ -26,15 +26,35 @@ from repro.graphs.generators import geometric_graph, gnp_graph
 from repro.runner import ParallelRunner, ResultStore, TrialSpec, load_matrix
 from repro.runner.execute import run_trial
 from repro.shard import STRATEGIES, TRANSPORTS, ShardedColoring, partition_nodes
+from repro.shard import engine as shard_engine
 from repro.shard.engine import _color_shard, _view_from_arena
 from repro.shard.shm import ShmArena, leaked_segments
-from repro.simulator.network import BroadcastNetwork
+from repro.simulator.network import BroadcastNetwork, shard_view_from_csr
 
 QUICK_MATRIX = "benchmarks/specs/quick.toml"
 
 
 def shard_cfg(seed: int = 0, **overrides) -> ColoringConfig:
     return ColoringConfig.practical(seed=seed, **overrides)
+
+
+def mask_view(net: BroadcastNetwork, mask: np.ndarray, shard: int = 0):
+    """The view of the nodes in ``mask`` as shard ``shard``, through
+    ``shard_view_from_csr``."""
+    members = np.flatnonzero(mask)
+    assignment = np.where(mask, shard, -1)
+    local = np.cumsum(mask) - 1
+    return shard_view_from_csr(
+        net.n, net.indptr, net.indices, members, assignment, local, shard
+    )
+
+
+def partition_view(net: BroadcastNetwork, part, shard: int):
+    """Shard ``shard`` of ``part``'s view, as ShardedColoring builds it."""
+    return shard_view_from_csr(
+        net.n, net.indptr, net.indices, part.members(shard),
+        part.assignment, part.local_ids(), shard,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +130,7 @@ class TestShardView:
         net = BroadcastNetwork(gnp_graph(n, p, seed=seed))
         rng = np.random.default_rng(seed)
         mask = rng.random(n) < frac
-        return net, mask, net.induced_subgraph(mask, shard=shard)
+        return net, mask, mask_view(net, mask, shard=shard)
 
     def test_interior_edges_match_brute_force(self):
         net, mask, view = self._view()
@@ -155,16 +175,31 @@ class TestShardView:
 
     def test_full_mask_is_identity(self):
         net = BroadcastNetwork(gnp_graph(40, 0.2, seed=1))
-        view = net.induced_subgraph(np.ones(net.n, dtype=bool))
+        view = mask_view(net, np.ones(net.n, dtype=bool))
         assert np.array_equal(view.nodes, np.arange(net.n))
         assert view.ghost_nodes.size == 0 and view.cut_edges.size == 0
         assert np.array_equal(view.interior_edges, net.undirected_edges())
 
-    def test_accepts_id_array(self):
-        net = BroadcastNetwork(gnp_graph(30, 0.2, seed=1))
-        ids = np.array([3, 7, 11])
-        view = net.induced_subgraph(ids)
-        assert np.array_equal(view.nodes, ids)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.floats(0.0, 0.4),
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        strategy=st.sampled_from(STRATEGIES),
+    )
+    def test_matches_induced_subgraph_oracle(self, n, p, seed, k, strategy):
+        """Every shard's view equals the whole-edge-array scan's, array
+        for array and in the same order."""
+        net = BroadcastNetwork(gnp_graph(n, p, seed=seed))
+        part = partition_nodes(net, k, strategy, seed=seed)
+        for s in range(k):
+            got = partition_view(net, part, s)
+            want = induced_subgraph_oracle(net, part.members(s), shard=s)
+            assert got.shard == want.shard and got.n_global == want.n_global
+            for name in ("nodes", "interior_edges", "ghost_nodes", "cut_edges"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and np.array_equal(a, b), name
 
     def test_cut_degrees(self):
         net, mask, view = self._view()
@@ -259,7 +294,7 @@ class TestShardedColoring:
         cfg = shard_cfg(seed=1)
         colors = np.full(net.n, -1, dtype=np.int64)
         for i in range(4):
-            view = net.induced_subgraph(part.assignment == i, shard=i)
+            view = partition_view(net, part, i)
             out = _color_shard(view, cfg.with_seed(i))
             colors[view.nodes] = out["colors"]
         und = net.undirected_edges()
@@ -275,7 +310,7 @@ class TestShardedColoring:
         net = BroadcastNetwork(gnp_graph(40, 0.15, seed=seed))
         mask = np.zeros(net.n, dtype=bool)
         mask[: net.n // 2] = True
-        view = net.induced_subgraph(mask)
+        view = mask_view(net, mask)
         ghosts_before = view.ghost_nodes.copy()
         cut_before = view.cut_edges.copy()
         _color_shard(view, shard_cfg(seed=seed))
@@ -395,7 +430,7 @@ class TestShmTransport:
 
     def test_attached_view_identical_to_pickled_view(self):
         """The worker-side view rebuilt from read-only arena slices is
-        bit-identical to the pickled ShardView of the legacy transport."""
+        bit-identical to the whole-edge-array oracle's view."""
         net = BroadcastNetwork(gnp_graph(250, 0.05, seed=11))
         part = partition_nodes(net, 4, "greedy", seed=3)
         order, starts = part.index_arrays()
@@ -410,16 +445,16 @@ class TestShmTransport:
         with ShmArena.create(arrays, label="view") as arena:
             with ShmArena.attach(arena.descriptor()) as borrowed:
                 for s in range(4):
-                    pickled = net.induced_subgraph(part.members(s), shard=s)
+                    oracle = induced_subgraph_oracle(net, part.members(s), shard=s)
                     attached = _view_from_arena(borrowed, s)
-                    assert np.array_equal(attached.nodes, pickled.nodes)
+                    assert np.array_equal(attached.nodes, oracle.nodes)
                     assert np.array_equal(
-                        attached.interior_edges, pickled.interior_edges
+                        attached.interior_edges, oracle.interior_edges
                     )
                     assert np.array_equal(
-                        attached.ghost_nodes, pickled.ghost_nodes
+                        attached.ghost_nodes, oracle.ghost_nodes
                     )
-                    assert np.array_equal(attached.cut_edges, pickled.cut_edges)
+                    assert np.array_equal(attached.cut_edges, oracle.cut_edges)
 
     def test_ghost_protection_survives_attachment(self):
         """The ghost-frontier write protection is a property of the view
@@ -457,17 +492,17 @@ class TestShmTransport:
         assert np.array_equal(got.colors, ref.colors)
         assert got.proper and got.complete and got.unresolved_conflicts == 0
 
-    def test_pooled_repair_identical_to_inline_repair(self):
-        """shard_repair_pool_min=0 forces every reconciliation sweep
+    def test_pooled_repair_identical_to_inline_repair(self, monkeypatch):
+        """A pool threshold of 0 forces every reconciliation sweep
         through _pool_repair_shard; the default threshold keeps small
         sweeps inline.  Same pure kernel, byte-identical colors."""
         graph = gnp_graph(400, 0.04, seed=7)
         inline = ShardedColoring(
             graph, shard_cfg(seed=3), k=4, workers=1
         ).run()
+        monkeypatch.setattr(shard_engine, "_REPAIR_POOL_MIN", 0)
         pooled = ShardedColoring(
-            graph, shard_cfg(seed=3, shard_repair_pool_min=0),
-            k=4, workers=4,
+            graph, shard_cfg(seed=3), k=4, workers=4,
         ).run()
         assert np.array_equal(inline.colors, pooled.colors)
         assert pooled.unresolved_conflicts == 0

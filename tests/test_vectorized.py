@@ -1,16 +1,14 @@
-"""Tests for the vectorized MultiTrial engine and its batched PRG.
+"""Tests for the vectorized MultiTrial kernel and its batched PRG.
 
-Three contracts from DESIGN.md §4:
+Two contracts from DESIGN.md §4:
 
 1. **broadcaster/listener symmetry** — the batched (vectorized) seed
    derivation and expansion agree entry-for-entry with the scalar item
    path a single listener would compute;
-2. **engine equivalence** — the edge-wise vectorized adoption rule and
-   the per-node reference loop produce identical colorings and identical
-   per-phase round counts/bits, for every sampler, including on the full
-   E1 quick matrix;
-3. **stream regression** — ``multitrial_sampler="prg"`` still reproduces
-   the pre-vectorization color streams byte for byte.
+2. **oracle equivalence** — the edge-wise adoption kernel and the
+   per-node oracle (``tests/helpers.py:resolve_pernode_oracle``) produce
+   identical colorings and identical per-phase round counts/bits, for
+   both samplers, including on the full E1 quick matrix.
 """
 
 import json
@@ -18,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
+from helpers import resolve_pernode_oracle
 from repro.config import ColoringConfig
+from repro.core import multitrial as multitrial_module
 from repro.core.algorithm import BroadcastColoring
 from repro.core.multitrial import multitrial
 from repro.core.state import ColoringState
@@ -87,30 +87,19 @@ class TestBatchedPRG:
         ]
 
 
-# Pre-refactor multitrial output on gnp(80, 0.05, seed=3) with
-# SeedSequencer(11) and the then-default sampler ("prg"): captured from the
-# per-node implementation before the vectorized engine landed.
-GOLDEN_PRG_COLORS = [
-    5, 3, 9, 7, 8, 0, 5, 7, 8, 3, 4, 0, 5, 0, 6, 0, 2, 1, 4, 2, 3, 2, 6, 1,
-    0, 9, 6, 5, 4, 3, 5, 8, 8, 2, 7, 9, 9, 3, 3, 5, 3, 2, 0, 5, 9, 0, 1, 0,
-    4, 3, 1, 3, 2, 5, 3, 9, 8, 3, 6, 6, 1, 5, 7, 8, 9, 6, 7, 9, 1, 9, 3, 7,
-    6, 0, 2, 9, 4, 5, 6, 8,
-]
-
-
-def _run_multitrial(graph, sampler, engine, seed=11, num_colors=None):
+def _run_multitrial(graph, sampler, seed=11, num_colors=None):
     net = BroadcastNetwork(graph)
     state = ColoringState(net, num_colors=num_colors)
     cfg = ColoringConfig.practical(multitrial_sampler=sampler)
     mask = np.ones(net.n, dtype=bool)
     lo = np.zeros(net.n, dtype=np.int64)
     hi = np.full(net.n, state.num_colors, dtype=np.int64)
-    rep = multitrial(state, mask, lo, hi, cfg, SeedSequencer(seed), "mt", engine=engine)
+    rep = multitrial(state, mask, lo, hi, cfg, SeedSequencer(seed), "mt")
     return state, rep
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("sampler", ["prg", "batched", "expander"])
+    @pytest.mark.parametrize("sampler", ["batched", "expander"])
     @pytest.mark.parametrize(
         "graph",
         [
@@ -121,26 +110,18 @@ class TestEngineEquivalence:
         ],
         ids=["gnp-sparse", "gnp-dense", "clique", "ring"],
     )
-    def test_vectorized_equals_pernode(self, sampler, graph):
-        s1, r1 = _run_multitrial(graph, sampler, "pernode")
-        s2, r2 = _run_multitrial(graph, sampler, "vectorized")
+    def test_vectorized_equals_pernode(self, sampler, graph, monkeypatch):
+        s2, r2 = _run_multitrial(graph, sampler)
+        monkeypatch.setattr(
+            multitrial_module, "_resolve_vectorized", resolve_pernode_oracle
+        )
+        s1, r1 = _run_multitrial(graph, sampler)
         assert np.array_equal(s1.colors, s2.colors)
         assert r1.per_iteration == r2.per_iteration
         s2.verify()
 
-    def test_prg_reproduces_pre_refactor_stream(self):
-        for engine in ("pernode", "vectorized"):
-            state, rep = _run_multitrial(gnp_graph(80, 0.05, seed=3), "prg", engine)
-            assert state.colors.tolist() == GOLDEN_PRG_COLORS, engine
-            assert rep.iterations == 2
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            _run_multitrial(ring_graph(8), "batched", "gpu")
-
     def test_batched_default_colors_with_slack(self):
-        state, rep = _run_multitrial(gnp_graph(400, 0.01, seed=5), "batched", None)
-        assert rep.engine == "vectorized"
+        state, rep = _run_multitrial(gnp_graph(400, 0.01, seed=5), "batched")
         assert rep.remaining == 0
         state.verify()
 
@@ -155,8 +136,7 @@ QUICK_CELLS = [
 ]
 
 
-def _pipeline(family, n, seed, sampler, engine, monkeypatch):
-    monkeypatch.setenv("REPRO_MULTITRIAL_ENGINE", engine)
+def _pipeline(family, n, seed, sampler):
     graph = make_graph(family, n, 16.0, seed)
     cfg = ColoringConfig.practical(seed=seed, multitrial_sampler=sampler)
     return BroadcastColoring(graph, cfg).run()
@@ -165,22 +145,25 @@ def _pipeline(family, n, seed, sampler, engine, monkeypatch):
 class TestQuickMatrixEquivalence:
     @pytest.mark.parametrize("family,n,seed", QUICK_CELLS)
     def test_round_counts_identical_across_engines(self, family, n, seed, monkeypatch):
-        """With the stream-compatible "prg" sampler, the vectorized engine
-        leaves every observable untouched: per-phase round counts, total
-        bits, and the coloring itself are byte-identical to the per-node
-        reference on the whole quick matrix."""
-        a = _pipeline(family, n, seed, "prg", "pernode", monkeypatch)
-        b = _pipeline(family, n, seed, "prg", "vectorized", monkeypatch)
+        """The vectorized kernel leaves every observable untouched:
+        per-phase round counts, total bits, and the coloring itself are
+        byte-identical to the per-node oracle swapped into the pipeline,
+        on the whole quick matrix."""
+        b = _pipeline(family, n, seed, "batched")
+        monkeypatch.setattr(
+            multitrial_module, "_resolve_vectorized", resolve_pernode_oracle
+        )
+        a = _pipeline(family, n, seed, "batched")
         assert a.phase_rounds == b.phase_rounds
         assert a.total_bits == b.total_bits
         assert a.rounds_total == b.rounds_total
         assert np.array_equal(a.colors, b.colors)
 
     @pytest.mark.parametrize("family,n,seed", QUICK_CELLS)
-    def test_batched_default_proper_and_complete(self, family, n, seed, monkeypatch):
-        res = _pipeline(family, n, seed, "batched", "vectorized", monkeypatch)
+    def test_batched_default_proper_and_complete(self, family, n, seed):
+        res = _pipeline(family, n, seed, "batched")
         assert res.proper and res.complete
-        # Round accounting structure is engine- and sampler-agnostic:
+        # Round accounting structure is sampler-agnostic:
         # batched changes the tried colors, never the round/bit schedule
         # per iteration (one seed round + one adoption round).
         assert res.max_message_bits <= ColoringConfig.practical().bandwidth_bits(n)
