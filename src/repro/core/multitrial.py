@@ -97,7 +97,9 @@ def _proposal_matrix(
 def _resolve_vectorized(
     state: ColoringState, active: np.ndarray, proposals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-wise adoption over the CSR arrays — no per-node Python.
+    """Edge-wise adoption over the active nodes' CSR rows
+    (:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`; ``active``
+    ascends) — no per-node Python.
 
     Kill rule (a): a proposal equal to any colored neighbor's color dies.
     Sorted join: pack (row, color) pairs of colored neighbors into integer
@@ -125,7 +127,7 @@ def _resolve_vectorized(
     ) + 2
     sentinel = span - 1  # never a real color on either side of a join
 
-    src, dst = net.edge_src, net.indices
+    src, dst = net.row_edges(active)
     src_pos = pos[src]
     src_active = src_pos >= 0
 

@@ -112,7 +112,7 @@ def select_putaside_sets(
         candidates_by_clique[c] = chosen
 
     # Withdraw on cross-clique volunteer adjacency.
-    src, dst = net.edge_src, net.indices
+    src, dst = net.row_edges(np.flatnonzero(volunteer_mask))
     cross = (
         volunteer_mask[src]
         & volunteer_mask[dst]

@@ -9,9 +9,11 @@ the paper's invariants as hard assertions:
   color on two adjacent nodes (either against already-colored neighbors or
   within the adopting batch itself).
 
-Everything is vectorized over the network's CSR arrays; palettes are
-materialized per node on demand (the palette of Definition 2.10 is the
-complement of the colored neighborhood).
+Everything is vectorized over the network's CSR arrays; the node-set
+kernels (:meth:`ColoringState.adopt`, :meth:`ColoringState.grouped_palettes`)
+read only their nodes' rows (:meth:`BroadcastNetwork.row_edges`).
+Palettes are materialized per node on demand (the palette of
+Definition 2.10 is the complement of the colored neighborhood).
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ class ColoringState:
         hi_v = np.clip(hi_v, 0, self.num_colors)
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[nodes] = np.arange(b)
-        src, dst = self.net.edge_src, self.net.indices
+        src, dst = self.net.row_edges(nodes)
         rows = pos[src]
         cols = self.colors[dst]
         keep = (rows >= 0) & (cols >= 0)
@@ -244,10 +246,11 @@ class ColoringState:
         proposal = self.colors.copy()
         proposal[nodes] = new_colors
         # Edge-wise propriety check on the would-be coloring, restricted to
-        # edges touching the batch.
+        # edges touching the batch: the batch's own CSR rows, in CSR order,
+        # so the first offending edge is the one a full scan would name.
         touched = np.zeros(self.n, dtype=bool)
         touched[nodes] = True
-        src, dst = self.net.edge_src, self.net.indices
+        src, dst = self.net.row_edges(np.sort(nodes))
         rel = touched[src]
         bad = (
             rel

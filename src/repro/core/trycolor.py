@@ -6,8 +6,10 @@ adopts the color if none of its neighbors with smaller ID tried the same
 color" (§2.2) — and, of course, if no colored neighbor already holds it.
 
 The round is fully vectorized: proposals are arrays, conflicts are
-edge-wise comparisons over the CSR arrays, and the bit cost (one color
-broadcast per participant) goes through the shared metrics.
+edge-wise comparisons over the proposers' CSR rows
+(:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`), and the
+bit cost (one color broadcast per participant) goes through the shared
+metrics.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def resolve_proposals(
     """
     net = state.net
     valid = (proposals >= 0) & (state.colors < 0)
-    src, dst = net.edge_src, net.indices
+    src, dst = net.row_edges(np.flatnonzero(valid))
     kill = np.zeros(state.n, dtype=bool)
     a = valid[src] & (state.colors[dst] >= 0) & (proposals[src] == state.colors[dst])
     b = valid[src] & valid[dst] & (proposals[src] == proposals[dst]) & (dst < src)
@@ -142,7 +144,7 @@ def try_color_round(
     proposals[participants] = tried
     valid = proposals >= 0
 
-    src, dst = net.edge_src, net.indices
+    src, dst = net.row_edges(np.flatnonzero(valid))
     kill = np.zeros(state.n, dtype=bool)
     # (a) colored-neighbor conflicts.
     a = valid[src] & (state.colors[dst] >= 0) & (proposals[src] == state.colors[dst])

@@ -6,10 +6,12 @@ The control loop per :class:`~repro.dynamic.events.UpdateBatch`
 1. **delta** — departures expand to their incident edges; the whole batch
    lands in one :meth:`BroadcastNetwork.apply_delta` sorted merge, with
    announcement rounds/bits charged to ``dynamic/delta``.
-2. **detect** — vectorized conflict detection on the new CSR: the larger
-   endpoint of every monochromatic edge loses its color, as does any node
-   whose color fell out of the new palette [Δ_t+1] (Δ shrank).  Changed
-   neighborhoods re-sync with one color broadcast from touched nodes.
+2. **detect** — delta-routed conflict detection: while the pre-batch
+   coloring is proper, only the batch's inserted edges can be
+   monochromatic, so one endpoint of each monochromatic inserted edge
+   loses its color, as does any node whose color fell out of the new
+   palette [Δ_t+1] (Δ shrank).  Changed neighborhoods re-sync with one
+   color broadcast from touched nodes.
 3. **repair** — the conflict set + arrivals re-run the *existing* batched
    kernels as subroutines: MultiTrial (seed broadcasts, geometric try
    growth) when the set is large enough to warrant it, then TryColor
@@ -72,19 +74,17 @@ def _palette_sizes(
     net: BroadcastNetwork,
     colors: np.ndarray,
     num_colors: int,
-    only: np.ndarray | None = None,
+    only: np.ndarray,
 ) -> np.ndarray:
-    """|Ψ(v)| under palette ``[num_colors]`` — the standalone form of
+    """|Ψ(v)| under palette ``[num_colors]`` for the nodes of the bool
+    mask ``only``, read from their CSR rows alone — the node-set form of
     :meth:`ColoringState.palette_sizes`, tolerant of out-of-range colors
     (a neighbor colored beyond the palette forbids nothing inside it,
-    which matters mid-detect when Δ just shrank).  ``only`` (bool mask)
-    restricts the work to the listed nodes' neighborhoods; entries
-    outside it are meaningless."""
-    src = net.edge_src
-    dst_colors = colors[net.indices]
-    ok = (dst_colors >= 0) & (dst_colors < num_colors)
-    if only is not None:
-        ok &= only[src]
+    which matters mid-detect when Δ just shrank).  Entries outside
+    ``only`` are meaningless."""
+    src, dst = net.row_edges(np.flatnonzero(only))
+    dst_colors = colors[dst]
+    ok = (dst_colors >= 0) & (dst_colors < num_colors) & only[src]
     if not ok.any():
         return np.full(net.n, num_colors, dtype=np.int64)
     pairs = src[ok].astype(np.int64) * (num_colors + 1) + dst_colors[ok]
@@ -111,8 +111,10 @@ def conflict_victims(
       endpoint with smaller palette slack keeps its color (ROADMAP's
       smarter-victim item; ties fall back to the larger ID).
 
-    ``edges`` passes a precomputed :func:`monochromatic_edges` result in,
-    for callers that also need the conflict count (one edge scan, not two).
+    ``edges`` passes the ``(hi, lo)`` monochromatic pairs in when the
+    caller knows where conflicts can be (the delta-routed detector passes
+    the monochromatic inserted edges); by default the whole CSR is
+    scanned (:func:`monochromatic_edges`).
     """
     if policy not in VICTIM_POLICIES:
         raise ValueError(
@@ -321,11 +323,14 @@ class DynamicColoring:
         instead of running the full pipeline on the initial graph.  Used
         by :func:`repro.serve.snapshot.restore_engine` (crash recovery /
         warm restarts) and by ``repro serve`` when the initial coloring
-        comes from :class:`~repro.shard.ShardedColoring`.  The caller
-        vouches that the coloring is proper and complete on ``active``
-        nodes — the usual post-batch invariant; ``initial_rounds`` /
-        ``initial_seconds`` are reported as 0 (the cost was paid
-        elsewhere).
+        comes from :class:`~repro.shard.ShardedColoring`.  The coloring
+        is not trusted to be proper: one full edge scan clears a victim
+        of every monochromatic edge (the ``conflict_victim`` rule), so the
+        delta-routed detector's precondition holds from the first batch,
+        which repairs the cleared nodes like any other uncolored active
+        node.  A proper coloring is adopted unchanged.
+        ``initial_rounds`` / ``initial_seconds`` are reported as 0 (the
+        cost was paid elsewhere).
     active:
         Active-node mask to adopt alongside ``initial_colors`` (default:
         all nodes active).  Only meaningful on the warm-start path.
@@ -372,6 +377,7 @@ class DynamicColoring:
                         f"active shape {adopted.shape} != ({self.net.n},)"
                     )
                 self.active = adopted
+            colors[conflict_victims(self.net, colors, self.cfg.conflict_victim)] = -1
             self.initial_rounds = 0
             self.initial_seconds = 0.0
             return
@@ -427,14 +433,8 @@ class DynamicColoring:
         batch.validate(net.n)
 
         # ---- 1. delta merge (departures expand to incident edges) ----
-        deletions = batch.delete_edges
-        dep_incident = np.empty((0, 2), dtype=np.int64)
-        if batch.departures.size:
-            dep_mask = np.zeros(net.n, dtype=bool)
-            dep_mask[batch.departures] = True
-            und = net.undirected_edges()
-            dep_incident = und[dep_mask[und[:, 0]] | dep_mask[und[:, 1]]]
-            deletions = np.concatenate([deletions.reshape(-1, 2), dep_incident])
+        dep_incident = self._departure_edges(batch)
+        deletions = np.concatenate([batch.delete_edges, dep_incident])
         with metrics.time_phase("dynamic/delta"):
             delta_rep = net.apply_delta(
                 batch.insert_edges,
@@ -508,19 +508,41 @@ class DynamicColoring:
             seconds=time.perf_counter() - t0,
         )
 
+    def _departure_edges(self, batch: UpdateBatch) -> np.ndarray:
+        """The departing nodes' incident edges in the current CSR, as
+        ``(v, u)`` pairs read from their own rows — an edge between two
+        departing nodes comes once from each row, and every consumer
+        treats the pairs as a set."""
+        src, dst = self.net.row_edges(batch.departures)
+        dep_mask = np.zeros(self.net.n, dtype=bool)
+        dep_mask[batch.departures] = True
+        keep = dep_mask[src]
+        return np.stack([src[keep], dst[keep]], axis=1)
+
     def _detect_conflicts(self, batch: UpdateBatch, num_colors: int) -> np.ndarray:
         """Bool mask of nodes whose color the delta invalidated: one
         victim per monochromatic edge of the new CSR, plus every active
         node whose color fell out of the shrunken palette.  Does not
         mutate ``self.colors`` — the caller clears the victims.
 
-        Overridable seam: :class:`~repro.shard.dynamic.ShardedDynamicColoring`
-        replaces the full edge scan with a delta-routed check over the
-        batch's inserted edges (the only edges that can become
-        monochromatic while the pre-batch invariant holds)."""
+        Delta-routed: while the pre-batch coloring is proper — what every
+        batch restores and the warm-start scan in :meth:`__init__`
+        establishes — deletions and departures create no conflict and no
+        other edge's endpoint colors changed, so only the batch's
+        inserted edges can be monochromatic.  The victim rule runs on
+        those pairs plus the O(n) out-of-palette vector: the full edge
+        scan's conflict set at delta cost (``tests/helpers.py`` keeps the
+        full scan as the oracle)."""
         c = self.colors
+        ins = batch.insert_edges
+        hi = np.maximum(ins[:, 0], ins[:, 1])
+        lo = np.minimum(ins[:, 0], ins[:, 1])
+        mono = (c[hi] >= 0) & (c[hi] == c[lo])
         conflict = conflict_victims(
-            self.net, c, policy=self.cfg.conflict_victim, num_colors=num_colors
+            self.net, c,
+            policy=self.cfg.conflict_victim,
+            num_colors=num_colors,
+            edges=(hi[mono], lo[mono]),
         )
         conflict |= self.active & (c >= num_colors)
         return conflict

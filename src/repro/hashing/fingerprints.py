@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.simulator.network import gather_csr_rows
+
 __all__ = [
     "hash_u64",
     "hash_array_u64",
@@ -89,13 +91,6 @@ _HASH_BLOCK_BYTES = 1 << 18
 _SLOT_MIN_LANES = 1 << 12
 
 
-def _ragged_take(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``values[starts[r] : starts[r] + lens[r]]`` for every r, concatenated
-    (one fancy gather, no per-row loop)."""
-    offsets = np.cumsum(lens) - lens
-    return values[np.arange(int(lens.sum())) + np.repeat(starts - offsets, lens)]
-
-
 def _hash_grid(ids: np.ndarray, salts: np.ndarray) -> np.ndarray:
     """The node-major ``(|ids|, |salts|)`` uint32 grid of the top 32 bits
     of splitmix64 of each id under each salt (as in :func:`hash_array_u64`,
@@ -138,7 +133,7 @@ def _slot_plan(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> _SlotPlan
     slots = [indices[start[:w] + s] for s, w in enumerate(widths[:passes].tolist())]
     hubs = widths[passes] if passes < widths.size else 0
     lens = deg[:hubs] - passes
-    tail = _ragged_take(indices, start[:hubs] + passes, lens)
+    tail = gather_csr_rows(indptr, indices, order[:hubs], skip=passes)
     return _SlotPlan(order, slots, tail, np.cumsum(lens) - lens)
 
 
@@ -220,7 +215,7 @@ def _node_fingerprints(
         return np.empty((num_samples, nodes.size), dtype=np.uint16)
     deg = indptr[nodes + 1] - indptr[nodes]
     sub_indptr = np.concatenate(([0], np.cumsum(deg)))
-    nb = _ragged_take(indices, indptr[nodes], deg)
+    nb = gather_csr_rows(indptr, indices, nodes)
     spanned = np.zeros(n, dtype=bool)
     spanned[nodes] = True
     spanned[nb] = True

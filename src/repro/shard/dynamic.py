@@ -5,19 +5,13 @@ dynamic engine's per-batch invariant restoration with the shard
 subsystem's partition/boundary-exchange geometry.  The driver,
 :class:`ShardedDynamicColoring`, subclasses
 :class:`~repro.dynamic.engine.DynamicColoring` so the delta phase, the
-accounting, the report contract, and the ``run`` loop are *inherited* —
-at ``k == 1`` no sharded code path executes at all and the engine is
-byte-identical to the unsharded one (colors, rounds, bits, seeds; the
-benchmark gates this).  At ``k > 1`` three seams are overridden:
+delta-routed conflict detector, the accounting, the report contract,
+and the ``run`` loop are *inherited* — at ``k == 1`` no sharded code
+path executes at all and the engine is byte-identical to the unsharded
+one (colors, rounds, bits, seeds; the benchmark gates this).  At
+``k > 1`` two seams are overridden:
 
-1. **delta-routed detect** — while the pre-batch invariant holds
-   (proper coloring), a delta can only create monochromatic edges among
-   the batch's *inserted* edges: deletions and departures never create
-   conflicts, and no other edge's endpoint colors changed.  Detection
-   therefore checks the inserted pairs plus the O(n) out-of-palette
-   vector instead of scanning all m edges — provably the same conflict
-   set as the full scan, at delta cost.
-2. **shard-local repair** — victims are routed to their owning shards
+1. **shard-local repair** — victims are routed to their owning shards
    by one partition-index lookup; each touched shard repairs its own
    nodes on a halo-sized scratch network via the *same*
    :func:`~repro.shard.boundary.repair_boundary` kernel the static
@@ -25,7 +19,7 @@ benchmark gates this).  At ``k > 1`` three seams are overridden:
    disjoint by ownership, so the driver merges them exactly as the
    static path does, and the shard metrics fold in under the
    parallel-composition rule.
-3. **cut reconciliation, delta-scaled** — only edges incident to nodes
+2. **cut reconciliation, delta-scaled** — only edges incident to nodes
    recolored *this batch* can have become monochromatic across the cut,
    so each sweep gathers the cross-shard pairs from the recolored
    nodes' CSR rows (cost ∝ Σ deg(recolored), never the full cut) and
@@ -52,7 +46,7 @@ from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_from_sketch
 from repro.decomposition.minhash import SimilaritySketch, account_sketch_rounds
-from repro.dynamic.engine import BatchReport, DynamicColoring, conflict_victims
+from repro.dynamic.engine import BatchReport, DynamicColoring
 from repro.dynamic.events import ChurnSchedule, UpdateBatch
 from repro.hashing.fingerprints import (
     minwise_fingerprints,
@@ -76,8 +70,8 @@ class ShardedDynamicColoring(DynamicColoring):
     ``apply_batch``/``run`` surface, same :class:`BatchReport` contract,
     same invariants after every batch.  ``k == 1`` *is* the unsharded
     engine (every override delegates, nothing sharded runs); ``k > 1``
-    routes detection and repair to the shards the delta touches and
-    reconciles only delta-incident cut edges (module docstring).
+    routes repair to the shards the delta touches and reconciles only
+    delta-incident cut edges (module docstring).
 
     >>> from repro.graphs.families import make_churn
     >>> sched = make_churn("gnp-churn", 500, 12.0, seed=3, batches=4)
@@ -155,8 +149,8 @@ class ShardedDynamicColoring(DynamicColoring):
     # ------------------------------------------------------------------
     def apply_batch(self, batch: UpdateBatch) -> BatchReport:
         """Apply one update batch and restore the coloring invariant —
-        the parent's control loop verbatim, with sharded seams (detect /
-        repair / fallback) substituted when ``k > 1``.  Also accumulates
+        the parent's control loop verbatim, with sharded seams (repair /
+        fallback) substituted when ``k > 1``.  Also accumulates
         the delta's endpoints into the ACD dirty set for the delta-aware
         re-sketch."""
         if self.k > 1:
@@ -172,42 +166,8 @@ class ShardedDynamicColoring(DynamicColoring):
             if arr.size:
                 dirty[arr.reshape(-1)] = True
         dirty[batch.arrivals] = True
-        if batch.departures.size:
-            dirty[batch.departures] = True
-            dep_mask = np.zeros(self.net.n, dtype=bool)
-            dep_mask[batch.departures] = True
-            und = self.net.undirected_edges()
-            inc = und[dep_mask[und[:, 0]] | dep_mask[und[:, 1]]]
-            if inc.size:
-                dirty[inc.reshape(-1)] = True
-
-    # ------------------------------------------------------------------
-    def _detect_conflicts(self, batch: UpdateBatch, num_colors: int) -> np.ndarray:
-        """Delta-routed detection (k > 1): while the pre-batch invariant
-        holds, only the batch's inserted edges can be monochromatic, so
-        the victim rule runs on those pairs plus the O(n) out-of-palette
-        vector — the same conflict set the parent's full edge scan
-        produces, at delta cost.  ``k == 1`` delegates to the parent."""
-        if self.k == 1:
-            return super()._detect_conflicts(batch, num_colors)
-        c = self.colors
-        ins = batch.insert_edges
-        if ins.size:
-            hi = np.maximum(ins[:, 0], ins[:, 1])
-            lo = np.minimum(ins[:, 0], ins[:, 1])
-            mono = (c[hi] >= 0) & (c[hi] == c[lo])
-            edges = (hi[mono], lo[mono])
-        else:
-            e = np.empty(0, dtype=np.int64)
-            edges = (e, e)
-        conflict = conflict_victims(
-            self.net, c,
-            policy=self.cfg.conflict_victim,
-            num_colors=num_colors,
-            edges=edges,
-        )
-        conflict |= self.active & (c >= num_colors)
-        return conflict
+        dirty[batch.departures] = True
+        dirty[self._departure_edges(batch).reshape(-1)] = True
 
     # ------------------------------------------------------------------
     def _repair(self, repair_set: np.ndarray, num_colors: int, t: int) -> bool:

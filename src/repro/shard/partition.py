@@ -147,11 +147,6 @@ def _random(n: int, k: int, seed: int) -> np.ndarray:
     return assignment
 
 
-# The CSR row gather lives in simulator.network (shared with the
-# zero-copy shard-view builder); keep the historical local name.
-_gather_rows = gather_csr_rows
-
-
 def _greedy_grow(net: BroadcastNetwork, k: int) -> np.ndarray:
     """Bucketed-frontier balanced graph growing (the METIS GGGP idea,
     vectorized).
@@ -201,7 +196,7 @@ def _greedy_grow(net: BroadcastNetwork, k: int) -> np.ndarray:
                 else:
                     # Final layer: rank by gain (#neighbors already in s),
                     # one segment count over the frontier's CSR rows.
-                    nb = _gather_rows(indptr, indices, frontier)
+                    nb = gather_csr_rows(indptr, indices, frontier)
                     deg = indptr[frontier + 1] - indptr[frontier]
                     owner = np.repeat(
                         np.arange(frontier.size, dtype=np.int64), deg
@@ -215,7 +210,7 @@ def _greedy_grow(net: BroadcastNetwork, k: int) -> np.ndarray:
             assignment[batch] = s
             size += int(batch.size)
             assigned += int(batch.size)
-            nbrs = _gather_rows(indptr, indices, batch)
+            nbrs = gather_csr_rows(indptr, indices, batch)
             if nbrs.size:
                 cand = nbrs[(assignment[nbrs] < 0) & ~in_frontier[nbrs]]
                 if cand.size:
@@ -264,7 +259,7 @@ def _refine_balanced(
         if not cut_mask.any():
             break
         boundary = np.unique(und[cut_mask].reshape(-1))
-        nbrs = _gather_rows(indptr, indices, boundary)
+        nbrs = gather_csr_rows(indptr, indices, boundary)
         deg = indptr[boundary + 1] - indptr[boundary]
         owner = np.repeat(np.arange(boundary.size, dtype=np.int64), deg)
         per_shard = np.bincount(
@@ -301,7 +296,7 @@ def _refine_balanced(
         # Cut delta over moved nodes' rows only: an edge with one moved
         # endpoint appears in exactly one gathered row; an edge between
         # two moved endpoints appears in both, so that half is halved.
-        mnb = _gather_rows(indptr, indices, moved)
+        mnb = gather_csr_rows(indptr, indices, moved)
         mdeg = indptr[moved + 1] - indptr[moved]
         msrc = np.repeat(moved, mdeg)
         contrib = (proposed[msrc] != proposed[mnb]).astype(np.int64)

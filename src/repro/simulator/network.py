@@ -8,10 +8,11 @@
   per-node inboxes out.  Used by the clique-internal protocols (Relabel,
   Permute, CompressTry, LearnPalette) where the message content *is* the
   protocol.
-* vectorized neighbor primitives (:meth:`neighbor_min`, edge arrays, ...)
-  used by whole-graph rounds (TryColor, slack generation, MultiTrial) whose
-  per-node messages are single colors/seeds; those rounds account bits
-  analytically via :meth:`RoundMetrics.add_uniform_round`.
+* vectorized neighbor primitives (:meth:`neighbor_min`, edge arrays, the
+  node-set edge view :meth:`row_edges`, ...) used by vectorized rounds
+  (TryColor, slack generation, MultiTrial) whose per-node messages are
+  single colors/seeds; those rounds account bits analytically via
+  :meth:`RoundMetrics.add_uniform_round`.
 
 Both styles enforce the BCONGEST bandwidth cap: any message above
 ``bandwidth_bits`` raises :class:`BandwidthExceeded`.
@@ -39,12 +40,13 @@ __all__ = [
 
 
 def gather_csr_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, skip: int = 0
 ) -> np.ndarray:
-    """Concatenated CSR adjacency of ``rows`` (one fancy-index gather, no
-    per-row python loop).  Works on any CSR buffer pair — including
-    read-only shared-memory attachments."""
-    starts = indptr[rows]
+    """Concatenated CSR adjacency of ``rows``, each row without its first
+    ``skip`` entries (one fancy-index gather, no per-row python loop).
+    Works on any CSR buffer pair — including read-only shared-memory
+    attachments.  The one ragged range take in the package."""
+    starts = indptr[rows] + skip
     counts = indptr[rows + 1] - starts
     total = int(counts.sum())
     if not total:
@@ -345,11 +347,11 @@ class BroadcastNetwork:
         if src.size:
             np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         # Edge-source array aligned with ``indices``: indices[k] is a
-        # neighbor of edge_src[k].
+        # neighbor of edge_src[k].  Every edge is stored in both
+        # orientations; the (m, 2) undirected half is built on first use.
         self.edge_src = src
-        und_half = src < dst
-        self._und_edges = np.stack([src[und_half], dst[und_half]], axis=1)
-        self.m = self._und_edges.shape[0]
+        self.m = src.size // 2
+        self._und_edges: np.ndarray | None = None
 
         self.degrees = np.diff(self.indptr).astype(np.int64)
         self.delta = int(self.degrees.max()) if n else 0
@@ -377,8 +379,35 @@ class BroadcastNetwork:
         return v in self.adjacency_set(u)
 
     def undirected_edges(self) -> np.ndarray:
-        """(m, 2) array of unique undirected edges (u < v)."""
+        """(m, 2) array of unique undirected edges (u < v), in CSR order:
+        the ``src < dst`` half of the directed pairs, built on the first
+        call after each topology change and cached."""
+        if self._und_edges is None:
+            half = self.edge_src < self.indices
+            self._und_edges = np.stack(
+                [self.edge_src[half], self.indices[half]], axis=1
+            )
         return self._und_edges
+
+    def row_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Directed ``(src, dst)`` pairs covering the CSR rows of
+        ``nodes`` (distinct ids) — the edge view of a node-set kernel.
+
+        When the rows hold at most half of the 2m pairs they are gathered,
+        so every ``src`` is in ``nodes``; otherwise ``edge_src`` and
+        ``indices`` come back themselves, as views with no copy.  Either
+        way a membership filter on ``src`` keeps the same pairs a filter
+        over the full arrays keeps, and for ascending ``nodes`` in the
+        same (CSR) order.  A round among S thus costs Σ_{v∈S} deg(v),
+        and never more than one pass over the 2m pairs (DESIGN.md §4)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        deg = self.degrees[nodes]
+        if 2 * int(deg.sum()) > self.indices.size:
+            return self.edge_src, self.indices
+        return (
+            np.repeat(nodes, deg),
+            gather_csr_rows(self.indptr, self.indices, nodes),
+        )
 
     def subgraph_degrees(self, members: np.ndarray) -> np.ndarray:
         """For each node, its number of neighbors inside ``members`` (bool

@@ -15,6 +15,7 @@ from repro.core.state import ColoringState
 from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
 from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
+from repro.dynamic.engine import conflict_victims
 from repro.simulator.network import BroadcastNetwork, ShardView
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color, bits_for_id, bits_for_int
@@ -460,3 +461,17 @@ def traced_run(graph, cfg):
     with mock.patch.object(algorithm, "ColoringState", ProbedState):
         result = BroadcastColoring(net, cfg).run()
     return result, recorder
+
+
+def full_scan_conflicts(engine, num_colors: int) -> np.ndarray:
+    """The conflict detector as a full scan: the engine's victim rule
+    over every monochromatic edge of the current CSR, plus every active
+    node whose color fell out of ``[num_colors]``.  The oracle the
+    delta-routed ``DynamicColoring._detect_conflicts`` must match while
+    the pre-batch coloring is proper."""
+    c = engine.colors
+    conflict = conflict_victims(
+        engine.net, c, policy=engine.cfg.conflict_victim, num_colors=num_colors
+    )
+    conflict |= engine.active & (c >= num_colors)
+    return conflict

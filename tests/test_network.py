@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.families import make_graph
 from repro.simulator.messages import Broadcast, color_message
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import BandwidthExceeded, BroadcastNetwork
@@ -115,6 +116,88 @@ class TestConstruction:
         for v in range(net.n):
             nbrs = net.neighbors(v)
             assert (np.diff(nbrs) > 0).all() if nbrs.size > 1 else True
+
+
+class TestRowEdges:
+    """``row_edges(nodes)`` is the edge view every node-set kernel scans:
+    a membership filter over it keeps the same pairs, in the same order,
+    as the same filter over ``(edge_src, indices)``."""
+
+    @staticmethod
+    def assert_filter_matches(net, nodes):
+        member = np.zeros(net.n, dtype=bool)
+        member[nodes] = True
+        src, dst = net.row_edges(nodes)
+        keep = member[src]
+        ref = member[net.edge_src]
+        np.testing.assert_array_equal(src[keep], net.edge_src[ref])
+        np.testing.assert_array_equal(dst[keep], net.indices[ref])
+        volume = int(net.degrees[nodes].sum())
+        if 2 * volume <= net.indices.size:
+            # At most half the pairs: exactly the set's rows.
+            assert src.size == volume and keep.all()
+        else:
+            # Past the half-volume switch: the arrays themselves.
+            assert src is net.edge_src and dst is net.indices
+
+    @staticmethod
+    def node_sets(net, rng):
+        """Empty, single, isolated, all, random, and the two sets on
+        either side of the half-volume switch (a random order's prefixes
+        whose volume is the last at most m and the first above it)."""
+        n = net.n
+        sets = [
+            np.empty(0, dtype=np.int64),
+            np.array([int(rng.integers(n))]),
+            np.flatnonzero(net.degrees == 0),
+            np.arange(n),
+            np.flatnonzero(rng.random(n) < 0.3),
+        ]
+        order = rng.permutation(n)
+        cum = np.cumsum(net.degrees[order])
+        cut = int(np.searchsorted(cum, net.m, side="right"))
+        sets.append(np.sort(order[:cut]))
+        if cut < n:
+            sets.append(np.sort(order[: cut + 1]))
+        return sets
+
+    @given(
+        family=st.sampled_from(["gnp", "geometric", "planted"]),
+        n=st.integers(min_value=8, max_value=120),
+        seed=st.integers(min_value=0, max_value=10_000),
+        deltas=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_filter_matches_full_arrays(self, family, n, seed, deltas):
+        n0, edges = make_graph(family, n, 6.0, seed)
+        # Three isolated nodes past the generator's range.
+        net = BroadcastNetwork((n0 + 3, edges))
+        rng = np.random.default_rng(seed)
+        for _ in range(deltas + 1):
+            for nodes in self.node_sets(net, rng):
+                self.assert_filter_matches(net, nodes)
+            und = net.undirected_edges()
+            net.apply_delta(
+                rng.integers(0, n0, size=(int(rng.integers(0, 12)), 2)),
+                und[rng.random(und.shape[0]) < 0.2],
+            )
+
+    def test_switch_is_at_half_the_pairs(self):
+        # A path 0-1-2-3-4: 8 directed pairs; degrees 1, 2, 2, 2, 1.
+        net = BroadcastNetwork((5, [(i, i + 1) for i in range(4)]))
+        src, dst = net.row_edges(np.array([0, 1, 4]))  # 4 of 8 pairs
+        assert src.tolist() == [0, 1, 1, 4]
+        assert dst.tolist() == [1, 0, 2, 3]
+        src, dst = net.row_edges(np.array([0, 1, 2]))  # 5 of 8 pairs
+        assert src is net.edge_src and dst is net.indices
+
+    def test_undirected_edges_cached_until_the_topology_changes(self):
+        net = BroadcastNetwork((4, [(0, 1), (1, 2)]))
+        first = net.undirected_edges()
+        assert net.undirected_edges() is first
+        net.apply_delta(insert_edges=np.array([[2, 3]]))
+        assert net.undirected_edges().tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert net.m == 3
 
 
 class TestSubgraphDegrees:

@@ -54,6 +54,16 @@ class TestAdopt:
         with pytest.raises(ImproperColoring):
             state.adopt(np.array([0, 1]), np.array([2, 2]))
 
+    def test_names_the_first_offending_edge_in_csr_order(self):
+        # Two offending edges in an unsorted batch that reads only its own
+        # rows: the message names the edge a scan over every edge meets
+        # first, (1, 0), not the one in the batch's first row, (2, 3).
+        net = BroadcastNetwork((10, [(i, i + 1) for i in range(9)]))
+        state = ColoringState(net)
+        state.adopt(np.array([0, 3]), np.array([1, 0]))
+        with pytest.raises(ImproperColoring, match=r"edge \(1, 0\)"):
+            state.adopt(np.array([2, 1]), np.array([0, 1]))
+
     def test_rejects_out_of_range_color(self, triangle_net):
         state = ColoringState(triangle_net)
         with pytest.raises(ImproperColoring):
