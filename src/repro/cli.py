@@ -49,12 +49,7 @@ from repro.runner import (
     mean_timings,
     summarize_payloads,
 )
-from repro.shard import (
-    STRATEGIES,
-    TRANSPORTS,
-    ShardedColoring,
-    ShardedDynamicColoring,
-)
+from repro.shard import STRATEGIES, TRANSPORTS, ShardedColoring
 from repro.simulator.network import BroadcastNetwork
 
 __all__ = ["main", "build_parser", "make_graph"]
@@ -122,8 +117,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         dynamic_batches=args.batches,
         dynamic_churn_fraction=args.churn,
         dynamic_fallback_fraction=args.fallback_fraction,
-        shard_k=args.k,
-        shard_strategy=args.strategy,
         obs_trace=bool(args.trace),
     )
     schedule = make_churn(
@@ -134,10 +127,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         batches=cfg.dynamic_batches,
         churn_fraction=cfg.dynamic_churn_fraction,
     )
-    if args.k > 1:
-        engine: DynamicColoring = ShardedDynamicColoring(schedule, cfg)
-    else:
-        engine = DynamicColoring(schedule, cfg)
+    engine = DynamicColoring(schedule, cfg)
     result = engine.run(schedule)
     _finish_trace(args.trace)
     summary = result.summary()
@@ -147,8 +137,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         "batches": [r.as_dict() for r in result.reports],
         "summary": summary,
     }
-    if isinstance(engine, ShardedDynamicColoring):
-        report["routes"] = engine.route_summary()
     if not args.json:
         # Compact per-batch table instead of nested dict dumping.
         print(f"family: {schedule.family}  n: {engine.n}  "
@@ -159,15 +147,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
                 f"{r.index:5d}  {r.mode:8s}  {r.conflicts:9d}  {r.recolored:9d}  "
                 f"{r.recolored_fraction:7.4f}  {r.delta:5d}  {r.colors_used:6d}  "
                 f"{r.rounds:6d}"
-            )
-        if "routes" in report:
-            routes = report["routes"]
-            print(
-                f"sharded: k={routes['k']} strategy={routes['strategy']}  "
-                f"shards/batch: {routes['mean_shards_touched']:.2f} mean "
-                f"(max {routes['max_shards_touched']})  "
-                f"reconcile: {routes['reconcile_touched']} nodes, "
-                f"{routes['mean_sweeps']:.2f} sweeps/batch"
             )
         _emit({"summary": summary}, False)
     else:
@@ -623,13 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of update batches")
     p_churn.add_argument("--churn", type=float, default=0.05, metavar="FRACTION",
                          help="per-batch churn intensity (edge fraction / step scale)")
-    p_churn.add_argument("--k", type=int, default=1,
-                         help="shard count: 1 = single dynamic engine, >1 = "
-                              "delta-routed sharded maintenance "
-                              "(repro.shard.dynamic)")
-    p_churn.add_argument("--strategy", default="contiguous",
-                         choices=list(STRATEGIES),
-                         help="partition strategy when --k > 1")
     p_churn.add_argument("--fallback-fraction", type=float, default=0.25,
                          help="conflicted fraction above which the engine "
                               "recolors from scratch (>=1 never, <0 always)")

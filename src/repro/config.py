@@ -26,13 +26,29 @@ from typing import Any
 
 from repro.util.mathx import poly_log
 
-__all__ = ["ColoringConfig", "MULTITRIAL_SAMPLERS", "VICTIM_POLICIES"]
+__all__ = [
+    "ColoringConfig",
+    "MULTITRIAL_SAMPLERS",
+    "START_METHODS",
+    "STRATEGIES",
+    "TRANSPORTS",
+    "VICTIM_POLICIES",
+]
 
 MULTITRIAL_SAMPLERS = ("batched", "expander")
 """The seed-expansion devices ``multitrial_sampler`` accepts."""
 
 VICTIM_POLICIES = ("id", "slack")
 """The conflict-victim rules ``conflict_victim`` accepts."""
+
+STRATEGIES = ("contiguous", "random", "greedy")
+"""The partition strategies ``shard_strategy`` accepts."""
+
+TRANSPORTS = ("shm", "pickle")
+"""The shard-view transports ``shard_transport`` accepts."""
+
+START_METHODS = ("default", "fork", "forkserver", "spawn")
+"""The worker-pool start methods ``shard_start_method`` accepts."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +212,7 @@ class ColoringConfig:
     """Partition strategy: "contiguous" (balanced node-id blocks),
     "random" (seeded permutation blocks) or "greedy" (METIS-like greedy
     balanced graph growing, minimizing the cut on graphs with locality).
-    See :data:`repro.shard.partition.STRATEGIES`."""
+    See :data:`STRATEGIES`."""
 
     shard_reconcile_max_iters: int = 10
     """Upper bound on detect→repair sweeps of the cross-shard
@@ -342,10 +358,10 @@ class ColoringConfig:
     """Root seed; a run is a pure function of (graph, config, seed)."""
 
     def __post_init__(self) -> None:
-        # eps, the sketch fields, the CompressTry counts and the two named
-        # choices can arrive from outside the program (load_graph and
-        # spec-file overrides, snapshots): refuse here, naming the field,
-        # what the pipeline cannot run.  An eps outside (0, 1) finds no
+        # eps, the sketch fields, the CompressTry counts, shard_k and the
+        # named choices can arrive from outside the program (load_graph
+        # and spec-file overrides, snapshots): refuse here, naming the
+        # field, what the pipeline cannot run.  An eps outside (0, 1) finds no
         # cliques or too many, and the validator, checking against the
         # same eps, would pass either.
         eps = self.eps
@@ -362,17 +378,22 @@ class ColoringConfig:
             )
         # CompressTry draws and charges k color indices in each of its
         # repeats: a count below 1 would charge negative or phantom bits.
-        for name in ("compress_try_colors", "compress_try_repeats"):
+        # A shard count below 1 partitions nothing.
+        for name in ("compress_try_colors", "compress_try_repeats", "shard_k"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         # Checked here, not where they are used: an unknown victim rule
         # would fail only inside the first repair, after the batch had
-        # changed the topology, and an unknown sampler name would
-        # silently run the expander.
+        # changed the topology, an unknown sampler name would silently
+        # run the expander, and an unknown start method would fail only
+        # when a worker pool starts.
         for name, accepted in (
             ("multitrial_sampler", MULTITRIAL_SAMPLERS),
             ("conflict_victim", VICTIM_POLICIES),
+            ("shard_strategy", STRATEGIES),
+            ("shard_transport", TRANSPORTS),
+            ("shard_start_method", START_METHODS),
         ):
             value = getattr(self, name)
             if not isinstance(value, str) or value not in accepted:

@@ -26,11 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import ColoringConfig
-from repro.decomposition.minhash import (
-    SimilaritySketch,
-    compute_sketches,
-    estimate_edge_similarity,
-)
+from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.decomposition.sparsity import edge_common_neighbors
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
@@ -40,7 +36,6 @@ __all__ = [
     "AlmostCliqueDecomposition",
     "decompose_exact",
     "decompose_distributed",
-    "decompose_from_sketch",
 ]
 
 SPARSE = -1
@@ -294,18 +289,6 @@ def _candidate_edges(net: BroadcastNetwork, eps: float) -> np.ndarray:
     return np.flatnonzero(cand[edges[:, 0]] | cand[edges[:, 1]])
 
 
-def _candidate_similarity(
-    net: BroadcastNetwork, sketch: SimilaritySketch, touched: np.ndarray
-) -> np.ndarray:
-    """Per-edge similarity for :func:`_build`: the sketch's estimate on
-    the ``touched`` edges and 0 on every other edge."""
-    similarity = np.zeros(net.m, dtype=np.float64)
-    similarity[touched] = estimate_edge_similarity(
-        net, sketch, net.undirected_edges()[touched]
-    )
-    return similarity
-
-
 def _build(
     net: BroadcastNetwork,
     similarity: np.ndarray,
@@ -387,34 +370,8 @@ def decompose_distributed(
         salt=seq.derive_seed("acd-hash") % (1 << 31),
         nodes=np.flatnonzero(endpoints),
     )
-    similarity = _candidate_similarity(net, sketch, touched)
-    return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
-
-
-def decompose_from_sketch(
-    net: BroadcastNetwork,
-    sketch,
-    cfg: ColoringConfig | None = None,
-) -> AlmostCliqueDecomposition:
-    """Build the almost-clique decomposition from a *precomputed*
-    similarity sketch — the delta-aware maintenance seam (ISSUE 10).
-
-    Identical to :func:`decompose_distributed` except the sketch phase is
-    skipped: the caller hands in a
-    :class:`~repro.decomposition.minhash.SimilaritySketch` it maintains
-    incrementally (see
-    :func:`repro.hashing.fingerprints.refresh_minwise_fingerprints`) and
-    accounts the re-broadcast of only the changed fingerprints itself.
-    Friendship estimation, min-ID clustering, and the repair rounds run —
-    and are accounted — exactly as in the from-scratch path, which
-    estimates only the edges that touch a candidate.  The sketch must
-    hold those edges' endpoints; a maintained sketch stays full, because
-    churn moves the candidate set.
-    """
-    cfg = cfg or ColoringConfig.practical()
-    if net.undirected_edges().size == 0:
-        return AlmostCliqueDecomposition(
-            labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
-        )
-    similarity = _candidate_similarity(net, sketch, _candidate_edges(net, cfg.eps))
+    similarity = np.zeros(net.m, dtype=np.float64)
+    similarity[touched] = estimate_edge_similarity(
+        net, sketch, net.undirected_edges()[touched]
+    )
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)

@@ -32,7 +32,6 @@ from repro.simulator.network import BroadcastNetwork
 
 __all__ = [
     "SimilaritySketch",
-    "account_sketch_rounds",
     "compute_sketches",
     "estimate_edge_similarity",
 ]
@@ -61,27 +60,6 @@ class SimilaritySketch:
     nodes: np.ndarray | None = None
 
 
-def account_sketch_rounds(
-    net: BroadcastNetwork,
-    num_samples: int,
-    bits: int,
-    senders: int,
-    phase: str = "acd/sketch",
-) -> int:
-    """Charge ``senders`` nodes' broadcast of ``num_samples`` b-bit
-    fingerprints under the network's bandwidth cap; returns the rounds.
-
-    Closed form: ``full`` saturated rounds of ``⌊budget/b⌋`` samples plus
-    one remainder round — no python loop."""
-    budget = net.bandwidth_bits or (64 * max(1, num_samples))
-    per_round = max(1, budget // bits)
-    full, rem = divmod(num_samples, per_round)
-    net.account_vector_rounds(full, senders, per_round * bits, phase=phase)
-    if rem:
-        net.account_vector_round(senders, rem * bits, phase=phase)
-    return full + (1 if rem else 0)
-
-
 def compute_sketches(
     net: BroadcastNetwork,
     num_samples: int,
@@ -97,7 +75,8 @@ def compute_sketches(
     packed (the sketch's ``nodes`` then lists its rows).  The charge is
     the same either way: in the model every node broadcasts its
     fingerprint, and the simulator only skips computing the ones no
-    caller reads."""
+    caller reads.  It is closed-form: ``full`` saturated rounds of
+    ``⌊budget/b⌋`` samples plus one remainder round."""
     if nodes is not None:
         nodes = np.asarray(nodes, dtype=np.int64)
     with net.metrics.time_phase(phase):
@@ -106,13 +85,18 @@ def compute_sketches(
             nodes=nodes,
         )
         packed = pack_fingerprints(fps, bits)
-    rounds = account_sketch_rounds(net, num_samples, bits, net.n, phase=phase)
+    budget = net.bandwidth_bits or (64 * max(1, num_samples))
+    per_round = max(1, budget // bits)
+    full, rem = divmod(num_samples, per_round)
+    net.account_vector_rounds(full, net.n, per_round * bits, phase=phase)
+    if rem:
+        net.account_vector_round(net.n, rem * bits, phase=phase)
     return SimilaritySketch(
         fingerprints=fps,
         packed=packed,
         bits_per_sample=bits,
         samples=num_samples,
-        rounds_used=rounds,
+        rounds_used=full + (1 if rem else 0),
         phase=phase,
         nodes=nodes,
     )

@@ -354,10 +354,7 @@ class DynamicColoring:
         if isinstance(graph, ChurnSchedule):
             graph = graph.initial
         self.cfg = config or ColoringConfig.practical()
-        if isinstance(graph, BroadcastNetwork):
-            self.net = graph
-        else:
-            self.net = BroadcastNetwork(graph)
+        self.net = BroadcastNetwork(graph)
         self.net.bandwidth_bits = self.cfg.bandwidth_bits(self.net.n)
         self.seq = SeedSequencer(self.cfg.seed).spawn("dynamic")
         self.active = np.ones(self.net.n, dtype=bool)

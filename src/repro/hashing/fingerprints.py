@@ -10,10 +10,9 @@ kernel computes them: per chunk of samples it hashes a node-major grid,
 starts each node's minima from its own hash row, and folds its
 neighbors in one slot at a time (a slot pass per neighbor rank, rows
 sorted by degree), with hubs folding the rest of their rows in one
-reduceat.  It serves the from-scratch :func:`minwise_fingerprints`, for
-every node or for a node subset, and the delta-aware
-:func:`refresh_minwise_fingerprints`; a subset's rows are gathered and
-hashed over the universe its closed neighborhoods span.
+reduceat.  It serves :func:`minwise_fingerprints`, for every node or
+for a node subset; a subset's rows are gathered and hashed over the
+universe its closed neighborhoods span.
 :func:`pack_fingerprints` packs the samples ⌊64/b⌋ per uint64 word, one
 field at a time, for the SWAR similarity estimator.
 Two nodes' fingerprints agree with probability ``J + (1-J)·2^{-b}`` where
@@ -38,7 +37,6 @@ __all__ = [
     "hash_array_u64",
     "mix_u64",
     "minwise_fingerprints",
-    "refresh_minwise_fingerprints",
     "pack_fingerprints",
     "packed_words_per_node",
 ]
@@ -289,44 +287,6 @@ def minwise_fingerprints(
     return _closed_row_fingerprints(
         ids.astype(np.uint64), ids, indptr, indices, num_samples, bits, salt
     )
-
-
-def refresh_minwise_fingerprints(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
-    num_samples: int,
-    bits: int,
-    salt: int,
-    fps: np.ndarray,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Recompute only ``nodes``' columns of a ``(T, n)`` fingerprint
-    matrix in place — byte-identical to a fresh
-    :func:`minwise_fingerprints` call on the current CSR, restricted to
-    the listed nodes.
-
-    This is the delta-aware sketch maintenance path: a node's fingerprint
-    is a pure function of ``(salt, sample, N[v])``, so after a topology
-    delta only nodes whose *closed* neighborhood changed need re-hashing.
-    It computes the columns with the subset entry of
-    :func:`minwise_fingerprints` (the same kernel, on the listed rows and
-    the universe their closed neighborhoods span), so the cost is
-    ``O(T · (|N[nodes]| + Σ deg(nodes)))`` instead of ``O(T · (n + m))``.
-
-    ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
-    ``salt``/``num_samples``/``bits`` must match the call that built it.
-    Returns ``fps`` (mutated in place) for chaining.
-    """
-    if not 1 <= bits <= 16:
-        raise ValueError("bits must be in [1, 16]")
-    if fps.shape != (num_samples, n):
-        raise ValueError(f"fps shape {fps.shape} != ({num_samples}, {n})")
-    nodes = np.asarray(nodes, dtype=np.int64)
-    fps[:, nodes] = _node_fingerprints(
-        indptr, indices, n, nodes, num_samples, bits, salt
-    )
-    return fps
 
 
 def packed_words_per_node(num_samples: int, bits: int) -> int:

@@ -27,7 +27,6 @@ from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 from repro.graphs.families import make_churn, make_graph
 from repro.runner.spec import TrialResult, TrialSpec
-from repro.shard.dynamic import ShardedDynamicColoring
 from repro.shard.engine import ShardedColoring
 from repro.simulator.network import BroadcastNetwork
 
@@ -84,7 +83,7 @@ def _measure(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]:
     The payload is deterministic; ``timings`` (wall-clock seconds per
     phase, broadcast algorithm only) ride alongside for the perf
     trajectories and never enter the payload."""
-    if spec.algorithm in ("dynamic", "dynamic_shard"):
+    if spec.algorithm == "dynamic":
         payload, timings = _measure_dynamic(spec)
         _check_finite(payload)
         return payload, timings
@@ -160,12 +159,10 @@ def _check_finite(payload: dict[str, Any]) -> None:
 
 def _measure_dynamic(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]:
     """Churn trial: a schedule from the spec's (churn or static) family,
-    maintained by the incremental engine — the single-process one for
-    ``algorithm="dynamic"``, the delta-routed sharded driver for
-    ``algorithm="dynamic_shard"`` (k/strategy from the ``shard_*``
-    knobs).  Schedule shape comes from the config's
-    ``dynamic_batches``/``dynamic_churn_fraction`` knobs, so it rides
-    spec overrides — and the content hash — like any other tunable."""
+    maintained by the incremental engine.  Schedule shape comes from the
+    config's ``dynamic_batches``/``dynamic_churn_fraction`` knobs, so it
+    rides spec overrides — and the content hash — like any other
+    tunable."""
     cfg = _config_for(spec)
     schedule = make_churn(
         spec.family,
@@ -175,10 +172,7 @@ def _measure_dynamic(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]
         batches=cfg.dynamic_batches,
         churn_fraction=cfg.dynamic_churn_fraction,
     )
-    if spec.algorithm == "dynamic_shard":
-        engine = ShardedDynamicColoring(schedule, cfg)
-    else:
-        engine = DynamicColoring(schedule, cfg)
+    engine = DynamicColoring(schedule, cfg)
     result = engine.run(schedule)
     summary = result.summary()
     net = engine.net
@@ -202,18 +196,6 @@ def _measure_dynamic(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]
         "total_bits": int(total_bits),
         "bits_per_node": float(total_bits / max(net.n, 1)),
     }
-    if isinstance(engine, ShardedDynamicColoring):
-        routes = engine.route_summary()
-        payload.update(
-            k=int(engine.k),
-            strategy=engine.strategy,
-            mean_shards_touched=float(routes["mean_shards_touched"]),
-            mean_reconcile_sweeps=float(routes["mean_sweeps"]),
-            reconcile_touched=int(routes["reconcile_touched"]),
-            max_reconcile_touched_fraction=float(
-                routes["max_reconcile_touched_fraction"]
-            ),
-        )
     timings = {
         name: float(secs) for name, secs in net.metrics.phase_seconds.items()
     }

@@ -42,7 +42,6 @@ ALGORITHMS = (
     "luby",
     "greedy",
     "dynamic",
-    "dynamic_shard",
     "shard",
 )
 
@@ -74,12 +73,9 @@ class TrialSpec:
             raise ValueError(f"family {base!r} takes no ':' argument")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
-        if base in CHURN_FAMILIES and self.algorithm not in (
-            "dynamic", "dynamic_shard"
-        ):
+        if base in CHURN_FAMILIES and self.algorithm != "dynamic":
             raise ValueError(
-                f"churn family {self.family!r} requires algorithm='dynamic' "
-                f"or 'dynamic_shard'"
+                f"churn family {self.family!r} requires algorithm='dynamic'"
             )
         if self.preset not in ("practical", "paper"):
             raise ValueError(f"unknown preset: {self.preset!r}")

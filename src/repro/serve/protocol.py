@@ -243,12 +243,10 @@ class LoadGraph(Frame):
     """Install the graph the service maintains (replacing any previous
     one): ``n`` nodes, an explicit undirected edge list, and optional
     :class:`~repro.config.ColoringConfig` field overrides (``seed``,
-    ``shard_k``, ...).  Two reserved keys ride in ``config`` without
-    being config fields: ``initial`` (``"pipeline"``/``"sharded"`` —
-    which engine pays the initial coloring of the single maintenance
-    engine) and ``backend`` (``"single"``/``"sharded"`` — whether churn
-    is maintained by :class:`~repro.dynamic.DynamicColoring` or the
-    delta-routed :class:`~repro.shard.ShardedDynamicColoring`)."""
+    ``shard_k``, ...).  One reserved key rides in ``config`` without
+    being a config field: ``initial`` (``"pipeline"``/``"sharded"`` —
+    which engine pays the initial coloring that the maintenance engine,
+    :class:`~repro.dynamic.DynamicColoring`, adopts)."""
 
     TYPE: ClassVar[str] = "load_graph"
     n: int = 0
@@ -433,8 +431,7 @@ class Welcome(Frame):
 class GraphLoaded(Frame):
     """Successful :class:`LoadGraph`: the installed graph's shape and the
     cost of the initial coloring (``initial`` names which engine paid it:
-    ``"pipeline"`` or ``"sharded"``; ``backend`` names the maintenance
-    engine that now holds the graph: ``"single"`` or ``"sharded"``)."""
+    ``"pipeline"`` or ``"sharded"``)."""
 
     TYPE: ClassVar[str] = "graph_loaded"
     n: int = 0
@@ -444,7 +441,6 @@ class GraphLoaded(Frame):
     initial_rounds: int = 0
     seconds: float = 0.0
     initial: str = "pipeline"
-    backend: str = "single"
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GraphLoaded":
@@ -457,7 +453,6 @@ class GraphLoaded(Frame):
             initial_rounds=_require(payload, "initial_rounds", (int,), cls.TYPE),
             seconds=float(_require(payload, "seconds", (int, float), cls.TYPE)),
             initial=_optional(payload, "initial", (str,), cls.TYPE, default="pipeline"),
-            backend=_optional(payload, "backend", (str,), cls.TYPE, default="single"),
         )
 
 

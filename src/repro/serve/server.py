@@ -53,7 +53,6 @@ from repro.faults import plan as faults
 from repro.serve import protocol as wire
 from repro.serve.coalesce import coalesce_batches
 from repro.serve.snapshot import restore_engine, save_snapshot, sweep_stale_tmp
-from repro.shard.dynamic import ShardedDynamicColoring
 from repro.shard.engine import ShardedColoring
 
 __all__ = ["ColoringServer"]
@@ -158,7 +157,6 @@ class ColoringServer:
 
         self.engine: DynamicColoring | None = None
         self.initial_mode = "pipeline"
-        self.backend = "single"
         self._queue: asyncio.Queue[_QueueItem] = asyncio.Queue(
             maxsize=max(1, int(self.cfg.serve_queue_max))
         )
@@ -198,11 +196,7 @@ class ColoringServer:
                     )
                 },
             )
-            # Snapshots record graph + colors + batch index, not the
-            # driver: a restore always comes back as the single engine
-            # (send a fresh load_graph with backend="sharded" to re-shard).
             self.initial_mode = "restored"
-            self.backend = "single"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -554,28 +548,10 @@ class ColoringServer:
         self, session: _Session, frame: wire.LoadGraph
     ) -> None:
         overrides = dict(frame.config)
-        # "initial" and "backend" are reserved protocol keys, not
-        # ColoringConfig fields: "initial" picks which engine pays for the
-        # initial coloring of the *single* maintenance engine, "backend"
-        # picks the maintenance engine itself.
+        # "initial" is a reserved protocol key, not a ColoringConfig
+        # field: it picks which engine pays for the initial coloring the
+        # maintenance engine adopts.
         initial = overrides.pop("initial", None)
-        backend = overrides.pop("backend", "single")
-        if backend not in ("single", "sharded"):
-            raise wire.ProtocolError(
-                "bad-payload",
-                f"load_graph: 'backend' must be 'single' or 'sharded', "
-                f"got {backend!r}",
-                id=frame.id,
-            )
-        if backend == "sharded" and initial is not None:
-            # The sharded backend always pays its own (sharded) initial
-            # coloring; an explicit 'initial' would silently not apply.
-            raise wire.ProtocolError(
-                "bad-payload",
-                "load_graph: 'initial' applies to backend='single' only "
-                "(the sharded backend does its own sharded initial coloring)",
-                id=frame.id,
-            )
         if initial is None:
             initial = "pipeline"
         if initial not in ("pipeline", "sharded"):
@@ -609,13 +585,7 @@ class ColoringServer:
         if self.engine is not None:
             await self._drain()
         t0 = time.perf_counter()
-        if backend == "sharded":
-            engine: DynamicColoring = ShardedDynamicColoring(
-                (frame.n, edges), cfg
-            )
-            initial_rounds = int(engine.initial_rounds)
-            self.initial_mode = "sharded" if engine.k > 1 else "pipeline"
-        elif initial == "sharded":
+        if initial == "sharded":
             sharded = ShardedColoring((frame.n, edges), cfg).run()
             engine = DynamicColoring(
                 (frame.n, edges), cfg, initial_colors=sharded.colors
@@ -627,7 +597,6 @@ class ColoringServer:
             initial_rounds = int(engine.initial_rounds)
             self.initial_mode = "pipeline"
         self.engine = engine
-        self.backend = backend
         self.batches_applied = 0
         self.coalesced_batches = 0
         self.rejected_batches = 0
@@ -642,7 +611,6 @@ class ColoringServer:
                 initial_rounds=initial_rounds,
                 seconds=time.perf_counter() - t0,
                 initial=self.initial_mode,
-                backend=self.backend,
             )
         )
 
@@ -750,7 +718,6 @@ class ColoringServer:
             "uptime_s": round(time.monotonic() - self._started, 3),
             "graph_loaded": self.engine is not None,
             "initial": self.initial_mode,
-            "backend": self.backend,
             "queue_depth": self._queue.qsize(),
             "queue_max": self._queue.maxsize,
             "coalesce_max": int(self.cfg.serve_coalesce_max),

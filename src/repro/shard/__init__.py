@@ -13,7 +13,6 @@ trials.
 """
 
 from repro.shard.boundary import CutPlan, repair_boundary
-from repro.shard.dynamic import ShardedDynamicColoring
 from repro.shard.engine import (
     TRANSPORTS,
     ShardedColoring,
@@ -34,7 +33,6 @@ __all__ = [
     "STRATEGIES",
     "ShardReport",
     "ShardedColoring",
-    "ShardedDynamicColoring",
     "ShardedResult",
     "ShmArena",
     "TRANSPORTS",

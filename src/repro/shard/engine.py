@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.config import ColoringConfig
+from repro.config import TRANSPORTS, ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.faults import plan as faults
 from repro.shard.boundary import CutPlan, repair_boundary
@@ -83,7 +83,6 @@ def _peak_rss_mb() -> float:
     kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
     return round(kb / 1024.0, 3)
 
-TRANSPORTS = ("shm", "pickle")
 
 _REPAIR_POOL_MIN = 20_000
 """Dispatch a reconciliation sweep to the worker pool only when its

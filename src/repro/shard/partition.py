@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import STRATEGIES
 from repro.simulator.network import BroadcastNetwork, gather_csr_rows
 
 __all__ = ["Partition", "partition_nodes", "STRATEGIES"]
-
-STRATEGIES = ("contiguous", "random", "greedy")
 
 
 @dataclass

@@ -51,22 +51,20 @@ def unpacked_edge_similarity(net: BroadcastNetwork, sketch) -> np.ndarray:
     return np.clip((rate - floor) / (1.0 - floor), 0.0, 1.0)
 
 
-def all_nodes_decomposition(net: BroadcastNetwork, cfg, sketch=None):
-    """Reference ACD: fingerprint every node (or take ``sketch``, which
-    must cover every node), estimate every edge, then build.  The oracle
-    that :func:`repro.decomposition.acd.decompose_distributed` (without
-    ``sketch``) and :func:`~repro.decomposition.acd.decompose_from_sketch`
-    (with it), which read only the edges around the dense candidates,
-    must match in labels, rounds and bits."""
+def all_nodes_decomposition(net: BroadcastNetwork, cfg):
+    """Reference ACD: fingerprint every node, estimate every edge, then
+    build.  The oracle that
+    :func:`repro.decomposition.acd.decompose_distributed`, which reads
+    only the edges around the dense candidates, must match in labels,
+    rounds and bits."""
     if net.m == 0:
         return AlmostCliqueDecomposition(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
         )
-    if sketch is None:
-        salt = SeedSequencer(cfg.seed).derive_seed("acd-hash") % (1 << 31)
-        sketch = compute_sketches(
-            net, cfg.acd_minhash_samples, cfg.acd_minhash_bits, salt=salt
-        )
+    salt = SeedSequencer(cfg.seed).derive_seed("acd-hash") % (1 << 31)
+    sketch = compute_sketches(
+        net, cfg.acd_minhash_samples, cfg.acd_minhash_bits, salt=salt
+    )
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
 

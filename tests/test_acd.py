@@ -13,7 +13,6 @@ from repro.decomposition.acd import (
     AlmostCliqueDecomposition,
     decompose_distributed,
     decompose_exact,
-    decompose_from_sketch,
 )
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.decomposition.validation import validate_decomposition
@@ -148,26 +147,14 @@ class TestCandidateSketch:
         g = self.GRAPHS[graph](seed)
         cfg = ColoringConfig.practical(eps=eps, seed=seed)
 
-        def nets():
-            return [BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0])) for _ in "ab"]
-
-        def assert_same(got, want, got_net, want_net):
-            assert np.array_equal(got.labels, want.labels)
-            assert got.rounds_used == want.rounds_used
-            assert got_net.metrics.total_bits == want_net.metrics.total_bits
-
-        got_net, want_net = nets()
+        got_net, want_net = (
+            BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0])) for _ in "ab"
+        )
         got = decompose_distributed(got_net, cfg)
-        assert_same(got, all_nodes_decomposition(want_net, cfg), got_net, want_net)
-
-        got_net, want_net = nets()
-        sketches = [
-            compute_sketches(net, cfg.acd_minhash_samples, cfg.acd_minhash_bits, salt=seed)
-            for net in (got_net, want_net)
-        ]
-        got = decompose_from_sketch(got_net, sketches[0], cfg)
-        want = all_nodes_decomposition(want_net, cfg, sketches[1])
-        assert_same(got, want, got_net, want_net)
+        want = all_nodes_decomposition(want_net, cfg)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.rounds_used == want.rounds_used
+        assert got_net.metrics.total_bits == want_net.metrics.total_bits
 
     def test_sketches_only_around_the_hub(self, monkeypatch):
         """With the hub the only candidate, only N[hub] is fingerprinted

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from repro.config import MULTITRIAL_SAMPLERS, VICTIM_POLICIES, ColoringConfig
+from repro.config import (
+    MULTITRIAL_SAMPLERS,
+    START_METHODS,
+    STRATEGIES,
+    TRANSPORTS,
+    VICTIM_POLICIES,
+    ColoringConfig,
+)
 
 
 class TestPresets:
@@ -64,13 +71,21 @@ class TestPresets:
             ("conflict_victim", None),
             ("multitrial_sampler", "prg"),
             ("multitrial_sampler", "expandr"),
+            ("shard_k", 0),
+            ("shard_k", -1),
+            ("shard_k", 2.5),
+            ("shard_strategy", "bogus"),
+            ("shard_transport", "carrier-pigeon"),
+            ("shard_start_method", "bogus"),
+            ("shard_start_method", None),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
         load_graph overrides) refuse an eps outside (0, 1), a sketch the
-        fingerprint kernel cannot run, a CompressTry count below 1 and a
-        victim rule or sampler that does not exist, naming the field;
+        fingerprint kernel cannot run, a CompressTry count or shard count
+        below 1 and a victim rule, sampler, partition strategy, shard
+        transport or start method that does not exist, naming the field;
         the edges of the valid range still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
@@ -87,6 +102,22 @@ class TestPresets:
             ColoringConfig.practical(conflict_victim=victim)
         for sampler in MULTITRIAL_SAMPLERS:
             ColoringConfig.practical(multitrial_sampler=sampler)
+        ColoringConfig.practical(shard_k=1)
+        for strategy in STRATEGIES:
+            ColoringConfig.practical(shard_strategy=strategy)
+        for transport in TRANSPORTS:
+            ColoringConfig.practical(shard_transport=transport)
+        for method in START_METHODS:
+            ColoringConfig.practical(shard_start_method=method)
+
+    def test_shard_choices_defined_once(self):
+        """The shard package re-exports the config's tuples, so the CLI's
+        choices and the engine's checks accept what the config accepts."""
+        from repro import shard
+        from repro.shard import engine, partition
+
+        assert shard.STRATEGIES is partition.STRATEGIES is STRATEGIES
+        assert shard.TRANSPORTS is engine.TRANSPORTS is TRANSPORTS
 
 
 class TestDerived:

@@ -1,17 +1,18 @@
-"""Delta routing in the churn engines.
+"""Delta routing in the churn engine.
 
-Every engine detects conflicts on the batch's inserted edges only, and
-its node-set kernels read only their nodes' CSR rows
+:class:`DynamicColoring` detects conflicts on the batch's inserted edges
+only, and its node-set kernels read only their nodes' CSR rows
 (``BroadcastNetwork.row_edges``).  Four guarantees pin that down:
 
 * **golden digests** — the colors after every batch of the three churn
-  families, under both victim policies and at k ∈ {1, 4}, are the ones
-  the whole-graph scans produced before delta routing;
+  families, under both victim policies, are the ones the whole-graph
+  scans produced before delta routing;
 * **detector differential** — after every batch of randomized
   schedules the delta-routed conflict mask equals the full-scan oracle
   (``tests/helpers.py:full_scan_conflicts``);
-* **warm start** — an improper adopted coloring is repaired by the
-  first batch, even an empty one, so the detector's precondition holds;
+* **warm start** — a proper adopted coloring is kept unchanged, and an
+  improper one is repaired by the first batch, even an empty one, so the
+  detector's precondition holds;
 * **m-independence** — the pairs a batch reads through ``row_edges``
   are bounded by the delta's rows, not by the graph: one small delta
   costs the same on rings of 10⁴ and 10⁵ nodes.
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from repro.config import ColoringConfig
 from repro.dynamic import DynamicColoring, UpdateBatch
 from repro.graphs.families import make_churn
-from repro.shard import ShardedDynamicColoring
+from repro.shard import ShardedColoring
 from tests.helpers import full_scan_conflicts
 
 
@@ -41,58 +42,34 @@ def colors_digest(colors: np.ndarray) -> str:
 # Recorded with the full-scan detector and whole-graph kernels; any
 # deliberate re-baseline updates these and says so in CHANGES.md.
 GOLDEN = {
-    ("mobile", "id", 1): [
+    ("mobile", "id"): [
         "fc3c1765e30ac5c7", "457470754a57d91b", "b8a7f5307aa3d69e",
         "71dbc2de0da65748", "3b4d112ef94a6bc8",
     ],
-    ("mobile", "id", 4): [
-        "b4556740f04185a7", "cd23bc1224f836ae", "b9e8812fb51d92ab",
-        "b8a6ad6d17b392f7", "940d884498415887",
-    ],
-    ("mobile", "slack", 1): [
+    ("mobile", "slack"): [
         "303075705fc1d3b2", "16c2cf14537aa246", "674230e91d35d5c4",
         "65348b568383eaaa", "85e66ac0ebfeb4c3",
     ],
-    ("mobile", "slack", 4): [
-        "4f503fe0d944f9bf", "bb3cae47a008d33b", "68a3815a3b989490",
-        "ff9b99b2ba959664", "8ea9061f5f58c459",
-    ],
-    ("gnp-churn", "id", 1): [
+    ("gnp-churn", "id"): [
         "487601b41fe5d4e5", "c0e4d96e65280a48", "017c291f75bbe33a",
         "374b0ada2d3317db", "7c390966472a9941",
     ],
-    ("gnp-churn", "id", 4): [
-        "4655de12cd5948b4", "0475090974f545d0", "5aeb8217814c4864",
-        "477f0d92ea3ca534", "6f7a38ba206d0941",
-    ],
-    ("gnp-churn", "slack", 1): [
+    ("gnp-churn", "slack"): [
         "ebd445b2ca1ddd21", "41c5f63e59ccd52e", "d3f6bd31fc0a9b08",
         "b718a9aefe9b5adb", "b64faee2dcb40f28",
     ],
-    ("gnp-churn", "slack", 4): [
-        "20963bfea4d5ff11", "a77745286e3ad228", "ccc6aeca1b7fa3b2",
-        "b36756823f0b0b9c", "2d0cdcbf22544120",
-    ],
-    ("blobs-churn", "id", 1): [
+    ("blobs-churn", "id"): [
         "7c9eb80c0b9964cf", "90b28c144d5dd567", "f046bd76688fd332",
         "6c9cfda4d6af53ef", "a6ee6e20517a0361",
     ],
-    ("blobs-churn", "id", 4): [
-        "4e130f33ce2ea32a", "c7b3a4a644b7194f", "0d32598e92b9592b",
-        "3d78cbaf74d862ce", "b50c5f501fd42827",
-    ],
-    ("blobs-churn", "slack", 1): [
+    ("blobs-churn", "slack"): [
         "7c9eb80c0b9964cf", "90b28c144d5dd567", "29e620292ac64dd8",
         "3c4dfad17213e31c", "4f49835e791f31a2",
-    ],
-    ("blobs-churn", "slack", 4): [
-        "34122989ffc3b7da", "da05264ed7e4a11a", "801d42ab16b19d8e",
-        "17ca833a5709bd9c", "806e99a4841a7435",
     ],
 }
 
 # Every batch falls back (dynamic_fallback_fraction=0): the pipeline
-# re-runs on the churned graph, and at k=4 through the maintained sketch.
+# re-runs on the churned graph.
 GOLDEN_FALLBACK = [
     "77ad0cf48ab355cc", "538b7ad19e2deba3", "e8af5a8672295443",
 ]
@@ -107,20 +84,19 @@ def batch_digests(engine, schedule) -> list[str]:
 
 
 class TestGoldenDigests:
-    @pytest.mark.parametrize("family, policy, k", sorted(GOLDEN))
-    def test_repair_colors_unchanged(self, family, policy, k):
+    @pytest.mark.parametrize("family, policy", sorted(GOLDEN))
+    def test_repair_colors_unchanged(self, family, policy):
         schedule = make_churn(family, 320, 12.0, seed=5, batches=5,
                               churn_fraction=0.1)
         cfg = ColoringConfig.practical(seed=2, conflict_victim=policy)
-        engine = ShardedDynamicColoring(schedule.initial, cfg, k=k)
-        assert batch_digests(engine, schedule) == GOLDEN[family, policy, k]
+        engine = DynamicColoring(schedule.initial, cfg)
+        assert batch_digests(engine, schedule) == GOLDEN[family, policy]
 
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_fallback_colors_unchanged(self, k):
+    def test_fallback_colors_unchanged(self):
         schedule = make_churn("mobile", 320, 12.0, seed=5, batches=3,
                               churn_fraction=0.1)
         cfg = ColoringConfig.practical(seed=2, dynamic_fallback_fraction=0.0)
-        engine = ShardedDynamicColoring(schedule.initial, cfg, k=k)
+        engine = DynamicColoring(schedule.initial, cfg)
         assert batch_digests(engine, schedule) == GOLDEN_FALLBACK
 
 
@@ -129,13 +105,12 @@ class TestDetectorDifferential:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         family=st.sampled_from(["mobile", "gnp-churn", "blobs-churn"]),
-        k=st.sampled_from([1, 4]),
         churn=st.floats(min_value=0.01, max_value=0.3),
         fallback=st.floats(min_value=0.0, max_value=1.2),
     )
     @settings(max_examples=10, deadline=None)
     def test_delta_routed_mask_equals_full_scan(
-        self, policy, seed, family, k, churn, fallback
+        self, policy, seed, family, churn, fallback
     ):
         schedule = make_churn(family, 160, 10.0, seed=seed, batches=4,
                               churn_fraction=churn)
@@ -143,7 +118,7 @@ class TestDetectorDifferential:
             seed=seed, conflict_victim=policy,
             dynamic_fallback_fraction=fallback,
         )
-        engine = ShardedDynamicColoring(schedule.initial, cfg, k=k)
+        engine = DynamicColoring(schedule.initial, cfg)
         routed = DynamicColoring._detect_conflicts
         compared = []
 
@@ -160,10 +135,22 @@ class TestDetectorDifferential:
         assert compared == [[]] * schedule.num_batches
 
 
-class TestWarmStartRepair:
+class TestWarmStart:
     """An adopted coloring is scanned once in full: the victims of its
     monochromatic edges lose their colors, and the first batch repairs
-    them like any other uncolored active node."""
+    them like any other uncolored active node.  A proper one is kept
+    as it is."""
+
+    def test_warm_start_skips_initial_coloring(self):
+        schedule = make_churn("gnp-churn", 200, 8.0, seed=7, batches=2)
+        adopted = ShardedColoring(schedule.initial, k=4).run()
+        assert adopted.proper
+        warm = DynamicColoring(schedule.initial, initial_colors=adopted.colors)
+        assert warm.initial_rounds == 0
+        assert warm.colors.tolist() == adopted.colors.tolist()
+        for batch in schedule:
+            warm.apply_batch(batch)
+            assert warm.is_proper() and warm.is_complete()
 
     @staticmethod
     def improper_start():
@@ -175,22 +162,16 @@ class TestWarmStartRepair:
         colors[v] = colors[u]
         return schedule, cfg, colors
 
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_first_batch_repairs(self, k):
+    def test_first_batch_repairs(self):
         schedule, cfg, colors = self.improper_start()
-        engine = ShardedDynamicColoring(
-            schedule.initial, cfg, k=k, initial_colors=colors
-        )
+        engine = DynamicColoring(schedule.initial, cfg, initial_colors=colors)
         for batch in schedule:
             report = engine.apply_batch(batch)
             assert report.proper and report.complete
 
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_empty_first_batch_repairs(self, k):
+    def test_empty_first_batch_repairs(self):
         schedule, cfg, colors = self.improper_start()
-        engine = ShardedDynamicColoring(
-            schedule.initial, cfg, k=k, initial_colors=colors
-        )
+        engine = DynamicColoring(schedule.initial, cfg, initial_colors=colors)
         report = engine.apply_batch(UpdateBatch())
         assert report.proper and report.complete
         assert report.recolored >= 1

@@ -552,6 +552,8 @@ class TestRunnerIntegration:
 
         with pytest.raises(ValueError):
             TrialSpec(family="gnp-churn", algorithm="broadcast")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            TrialSpec(family="gnp-churn", algorithm="dynamic_shard")
 
     def test_dynamic_trial_payload(self):
         from repro.runner.execute import run_trial

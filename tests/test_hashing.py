@@ -10,7 +10,6 @@ from repro.hashing.fingerprints import (
     hash_array_u64,
     hash_u64,
     minwise_fingerprints,
-    refresh_minwise_fingerprints,
 )
 from repro.hashing.prg import RepresentativeSampler, expand_colors, expand_indices
 from repro.simulator.network import BroadcastNetwork
@@ -156,8 +155,8 @@ class TestMinwise:
         fingerprint[v] = (min over N[v] of the 32-bit hash) & mask — across
         chunk boundaries (``per_chunk`` samples per chunk; None keeps the
         default budget, one chunk here), through the slot passes and the
-        hub fold (``cut_rows``), and for the subset entry and the in-place
-        refresh, which run the same kernel."""
+        hub fold (``cut_rows``), and for the subset entry, which runs the
+        same kernel."""
         net = BroadcastNetwork(self.GRAPHS[name])
         T, bits, salt = 37, 3, 5
         chunk = per_chunk or T
@@ -177,12 +176,7 @@ class TestMinwise:
                 closed = np.append(net.neighbors(v), v)
                 expect = int(h[closed].min()) & ((1 << bits) - 1)
                 assert int(got[j, v]) == expect
-        stale = got ^ np.uint16(1)
-        refresh_minwise_fingerprints(
-            net.indptr, net.indices, net.n, T, bits, salt, stale, ids
-        )
-        assert np.array_equal(stale, got)
-        assert [c for c, _ in seen] == [chunk, chunk]
+        assert [c for c, _ in seen] == [chunk]
         if cut_rows is not None and net.m:
             for _, plan in seen:
                 assert bool(plan.slots) == (cut_rows < 10**9)
@@ -242,9 +236,9 @@ class TestMinwise:
 
 
 class TestRefresh:
-    """refresh_minwise_fingerprints: the delta-aware sketch maintenance
-    kernel must be byte-identical to a full recompute on the refreshed
-    columns and must not touch any other column."""
+    """The subset entry ``minwise_fingerprints(..., nodes=)``, which
+    recomputes the columns of the nodes whose neighborhoods changed, must
+    equal the matching columns of the full grid for any node set."""
 
     @given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 24))
     @settings(max_examples=40, deadline=None)
@@ -259,28 +253,14 @@ class TestRefresh:
         fresh = minwise_fingerprints(
             net.indptr, net.indices, net.n, samples, bits, salt=salt
         )
-        # Corrupt a random subset of columns, refresh exactly those, and
-        # demand the corruption is fully healed while the rest is intact.
         k = int(rng.integers(0, n + 1))
         nodes = rng.choice(n, size=k, replace=False)
-        stale = fresh.copy()
-        stale[:, nodes] ^= 1
-        out = refresh_minwise_fingerprints(
-            net.indptr, net.indices, net.n, samples, bits, salt, stale, nodes
+        sub = minwise_fingerprints(
+            net.indptr, net.indices, net.n, samples, bits, salt=salt, nodes=nodes
         )
-        assert out is stale  # in-place, returned for chaining
-        assert np.array_equal(stale, fresh)
-
-    def test_refresh_validates(self):
-        import pytest
-
-        net = BroadcastNetwork((4, [(0, 1)]))
-        fps = minwise_fingerprints(net.indptr, net.indices, 4, 5, 3, salt=0)
-        with pytest.raises(ValueError):
-            refresh_minwise_fingerprints(
-                net.indptr, net.indices, 4, 5, 3, 0, fps, np.array([4])
-            )
-        with pytest.raises(ValueError):
-            refresh_minwise_fingerprints(
-                net.indptr, net.indices, 4, 6, 3, 0, fps, np.array([0])
+        assert np.array_equal(sub, fresh[:, nodes])
+        with pytest.raises(ValueError, match="out of range"):
+            minwise_fingerprints(
+                net.indptr, net.indices, net.n, samples, bits, salt=salt,
+                nodes=np.append(nodes, n),
             )

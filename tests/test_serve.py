@@ -577,9 +577,10 @@ class TestLiveServer:
             stop(proc)
 
     def test_invalid_sketch_config_keeps_engine(self, tmp_path):
-        """A load_graph whose config overrides ColoringConfig refuses is a
-        bad-payload error naming the field, not an internal one, and the
-        engine loaded before it keeps serving."""
+        """A load_graph whose config overrides ColoringConfig refuses, or
+        that names a key which is no field (such as the removed
+        ``backend``), is a bad-payload error naming it, not an internal
+        one, and the engine loaded before it keeps serving."""
         seed = 3
         n, edges = make_graph("gnp", 150, 8.0, seed)
         proc, sock = spawn_server(tmp_path, "--coalesce-max", "1")
@@ -593,7 +594,11 @@ class TestLiveServer:
                        ("conflict_victim", "bogus"), ("multitrial_sampler", "prg"),
                        ("group_size_target", 2.0), ("record_trace", True),
                        ("shard_repair_pool_min", 0),
-                       ("dynamic_shard_resketch", False)]
+                       ("dynamic_shard_resketch", False),
+                       ("shard_k", 0), ("shard_strategy", "bogus"),
+                       ("shard_transport", "carrier-pigeon"),
+                       ("shard_start_method", "bogus"),
+                       ("backend", "sharded")]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}
@@ -617,42 +622,6 @@ class TestLiveServer:
         finally:
             stop(proc)
 
-    def test_sharded_backend(self, tmp_path):
-        """backend="sharded" installs the delta-routed sharded
-        maintenance engine (ISSUE 10 tentpole's serve surface)."""
-        seed = 9
-        schedule = make_churn("gnp-churn", 240, 8.0, seed, batches=4,
-                              churn_fraction=0.1)
-        n, edges = schedule.initial
-        proc, sock = spawn_server(tmp_path, "--coalesce-max", "1")
-        try:
-            with ServeClient(socket_path=sock) as client:
-                loaded = client.load_graph(
-                    n, edges, seed=seed, backend="sharded", shard_k=3
-                )
-                assert loaded.backend == "sharded"
-                assert loaded.initial == "sharded"
-                for batch in schedule:
-                    report = client.update_batch(batch)
-                    assert report.report["proper"]
-                final = client.query_colors()
-                assert final.proper and final.complete
-                stats = client.stats()
-                assert stats["backend"] == "sharded"
-                # 'initial' only applies to the single engine.
-                with pytest.raises(wire.ProtocolError) as err:
-                    client.load_graph(
-                        n, edges, backend="sharded", initial="pipeline"
-                    )
-                assert err.value.code == "bad-payload"
-                with pytest.raises(wire.ProtocolError) as err:
-                    client.load_graph(n, edges, backend="bogus")
-                assert err.value.code == "bad-payload"
-                client.shutdown()
-            proc.wait(timeout=20)
-        finally:
-            stop(proc)
-
     def test_sharded_initial_and_palette(self, tmp_path):
         seed = 6
         n, edges = make_graph("gnp", 300, 10.0, seed)
@@ -663,7 +632,6 @@ class TestLiveServer:
                     n, edges, seed=seed, initial="sharded", shard_k=3
                 )
                 assert loaded.initial == "sharded"
-                assert loaded.backend == "single"
                 assert loaded.colors_used <= loaded.delta + 1
                 colors = client.query_colors()
                 assert colors.proper and colors.complete
