@@ -24,7 +24,9 @@ against the same store skip every already-computed trial (disable with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
 from typing import Any
 
@@ -159,6 +161,20 @@ def cmd_churn(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@contextlib.contextmanager
+def _sigterm_as_sigint():
+    """Handle SIGTERM the way SIGINT is handled, as ``KeyboardInterrupt``
+    in the main thread, for the length of a sharded run: its ``finally``
+    blocks then unlink the shared-memory arena and stop the worker pool
+    before the process exits.  ``timeout``, systemd and container stops
+    all send SIGTERM."""
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_shard(args: argparse.Namespace) -> int:
     cfg = ColoringConfig.practical(
         seed=args.seed,
@@ -169,7 +185,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
         obs_trace=bool(args.trace),
     )
     graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
-    result = ShardedColoring(graph, cfg, workers=args.workers).run()
+    with _sigterm_as_sigint():
+        result = ShardedColoring(graph, cfg, workers=args.workers).run()
     _finish_trace(args.trace)
     report = result.as_dict()
     if args.json:
@@ -488,10 +505,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     avg_degree = args.avg_degree if args.avg_degree is not None else defaults[2]
     seed = args.seed if args.seed is not None else defaults[3]
     if args.target == "shard":
-        report = chaos_shard(
-            plan, family=family, n=n, avg_degree=avg_degree,
-            seed=seed, k=args.k, workers=args.workers,
-        )
+        with _sigterm_as_sigint():
+            report = chaos_shard(
+                plan, family=family, n=n, avg_degree=avg_degree,
+                seed=seed, k=args.k, workers=args.workers,
+            )
     elif args.target == "dynamic":
         report = chaos_dynamic(
             plan, family=family, n=n, avg_degree=avg_degree,

@@ -214,12 +214,6 @@ class ColoringConfig:
     balanced graph growing, minimizing the cut on graphs with locality).
     See :data:`STRATEGIES`."""
 
-    shard_reconcile_max_iters: int = 10
-    """Upper bound on detect→repair sweeps of the cross-shard
-    reconciliation loop.  One sweep suffices when the repair kernel fully
-    re-colors its victims (adoption is proper by construction); extra
-    sweeps only fire when a repair stalls at the round cap."""
-
     shard_worker_timeout_s: float = 0.0
     """Per-shard wall-clock deadline for pool workers (seconds): a shard
     whose worker has not returned within this budget counts as a
@@ -297,11 +291,6 @@ class ColoringConfig:
     disables periodic snapshots; a clean shutdown still writes a final
     one when ``--snapshot-path`` is configured."""
 
-    serve_retry_after_s: float = 0.05
-    """The ``retry_after`` hint (seconds) carried by ``queue-full`` error
-    frames — the client-visible half of the admission-control contract.
-    Clients should wait at least this long before resubmitting."""
-
     serve_snapshot_keep: int = 2
     """Snapshot rotation depth for ``repro serve``: how many snapshot
     generations exist on disk (the current file plus ``.1``, ``.2``, …
@@ -331,11 +320,6 @@ class ColoringConfig:
     (counters/gauges/histograms) for this run.  ``repro serve`` arms it
     unconditionally — a daemon is what the registry is for; this knob
     covers one-shot runs (``repro top``, traced benches)."""
-
-    obs_trace_buffer: int = 100_000
-    """Cap on buffered spans per process before new spans are dropped
-    (drops are counted in ``repro_obs_spans_dropped_total``).  Bounds
-    tracer memory on long runs; 100k spans ≈ 20 MB of dicts."""
 
     # --- ablation switches (DESIGN.md design-choice experiments) ---
     enable_matching: bool = True

@@ -23,7 +23,7 @@ statistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class PermutationResult:
     leftover: int = 0  # |R| (Algorithm 5 only)
     relabel_failures: int = 0
     buckets: int = 0
-
-    def position_of(self) -> dict[int, int]:
-        return {int(v): int(p) for v, p in zip(self.nodes, self.pi)}
 
     def validate(self) -> bool:
         return (

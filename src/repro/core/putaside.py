@@ -434,11 +434,11 @@ def color_putaside_sets(
     max_compress_rounds = int(compress_rounds.max())
     for rounds, msgs in ((max_compress_rounds, compress_msgs), (max_finish_rounds, finish_msgs)):
         if msgs:
-            net.account_vector_rounds(
-                rounds,
+            net.account_vector_round(
                 sum(p for p, _ in msgs),
                 max(b for _, b in msgs),
                 phase=phase,
+                rounds=rounds,
             )
 
     report.compress_rounds = max_compress_rounds

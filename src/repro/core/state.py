@@ -130,14 +130,6 @@ class ColoringState:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    @property
-    def uncolored_mask(self) -> np.ndarray:
-        return self.colors < 0
-
-    @property
-    def colored_mask(self) -> np.ndarray:
-        return self.colors >= 0
-
     def uncolored_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.colors < 0)
 

@@ -134,7 +134,7 @@ def try_color_round(
     participants = participants[state.colors[participants] < 0]
     net = state.net
     if participants.size == 0:
-        net.metrics.add_uniform_round(0, 1, phase=phase)
+        net.metrics.add_rounds(1, 0, 1, phase=phase)
         return 0
 
     rng = seq.stream("trycolor", phase, round_tag)

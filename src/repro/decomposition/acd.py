@@ -70,9 +70,6 @@ class AlmostCliqueDecomposition:
     def sparse_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.labels == SPARSE).astype(np.int64)
 
-    def invalidate_cache(self) -> None:
-        self._cliques = None
-
 
 # ---------------------------------------------------------------------------
 # Shared core

@@ -88,7 +88,7 @@ def compute_sketches(
     budget = net.bandwidth_bits or (64 * max(1, num_samples))
     per_round = max(1, budget // bits)
     full, rem = divmod(num_samples, per_round)
-    net.account_vector_rounds(full, net.n, per_round * bits, phase=phase)
+    net.account_vector_round(net.n, per_round * bits, phase=phase, rounds=full)
     if rem:
         net.account_vector_round(net.n, rem * bits, phase=phase)
     return SimilaritySketch(

@@ -99,15 +99,6 @@ class UpdateBatch:
             or self.departures.size
         )
 
-    def counts(self) -> dict:
-        """Per-field event counts (the shape reports and logs print)."""
-        return {
-            "insert_edges": int(self.insert_edges.shape[0]),
-            "delete_edges": int(self.delete_edges.shape[0]),
-            "arrivals": int(self.arrivals.size),
-            "departures": int(self.departures.size),
-        }
-
     def as_payload(self) -> dict:
         """JSON-safe dict of this batch — the wire form ``update_batch``
         frames carry (docs/PROTOCOL.md).  Inverse of :meth:`from_payload`."""
@@ -187,12 +178,3 @@ class ChurnSchedule:
 
     def __iter__(self) -> Iterator[UpdateBatch]:
         return iter(self.batches)
-
-    def total_counts(self) -> dict:
-        """Event totals summed over every batch (workload-size summary
-        for reports and benchmark rows)."""
-        totals = {"insert_edges": 0, "delete_edges": 0, "arrivals": 0, "departures": 0}
-        for batch in self.batches:
-            for key, value in batch.counts().items():
-                totals[key] += value
-        return totals

@@ -10,7 +10,6 @@ This package implements the bandwidth-saving devices the paper leans on:
   [FGH+23]) and for Relabel's label sampling — :mod:`repro.hashing.fingerprints`.
 """
 
-from repro.hashing.prg import expand_colors, expand_indices, RepresentativeSampler
 from repro.hashing.fingerprints import (
     hash_u64,
     hash_array_u64,
@@ -20,9 +19,6 @@ from repro.hashing.fingerprints import (
 )
 
 __all__ = [
-    "expand_colors",
-    "expand_indices",
-    "RepresentativeSampler",
     "hash_u64",
     "hash_array_u64",
     "minwise_fingerprints",

@@ -91,8 +91,8 @@ class ExpanderWalker:
 
 
 def walk_colors(seed: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """Functional form mirroring :func:`repro.hashing.prg.expand_colors`
-    for interval lists."""
+    """Functional form of :meth:`ExpanderWalker.walk`: ``k`` colors from
+    the interval list ``[lo, hi)``, empty when the list is."""
     if hi <= lo or k <= 0:
         return np.empty(0, dtype=np.int64)
     return ExpanderWalker(lo, hi).walk(seed, k)

@@ -4,50 +4,33 @@ The bandwidth obstacle to MultiTrial is that trying ``k`` colors naively
 costs ``k·O(log n)`` bits.  [HN23] replaces the explicit list with a short
 seed that both endpoints expand into the same pseudorandom set (their
 construction walks an implicit expander over the color space; see the
-paper's §2.2 discussion).  As documented in DESIGN.md §2, this reproduction
-realizes the same interface with a counter-mode PCG64 expansion: the node
-broadcasts a 64-bit seed, and :func:`expand_colors` deterministically maps
-``(seed, list)`` to ``k`` pseudorandom members of the list.  The
-distributional behaviour (k near-uniform, near-independent samples from a
-publicly known list) and the bit cost (one seed per round) match the
-paper's device.
+paper's §2.2 discussion, and :mod:`repro.hashing.expander` for the walk).
+As documented in DESIGN.md §2, the default sampler realizes the same
+interface with a counter-mode splitmix64 expansion: every node broadcasts
+a 63-bit seed (:func:`derive_seeds_batch`), and
+:func:`expand_indices_batch` deterministically maps each ``(seed, list
+width)`` to ``k`` pseudorandom positions in the list.  The distributional
+behaviour (k near-uniform, near-independent samples from a publicly known
+list) and the bit cost (one seed per round) match the paper's device.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.hashing.fingerprints import hash_array_u64, hash_u64, mix_u64
 
 __all__ = [
-    "expand_colors",
-    "expand_indices",
     "derive_seeds_batch",
     "derive_seed_item",
     "expand_indices_batch",
     "expand_indices_item",
-    "RepresentativeSampler",
 ]
 
 _MASK63 = (1 << 63) - 1
 _MASK64 = (1 << 64) - 1
 # splitmix64 increment — the counter stride of the batched expansion.
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _gen(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & ((1 << 63) - 1))))
-
-
-def expand_indices(seed: int, k: int, universe: int) -> np.ndarray:
-    """Deterministically expand ``seed`` into ``k`` indices in ``[universe]``
-    (with replacement; order matters — MultiTrial adopts the *first*
-    surviving sample)."""
-    if universe <= 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    return _gen(seed).integers(0, universe, size=k, dtype=np.int64)
 
 
 def derive_seeds_batch(node_ids: np.ndarray, base: int) -> np.ndarray:
@@ -110,36 +93,3 @@ def expand_indices_item(seed: int, k: int, width: int) -> np.ndarray:
     return np.array(
         [hash_u64(s, salt=j) % width for j in range(k)], dtype=np.int64
     )
-
-
-def expand_colors(seed: int, k: int, color_list: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Expand ``seed`` into ``k`` pseudorandom colors from ``color_list``.
-
-    Both the broadcasting node and every listener call this with the same
-    arguments — Property 1 of Lemma 2.14 (lists are known to neighbors)
-    is what makes that possible.
-    """
-    arr = np.asarray(color_list, dtype=np.int64)
-    if arr.size == 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    idx = expand_indices(seed, k, arr.size)
-    return arr[idx]
-
-
-class RepresentativeSampler:
-    """Stateful helper bundling seed generation with expansion.
-
-    A node draws a fresh seed per MultiTrial iteration from its private
-    stream, broadcasts it (``O(log n)`` bits), and everyone expands with
-    :meth:`expand`.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def draw_seed(self) -> int:
-        return int(self._rng.integers(0, 1 << 63, dtype=np.int64))
-
-    @staticmethod
-    def expand(seed: int, k: int, color_list: Sequence[int] | np.ndarray) -> np.ndarray:
-        return expand_colors(seed, k, color_list)

@@ -195,8 +195,10 @@ def enable(
 def enable_from_config(cfg: Any) -> bool:
     """Arm the plane from a config object's ``obs_*`` knobs.
 
-    Duck-typed (reads ``obs_trace``/``obs_metrics``/``obs_trace_buffer``
-    attributes) so this leaf package never imports ``repro.config``.
+    Duck-typed (reads the ``obs_trace``/``obs_metrics`` attributes) so
+    this leaf package never imports ``repro.config``.  The span buffer
+    keeps its default cap, :data:`DEFAULT_TRACE_BUFFER`; call
+    :func:`enable` directly for another.
     Returns True when anything was armed.  Engines call this at entry —
     including inside pool workers, since the config rides the argument
     pipe — so one knob traces driver and workers alike.
@@ -205,11 +207,7 @@ def enable_from_config(cfg: Any) -> bool:
     metrics = bool(getattr(cfg, "obs_metrics", False))
     if not (tracing or metrics):
         return False
-    enable(
-        tracing=tracing,
-        metrics=metrics,
-        trace_buffer=int(getattr(cfg, "obs_trace_buffer", DEFAULT_TRACE_BUFFER)),
-    )
+    enable(tracing=tracing, metrics=metrics)
     return True
 
 

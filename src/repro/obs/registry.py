@@ -9,14 +9,14 @@ microseconds by convention.
 
 Thread safety: each instrument guards its mutable state with the
 registry-wide lock; the hot increment path is one lock acquire + int
-add.  Worker registries can be merged into the driver's with
-:meth:`MetricsRegistry.absorb`.
+add.  Registries live in one process: shard workers ship spans, not
+metrics, back to the driver.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "Counter",
@@ -185,37 +185,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """Get or create the histogram ``name{labels}``."""
         return self._instrument("histogram", name, labels)
-
-    def absorb(self, other: "MetricsRegistry") -> None:
-        """Merge another registry's instruments into this one.
-
-        Counters and histograms add; gauges take the other's value
-        (last-writer-wins, high-water maxed).  Used to fold worker
-        registries into the driver's.
-        """
-        with other._lock:
-            snapshot = {
-                name: (kind, dict(series))
-                for name, (kind, series) in other._families.items()
-            }
-        for name, (kind, series) in snapshot.items():
-            for key, inst in series.items():
-                labels = dict(key)
-                if kind == "counter":
-                    self.counter(name, **labels).inc(inst.value)
-                elif kind == "gauge":
-                    mine = self.gauge(name, **labels)
-                    mine.set(inst.value)
-                    with self._lock:
-                        if inst.high_water > mine.high_water:
-                            mine.high_water = inst.high_water
-                else:
-                    mine = self.histogram(name, **labels)
-                    with self._lock:
-                        for i, c in enumerate(inst.buckets):
-                            mine.buckets[i] += c
-                        mine.total += inst.total
-                        mine.count += inst.count
 
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view of every instrument (for JSON/stats payloads)."""

@@ -22,7 +22,7 @@ from repro.runner.aggregate import (
 )
 from repro.runner.benchtrack import append_entry, load_trajectory
 from repro.runner.execute import run_trial
-from repro.runner.runner import ParallelRunner, RunReport, default_workers
+from repro.runner.runner import ParallelRunner, RunReport
 from repro.runner.spec import (
     ALGORITHMS,
     TrialResult,
@@ -41,7 +41,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "append_entry",
-    "default_workers",
     "expand_matrix",
     "fit_rounds",
     "group_by",

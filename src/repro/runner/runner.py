@@ -15,7 +15,6 @@ Design invariants (the acceptance bar of the runner subsystem):
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -26,14 +25,9 @@ from repro.runner.execute import _pool_entry, run_trial
 from repro.runner.spec import TrialResult, TrialSpec, dedupe
 from repro.runner.store import ResultStore
 
-__all__ = ["ParallelRunner", "RunReport", "default_workers"]
+__all__ = ["ParallelRunner", "RunReport"]
 
 ProgressFn = Callable[[int, int, TrialResult], None]
-
-
-def default_workers() -> int:
-    """A conservative default: the machine's cores, capped at 8."""
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 @dataclass

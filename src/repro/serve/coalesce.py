@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.dynamic.events import UpdateBatch
 from repro.simulator.network import BroadcastNetwork
 
@@ -103,19 +101,13 @@ def coalesce_batches(
     # reinsert inside the window) and a delete of an edge it never held
     # (insert→delete inside the window) would be ignored by apply_delta —
     # but only *after* being charged as announcement traffic, inflating
-    # add_bulk_rounds accounting relative to sequential replay.
-    def in_csr(k: tuple[int, int]) -> bool:
-        u, v = k
-        lo, hi = int(net.indptr[u]), int(net.indptr[u + 1])
-        j = int(np.searchsorted(net.indices[lo:hi], v))
-        return j < hi - lo and int(net.indices[lo + j]) == v
-
+    # the announcement rounds relative to sequential replay.
     return UpdateBatch(
         insert_edges=sorted(
-            k for k, op in ops.items() if op is _INS and not in_csr(k)
+            k for k, op in ops.items() if op is _INS and not net.has_edge(*k)
         ),
         delete_edges=sorted(
-            k for k, op in ops.items() if op is _DEL and in_csr(k)
+            k for k, op in ops.items() if op is _DEL and net.has_edge(*k)
         ),
         arrivals=sorted(x for x, s in state.items() if s == "arr"),
         departures=sorted(x for x, s in state.items() if s == "dep"),

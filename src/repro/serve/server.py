@@ -59,6 +59,15 @@ __all__ = ["ColoringServer"]
 
 _SERVER_NAME = f"repro-serve/{__version__}"
 
+_RETRY_AFTER_S = 0.05
+"""The ``retry_after`` hint (seconds) carried by ``queue-full`` error
+frames — the client-visible half of the admission-control contract.
+Clients should wait at least this long before resubmitting."""
+
+_DAEMON_PREFIXES = ("serve_", "obs_")
+"""``ColoringConfig`` fields the daemon takes from its command line:
+``load_graph`` refuses them instead of silently ignoring them."""
+
 
 @dataclass
 class _QueueItem:
@@ -190,7 +199,6 @@ class ColoringServer:
                         "serve_queue_max",
                         "serve_coalesce_max",
                         "serve_snapshot_every",
-                        "serve_retry_after_s",
                         "serve_snapshot_keep",
                         "serve_idle_timeout_s",
                     )
@@ -569,6 +577,16 @@ class ColoringServer:
                 f"load_graph: unknown config fields {sorted(unknown)}",
                 id=frame.id,
             )
+        # The daemon reads serve_* from its own config, and obs_* would
+        # arm process-wide telemetry that no later load can disarm.
+        daemon_owned = sorted(k for k in overrides if k.startswith(_DAEMON_PREFIXES))
+        if daemon_owned:
+            raise wire.ProtocolError(
+                "bad-payload",
+                f"load_graph: {daemon_owned} are daemon settings; the daemon "
+                f"takes them from its command line",
+                id=frame.id,
+            )
         try:
             cfg = dataclasses.replace(self.cfg, **overrides)
         except ValueError as exc:
@@ -636,7 +654,7 @@ class ColoringServer:
                 "queue-full",
                 f"ingest queue at capacity ({self._queue.maxsize})",
                 id=frame.id,
-                retry_after=float(self.cfg.serve_retry_after_s),
+                retry_after=_RETRY_AFTER_S,
             ) from None
 
     def _handle_query_colors(self, frame: wire.QueryColors) -> wire.Frame:

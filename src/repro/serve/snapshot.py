@@ -62,13 +62,18 @@ _RETIRED_CONFIG_FIELDS = frozenset(
         "record_trace",
         "shard_repair_pool_min",
         "dynamic_shard_resketch",
+        "shard_reconcile_max_iters",
+        "serve_retry_after_s",
+        "obs_trace_buffer",
     }
 )
 """Config fields older snapshots carry that no longer exist.  None of
 them changes what a restored engine computes: both sketch estimators
-gave bit-identical estimates, nothing read the bucket size, and the
+gave bit-identical estimates, nothing read the bucket size, the
 :class:`DynamicColoring` a restore builds reads neither the trace switch
-nor the two shard knobs.  So dropping them on load restores exactly."""
+nor the shard knobs, and the retry hint and the span-buffer cap are
+constants now that never touched a coloring.  So dropping them on load
+restores exactly."""
 
 
 @dataclass(frozen=True)

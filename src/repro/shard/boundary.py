@@ -37,7 +37,7 @@ Protocol, per sweep:
 
 Two victims adjacent *across* shards can still collide (each repaired
 against the other's pre-sweep color); the sweep loop catches that on the
-next pass, and ``shard_reconcile_max_iters`` bounds the tail.  Every
+next pass, and ``engine._RECONCILE_MAX_ITERS`` bounds the tail.  Every
 function here is a pure function of its array arguments, which is what
 keeps pool, inline, retried, and shm-attached execution byte-identical.
 """

@@ -44,6 +44,9 @@ touches the cut.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -92,6 +95,16 @@ repair is cut-sized, so below this scale pool dispatch — worker boot
 under ``shard_start_method="spawn"`` especially — costs more than the
 repair itself.  Inline and pooled repair are the same pure function, so
 the threshold never changes the coloring, only where it is computed."""
+
+_RECONCILE_MAX_ITERS = 10
+"""Upper bound on detect→repair sweeps of the cross-shard reconciliation
+loop.  One sweep suffices when the repair kernel fully re-colors its
+victims (adoption is proper by construction); extra sweeps only fire
+when a repair stalls at the round cap."""
+
+_PARENT_POLL_S = 0.5
+"""How often a pool worker checks that the process that started it is
+still alive (:func:`_exit_with_parent`)."""
 
 _FAULT_KINDS = {
     "retries": "retry",
@@ -340,6 +353,32 @@ def _view_from_arena(arena: ShmArena, shard: int) -> ShardView:
     )
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: give SIGTERM back its default action (a
+    forked worker inherits the driver's handler), and exit as soon as
+    the process that started this worker is gone, so a driver killed
+    outright (SIGKILL, the OOM killer) orphans no worker."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Terminate ``pool``'s workers now.  ``shutdown`` would let a running
+    task finish first, and the interpreter waits for it at exit: a run
+    interrupted by a signal must stop its workers, not wait for them."""
+    # No public way to reach the workers before Python 3.14's
+    # ProcessPoolExecutor.terminate_workers().
+    for proc in list((pool._processes or {}).values()):
+        proc.terminate()
+
+
 def _pool_color_shard(args: tuple) -> dict:
     """``ProcessPoolExecutor`` entry point (single-argument).
 
@@ -477,11 +516,15 @@ class ShardedColoring:
         copy-on-write inheritance."""
         method = self.cfg.shard_start_method
         if method == "default":
-            return ProcessPoolExecutor(max_workers=max_workers)
+            return ProcessPoolExecutor(
+                max_workers=max_workers, initializer=_exit_with_parent
+            )
         import multiprocessing as mp
 
         return ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=mp.get_context(method)
+            max_workers=max_workers,
+            mp_context=mp.get_context(method),
+            initializer=_exit_with_parent,
         )
 
     def _view(self, shard: int) -> ShardView:
@@ -710,7 +753,7 @@ class ShardedColoring:
         unresolved = 0
         pool: ProcessPoolExecutor | None = None
         try:
-            while iterations < cfg.shard_reconcile_max_iters:
+            while iterations < _RECONCILE_MAX_ITERS:
                 # The exchange: every boundary node's color, one vector
                 # round per sweep (under shm the bytes are literally the
                 # shared colors pages).
@@ -822,9 +865,13 @@ class ShardedColoring:
                 )
                 obs.count("repro_shard_reconcile_sweeps_total")
                 iterations += 1
-            if iterations == cfg.shard_reconcile_max_iters:
+            if iterations == _RECONCILE_MAX_ITERS:
                 cu, cv = colors[cu_idx], colors[cv_idx]
                 unresolved = int(((cu >= 0) & (cu == cv)).sum())
+        except BaseException:
+            if pool is not None:
+                _stop_workers(pool)
+            raise
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -945,6 +992,9 @@ class ShardedColoring:
                     time.sleep(self._backoff(i, attempt[i]))
                     attempt[i] += 1
                     pending.append(i)
+        except BaseException:
+            _stop_workers(pool)
+            raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return outs

@@ -2,10 +2,10 @@
 
 The observable quantities the paper bounds are (a) the number of
 synchronous rounds, per phase, and (b) the size in bits of each broadcast.
-:class:`RoundMetrics` collects both, whether rounds are executed message by
-message (clique-internal protocols) or as vectorized whole-graph steps with
-analytic bit costs (TryColor-style rounds).  ``report()`` produces the rows
-the experiment harness prints.
+Every protocol runs as vectorized whole-graph steps with closed-form bit
+costs, and :class:`RoundMetrics` records them through one method,
+:meth:`RoundMetrics.add_rounds` (r rounds, k messages, b bits each).
+``report()`` produces the rows the experiment harness prints.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro import obs
@@ -111,72 +111,7 @@ class RoundMetrics:
                 self._phase_span = obs.start_span(outer)
 
     # -- recording --------------------------------------------------------
-    def add_round(self, message_bits: Iterable[int], phase: str | None = None) -> None:
-        """Record one synchronous round in which the given messages were
-        broadcast (one entry per broadcasting node)."""
-        name = phase or self._current_phase
-        stats = self.phases[name]
-        total = self.phases["total"]
-        stats.rounds += 1
-        total.rounds += 1
-        count = 0
-        for bits in message_bits:
-            b = int(bits)
-            count += 1
-            stats.messages += 1
-            stats.total_bits += b
-            stats.max_message_bits = max(stats.max_message_bits, b)
-            total.messages += 1
-            total.total_bits += b
-            total.max_message_bits = max(total.max_message_bits, b)
-        self._notify(name, count)
-
-    def add_uniform_round(
-        self, num_broadcasters: int, bits_per_message: int, phase: str | None = None
-    ) -> None:
-        """Record a vectorized round: ``num_broadcasters`` nodes each
-        broadcast a ``bits_per_message``-bit message."""
-        name = phase or self._current_phase
-        stats = self.phases[name]
-        total = self.phases["total"]
-        b = int(bits_per_message)
-        k = int(num_broadcasters)
-        for s in (stats, total):
-            s.rounds += 1
-            s.messages += k
-            s.total_bits += k * b
-            if k > 0:
-                s.max_message_bits = max(s.max_message_bits, b)
-        self._notify(name, k)
-
-    def add_uniform_rounds(
-        self,
-        num_rounds: int,
-        num_broadcasters: int,
-        bits_per_message: int,
-        phase: str | None = None,
-    ) -> None:
-        """Bulk-charge ``num_rounds`` identical vectorized rounds in O(1)
-        arithmetic (the closed-form replacement for per-round accounting
-        loops).  Observers still fire once per round so traces stay
-        round-accurate."""
-        name = phase or self._current_phase
-        r = int(num_rounds)
-        if r <= 0:
-            return
-        b = int(bits_per_message)
-        k = int(num_broadcasters)
-        for s in (self.phases[name], self.phases["total"]):
-            s.rounds += r
-            s.messages += r * k
-            s.total_bits += r * k * b
-            if k > 0:
-                s.max_message_bits = max(s.max_message_bits, b)
-        if self.observers:
-            for _ in range(r):
-                self._notify(name, k)
-
-    def add_bulk_rounds(
+    def add_rounds(
         self,
         num_rounds: int,
         num_messages: int,
@@ -184,11 +119,14 @@ class RoundMetrics:
         phase: str | None = None,
     ) -> None:
         """Charge ``num_messages`` equal-size messages spread over
-        ``num_rounds`` rounds, in O(1) arithmetic.  Unlike
-        :meth:`add_uniform_rounds` the rounds need not have identical
-        broadcaster counts — this is the accounting shape of delta
-        announcements (``BroadcastNetwork.apply_delta``), where a node with
-        c incident changes pipelines them over max-c rounds."""
+        ``num_rounds`` synchronous rounds, in O(1) arithmetic — the one
+        way a round is recorded.  ``(1, k, b)`` is one round in which k
+        nodes broadcast b bits each, ``(r, r·k, b)`` is r such rounds, and
+        ``(1, 0, 1)`` is a silent round (it still costs a round).  A node
+        with c messages pipelines them over c rounds, so the rounds need
+        not carry equal counts: this is the shape of delta announcements
+        (``BroadcastNetwork.apply_delta``).  Observers fire once per round
+        with that round's share of the messages."""
         name = phase or self._current_phase
         r = int(num_rounds)
         if r <= 0:
@@ -206,10 +144,6 @@ class RoundMetrics:
             extra = k - per_round * r
             for i in range(r):
                 self._notify(name, per_round + (1 if i < extra else 0))
-
-    def add_silent_round(self, phase: str | None = None) -> None:
-        """A round in which no node broadcast (still costs a round)."""
-        self.add_uniform_round(0, 1, phase=phase)
 
     def record_fault(self, kind: str, seconds: float = 0.0) -> None:
         """Account one supervision event (DESIGN.md §9): ``kind`` names
@@ -270,20 +204,3 @@ class RoundMetrics:
             s.total_bits += bits
             if messages > 0:
                 s.max_message_bits = max(s.max_message_bits, max_bits)
-
-    def merged_with(self, other: "RoundMetrics") -> "RoundMetrics":
-        """Combine two metric sets (used when composing pipelines)."""
-        out = RoundMetrics()
-        for src in (self, other):
-            for name, stats in src.phases.items():
-                dst = out.phases[name]
-                dst.rounds += stats.rounds
-                dst.messages += stats.messages
-                dst.total_bits += stats.total_bits
-                dst.max_message_bits = max(dst.max_message_bits, stats.max_message_bits)
-            for name, secs in src.phase_seconds.items():
-                out.phase_seconds[name] += secs
-            for kind, count in src.faults.items():
-                out.faults[kind] += count
-            out.fault_seconds += src.fault_seconds
-        return out

@@ -1,32 +1,22 @@
-"""The communication graph and the synchronous broadcast round engine.
+"""The communication graph and the one way to charge a broadcast round.
 
 ``BroadcastNetwork`` wraps the input graph in CSR form (``indptr`` /
-``indices``) and provides the two execution styles described in DESIGN.md:
-
-* :meth:`broadcast_round` — explicit message delivery: a dict of per-node
-  :class:`~repro.simulator.messages.Broadcast` objects in, a dict of
-  per-node inboxes out.  Used by the clique-internal protocols (Relabel,
-  Permute, CompressTry, LearnPalette) where the message content *is* the
-  protocol.
-* vectorized neighbor primitives (:meth:`neighbor_min`, edge arrays, the
-  node-set edge view :meth:`row_edges`, ...) used by vectorized rounds
-  (TryColor, slack generation, MultiTrial) whose per-node messages are
-  single colors/seeds; those rounds account bits analytically via
-  :meth:`RoundMetrics.add_uniform_round`.
-
-Both styles enforce the BCONGEST bandwidth cap: any message above
-``bandwidth_bits`` raises :class:`BandwidthExceeded`.
+``indices``).  Every protocol runs as vectorized whole-graph steps over
+these arrays (the node-set edge view :meth:`row_edges`,
+:meth:`subgraph_degrees`, ...) and charges its rounds in closed form
+through :meth:`account_vector_round`; topology changes charge their
+announcements in :meth:`apply_delta`.  Both go through one check of the
+BCONGEST bandwidth cap: any message above ``bandwidth_bits`` raises
+:class:`BandwidthExceeded` and records nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.simulator.messages import Broadcast
 from repro.simulator.metrics import RoundMetrics
 
 __all__ = [
@@ -127,21 +117,10 @@ class ShardView:
     def n_interior(self) -> int:
         return int(self.nodes.size)
 
-    @property
-    def n_ghost(self) -> int:
-        return int(self.ghost_nodes.size)
-
     def interior_graph(self) -> tuple[int, np.ndarray]:
         """The ``(n, edges)`` pair of the interior-induced subgraph, the
         worker's coloring instance."""
         return self.n_interior, self.interior_edges
-
-    def cut_degrees(self) -> np.ndarray:
-        """Per interior node, its number of cut (ghost) neighbors."""
-        out = np.zeros(self.n_interior, dtype=np.int64)
-        if self.cut_edges.size:
-            out += np.bincount(self.cut_edges[:, 0], minlength=self.n_interior)
-        return out
 
 
 def shard_view_from_csr(
@@ -248,7 +227,7 @@ def _edges_from_input(graph) -> tuple[int, np.ndarray]:
 
 
 class BroadcastNetwork:
-    """The n-node communication graph G = (V, E) plus the round engine.
+    """The n-node communication graph G = (V, E) plus its round charging.
 
     Parameters
     ----------
@@ -291,50 +270,6 @@ class BroadcastNetwork:
         self.metrics = metrics if metrics is not None else RoundMetrics()
         self._set_csr(src, dst)
 
-    @classmethod
-    def from_sorted_pairs(
-        cls,
-        n: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        bandwidth_bits: int | None = None,
-        metrics: RoundMetrics | None = None,
-    ) -> "BroadcastNetwork":
-        """Build a network from directed pairs already lexsorted by
-        (src, dst), deduplicated, and free of self-loops — skipping
-        ``__init__``'s O(m log m) lexsort.  This is the trusted fast path
-        for callers that *derived* the pairs from an existing CSR (shard
-        workers slicing their interior out of the shared global graph);
-        the contract is not checked."""
-        net = cls.__new__(cls)
-        net.n = int(n)
-        net.bandwidth_bits = bandwidth_bits
-        net.metrics = metrics if metrics is not None else RoundMetrics()
-        net._set_csr(
-            np.ascontiguousarray(src, dtype=np.int64),
-            np.ascontiguousarray(dst, dtype=np.int64),
-        )
-        return net
-
-    @classmethod
-    def from_csr(
-        cls,
-        n: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        bandwidth_bits: int | None = None,
-        metrics: RoundMetrics | None = None,
-    ) -> "BroadcastNetwork":
-        """Build a network over existing CSR buffers (e.g. read-only
-        shared-memory attachments) without re-sorting: ``indices`` must be
-        row-sorted and deduplicated, as every CSR this module emits is."""
-        indptr = np.asarray(indptr, dtype=np.int64)
-        degrees = np.diff(indptr)
-        src = np.repeat(np.arange(int(n), dtype=np.int64), degrees)
-        return cls.from_sorted_pairs(
-            n, src, indices, bandwidth_bits=bandwidth_bits, metrics=metrics
-        )
-
     def _set_csr(self, src: np.ndarray, dst: np.ndarray) -> None:
         """(Re)build every derived array from sorted unique directed pairs.
 
@@ -355,7 +290,6 @@ class BroadcastNetwork:
 
         self.degrees = np.diff(self.indptr).astype(np.int64)
         self.delta = int(self.degrees.max()) if n else 0
-        self._adj_sets: list[set[int]] | None = None
 
     # ------------------------------------------------------------------
     # Topology access
@@ -367,16 +301,12 @@ class BroadcastNetwork:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def adjacency_set(self, v: int) -> set[int]:
-        """Neighbor set of v (cached)."""
-        if self._adj_sets is None:
-            self._adj_sets = [set() for _ in range(self.n)]
-            for u in range(self.n):
-                self._adj_sets[u] = set(self.neighbors(u).tolist())
-        return self._adj_sets[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_set(u)
+        """Whether {u, v} is an edge: a binary search in u's sorted CSR
+        row, so nothing is cached and no delta has to invalidate it."""
+        row = self.neighbors(u)
+        i = int(np.searchsorted(row, v))
+        return i < row.size and int(row[i]) == v
 
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of unique undirected edges (u < v), in CSR order:
@@ -495,9 +425,9 @@ class BroadcastNetwork:
         delta_before = self.delta
 
         # Announcement accounting: every applied directed change is one
-        # message from its source endpoint.  The bandwidth check runs
-        # *before* the topology mutates, so a rejected delta leaves the
-        # network untouched.
+        # message from its source endpoint.  The charge runs *before* the
+        # topology mutates, so a rejected delta leaves the network
+        # untouched.
         changed_src = np.concatenate(
             [old_keys[~keep] // self.n, ins_keys // self.n]
         )
@@ -506,23 +436,11 @@ class BroadcastNetwork:
             silent[np.asarray(silent_nodes, dtype=np.int64)] = True
             changed_src = changed_src[~silent[changed_src]]
         bits = int(math.ceil(math.log2(max(self.n, 2)))) + 1
-        if (
-            changed_src.size
-            and self.bandwidth_bits is not None
-            and bits > self.bandwidth_bits
-        ):
-            raise BandwidthExceeded(
-                f"delta announcement of {bits} bits exceeds cap "
-                f"{self.bandwidth_bits}"
-            )
-        self._set_csr(merged // self.n, merged % self.n)
+        rounds = 0
         if changed_src.size:
             rounds = int(np.bincount(changed_src, minlength=self.n).max())
-            self.metrics.add_bulk_rounds(
-                rounds, int(changed_src.size), bits, phase=phase
-            )
-        else:
-            rounds = 0
+            self._charge(rounds, int(changed_src.size), bits, phase)
+        self._set_csr(merged // self.n, merged % self.n)
         return DeltaReport(
             edges_added=added,
             edges_removed=removed,
@@ -535,99 +453,39 @@ class BroadcastNetwork:
         )
 
     # ------------------------------------------------------------------
-    # The round engine (message-level)
-    # ------------------------------------------------------------------
-    def _check_bandwidth(self, msg: Broadcast) -> None:
-        if self.bandwidth_bits is not None and msg.bits > self.bandwidth_bits:
-            raise BandwidthExceeded(
-                f"broadcast '{msg.tag}' is {msg.bits} bits; "
-                f"bandwidth cap is {self.bandwidth_bits} bits"
-            )
-
-    def broadcast_round(
-        self,
-        outgoing: Mapping[int, Broadcast],
-        phase: str | None = None,
-        restrict_to: Sequence[int] | None = None,
-    ) -> dict[int, list[tuple[int, Broadcast]]]:
-        """Execute one synchronous round.
-
-        ``outgoing`` maps node → its broadcast (nodes absent stay silent).
-        Returns node → list of (sender, message) over all its *broadcasting*
-        neighbors.  When ``restrict_to`` is given, only those nodes'
-        inboxes are materialized (a pure optimization — delivery semantics
-        are unchanged; every neighbor still "hears" the broadcast).
-        """
-        bits = []
-        for v, msg in outgoing.items():
-            if not 0 <= v < self.n:
-                raise ValueError(f"unknown sender {v}")
-            self._check_bandwidth(msg)
-            bits.append(msg.bits)
-        self.metrics.add_round(bits, phase=phase)
-
-        if restrict_to is None:
-            receivers: Iterable[int] = range(self.n)
-        else:
-            receivers = restrict_to
-        inboxes: dict[int, list[tuple[int, Broadcast]]] = {}
-        for v in receivers:
-            inbox = []
-            for u in self.neighbors(v):
-                u = int(u)
-                if u in outgoing:
-                    inbox.append((u, outgoing[u]))
-            inboxes[v] = inbox
-        return inboxes
-
-    # ------------------------------------------------------------------
     # Vectorized collectives (whole-graph single-word rounds)
     # ------------------------------------------------------------------
-    def account_vector_round(
-        self, num_broadcasters: int, bits_per_message: int, phase: str | None = None
+    def _charge(
+        self, rounds: int, messages: int, bits: int, phase: str | None
     ) -> None:
-        """Account one vectorized round (bits checked against the cap)."""
-        if self.bandwidth_bits is not None and bits_per_message > self.bandwidth_bits:
+        """The one place a broadcast is charged: refuse a message over the
+        bandwidth cap, then record ``rounds`` rounds carrying ``messages``
+        messages of ``bits`` bits (:meth:`RoundMetrics.add_rounds`).  A
+        refused charge records nothing."""
+        if self.bandwidth_bits is not None and bits > self.bandwidth_bits:
             raise BandwidthExceeded(
-                f"vectorized round message of {bits_per_message} bits exceeds "
-                f"cap {self.bandwidth_bits}"
+                f"{bits}-bit message exceeds the bandwidth cap of "
+                f"{self.bandwidth_bits} bits"
             )
-        self.metrics.add_uniform_round(num_broadcasters, bits_per_message, phase=phase)
+        self.metrics.add_rounds(rounds, messages, bits, phase=phase)
 
-    def account_vector_rounds(
+    def account_vector_round(
         self,
-        num_rounds: int,
         num_broadcasters: int,
         bits_per_message: int,
         phase: str | None = None,
+        rounds: int = 1,
     ) -> None:
-        """Bulk-account ``num_rounds`` identical vectorized rounds (one cap
-        check, closed-form accounting — see
-        :meth:`RoundMetrics.add_uniform_rounds`)."""
-        if self.bandwidth_bits is not None and bits_per_message > self.bandwidth_bits:
-            raise BandwidthExceeded(
-                f"vectorized round message of {bits_per_message} bits exceeds "
-                f"cap {self.bandwidth_bits}"
-            )
-        self.metrics.add_uniform_rounds(
-            num_rounds, num_broadcasters, bits_per_message, phase=phase
+        """Account ``rounds`` identical vectorized rounds, in each of which
+        ``num_broadcasters`` nodes broadcast a ``bits_per_message``-bit
+        message: one cap check and closed-form accounting."""
+        self._charge(
+            rounds, int(rounds) * int(num_broadcasters), bits_per_message, phase
         )
-
-    def neighbor_min(self, values: np.ndarray, default: float | int) -> np.ndarray:
-        """Per-node min over neighbor values (one broadcast round's worth of
-        information).  ``default`` fills isolated nodes."""
-        vals = np.asarray(values)
-        out = np.full(self.n, default, dtype=vals.dtype)
-        if self.indices.size:
-            gathered = vals[self.indices]
-            has = self.degrees > 0
-            mins = np.minimum.reduceat(gathered, self.indptr[:-1][has])
-            out[has] = mins
-        return out
 
     def neighbor_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-node sum over neighbor values (segment-wise ``reduceat`` on
-        the CSR arrays, like :meth:`neighbor_min`)."""
+        the CSR arrays, like :meth:`subgraph_degrees`)."""
         vals = np.asarray(values)
         out = np.zeros(self.n, dtype=vals.dtype if vals.dtype.kind == "f" else np.int64)
         if self.indices.size:
@@ -635,7 +493,3 @@ class BroadcastNetwork:
             has = self.degrees > 0
             out[has] = np.add.reduceat(gathered, self.indptr[:-1][has])
         return out
-
-    def neighbor_any(self, flags: np.ndarray) -> np.ndarray:
-        """Per-node OR over neighbor boolean flags."""
-        return self.neighbor_sum(np.asarray(flags, dtype=np.int64)) > 0

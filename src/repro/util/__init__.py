@@ -5,9 +5,6 @@ from repro.util.bitio import (
     bits_for_int,
     bits_for_color,
     bits_for_id,
-    bitmap_bits,
-    pack_bitmap,
-    unpack_bitmap,
 )
 
 __all__ = [
@@ -17,7 +14,4 @@ __all__ = [
     "bits_for_int",
     "bits_for_color",
     "bits_for_id",
-    "bitmap_bits",
-    "pack_bitmap",
-    "unpack_bitmap",
 ]

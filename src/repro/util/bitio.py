@@ -1,20 +1,18 @@
 """Bit-size codecs for BCONGEST message accounting.
 
-Every broadcast in the simulator carries an explicit size in bits.  The
-model only allows ``O(log n)``-bit messages, so the library computes
-message sizes from first principles with the codecs here: an identifier
-out of ``n`` costs ``ceil(log2 n)`` bits, a color out of ``Δ+1`` costs
-``ceil(log2 (Δ+1))`` bits, a bitmap over a range of length ``L`` costs
-``L`` bits, and so on.  The paper's protocols are all phrased in terms of
-these primitives (e.g. the ``C log n``-bit subpalette bitmaps of
-Algorithm 2, the ``O(log log n)``-bit labels of Algorithm 3).
+Every broadcast in the simulator is charged an explicit size in bits.
+The model only allows ``O(log n)``-bit messages, so the library computes
+message sizes from first principles with the codecs here: one value out
+of a universe of ``u`` values costs ``ceil(log2 u)`` bits
+(:func:`bits_for_int`), so an identifier out of ``n`` costs
+``ceil(log2 n)`` bits (:func:`bits_for_id`), a color out of ``Δ+1`` plus
+``⊥`` costs ``ceil(log2 (Δ+2))`` bits (:func:`bits_for_color`), and a
+counter up to ``c`` costs ``ceil(log2 (c+1))`` bits
+(:func:`bits_for_count`).  The protocols size their messages from these
+(e.g. the ``O(log log n)``-bit labels of Algorithm 3).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.util.mathx import ceil_log2
 
@@ -23,11 +21,6 @@ __all__ = [
     "bits_for_color",
     "bits_for_id",
     "bits_for_count",
-    "bitmap_bits",
-    "pack_bitmap",
-    "unpack_bitmap",
-    "bits_for_color_list",
-    "bits_for_label_list",
 ]
 
 
@@ -54,43 +47,3 @@ def bits_for_id(n: int) -> int:
 def bits_for_count(max_count: int) -> int:
     """Bits for an integer counter bounded by ``max_count``."""
     return bits_for_int(max_count + 1)
-
-
-def bitmap_bits(length: int) -> int:
-    """A bitmap over ``length`` positions costs ``length`` bits."""
-    return max(1, int(length))
-
-
-def bits_for_color_list(num_colors: int, delta: int) -> int:
-    """Bits for an explicit list of ``num_colors`` colors."""
-    return max(1, num_colors) * bits_for_color(delta)
-
-
-def bits_for_label_list(num_labels: int, label_universe: int) -> int:
-    """Bits for ``num_labels`` labels drawn from ``[label_universe]``.
-
-    This is the cost model for Algorithm 3 (Relabel), where labels live in
-    ``[|S|^2 log n]`` and hence cost ``O(log log n)`` bits each when
-    ``|S| = poly(log n)``.
-    """
-    return max(1, num_labels) * bits_for_int(label_universe)
-
-
-def pack_bitmap(positions: Iterable[int], length: int) -> np.ndarray:
-    """Build a boolean bitmap of ``length`` marking ``positions``.
-
-    Raises ``ValueError`` for out-of-range positions: a protocol that tries
-    to address outside its announced range is a bug, not a runtime choice.
-    """
-    bitmap = np.zeros(length, dtype=bool)
-    for pos in positions:
-        if not 0 <= pos < length:
-            raise ValueError(f"bitmap position {pos} out of range [0, {length})")
-        bitmap[pos] = True
-    return bitmap
-
-
-def unpack_bitmap(bitmap: Sequence[bool] | np.ndarray) -> list[int]:
-    """Inverse of :func:`pack_bitmap`: the sorted set positions."""
-    arr = np.asarray(bitmap, dtype=bool)
-    return [int(i) for i in np.flatnonzero(arr)]

@@ -15,7 +15,6 @@ __all__ = [
     "log_star",
     "iterated_log_bound",
     "poly_log",
-    "clamp",
 ]
 
 
@@ -72,10 +71,3 @@ def poly_log(n: int, power: float, scale: float = 1.0) -> float:
     """``scale * (log2 n)^power`` with the convention ``poly_log(<=2,...)``
     uses ``log2`` floored at 1 so thresholds never vanish on tiny inputs."""
     return scale * max(math.log2(max(n, 2)), 1.0) ** power
-
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into the inclusive interval ``[lo, hi]``."""
-    if hi < lo:
-        raise ValueError(f"empty interval: [{lo}, {hi}]")
-    return max(lo, min(hi, value))

@@ -207,14 +207,19 @@ class TestSimilaritySketches:
 
 class TestDecompositionObject:
     def test_members_and_cache_invalidation(self):
+        """Clique member lists are built once and cached; labels are never
+        written after construction, so a new labelling is a new object."""
         labels = np.array([0, 0, SPARSE, 1])
         acd = AlmostCliqueDecomposition(labels=labels, eps=0.1)
         assert acd.num_cliques == 2
         assert acd.members(0).tolist() == [0, 1]
+        assert acd.members(1) is acd.members(1)
         assert acd.sparse_nodes.tolist() == [2]
-        acd.labels[2] = 1
-        acd.invalidate_cache()
-        assert acd.members(1).tolist() == [2, 3]
+        relabeled = AlmostCliqueDecomposition(
+            labels=np.array([0, 0, 1, 1]), eps=0.1
+        )
+        assert relabeled.members(1).tolist() == [2, 3]
+        assert acd.members(1).tolist() == [3]
 
     def test_empty_labels(self):
         acd = AlmostCliqueDecomposition(labels=np.full(3, SPARSE), eps=0.1)

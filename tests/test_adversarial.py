@@ -15,7 +15,6 @@ from repro.core.sct import synchronized_color_trial
 from repro.core.state import ColoringState, ImproperColoring
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import clique_blob_graph, complete_graph
-from repro.simulator.messages import Broadcast
 from repro.simulator.network import BandwidthExceeded, BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
 
@@ -80,11 +79,6 @@ class TestAdversarialSCT:
 
 
 class TestModelEnforcement:
-    def test_oversized_broadcast_rejected(self):
-        net = BroadcastNetwork((2, [(0, 1)]), bandwidth_bits=16)
-        with pytest.raises(BandwidthExceeded):
-            net.broadcast_round({0: Broadcast(payload="cheat", bits=17)})
-
     def test_oversized_vector_round_rejected(self):
         net = BroadcastNetwork((4, [(0, 1)]), bandwidth_bits=16)
         with pytest.raises(BandwidthExceeded):

@@ -1,20 +1,13 @@
 """Unit tests for the bit-size codecs (repro.util.bitio)."""
 
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.bitio import (
-    bitmap_bits,
     bits_for_color,
-    bits_for_color_list,
     bits_for_count,
     bits_for_id,
     bits_for_int,
-    bits_for_label_list,
-    pack_bitmap,
-    unpack_bitmap,
 )
 
 
@@ -42,57 +35,6 @@ class TestScalarCodecs:
         assert bits_for_count(7) == 3
         assert bits_for_count(8) == 4
 
-    def test_color_list_bits(self):
-        assert bits_for_color_list(5, 14) == 5 * 4
-
-    def test_label_list_bits(self):
-        # 10 labels from a 64-value universe: 10 * 6 bits.
-        assert bits_for_label_list(10, 64) == 60
-
-    def test_empty_lists_cost_at_least_one_bit(self):
-        assert bits_for_color_list(0, 10) >= 1
-        assert bits_for_label_list(0, 10) >= 1
-
     @given(st.integers(min_value=1, max_value=10**6))
     def test_id_fits_universe(self, n):
         assert 2 ** bits_for_id(n) >= n
-
-
-class TestBitmaps:
-    def test_bitmap_bits_is_length(self):
-        assert bitmap_bits(100) == 100
-
-    def test_bitmap_bits_minimum(self):
-        assert bitmap_bits(0) == 1
-
-    def test_pack_and_unpack_roundtrip(self):
-        positions = [0, 3, 7]
-        bm = pack_bitmap(positions, 8)
-        assert unpack_bitmap(bm) == positions
-
-    def test_pack_empty(self):
-        bm = pack_bitmap([], 5)
-        assert not bm.any()
-        assert unpack_bitmap(bm) == []
-
-    def test_pack_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            pack_bitmap([8], 8)
-        with pytest.raises(ValueError):
-            pack_bitmap([-1], 8)
-
-    def test_pack_returns_bool_array(self):
-        bm = pack_bitmap([1], 4)
-        assert bm.dtype == bool
-        assert bm.size == 4
-
-    @given(st.lists(st.integers(min_value=0, max_value=63), unique=True), st.just(64))
-    def test_roundtrip_property(self, positions, length):
-        bm = pack_bitmap(positions, length)
-        assert unpack_bitmap(bm) == sorted(positions)
-
-    def test_unpack_accepts_lists(self):
-        assert unpack_bitmap([True, False, True]) == [0, 2]
-
-    def test_unpack_accepts_int_arrays(self):
-        assert unpack_bitmap(np.array([1, 0, 1])) == [0, 2]

@@ -9,8 +9,16 @@
 * The public surfaces docs/API.md indexes (repro.dynamic, repro.shard,
   repro.serve, repro.faults, repro.obs, repro.decomposition.minhash)
   must be fully docstringed — API.md promises that.
+* Code references in DESIGN.md, EXPERIMENTS.md and docs/*.md must name
+  code that exists: every ``Class.attr`` whose class is defined in
+  ``repro`` names a method, property, field or ``self.`` attribute of
+  that class (or of a ``repro`` base class), and every ``path.py:name``
+  names a top-level definition, or a method of a top-level class, of
+  ``src/repro/<path>`` or of ``<path>`` under the repo root (``tests/``).
 """
 
+import ast
+import functools
 import inspect
 import importlib
 import re
@@ -23,6 +31,8 @@ from repro.serve import protocol as wire
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 PROTOCOL_MD = DOCS / "PROTOCOL.md"
+SRC = REPO / "src" / "repro"
+CODE_DOCS = [REPO / "DESIGN.md", REPO / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))]
 
 
 def protocol_headings() -> list[str]:
@@ -102,3 +112,124 @@ class TestApiDocstrings:
                     ):
                         missing.append(f"{modname}.{name}.{mname}")
         assert not missing, f"undocumented public surface: {missing}"
+
+
+# ----------------------------------------------------------------------
+# Code references
+# ----------------------------------------------------------------------
+CLASS_REF = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
+PATH_REF = re.compile(r"`([\w/]+\.py):([A-Za-z_]\w*)`")
+
+
+def _targets(node: ast.AST) -> list[ast.AST]:
+    """The flattened assignment targets of an (Ann/Aug)Assign node."""
+    if isinstance(node, ast.Assign):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        todo = [node.target]
+    else:
+        return []
+    out = []
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            todo.extend(t.elts)
+        else:
+            out.append(t)
+    return out
+
+
+def _class_attrs(cls: ast.ClassDef) -> set[str]:
+    """Methods, properties, class-level and dataclass fields, and every
+    ``self.X`` the class's own methods assign."""
+    attrs = set()
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            attrs.add(item.name)
+        attrs.update(t.id for t in _targets(item) if isinstance(t, ast.Name))
+    for node in ast.walk(cls):
+        attrs.update(
+            t.attr
+            for t in _targets(node)
+            if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name)
+            and t.value.id == "self"
+        )
+    return attrs
+
+
+def _file_names(path: Path) -> set[str]:
+    """Top-level definitions of a module plus its classes' methods."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        names.update(t.id for t in _targets(node) if isinstance(t, ast.Name))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _repro_classes() -> dict[str, tuple[set[str], list[str]]]:
+    """Class name → (its own attribute names, its base-class names), over
+    every class defined in ``src/repro`` (same-named classes merge)."""
+    classes: dict[str, tuple[set[str], list[str]]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                attrs, bases = classes.setdefault(node.name, (set(), []))
+                attrs |= _class_attrs(node)
+                bases += [b.id for b in node.bases if isinstance(b, ast.Name)]
+    return classes
+
+
+def _attrs_with_bases(name: str, seen: frozenset = frozenset()) -> set[str]:
+    classes = _repro_classes()
+    attrs, bases = classes[name]
+    out = set(attrs)
+    for base in bases:
+        if base in classes and base not in seen:
+            out |= _attrs_with_bases(base, seen | {name})
+    return out
+
+
+def _doc_refs(pattern: re.Pattern) -> list[tuple[str, tuple[str, str]]]:
+    """``("DOC.md:line", (group 1, group 2))`` for every match."""
+    refs = []
+    for doc in CODE_DOCS:
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for m in pattern.finditer(line):
+                refs.append((f"{doc.relative_to(REPO)}:{lineno}", m.groups()))
+    return refs
+
+
+class TestCodeReferences:
+    def test_class_attribute_references_resolve(self):
+        classes = _repro_classes()
+        refs = [
+            (where, (cls, attr))
+            for where, (cls, attr) in _doc_refs(CLASS_REF)
+            if cls in classes
+        ]
+        assert refs, "no `Class.attr` reference found: the pattern is broken"
+        stale = [
+            f"{where}: {cls}.{attr}"
+            for where, (cls, attr) in refs
+            if attr not in _attrs_with_bases(cls)
+        ]
+        assert not stale, f"docs name class attributes that do not exist: {stale}"
+
+    def test_path_name_references_resolve(self):
+        refs = _doc_refs(PATH_REF)
+        assert refs, "no `path.py:name` reference found: the pattern is broken"
+        stale = []
+        for where, (rel, name) in refs:
+            files = [p for p in (SRC / rel, REPO / rel, REPO / "tests" / rel) if p.is_file()]
+            if not any(name in _file_names(p) for p in files):
+                stale.append(f"{where}: {rel}:{name}")
+        assert not stale, f"docs name code that does not exist: {stale}"

@@ -99,10 +99,10 @@ class TestEvents:
             ),
         )
         assert sched.num_batches == 2
-        totals = sched.total_counts()
-        assert totals["insert_edges"] == 1
-        assert totals["delete_edges"] == 1
-        assert totals["departures"] == 1
+        assert sched.n == 4
+        assert [b.insert_edges.shape[0] for b in sched] == [1, 0]
+        assert [b.delete_edges.shape[0] for b in sched] == [0, 1]
+        assert [b.departures.size for b in sched] == [0, 1]
 
 
 # ----------------------------------------------------------------------

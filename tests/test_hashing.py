@@ -11,7 +11,6 @@ from repro.hashing.fingerprints import (
     hash_u64,
     minwise_fingerprints,
 )
-from repro.hashing.prg import RepresentativeSampler, expand_colors, expand_indices
 from repro.simulator.network import BroadcastNetwork
 from repro.graphs.generators import complete_graph, star_graph
 
@@ -53,41 +52,6 @@ class TestSplitmix:
         diffs = np.bitwise_xor(h[:-1], h[1:])
         popcounts = np.array([bin(int(d)).count("1") for d in diffs])
         assert 24 < popcounts.mean() < 40
-
-
-class TestExpand:
-    def test_deterministic(self):
-        assert np.array_equal(expand_indices(9, 10, 100), expand_indices(9, 10, 100))
-
-    def test_seed_matters(self):
-        assert not np.array_equal(expand_indices(9, 20, 100), expand_indices(10, 20, 100))
-
-    def test_within_universe(self):
-        out = expand_indices(5, 50, 7)
-        assert out.min() >= 0 and out.max() < 7
-
-    def test_empty_cases(self):
-        assert expand_indices(1, 0, 10).size == 0
-        assert expand_indices(1, 5, 0).size == 0
-        assert expand_colors(1, 5, []).size == 0
-
-    def test_expand_colors_maps_through_list(self):
-        colors = np.array([10, 20, 30])
-        out = expand_colors(3, 8, colors)
-        assert set(out.tolist()) <= {10, 20, 30}
-
-    @given(st.integers(0, 2**62), st.integers(1, 64), st.integers(1, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_length_property(self, seed, k, universe):
-        assert expand_indices(seed, k, universe).size == k
-
-    def test_sampler_roundtrip(self):
-        rng = np.random.default_rng(0)
-        s = RepresentativeSampler(rng)
-        seed = s.draw_seed()
-        a = s.expand(seed, 5, [1, 2, 3])
-        b = RepresentativeSampler.expand(seed, 5, [1, 2, 3])
-        assert np.array_equal(a, b)
 
 
 class TestMinwise:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.mathx import ceil_log2, clamp, iterated_log_bound, log_star, poly_log
+from repro.util.mathx import ceil_log2, iterated_log_bound, log_star, poly_log
 
 
 class TestCeilLog2:
@@ -85,26 +85,3 @@ class TestPolyLog:
         # log2 floored at 1 so thresholds never vanish.
         assert poly_log(1, 2.0) == 1.0
         assert poly_log(2, 2.0) == 1.0
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below(self):
-        assert clamp(-1, 0, 10) == 0
-
-    def test_above(self):
-        assert clamp(11, 0, 10) == 10
-
-    def test_empty_interval_raises(self):
-        with pytest.raises(ValueError):
-            clamp(1, 5, 4)
-
-    @given(
-        st.floats(allow_nan=False, allow_infinity=False, width=32),
-        st.floats(min_value=-100, max_value=0),
-        st.floats(min_value=0, max_value=100),
-    )
-    def test_always_in_range(self, v, lo, hi):
-        assert lo <= clamp(v, lo, hi) <= hi

@@ -6,45 +6,46 @@ from repro.simulator.metrics import RoundMetrics
 class TestAddRound:
     def test_single_round(self):
         m = RoundMetrics()
-        m.add_round([8, 8, 16], phase="p")
+        m.add_rounds(1, 3, 8, phase="p")
         assert m.total_rounds == 1
         assert m.phases["p"].messages == 3
-        assert m.phases["p"].total_bits == 32
-        assert m.max_message_bits == 16
+        assert m.phases["p"].total_bits == 24
+        assert m.max_message_bits == 8
 
     def test_phase_and_total_both_updated(self):
         m = RoundMetrics()
-        m.add_round([4], phase="a")
-        m.add_round([6], phase="b")
+        m.add_rounds(1, 1, 4, phase="a")
+        m.add_rounds(1, 1, 6, phase="b")
         assert m.rounds_in("a") == 1
         assert m.rounds_in("b") == 1
         assert m.total_rounds == 2
         assert m.total_bits == 10
+        assert m.max_message_bits == 6
 
     def test_empty_round_counts(self):
         m = RoundMetrics()
-        m.add_round([], phase="quiet")
+        m.add_rounds(1, 0, 1, phase="quiet")
         assert m.rounds_in("quiet") == 1
         assert m.phases["quiet"].messages == 0
 
     def test_current_phase_default(self):
         m = RoundMetrics()
         m.begin_phase("x")
-        m.add_round([1])
+        m.add_rounds(1, 1, 1)
         assert m.rounds_in("x") == 1
 
 
 class TestUniformRound:
     def test_uniform_round(self):
         m = RoundMetrics()
-        m.add_uniform_round(10, 7, phase="v")
+        m.add_rounds(1, 10, 7, phase="v")
         assert m.phases["v"].messages == 10
         assert m.phases["v"].total_bits == 70
         assert m.max_message_bits == 7
 
     def test_zero_broadcasters_no_max_update(self):
         m = RoundMetrics()
-        m.add_uniform_round(0, 100, phase="v")
+        m.add_rounds(1, 0, 100, phase="v")
         assert m.max_message_bits == 0
         assert m.total_rounds == 1
 
@@ -52,14 +53,14 @@ class TestUniformRound:
 class TestBulkUniformRounds:
     def test_matches_per_round_loop(self):
         bulk, loop = RoundMetrics(), RoundMetrics()
-        bulk.add_uniform_rounds(5, 9, 16, phase="v")
+        bulk.add_rounds(5, 5 * 9, 16, phase="v")
         for _ in range(5):
-            loop.add_uniform_round(9, 16, phase="v")
+            loop.add_rounds(1, 9, 16, phase="v")
         assert bulk.report() == loop.report()
 
     def test_zero_rounds_noop(self):
         m = RoundMetrics()
-        m.add_uniform_rounds(0, 9, 16, phase="v")
+        m.add_rounds(0, 9, 16, phase="v")
         assert m.total_rounds == 0
         assert "v" not in m.phase_names()
 
@@ -67,8 +68,16 @@ class TestBulkUniformRounds:
         m = RoundMetrics()
         seen = []
         m.observers.append(lambda phase, k: seen.append((phase, k)))
-        m.add_uniform_rounds(3, 4, 8, phase="v")
+        m.add_rounds(3, 3 * 4, 8, phase="v")
         assert seen == [("v", 4)] * 3
+
+    def test_uneven_rounds_spread_the_remainder_first(self):
+        m = RoundMetrics()
+        seen = []
+        m.observers.append(lambda phase, k: seen.append(k))
+        m.add_rounds(3, 7, 8, phase="v")
+        assert seen == [3, 2, 2]
+        assert m.phases["v"].messages == 7
 
 
 class TestTimePhase:
@@ -104,27 +113,15 @@ class TestTimePhase:
 class TestReporting:
     def test_report_includes_total(self):
         m = RoundMetrics()
-        m.add_round([2], phase="a")
+        m.add_rounds(1, 1, 2, phase="a")
         rep = m.report()
         assert "total" in rep and "a" in rep
         assert rep["total"]["rounds"] == 1
 
     def test_phase_names_excludes_total(self):
         m = RoundMetrics()
-        m.add_round([2], phase="a")
+        m.add_rounds(1, 1, 2, phase="a")
         assert m.phase_names() == ["a"]
 
     def test_rounds_in_unknown_phase(self):
         assert RoundMetrics().rounds_in("nope") == 0
-
-    def test_merged_with(self):
-        a = RoundMetrics()
-        a.add_round([4], phase="x")
-        b = RoundMetrics()
-        b.add_round([8, 8], phase="x")
-        b.add_round([2], phase="y")
-        merged = a.merged_with(b)
-        assert merged.rounds_in("x") == 2
-        assert merged.rounds_in("y") == 1
-        assert merged.total_bits == 22
-        assert merged.max_message_bits == 8

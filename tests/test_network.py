@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.families import make_graph
-from repro.simulator.messages import Broadcast, color_message
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import BandwidthExceeded, BroadcastNetwork
 
@@ -65,11 +64,22 @@ class TestConstruction:
         assert sorted(net.neighbors(0).tolist()) == [1, 2, 3]
         assert net.degree(1) == 1
 
-    def test_adjacency_set_and_has_edge(self):
-        net = BroadcastNetwork((4, [(0, 1), (2, 3)]))
+    def test_has_edge(self):
+        net = BroadcastNetwork((5, [(0, 1), (0, 3), (2, 3)]))
         assert net.has_edge(0, 1) and net.has_edge(1, 0)
+        assert net.has_edge(0, 3) and net.has_edge(3, 2)
         assert not net.has_edge(0, 2)
-        assert net.adjacency_set(2) == {3}
+        assert not net.has_edge(0, 4)  # past the end of row 0
+        assert not net.has_edge(4, 0)  # an isolated node's empty row
+
+    @given(edges_strategy())
+    @settings(max_examples=30, deadline=None)
+    def test_has_edge_matches_edge_set(self, graph):
+        net = BroadcastNetwork(graph)
+        edges = {(int(u), int(v)) for u, v in net.undirected_edges()}
+        for u in range(net.n):
+            for v in range(net.n):
+                assert net.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
 
     @given(edges_strategy())
     @settings(max_examples=30, deadline=None)
@@ -216,74 +226,57 @@ class TestSubgraphDegrees:
         assert net.subgraph_degrees(np.zeros(3, dtype=bool)).sum() == 0
 
 
+# Every send path that charges a broadcast, as (bits per message, send).
+# apply_delta's announcements cost ⌈log₂ n⌉ + 1 = 5 bits on 16 nodes.
+SEND_PATHS = {
+    "vector-round": (9, lambda net: net.account_vector_round(3, 9, phase="p")),
+    "vector-rounds": (
+        9,
+        lambda net: net.account_vector_round(3, 9, phase="p", rounds=4),
+    ),
+    "apply-delta": (
+        5,
+        lambda net: net.apply_delta(
+            insert_edges=[(1, 2)], delete_edges=[(0, 1)], phase="p"
+        ),
+    ),
+}
+
+
 class TestBroadcastRound:
-    def test_delivery_to_neighbors_only(self):
-        net = BroadcastNetwork((3, [(0, 1)]))
-        inboxes = net.broadcast_round({0: color_message(1, 4)})
-        assert len(inboxes[1]) == 1
-        assert inboxes[1][0][0] == 0
-        assert inboxes[2] == []
-
-    def test_silent_nodes_receive(self):
-        net = BroadcastNetwork((2, [(0, 1)]))
-        inboxes = net.broadcast_round({0: color_message(0, 4)})
-        assert inboxes[0] == []  # sender hears nothing (no broadcasting nbr)
-        assert len(inboxes[1]) == 1
-
-    def test_restrict_to(self):
-        net = BroadcastNetwork((3, [(0, 1), (0, 2)]))
-        inboxes = net.broadcast_round({0: color_message(0, 4)}, restrict_to=[1])
-        assert set(inboxes.keys()) == {1}
-
-    def test_rounds_counted(self):
-        net = BroadcastNetwork((2, [(0, 1)]))
-        net.broadcast_round({0: color_message(0, 4)})
-        net.broadcast_round({1: color_message(1, 4)})
-        assert net.metrics.total_rounds == 2
-
-    def test_bandwidth_enforced(self):
-        net = BroadcastNetwork((2, [(0, 1)]), bandwidth_bits=8)
-        with pytest.raises(BandwidthExceeded):
-            net.broadcast_round({0: Broadcast(payload=0, bits=9)})
-
-    def test_bandwidth_ok_at_cap(self):
-        net = BroadcastNetwork((2, [(0, 1)]), bandwidth_bits=8)
-        net.broadcast_round({0: Broadcast(payload=0, bits=8)})
-        assert net.metrics.max_message_bits == 8
-
-    def test_unknown_sender_raises(self):
-        net = BroadcastNetwork((2, [(0, 1)]))
-        with pytest.raises(ValueError):
-            net.broadcast_round({5: color_message(0, 4)})
+    """Charging a broadcast round: the bandwidth cap on every send path."""
 
     def test_vector_round_bandwidth_enforced(self):
         net = BroadcastNetwork((2, [(0, 1)]), bandwidth_bits=8)
         with pytest.raises(BandwidthExceeded):
             net.account_vector_round(1, 9)
 
+    @pytest.mark.parametrize("path", sorted(SEND_PATHS))
+    def test_cap_on_every_send_path(self, path):
+        bits, send = SEND_PATHS[path]
+        graph = (16, [(0, 1), (3, 4)])
+
+        over = BroadcastNetwork(graph, bandwidth_bits=bits - 1)
+        over.account_vector_round(2, 1, phase="before")
+        report = over.metrics.report()
+        indptr, indices = over.indptr.copy(), over.indices.copy()
+        with pytest.raises(BandwidthExceeded):
+            send(over)
+        assert over.metrics.report() == report
+        assert np.array_equal(over.indptr, indptr)
+        assert np.array_equal(over.indices, indices)
+
+        at_cap = BroadcastNetwork(graph, bandwidth_bits=bits)
+        send(at_cap)
+        assert at_cap.metrics.max_message_bits == bits
+        assert at_cap.metrics.phases["p"].max_message_bits == bits
+
 
 class TestVectorCollectives:
-    def test_neighbor_min(self):
-        net = BroadcastNetwork((3, [(0, 1), (1, 2)]))
-        vals = np.array([5, 3, 9])
-        out = net.neighbor_min(vals, default=99)
-        assert out.tolist() == [3, 5, 3]
-
-    def test_neighbor_min_isolated_default(self):
-        net = BroadcastNetwork((3, [(0, 1)]))
-        out = net.neighbor_min(np.array([1, 2, 3]), default=-7)
-        assert out[2] == -7
-
     def test_neighbor_sum(self):
         net = BroadcastNetwork((3, [(0, 1), (1, 2), (0, 2)]))
         out = net.neighbor_sum(np.array([1, 2, 4]))
         assert out.tolist() == [6, 5, 3]
-
-    def test_neighbor_any(self):
-        net = BroadcastNetwork((4, [(0, 1), (2, 3)]))
-        flags = np.array([True, False, False, False])
-        out = net.neighbor_any(flags)
-        assert out.tolist() == [False, True, False, False]
 
     @given(edges_strategy())
     @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ Four layers, in test-speed order:
 * **the plane**: disarmed hooks are no-ops, spans nest per thread,
   buffers cap and count drops, enabling is idempotent and OR-ing.
 * **the registry**: counter/gauge/histogram semantics, log2 bucket
-  boundaries, Prometheus rendering, cross-process absorb.
+  boundaries, Prometheus rendering.
 * **export**: JSONL round-trip is lossless (property-tested), the
   parent/child forest reassembles identically, and the Perfetto
   document validates with the shard-lane layout.
@@ -107,10 +107,11 @@ class TestPlane:
         cfg = ColoringConfig.practical()
         assert not obs.enable_from_config(cfg)
         assert not obs.enabled()
-        assert obs.enable_from_config(
-            ColoringConfig.practical(obs_trace=True, obs_trace_buffer=9)
-        )
+        assert obs.enable_from_config(ColoringConfig.practical(obs_trace=True))
         assert obs.tracing_enabled()
+        # No config knob sizes the span buffer: it keeps the default cap.
+        state = obs.enable(tracing=False, metrics=False)
+        assert state.trace_buffer == obs.DEFAULT_TRACE_BUFFER
 
     def test_adopt_spans_merges(self):
         obs.enable()
@@ -180,23 +181,6 @@ class TestRegistry:
         reg.counter("x_total")
         with pytest.raises(TypeError):
             reg.gauge("x_total")
-
-    def test_absorb(self):
-        obs.enable()
-        a = obs.registry()
-        a.counter("c_total").inc(2)
-        a.gauge("g").set(1.0)
-        a.histogram("h").observe(4.0)
-        from repro.obs.registry import MetricsRegistry
-
-        b = MetricsRegistry()
-        b.counter("c_total").inc(3)
-        b.gauge("g").set(7.0)
-        b.histogram("h").observe(4.0)
-        a.absorb(b)
-        assert a.counter("c_total").value == 5
-        assert a.gauge("g").value == 7.0
-        assert a.histogram("h").count == 2
 
     def test_prometheus_escaping(self):
         obs.enable()

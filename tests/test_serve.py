@@ -374,6 +374,9 @@ class TestSnapshot:
             ("record_trace", True),
             ("shard_repair_pool_min", 0),
             ("dynamic_shard_resketch", False),
+            ("shard_reconcile_max_iters", 3),
+            ("serve_retry_after_s", 0.5),
+            ("obs_trace_buffer", 9),
         ],
     )
     def test_retired_config_field_restores(self, tmp_path, field, value):
@@ -577,9 +580,10 @@ class TestLiveServer:
             stop(proc)
 
     def test_invalid_sketch_config_keeps_engine(self, tmp_path):
-        """A load_graph whose config overrides ColoringConfig refuses, or
+        """A load_graph whose config overrides ColoringConfig refuses,
         that names a key which is no field (such as the removed
-        ``backend``), is a bad-payload error naming it, not an internal
+        ``backend``), or that names a daemon setting (``serve_*``,
+        ``obs_*``) is a bad-payload error naming it, not an internal
         one, and the engine loaded before it keeps serving."""
         seed = 3
         n, edges = make_graph("gnp", 150, 8.0, seed)
@@ -598,7 +602,12 @@ class TestLiveServer:
                        ("shard_k", 0), ("shard_strategy", "bogus"),
                        ("shard_transport", "carrier-pigeon"),
                        ("shard_start_method", "bogus"),
-                       ("backend", "sharded")]
+                       ("backend", "sharded"),
+                       ("shard_reconcile_max_iters", 3),
+                       ("serve_retry_after_s", 0.5),
+                       ("obs_trace_buffer", 5),
+                       ("serve_queue_max", 1), ("serve_coalesce_max", 99),
+                       ("obs_trace", True), ("obs_metrics", True)]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}

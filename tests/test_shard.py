@@ -12,6 +12,11 @@ brute-force edge checks rather than the engine's own verdicts.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +59,50 @@ def partition_view(net: BroadcastNetwork, part, shard: int):
     return shard_view_from_csr(
         net.n, net.indptr, net.indices, part.members(shard),
         part.assignment, part.local_ids(), shard,
+    )
+
+
+def _wait_until(predicate, seconds: float):
+    """Poll ``predicate`` until it is truthy or ``seconds`` pass; returns
+    its last value."""
+    deadline = time.monotonic() + seconds
+    while True:
+        value = predicate()
+        if value or time.monotonic() > deadline:
+            return value
+        time.sleep(0.05)
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    ppid, ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children_of(pid: int) -> set[int]:
+    """The live processes whose parent is ``pid``."""
+    out = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _alive(int(entry)):
+            stat = _proc_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                out.add(int(entry))
+    return out
+
+
+def _arena_segments(pid: int) -> list[str]:
+    """The ``/dev/shm`` arena segments a driver with this pid created."""
+    return sorted(
+        name for name in leaked_segments() if f"-{pid}-" in name
     )
 
 
@@ -201,12 +250,6 @@ class TestShardView:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and np.array_equal(a, b), name
 
-    def test_cut_degrees(self):
-        net, mask, view = self._view()
-        counts = np.zeros(view.n_interior, dtype=np.int64)
-        for i, _ in view.cut_edges:
-            counts[i] += 1
-        assert np.array_equal(view.cut_degrees(), counts)
 
 
 # ----------------------------------------------------------------------
@@ -584,3 +627,50 @@ class TestShmTransport:
                 shard_cfg(seed=0, shard_transport="carrier-pigeon"),
                 k=2,
             )
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    @pytest.mark.parametrize("sig", ["SIGTERM", "SIGKILL"])
+    def test_killed_driver_leaves_no_arena_or_worker(self, tmp_path, sig):
+        """A driver stopped by SIGTERM (what ``timeout``, systemd and
+        container stops send) unlinks its arena and stops its workers on
+        the way out, without waiting for their tasks.  A driver killed by
+        SIGKILL runs no cleanup at all; its workers still exit on their
+        own once their parent is gone.  The plan hangs every worker for
+        60 s, so only an active stop passes the 10 s deadline."""
+        plan = tmp_path / "hang.toml"
+        plan.write_text(
+            'name = "hang-workers"\nseed = 1\n\n[[rule]]\n'
+            'site = "shard.worker"\nkind = "hang"\nseconds = 60.0\n'
+            "max_fires = 0\n"
+        )
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro", "chaos", "shard", "--plan",
+             str(plan), "--n", "400", "--k", "2", "--workers", "2"],
+            env={**os.environ},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        children: set[int] = set()
+        try:
+            assert _wait_until(lambda: _arena_segments(driver.pid), 60)
+            assert _wait_until(lambda: len(_children_of(driver.pid)) >= 2, 30)
+            time.sleep(1.0)  # let the pool finish starting its workers
+            children = _children_of(driver.pid)
+            driver.send_signal(getattr(signal, sig))
+            deadline = time.monotonic() + 10
+            driver.wait(timeout=10)
+            assert _wait_until(
+                lambda: not any(_alive(p) for p in children),
+                deadline - time.monotonic(),
+            ), f"workers outlived the driver: {sorted(children)}"
+            if sig == "SIGTERM":
+                assert _arena_segments(driver.pid) == []
+        finally:
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait(timeout=10)
+            for pid in children:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in _arena_segments(driver.pid):
+                os.unlink(os.path.join("/dev/shm", name))

@@ -27,7 +27,6 @@ from repro.graphs.generators import complete_graph, gnp_graph, ring_graph
 from repro.hashing.prg import (
     derive_seed_item,
     derive_seeds_batch,
-    expand_indices,
     expand_indices_batch,
     expand_indices_item,
 )
@@ -78,13 +77,6 @@ class TestBatchedPRG:
         assert counts.min() > 0.8 * vals.size / 10
         assert counts.max() < 1.2 * vals.size / 10
 
-    def test_legacy_prg_stream_regression(self):
-        """The pre-refactor PCG64 counter-mode streams, pinned."""
-        assert expand_indices(12345, 8, 100).tolist() == [69, 22, 78, 31, 20, 79, 64, 67]
-        assert expand_indices(1, 5, 7).tolist() == [3, 3, 5, 6, 0]
-        assert expand_indices(987654321, 6, 1000003).tolist() == [
-            812775, 284600, 777331, 171867, 921304, 198880,
-        ]
 
 
 def _run_multitrial(graph, sampler, seed=11, num_colors=None):
