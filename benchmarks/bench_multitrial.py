@@ -122,16 +122,17 @@ def test_e9_vectorized_speedup_tracked(benchmark, monkeypatch):
     sparse-phase workload), the per-node adoption oracle of
     ``tests/helpers.py`` vs the edge-wise kernel, both with the default
     "batched" counter-mode sampler (so both adopt the same colors).
-    Appends both wall-clocks and the speedup to ``BENCH_multitrial.json``
-    at the repo root; CI uploads the file and fails when the speedup
-    falls below its floor.
+    Asserts that both color identically, iteration by iteration, and
+    appends that verdict, both wall-clocks and the speedup to
+    ``BENCH_multitrial.json`` at the repo root; CI uploads the file and
+    fails when the runs disagree or the speedup falls below its floor.
     """
     n = int(os.environ.get("REPRO_BENCH_MT_N", "20000"))
     reps = int(os.environ.get("REPRO_BENCH_MT_REPS", "3"))
     graph = high_slack_graph(n, 7)
     cfg = ColoringConfig.practical(multitrial_sampler="batched")
 
-    def run_once() -> tuple[float, object]:
+    def run_once() -> tuple[float, ColoringState, object]:
         net = BroadcastNetwork(graph)
         state = ColoringState(net)
         mask = np.ones(n, dtype=bool)
@@ -141,17 +142,21 @@ def test_e9_vectorized_speedup_tracked(benchmark, monkeypatch):
         rep = multitrial(state, mask, lo, hi, cfg, SeedSequencer(1), "mt")
         elapsed = time.perf_counter() - t0
         assert rep.remaining == 0
-        return elapsed, rep
+        return elapsed, state, rep
 
     with monkeypatch.context() as patched:
         patched.setattr(multitrial_module, "_resolve_vectorized", resolve_pernode_oracle)
-        legacy_s = min(run_once()[0] for _ in range(reps))
-    vec_times, vec_rep = [], None
-    for _ in range(reps):
-        elapsed, vec_rep = run_once()
-        vec_times.append(elapsed)
-    vectorized_s = min(vec_times)
+        legacy = [run_once() for _ in range(reps)]
+    vectorized = [run_once() for _ in range(reps)]
+    legacy_s = min(t for t, _, _ in legacy)
+    vectorized_s = min(t for t, _, _ in vectorized)
     speedup = legacy_s / max(vectorized_s, 1e-9)
+    _, legacy_state, legacy_rep = legacy[-1]
+    _, vec_state, vec_rep = vectorized[-1]
+    colors_equal = bool(
+        np.array_equal(legacy_state.colors, vec_state.colors)
+        and legacy_rep.per_iteration == vec_rep.per_iteration
+    )
 
     rows = [
         ("per-node oracle + batched sampler", f"{legacy_s:.3f}"),
@@ -170,9 +175,11 @@ def test_e9_vectorized_speedup_tracked(benchmark, monkeypatch):
             "legacy_s": round(legacy_s, 4),
             "vectorized_s": round(vectorized_s, 4),
             "speedup": round(speedup, 2),
+            "colors_equal": colors_equal,
         },
         label=f"multitrial-n{n}",
     )
+    assert colors_equal
     # Generous sanity floor (CI hardware varies); the tracked trajectory
     # carries the real number — locally this measures >10x.
     assert speedup >= 2.0

@@ -362,11 +362,26 @@ class ColoringConfig:
             )
         # CompressTry draws and charges k color indices in each of its
         # repeats: a count below 1 would charge negative or phantom bits.
-        # A shard count below 1 partitions nothing.
-        for name in ("compress_try_colors", "compress_try_repeats", "shard_k"):
+        # A shard count below 1 partitions nothing.  MultiTrial tries at
+        # least one color per iteration, never fewer than the iteration
+        # before: a bad count or growth would fail deep inside the sparse
+        # phase, or silently skip it.
+        for name, least in (
+            ("compress_try_colors", 1),
+            ("compress_try_repeats", 1),
+            ("shard_k", 1),
+            ("multitrial_initial", 1),
+            ("multitrial_cap", 1),
+            ("multitrial_max_iters", 0),
+        ):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        growth = self.multitrial_growth
+        if not isinstance(growth, numbers.Real) or not 1.0 <= growth < math.inf:
+            raise ValueError(
+                f"multitrial_growth must be a finite real number >= 1, got {growth!r}"
+            )
         # Checked here, not where they are used: an unknown victim rule
         # would fail only inside the first repair, after the batch had
         # changed the topology, an unknown sampler name would silently

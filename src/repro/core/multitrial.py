@@ -21,11 +21,12 @@ budget catches up.
 
 The round is a pure function of the per-node expansions, and one kernel
 implements it (DESIGN.md §4): the whole iteration runs on the CSR edge
-arrays.  The (A×k) proposal matrix is built in one call, colored-neighbor
-collisions die via a sorted join (``searchsorted`` over per-node sorted
-neighbor colors), smaller-ID expansion collisions die via a sorted
-membership join over per-node sorted expansions, and each row adopts its
-first surviving column with one ``argmax``.  No per-node Python; the
+arrays.  The (A×k) proposal matrix is built in one call; each directed
+pair compares values directly, as a listener does: a row's k tries
+against a colored neighbor's color, and against each of a smaller-ID
+active neighbor's k tries, in chunks of pairs whose gathered rows stay
+within a fixed byte budget at any k.  Each row adopts its first
+surviving column with one ``argmax``.  No per-node Python; the
 node-at-a-time oracle the tests compare it with is
 ``tests/helpers.py:resolve_pernode_oracle``.
 """
@@ -44,6 +45,11 @@ from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
 __all__ = ["MultiTrialReport", "multitrial"]
+
+# The kill rules take a chunk of C pairs at a time, sized so the two
+# (k×C) int64 arrays they gather stay near this many bytes at any k
+# (DESIGN.md §4).
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -94,78 +100,59 @@ def _proposal_matrix(
     return proposals
 
 
+def _kill_matches(
+    killed: np.ndarray, tries: np.ndarray, rows: np.ndarray, table: np.ndarray, cols: np.ndarray
+) -> None:
+    """For each pair p, kill every try of active row ``rows[p]`` that
+    equals an entry of ``table[:, cols[p]]``.  ``tries`` is the proposal
+    matrix transposed (k×A), so a chunk of C pairs gathers k×C arrays and
+    each compare runs along the pairs, one row of ``table`` at a time: no
+    temporary exceeds k×C."""
+    step = max(1, _CHUNK_BYTES // (16 * tries.shape[0]))
+    for c0 in range(0, rows.size, step):
+        r = rows[c0 : c0 + step]
+        pv = tries.take(r, axis=1)
+        other = table.take(cols[c0 : c0 + step], axis=1)
+        hit = pv == other[0]
+        for line in other[1:]:
+            hit |= pv == line
+        flat = np.flatnonzero(hit)
+        killed[flat // r.size, r[flat % r.size]] = True  # duplicates are harmless
+
+
 def _resolve_vectorized(
     state: ColoringState, active: np.ndarray, proposals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge-wise adoption over the active nodes' CSR rows
     (:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`; ``active``
-    ascends) — no per-node Python.
+    ascends) — no per-node Python and no sort, only direct compares.
 
-    Kill rule (a): a proposal equal to any colored neighbor's color dies.
-    Sorted join: pack (row, color) pairs of colored neighbors into integer
-    keys, ``searchsorted`` every proposal entry against the sorted keys.
-
-    Kill rule (b): a proposal present anywhere in a smaller-ID active
-    neighbor's expansion dies.  Per-row sorted expansions concatenate into
-    one globally sorted key array (row offsets dominate the in-row values),
-    so one ``searchsorted`` per directed active edge batch answers every
-    membership query.
+    Kill rule (a): a try equal to a colored neighbor's color dies.  Kill
+    rule (b): a try present anywhere in a smaller-ID active neighbor u's
+    expansion dies; v's k tries are compared with each of u's.  Rule (a)
+    is rule (b) with a one-entry other side, so one helper runs both.
+    Empty rows are all ``-1``: they match no color, and what two of them
+    kill in each other could not be adopted anyway.
     """
-    net = state.net
     a_count, k = proposals.shape
     pos = np.full(state.n, -1, dtype=np.int64)
     pos[active] = np.arange(a_count)
-
-    # Key packing span: strictly larger than any color appearing in either
-    # join (proposals, colored neighbor colors) plus a sentinel slot.
-    span = int(
-        max(
-            state.num_colors,
-            int(proposals.max(initial=-1)) + 1,
-            1,
-        )
-    ) + 2
-    sentinel = span - 1  # never a real color on either side of a join
-
-    src, dst = net.row_edges(active)
+    src, dst = state.net.row_edges(active)
     src_pos = pos[src]
     src_active = src_pos >= 0
+    tries = np.ascontiguousarray(proposals.T)
+    killed = np.zeros((k, a_count), dtype=bool)
 
-    # --- rule (a): colored-neighbor collisions -------------------------
-    dst_colors = state.colors[dst]
-    am = src_active & (dst_colors >= 0)
-    colored_keys = np.unique(src_pos[am] * span + dst_colors[am])
-    row_base = np.arange(a_count, dtype=np.int64)[:, None] * span
-    query = row_base + np.where(proposals >= 0, proposals, sentinel)
-    loc = np.searchsorted(colored_keys, query.ravel())
-    loc_ok = loc < colored_keys.size
-    killed = np.zeros(a_count * k, dtype=bool)
-    killed[loc_ok] = colored_keys[loc[loc_ok]] == query.ravel()[loc_ok]
-    killed = killed.reshape(a_count, k)
+    am = np.flatnonzero(src_active & (state.colors[dst] >= 0))  # rule (a)
+    _kill_matches(killed, tries, src_pos[am], state.colors[None, :], dst[am])
+    dst_pos = pos[dst]
+    bm = np.flatnonzero(src_active & (dst_pos >= 0) & (dst < src))  # rule (b)
+    _kill_matches(killed, tries, src_pos[bm], tries, dst_pos[bm])
 
-    # --- rule (b): smaller-ID active neighbors' expansions -------------
-    bm = src_active & (pos[dst] >= 0) & (dst < src)
-    if bm.any():
-        v_rows = src_pos[bm]          # the node whose proposals may die
-        u_rows = pos[dst[bm]]          # the smaller-ID active neighbor
-        sorted_exp = np.sort(np.where(proposals >= 0, proposals, sentinel), axis=1)
-        flat_keys = (row_base + sorted_exp).ravel()  # globally sorted
-        q2 = u_rows[:, None] * span + np.where(
-            proposals[v_rows] >= 0, proposals[v_rows], sentinel - 1
-        )
-        loc2 = np.searchsorted(flat_keys, q2.ravel())
-        loc2_ok = loc2 < flat_keys.size
-        hit2 = np.zeros(q2.size, dtype=bool)
-        hit2[loc2_ok] = flat_keys[loc2[loc2_ok]] == q2.ravel()[loc2_ok]
-        if hit2.any():
-            flat_idx = (v_rows[:, None] * k + np.arange(k, dtype=np.int64)).ravel()
-            killed.ravel()[np.unique(flat_idx[hit2])] = True
-
-    alive = (proposals >= 0) & ~killed
-    has = alive.any(axis=1)
-    first = np.argmax(alive, axis=1)
-    rows = np.flatnonzero(has)
-    return active[rows], proposals[rows, first[rows]]
+    alive = (tries >= 0) & ~killed
+    first = alive.argmax(axis=0)
+    rows = np.flatnonzero(alive.any(axis=0))
+    return active[rows], tries[first[rows], rows]
 
 
 def multitrial(
@@ -192,7 +179,7 @@ def multitrial(
         if active.size == 0:
             break
         report.iterations += 1
-        k_i = int(min(cfg.multitrial_cap, max(1, round(k))))
+        k_i = int(min(cfg.multitrial_cap, round(k)))
 
         proposals = _proposal_matrix(
             active, k_i, list_lo, list_hi, cfg, seq, phase, it

@@ -78,15 +78,30 @@ class TestPresets:
             ("shard_transport", "carrier-pigeon"),
             ("shard_start_method", "bogus"),
             ("shard_start_method", None),
+            ("multitrial_initial", 0),
+            ("multitrial_initial", -2),
+            ("multitrial_initial", 2.0),
+            ("multitrial_cap", 0),
+            ("multitrial_cap", -3),
+            ("multitrial_cap", 8.5),
+            ("multitrial_max_iters", -1),
+            ("multitrial_max_iters", 3.0),
+            ("multitrial_growth", 0.5),
+            ("multitrial_growth", 0),
+            ("multitrial_growth", float("nan")),
+            ("multitrial_growth", float("inf")),
+            ("multitrial_growth", "2"),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
         load_graph overrides) refuse an eps outside (0, 1), a sketch the
         fingerprint kernel cannot run, a CompressTry count or shard count
-        below 1 and a victim rule, sampler, partition strategy, shard
-        transport or start method that does not exist, naming the field;
-        the edges of the valid range still build."""
+        below 1, MultiTrial try counts, iteration bound or growth that
+        would shrink, skip or overflow its tries, and a victim rule,
+        sampler, partition strategy, shard transport or start method that
+        does not exist, naming the field; the edges of the valid range
+        still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -109,6 +124,10 @@ class TestPresets:
             ColoringConfig.practical(shard_transport=transport)
         for method in START_METHODS:
             ColoringConfig.practical(shard_start_method=method)
+        ColoringConfig.practical(
+            multitrial_initial=1, multitrial_cap=1, multitrial_max_iters=0,
+            multitrial_growth=1,
+        )
 
     def test_shard_choices_defined_once(self):
         """The shard package re-exports the config's tuples, so the CLI's

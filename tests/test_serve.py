@@ -596,6 +596,8 @@ class TestLiveServer:
                        ("acd_minhash_bits", 17), ("eps", 0), ("eps", 1.5),
                        ("compress_try_colors", -4), ("compress_try_repeats", 0),
                        ("conflict_victim", "bogus"), ("multitrial_sampler", "prg"),
+                       ("multitrial_cap", 0), ("multitrial_initial", 0),
+                       ("multitrial_growth", 0.5), ("multitrial_max_iters", -1),
                        ("group_size_target", 2.0), ("record_trace", True),
                        ("shard_repair_pool_min", 0),
                        ("dynamic_shard_resketch", False),

@@ -8,22 +8,32 @@ Two contracts from DESIGN.md §4:
 2. **oracle equivalence** — the edge-wise adoption kernel and the
    per-node oracle (``tests/helpers.py:resolve_pernode_oracle``) produce
    identical colorings and identical per-phase round counts/bits, for
-   both samplers, including on the full E1 quick matrix.
+   both samplers, including on the full E1 quick matrix, and identical
+   adoptions on random inputs at every try count up to the cap, across
+   chunk boundaries, with the kernel's memory bounded by its chunk budget.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import resolve_pernode_oracle
+from helpers import greedy_color, resolve_pernode_oracle
 from repro.config import ColoringConfig
 from repro.core import multitrial as multitrial_module
 from repro.core.algorithm import BroadcastColoring
 from repro.core.multitrial import multitrial
 from repro.core.state import ColoringState
 from repro.graphs.families import make_graph
-from repro.graphs.generators import complete_graph, gnp_graph, ring_graph
+from repro.graphs.generators import (
+    complete_graph,
+    gnp_graph,
+    planted_acd_graph,
+    ring_graph,
+)
 from repro.hashing.prg import (
     derive_seed_item,
     derive_seeds_batch,
@@ -79,10 +89,10 @@ class TestBatchedPRG:
 
 
 
-def _run_multitrial(graph, sampler, seed=11, num_colors=None):
+def _run_multitrial(graph, sampler, seed=11, num_colors=None, **overrides):
     net = BroadcastNetwork(graph)
     state = ColoringState(net, num_colors=num_colors)
-    cfg = ColoringConfig.practical(multitrial_sampler=sampler)
+    cfg = ColoringConfig.practical(multitrial_sampler=sampler, **overrides)
     mask = np.ones(net.n, dtype=bool)
     lo = np.zeros(net.n, dtype=np.int64)
     hi = np.full(net.n, state.num_colors, dtype=np.int64)
@@ -116,6 +126,108 @@ class TestEngineEquivalence:
         state, rep = _run_multitrial(gnp_graph(400, 0.01, seed=5), "batched")
         assert rep.remaining == 0
         state.verify()
+
+
+KERNEL_GRAPHS = {
+    "gnp-sparse": gnp_graph(150, 0.03, seed=1),
+    "gnp-dense": gnp_graph(60, 0.3, seed=2),
+    "clique": complete_graph(24),
+    "ring": ring_graph(40),
+    "planted": planted_acd_graph(3, 30, 0.1, sparse_nodes=40, seed=3),
+}
+
+
+def _random_resolve_input(graph, k, rng):
+    """A kernel input as MultiTrial builds one: a proper partial coloring
+    of a random node subset, an ascending random subset of the uncolored
+    nodes as ``active``, and k tries per row drawn from a random interval
+    of ``[0, num_colors)`` (so rows repeat colors), or all ``-1`` for an
+    empty interval."""
+    state = ColoringState(BroadcastNetwork(graph))
+    greedy_color(state, np.flatnonzero(rng.random(state.n) < rng.random()), rng)
+    uncolored = state.uncolored_nodes()
+    active = uncolored[rng.random(uncolored.size) < rng.random()]
+    lo = rng.integers(0, state.num_colors, size=active.size)
+    width = rng.integers(1, state.num_colors - lo + 1)
+    proposals = lo[:, None] + rng.integers(0, width[:, None], size=(active.size, k))
+    proposals[rng.random(active.size) < 0.15] = -1
+    return state, active, proposals
+
+
+class TestKernelAgainstOracle:
+    @given(
+        graph=st.sampled_from(sorted(KERNEL_GRAPHS)),
+        k=st.sampled_from([1, 2, 3, 8, 33, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        chunk_pairs=st.one_of(st.none(), st.integers(1, 5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_equals_pernode_oracle(self, graph, k, seed, chunk_pairs):
+        """Same adoptions as the node-at-a-time rule at every try count up
+        to the default cap; with ``chunk_pairs`` set, the chunk budget
+        holds that many pairs, so chunk boundaries fall inside both kill
+        rules."""
+        rng = np.random.default_rng(seed)
+        state, active, proposals = _random_resolve_input(KERNEL_GRAPHS[graph], k, rng)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_pairs is not None:
+                patch.setattr(multitrial_module, "_CHUNK_BYTES", 16 * k * chunk_pairs)
+            nodes, colors = multitrial_module._resolve_vectorized(state, active, proposals)
+        want_nodes, want_colors = resolve_pernode_oracle(state, active, proposals)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(colors, want_colors)
+
+    def test_cap_tries_span_chunks_and_equal_oracle(self, monkeypatch):
+        """At the cap (64 tries from the first iteration) on G(2000, 24/n),
+        rule (b)'s pairs need several chunks at the default budget, and the
+        run still colors exactly as the per-node oracle does."""
+        graph = gnp_graph(2000, 24.0 / 2000, seed=4)
+
+        def run():
+            return _run_multitrial(graph, "batched", multitrial_initial=64)
+
+        rule_b = []  # (tries, pairs) of each rule-(b) call
+        kill_matches = multitrial_module._kill_matches
+
+        def spy(killed, tries, rows, table, cols):
+            if table is tries:  # rule (b): the other side is the tries
+                rule_b.append((tries.shape[0], rows.size))
+            kill_matches(killed, tries, rows, table, cols)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(multitrial_module, "_kill_matches", spy)
+            s2, r2 = run()
+        pairs_per_chunk = multitrial_module._CHUNK_BYTES // (16 * 64)
+        assert all(k == 64 for k, _ in rule_b)
+        assert max(pairs for _, pairs in rule_b) > pairs_per_chunk
+        monkeypatch.setattr(
+            multitrial_module, "_resolve_vectorized", resolve_pernode_oracle
+        )
+        s1, r1 = run()
+        assert np.array_equal(s1.colors, s2.colors)
+        assert r1.per_iteration == r2.per_iteration
+        assert r2.remaining == 0
+        s2.verify()
+
+    def test_cap_tries_memory_bounded_by_chunk_budget(self):
+        """At k = 64, gathering both sides of every rule-(b) pair at once
+        would take E_b·k·16 bytes, at least 8× the chunk budget on this
+        graph; the kernel's traced peak stays below that."""
+        n, k = 4000, 64
+        state = ColoringState(BroadcastNetwork(gnp_graph(n, 24.0 / n, seed=6)))
+        active = np.arange(n, dtype=np.int64)
+        rng = np.random.default_rng(6)
+        proposals = rng.integers(0, state.num_colors, size=(n, k))
+        e_b = state.net.indices.size // 2  # every node active: one pair per edge
+        full_gather = e_b * k * 16
+        assert full_gather >= 8 * multitrial_module._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            multitrial_module._resolve_vectorized(state, active, proposals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_gather
 
 
 # The E1 quick matrix cells (benchmarks/specs/quick.toml) that exercise the
