@@ -14,7 +14,12 @@ Tracked measurements (→ ``BENCH_dynamic.json`` at the repo root):
   engine with ``dynamic_fallback_fraction < 0``, i.e. every batch falls
   back) on the identical schedule;
 * ``BroadcastNetwork.apply_delta`` vs building a fresh network from the
-  post-batch edge list — the sorted-merge claim, measured at n ≥ 10⁴.
+  post-batch edge list — the positional-splice claim (the delta is
+  located in its own CSR rows and spliced in; the 2m unchanged pairs are
+  never re-sorted), measured at n ≥ 10⁴;
+* one full propriety and completeness scan after the repair run
+  (``final_full_scan_ok``): ``BatchReport.proper`` comes from an audit
+  scoped to each batch, so an independent full scan stands behind it.
 
 Quick mode: ``REPRO_BENCH_DYN_N`` / ``REPRO_BENCH_DYN_DEG`` /
 ``REPRO_BENCH_DYN_BATCHES`` shrink the workload for CI smoke runs (n
@@ -67,6 +72,7 @@ def test_e14_incremental_vs_full_tracked(benchmark):
     engine = DynamicColoring(schedule, repair_cfg)
     repair = engine.run(schedule)
     rs = repair.summary()
+    final_full_scan_ok = engine.is_proper() and engine.is_complete()
 
     full_cfg = ColoringConfig.practical(seed=5, dynamic_fallback_fraction=-1.0)
     baseline = DynamicColoring(schedule, full_cfg).run(schedule)
@@ -76,7 +82,8 @@ def test_e14_incremental_vs_full_tracked(benchmark):
     full_batch_s = sum(r.seconds for r in baseline.reports) / max(batches, 1)
     speedup = full_batch_s / max(repair_batch_s, 1e-9)
 
-    # apply_delta (sorted merge) vs a fresh CSR build of the same result.
+    # apply_delta (positional splice) vs a fresh CSR build of the same
+    # result.
     batch0 = schedule.batches[0]
     merge_s, build_s = [], []
     for _ in range(3):
@@ -113,13 +120,14 @@ def test_e14_incremental_vs_full_tracked(benchmark):
     )
 
     assert rs["proper_all"] and rs["complete_all"], rs
+    assert final_full_scan_ok, "full scan disagrees with the batch audits"
     assert rs["colors_within_budget"], rs
     assert rs["fallbacks"] == 0, "incremental engine silently fell back"
     assert fs["fallbacks"] == batches, "baseline must recolor every batch"
     assert rs["mean_recolored_fraction"] < 0.20, rs
     if n >= 10_000:
         assert apply_delta_s < fresh_build_s, (
-            f"sorted merge ({apply_delta_s:.4f}s) not faster than fresh "
+            f"positional splice ({apply_delta_s:.4f}s) not faster than fresh "
             f"build ({fresh_build_s:.4f}s) at n={n}"
         )
 
@@ -144,6 +152,7 @@ def test_e14_incremental_vs_full_tracked(benchmark):
             "build_speedup": round(build_speedup, 2),
             "repair_rounds_per_batch": round(rs["total_rounds"] / max(batches, 1), 1),
             "full_rounds_per_batch": round(fs["total_rounds"] / max(batches, 1), 1),
+            "final_full_scan_ok": bool(final_full_scan_ok),
         },
         label=f"dynamic-n{n}-d{deg:g}-b{batches}",
     )

@@ -22,9 +22,27 @@ import numpy as np
 
 from repro.simulator.network import BroadcastNetwork
 
-__all__ = ["ColoringState", "GroupedPalettes", "ImproperColoring"]
+__all__ = [
+    "ColoringState",
+    "GroupedPalettes",
+    "ImproperColoring",
+    "count_distinct_colors",
+]
 
 UNCOLORED = -1
+
+
+def count_distinct_colors(colors: np.ndarray) -> int:
+    """Number of distinct colors (non-negative entries) in ``colors``: the
+    nonzero bins of one ``np.bincount``, O(len + max color).  A color range
+    far wider than the array (only an adopted coloring can have one) is
+    counted by a sort instead, so the bins never outgrow the input."""
+    used = colors[colors >= 0]
+    if not used.size:
+        return 0
+    if int(used.max()) > 4 * used.size:
+        return int(np.unique(used).size)
+    return int(np.count_nonzero(np.bincount(used)))
 
 
 class ImproperColoring(AssertionError):
@@ -214,8 +232,7 @@ class ColoringState:
         return self.palette_sizes() - self.uncolored_degrees()
 
     def count_colors_used(self) -> int:
-        used = self.colors[self.colors >= 0]
-        return int(np.unique(used).size) if used.size else 0
+        return count_distinct_colors(self.colors)
 
     # ------------------------------------------------------------------
     # Writing
@@ -229,7 +246,8 @@ class ColoringState:
             return
         if nodes.size != new_colors.size:
             raise ValueError("nodes/new_colors length mismatch")
-        if np.unique(nodes).size != nodes.size:
+        ordered = np.sort(nodes)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ImproperColoring("duplicate nodes in adoption batch")
         if (self.colors[nodes] >= 0).any():
             raise ImproperColoring("monotonicity violation: recoloring a node")
@@ -242,7 +260,7 @@ class ColoringState:
         # so the first offending edge is the one a full scan would name.
         touched = np.zeros(self.n, dtype=bool)
         touched[nodes] = True
-        src, dst = self.net.row_edges(np.sort(nodes))
+        src, dst = self.net.row_edges(ordered)
         rel = touched[src]
         bad = (
             rel

@@ -4,8 +4,8 @@ The control loop per :class:`~repro.dynamic.events.UpdateBatch`
 (DESIGN.md §6):
 
 1. **delta** — departures expand to their incident edges; the whole batch
-   lands in one :meth:`BroadcastNetwork.apply_delta` sorted merge, with
-   announcement rounds/bits charged to ``dynamic/delta``.
+   lands in one :meth:`BroadcastNetwork.apply_delta` positional splice,
+   with announcement rounds/bits charged to ``dynamic/delta``.
 2. **detect** — delta-routed conflict detection: while the pre-batch
    coloring is proper, only the batch's inserted edges can be
    monochromatic, so one endpoint of each monochromatic inserted edge
@@ -23,6 +23,11 @@ The control loop per :class:`~repro.dynamic.events.UpdateBatch`
    ``cfg.dynamic_fallback_fraction`` (or a repair stalls), drop the
    maintained coloring and re-run the full pipeline on the current graph
    — the recolor-from-scratch baseline, available per batch.
+5. **audit** — propriety is checked where the batch could break it: the
+   inserted edges and the recolored nodes' rows.  That is exact while the
+   pre-batch coloring is proper; after a fallback or an improper verdict
+   the full edge scan runs instead.  Each failed invariant bit counts
+   ``repro_invariant_violations_total{kind}``.
 
 Invariant after every batch (pinned by tests/test_dynamic.py): the
 maintained coloring is proper, complete on active nodes, and uses at
@@ -41,7 +46,7 @@ from repro import obs
 from repro.config import VICTIM_POLICIES, ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.core.multitrial import multitrial
-from repro.core.state import ColoringState
+from repro.core.state import ColoringState, count_distinct_colors
 from repro.core.trycolor import palette_sampler, try_color_round
 from repro.dynamic.events import ChurnSchedule, UpdateBatch
 from repro.simulator.network import BroadcastNetwork
@@ -359,6 +364,10 @@ class DynamicColoring:
         self.seq = SeedSequencer(self.cfg.seed).spawn("dynamic")
         self.active = np.ones(self.net.n, dtype=bool)
         self._batch_index = int(batch_index)
+        # The propriety verdict of the last audit: the last batch's, or
+        # the construction's.  Only batches change colors, so it holds
+        # until the next batch; is_proper() is the on-demand scan.
+        self.audited_proper = True
 
         if initial_colors is not None:
             colors = np.asarray(initial_colors, dtype=np.int64).copy()
@@ -374,6 +383,8 @@ class DynamicColoring:
                         f"active shape {adopted.shape} != ({self.net.n},)"
                     )
                 self.active = adopted
+            # One victim per monochromatic edge loses its color, so the
+            # adopted coloring is proper from here on.
             colors[conflict_victims(self.net, colors, self.cfg.conflict_victim)] = -1
             self.initial_rounds = 0
             self.initial_seconds = 0.0
@@ -383,6 +394,7 @@ class DynamicColoring:
         rounds0 = self.net.metrics.total_rounds
         result = BroadcastColoring(self.net, self.cfg).run()
         self.colors = result.colors.copy()
+        self.audited_proper = bool(result.proper)
         self.initial_rounds = self.net.metrics.total_rounds - rounds0
         self.initial_seconds = time.perf_counter() - t0
 
@@ -402,11 +414,12 @@ class DynamicColoring:
     def colors_used(self) -> int:
         """Number of distinct colors assigned to active nodes (the
         quantity bounded by Δ_t+1 after every batch)."""
-        used = self.colors[self.active & (self.colors >= 0)]
-        return int(np.unique(used).size) if used.size else 0
+        return count_distinct_colors(self.colors[self.active])
 
     def is_proper(self) -> bool:
-        """True when no edge of the *current* topology is monochromatic."""
+        """True when no edge of the *current* topology is monochromatic:
+        the full O(m) scan, run on demand and by the audit of a batch
+        whose scoped check would not be exact."""
         src, dst = self.net.edge_src, self.net.indices
         c = self.colors
         return not bool(((c[src] >= 0) & (c[src] == c[dst])).any())
@@ -485,6 +498,22 @@ class DynamicColoring:
         obs.end_span(batch_span)
         obs.count("repro_dynamic_batches_total", mode=mode)
         obs.observe("repro_dynamic_batch_us", (time.perf_counter() - t0) * 1e6)
+
+        # ---- 5. audit ------------------------------------------------
+        if mode == "repair" and self.audited_proper:
+            proper = self._scoped_proper(batch.insert_edges, repair_set)
+        else:
+            proper = self.is_proper()
+        self.audited_proper = proper
+        complete = self.is_complete()
+        colors_used = self.colors_used()
+        for kind, held in (
+            ("improper", proper),
+            ("incomplete", complete),
+            ("over_budget", colors_used <= net.delta + 1),
+        ):
+            if not held:
+                obs.count("repro_invariant_violations_total", kind=kind)
         return BatchReport(
             index=t,
             mode=mode,
@@ -497,11 +526,11 @@ class DynamicColoring:
             recolored=recolored,
             active=int(self.active.sum()),
             delta=net.delta,
-            colors_used=self.colors_used(),
+            colors_used=colors_used,
             rounds=metrics.total_rounds - rounds_before,
             total_bits=metrics.total_bits - bits_before,
-            proper=self.is_proper(),
-            complete=self.is_complete(),
+            proper=proper,
+            complete=complete,
             seconds=time.perf_counter() - t0,
         )
 
@@ -543,6 +572,19 @@ class DynamicColoring:
         )
         conflict |= self.active & (c >= num_colors)
         return conflict
+
+    def _scoped_proper(self, inserted: np.ndarray, recolored: np.ndarray) -> bool:
+        """No inserted edge and no edge of a recolored node's CSR row is
+        monochromatic.  While the pre-batch coloring was proper this is
+        the full scan's verdict at delta cost: deletions, departures and
+        cleared victims add no conflict, and no other node took a new
+        color, so every other edge kept the colors it was proper under."""
+        c = self.colors
+        u, v = inserted[:, 0], inserted[:, 1]
+        if ((c[u] >= 0) & (c[u] == c[v])).any():
+            return False
+        src, dst = self.net.row_edges(recolored)
+        return not bool(((c[src] >= 0) & (c[src] == c[dst])).any())
 
     def _repair(self, repair_set: np.ndarray, num_colors: int, t: int) -> bool:
         """Local repair: the shared :func:`conflict_repair` kernel on the

@@ -672,7 +672,9 @@ class ColoringServer:
             id=frame.id,
             nodes=frame.nodes,
             colors=colors.tolist(),
-            proper=engine.is_proper(),
+            # The last audit's verdict: only batches change colors, so it
+            # still holds; ``stats`` runs the full scan on demand.
+            proper=engine.audited_proper,
             complete=engine.is_complete(),
         )
 

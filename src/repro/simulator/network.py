@@ -8,6 +8,11 @@ through :meth:`account_vector_round`; topology changes charge their
 announcements in :meth:`apply_delta`.  Both go through one check of the
 BCONGEST bandwidth cap: any message above ``bandwidth_bits`` raises
 :class:`BandwidthExceeded` and records nothing.
+
+A topology change splices the one compact CSR by position
+(:meth:`apply_delta`), so all its work but one copy of ``indices``
+follows the delta, not m.  ``edge_src`` and :meth:`undirected_edges` are
+built on their first read after a change.
 """
 
 from __future__ import annotations
@@ -271,25 +276,19 @@ class BroadcastNetwork:
         self._set_csr(src, dst)
 
     def _set_csr(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """(Re)build every derived array from sorted unique directed pairs.
+        """Build every derived array from sorted unique directed pairs.
 
         ``src``/``dst`` must already be lexsorted by (src, dst) and free of
-        duplicates and self-loops — the contract both ``__init__`` and
-        :meth:`apply_delta` establish before calling."""
+        duplicates and self-loops, as ``__init__`` establishes."""
         n = self.n
         self.indices = dst
+        self.degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        if src.size:
-            np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        # Edge-source array aligned with ``indices``: indices[k] is a
-        # neighbor of edge_src[k].  Every edge is stored in both
-        # orientations; the (m, 2) undirected half is built on first use.
-        self.edge_src = src
-        self.m = src.size // 2
-        self._und_edges: np.ndarray | None = None
-
-        self.degrees = np.diff(self.indptr).astype(np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
         self.delta = int(self.degrees.max()) if n else 0
+        self.m = src.size // 2
+        self._edge_src: np.ndarray | None = src
+        self._und_edges: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Topology access
@@ -307,6 +306,19 @@ class BroadcastNetwork:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))
         return i < row.size and int(row[i]) == v
+
+    @property
+    def edge_src(self) -> np.ndarray:
+        """Source of every directed pair, aligned with ``indices``:
+        ``indices[k]`` is a neighbor of ``edge_src[k]``.  Every edge is
+        stored in both orientations.  Built from ``degrees`` on the first
+        read after each topology change and cached; the per-batch churn
+        path never reads it."""
+        if self._edge_src is None:
+            self._edge_src = np.repeat(
+                np.arange(self.n, dtype=np.int64), self.degrees
+            )
+        return self._edge_src
 
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of unique undirected edges (u < v), in CSR order:
@@ -354,21 +366,52 @@ class BroadcastNetwork:
     # ------------------------------------------------------------------
     # Dynamic topology (the repro.dynamic substrate)
     # ------------------------------------------------------------------
-    def _normalize_delta_edges(self, edges: np.ndarray | None) -> np.ndarray:
-        """Undirected pair array → sorted unique *directed* key array
-        ``src·n + dst`` (both orientations, self-loops dropped)."""
-        if edges is None:
-            return np.empty(0, dtype=np.int64)
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    def _delta_pairs(
+        self, edges: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected pair array → the sorted unique *directed* pairs
+        ``(src, dst)`` (both orientations, self-loops dropped).  A sort and
+        an adjacent-difference mask over the 2k keys ``src·n + dst``; the
+        split back into ids divides the k keys only."""
+        arr = np.asarray(
+            edges if edges is not None else (), dtype=np.int64
+        ).reshape(-1, 2)
         arr = arr[arr[:, 0] != arr[:, 1]]
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise ValueError("delta edge endpoint out of range")
-        if not arr.size:
-            return np.empty(0, dtype=np.int64)
         keys = np.concatenate(
             [arr[:, 0] * self.n + arr[:, 1], arr[:, 1] * self.n + arr[:, 0]]
         )
-        return np.unique(keys)
+        keys.sort()
+        if keys.size:
+            fresh = np.empty(keys.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+        return np.divmod(keys, self.n)
+
+    def _row_positions(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Where each directed pair (src, dst) sits in the CSR: the first
+        position of row ``src`` holding a neighbor ≥ ``dst``, and whether
+        that neighbor is ``dst``.  A vectorized branchless bisection over
+        each pair's own row, ``indptr[src]..indptr[src+1]``: it advances
+        by halving powers of two while the probed neighbor is below
+        ``dst``, so it is O(k log Δ) and reads only the delta's rows."""
+        pos = self.indptr[src]
+        end = self.indptr[src + 1]
+        last = self.indices.size - 1
+        step = 1 << int((end - pos).max(initial=0)).bit_length()
+        while step > 1:
+            step >>= 1
+            probe = pos + step
+            advance = probe <= end
+            advance &= self.indices[np.minimum(probe - 1, last)] < dst
+            pos = pos + advance * step
+        found = pos < end
+        found[found] = self.indices[pos[found]] == dst[found]
+        return pos, found
 
     def apply_delta(
         self,
@@ -379,11 +422,18 @@ class BroadcastNetwork:
     ) -> DeltaReport:
         """Mutate the topology by a batch of edge deletions + insertions.
 
-        The update is one *sorted merge*: only the delta (size k) is
-        sorted; the 2m unchanged directed pairs keep the CSR order they
-        already have and are merged in O(m + k) — never re-lexsorted
-        (DESIGN.md §6).  Deletions are applied before insertions, so a
-        same-batch delete+insert of one edge is a net no-op.
+        The update is a *positional splice* of the CSR: each directed
+        delta pair is located in its own sorted row
+        (:meth:`_row_positions`), deletions drop out of ``indices`` under a
+        keep-mask, and insertions go in with one ``np.insert`` at their
+        positions shifted by the deletions before them.  ``degrees``
+        follow from the delta's endpoints, ``indptr`` from one cumsum and
+        Δ from ``degrees.max()``; ``edge_src`` and the undirected edge list
+        are rebuilt only when next read.  The arrays equal a fresh build
+        of the edited edge set, and nothing of size m is built but the
+        new ``indices``, its kept part and the keep-mask (DESIGN.md §6).
+        Deletions are applied before insertions, so a same-batch
+        delete+insert of one edge is a net no-op.
 
         Announcement traffic is charged through the shared metrics: each
         endpoint of a changed edge broadcasts one ``⌈log₂ n⌉+1``-bit
@@ -395,42 +445,31 @@ class BroadcastNetwork:
         not charged — their neighbors still announce the shared edge's
         other orientation.
         """
-        old_keys = self.edge_src * self.n + self.indices  # sorted, unique
-        del_keys = self._normalize_delta_edges(delete_edges)
-        ins_keys = self._normalize_delta_edges(insert_edges)
-        ignored = 0
+        del_src, del_dst = self._delta_pairs(delete_edges)
+        ins_src, ins_dst = self._delta_pairs(insert_edges)
 
-        keep = np.ones(old_keys.size, dtype=bool)
-        if del_keys.size:
-            pos = np.searchsorted(old_keys, del_keys)
-            ok = pos < old_keys.size
-            ok[ok] = old_keys[pos[ok]] == del_keys[ok]
-            ignored += int((~ok).sum()) // 2
-            keep[pos[ok]] = False
-        kept = old_keys[keep]
+        del_pos, found = self._row_positions(del_src, del_dst)
+        ignored = int((~found).sum()) // 2
+        del_pos, del_src = del_pos[found], del_src[found]
+        keep = np.ones(self.indices.size, dtype=bool)
+        keep[del_pos] = False
 
-        if ins_keys.size:
-            pos = np.searchsorted(kept, ins_keys)
-            ok = pos < kept.size
-            present = np.zeros(ins_keys.size, dtype=bool)
-            present[ok] = kept[pos[ok]] == ins_keys[ok]
-            ignored += int(present.sum()) // 2
-            ins_keys = ins_keys[~present]
-            merged = np.insert(kept, np.searchsorted(kept, ins_keys), ins_keys)
-        else:
-            merged = kept
+        ins_pos, present = self._row_positions(ins_src, ins_dst)
+        # Found at a position this batch deletes: re-inserted, not present.
+        present[present] = keep[ins_pos[present]]
+        ignored += int(present.sum()) // 2
+        new = ~present
+        ins_pos, ins_src, ins_dst = ins_pos[new], ins_src[new], ins_dst[new]
 
-        removed = int((~keep).sum()) // 2
-        added = ins_keys.size // 2
+        removed = del_src.size // 2
+        added = ins_src.size // 2
         delta_before = self.delta
 
         # Announcement accounting: every applied directed change is one
         # message from its source endpoint.  The charge runs *before* the
         # topology mutates, so a rejected delta leaves the network
         # untouched.
-        changed_src = np.concatenate(
-            [old_keys[~keep] // self.n, ins_keys // self.n]
-        )
+        changed_src = np.concatenate([del_src, ins_src])
         if silent_nodes is not None and changed_src.size:
             silent = np.zeros(self.n, dtype=bool)
             silent[np.asarray(silent_nodes, dtype=np.int64)] = True
@@ -440,7 +479,22 @@ class BroadcastNetwork:
         if changed_src.size:
             rounds = int(np.bincount(changed_src, minlength=self.n).max())
             self._charge(rounds, int(changed_src.size), bits, phase)
-        self._set_csr(merged // self.n, merged % self.n)
+
+        if del_src.size or ins_src.size:
+            # Deleted positions ascend with the sorted pairs, so one search
+            # counts the deletions before each insert position.
+            shift = np.searchsorted(del_pos, ins_pos)
+            indices = np.insert(self.indices[keep], ins_pos - shift, ins_dst)
+            degrees = self.degrees.copy()
+            np.subtract.at(degrees, del_src, 1)
+            np.add.at(degrees, ins_src, 1)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            self.indices, self.indptr, self.degrees = indices, indptr, degrees
+            self.delta = int(degrees.max())
+            self.m = indices.size // 2
+            self._edge_src = None
+            self._und_edges = None
         return DeltaReport(
             edges_added=added,
             edges_removed=removed,

@@ -15,6 +15,7 @@ from repro.core.state import ColoringState
 from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
 from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
+from repro.dynamic import engine as engine_module
 from repro.dynamic.engine import conflict_victims
 from repro.simulator.network import BroadcastNetwork, ShardView
 from repro.simulator.rng import SeedSequencer
@@ -29,6 +30,28 @@ def brute_force_proper(net: BroadcastNetwork, colors: np.ndarray) -> bool:
         if colors[u] >= 0 and colors[u] == colors[v]:
             return False
     return True
+
+
+def planting_repair(planted: list, fault: str = "improper"):
+    """``conflict_repair`` with one fault planted after the real repair:
+    the first recolored node with a colored neighbor copies that
+    neighbor's color (``"improper"``), or loses its own (``"incomplete"``).
+    Appends the ``(node, neighbor)`` pair to ``planted``."""
+    real = engine_module.conflict_repair
+
+    def repair(net, colors, repair_set, *args, **kwargs):
+        out, done, rounds = real(net, colors, repair_set, *args, **kwargs)
+        for v in repair_set:
+            nb = net.neighbors(v)
+            nb = nb[out[nb] >= 0]
+            if nb.size and out[v] >= 0:
+                out = out.copy()
+                out[v] = out[nb[0]] if fault == "improper" else -1
+                planted.append((int(v), int(nb[0])))
+                break
+        return out, done, rounds
+
+    return repair
 
 
 def clique_leftover_count(colors: np.ndarray, members: np.ndarray) -> int:

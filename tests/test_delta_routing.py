@@ -13,9 +13,14 @@ only, and its node-set kernels read only their nodes' CSR rows
 * **warm start** — a proper adopted coloring is kept unchanged, and an
   improper one is repaired by the first batch, even an empty one, so the
   detector's precondition holds;
+* **batch audit** — ``BatchReport.proper``/``complete``/``colors_used``,
+  whose propriety bit comes from a check scoped to the batch, equal full
+  scans after every batch, also after a planted fault, which the next
+  batch's full scan flags again;
 * **m-independence** — the pairs a batch reads through ``row_edges``
   are bounded by the delta's rows, not by the graph: one small delta
-  costs the same on rings of 10⁴ and 10⁵ nodes.
+  costs the same on rings of 10⁴ and 10⁵ nodes, and a repair-mode batch
+  neither runs the full propriety scan nor builds ``edge_src``.
 """
 
 import hashlib
@@ -26,11 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.config import ColoringConfig
 from repro.dynamic import DynamicColoring, UpdateBatch
+from repro.dynamic import engine as engine_module
 from repro.graphs.families import make_churn
 from repro.shard import ShardedColoring
-from tests.helpers import full_scan_conflicts
+from repro.simulator.network import BroadcastNetwork
+from tests.helpers import brute_force_proper, full_scan_conflicts, planting_repair
 
 
 def colors_digest(colors: np.ndarray) -> str:
@@ -135,6 +143,105 @@ class TestDetectorDifferential:
         assert compared == [[]] * schedule.num_batches
 
 
+class TestAuditDifferential:
+    @pytest.mark.parametrize("policy", ["id", "slack"])
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(["mobile", "gnp-churn", "blobs-churn"]),
+        churn=st.floats(min_value=0.01, max_value=0.3),
+        fallback=st.floats(min_value=0.0, max_value=1.2),
+        plant_at=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_report_equals_full_checks(
+        self, policy, seed, family, churn, fallback, plant_at
+    ):
+        schedule = make_churn(family, 160, 10.0, seed=seed, batches=4,
+                              churn_fraction=churn)
+        cfg = ColoringConfig.practical(
+            seed=seed, conflict_victim=policy,
+            dynamic_fallback_fraction=fallback,
+        )
+        engine = DynamicColoring(schedule.initial, cfg)
+        for t, batch in enumerate(schedule):
+            repair = (
+                planting_repair([]) if t == plant_at
+                else engine_module.conflict_repair
+            )
+            with mock.patch.object(engine_module, "conflict_repair", repair):
+                report = engine.apply_batch(batch)
+            colors, active = engine.colors, engine.active
+            assert report.proper == brute_force_proper(engine.net, colors)
+            assert report.complete == bool((colors[active] >= 0).all())
+            used = colors[active & (colors >= 0)]
+            assert report.colors_used == np.unique(used).size
+
+
+class TestPlantedFault:
+    """A repair that breaks the coloring is caught by the scoped audit,
+    counted, and flagged again by the next batch's full scan even when
+    the fault lies outside that batch's scope."""
+
+    @pytest.fixture(autouse=True)
+    def metrics_armed(self):
+        obs.disable()
+        obs.enable(tracing=False, metrics=True)
+        yield
+        obs.disable()
+
+    @staticmethod
+    def violations(kind: str) -> float:
+        return obs.registry().counter(
+            "repro_invariant_violations_total", kind=kind
+        ).value
+
+    @staticmethod
+    def engine():
+        schedule = make_churn("gnp-churn", 400, 10.0, seed=3, batches=1)
+        cfg = ColoringConfig.practical(seed=1)
+        return DynamicColoring(schedule.initial, cfg), schedule.batches[0]
+
+    def test_improper_repair_flagged_then_rescanned(self):
+        engine, batch = self.engine()
+        planted = []
+        with mock.patch.object(
+            engine_module, "conflict_repair", planting_repair(planted)
+        ):
+            report = engine.apply_batch(batch)
+        assert planted and report.mode == "repair"
+        assert not brute_force_proper(engine.net, engine.colors)
+        assert not report.proper and not engine.audited_proper
+        assert self.violations("improper") == 1
+
+        full_scans = []
+        scan = DynamicColoring.is_proper
+
+        def counted(self):
+            full_scans.append(1)
+            return scan(self)
+
+        # An empty batch recolors nothing, so a scoped check would see
+        # nothing; the full scan runs because the last verdict failed.
+        with mock.patch.object(DynamicColoring, "is_proper", counted):
+            report = engine.apply_batch(UpdateBatch())
+        assert report.mode == "repair" and report.recolored == 0
+        assert full_scans == [1]
+        assert not report.proper
+        assert self.violations("improper") == 2
+
+    def test_incomplete_repair_counted(self):
+        engine, batch = self.engine()
+        planted = []
+        with mock.patch.object(
+            engine_module, "conflict_repair",
+            planting_repair(planted, fault="incomplete"),
+        ):
+            report = engine.apply_batch(batch)
+        assert planted and report.proper and not report.complete
+        assert self.violations("incomplete") == 1
+        assert self.violations("improper") == 0
+
+
 class TestWarmStart:
     """An adopted coloring is scanned once in full: the victims of its
     monochromatic edges lose their colors, and the first batch repairs
@@ -177,12 +284,18 @@ class TestWarmStart:
         assert report.recolored >= 1
 
 
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("an O(m) path ran inside a repair-mode batch")
+
+
 class TestMIndependence:
     """ROADMAP item 3's "no per-batch layer grows with m", counted: a ring
     2-colored by parity gets one fixed small delta whose chords join
     equal colors, so detection finds victims and repair runs.  The pairs
     ``apply_batch`` reads through ``row_edges`` are bounded by the
-    delta's touched rows and identical at n = 10⁴ and 10⁵."""
+    delta's touched rows and identical at n = 10⁴ and 10⁵.  The batch
+    never calls the full scan ``is_proper`` and never reads ``edge_src``
+    (both patched to raise): its audit is scoped to the batch."""
 
     DELTA = UpdateBatch(
         insert_edges=[[100, 102], [200, 206], [300, 310], [401, 403]],
@@ -205,7 +318,9 @@ class TestMIndependence:
             return src, dst
 
         net.row_edges = counted
-        report = engine.apply_batch(self.DELTA)
+        with mock.patch.object(DynamicColoring, "is_proper", _forbidden), \
+                mock.patch.object(BroadcastNetwork, "edge_src", property(_forbidden)):
+            report = engine.apply_batch(self.DELTA)
         assert report.mode == "repair" and report.conflicts == 4
         assert report.proper and report.complete
         # The delta's touched rows, after the batch: chord, deletion and

@@ -7,6 +7,8 @@ active nodes, and uses at most Δ_t+1 colors — under repair-only,
 fallback-forced, and mixed configurations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ class TestEvents:
 
 
 # ----------------------------------------------------------------------
-# apply_delta: the sorted-merge substrate
+# apply_delta: the positional-splice substrate
 # ----------------------------------------------------------------------
 class TestApplyDelta:
     def test_insert_and_delete(self):
@@ -145,11 +147,31 @@ class TestApplyDelta:
         assert net.metrics.total_rounds - before == 2
         assert net.metrics.phases["dynamic/delta"].messages == 6
 
+    @staticmethod
+    def assert_matches_fresh_build(net, rep, n, initial, ins, dels):
+        """The spliced CSR equals a from-scratch build of the edited edge
+        set: every array, the degrees, Δ, m, and the ``edge_src`` rebuilt
+        on first read after a delta that changed an edge."""
+        keys = {(min(u, v), max(u, v)) for u, v in initial if u != v}
+        keys -= {(min(u, v), max(u, v)) for u, v in dels if u != v}
+        keys |= {(min(u, v), max(u, v)) for u, v in ins if u != v}
+        fresh = BroadcastNetwork((n, np.array(sorted(keys)).reshape(-1, 2)))
+        if rep.edges_added or rep.edges_removed:
+            assert net._edge_src is None
+        assert np.array_equal(net.indptr, fresh.indptr)
+        assert np.array_equal(net.indices, fresh.indices)
+        assert np.array_equal(net.degrees, fresh.degrees)
+        assert net.degrees.dtype == fresh.degrees.dtype == np.int64
+        assert np.array_equal(net.edge_src, fresh.edge_src)
+        assert net.edge_src.dtype == np.int64
+        assert np.array_equal(net.undirected_edges(), fresh.undirected_edges())
+        assert net.delta == fresh.delta and net.m == fresh.m
+
     @given(
-        st.integers(min_value=2, max_value=14),
+        st.integers(min_value=1, max_value=60),
         st.data(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_fresh_build(self, n, data):
         """Property: apply_delta's CSR equals a from-scratch build of the
         edited edge set, for random graphs and random deltas."""
@@ -157,22 +179,78 @@ class TestApplyDelta:
             st.integers(min_value=0, max_value=n - 1),
             st.integers(min_value=0, max_value=n - 1),
         )
-        initial = data.draw(st.lists(pair_st, max_size=25))
-        ins = data.draw(st.lists(pair_st, max_size=10))
+        initial = data.draw(st.lists(pair_st, max_size=200))
+        ins = data.draw(st.lists(pair_st, max_size=30))
         # Deletions: a mix of live edges and arbitrary pairs.
-        dels = data.draw(st.lists(pair_st, max_size=10))
+        live = [e for e in initial if e[0] != e[1]]
+        dels = data.draw(st.lists(pair_st, max_size=15))
+        if live:
+            dels += data.draw(st.lists(st.sampled_from(live), max_size=30))
         net = BroadcastNetwork((n, initial))
-        net.apply_delta(np.array(ins).reshape(-1, 2), np.array(dels).reshape(-1, 2))
+        rep = net.apply_delta(
+            np.array(ins).reshape(-1, 2), np.array(dels).reshape(-1, 2)
+        )
+        self.assert_matches_fresh_build(net, rep, n, initial, ins, dels)
 
-        keys = {(min(u, v), max(u, v)) for u, v in initial if u != v}
-        keys -= {(min(u, v), max(u, v)) for u, v in dels if u != v}
-        keys |= {(min(u, v), max(u, v)) for u, v in ins if u != v}
-        fresh = BroadcastNetwork((n, np.array(sorted(keys)).reshape(-1, 2)))
-        assert np.array_equal(net.indptr, fresh.indptr)
-        assert np.array_equal(net.indices, fresh.indices)
-        assert np.array_equal(net.edge_src, fresh.edge_src)
-        assert np.array_equal(net.undirected_edges(), fresh.undirected_edges())
-        assert net.delta == fresh.delta and net.m == fresh.m
+    @pytest.mark.parametrize(
+        "initial, ins, dels",
+        [
+            # Before the first and after the last slot of row 3.
+            ([(3, 4), (3, 5)], [(3, 0), (3, 9)], []),
+            # Rows 0 and n-1, both ends of the CSR.
+            ([(0, 5), (9, 4)], [(0, 9), (0, 1)], [(9, 4)]),
+            # Empty graph, then emptied again.
+            ([], [(2, 7), (7, 8)], []),
+            ([(2, 7), (7, 8)], [], [(7, 8), (2, 7)]),
+            # Deletions that lower Δ (the hub loses its edges).
+            (
+                [(5, i) for i in range(10) if i != 5] + [(1, 2)],
+                [],
+                [(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)],
+            ),
+        ],
+    )
+    def test_explicit_splices(self, initial, ins, dels):
+        n = 10
+        net = BroadcastNetwork((n, initial))
+        before = net.delta
+        rep = net.apply_delta(
+            np.array(ins).reshape(-1, 2), np.array(dels).reshape(-1, 2)
+        )
+        self.assert_matches_fresh_build(net, rep, n, initial, ins, dels)
+        assert rep.delta_before == before and rep.delta_after == net.delta
+
+    def test_deletions_lower_delta(self):
+        net = BroadcastNetwork((6, [(0, i) for i in range(1, 6)] + [(1, 2)]))
+        rep = net.apply_delta(delete_edges=[(0, 1), (0, 2), (0, 3)])
+        assert (rep.delta_before, rep.delta_after) == (5, 2)
+        assert net.degrees.tolist() == [2, 1, 1, 0, 1, 1]
+
+    def test_empty_delta_on_empty_graph(self):
+        net = BroadcastNetwork((4, []))
+        rep = net.apply_delta(np.empty((0, 2)), np.empty((0, 2)))
+        assert rep.edges_added == rep.edges_removed == rep.ignored == 0
+        assert net.m == 0 and net.delta == 0 and net.edge_src.size == 0
+
+    def test_peak_memory_stays_near_one_indices_copy(self):
+        """A churn-sized delta (1/70 of the edges replaced) on a geometric
+        graph with n = 5·10⁴ allocates the new ``indices``, the kept
+        copy and a keep-mask, and nothing else of size m: its traced
+        peak stays under 3× the 8·2m bytes of ``indices``.  A key-merge
+        that builds src·n + dst for all 2m pairs peaks at 5.5×."""
+        n, edges = make_graph("geometric", 50_000, 10.0, 3)
+        net = BroadcastNetwork((n, edges))
+        rng = np.random.default_rng(0)
+        und = net.undirected_edges()
+        dels = und[rng.choice(und.shape[0], und.shape[0] // 70, replace=False)]
+        ins = rng.integers(0, n, size=(dels.shape[0], 2))
+        tracemalloc.start()
+        try:
+            net.apply_delta(ins, dels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * net.indices.nbytes
 
     def test_silent_nodes_not_charged(self):
         """A powered-down (departing) node cannot announce: only live

@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,12 @@ from repro.dynamic.events import UpdateBatch
 from repro.graphs.families import make_churn, make_graph
 from repro.serve import protocol as wire
 from repro.serve.client import ServeClient
+from repro.dynamic import engine as engine_module
 from repro.serve.coalesce import coalesce_batches
+from repro.serve.server import ColoringServer
 from repro.serve.snapshot import load_snapshot, restore_engine, save_snapshot
 from repro.simulator.network import BroadcastNetwork
+from tests.helpers import planting_repair
 
 
 def random_batches(n, edges, rng, count=6, events=20):
@@ -399,6 +403,36 @@ class TestSnapshot:
         )
         with pytest.raises(ValueError, match="multitrial_sampler"):
             load_snapshot(path)
+
+
+class TestReadPath:
+    """``query_colors`` answers ``proper`` with the engine's last audited
+    verdict, so a read costs no O(m) scan; the bits still equal a full
+    scan's, also after a batch that broke the coloring."""
+
+    def test_read_after_batch_skips_full_scan(self, tmp_path):
+        schedule = make_churn("gnp-churn", 200, 8.0, 3, batches=3)
+        server = ColoringServer(socket_path=str(tmp_path / "unused.sock"))
+        engine = server.engine = DynamicColoring(
+            schedule.initial, ColoringConfig.practical(seed=3)
+        )
+        batches = list(schedule)
+        planted = []
+        for t, batch in enumerate(batches):
+            repair = (
+                planting_repair(planted) if t == len(batches) - 1
+                else engine_module.conflict_repair
+            )
+            with mock.patch.object(engine_module, "conflict_repair", repair):
+                engine.apply_batch(batch)
+            with mock.patch.object(
+                DynamicColoring, "is_proper",
+                side_effect=AssertionError("full scan on the read path"),
+            ):
+                reply = server._handle_query_colors(wire.QueryColors(id=t))
+            assert reply.proper == engine.is_proper()
+            assert reply.complete == engine.is_complete()
+        assert planted and not reply.proper
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.state import ColoringState, ImproperColoring
+from repro.core.state import ColoringState, ImproperColoring, count_distinct_colors
 from repro.graphs.generators import complete_graph, gnp_graph
 from repro.simulator.network import BroadcastNetwork
 
@@ -75,6 +75,12 @@ class TestAdopt:
         state = ColoringState(triangle_net)
         with pytest.raises(ImproperColoring):
             state.adopt(np.array([0, 0]), np.array([0, 1]))
+
+    def test_rejects_duplicate_at_end_of_unsorted_batch(self, triangle_net):
+        state = ColoringState(triangle_net)
+        with pytest.raises(ImproperColoring, match="duplicate"):
+            state.adopt(np.array([2, 0, 1, 2]), np.array([0, 1, 2, 0]))
+        assert state.num_uncolored() == 3
 
     def test_batch_is_all_or_nothing(self, triangle_net):
         state = ColoringState(triangle_net)
@@ -165,6 +171,19 @@ class TestVerification:
 
     def test_count_colors_empty(self, triangle_net):
         assert ColoringState(triangle_net).count_colors_used() == 0
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-2, 12), st.integers(-1, 10**12)),
+            max_size=30,
+        )
+    )
+    def test_distinct_colors_match_unique(self, values):
+        """The bincount count equals a sort-based count, also when one
+        color lies far beyond the array's length."""
+        colors = np.array(values, dtype=np.int64)
+        used = colors[colors >= 0]
+        assert count_distinct_colors(colors) == np.unique(used).size
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
