@@ -26,17 +26,28 @@ def clique_net(size, cfg):
     return BroadcastNetwork(complete_graph(size), bandwidth_bits=cfg.bandwidth_bits(size))
 
 
+def zeros(size):
+    """The group array of one set (or one clique)."""
+    return np.zeros(size, dtype=np.int64)
+
+
+def one_clique(fn, net, members, subset, cfg, seq):
+    """Permute ``subset`` of the single clique ``members``."""
+    return fn(net, [members], subset, zeros(subset.size), cfg, seq)
+
+
 @pytest.mark.benchmark(group="E7-permute")
 def test_e7_relabel_success_rate(benchmark):
     cfg = ColoringConfig.practical()
     rows = []
     for set_size in [8, 16, 32, 64]:
         net = clique_net(128, cfg)
+        nodes, group = np.arange(set_size), zeros(set_size)
         successes = sum(
-            relabel(net, np.arange(set_size), cfg, SeedSequencer(s)).succeeded
+            bool(relabel(net, nodes, group, cfg, SeedSequencer(s)).succeeded[0])
             for s in range(50)
         )
-        bits = relabel(net, np.arange(set_size), cfg, SeedSequencer(0)).label_bits
+        bits = int(relabel(net, nodes, group, cfg, SeedSequencer(0)).label_bits[0])
         rows.append((set_size, f"{successes}/50", bits))
         assert successes >= 49
     print_table(
@@ -46,7 +57,9 @@ def test_e7_relabel_success_rate(benchmark):
     )
     net = clique_net(128, cfg)
     benchmark.pedantic(
-        lambda: relabel(net, np.arange(32), cfg, SeedSequencer(1)), rounds=3, iterations=1
+        lambda: relabel(net, np.arange(32), zeros(32), cfg, SeedSequencer(1)),
+        rounds=3,
+        iterations=1,
     )
 
 
@@ -65,12 +78,12 @@ def test_e7_alg4_vs_alg5_rounds(benchmark):
         for seed in range(3):
             net = clique_net(size, cfg4)
             members = np.arange(size)
-            r4 = permute_loglog(net, members, members, cfg4, SeedSequencer(seed))
-            r5 = permute_constant(net, members, members, cfg5, SeedSequencer(seed))
+            r4 = one_clique(permute_loglog, net, members, members, cfg4, SeedSequencer(seed))
+            r5 = one_clique(permute_constant, net, members, members, cfg5, SeedSequencer(seed))
             assert r4.validate() and r5.validate()
-            r4s.append(r4.rounds)
-            r5s.append(r5.rounds)
-            leftovers.append(r5.leftover / size)
+            r4s.append(int(r4.rounds[0]))
+            r5s.append(int(r5.rounds[0]))
+            leftovers.append(int(r5.leftover[0]) / size)
         ratios.append(np.mean(r5s) / np.mean(r4s))
         rows.append(
             (
@@ -90,7 +103,9 @@ def test_e7_alg4_vs_alg5_rounds(benchmark):
     cfg = cfg4
     net = clique_net(96, cfg)
     benchmark.pedantic(
-        lambda: permute_loglog(net, np.arange(96), np.arange(96), cfg, SeedSequencer(7)),
+        lambda: one_clique(
+            permute_loglog, net, np.arange(96), np.arange(96), cfg, SeedSequencer(7)
+        ),
         rounds=1,
         iterations=1,
     )
@@ -109,7 +124,7 @@ def test_e7_uniformity(benchmark):
         counts = np.zeros(6, dtype=np.int64)
         trials = 300
         for s in range(trials):
-            res = fn(net, members, subset, cfg, SeedSequencer(s))
+            res = one_clique(fn, net, members, subset, cfg, SeedSequencer(s))
             counts[res.pi[0]] += 1
         _, p = scipy_stats.chisquare(counts)
         rows.append((name, counts.tolist(), f"{p:.3f}"))
@@ -121,7 +136,9 @@ def test_e7_uniformity(benchmark):
     )
     net = clique_net(64, cfg)
     benchmark.pedantic(
-        lambda: permute_constant(net, np.arange(64), np.arange(6), cfg, SeedSequencer(0)),
+        lambda: one_clique(
+            permute_constant, net, np.arange(64), np.arange(6), cfg, SeedSequencer(0)
+        ),
         rounds=3,
         iterations=1,
     )

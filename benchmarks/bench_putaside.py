@@ -86,7 +86,7 @@ def test_e8_compress_try_reduction(benchmark):
             # every color is usable.
             usable = np.ones((s_nodes.size, state.num_colors), dtype=bool)
             nodes, _ = compress_try(
-                s_nodes, np.zeros(s_nodes.size, dtype=np.int64), usable, [0], 0, cfg,
+                s_nodes, np.zeros(s_nodes.size, dtype=np.int64), usable, 0, cfg,
                 SeedSequencer(seed),
             )
             colored_fracs.append(len(nodes) / s_nodes.size)

@@ -285,7 +285,7 @@ class BroadcastColoring:
         }
         return ColoringResult(
             colors=state.colors.copy(),
-            proper=state.is_proper(),
+            proper=True,  # state.verify() above raised on any conflict
             complete=state.is_complete(),
             num_colors_used=state.count_colors_used(),
             delta=state.delta,

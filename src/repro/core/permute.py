@@ -15,20 +15,32 @@ buckets → prefix offsets*:
   (Definition 4.6) fall into a leftover set R, permuted via Many-to-All
   broadcast of random priorities (Claim 3.11).
 
-Output: π, a bijection S → [|S|]; node v tries the π(v)-th color of the
-clique palette (§3.2).  Lemma 4.4/4.5 say π is within 1/poly(n) of
-uniform — the test suite checks bijectivity exactly and uniformity
-statistically.
+Both take every clique at once: S of all cliques, with a group array
+naming each node's clique.  Algorithm 4 runs as one array pass.  A node's
+bucket and its priority inside the bucket are counter-mode expansions of
+its own key (:mod:`repro.hashing.prg`), so no generator is built per
+clique or bucket.  ρ orders each bucket by priority, ties by ID; one
+lexsort by (clique, bucket, priority, ID) lays the buckets out, and a
+node's place in its clique's run is π(v).  Relabel runs once for every
+bucket of every clique.  Algorithm 5 keeps its per-clique body, one
+clique at a time, with one Relabel call for all of a clique's buckets.
+
+Output: π, a bijection S_q → [|S_q|] in every clique q; node v tries the
+π(v)-th color of its clique palette (§3.2).  Lemma 4.4/4.5 say π is
+within 1/poly(n) of uniform — the test suite checks bijectivity exactly
+and uniformity statistically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import ColoringConfig
 from repro.core.relabel import relabel
+from repro.hashing.prg import derive_seeds_batch, expand_indices_batch
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_count, bits_for_id, bits_for_int
@@ -38,19 +50,22 @@ __all__ = ["PermutationResult", "permute_loglog", "permute_constant", "sample_pe
 
 @dataclass
 class PermutationResult:
-    nodes: np.ndarray  # S, the permuted set
-    pi: np.ndarray  # pi[i] = position of nodes[i]; a bijection onto [|S|]
-    rounds: int
-    leftover: int = 0  # |R| (Algorithm 5 only)
-    relabel_failures: int = 0
-    buckets: int = 0
+    """Permute over Q cliques: π per node of S, the rest per clique.  A
+    clique with an empty S has 0 rounds and 0 buckets."""
+
+    group: np.ndarray  # (S,) clique of each node of S
+    pi: np.ndarray  # (S,) position of each node within its clique's S
+    rounds: np.ndarray  # (Q,)
+    relabel_failures: np.ndarray  # (Q,)
+    buckets: np.ndarray  # (Q,)
+    leftover: np.ndarray  # (Q,) |R| (Algorithm 5 only)
 
     def validate(self) -> bool:
-        return (
-            np.sort(self.pi).tolist() == list(range(self.nodes.size))
-            if self.nodes.size
-            else True
-        )
+        """π is a bijection onto [|S_q|] in every clique q."""
+        order = np.lexsort((self.pi, self.group))
+        sizes = np.bincount(self.group, minlength=self.rounds.size)
+        start = (np.cumsum(sizes) - sizes)[self.group[order]]
+        return bool(np.array_equal(self.pi[order], np.arange(self.pi.size) - start))
 
 
 def _bucket_count(net: BroadcastNetwork, cfg: ColoringConfig, size: int) -> int:
@@ -73,118 +88,155 @@ def _many_to_all_rounds(
     if num_messages <= 0:
         return 0
     capacity = max(1, int(net.delta // max(cfg.log_threshold(net.n), 1.0)))
-    waves = int(np.ceil(num_messages / capacity))
-    rounds = 2 * waves  # send + relay per wave
+    rounds = 2 * int(np.ceil(num_messages / capacity))  # send + relay per wave
     if account:
-        for _ in range(waves):
-            net.account_vector_round(min(num_messages, capacity), bits, phase=phase)
-            net.account_vector_round(min(num_messages, capacity), bits, phase=phase)
+        net.account_vector_round(
+            min(num_messages, capacity), bits, phase=phase, rounds=rounds
+        )
     return rounds
+
+
+def _loglog_draws(
+    seq: SeedSequencer, phase: str, subset: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 4's node-private draws: node ``subset[i]``'s bucket in
+    [``k[i]``] and its priority inside the bucket, each from one
+    per-call base and the node's ID."""
+    base = seq.derive_seed("permute4", phase)
+    bucket = expand_indices_batch(derive_seeds_batch(subset, base), 1, k)[:, 0]
+    return bucket, derive_seeds_batch(subset, seq.derive_seed("rho", phase))
 
 
 def permute_loglog(
     net: BroadcastNetwork,
-    clique_members: np.ndarray,
+    cliques: Sequence[np.ndarray],
     subset: np.ndarray,
+    group: np.ndarray,
     cfg: ColoringConfig,
     seq: SeedSequencer,
     phase: str = "sct/permute4",
-    tag: object = 0,
     account: bool = True,
 ) -> PermutationResult:
-    """Algorithm 4: the O(log log n)-round permutation of ``subset`` ⊆ K."""
-    members = np.asarray(clique_members, dtype=np.int64)
+    """Algorithm 4 in every clique at once: the O(log log n)-round
+    permutation of S_q ⊆ K_q, where ``subset[i]`` belongs to S of clique
+    ``group[i]`` (an index into ``cliques``, the member arrays).
+
+    Rounds per clique: 2 (counting) + the most Relabel rounds of its
+    buckets + the most leader rounds, where a bucket's leader ships b
+    labels of ``label_bits`` each under the bandwidth.  With ``account``,
+    the cliques' shared rounds are charged once, each the widest clique's.
+    """
     subset = np.asarray(subset, dtype=np.int64)
-    s = subset.size
-    if s == 0:
-        return PermutationResult(nodes=subset, pi=np.empty(0, dtype=np.int64), rounds=0)
+    group = np.asarray(group, dtype=np.int64)
+    num = len(cliques)
+    size = np.array([len(m) for m in cliques], dtype=np.int64)
+    s_size = np.bincount(group, minlength=num)
+    live = s_size > 0
+    k = np.array([_bucket_count(net, cfg, int(c)) for c in size], dtype=np.int64)
 
-    rng = seq.stream("permute4", phase, tag)
-    k = _bucket_count(net, cfg, members.size)
-    t_members = rng.integers(0, k, size=members.size)
-    member_bucket = {int(v): int(b) for v, b in zip(members, t_members)}
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for v in subset:
-        buckets[member_bucket[int(v)]].append(int(v))
-
-    # Step 2 — counting buckets: aggregate + disseminate along depth-2 BFS.
-    cnt_bits = bits_for_count(members.size)
-    if account:
-        net.account_vector_round(members.size, cnt_bits, phase=phase)
-        net.account_vector_round(k, cnt_bits, phase=phase)
-    rounds = 2
+    # Step 1 — v's bucket, numbered clique after clique, and its
+    # priority; then ρ of every bucket and the offsets Σ_{j<i}|S_j| in
+    # one sort.
+    bucket, prio = _loglog_draws(seq, phase, subset, k[group])
+    bucket += (np.cumsum(k) - k)[group]
+    order = np.lexsort((subset, prio, bucket))
+    start = np.cumsum(s_size) - s_size
+    pi = np.empty(subset.size, dtype=np.int64)
+    pi[order] = np.arange(subset.size) - start[group[order]]
 
     # Step 3 — Relabel, all buckets in parallel (each node broadcasts once).
-    relabel_results = []
-    relabel_failures = 0
-    max_relabel_rounds = 0
-    for i, bucket in enumerate(buckets):
-        rr = relabel(
-            net,
-            np.asarray(bucket, dtype=np.int64),
-            cfg,
-            seq.spawn("relabel", phase, tag, i),
-            phase=phase,
-            account=False,
-        )
-        relabel_results.append(rr)
-        relabel_failures += 0 if rr.succeeded else 1
-        max_relabel_rounds = max(max_relabel_rounds, rr.rounds)
-    if account:
-        for _ in range(max_relabel_rounds):
-            net.account_vector_round(s, net.bandwidth_bits or 64, phase=phase)
-    rounds += max_relabel_rounds
+    rr = relabel(net, subset, bucket, cfg, seq, phase=phase, account=False)
+    bucket_clique = np.repeat(np.arange(num), k)[: rr.rounds.size]
 
     # Step 4 — the max-ID node of each bucket gathers the new labels,
     # samples ρ_i and broadcasts it: Θ(log n) labels of Θ(log log n) bits,
-    # paced by the bandwidth — the O(log log n) of the name.
-    pi = np.empty(s, dtype=np.int64)
-    pos = {int(v): idx for idx, v in enumerate(subset)}
-    offset = 0
-    max_leader_rounds = 0
-    for i, bucket in enumerate(buckets):
-        b = len(bucket)
-        if b == 0:
-            continue
-        rr = relabel_results[i]
-        rho = seq.stream("rho", phase, tag, i).permutation(b)
-        for local_idx, v in enumerate(bucket):
-            pi[pos[v]] = offset + int(rho[local_idx])
-        label_bits = rr.label_bits if rr.nodes.size else 1
-        payload = b * max(label_bits, 1)
-        budget = net.bandwidth_bits or payload
-        max_leader_rounds = max(max_leader_rounds, int(np.ceil(payload / budget)))
-        offset += b
-    if account:
-        for _ in range(max_leader_rounds):
-            net.account_vector_round(k, net.bandwidth_bits or 64, phase=phase)
-    rounds += max_leader_rounds
+    # paced by the bandwidth — the O(log log n) of the name.  An empty
+    # bucket ships nothing.
+    payload = np.bincount(bucket, minlength=rr.rounds.size) * rr.label_bits
+    leader = -(-payload // (net.bandwidth_bits or np.maximum(payload, 1)))
+    relabel_rounds = np.zeros(num, dtype=np.int64)
+    leader_rounds = np.zeros(num, dtype=np.int64)
+    np.maximum.at(relabel_rounds, bucket_clique, rr.rounds)
+    np.maximum.at(leader_rounds, bucket_clique, leader)
+
+    # Step 2 — counting buckets, aggregated and disseminated along a
+    # depth-2 BFS (2 rounds); then the Relabel and leader rounds.
+    if account and live.any():
+        cnt_bits = bits_for_count(int(size[live].max()))
+        wide = net.bandwidth_bits or 64
+        net.account_vector_round(int(size[live].sum()), cnt_bits, phase=phase)
+        net.account_vector_round(int(k[live].sum()), cnt_bits, phase=phase)
+        net.account_vector_round(
+            subset.size, wide, phase=phase, rounds=int(relabel_rounds.max())
+        )
+        net.account_vector_round(
+            int(k[live].sum()), wide, phase=phase, rounds=int(leader_rounds.max())
+        )
 
     return PermutationResult(
-        nodes=subset,
+        group=group,
         pi=pi,
-        rounds=rounds,
-        relabel_failures=relabel_failures,
-        buckets=k,
+        rounds=np.where(live, 2 + relabel_rounds + leader_rounds, 0),
+        relabel_failures=np.bincount(bucket_clique[~rr.succeeded], minlength=num),
+        buckets=np.where(live, k, 0),
+        leftover=np.zeros(num, dtype=np.int64),
     )
 
 
 def permute_constant(
     net: BroadcastNetwork,
+    cliques: Sequence[np.ndarray],
+    subset: np.ndarray,
+    group: np.ndarray,
+    cfg: ColoringConfig,
+    seq: SeedSequencer,
+    phase: str = "sct/permute5",
+    tags: Sequence[object] | None = None,
+    account: bool = True,
+) -> PermutationResult:
+    """Algorithm 5, clique by clique, on the same arguments as
+    :func:`permute_loglog`.  Clique q draws from streams keyed by
+    ``tags[q]`` (q by default); with ``account`` every clique charges its
+    own rounds."""
+    subset = np.asarray(subset, dtype=np.int64)
+    group = np.asarray(group, dtype=np.int64)
+    num = len(cliques)
+    tags = range(num) if tags is None else tags
+    pi = np.empty(subset.size, dtype=np.int64)
+    per_clique = np.zeros((4, num), dtype=np.int64)
+    for q, (members, tag) in enumerate(zip(cliques, tags)):
+        mine = np.flatnonzero(group == q)
+        if mine.size:
+            out = _permute_constant_clique(
+                net, members, subset[mine], cfg, seq, phase, tag, account
+            )
+            pi[mine] = out[0]
+            per_clique[:, q] = out[1:]
+    rounds, failures, buckets, leftover = per_clique
+    return PermutationResult(
+        group=group,
+        pi=pi,
+        rounds=rounds,
+        relabel_failures=failures,
+        buckets=buckets,
+        leftover=leftover,
+    )
+
+
+def _permute_constant_clique(
+    net: BroadcastNetwork,
     clique_members: np.ndarray,
     subset: np.ndarray,
     cfg: ColoringConfig,
     seq: SeedSequencer,
-    phase: str = "sct/permute5",
-    tag: object = 0,
-    account: bool = True,
-) -> PermutationResult:
-    """Algorithm 5: the O(1)-round permutation of ``subset`` ⊆ K."""
+    phase: str,
+    tag: object,
+    account: bool,
+) -> tuple[np.ndarray, int, int, int, int]:
+    """Algorithm 5 on one nonempty ``subset`` ⊆ K.  Returns (π, rounds,
+    Relabel failures, buckets, |R|)."""
     members = np.asarray(clique_members, dtype=np.int64)
-    subset = np.asarray(subset, dtype=np.int64)
     s = subset.size
-    if s == 0:
-        return PermutationResult(nodes=subset, pi=np.empty(0, dtype=np.int64), rounds=0)
 
     rng = seq.stream("permute5", phase, tag)
     eps2 = cfg.permute_ac_eps  # ε'' of Algorithm 5 (paper: 1/12)
@@ -209,29 +261,23 @@ def permute_constant(
         s_buckets[member_bucket[int(v)]].append(int(v))
 
     # Step 3 — Relabel (parallel across buckets): 2 shared rounds.
-    relabel_failures = 0
-    for i in range(k):
-        rr = relabel(
-            net,
-            np.asarray(s_buckets[i], dtype=np.int64),
-            cfg,
-            seq.spawn("relabel", phase, tag, i),
-            phase=phase,
-            account=False,
-        )
-        relabel_failures += 0 if rr.succeeded else 1
+    rr = relabel(
+        net,
+        subset,
+        np.array([member_bucket[int(v)] for v in subset], dtype=np.int64),
+        cfg,
+        seq,
+        phase=phase,
+        account=False,
+    )
+    relabel_failures = int((~rr.succeeded).sum())
     if account:
-        net.account_vector_round(s, net.bandwidth_bits or 64, phase=phase)
-        net.account_vector_round(s, net.bandwidth_bits or 64, phase=phase)
+        net.account_vector_round(s, net.bandwidth_bits or 64, phase=phase, rounds=2)
     rounds += 2
-
-    in_member = np.zeros(net.n, dtype=bool)
-    in_member[members] = True
 
     pi = np.empty(s, dtype=np.int64)
     pos = {int(v): idx for idx, v in enumerate(subset)}
     leftover_entries: list[tuple[int, int, int]] = []  # (i, i', v)
-    offset = 0
     # Steps 4a–4c per rough bucket.
     fine_assign: dict[int, int] = {}
     local_perm: dict[tuple[int, int], list[int]] = {}
@@ -332,26 +378,25 @@ def permute_constant(
             inner_offset += len(group)
         offset += len(s_i)
 
-    return PermutationResult(
-        nodes=subset,
-        pi=pi,
-        rounds=rounds,
-        leftover=len(leftover_entries),
-        relabel_failures=relabel_failures,
-        buckets=k,
-    )
+    return pi, rounds, relabel_failures, k, len(leftover_entries)
 
 
 def sample_permutation(
     net: BroadcastNetwork,
-    clique_members: np.ndarray,
+    cliques: Sequence[np.ndarray],
     subset: np.ndarray,
+    group: np.ndarray,
     cfg: ColoringConfig,
     seq: SeedSequencer,
     phase: str = "sct/permute",
-    tag: object = 0,
+    tags: Sequence[object] | None = None,
     account: bool = True,
 ) -> PermutationResult:
-    """Dispatch on ``cfg.permute_constant_round`` (Algorithm 5 vs 4)."""
-    fn = permute_constant if cfg.permute_constant_round else permute_loglog
-    return fn(net, clique_members, subset, cfg, seq, phase=phase, tag=tag, account=account)
+    """Dispatch on ``cfg.permute_constant_round`` (Algorithm 5 vs 4).
+    ``tags`` keys Algorithm 5's per-clique streams; Algorithm 4 draws
+    every value from node keys."""
+    if cfg.permute_constant_round:
+        return permute_constant(
+            net, cliques, subset, group, cfg, seq, phase=phase, tags=tags, account=account
+        )
+    return permute_loglog(net, cliques, subset, group, cfg, seq, phase=phase, account=account)

@@ -19,7 +19,9 @@ be colored purely inside K:
 
 Because no edge joins two cliques' put-aside sets, one clique's adoptions
 change nothing another clique reads, so each step runs for every clique
-at once: color sets are bool rows over the palette, the ID-order greedy
+at once: color sets are bool rows over the palette, the pre-samples of
+every node come from one batch-PRG call per repeat (the representative-set
+device of Lemma 2.14, :mod:`repro.hashing.prg`), the ID-order greedy
 runs as rank passes (pass j takes the j-th pending node of every
 instance), and each step ends in one adoption.
 """
@@ -27,13 +29,13 @@ instance), and each step ends in one adoption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.config import ColoringConfig
 from repro.core.cliques import CliqueInfo
 from repro.core.state import ColoringState
+from repro.hashing.prg import derive_seeds_batch, expand_indices_batch
 from repro.simulator.network import gather_csr_rows
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_id, bits_for_int
@@ -160,7 +162,6 @@ class _PendingRows:
         pending = [np.sort(p[state.colors[p] < 0]) for p in sets]
         active = [i for i, p in enumerate(pending) if p.size]
         sizes = np.array([pending[i].size for i in active], dtype=np.int64)
-        self.tags = [keys[i] for i in active]
         self.clique = np.array([int(keys[i]) for i in active], dtype=np.int64)
         self.nodes = (
             np.concatenate([pending[i] for i in active])
@@ -182,7 +183,7 @@ class _PendingRows:
             i = int(np.flatnonzero(stray)[0])
             raise ValueError(
                 f"put-aside node {self.nodes[i]} is not a member of clique "
-                f"{self.tags[self.group[i]]}"
+                f"{self.clique[self.group[i]]}"
             )
         owner = np.full(net.n, -1, dtype=np.int64)
         for i, p in enumerate(sets):
@@ -239,15 +240,23 @@ class _PendingRows:
 
 
 def _presample(
-    seq: SeedSequencer, nodes: np.ndarray, sizes: np.ndarray, tags: list, k: int
+    seq: SeedSequencer,
+    nodes: np.ndarray,
+    sizes: np.ndarray,
+    stage: int,
+    reps: int,
+    k: int,
 ) -> np.ndarray:
-    """CompressTry's pre-samples: row i holds k uniform ranks into the
-    usable colors of ``nodes[i]``, drawn from that node's private stream
-    for the instance ``tags[i]`` (one generator per node and instance)."""
-    out = np.empty((len(tags), k), dtype=np.int64)
-    for i, (v, size, tag) in enumerate(zip(nodes.tolist(), sizes.tolist(), tags)):
-        out[i] = seq.node_stream("compress-try", v, tag).integers(0, size, size=k)
-    return out
+    """CompressTry's pre-samples: row i·reps + r holds k near-uniform
+    ranks into the ``sizes[i]`` usable colors of ``nodes[i]`` in
+    instance r, expanded from the node's key under the public base of
+    (stage, r).  The clique is not in the key: a node pends in one
+    clique only (Lemma 3.4, which ``_PendingRows`` enforces)."""
+    out = np.empty((nodes.size, reps, k), dtype=np.int64)
+    for r in range(reps):
+        seeds = derive_seeds_batch(nodes, seq.derive_seed("compress-try", stage, r))
+        out[:, r] = expand_indices_batch(seeds, k, sizes)
+    return out.reshape(-1, k)
 
 
 def _greedy_passes(
@@ -277,32 +286,31 @@ def compress_try(
     nodes: np.ndarray,
     group: np.ndarray,
     usable: np.ndarray,
-    cliques: Sequence[object],
     stage: int,
     cfg: ColoringConfig,
     seq: SeedSequencer,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One CompressTry stage (Algorithm 6) in every clique at once.
 
-    Row i is node ``nodes[i]`` of clique ``cliques[group[i]]``, and
-    ``usable[i]`` its L(v) ∩ Ψ(v) as a bool row over the palette.  Each
-    clique runs ``cfg.compress_try_repeats`` instances side by side (the
-    §3.3 log log n repetitions).  In instance r every row pre-samples
-    ``cfg.compress_try_colors`` colors from its usable row, with the
-    node's stream for (clique, stage, r); a row with nothing usable draws
-    nothing.  Then, in ID order, each node takes its first sample that no
-    smaller-ID node of its instance took.  Every clique keeps its first
-    instance with the most nodes colored.  Nothing is adopted here.
-    Returns the (rows, colors) of the kept instances.
+    Row i is node ``nodes[i]`` of clique ``group[i]`` (numbered from 0),
+    and ``usable[i]`` its L(v) ∩ Ψ(v) as a bool row over the palette.
+    Each clique runs ``cfg.compress_try_repeats`` instances side by side
+    (the §3.3 log log n repetitions).  In instance r every row
+    pre-samples ``cfg.compress_try_colors`` colors from its usable row,
+    expanded from the batch PRG keyed by (stage, r, node); a row with
+    nothing usable draws nothing.  Then, in ID order, each node takes its
+    first sample that no smaller-ID node of its instance took.  Every
+    clique keeps its first instance with the most nodes colored.  Nothing
+    is adopted here.  Returns the (rows, colors) of the kept instances.
     """
     k, reps = cfg.compress_try_colors, cfg.compress_try_repeats
     num_colors = usable.shape[1]
+    num_groups = int(group.max()) + 1 if group.size else 0
     sizes = usable.sum(axis=1)
     drawn = np.flatnonzero(sizes)
     rows = np.repeat(drawn, reps)
     rep = np.tile(np.arange(reps, dtype=np.int64), drawn.size)
-    tags = [(cliques[g], stage, r) for g, r in zip(group[rows].tolist(), rep.tolist())]
-    ranks = _presample(seq, nodes[rows], sizes[rows], tags, k)
+    ranks = _presample(seq, nodes[drawn], sizes[drawn], stage, reps, k)
     # Rank r of a row is its r-th usable color: read it off the row's run
     # of set positions in the flattened usable rows.
     d = np.repeat(np.arange(drawn.size, dtype=np.int64), reps)
@@ -310,8 +318,8 @@ def compress_try(
     first = np.cumsum(sizes[drawn]) - sizes[drawn]
     samples = flat[first[d][:, None] + ranks] - (d * num_colors)[:, None]
     inst = group[rows] * reps + rep
-    got = _greedy_passes(nodes[rows], inst, samples, len(cliques) * reps, num_colors)
-    wins = np.bincount(inst[got >= 0], minlength=len(cliques) * reps)
+    got = _greedy_passes(nodes[rows], inst, samples, num_groups * reps, num_colors)
+    wins = np.bincount(inst[got >= 0], minlength=num_groups * reps)
     best = wins.reshape(-1, reps).argmax(axis=1)
     keep = (got >= 0) & (rep == best[group[rows]])
     return rows[keep], got[keep]
@@ -362,10 +370,11 @@ def color_putaside_sets(
 
     Batching is exact because no edge joins the put-aside sets of two
     cliques (Lemma 3.4): a clique's adoptions change no Ψ(v), Ψ(K') or
-    C(K'\\N(v)) another clique reads, and every random stream is keyed by
-    (clique, stage, repeat, node).  A node outside its key's clique, or an
-    edge between two cliques' sets, raises ``ValueError`` before anything
-    is adopted.  Rounds are the maximum over cliques; messages the sum.
+    C(K'\\N(v)) another clique reads, and every pre-sample is keyed by
+    (stage, repeat, node), with one node in one clique only.  A node
+    outside its key's clique, or an edge between two cliques' sets,
+    raises ``ValueError`` before anything is adopted.  Rounds are the
+    maximum over cliques; messages the sum.
     """
     net = state.net
     report = PutAsideReport()
@@ -401,9 +410,7 @@ def color_putaside_sets(
         if not runs.any():
             break
         usable = pend.usable(state.colors, lists, runs)
-        rows, cols = compress_try(
-            pend.nodes, pend.group, usable, pend.tags, stage, cfg, seq
-        )
+        rows, cols = compress_try(pend.nodes, pend.group, usable, stage, cfg, seq)
         state.adopt(pend.nodes[rows], cols)
         report.colored += int(rows.size)
         part = np.bincount(pend.group[runs], minlength=pend.clique.size)

@@ -10,17 +10,19 @@ Pipeline per clique (all cliques run in parallel; rounds are charged as
 the maximum over cliques, messages as the sum):
 
 1. LearnPalette (Algorithm 2) — everyone learns Ψ(K), O(1) rounds;
-2. Permute (Algorithm 5 by default) — a near-uniform π of S = K̂\\P_K;
+2. Permute (Algorithm 4; Algorithm 5 under the paper preset) — a
+   near-uniform π of S = K̂\\P_K;
 3. node with position p tries the p-th color of Ψ(K)\\[x(K)];
 4. global conflict resolution (colored neighbors, smaller-ID ties) and
    adoption;
 5. open cliques only: O(1) extra TryColor rounds restricted to
    Ψ(v)\\[x(v)] (proof of Lemma 3.7).
 
-The simulator runs steps 1 and 3 for every clique at once: one
-LearnPalette kernel over all cliques with a nonempty S, and one select
-that reads every proposal off the learned rows.  Only the permutation is
-sampled clique by clique.
+The simulator runs steps 1–3 for every clique at once: one LearnPalette
+kernel over all cliques with a nonempty S, one Permute call over all
+their S (Algorithm 4 is one array pass; Algorithm 5 loops over cliques
+inside it), and one select that reads every proposal off the learned
+rows.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ def synchronized_color_trial(
 
     S is a clique's uncolored members that are not put aside; cliques
     with an empty S sit out.  Nothing is adopted before the trial
-    resolves, so LearnPalette runs once for all of them before any
-    permutation.  Permute stays per clique.  Node v proposes the
-    π(v)-th learned-free color ≥ x(K), read off its learned row in one
-    vectorized select over every proposing node.
+    resolves, so LearnPalette and then Permute run once for all of them.
+    Node v proposes the π(v)-th learned-free color ≥ x(K), read off its
+    learned row in one vectorized select over every proposing node.
     """
     net = state.net
     report = SCTReport()
@@ -106,22 +107,18 @@ def synchronized_color_trial(
     lp_messages = int(knowledge.offsets[-1])
     report.learn_palette_incomplete = int((~knowledge.complete).sum())
 
-    permute_rounds = 0
-    perms = []
-    s_of = np.split(s_all, np.cumsum(s_size[cliques])[:-1])
-    for c, clique_members, s_nodes in zip(cliques, members, s_of):
-        perm = sample_permutation(
-            net,
-            clique_members,
-            s_nodes,
-            cfg,
-            seq,
-            phase=f"{phase}/permute",
-            tag=c,
-            account=False,
-        )
-        permute_rounds = max(permute_rounds, perm.rounds)
-        perms.append(perm)
+    perm = sample_permutation(
+        net,
+        members,
+        s_all,
+        np.repeat(np.arange(len(cliques)), s_size[cliques]),
+        cfg,
+        seq,
+        phase=f"{phase}/permute",
+        tags=cliques,
+        account=False,
+    )
+    permute_rounds = int(perm.rounds.max(initial=0))
 
     if cliques:
         # Lemma 3.6 feasibility diagnostic: enough colors above the prefix?
@@ -132,11 +129,10 @@ def synchronized_color_trial(
         report.palette_deficits = int((available_true < s_size[cliques]).sum())
 
         # Node v with position p tries the p-th learned-free color ≥ x(K).
-        nodes = np.concatenate([perm.nodes for perm in perms]).astype(np.int64)
-        pi = np.concatenate([perm.pi for perm in perms]).astype(np.int64)
+        pi = perm.pi
         row_of = np.full(state.n, -1, dtype=np.int64)
         row_of[knowledge.members] = np.arange(knowledge.members.size)
-        rows = row_of[nodes]
+        rows = row_of[s_all]
         x_row = np.repeat(x_k, np.diff(knowledge.offsets))[rows]
         learned = knowledge.known_free[rows] & (colors_idx[None, :] >= x_row[:, None])
         sizes = learned.sum(axis=1)
@@ -144,7 +140,7 @@ def synchronized_color_trial(
         flat = np.flatnonzero(learned)
         first = np.cumsum(sizes) - sizes
         chosen = flat[first[ok] + pi[ok]] - np.flatnonzero(ok) * state.num_colors
-        proposals[nodes[ok]] = chosen
+        proposals[s_all[ok]] = chosen
         report.tried = int(ok.sum())
 
     # Charge the parallel LearnPalette round(s) and the max permute rounds.
@@ -152,10 +148,12 @@ def synchronized_color_trial(
         net.account_vector_round(
             lp_messages, net.bandwidth_bits or 64, phase=f"{phase}/learn-palette"
         )
-        for _ in range(permute_rounds):
-            net.account_vector_round(
-                lp_messages, net.bandwidth_bits or 64, phase=f"{phase}/permute"
-            )
+        net.account_vector_round(
+            lp_messages,
+            net.bandwidth_bits or 64,
+            phase=f"{phase}/permute",
+            rounds=permute_rounds,
+        )
     report.permute_rounds_max = permute_rounds
 
     # The trial itself: one simultaneous proposal round, globally resolved.

@@ -1,15 +1,17 @@
 """Reproducible randomness: hierarchical seeded streams.
 
 Every randomized step of the algorithm draws from a stream derived from the
-root seed plus a structured key (phase tag, node id, iteration).  This makes
-a full run a pure function of ``(graph, config, seed)`` — the property the
+root seed plus a structured key (phase tag, iteration).  This makes a full
+run a pure function of ``(graph, config, seed)`` — the property the
 integration tests and the statistical experiments rely on — while keeping
 streams independent enough that protocols can draw in any order.
 
-Node-private randomness (the model's assumption) is modeled by including
-the node id in the key; shared/public coins (used e.g. for the minhash
-hash functions, which the paper obtains from shared randomness or seed
-exchange) simply omit it.
+Node-private randomness (the model's assumption) takes one public base
+per step from :meth:`SeedSequencer.derive_seed`, and every node expands
+its draws from (base, node id) with the counter-mode batch PRG of
+:mod:`repro.hashing.prg`, so no generator is built per node.  Shared/public
+coins (used e.g. for the minhash hash functions, which the paper obtains
+from shared randomness or seed exchange) are plain streams.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class SeedSequencer:
         """A fresh generator for the structured key ``key``."""
         entropy = _key_to_entropy((self.root_seed, *key))
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-    def node_stream(self, tag: str, node: int, *extra: object) -> np.random.Generator:
-        """Node-private stream (the model's per-node randomness)."""
-        return self.stream("node", tag, node, *extra)
 
     def shared_stream(self, tag: str, *extra: object) -> np.random.Generator:
         """Public-coin stream (e.g. shared hash functions)."""

@@ -14,10 +14,13 @@ counter up to ``c`` costs ``ceil(log2 (c+1))`` bits
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.util.mathx import ceil_log2
 
 __all__ = [
     "bits_for_int",
+    "bits_for_ints",
     "bits_for_color",
     "bits_for_id",
     "bits_for_count",
@@ -31,6 +34,14 @@ def bits_for_int(num_values: int) -> int:
     sent" is never free.
     """
     return max(1, ceil_log2(max(num_values, 1)))
+
+
+def bits_for_ints(num_values: np.ndarray) -> np.ndarray:
+    """:func:`bits_for_int` of every entry of an integer array.  Exact for
+    universes below 2⁵³: the ``frexp`` exponent of u − 1 is its bit
+    length, which is ⌈log₂ u⌉."""
+    below = np.maximum(np.asarray(num_values, dtype=np.int64), 1) - 1
+    return np.maximum(np.frexp(below.astype(np.float64))[1], 1).astype(np.int64)
 
 
 def bits_for_color(delta: int) -> int:

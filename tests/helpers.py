@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core import algorithm
 from repro.core.algorithm import BroadcastColoring
-from repro.core.permute import sample_permutation
+from repro.core.permute import permute_constant
 from repro.core.putaside import PutAsideReport
 from repro.core.sct import SCTReport
 from repro.core.state import ColoringState
@@ -17,6 +17,7 @@ from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.dynamic import engine as engine_module
 from repro.dynamic.engine import conflict_victims
+from repro.hashing.prg import derive_seed_item, expand_indices_item
 from repro.simulator.network import BroadcastNetwork, ShardView
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color, bits_for_id, bits_for_int
@@ -100,11 +101,13 @@ def all_nodes_decomposition(net: BroadcastNetwork, cfg):
 # ---------------------------------------------------------------------------
 
 
-def compress_try_oracle(state, s_nodes, lists, cfg, seq, tag=0):
+def compress_try_oracle(state, s_nodes, lists, cfg, seq, stage=0, rep=0):
     """One CompressTry instance, node by node: in ID order, v pre-samples
-    k colors from L(v) ∩ Ψ(v) and takes the first one no smaller-ID node
-    took.  Returns (nodes, colors); nothing is adopted."""
+    k colors from L(v) ∩ Ψ(v), expanding its own key under the base of
+    (stage, rep), and takes the first one no smaller-ID node took.
+    Returns (nodes, colors); nothing is adopted."""
     k = cfg.compress_try_colors
+    base = seq.derive_seed("compress-try", stage, rep)
     taken: set[int] = set()
     nodes_out: list[int] = []
     colors_out: list[int] = []
@@ -116,8 +119,7 @@ def compress_try_oracle(state, s_nodes, lists, cfg, seq, tag=0):
         usable = np.intersect1d(lv, state.palette(v))
         if usable.size == 0:
             continue
-        rng = seq.node_stream("compress-try", v, tag)
-        for c in usable[rng.integers(0, usable.size, size=k)]:
+        for c in usable[expand_indices_item(derive_seed_item(v, base), k, usable.size)]:
             c = int(c)
             if c not in taken:
                 taken.add(c)
@@ -175,7 +177,7 @@ def color_putaside_sets_oracle(state, info, putaside, cfg, seq, phase="putaside"
             best: tuple[list[int], list[int]] = ([], [])
             for rep in range(cfg.compress_try_repeats):
                 nodes_out, colors_out = compress_try_oracle(
-                    state, pending, lists, cfg, seq, tag=(c, stage_idx, rep)
+                    state, pending, lists, cfg, seq, stage=stage_idx, rep=rep
                 )
                 if len(nodes_out) > len(best[0]):
                     best = (nodes_out, colors_out)
@@ -283,10 +285,71 @@ def learn_palette_oracle(state, members, cfg, seq, phase="sct/learn-palette", ta
     return ~known_used, ~true_used, incomplete == 0, incomplete
 
 
+def relabel_oracle(net, nodes, cfg, seq, phase="sct/relabel"):
+    """Algorithm 3 on one set, node by node: v's x candidates expand its
+    own key under ``seq.derive_seed("relabel", phase)``, and the first
+    index whose column repeats no value wins; otherwise labels are ranks
+    by ID.  Returns (labels, label_universe, chosen_index, rounds)."""
+    nodes = [int(v) for v in nodes]
+    s, n = len(nodes), net.n
+    if s == 0:
+        return np.empty(0, dtype=np.int64), 1, 0, 0
+    loglog = max(np.log2(max(np.log2(max(n, 4)), 2.0)), 1.0)
+    x = max(1, int(np.ceil(cfg.log_threshold(n) / loglog)))
+    universe = max(2, int(s * s * max(np.log2(max(n, 2)), 1.0)))
+    base = seq.derive_seed("relabel", phase)
+    cand = np.array(
+        [expand_indices_item(derive_seed_item(v, base), x, universe) for v in nodes]
+    )
+    chosen = next((j for j in range(x) if len(set(cand[:, j].tolist())) == s), -1)
+    label_bits = bits_for_int(universe)
+    per_round = max(1, (net.bandwidth_bits or x * label_bits) // label_bits)
+    rounds = int(np.ceil(x / per_round)) + 1
+    if chosen >= 0:
+        return cand[:, chosen], universe, chosen, rounds
+    rank = {v: r for r, v in enumerate(sorted(nodes))}
+    return np.array([rank[v] for v in nodes], dtype=np.int64), max(s, 2), -1, rounds
+
+
+def permute_loglog_oracle(net, members, subset, cfg, seq, phase="sct/permute4"):
+    """Algorithm 4 in one clique, bucket by bucket: v's bucket and its
+    priority expand its own key, ρ orders each bucket by (priority, ID),
+    Relabel runs per bucket, and π adds the earlier buckets' sizes.
+    Returns (pi, rounds, relabel_failures, buckets)."""
+    subset = [int(v) for v in subset]
+    if not subset:
+        return np.empty(0, dtype=np.int64), 0, 0, 0
+    k = int(net.delta // max(cfg.log_threshold(net.n), 1.0))
+    k = min(max(k, 1), max(len(members), 1))
+    bucket_base = seq.derive_seed("permute4", phase)
+    rho_base = seq.derive_seed("rho", phase)
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for v in subset:
+        b = int(expand_indices_item(derive_seed_item(v, bucket_base), 1, k)[0])
+        buckets[b].append(v)
+    pi: dict[int, int] = {}
+    offset = failures = max_relabel = max_leader = 0
+    for bucket in buckets:
+        if not bucket:
+            continue
+        _, universe, chosen, rounds = relabel_oracle(net, bucket, cfg, seq, phase)
+        failures += int(chosen < 0)
+        max_relabel = max(max_relabel, rounds)
+        payload = len(bucket) * bits_for_int(universe)
+        max_leader = max(max_leader, int(np.ceil(payload / (net.bandwidth_bits or payload))))
+        ranked = sorted(bucket, key=lambda v: (derive_seed_item(v, rho_base), v))
+        for rank, v in enumerate(ranked):
+            pi[v] = offset + rank
+        offset += len(bucket)
+    pi_out = np.array([pi[v] for v in subset], dtype=np.int64)
+    return pi_out, 2 + max_relabel + max_leader, failures, k
+
+
 def sct_oracle(state, info, putaside, cfg, seq, phase="sct"):
     """The synchronized color trial one clique at a time, with the
-    per-member LearnPalette and a per-node proposal loop.  Returns
-    (report, proposals)."""
+    per-member LearnPalette, the per-clique Algorithm 4 (or the library's
+    Algorithm 5, which is per clique) and a per-node proposal loop.
+    Returns (report, proposals)."""
     net = state.net
     report = SCTReport()
     proposals = np.full(state.n, -1, dtype=np.int64)
@@ -306,15 +369,22 @@ def sct_oracle(state, info, putaside, cfg, seq, phase="sct"):
         lp_messages += members.size
         if not complete:
             report.learn_palette_incomplete += 1
-        perm = sample_permutation(
-            net, members, s_nodes, cfg, seq, phase=f"{phase}/permute", tag=c, account=False
-        )
-        permute_rounds = max(permute_rounds, perm.rounds)
+        if cfg.permute_constant_round:
+            perm = permute_constant(
+                net, [members], s_nodes, np.zeros(s_nodes.size, dtype=np.int64), cfg, seq,
+                phase=f"{phase}/permute", tags=[c], account=False,
+            )
+            pi, rounds = perm.pi, int(perm.rounds[0])
+        else:
+            pi, rounds, _, _ = permute_loglog_oracle(
+                net, members, s_nodes, cfg, seq, phase=f"{phase}/permute"
+            )
+        permute_rounds = max(permute_rounds, rounds)
         x_k = int(info.x_k[c])
         row_of = {int(v): i for i, v in enumerate(members)}
         if int((np.flatnonzero(true_free) >= x_k).sum()) < s_nodes.size:
             report.palette_deficits += 1
-        for v, p in zip(perm.nodes, perm.pi):
+        for v, p in zip(s_nodes, pi):
             learned = np.flatnonzero(known_free[row_of[int(v)]])
             learned = learned[learned >= x_k]
             if p < learned.size:

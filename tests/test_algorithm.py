@@ -5,7 +5,9 @@ import pytest
 
 from repro.analysis.verify import assert_proper_coloring
 from repro.config import ColoringConfig
+from repro.core import algorithm
 from repro.core.algorithm import BroadcastColoring
+from repro.core.state import ColoringState, ImproperColoring
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import (
     clique_blob_graph,
@@ -164,3 +166,44 @@ class TestVerifierCrossCheck:
         res = BroadcastColoring(g, ColoringConfig.practical(seed=seed)).run()
         net = BroadcastNetwork(g)
         assert_proper_coloring(net, res.colors, num_colors=res.delta + 1)
+
+
+class TestOnePropernessScan:
+    """``run()`` scans the edges for a conflict once: ``verify`` raises on
+    one, so a returned result is proper without a second scan."""
+
+    def counting(self, patch):
+        calls = []
+        real = ColoringState.is_proper
+
+        def is_proper(state):
+            calls.append(1)
+            return real(state)
+
+        patch.setattr(ColoringState, "is_proper", is_proper)
+        return calls
+
+    def test_one_scan_per_run(self):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self.counting(patch)
+            res = BroadcastColoring(clique_blob_graph(3, 40, 30, 10, seed=2)).run()
+        assert res.proper and res.complete
+        assert len(calls) == 1
+
+    def test_improper_coloring_still_raises(self):
+        """A conflict planted after the last phase is caught by that one
+        scan."""
+        real = algorithm.color_putaside_sets
+
+        def planting(state, *args, **kwargs):
+            report = real(state, *args, **kwargs)
+            u = int(np.flatnonzero(state.net.degrees)[0])
+            state.colors[u] = state.colors[state.net.neighbors(u)[0]]
+            return report
+
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self.counting(patch)
+            patch.setattr(algorithm, "color_putaside_sets", planting)
+            with pytest.raises(ImproperColoring, match="not proper"):
+                BroadcastColoring(gnp_graph(120, 0.08, seed=1)).run()
+        assert len(calls) == 1

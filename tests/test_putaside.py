@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.config import ColoringConfig
 from repro.core.cliques import compute_clique_info
 from repro.core.putaside import (
+    _presample,
     color_putaside_sets,
     compress_try,
     select_putaside_sets,
@@ -15,6 +16,7 @@ from repro.core.putaside import (
 from repro.core.state import ColoringState
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import clique_blob_graph, planted_acd_graph
+from repro.hashing.prg import derive_seed_item, expand_indices_item
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
 from tests.helpers import color_putaside_sets_oracle, compress_try_oracle, greedy_color
@@ -91,7 +93,7 @@ def run_compress_try(state, s_nodes, lists, cfg, seq):
     for i, v in enumerate(s_nodes):
         usable[i, np.intersect1d(lists[int(v)], state.palette(int(v)))] = True
     group = np.zeros(s_nodes.size, dtype=np.int64)
-    rows, colors = compress_try(s_nodes, group, usable, [0], 0, cfg, seq)
+    rows, colors = compress_try(s_nodes, group, usable, 0, cfg, seq)
     return s_nodes[rows].tolist(), colors.tolist()
 
 
@@ -149,13 +151,12 @@ class TestCompressTry:
         usable = np.zeros((nodes.size, state.num_colors), dtype=bool)
         for i, v in enumerate(nodes):
             usable[i, np.intersect1d(lists[int(v)], state.palette(int(v)))] = True
-        keys = [10 + c for c in range(len(s_by_clique))]
-        rows, colors = compress_try(nodes, group, usable, keys, 1, cfg, SeedSequencer(11))
+        rows, colors = compress_try(nodes, group, usable, 1, cfg, SeedSequencer(11))
         expected_nodes, expected_colors = [], []
-        for key, s in zip(keys, s_by_clique):
+        for s in s_by_clique:
             best = ([], [])
             for r in range(reps):
-                got = compress_try_oracle(state, s, lists, cfg, SeedSequencer(11), tag=(key, 1, r))
+                got = compress_try_oracle(state, s, lists, cfg, SeedSequencer(11), stage=1, rep=r)
                 if len(got[0]) > len(best[0]):
                     best = got
             expected_nodes += best[0]
@@ -263,7 +264,7 @@ class TestBatchedMatchesOracle:
         assert (rep, rounds, bits, top) == oracle[1:]
 
     @pytest.mark.parametrize(
-        "family,size,seed", [("blob", 40, 0), ("blob", 70, 1), ("blob", 140, 4), ("planted", 70, 0)]
+        "family,size,seed", [("blob", 40, 0), ("blob", 70, 1), ("blob", 140, 0), ("planted", 70, 1)]
     )
     def test_stage_one_and_finish_run(self, family, size, seed):
         """k = 1 with one repeat leaves CompressTry stragglers: stage 1
@@ -305,3 +306,42 @@ class TestBatchedMatchesOracle:
         with pytest.raises(ValueError, match=f"{stray} is not a member of clique 0"):
             color_putaside_sets(state, info, {0: np.array([stray])}, cfg, SeedSequencer(4))
         assert (state.colors < 0).all()
+
+
+class TestBatchedPresamples:
+    @given(
+        nodes=st.lists(st.integers(0, 10**6), min_size=0, max_size=30, unique=True),
+        widths=st.lists(st.integers(1, 300), min_size=30, max_size=30),
+        stage=st.sampled_from([0, 1]),
+        reps=st.integers(1, 4),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_item_expansion(self, nodes, widths, stage, reps, k, seed):
+        """Row i·reps + r is node i's own expansion under the base of
+        (stage, r), whatever other nodes share the call (Lemma 2.14's
+        broadcaster/listener symmetry)."""
+        seq = SeedSequencer(seed)
+        sizes = np.asarray(widths[: len(nodes)], dtype=np.int64)
+        ranks = _presample(seq, np.asarray(nodes, dtype=np.int64), sizes, stage, reps, k)
+        assert ranks.shape == (len(nodes) * reps, k)
+        for i, (v, width) in enumerate(zip(nodes, sizes.tolist())):
+            for r in range(reps):
+                base = seq.derive_seed("compress-try", stage, r)
+                expected = expand_indices_item(derive_seed_item(v, base), k, width)
+                assert ranks[i * reps + r].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("family,size,seed", [("blob", 70, 1), ("planted", 70, 1)])
+    def test_builds_no_generator(self, family, size, seed):
+        """Every pre-sample comes from the batch PRG: the phase constructs
+        no ``numpy.random.Generator`` at all."""
+        cfg, net, state, info, aside = putaside_instance(
+            family, size, seed, compress_try_colors=1, compress_try_repeats=2
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            built = []
+            patch.setattr(SeedSequencer, "stream", lambda self, *key: built.append(key))
+            rep = color_putaside_sets(state, info, aside, cfg, SeedSequencer(seed))
+        assert rep.colored > 0 and rep.left_uncolored == 0
+        assert built == []

@@ -31,12 +31,6 @@ class TestDeterminism:
 
 
 class TestStreamKinds:
-    def test_node_stream_distinct_per_node(self):
-        seq = SeedSequencer(0)
-        a = seq.node_stream("t", 0).random(4)
-        b = seq.node_stream("t", 1).random(4)
-        assert not np.array_equal(a, b)
-
     def test_shared_stream_node_independent(self):
         seq = SeedSequencer(0)
         assert np.array_equal(

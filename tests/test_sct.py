@@ -180,3 +180,25 @@ class TestBatchedMatchesOracle:
             assert (mine.rounds, mine.messages, mine.total_bits) == (
                 stats.rounds, stats.messages, stats.total_bits
             )
+
+
+class TestGeneratorConstructions:
+    @pytest.mark.parametrize("family,size", [("blob", 40), ("planted", 70)])
+    def test_algorithm_4_builds_only_learn_palette_streams(self, family, size):
+        """Under Algorithm 4 the only generators are LearnPalette's t(v)
+        streams, one per clique with a nonempty S: buckets, ρ and Relabel
+        draw from the batch PRG."""
+        cfg, net, state, info, aside = sct_instance(family, size, 2, 0.4, 3, ell_factor=0.4)
+        assert "open" not in info.kind  # open cliques add TryColor streams
+        real = SeedSequencer.stream
+        built = []
+
+        def counting(self, *key):
+            built.append(key[0])
+            return real(self, *key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SeedSequencer, "stream", counting)
+            rep = synchronized_color_trial(state, info, aside, cfg, SeedSequencer(3))
+        assert rep.cliques > 1 and rep.colored > 0
+        assert built == ["learn-palette"] * rep.cliques
