@@ -14,7 +14,8 @@ invocation) touching the same cells reuses them instead of recomputing.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping, Sequence
+import time
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.runner import ParallelRunner, ResultStore, TrialSpec, expand_matrix
 
@@ -23,10 +24,16 @@ __all__ = [
     "ratio",
     "run_matrix",
     "matrix_payloads",
+    "disarmed_ns_per_call",
+    "DISARMED_NS_BOUND",
     "GEOM_SEEDS",
 ]
 
 GEOM_SEEDS = [101, 202, 303]
+
+DISARMED_NS_BOUND = 5_000.0
+"""Ceiling on one disarmed fault or telemetry hook call, in ns.  Generous
+so it holds on any CI host; the observed cost is tens of ns."""
 
 
 def _bench_store() -> ResultStore | None:
@@ -80,3 +87,17 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
 def ratio(a: float, b: float) -> float:
     """a/b guarded against zero."""
     return float(a) / max(float(b), 1e-12)
+
+
+def disarmed_ns_per_call(hook: Callable[[], object], calls: int = 200_000) -> float:
+    """Median-of-3 ns per call of a disarmed hook.  Call it with the
+    realistic argument shape, kwargs included: building the kwargs dict
+    is part of the price a call site pays."""
+    samples = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            hook()
+        samples.append((time.perf_counter() - t0) / calls * 1e9)
+    samples.sort()
+    return samples[1]

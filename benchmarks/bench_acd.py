@@ -1,27 +1,25 @@
 """E3b — the ACD sketch pipeline as a hot path (DESIGN.md §4).
 
 Lemma 2.5's sketch layer is pure throughput: T b-bit minwise samples per
-node, then a per-edge collision rate.  This bench tracks the bit-packed
+node, then a per-edge collision rate.  This bench measures the bit-packed
 SWAR estimator against the unpacked (T × m) match-count oracle from
-``tests/helpers.py`` on a dense workload (n=4000, avg_degree=120) and
-appends the measurement to ``BENCH_acd.json`` at the repo root.
+``tests/helpers.py`` on a dense workload (n=4000, avg_degree=120).
 
 Measurement protocol (matching ``bench_multitrial``): each rep is a fresh
-network + full sketch-phase run; minima over reps are recorded.  The
-tracked ``speedup`` compares the *similarity-estimation stage*; the
+network + full sketch-phase run; minima over reps are reported.  The
+gated ``speedup`` compares the *similarity-estimation stage*; the
 fingerprints and their packing (``compute_sketches``) are shared by both
-estimators, so their seconds are recorded alongside, together with the
+estimators, so their seconds are printed alongside, together with the
 full ``acd/sketch`` phase wall-clock per estimator.
 
-Quick mode: ``REPRO_BENCH_ACD_N`` / ``REPRO_BENCH_ACD_DEG`` /
-``REPRO_BENCH_ACD_REPS`` shrink the workload for CI smoke runs.
+Quick mode: ``REPRO_BENCH_ACD_N`` / ``REPRO_BENCH_ACD_REPS`` shrink the
+workload for CI smoke runs.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +27,8 @@ import pytest
 from _common import print_table
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.graphs.generators import gnp_graph
-from repro.runner.benchtrack import append_entry
 from repro.simulator.network import BroadcastNetwork
 from tests.helpers import unpacked_edge_similarity
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY = REPO_ROOT / "BENCH_acd.json"
 
 SAMPLES = 256
 BITS = 2
@@ -54,13 +48,11 @@ def sketch_once(graph, estimator: str, salt: int = 1):
 
 @pytest.mark.benchmark(group="E3b-acd-sketch")
 def test_e3b_packed_estimator_speedup_tracked(benchmark):
-    """The tracked perf baseline for the ACD sketch phase: packed SWAR
-    estimator vs the unpacked (T × m) oracle at n=4000, avg_degree=120.
-    Appends fingerprint/estimate/phase seconds and the estimator speedup
-    to ``BENCH_acd.json``; CI re-measures, uploads the file, and fails
-    when the estimates differ or the speedup floor is missed."""
+    """The ACD sketch phase: packed SWAR estimator vs the unpacked
+    (T × m) oracle at n=4000, avg_degree=120.  Fails when the estimates
+    differ or the estimate-stage speedup floor is missed."""
     n = int(os.environ.get("REPRO_BENCH_ACD_N", "4000"))
-    deg = float(os.environ.get("REPRO_BENCH_ACD_DEG", "120"))
+    deg = 120.0
     reps = int(os.environ.get("REPRO_BENCH_ACD_REPS", "3"))
     graph = gnp_graph(n, deg / n, seed=7)
 
@@ -86,29 +78,11 @@ def test_e3b_packed_estimator_speedup_tracked(benchmark):
         rows,
     )
 
-    identical = bool(np.array_equal(est_unpacked, est_packed))
-    assert identical, "estimators disagree — the SWAR reduction is broken"
-    append_entry(
-        TRAJECTORY,
-        {
-            "n": n,
-            "avg_degree": deg,
-            "family": "gnp",
-            "samples": SAMPLES,
-            "bits": BITS,
-            "identical_estimates": identical,
-            "fingerprint_s": round(fp_s["packed"], 4),
-            "unpacked_estimate_s": round(est_s["unpacked"], 4),
-            "packed_estimate_s": round(est_s["packed"], 4),
-            "unpacked_phase_s": round(phase_s["unpacked"], 4),
-            "packed_phase_s": round(phase_s["packed"], 4),
-            "speedup": round(speedup, 2),
-            "phase_speedup": round(phase_speedup, 2),
-        },
-        label=f"acd-sketch-n{n}-d{deg:g}",
+    assert np.array_equal(est_unpacked, est_packed), (
+        "estimators disagree — the SWAR reduction is broken"
     )
-    # Generous sanity floor (CI hardware varies); the tracked trajectory
-    # carries the real number — locally the estimate stage measures >10x.
+    # Generous sanity floor (CI hardware varies); locally the estimate
+    # stage measures >10x.
     assert speedup >= 3.0
     benchmark.pedantic(
         lambda: sketch_once(graph, "packed"), rounds=1, iterations=1

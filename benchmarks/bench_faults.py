@@ -8,15 +8,9 @@ Two claims `repro.faults` makes (DESIGN.md §9):
    measure ns/call in a tight loop and gate it at a generous bound.
 2. **Recovery is determinism-preserving, and its cost is bounded.**  A
    seeded crash campaign (``faults_shard_crash.toml``: one soft worker
-   crash + one hard pool kill) must converge on byte-identical colors,
-   and the chaos run's wall-clock overhead over the fault-free reference
-   is the tracked recovery-cost trajectory.
-
-Tracked measurements (→ ``BENCH_faults.json`` at the repo root):
-
-* disarmed ``inject()`` ns/call;
-* fault-free vs chaos campaign seconds + overhead ratio, the fault
-  account (retries, crashes, time lost), and the oracle verdict.
+   crash + one hard pool kill) must converge on byte-identical colors;
+   the chaos run's wall-clock overhead over the fault-free reference is
+   printed beside the fault account (retries, crashes).
 
 Quick mode: ``REPRO_BENCH_FAULTS_N`` shrinks the graph for CI smoke
 runs.
@@ -25,40 +19,20 @@ runs.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
+from _common import DISARMED_NS_BOUND, disarmed_ns_per_call
 from repro.faults import FaultPlan, chaos_shard, plan as faults
-from repro.runner.benchtrack import append_entry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY = REPO_ROOT / "BENCH_faults.json"
-SHARD_PLAN = REPO_ROOT / "benchmarks" / "specs" / "faults_shard_crash.toml"
-
-# Generous CI-safe ceiling; the observed cost is tens of ns.
-DISARMED_NS_BOUND = 5_000.0
-
-
-def _disarmed_ns_per_call(calls: int = 200_000) -> float:
-    """Median-of-3 timing of the disarmed fast path, with context kwargs
-    (the realistic call shape — building the kwargs dict is part of the
-    price a site pays)."""
-    assert faults.armed_plan() is None, "a plan is armed; benchmark invalid"
-    samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for i in range(calls):
-            faults.inject("shard.worker", shard=0, attempt=1)
-        samples.append((time.perf_counter() - t0) / calls * 1e9)
-    samples.sort()
-    return samples[1]
+SHARD_PLAN = REPO_ROOT / "benchmarks" / "plans" / "faults_shard_crash.toml"
 
 
 @pytest.mark.benchmark(group="E17-faults")
 def test_e17_fault_overhead_tracked():
-    """The tracked trajectory entry: hook cost + recovery cost.
+    """Hook cost + recovery cost.
 
     Gates: disarmed ``inject()`` under :data:`DISARMED_NS_BOUND` ns, and
     the crash campaign's oracle (byte-equal colors, proper, complete,
@@ -66,7 +40,10 @@ def test_e17_fault_overhead_tracked():
     """
     n = int(os.environ.get("REPRO_BENCH_FAULTS_N", "2000"))
 
-    disarmed_ns = _disarmed_ns_per_call()
+    assert faults.armed_plan() is None, "a plan is armed; benchmark invalid"
+    disarmed_ns = disarmed_ns_per_call(
+        lambda: faults.inject("shard.worker", shard=0, attempt=1)
+    )
     assert disarmed_ns < DISARMED_NS_BOUND, (
         f"disarmed inject() costs {disarmed_ns:.0f} ns/call "
         f"(bound {DISARMED_NS_BOUND:.0f})"
@@ -79,20 +56,6 @@ def test_e17_fault_overhead_tracked():
     ref_s = report["seconds_reference"]
     chaos_s = report["seconds_chaos"]
     overhead = chaos_s / max(ref_s, 1e-9)
-    entry = {
-        "workload": {"family": report["family"], "n": report["n"],
-                     "k": report["k"], "workers": report["workers"],
-                     "seed": report["seed"], "plan": report["plan"],
-                     "plan_key": report["plan_key"]},
-        "disarmed_inject_ns": round(disarmed_ns, 1),
-        "reference_seconds": ref_s,
-        "chaos_seconds": chaos_s,
-        "recovery_overhead_ratio": round(overhead, 3),
-        "faults": report["faults"],
-        "oracle_ok": report["oracle_ok"],
-        "colors_equal": report["colors_equal"],
-    }
-    append_entry(TRAJECTORY, entry, label="fault-overhead")
 
     print("\nE17 fault-injection overhead")
     print(f"  disarmed inject : {disarmed_ns:8.1f} ns/call")

@@ -8,15 +8,8 @@ Two claims ``repro.obs`` makes (DESIGN.md §10):
    None`` test.  We measure ns/call in a tight loop and gate it at a
    generous bound (same methodology and ceiling as ``bench_faults``).
 2. **Armed tracing is cheap and changes nothing.**  A traced sharded
-   run must produce byte-identical colors to the untraced run, and its
-   wall-clock overhead is the tracked trajectory — if instrumentation
-   creep ever makes tracing expensive, this file is where it shows.
-
-Tracked measurements (→ ``BENCH_obs.json`` at the repo root):
-
-* disarmed ``span()`` / ``count()`` / ``observe()`` ns/call;
-* untraced vs traced sharded-run seconds, overhead ratio, span count,
-  and the colors-equal verdict.
+   run must produce byte-identical colors to the untraced run; its
+   wall-clock overhead ratio and span count are printed.
 
 Quick mode: ``REPRO_BENCH_OBS_N`` shrinks the graph for CI smoke runs.
 """
@@ -26,37 +19,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _common import DISARMED_NS_BOUND, disarmed_ns_per_call
 from repro import obs
 from repro.config import ColoringConfig
 from repro.graphs.families import make_graph
-from repro.runner.benchtrack import append_entry
 from repro.shard.engine import ShardedColoring
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY = REPO_ROOT / "BENCH_obs.json"
-
-# Generous CI-safe ceiling; the observed cost is tens of ns.
-DISARMED_NS_BOUND = 5_000.0
-
-
-def _disarmed_ns_per_call(hook, calls: int = 200_000) -> float:
-    """Median-of-3 timing of one disarmed hook, called with the
-    realistic argument shape (kwargs included — building the dict is
-    part of the price a site pays)."""
-    assert not obs.enabled(), "the obs plane is armed; benchmark invalid"
-    samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for i in range(calls):
-            hook()
-        samples.append((time.perf_counter() - t0) / calls * 1e9)
-    samples.sort()
-    return samples[1]
 
 
 def _sharded_colors(cfg: ColoringConfig, graph) -> tuple[np.ndarray, float]:
@@ -69,7 +40,7 @@ def _sharded_colors(cfg: ColoringConfig, graph) -> tuple[np.ndarray, float]:
 
 @pytest.mark.benchmark(group="E18-obs")
 def test_e18_obs_overhead_tracked():
-    """The tracked trajectory entry: hook cost + tracing overhead.
+    """Hook cost + tracing overhead.
 
     Gates: each disarmed hook under :data:`DISARMED_NS_BOUND` ns, and
     byte-identical colors with tracing on vs off.
@@ -77,9 +48,10 @@ def test_e18_obs_overhead_tracked():
     n = int(os.environ.get("REPRO_BENCH_OBS_N", "4000"))
 
     obs.disable()
-    span_ns = _disarmed_ns_per_call(lambda: obs.span("bench.site", shard=0))
-    count_ns = _disarmed_ns_per_call(lambda: obs.count("bench_total", kind="x"))
-    observe_ns = _disarmed_ns_per_call(lambda: obs.observe("bench_us", 12.5))
+    assert not obs.enabled(), "the obs plane is armed; benchmark invalid"
+    span_ns = disarmed_ns_per_call(lambda: obs.span("bench.site", shard=0))
+    count_ns = disarmed_ns_per_call(lambda: obs.count("bench_total", kind="x"))
+    observe_ns = disarmed_ns_per_call(lambda: obs.observe("bench_us", 12.5))
     for name, ns in (("span", span_ns), ("count", count_ns),
                      ("observe", observe_ns)):
         assert ns < DISARMED_NS_BOUND, (
@@ -99,24 +71,9 @@ def test_e18_obs_overhead_tracked():
     spans = obs.drain_spans()
     obs.disable()
 
-    colors_equal = bool(np.array_equal(colors_off, colors_on))
-    assert colors_equal, "tracing changed the coloring"
+    assert np.array_equal(colors_off, colors_on), "tracing changed the coloring"
     assert spans, "traced run produced no spans"
     overhead = seconds_on / max(seconds_off, 1e-9)
-
-    entry = {
-        "workload": {"family": "geometric", "n": n, "k": 4, "workers": 2,
-                     "seed": 7},
-        "disarmed_span_ns": round(span_ns, 1),
-        "disarmed_count_ns": round(count_ns, 1),
-        "disarmed_observe_ns": round(observe_ns, 1),
-        "untraced_seconds": round(seconds_off, 4),
-        "traced_seconds": round(seconds_on, 4),
-        "tracing_overhead_ratio": round(overhead, 3),
-        "spans_recorded": len(spans),
-        "colors_equal": colors_equal,
-    }
-    append_entry(TRAJECTORY, entry, label="obs-overhead")
 
     print("\nE18 telemetry-plane overhead")
     print(f"  disarmed span   : {span_ns:8.1f} ns/call")

@@ -8,16 +8,13 @@ a small constant factor at demo scale.  Coalescing is the recovery
 lever: a flooded burst applied with ``--coalesce-max k`` pays fewer
 engine batches than requests.
 
-Tracked measurements (→ ``BENCH_serve.json`` at the repo root):
+Printed measurements (n = 2000, 8 batches):
 
 * in-process batches/s (engine only, same schedule);
 * through-socket batches/s with ``--coalesce-max 1`` and a per-batch
   wait (the bit-exact configuration) + the overhead ratio;
 * burst mode: all batches pipelined against a coalescing server —
   engine batches applied vs requests sent.
-
-Quick mode: ``REPRO_BENCH_SERVE_N`` / ``REPRO_BENCH_SERVE_BATCHES``
-shrink the workload for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -26,24 +23,13 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.config import ColoringConfig
 from repro.dynamic import DynamicColoring
 from repro.graphs.families import make_churn
-from repro.runner.benchtrack import append_entry
 from repro.serve.client import ServeClient
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY = REPO_ROOT / "BENCH_serve.json"
-
-
-def _workload():
-    n = int(os.environ.get("REPRO_BENCH_SERVE_N", "2000"))
-    batches = int(os.environ.get("REPRO_BENCH_SERVE_BATCHES", "8"))
-    return n, batches
 
 
 def _spawn(tmp_path, *extra):
@@ -58,13 +44,13 @@ def _spawn(tmp_path, *extra):
 
 @pytest.mark.benchmark(group="E16-serve")
 def test_e16_throughput_tracked(tmp_path):
-    """The tracked trajectory entry: one schedule, three execution modes.
+    """One schedule, three execution modes.
 
     Gates: the served (coalesce-max 1, per-batch wait) final coloring
     must equal the in-process engine's — the service is the engine, the
     socket must not change results.
     """
-    n, batches = _workload()
+    n, batches = 2000, 8
     seed = 11
     schedule = make_churn("gnp-churn", n, 20.0, seed, batches=batches,
                           churn_fraction=0.03)
@@ -115,21 +101,6 @@ def test_e16_throughput_tracked(tmp_path):
             proc.kill()
 
     overhead = served_s / max(inproc_s, 1e-9)
-    entry = {
-        "workload": {"family": "gnp-churn", "n": n, "avg_degree": 20.0,
-                     "batches": batches, "churn_fraction": 0.03, "seed": seed},
-        "in_process": {"seconds": round(inproc_s, 4),
-                       "batches_per_s": round(inproc_bps, 2)},
-        "served_exact": {"seconds": round(served_s, 4),
-                         "batches_per_s": round(served_bps, 2),
-                         "overhead_ratio": round(overhead, 3)},
-        "served_burst": {"seconds": round(burst_s, 4),
-                         "requests": batches,
-                         "engine_batches": stats["batches_applied"],
-                         "coalesced": stats["coalesced_batches"]},
-        "colors_equal": True,
-    }
-    append_entry(TRAJECTORY, entry, label="serve-throughput")
 
     print("\nE16 service throughput")
     print(f"  in-process : {inproc_bps:8.1f} batches/s")

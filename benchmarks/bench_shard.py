@@ -7,35 +7,36 @@ driver's serial overhead (partition + arena pack + delta merges) stays a
 small fraction of the run, per-worker memory scales with interior +
 ghost size rather than n, and reconciliation touches only the cut.
 
-Tracked measurements (→ ``BENCH_shard.json`` at the repo root), one
-entry per graph size along the n-scaling axis:
+Measured along the n-scaling axis (geometric graphs of average degree
+10), one row per graph size:
 
 * **critical-path speedup** — ``single_s / (driver phases + max shard
   CPU seconds)``.  The bench host typically has fewer cores than k, so
   k workers time-share and per-shard *wall* time mostly measures the
   scheduler; per-shard **CPU** time is what one dedicated machine would
   pay, which is exactly the k-machine deployment the shard engine
-  models.  The raw wall-clock speedup and ``host_cores`` ride along so
-  the entry is honest about what the box could show.
-* partition / pack / reconcile phase seconds (partition must stay ≤10%
-  of the sharded wall — the vectorized-partitioner regression gate);
+  models.  The raw wall-clock speedup is printed beside it, with the
+  host's core count, so the table is honest about what the box could
+  show;
+* partition / reconcile phase seconds (partition must stay ≤10% of the
+  sharded wall — the vectorized-partitioner regression gate);
 * per-worker peak RSS under ``shard_start_method="spawn"`` (fresh
   interpreters: RSS reflects the shm pages a worker actually touches,
   not fork's copy-on-write inheritance of the driver);
 * ``k1_identical`` — a k=1 sharded run reproduces the single-process
   pipeline bit for bit on the same graph;
-* zero leaked ``/dev/shm`` segments after every run.
+* the shm transport, and zero leaked ``/dev/shm`` segments after every
+  run.
 
-Env knobs (CI quick tier vs the full tracked axis):
+Env knobs (CI quick tier vs the full axis):
 
 * ``REPRO_BENCH_SHARD_SIZES`` — space/comma-separated n values
-  (default ``100000``; the full tracked axis is
-  ``"100000 1000000 10000000"``);
-* ``REPRO_BENCH_SHARD_DEG`` — average degree (default 10);
+  (default ``100000``; the full axis is ``"100000 1000000 10000000"``);
 * ``REPRO_BENCH_SHARD_K`` — shard count, pool width is always k
-  (default 8; the n=10⁶ CI smoke runs k=4);
-* ``REPRO_BENCH_SHARD_MIN_SPEEDUP`` — critical-path gate applied at
-  n ≥ 10⁶ (default 2.0; the 10⁷ acceptance bar is 4.0).
+  (default 8; the n=10⁶ CI smoke runs k=4).
+
+The critical-path speedup must reach :data:`MIN_SPEEDUP` at n ≥ 10⁶ and
+4× at n ≥ 10⁷.
 """
 
 from __future__ import annotations
@@ -51,42 +52,32 @@ from _common import print_table, run_matrix
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.graphs.families import make_graph
-from repro.runner.benchtrack import append_entry
 from repro.runner.spec import load_matrix
 from repro.shard import ShardedColoring, partition_nodes
 from repro.shard.shm import leaked_segments
 from repro.simulator.network import BroadcastNetwork
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY = REPO_ROOT / "BENCH_shard.json"
 SPECS = REPO_ROOT / "benchmarks" / "specs" / "shard_quick.toml"
+
+AVG_DEGREE = 10.0
+MIN_SPEEDUP = 2.0
+"""Critical-path speedup floor at n ≥ 10⁶."""
 
 
 def _sizes() -> list[int]:
-    raw = os.environ.get("REPRO_BENCH_SHARD_SIZES")
-    if raw is None:
-        raw = os.environ.get("REPRO_BENCH_SHARD_N", "100000")
+    raw = os.environ.get("REPRO_BENCH_SHARD_SIZES", "100000")
     return [int(float(tok)) for tok in raw.replace(",", " ").split()]
 
 
-def _workload() -> tuple[float, int]:
-    deg = float(os.environ.get("REPRO_BENCH_SHARD_DEG", "10"))
-    k = int(os.environ.get("REPRO_BENCH_SHARD_K", "8"))
-    return deg, k
-
-
-def _min_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_SHARD_MIN_SPEEDUP", "2.0"))
-
-
-def _one_size(n: int, deg: float, k: int) -> dict:
-    """Measure one point on the n-axis and return its trajectory entry.
+def _one_size(n: int, k: int) -> dict:
+    """Measure one point on the n-axis and return its table row.
 
     Order matters: the sharded run goes *first* so worker RSS is
     measured before the driver's own heap has ballooned through the
     single-process reference run."""
     cfg = ColoringConfig.practical(seed=5)
-    net = BroadcastNetwork(make_graph("geometric", n, deg, 1))
+    net = BroadcastNetwork(make_graph("geometric", n, AVG_DEGREE, 1))
 
     # k-shard run: pool of k spawned workers over the shm arena.
     scfg = ColoringConfig.practical(seed=5, shard_start_method="spawn")
@@ -105,8 +96,9 @@ def _one_size(n: int, deg: float, k: int) -> dict:
 
     # k=1 must reproduce it bit for bit (the identity anchor).
     k1 = ShardedColoring(net, cfg, k=1).run()
-    k1_identical = bool(np.array_equal(k1.colors, ref.colors))
-    assert k1_identical, "k=1 diverged from the unsharded pipeline"
+    assert np.array_equal(k1.colors, ref.colors), (
+        "k=1 diverged from the unsharded pipeline"
+    )
 
     ph = sharded.phase_seconds
     partition_s = ph.get("shard/partition", 0.0)
@@ -123,6 +115,7 @@ def _one_size(n: int, deg: float, k: int) -> dict:
         (r.peak_rss_mb for r in sharded.shard_reports), default=0.0
     )
 
+    assert sharded.transport == "shm", sharded.transport
     assert sharded.proper and sharded.complete, sharded.as_dict()
     assert sharded.unresolved_conflicts == 0, sharded.as_dict()
     assert sharded.num_colors_used <= sharded.delta + 1
@@ -134,7 +127,7 @@ def _one_size(n: int, deg: float, k: int) -> dict:
         f"{sharded_s:.2f}s sharded run"
     )
     if n >= 1_000_000:
-        floor = _min_speedup() if n < 10_000_000 else max(_min_speedup(), 4.0)
+        floor = MIN_SPEEDUP if n < 10_000_000 else 4.0
         assert speedup >= floor, (
             f"critical-path speedup {speedup:.2f}x below the {floor:g}x "
             f"gate at n={n}"
@@ -142,59 +135,32 @@ def _one_size(n: int, deg: float, k: int) -> dict:
 
     return {
         "n": n,
-        "avg_degree": deg,
-        "family": "geometric",
-        "k": k,
-        "strategy": "greedy",
-        "transport": sharded.transport,
-        "pool_workers": k,
-        "host_cores": os.cpu_count() or 1,
-        "cut_edges": sharded.cut_edges,
-        "cut_fraction": round(sharded.cut_fraction, 5),
-        "initial_conflicts": sharded.initial_conflicts,
-        "reconcile_touched": sharded.reconcile_touched,
-        "touched_fraction": round(sharded.touched_fraction, 5),
-        "reconcile_rounds": sharded.reconcile_rounds,
-        "reconcile_iterations": sharded.reconcile_iterations,
-        "unresolved_conflicts": sharded.unresolved_conflicts,
-        "k1_identical": k1_identical,
         "single_s": round(single_s, 3),
-        "sharded_s": round(sharded_s, 3),
         "critical_path_s": round(critical_path_s, 3),
         "speedup": round(speedup, 2),
         "wall_speedup": round(wall_speedup, 2),
         "partition_s": round(partition_s, 3),
-        "pack_s": round(pack_s, 3),
-        "interior_s": round(ph.get("shard/interior", 0.0), 3),
-        "interior_max_cpu_s": round(interior_max_cpu, 3),
         "reconcile_s": round(reconcile_s, 3),
         "worker_peak_rss_mb": round(worker_rss, 1),
+        "cut_fraction": round(sharded.cut_fraction, 5),
     }
 
 
 @pytest.mark.benchmark(group="E15-shard")
 def test_e15_scaling_axis_tracked(benchmark):
-    """The tracked n-scaling axis: for every configured size, one
-    sharded run (shm transport, spawned pool of k), one single-process
-    reference, one k=1 identity check — each appending a trajectory
-    entry.
+    """The n-scaling axis: for every configured size, one sharded run
+    (shm transport, spawned pool of k), one single-process reference,
+    one k=1 identity check.
 
-    Gates (CI perf-smoke re-asserts these from the trajectory): proper,
-    complete, within Δ+1, zero unresolved conflicts, < 5% of nodes
-    touched during reconciliation, partition ≤ 10% of the sharded wall,
-    critical-path speedup over the floor at n ≥ 10⁶, k=1 bit-identity,
-    and zero leaked shm segments.
+    Gates: shm transport, proper, complete, within Δ+1, zero unresolved
+    conflicts, < 5% of nodes touched during reconciliation, partition
+    ≤ 10% of the sharded wall, critical-path speedup over the floor at
+    n ≥ 10⁶, k=1 bit-identity, and zero leaked shm segments.
     """
-    deg, k = _workload()
-    entries = []
-    for n in _sizes():
-        entry = _one_size(n, deg, k)
-        entries.append(entry)
-        append_entry(
-            TRAJECTORY, entry, label=f"shard-n{n}-d{deg:g}-k{k}"
-        )
+    k = int(os.environ.get("REPRO_BENCH_SHARD_K", "8"))
+    entries = [_one_size(n, k) for n in _sizes()]
     print_table(
-        f"E15 n-scaling axis (geometric, avg_degree={deg:g}, k={k}, "
+        f"E15 n-scaling axis (geometric, avg_degree={AVG_DEGREE:g}, k={k}, "
         f"workers=k, transport=shm, host_cores={os.cpu_count() or 1})",
         ["n", "single s", "crit-path s", "speedup", "wall x",
          "partition s", "reconcile s", "worker RSS MB", "cut frac"],
@@ -207,7 +173,7 @@ def test_e15_scaling_axis_tracked(benchmark):
     )
     # Benchmark one reconciliation-scale unit: re-partitioning the
     # smallest measured graph (the driver-side overhead sharding adds).
-    net = BroadcastNetwork(make_graph("geometric", min(_sizes()), deg, 1))
+    net = BroadcastNetwork(make_graph("geometric", min(_sizes()), AVG_DEGREE, 1))
     benchmark.pedantic(
         lambda: partition_nodes(net, k, "greedy"), rounds=1, iterations=1
     )

@@ -76,7 +76,7 @@ def luby_coloring(
     return BaselineResult(
         colors=state.colors.copy(),
         rounds=rounds,
-        proper=state.is_proper(),
+        proper=True,  # state.verify() above raised on any conflict
         complete=state.is_complete(),
         max_message_bits=metrics.max_message_bits,
         total_bits=metrics.total_bits,

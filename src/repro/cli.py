@@ -44,11 +44,9 @@ from repro.runner import (
     ResultStore,
     RunReport,
     TrialSpec,
-    append_entry,
     fit_rounds,
     load_matrix,
     mean_by,
-    mean_timings,
     summarize_payloads,
 )
 from repro.shard import STRATEGIES, TRANSPORTS, ShardedColoring
@@ -383,18 +381,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     }
     if fits:
         report["fits"] = fits
-    if args.track:
-        timing_rows = [
-            {"family": fam, "algorithm": algo, "n": n, "phase_seconds": phases}
-            for (fam, algo, n), phases in mean_timings(run.results).items()
-        ]
-        entry = {
-            "specfile": str(args.specfile),
-            "trials": run.summary(),
-            "timings": timing_rows,
-        }
-        append_entry(args.track, entry, label=args.track_label or "repro-bench")
-        report["track"] = str(args.track)
     _emit(report, args.json)
     return 0 if not run.failed else 1
 
@@ -663,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("specfile", help="spec matrix file (see EXPERIMENTS.md)")
     p_bench.add_argument("--json", action="store_true")
-    p_bench.add_argument("--track", default=None, metavar="PATH",
-                         help="append mean per-phase wall-clock timings to the "
-                              "BENCH_*.json trajectory at PATH (see EXPERIMENTS.md)")
-    p_bench.add_argument("--track-label", default=None, metavar="LABEL",
-                         help="entry label for --track (default: repro-bench)")
     runner_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -180,10 +180,6 @@ class ColoringConfig:
     TryColor rounds only — the right choice for tiny conflict sets, and
     the ablation axis of bench_dynamic."""
 
-    dynamic_repair_multitrial_min: int = 8
-    """Conflict sets smaller than this skip MultiTrial and go straight to
-    TryColor (a 2-node repair does not need seed machinery)."""
-
     dynamic_batches: int = 8
     """Default churn-schedule length for runner trials (algorithm
     "dynamic") — each batch is one :class:`repro.dynamic.UpdateBatch`."""
@@ -334,9 +330,6 @@ class ColoringConfig:
     bandwidth_factor: float = 32.0
     """Messages may carry at most ``bandwidth_factor·ceil(log2 n)`` bits —
     the O(log n) of BCONGEST with an explicit constant."""
-
-    max_cleanup_rounds: int = 10_000
-    """Hard cap for the fallback cleanup phase (always terminates first)."""
 
     seed: int = 0
     """Root seed; a run is a pure function of (graph, config, seed)."""

@@ -58,7 +58,11 @@ from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
 
-__all__ = ["BroadcastColoring", "ColoringResult"]
+__all__ = ["BroadcastColoring", "ColoringResult", "MAX_CLEANUP_ROUNDS"]
+
+MAX_CLEANUP_ROUNDS = 10_000
+"""Hard cap on the TryColor cleanup rounds of a run and of a dynamic
+repair (the cleanup always terminates first)."""
 
 
 @dataclass
@@ -78,7 +82,7 @@ class ColoringResult:
     phase_rounds: dict[str, int]
     phase_seconds: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds spent executing each phase (simulator time, not a
-    model quantity — feeds the BENCH_*.json perf trajectories)."""
+    model quantity — the runner's per-trial ``timings``)."""
     reports: dict[str, Any] = field(default_factory=dict)
     metrics: RoundMetrics | None = None
     clique_summary: dict | None = None
@@ -264,7 +268,7 @@ class BroadcastColoring:
         metrics.begin_phase("cleanup")
         cleanup_rounds = 0
         sampler = palette_sampler(state)
-        while state.num_uncolored() and cleanup_rounds < cfg.max_cleanup_rounds:
+        while state.num_uncolored() and cleanup_rounds < MAX_CLEANUP_ROUNDS:
             pending = state.uncolored_nodes()
             try_color_round(
                 state, pending, sampler, self.seq, phase="cleanup", round_tag=cleanup_rounds

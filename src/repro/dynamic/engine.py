@@ -44,7 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.config import VICTIM_POLICIES, ColoringConfig
-from repro.core.algorithm import BroadcastColoring
+from repro.core.algorithm import MAX_CLEANUP_ROUNDS, BroadcastColoring
 from repro.core.multitrial import multitrial
 from repro.core.state import ColoringState, count_distinct_colors
 from repro.core.trycolor import palette_sampler, try_color_round
@@ -61,7 +61,12 @@ __all__ = [
     "conflict_repair",
     "monochromatic_edges",
     "VICTIM_POLICIES",
+    "REPAIR_MULTITRIAL_MIN",
 ]
+
+REPAIR_MULTITRIAL_MIN = 8
+"""Conflict sets smaller than this skip MultiTrial and go straight to
+TryColor (a 2-node repair does not need seed machinery)."""
 
 
 def monochromatic_edges(
@@ -161,8 +166,9 @@ def conflict_repair(
     """The batched conflict-repair kernel shared by the dynamic engine and
     the shard reconciler: re-color ``repair_set`` (uncolored node ids)
     against the fixed fringe by re-running the existing kernels —
-    MultiTrial on ``[0, num_colors)`` when the set is large enough
-    (``dynamic_repair_*`` knobs), then TryColor rounds from true palettes.
+    MultiTrial on ``[0, num_colors)`` when ``dynamic_repair_use_multitrial``
+    is set and the set has at least :data:`REPAIR_MULTITRIAL_MIN` nodes,
+    then TryColor rounds from true palettes.
 
     Returns ``(colors, fully_colored, trycolor_rounds)``; the input
     ``colors`` array is never mutated.  The fringe — colored neighbors of
@@ -176,7 +182,7 @@ def conflict_repair(
     state.colors = colors.copy()
     if (
         cfg.dynamic_repair_use_multitrial
-        and repair_set.size >= cfg.dynamic_repair_multitrial_min
+        and repair_set.size >= REPAIR_MULTITRIAL_MIN
     ):
         mask = np.zeros(net.n, dtype=bool)
         mask[repair_set] = True
@@ -193,7 +199,7 @@ def conflict_repair(
         )
     rounds = 0
     sampler = palette_sampler(state)
-    while rounds < cfg.max_cleanup_rounds:
+    while rounds < MAX_CLEANUP_ROUNDS:
         pending = repair_set[state.colors[repair_set] < 0]
         if not pending.size:
             break

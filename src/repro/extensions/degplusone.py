@@ -109,7 +109,7 @@ def deg_plus_one_coloring(
     within = bool((state.colors <= net.degrees).all())
     return DegPlusOneResult(
         colors=state.colors.copy(),
-        proper=state.is_proper(),
+        proper=True,  # state.verify() above raised on any conflict
         complete=state.is_complete(),
         within_lists=within,
         rounds=metrics.total_rounds,

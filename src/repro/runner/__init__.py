@@ -16,11 +16,9 @@ from repro.runner.aggregate import (
     fit_rounds,
     group_by,
     mean_by,
-    mean_timings,
     series,
     summarize_payloads,
 )
-from repro.runner.benchtrack import append_entry, load_trajectory
 from repro.runner.execute import run_trial
 from repro.runner.runner import ParallelRunner, RunReport
 from repro.runner.spec import (
@@ -40,14 +38,11 @@ __all__ = [
     "RunReport",
     "TrialResult",
     "TrialSpec",
-    "append_entry",
     "expand_matrix",
     "fit_rounds",
     "group_by",
     "load_matrix",
-    "load_trajectory",
     "mean_by",
-    "mean_timings",
     "run_trial",
     "series",
     "spec_key",

@@ -23,7 +23,6 @@ __all__ = [
     "series",
     "fit_rounds",
     "summarize_payloads",
-    "mean_timings",
 ]
 
 Payload = Mapping[str, Any]
@@ -82,35 +81,6 @@ def fit_rounds(
     if len(xs) < 2:
         return None
     return growth_fit(xs, ys)
-
-
-def mean_timings(
-    results: Iterable,  # Iterable[repro.runner.spec.TrialResult]
-    keys: Sequence[str] = ("family", "algorithm", "n"),
-) -> dict[tuple, dict[str, float]]:
-    """Mean wall-clock seconds per phase, grouped by spec fields.
-
-    Unlike every other aggregator here this consumes :class:`TrialResult`
-    objects, not payloads: timings are machine-dependent and live outside
-    the deterministic payload (DESIGN.md §3).  Cached results carry the
-    timings of the run that computed them.  Feeds the ``BENCH_*.json``
-    trajectories via ``repro bench --track``.
-    """
-    sums: dict[tuple, dict[str, float]] = {}
-    counts: dict[tuple, int] = {}
-    for r in results:
-        if not r.ok or not r.timings:
-            continue
-        gkey = tuple(r.spec.as_dict().get(k) for k in keys)
-        bucket = sums.setdefault(gkey, {})
-        counts[gkey] = counts.get(gkey, 0) + 1
-        for phase, secs in r.timings.items():
-            bucket[phase] = bucket.get(phase, 0.0) + float(secs)
-    out: dict[tuple, dict[str, float]] = {}
-    for gkey in sorted(sums, key=lambda kv: tuple(_sort_token(v) for v in kv)):
-        c = counts[gkey]
-        out[gkey] = {phase: s / c for phase, s in sorted(sums[gkey].items())}
-    return out
 
 
 def summarize_payloads(

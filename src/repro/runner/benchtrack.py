@@ -1,43 +1,22 @@
-"""Perf trajectories: the ``BENCH_*.json`` artifacts at the repo root.
-
-A *trajectory* is an append-only JSON file recording how the wall-clock
-cost of a benchmarked path evolves across commits/runs — the
-accountability artifact behind "make a hot path measurably faster"
-(ROADMAP): every optimization PR appends an entry with its before/after
-numbers, and CI re-measures and uploads the file so regressions are
-visible in the artifact history.
-
-Schema::
-
-    {"benchmark": "<name>", "entries": [
-        {"label": ..., "recorded_at": "<iso8601>", ...measurements...},
-        ...
-    ]}
-
-Entries are free-form dicts beyond ``label``/``recorded_at`` — each
-benchmark decides what it measures (phase timings, engine names,
-speedups).  :func:`append_entry` is atomic enough for single-writer use
-(bench processes and CI steps run one at a time).
-"""
+"""Where a measurement was taken: :func:`host_info` stamps benchmark
+output (``perfbench/run.py``) with the host and the commit, so numbers
+from different machines or commits are never compared blind."""
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-__all__ = ["load_trajectory", "append_entry", "host_info"]
+__all__ = ["host_info"]
 
 
 def host_info() -> dict[str, Any]:
-    """Where a measurement was taken: cpu count, platform, python, git
-    sha.  Stamped into every trajectory entry so numbers from different
-    machines/commits are never compared blind.  ``git_sha`` is ``None``
-    outside a work tree (e.g. CI artifact replay of an sdist)."""
+    """Cpu count, platform, python and git sha of this run.
+    ``git_sha`` is ``None`` outside a work tree (e.g. an installed
+    sdist)."""
     sha: str | None = None
     try:
         out = subprocess.run(
@@ -57,57 +36,3 @@ def host_info() -> dict[str, Any]:
         "python": platform.python_version(),
         "git_sha": sha,
     }
-
-
-def _read(path: Path) -> tuple[dict[str, Any] | None, bool]:
-    """(trajectory, corrupt): the parsed file, or (None, True) when the
-    file exists but is not a valid trajectory."""
-    if not path.exists():
-        return None, False
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
-        return None, True
-    if isinstance(data, dict) and isinstance(data.get("entries"), list):
-        data.setdefault("benchmark", path.stem)
-        return data, False
-    return None, True
-
-
-def load_trajectory(path: str | Path) -> dict[str, Any]:
-    """The trajectory at ``path`` ({"benchmark": ..., "entries": []} when
-    absent or unreadable — a fresh view, never an error)."""
-    p = Path(path)
-    data, _ = _read(p)
-    return data if data is not None else {"benchmark": p.stem, "entries": []}
-
-
-def append_entry(
-    path: str | Path, entry: Mapping[str, Any], label: str | None = None
-) -> dict[str, Any]:
-    """Append one timestamped entry to the trajectory at ``path`` and
-    write it back.  A corrupt existing file is moved aside to
-    ``<name>.corrupt`` (never silently overwritten — the history is the
-    point of the artifact) and a fresh trajectory started.  Returns the
-    full trajectory."""
-    p = Path(path)
-    data, corrupt = _read(p)
-    if corrupt:
-        backup = p.with_name(p.name + ".corrupt")
-        i = 2
-        while backup.exists():
-            backup = p.with_name(f"{p.name}.corrupt-{i}")
-            i += 1
-        p.replace(backup)
-    if data is None:
-        data = {"benchmark": p.stem, "entries": []}
-    rec: dict[str, Any] = {
-        "label": label if label is not None else entry.get("label", "run"),
-        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "host": host_info(),
-    }
-    rec.update({k: v for k, v in entry.items() if k != "label"})
-    data["entries"].append(rec)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    return data

@@ -81,8 +81,8 @@ def _measure(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]:
     """Execute the algorithm named by the spec; return (payload, timings).
 
     The payload is deterministic; ``timings`` (wall-clock seconds per
-    phase, broadcast algorithm only) ride alongside for the perf
-    trajectories and never enter the payload."""
+    phase) ride alongside in the result record and never enter the
+    payload."""
     if spec.algorithm == "dynamic":
         payload, timings = _measure_dynamic(spec)
         _check_finite(payload)

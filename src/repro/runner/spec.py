@@ -177,8 +177,8 @@ class TrialResult:
     timings: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per algorithm phase (empty for baselines).  Like
     ``elapsed_s`` this lives *outside* the payload: it is machine-dependent
-    and never feeds deterministic aggregation — only the perf trajectories
-    (``BENCH_*.json``, see EXPERIMENTS.md)."""
+    and never feeds deterministic aggregation.  The store keeps it, so a
+    cached result carries the timings of the run that computed it."""
     stored_key: str | None = None
     """The content-hash key recorded when this result was computed.
     Results loaded from a store keep it so file-backed specs

@@ -45,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import ColoringConfig
-from repro.dynamic.engine import DynamicColoring
+from repro.core.algorithm import MAX_CLEANUP_ROUNDS
+from repro.dynamic.engine import REPAIR_MULTITRIAL_MIN, DynamicColoring
 from repro.faults import plan as faults
 
 __all__ = ["SNAPSHOT_FORMAT", "SnapshotInfo", "save_snapshot", "load_snapshot",
@@ -74,6 +75,14 @@ gave bit-identical estimates, nothing read the bucket size, the
 nor the shard knobs, and the retry hint and the span-buffer cap are
 constants now that never touched a coloring.  So dropping them on load
 restores exactly."""
+
+_CONSTANT_CONFIG_FIELDS = {
+    "max_cleanup_rounds": MAX_CLEANUP_ROUNDS,
+    "dynamic_repair_multitrial_min": REPAIR_MULTITRIAL_MIN,
+}
+"""Config fields older snapshots carry that are constants now.  Both
+change what an engine computes, so one is dropped on load only when it
+holds the constant's value; any other value refuses the restore."""
 
 
 @dataclass(frozen=True)
@@ -233,7 +242,9 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
     written by a newer format or with unknown config fields (a snapshot
     is a contract, not a suggestion — silently dropping knobs would
     break the restore ≡ never-crashed guarantee); only the retired,
-    result-neutral fields in ``_RETIRED_CONFIG_FIELDS`` are dropped.
+    result-neutral fields in ``_RETIRED_CONFIG_FIELDS`` are dropped, and
+    the fields in ``_CONSTANT_CONFIG_FIELDS`` when they hold the
+    constant's value.
     Every *corruption* mode — truncated zip, missing member, garbled
     JSON — is likewise normalized to ``ValueError`` so
     :func:`restore_engine` has a single failure type to fall back on;
@@ -265,6 +276,13 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
     config = {
         k: v for k, v in meta["config"].items() if k not in _RETIRED_CONFIG_FIELDS
     }
+    for name, constant in _CONSTANT_CONFIG_FIELDS.items():
+        value = config.pop(name, constant)
+        if value != constant:
+            raise ValueError(
+                f"snapshot {path} has {name}={value!r}; this build fixes it "
+                f"at {constant}, so the restore would not continue the run"
+            )
     known = {f.name for f in dataclasses.fields(ColoringConfig)}
     unknown = set(config) - known
     if unknown:

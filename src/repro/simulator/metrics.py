@@ -66,8 +66,8 @@ class RoundMetrics:
     # -- phase management -------------------------------------------------
     def begin_phase(self, name: str) -> None:
         """Switch the current phase, accruing wall-clock time to the one
-        being left (the perf trajectories in BENCH_*.json consume these
-        timings — rounds/bits accounting is unaffected)."""
+        being left (the runner's per-trial ``timings`` read these —
+        rounds/bits accounting is unaffected)."""
         self.stop_timer()
         self._current_phase = name
         self._phase_started = time.perf_counter()

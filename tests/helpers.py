@@ -33,6 +33,20 @@ def brute_force_proper(net: BroadcastNetwork, colors: np.ndarray) -> bool:
     return True
 
 
+def count_propriety_scans(patch) -> list:
+    """Count ``ColoringState.is_proper`` calls under ``patch`` (a
+    ``pytest.MonkeyPatch``): one entry per full edge scan."""
+    calls = []
+    real = ColoringState.is_proper
+
+    def is_proper(state):
+        calls.append(1)
+        return real(state)
+
+    patch.setattr(ColoringState, "is_proper", is_proper)
+    return calls
+
+
 def planting_repair(planted: list, fault: str = "improper"):
     """``conflict_repair`` with one fault planted after the real repair:
     the first recolored node with a colored neighbor copies that

@@ -7,7 +7,7 @@ from repro.analysis.verify import assert_proper_coloring
 from repro.config import ColoringConfig
 from repro.core import algorithm
 from repro.core.algorithm import BroadcastColoring
-from repro.core.state import ColoringState, ImproperColoring
+from repro.core.state import ImproperColoring
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import (
     clique_blob_graph,
@@ -21,7 +21,7 @@ from repro.graphs.generators import (
 )
 from repro.simulator.network import BroadcastNetwork
 
-from tests.helpers import brute_force_proper
+from tests.helpers import brute_force_proper, count_propriety_scans
 
 
 FAMILIES = [
@@ -172,20 +172,9 @@ class TestOnePropernessScan:
     """``run()`` scans the edges for a conflict once: ``verify`` raises on
     one, so a returned result is proper without a second scan."""
 
-    def counting(self, patch):
-        calls = []
-        real = ColoringState.is_proper
-
-        def is_proper(state):
-            calls.append(1)
-            return real(state)
-
-        patch.setattr(ColoringState, "is_proper", is_proper)
-        return calls
-
     def test_one_scan_per_run(self):
         with pytest.MonkeyPatch.context() as patch:
-            calls = self.counting(patch)
+            calls = count_propriety_scans(patch)
             res = BroadcastColoring(clique_blob_graph(3, 40, 30, 10, seed=2)).run()
         assert res.proper and res.complete
         assert len(calls) == 1
@@ -202,7 +191,7 @@ class TestOnePropernessScan:
             return report
 
         with pytest.MonkeyPatch.context() as patch:
-            calls = self.counting(patch)
+            calls = count_propriety_scans(patch)
             patch.setattr(algorithm, "color_putaside_sets", planting)
             with pytest.raises(ImproperColoring, match="not proper"):
                 BroadcastColoring(gnp_graph(120, 0.08, seed=1)).run()

@@ -6,6 +6,8 @@ import pytest
 from repro.baselines.greedy import greedy_coloring
 from repro.baselines.johansson import johansson_coloring
 from repro.baselines.luby import luby_coloring
+from repro.core.state import ColoringState, ImproperColoring
+from repro.extensions.degplusone import deg_plus_one_coloring
 from repro.graphs.generators import (
     clique_blob_graph,
     complete_graph,
@@ -15,7 +17,7 @@ from repro.graphs.generators import (
 )
 from repro.simulator.network import BroadcastNetwork
 
-from tests.helpers import brute_force_proper
+from tests.helpers import brute_force_proper, count_propriety_scans
 
 
 class TestGreedy:
@@ -84,6 +86,42 @@ class TestDistributedBaselines:
         res = algo(ring_graph(20), seed=1)
         d = res.as_dict()
         assert d["complete"] and d["rounds"] >= 1
+
+
+@pytest.mark.parametrize(
+    "algo", [johansson_coloring, luby_coloring, deg_plus_one_coloring]
+)
+class TestOnePropernessScan:
+    """Each run scans the edges for a conflict once: ``verify`` raises on
+    one, so a returned result is proper without a second scan."""
+
+    def test_one_scan_per_run(self, algo):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_propriety_scans(patch)
+            res = algo(gnp_graph(200, 0.05, seed=4))
+        assert res.proper and res.complete
+        assert len(calls) == 1
+
+    def test_improper_coloring_still_raises(self, algo):
+        """A conflict planted right after the adoption that colors the
+        last node is caught by that one scan."""
+        real = ColoringState.adopt
+        planted = []
+
+        def planting(state, nodes, new_colors):
+            real(state, nodes, new_colors)
+            if not planted and state.num_uncolored() == 0:
+                u = int(np.flatnonzero(state.net.degrees)[0])
+                state.colors[u] = state.colors[state.net.neighbors(u)[0]]
+                planted.append(u)
+
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_propriety_scans(patch)
+            patch.setattr(ColoringState, "adopt", planting)
+            with pytest.raises(ImproperColoring, match="not proper"):
+                algo(gnp_graph(120, 0.08, seed=1))
+        assert planted
+        assert len(calls) == 1
 
 
 class TestRoundGrowth:

@@ -15,12 +15,16 @@
   that class (or of a ``repro`` base class), and every ``path.py:name``
   names a top-level definition, or a method of a top-level class, of
   ``src/repro/<path>`` or of ``<path>`` under the repo root (``tests/``).
+* Every repo path a CI step names, and every module-level ``Path``
+  constant of ``benchmarks/bench_*.py``, must exist: a moved file
+  otherwise fails only when that CI job or bench runs.
 """
 
 import ast
 import functools
 import inspect
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -33,6 +37,8 @@ DOCS = REPO / "docs"
 PROTOCOL_MD = DOCS / "PROTOCOL.md"
 SRC = REPO / "src" / "repro"
 CODE_DOCS = [REPO / "DESIGN.md", REPO / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))]
+CI_YML = REPO / ".github" / "workflows" / "ci.yml"
+BENCHMARKS = REPO / "benchmarks"
 
 
 def protocol_headings() -> list[str]:
@@ -233,3 +239,38 @@ class TestCodeReferences:
             if not any(name in _file_names(p) for p in files):
                 stale.append(f"{where}: {rel}:{name}")
         assert not stale, f"docs name code that does not exist: {stale}"
+
+
+# ----------------------------------------------------------------------
+# Repo paths named by CI and the benches
+# ----------------------------------------------------------------------
+class TestRepoPaths:
+    def test_ci_step_paths_exist(self):
+        """A token of ci.yml whose first component is a top-level
+        directory of the repo (``benchmarks/plans/x.toml``,
+        ``tests/test_shard.py``) is a repo path; outputs a step writes
+        (``trace.json``, ``/tmp/...``) are not."""
+        tops = {p.name for p in REPO.iterdir() if p.is_dir() and p.name[0] != "."}
+        tokens = re.findall(r"(?<![\w./-])([A-Za-z_][\w.-]*(?:/[\w.-]+)+)",
+                            CI_YML.read_text())
+        paths = sorted({t for t in tokens if t.split("/")[0] in tops})
+        assert paths, "no repo path found in ci.yml: the pattern is broken"
+        missing = [t for t in paths if not (REPO / t).exists()]
+        assert not missing, f"ci.yml names paths that do not exist: {missing}"
+
+    def test_bench_path_constants_exist(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        monkeypatch.syspath_prepend(str(REPO))
+        constants = []
+        for bench in sorted(BENCHMARKS.glob("bench_*.py")):
+            spec = importlib.util.spec_from_file_location(bench.stem, bench)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            constants += [
+                (f"{bench.name}:{name}", value)
+                for name, value in vars(module).items()
+                if isinstance(value, Path)
+            ]
+        assert constants, "no Path constant found in benchmarks/bench_*.py"
+        missing = [where for where, path in constants if not path.exists()]
+        assert not missing, f"bench constants name missing paths: {missing}"

@@ -26,12 +26,14 @@ import numpy as np
 import pytest
 
 from repro.config import ColoringConfig
+from repro.core.algorithm import MAX_CLEANUP_ROUNDS
 from repro.dynamic import DynamicColoring
 from repro.dynamic.events import UpdateBatch
 from repro.graphs.families import make_churn, make_graph
 from repro.serve import protocol as wire
 from repro.serve.client import ServeClient
 from repro.dynamic import engine as engine_module
+from repro.dynamic.engine import REPAIR_MULTITRIAL_MIN
 from repro.serve.coalesce import coalesce_batches
 from repro.serve.server import ColoringServer
 from repro.serve.snapshot import load_snapshot, restore_engine, save_snapshot
@@ -389,6 +391,25 @@ class TestSnapshot:
         none of them, so it continues as if it never crashed."""
         self.restore_with_fields(tmp_path, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,constant,other",
+        [
+            ("max_cleanup_rounds", MAX_CLEANUP_ROUNDS, 5),
+            ("dynamic_repair_multitrial_min", REPAIR_MULTITRIAL_MIN, 1),
+        ],
+    )
+    def test_constant_config_field_restores_only_at_its_value(
+        self, tmp_path, field, constant, other
+    ):
+        """A snapshot written while these were config fields restores
+        exactly when it holds the value that is now a constant.  Any other
+        value changes what the engine computes, so the restore fails,
+        naming the field."""
+        path, old_cfg = self.restore_with_fields(tmp_path, **{field: constant})
+        self.rewrite_config(path, dict(old_cfg, **{field: other}))
+        with pytest.raises(ValueError, match=field):
+            restore_engine(path, fallback=False)
+
     def test_removed_sampler_refused_naming_field(self, tmp_path):
         """A snapshot written with the removed "prg" sampler fails to
         load, naming the field: its color stream no longer exists, so no
@@ -642,6 +663,8 @@ class TestLiveServer:
                        ("shard_reconcile_max_iters", 3),
                        ("serve_retry_after_s", 0.5),
                        ("obs_trace_buffer", 5),
+                       ("max_cleanup_rounds", MAX_CLEANUP_ROUNDS),
+                       ("dynamic_repair_multitrial_min", REPAIR_MULTITRIAL_MIN),
                        ("serve_queue_max", 1), ("serve_coalesce_max", 99),
                        ("obs_trace", True), ("obs_metrics", True)]
                 for request_id, (field, value) in enumerate(bad, start=20):

@@ -13,7 +13,6 @@ Two contracts from DESIGN.md §4:
    chunk boundaries, with the kernel's memory bounded by its chunk budget.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -280,35 +279,8 @@ class TestPerfTracking:
         assert all(v >= 0.0 for v in res.phase_seconds.values())
         assert set(res.phase_seconds) >= {"setup", "sparse", "cleanup"}
 
-    def test_trajectory_roundtrip(self, tmp_path):
-        from repro.runner.benchtrack import append_entry, load_trajectory
-
-        path = tmp_path / "BENCH_x.json"
-        append_entry(path, {"speedup": 5.0}, label="a")
-        data = append_entry(path, {"speedup": 6.0}, label="b")
-        assert [e["label"] for e in data["entries"]] == ["a", "b"]
-        again = load_trajectory(path)
-        assert again["entries"][1]["speedup"] == 6.0
-        assert "recorded_at" in again["entries"][0]
-
-    def test_trajectory_tolerates_corrupt_file(self, tmp_path):
-        from repro.runner.benchtrack import load_trajectory
-
-        path = tmp_path / "BENCH_y.json"
-        path.write_text("{not json")
-        assert load_trajectory(path) == {"benchmark": "BENCH_y", "entries": []}
-
-    def test_append_preserves_corrupt_file(self, tmp_path):
-        from repro.runner.benchtrack import append_entry
-
-        path = tmp_path / "BENCH_z.json"
-        path.write_text("{not json")
-        data = append_entry(path, {"speedup": 3.0}, label="fresh")
-        assert len(data["entries"]) == 1
-        assert (tmp_path / "BENCH_z.json.corrupt").read_text() == "{not json"
-
     def test_runner_timings_survive_store_roundtrip(self, tmp_path):
-        from repro.runner import ParallelRunner, ResultStore, TrialSpec, mean_timings
+        from repro.runner import ParallelRunner, ResultStore, TrialSpec
 
         spec = TrialSpec(family="gnp", n=64, avg_degree=8.0, seed=0)
         store = ResultStore(tmp_path / "r.jsonl")
@@ -318,23 +290,5 @@ class TestPerfTracking:
             [spec]
         )
         assert cached.results[0].cached
-        assert cached.results[0].timings  # timings of the computing run
-        means = mean_timings(run.results)
-        assert ("gnp", "broadcast", 64) in means
-
-    def test_bench_track_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        specfile = tmp_path / "m.json"
-        specfile.write_text(
-            json.dumps({"matrix": {"family": "gnp", "n": 64, "avg_degree": 8,
-                                   "seeds": 1, "algorithm": "broadcast"}})
-        )
-        track = tmp_path / "BENCH_t.json"
-        rc = main(["bench", str(specfile), "--track", str(track), "--json"])
-        assert rc == 0
-        data = json.loads(track.read_text())
-        assert len(data["entries"]) == 1
-        rows = data["entries"][0]["timings"]
-        assert rows and rows[0]["algorithm"] == "broadcast"
-        assert rows[0]["phase_seconds"]
+        # the timings of the computing run, as the store rounds them
+        assert cached.results[0].timings == pytest.approx(run.results[0].timings, abs=1e-6)
