@@ -67,10 +67,10 @@ def relabel(
 
     Node v's x candidates come from ``seq.derive_seed("relabel", phase)``
     and v.  Rounds per set: one batch for the x candidate labels, one for
-    the collision bitmaps.  With ``account``, the sets' shared rounds are
-    charged once: every node broadcasts in each, and the message is the
-    widest set's.  Algorithms 4 and 5 pass ``account=False`` and charge
-    their own rounds.
+    the collision bitmaps, each split into rounds that fit the cap.  With
+    ``account``, the sets' shared rounds are charged once: every node
+    broadcasts in each, and the message is the widest set's.  Algorithms
+    4 and 5 pass ``account=False`` and charge their own rounds.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     group = np.asarray(group, dtype=np.int64)
@@ -100,21 +100,25 @@ def relabel(
     chosen = np.where(clean.any(axis=1), clean.argmax(axis=1), -1)
 
     # Rounds: step 1 broadcasts x labels of bits_for_int(universe) bits
-    # each; step 2 broadcasts an x-bit collision map (detection by common
+    # each, a label wider than the cap in ⌈label_bits / cap⌉ rounds; step 2
+    # an x-bit collision map in ⌈x / cap⌉ rounds (detection by common
     # neighbors — S is 2-hop connected, so every colliding pair is seen).
     label_bits = bits_for_ints(universe)
-    per_round = np.maximum(1, (net.bandwidth_bits or x * label_bits) // label_bits)
-    step1 = -(-x // per_round)
+    cap = net.bandwidth_bits or x * label_bits
+    per_round = np.maximum(1, cap // label_bits)
+    step1 = -(-x // per_round) * -(-label_bits // cap)
+    map_bits = min(x, net.bandwidth_bits or x)
+    step2 = -(-x // map_bits)
     live = sizes > 0
-    rounds = np.where(live, step1 + 1, 0)
+    rounds = np.where(live, step1 + step2, 0)
     if account and live.any():
         net.account_vector_round(
             nodes.size,
-            int((np.minimum(x, per_round) * label_bits)[live].max()),
+            int(np.minimum(np.minimum(x, per_round) * label_bits, cap)[live].max()),
             phase=phase,
             rounds=int(step1[live].max()),
         )
-        net.account_vector_round(nodes.size, x, phase=phase)
+        net.account_vector_round(nodes.size, map_bits, phase=phase, rounds=step2)
 
     # Fallback (measurably rare, per Lemma 4.3): rank within sorted IDs.
     by_id = np.lexsort((nodes, group))

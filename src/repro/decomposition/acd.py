@@ -16,6 +16,11 @@ Both enforce Definition 2.2 on their output:
   (2a) |K| ≤ (1+ε)Δ, (2b) |N(v) ∩ K| ≥ (1−ε)Δ for members,
   (2c) |N(v) ∩ K| ≤ (1−ε/2)Δ for non-members (repair adds violators when
        it can do so without breaking 2a).
+
+The repair and the validator read each rule's counts straight from the
+CSR pairs: :func:`_own_counts` gives a member's count inside its own
+clique, :func:`_outsider_counts` the (node, clique, count) triples of
+non-members.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.config import ColoringConfig
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
@@ -57,10 +61,7 @@ class AlmostCliqueDecomposition:
     @property
     def cliques(self) -> list[np.ndarray]:
         if self._cliques is None:
-            k = self.num_cliques
-            self._cliques = [
-                np.flatnonzero(self.labels == i).astype(np.int64) for i in range(k)
-            ]
+            self._cliques = _clique_members(self.labels, self.num_cliques)
         return self._cliques
 
     def members(self, i: int) -> np.ndarray:
@@ -79,23 +80,46 @@ class AlmostCliqueDecomposition:
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel clique ids to 0..k-1 preserving SPARSE."""
     out = np.full_like(labels, SPARSE)
-    used = np.unique(labels[labels >= 0])
-    for new, old in enumerate(used):
-        out[labels == old] = new
+    member = labels >= 0
+    out[member] = np.unique(labels[member], return_inverse=True)[1]
     return out
 
 
-def _neighbor_label_counts(net: BroadcastNetwork, labels: np.ndarray) -> sp.csr_matrix:
-    """Sparse (n × k) matrix: entry (v, c) = |N(v) ∩ K_c|."""
-    k = int(labels.max()) + 1 if (labels >= 0).any() else 0
+def _clique_sizes(labels: np.ndarray, k: int) -> np.ndarray:
+    """Members per clique id 0..k-1."""
+    return np.bincount(labels[labels >= 0], minlength=k)
+
+
+def _clique_members(labels: np.ndarray, k: int) -> list[np.ndarray]:
+    """The members of each clique id 0..k-1, ascending: one stable argsort
+    of the members by label, split at the clique sizes."""
     if k == 0:
-        return sp.csr_matrix((net.n, 0), dtype=np.int64)
-    dst_labels = labels[net.indices]
-    mask = dst_labels >= 0
-    rows = net.edge_src[mask]
-    cols = dst_labels[mask]
-    data = np.ones(rows.size, dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(net.n, k)).tocsr()
+        return []
+    member = np.flatnonzero(labels >= 0)
+    by_clique = member[np.argsort(labels[member], kind="stable")]
+    return np.split(by_clique, np.cumsum(_clique_sizes(labels, k))[:-1])
+
+
+def _own_counts(net: BroadcastNetwork, labels: np.ndarray) -> np.ndarray:
+    """|N(v) ∩ K| for each member v of a clique K, 0 for sparse nodes: one
+    ``bincount`` over the directed pairs whose two ends share a label."""
+    src = net.edge_src
+    lab = labels[src]
+    same = (lab >= 0) & (lab == labels[net.indices])
+    return np.bincount(src[same], minlength=net.n)
+
+
+def _outsider_counts(
+    net: BroadcastNetwork, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, c, |N(v) ∩ K_c|) for every clique c that v has a neighbor in
+    but does not belong to, sorted by (v, c): one ``np.unique`` over the
+    keys ``v·k + c`` of the directed pairs that cross into a clique.
+    ``k`` exceeds every clique id."""
+    lab = labels[net.indices]
+    cross = (lab >= 0) & (lab != labels[net.edge_src])
+    keys, cnt = np.unique(net.edge_src[cross] * k + lab[cross], return_counts=True)
+    return keys // k, keys % k, cnt
 
 
 def _admit_joins(
@@ -166,66 +190,47 @@ def _repair(
     labels = labels.copy()
     for _ in range(max(1, iterations)):
         passes += 1
-        changed = False
-        counts = _neighbor_label_counts(net, labels)
-        k = counts.shape[1]
+        k = int(labels.max(initial=SPARSE)) + 1
         if k == 0:
             break
-        own = np.zeros(net.n, dtype=np.int64)
-        member = labels >= 0
-        if member.any():
-            own[member] = np.asarray(
-                counts[np.flatnonzero(member), labels[member]]
-            ).ravel()
         # (2b) peel members with too few inside-neighbors.
-        bad = member & (own < need_inside)
-        if bad.any():
-            labels[bad] = SPARSE
-            changed = True
-        # dissolve cliques that became too small to ever satisfy 2b.
-        sizes = np.bincount(labels[labels >= 0], minlength=k) if k else np.empty(0)
-        for c in range(k):
-            if 0 < sizes[c] <= need_inside:
-                labels[labels == c] = SPARSE
-                changed = True
+        bad = (labels >= 0) & (_own_counts(net, labels) < need_inside)
+        labels[bad] = SPARSE
+        # dissolve cliques that became too small to ever satisfy 2b (the
+        # appended False is the entry a SPARSE label, -1, reads).
+        sizes = _clique_sizes(labels, k)
+        dissolve = np.append((sizes > 0) & (sizes <= need_inside), False)[labels]
+        labels[dissolve] = SPARSE
+        changed = bool(bad.any() or dissolve.any())
         # (2c) join outsiders that see almost all of a clique, unless that
         # would break (2a).  Vectorized join: qualifying (node, clique)
         # candidates sort by count (best first), each node keeps its single
         # best clique, and per-clique admission applies the remaining (2a)
         # headroom as a quota via grouped ranks — no per-entry Python.
-        counts = _neighbor_label_counts(net, labels)
-        k = counts.shape[1]
-        if k:
-            sizes = np.bincount(labels[labels >= 0], minlength=k)
-            coo = counts.tocoo()
-            v_arr = coo.row.astype(np.int64)
-            c_arr = coo.col.astype(np.int64)
-            cnt_arr = coo.data.astype(np.int64)
-            cand = (
-                (labels[v_arr] == SPARSE)
-                & (cnt_arr > join_threshold)
-                & (cnt_arr >= need_inside)
+        v_arr, c_arr, cnt_arr = _outsider_counts(net, labels, k)
+        cand = (
+            (labels[v_arr] == SPARSE)
+            & (cnt_arr > join_threshold)
+            & (cnt_arr >= need_inside)
+        )
+        if cand.any():
+            quota = np.floor(max_size - _clique_sizes(labels, k)).astype(np.int64)
+            joined_v, joined_c = _admit_joins(
+                v_arr[cand], c_arr[cand], cnt_arr[cand], quota
             )
-            if cand.any():
-                quota = np.floor(max_size - sizes).astype(np.int64)
-                joined_v, joined_c = _admit_joins(
-                    v_arr[cand], c_arr[cand], cnt_arr[cand], quota
-                )
-                if joined_v.size:
-                    labels[joined_v] = joined_c
-                    changed = True
-        # (2a) shed lowest-connectivity members from oversized cliques.
-        counts = _neighbor_label_counts(net, labels)
-        k = counts.shape[1]
-        if k:
-            sizes = np.bincount(labels[labels >= 0], minlength=k)
-            for c in np.flatnonzero(sizes > max_size):
-                members_c = np.flatnonzero(labels == c)
-                inside = np.asarray(counts[members_c, c]).ravel()
-                order = np.argsort(inside)
-                shed = members_c[order[: int(sizes[c] - np.floor(max_size))]]
-                labels[shed] = SPARSE
+            if joined_v.size:
+                labels[joined_v] = joined_c
                 changed = True
+        # (2a) shed lowest-connectivity members from oversized cliques.
+        sizes = _clique_sizes(labels, k)
+        over = np.flatnonzero(sizes > max_size)
+        if over.size:
+            own = _own_counts(net, labels)
+            members = _clique_members(labels, k)
+            for c in over:
+                order = np.argsort(own[members[c]])
+                labels[members[c][order[: int(sizes[c] - np.floor(max_size))]]] = SPARSE
+            changed = True
         if not changed:
             break
     return _compact_labels(labels), passes
@@ -233,18 +238,15 @@ def _repair(
 
 def _clusters_from_friend_edges(
     net: BroadcastNetwork,
-    friend_edge_mask: np.ndarray,
+    friend_edges: np.ndarray,
     dense_mask: np.ndarray,
 ) -> np.ndarray:
     """Cluster ids via two rounds of min-ID propagation over friend edges
     among dense nodes (almost-cliques have friend-diameter ≤ 2, so two
     rounds suffice for every member to hear the minimum ID)."""
     n = net.n
-    edges = net.undirected_edges()
     ids = np.where(dense_mask, np.arange(n, dtype=np.int64), np.iinfo(np.int64).max)
-    fe = edges[friend_edge_mask]
-    both_dense = dense_mask[fe[:, 0]] & dense_mask[fe[:, 1]]
-    fe = fe[both_dense]
+    fe = friend_edges[dense_mask[friend_edges[:, 0]] & dense_mask[friend_edges[:, 1]]]
     current = ids.copy()
     for _ in range(2):
         nxt = current.copy()
@@ -256,14 +258,6 @@ def _clusters_from_friend_edges(
     dense_nodes = np.flatnonzero(dense_mask)
     labels[dense_nodes] = current[dense_nodes]
     return _compact_labels(labels)
-
-
-def _friend_degree(net: BroadcastNetwork, friend_edge_mask: np.ndarray) -> np.ndarray:
-    edges = net.undirected_edges()
-    fe = edges[friend_edge_mask]
-    if not fe.size:
-        return np.zeros(net.n, dtype=np.int64)
-    return np.bincount(fe.ravel(), minlength=net.n).astype(np.int64)
 
 
 def _density_floor(net: BroadcastNetwork, eps: float) -> float:
@@ -294,10 +288,10 @@ def _build(
 ) -> AlmostCliqueDecomposition:
     eps = cfg.eps
     friend_threshold = 1.0 - cfg.acd_friend_slack * eps
-    friend_mask = similarity >= friend_threshold
-    fdeg = _friend_degree(net, friend_mask)
+    friend_edges = net.undirected_edges()[similarity >= friend_threshold]
+    fdeg = np.bincount(friend_edges.ravel(), minlength=net.n)
     dense_mask = fdeg >= _density_floor(net, eps)
-    labels = _clusters_from_friend_edges(net, friend_mask, dense_mask)
+    labels = _clusters_from_friend_edges(net, friend_edges, dense_mask)
     # cluster formation: 2 rounds of id broadcasts.
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
@@ -358,8 +352,9 @@ def decompose_distributed(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
         )
     touched = _candidate_edges(net, cfg.eps)
+    touched_edges = net.undirected_edges()[touched]
     endpoints = np.zeros(net.n, dtype=bool)
-    endpoints[net.undirected_edges()[touched]] = True
+    endpoints[touched_edges] = True
     sketch = compute_sketches(
         net,
         num_samples=cfg.acd_minhash_samples,
@@ -368,7 +363,5 @@ def decompose_distributed(
         nodes=np.flatnonzero(endpoints),
     )
     similarity = np.zeros(net.m, dtype=np.float64)
-    similarity[touched] = estimate_edge_similarity(
-        net, sketch, net.undirected_edges()[touched]
-    )
+    similarity[touched] = estimate_edge_similarity(net, sketch, touched_edges)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)

@@ -36,9 +36,10 @@ __all__ = [
     "estimate_edge_similarity",
 ]
 
-# Edges per chunk in the packed estimator: bounds every temporary to
-# (chunk × words) uint64, so no (T × m) matrix is ever materialized.
-_EDGE_CHUNK = 1 << 18
+# Bytes per temporary in the packed estimator: edges stream in chunks of
+# (chunk × words) uint64 of about this size, the cache-sized budget of the
+# fingerprint kernel's hash blocks, so no (T × m) matrix is materialized.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -117,10 +118,12 @@ def _swar_match_counts(
     u64 = np.uint64
     fields = 64 // bits
     low_bits = u64(sum(1 << (f * bits) for f in range(fields)))
+    step = max(1, _CHUNK_BYTES // (8 * max(1, packed.shape[1])))
     matches = np.empty(edges.shape[0], dtype=np.int64)
-    for e0 in range(0, edges.shape[0], _EDGE_CHUNK):
-        e1 = min(e0 + _EDGE_CHUNK, edges.shape[0])
-        x = packed[edges[e0:e1, 0]] ^ packed[edges[e0:e1, 1]]
+    for e0 in range(0, edges.shape[0], step):
+        e1 = min(e0 + step, edges.shape[0])
+        x = packed.take(edges[e0:e1, 0], axis=0)
+        x ^= packed.take(edges[e0:e1, 1], axis=0)
         nz = x.copy()
         for k in range(1, bits):
             nz |= x >> u64(k)

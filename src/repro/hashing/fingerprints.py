@@ -77,9 +77,9 @@ def hash_array_u64(values: np.ndarray, salt: int = 0) -> np.ndarray:
 
 # Per-chunk hash budget of the fingerprint kernel: a chunk of Tc samples
 # is sized so its node-major ``(|ids|, Tc)`` uint32 hash grid stays around
-# this many bytes.  Larger budgets were no faster and raised the kernel's
-# peak memory (DESIGN.md §4).
-_CHUNK_BYTES = 4 << 20
+# this many bytes.  Chosen by a sweep of 256 KiB–4 MiB over the graphs the
+# sketch serves: none ran slower than at 4 MiB (DESIGN.md §4).
+_CHUNK_BYTES = 512 << 10
 # The hash grid is mixed in row blocks of about this many bytes of uint64
 # lanes, so the splitmix temporaries stay cache-sized.
 _HASH_BLOCK_BYTES = 1 << 18

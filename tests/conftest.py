@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import ColoringConfig
 from repro.graphs.generators import (
@@ -15,6 +16,12 @@ from repro.graphs.generators import (
 )
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
+
+# A longer Hypothesis run for CI's oracle steps: ``pytest
+# --hypothesis-profile ci``.  Tier-1 runs the default profile; tests that
+# size their run from it (``settings.default.max_examples``) get ten times
+# the examples under this one.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture
@@ -62,6 +69,3 @@ def planted_net(cfg) -> BroadcastNetwork:
 def blob_net(cfg) -> BroadcastNetwork:
     g = clique_blob_graph(3, 40, anti_edges_per_clique=30, external_edges_per_clique=10, seed=9)
     return BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0]))
-
-
-

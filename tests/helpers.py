@@ -5,6 +5,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import algorithm
 from repro.core.algorithm import BroadcastColoring
@@ -13,7 +14,13 @@ from repro.core.putaside import PutAsideReport
 from repro.core.sct import SCTReport
 from repro.core.state import ColoringState
 from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
-from repro.decomposition.acd import SPARSE, AlmostCliqueDecomposition, _build
+from repro.decomposition.acd import (
+    SPARSE,
+    AlmostCliqueDecomposition,
+    _admit_joins,
+    _build,
+    _compact_labels,
+)
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.dynamic import engine as engine_module
 from repro.dynamic.engine import conflict_victims
@@ -106,6 +113,113 @@ def all_nodes_decomposition(net: BroadcastNetwork, cfg):
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
 
+
+# ---------------------------------------------------------------------------
+# The ACD repair over the full (n × k) neighbor-label count matrix.  The
+# library reads each rule's counts straight from the CSR pairs; these build
+# the scipy matrix and read every rule from it.
+# ---------------------------------------------------------------------------
+
+
+def _neighbor_label_counts(net: BroadcastNetwork, labels: np.ndarray) -> sp.csr_matrix:
+    """Sparse (n × k) matrix: entry (v, c) = |N(v) ∩ K_c|."""
+    k = int(labels.max()) + 1 if (labels >= 0).any() else 0
+    if k == 0:
+        return sp.csr_matrix((net.n, 0), dtype=np.int64)
+    dst_labels = labels[net.indices]
+    mask = dst_labels >= 0
+    rows = net.edge_src[mask]
+    cols = dst_labels[mask]
+    data = np.ones(rows.size, dtype=np.int64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(net.n, k)).tocsr()
+
+
+def own_counts_oracle(net: BroadcastNetwork, labels: np.ndarray) -> np.ndarray:
+    """``acd._own_counts`` read from the matrix: entry (v, labels[v])."""
+    counts = _neighbor_label_counts(net, labels)
+    own = np.zeros(net.n, dtype=np.int64)
+    member = np.flatnonzero(labels >= 0)
+    if member.size:
+        own[member] = np.asarray(counts[member, labels[member]]).ravel()
+    return own
+
+
+def outsider_counts_oracle(net: BroadcastNetwork, labels: np.ndarray, k: int):
+    """``acd._outsider_counts`` read from the matrix: its stored entries
+    (v, c) with c ≠ labels[v], in row-major order."""
+    coo = _neighbor_label_counts(net, labels).tocoo()
+    out = labels[coo.row] != coo.col
+    return tuple(a[out].astype(np.int64) for a in (coo.row, coo.col, coo.data))
+
+
+def repair_oracle(net: BroadcastNetwork, labels: np.ndarray, eps: float, iterations: int):
+    """``acd._repair`` recounting the whole matrix before each rule, with a
+    per-clique dissolve loop.  Returns (labels, passes)."""
+    delta = max(net.delta, 1)
+    need_inside = (1.0 - eps) * delta  # 2b
+    max_size = (1.0 + eps) * delta  # 2a
+    join_threshold = (1.0 - eps / 2.0) * delta  # 2c
+    passes = 0
+    labels = labels.copy()
+    for _ in range(max(1, iterations)):
+        passes += 1
+        changed = False
+        counts = _neighbor_label_counts(net, labels)
+        k = counts.shape[1]
+        if k == 0:
+            break
+        own = np.zeros(net.n, dtype=np.int64)
+        member = labels >= 0
+        if member.any():
+            own[member] = np.asarray(
+                counts[np.flatnonzero(member), labels[member]]
+            ).ravel()
+        bad = member & (own < need_inside)
+        if bad.any():
+            labels[bad] = SPARSE
+            changed = True
+        sizes = np.bincount(labels[labels >= 0], minlength=k)
+        for c in range(k):
+            if 0 < sizes[c] <= need_inside:
+                labels[labels == c] = SPARSE
+                changed = True
+        counts = _neighbor_label_counts(net, labels)
+        k = counts.shape[1]
+        if k:
+            sizes = np.bincount(labels[labels >= 0], minlength=k)
+            coo = counts.tocoo()
+            v_arr = coo.row.astype(np.int64)
+            c_arr = coo.col.astype(np.int64)
+            cnt_arr = coo.data.astype(np.int64)
+            cand = (
+                (labels[v_arr] == SPARSE)
+                & (cnt_arr > join_threshold)
+                & (cnt_arr >= need_inside)
+            )
+            if cand.any():
+                quota = np.floor(max_size - sizes).astype(np.int64)
+                joined_v, joined_c = _admit_joins(
+                    v_arr[cand], c_arr[cand], cnt_arr[cand], quota
+                )
+                if joined_v.size:
+                    labels[joined_v] = joined_c
+                    changed = True
+        counts = _neighbor_label_counts(net, labels)
+        k = counts.shape[1]
+        if k:
+            sizes = np.bincount(labels[labels >= 0], minlength=k)
+            for c in np.flatnonzero(sizes > max_size):
+                members_c = np.flatnonzero(labels == c)
+                # A column of the matrix, densified: ``np.asarray`` of a
+                # sparse column is a one-element object array.
+                inside = counts[members_c, c].toarray().ravel()
+                order = np.argsort(inside)
+                shed = members_c[order[: int(sizes[c] - np.floor(max_size))]]
+                labels[shed] = SPARSE
+                changed = True
+        if not changed:
+            break
+    return _compact_labels(labels), passes
 
 # ---------------------------------------------------------------------------
 # Per-node oracles of the dense-clique phases (put-aside, LearnPalette, SCT).
@@ -317,8 +431,12 @@ def relabel_oracle(net, nodes, cfg, seq, phase="sct/relabel"):
     )
     chosen = next((j for j in range(x) if len(set(cand[:, j].tolist())) == s), -1)
     label_bits = bits_for_int(universe)
-    per_round = max(1, (net.bandwidth_bits or x * label_bits) // label_bits)
-    rounds = int(np.ceil(x / per_round)) + 1
+    cap = net.bandwidth_bits or x * label_bits
+    per_round = max(1, cap // label_bits)
+    # A label wider than the cap takes ⌈label_bits / cap⌉ rounds of its own.
+    label_rounds = int(np.ceil(label_bits / cap))
+    map_rounds = int(np.ceil(x / (net.bandwidth_bits or x)))
+    rounds = int(np.ceil(x / per_round)) * label_rounds + map_rounds
     if chosen >= 0:
         return cand[:, chosen], universe, chosen, rounds
     rank = {v: r for r, v in enumerate(sorted(nodes))}

@@ -1,12 +1,15 @@
 """Tests for the ε-almost-clique decomposition (Definition 2.2, Lemma 2.5)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.decomposition.acd as acd_mod
 import repro.decomposition.minhash as minhash_mod
+import repro.decomposition.validation as validation_mod
 from repro.config import ColoringConfig
 from repro.decomposition.acd import (
     SPARSE,
@@ -17,6 +20,7 @@ from repro.decomposition.acd import (
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.decomposition.validation import validate_decomposition
 from repro.graphs.generators import (
+    clique_blob_graph,
     complete_graph,
     geometric_graph,
     gnp_graph,
@@ -25,7 +29,12 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.simulator.network import BroadcastNetwork
-from tests.helpers import all_nodes_decomposition
+from tests.helpers import (
+    all_nodes_decomposition,
+    outsider_counts_oracle,
+    own_counts_oracle,
+    repair_oracle,
+)
 
 
 @pytest.fixture
@@ -225,6 +234,116 @@ class TestDecompositionObject:
         acd = AlmostCliqueDecomposition(labels=np.full(3, SPARSE), eps=0.1)
         assert acd.num_cliques == 0
         assert acd.cliques == []
+
+    @given(labels=st.lists(st.integers(SPARSE, 12), max_size=60))
+    @example(labels=[])
+    @example(labels=[SPARSE] * 5)
+    @example(labels=[5, SPARSE, 5, 9, 2, 9])
+    @settings(max_examples=60, deadline=None)
+    def test_clique_ids_match_the_per_id_loops(self, labels):
+        """`_compact_labels` and `cliques` against the loops that scanned
+        the labels once per clique id: gaps, k = 0, every node sparse."""
+        labels = np.array(labels, dtype=np.int64)
+        compact = np.full_like(labels, SPARSE)
+        for new, old in enumerate(np.unique(labels[labels >= 0])):
+            compact[labels == old] = new
+        assert np.array_equal(acd_mod._compact_labels(labels), compact)
+        acd = AlmostCliqueDecomposition(labels=labels, eps=0.1)
+        loop = [np.flatnonzero(labels == i) for i in range(acd.num_cliques)]
+        assert len(acd.cliques) == len(loop)
+        for got, want in zip(acd.cliques, loop):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def cluster_labels(net, cfg):
+    """The labels `_build` hands the repair under exact similarities."""
+    seen = [np.full(net.n, SPARSE, dtype=np.int64)]
+
+    def spy(net, labels, eps, iterations):
+        seen.append(labels.copy())
+        return labels, 0
+
+    with mock.patch.object(acd_mod, "_repair", spy):
+        decompose_exact(net, cfg)
+    return seen[-1]
+
+
+def validator_report(net, labels, eps):
+    report = validate_decomposition(net, AlmostCliqueDecomposition(labels=labels, eps=eps))
+    return report.as_dict(), report.details
+
+
+class TestRepairMatchesOracle:
+    """The repair reads each rule's counts from the CSR pairs; the oracle
+    (`tests/helpers.py:repair_oracle`) recounts the (n × k) neighbor-label
+    matrix before every rule.  Labels, passes and the validator's reports
+    must be identical.  Perturbed labelings (merged cliques, evicted
+    members, moved nodes, gaps) reach (2c) and (2a), which clean ones
+    rarely do."""
+
+    GRAPHS = {
+        "planted": lambda seed: planted_acd_graph(3, 24, 0.1, sparse_nodes=24, seed=seed),
+        "blob": lambda seed: clique_blob_graph(
+            3, 24, anti_edges_per_clique=20, external_edges_per_clique=8, seed=seed
+        ),
+        "gnp": lambda seed: gnp_graph(60, 0.4, seed=seed),
+    }
+
+    @staticmethod
+    def perturb(labels, data):
+        labels = labels.copy()
+        n, k = labels.size, int(labels.max(initial=SPARSE)) + 1
+        if k:
+            ids = st.integers(0, k - 1)
+            for a, b in data.draw(st.lists(st.tuples(ids, ids), max_size=2)):
+                labels[labels == b] = a
+        labels[data.draw(st.lists(st.integers(0, n - 1), max_size=n // 4))] = SPARSE
+        moves = st.tuples(st.integers(0, n - 1), st.integers(SPARSE, k + 2))
+        for v, c in data.draw(st.lists(moves, max_size=8)):
+            labels[v] = c
+        return labels
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @given(
+        seed=st.integers(0, 2**16),
+        eps=st.sampled_from([0.05, 0.1, 0.2, 1 / 3]),
+        iterations=st.integers(1, 5),
+        perturbed=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None)
+    def test_labels_passes_and_reports(self, graph, seed, eps, iterations, perturbed, data):
+        net = BroadcastNetwork(self.GRAPHS[graph](seed))
+        labels = cluster_labels(net, ColoringConfig.practical(eps=eps))
+        if perturbed:
+            labels = self.perturb(labels, data)
+        got, got_passes = acd_mod._repair(net, labels, eps, iterations)
+        want, want_passes = repair_oracle(net, labels, eps, iterations)
+        assert np.array_equal(got, want)
+        assert got_passes == want_passes
+        for lab in (labels, got):
+            report = validator_report(net, lab, eps)
+            with mock.patch.multiple(
+                validation_mod,
+                _own_counts=own_counts_oracle,
+                _outsider_counts=outsider_counts_oracle,
+            ):
+                assert report == validator_report(net, lab, eps)
+
+    def test_oversized_clique_trimmed_in_one_pass(self):
+        """(2a) sheds every member over ⌊(1+ε)Δ⌋ in one pass, the least
+        connected first.  Two 20-cliques joined by a matching that misses
+        nodes 0–3 and 20–23: labelled as one clique, those eight see 19 of
+        it and the rest see Δ = 20."""
+        edges = [
+            (i, j) for b in (0, 20) for i in range(b, b + 20) for j in range(i + 1, b + 20)
+        ] + [(i, i + 20) for i in range(4, 20)]
+        net = BroadcastNetwork((40, edges))
+        labels, passes = acd_mod._repair(net, np.zeros(40, dtype=np.int64), 0.2, 1)
+        assert passes == 1
+        assert (labels >= 0).sum() == 24
+        assert (labels[[0, 1, 2, 3, 20, 21, 22, 23]] == SPARSE).all()
+        assert np.array_equal(labels, repair_oracle(net, np.zeros(40, dtype=np.int64), 0.2, 1)[0])
 
 
 class TestJoinAdmission:

@@ -78,6 +78,17 @@ class TestRelabel:
         one_set(net, np.arange(8), cfg, SeedSequencer(7), phase="rl")
         assert net.metrics.rounds_in("rl") >= 2
 
+    def test_label_wider_than_the_cap(self):
+        """A 9-bit label under an 8-bit cap goes out in two rounds, then
+        the 1-bit collision map in one: no message over the cap."""
+        cfg = ColoringConfig.practical(c_log=1e-9)
+        net = BroadcastNetwork(complete_graph(64), bandwidth_bits=8)
+        rr = one_set(net, np.arange(7), cfg, SeedSequencer(1), phase="rl", account=True)
+        assert rr.label_bits.tolist() == [9]
+        assert rr.rounds.tolist() == [3]
+        assert net.metrics.rounds_in("rl") == 3
+        assert net.metrics.max_message_bits == 8
+
     def test_account_false(self, cfg, net):
         one_set(net, np.arange(8), cfg, SeedSequencer(8), phase="rl2", account=False)
         assert net.metrics.rounds_in("rl2") == 0
@@ -105,19 +116,24 @@ class TestBatchedMatchesOracle:
 
     @given(
         sizes=st.lists(st.integers(0, 30), min_size=1, max_size=6),
-        c_log=st.sampled_from([1e-9, 0.4, 1.0]),
+        c_log=st.sampled_from([1e-9, 0.4, 1.0, 4.0]),
         bandwidth=st.sampled_from([None, 8, 64]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_per_set_oracle(self, sizes, c_log, bandwidth, seed):
+        """Under an 8-bit cap some labels, and at c_log = 4 the collision
+        maps, are wider than the cap: they go out over several rounds,
+        and no message exceeds the cap."""
         cfg = ColoringConfig.practical(c_log=c_log)
         net = BroadcastNetwork(complete_graph(64), bandwidth_bits=bandwidth)
         rng = np.random.default_rng(seed)
         order = rng.permutation(sum(sizes))  # sets interleaved in the call
         group = np.repeat(np.arange(len(sizes)), sizes)[order]
         nodes = rng.choice(10**5, size=group.size, replace=False)
-        rr = relabel(net, nodes, group, cfg, SeedSequencer(seed), phase="p", account=False)
+        rr = relabel(net, nodes, group, cfg, SeedSequencer(seed), phase="p")
+        assert net.metrics.rounds_in("p") == rr.rounds.max(initial=0)
+        assert net.metrics.max_message_bits <= (bandwidth or np.inf)
         for g in range(int(group.max()) + 1 if group.size else 0):
             labels, universe, chosen, rounds = relabel_oracle(
                 net, nodes[group == g], cfg, SeedSequencer(seed), phase="p"

@@ -11,11 +11,14 @@ Covers the three contracts the ACD sketch rests on:
    timing behave as documented.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.decomposition.minhash as minhash_mod
 from repro.decomposition.minhash import compute_sketches, estimate_edge_similarity
 from repro.hashing.fingerprints import pack_fingerprints, packed_words_per_node
 from repro.graphs.generators import (
@@ -68,12 +71,21 @@ class TestEngineEquivalence:
         ),
         bits=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 11, 16]),
         samples=st.integers(min_value=1, max_value=70),
+        chunk_edges=st.one_of(st.none(), st.integers(1, 9)),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_bit_identical_property(self, n, edges, bits, samples):
+    @settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
+    def test_bit_identical_property(self, n, edges, bits, samples, chunk_edges):
+        """``chunk_edges`` edges per estimator chunk (None: the default
+        budget, one chunk here), so the edges span several chunks and
+        end in a partial one."""
         edges = [(u % n, v % n) for u, v in edges]
         net = BroadcastNetwork((n, edges))
-        packed, unpacked = sketch_pair(net, samples, bits, salt=1)
+        budget = minhash_mod._CHUNK_BYTES
+        if chunk_edges is not None:
+            # A chunk holds ⌈T / ⌊64/b⌋⌉ uint64 words per edge.
+            budget = 8 * packed_words_per_node(samples, bits) * chunk_edges
+        with mock.patch.object(minhash_mod, "_CHUNK_BYTES", budget):
+            packed, unpacked = sketch_pair(net, samples, bits, salt=1)
         assert np.array_equal(packed, unpacked)
 
 
