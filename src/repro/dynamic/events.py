@@ -99,31 +99,6 @@ class UpdateBatch:
             or self.departures.size
         )
 
-    def as_payload(self) -> dict:
-        """JSON-safe dict of this batch — the wire form ``update_batch``
-        frames carry (docs/PROTOCOL.md).  Inverse of :meth:`from_payload`."""
-        return {
-            "insert_edges": self.insert_edges.tolist(),
-            "delete_edges": self.delete_edges.tolist(),
-            "arrivals": self.arrivals.tolist(),
-            "departures": self.departures.tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "UpdateBatch":
-        """Rebuild a batch from :meth:`as_payload` output (or any mapping
-        with the same keys; missing keys mean "no events of that kind").
-
-        Raises ``ValueError``/``TypeError`` on malformed entries — the
-        wire layer maps those onto ``bad-payload`` error frames.
-        """
-        return cls(
-            insert_edges=payload.get("insert_edges"),
-            delete_edges=payload.get("delete_edges"),
-            arrivals=payload.get("arrivals"),
-            departures=payload.get("departures"),
-        )
-
 
 @dataclass(frozen=True)
 class ChurnSchedule:

@@ -25,10 +25,14 @@ Every payload carries ``"type"`` (a :data:`MESSAGE_TYPES` key) and
 The pushed :class:`BatchReportFrame` is the one exception: it answers
 *one or more* requests (coalescing), so it carries ``"ids"`` instead.
 
-Validation happens at decode time: :func:`decode_payload` dispatches on
-``"type"`` and each frame's ``from_payload`` checks field presence and
-types, raising :class:`ProtocolError` with the error code the server
-echoes back in an ``error`` frame.
+Validation happens at decode time, from one schema: each frame's
+dataclass fields are its wire fields, the annotation names the field's
+check and the class's ``REQUIRED`` tuple names the fields a payload must
+carry.  :func:`decode_payload` dispatches on ``"type"`` and the one
+:meth:`Frame.from_payload` applies that schema, raising
+:class:`ProtocolError` with the error code the server echoes back in an
+``error`` frame.  Every integer on the wire is a signed 64-bit integer,
+and a JSON boolean is never an integer.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import asyncio
 import json
 import struct
 from dataclasses import dataclass, field, fields
-from typing import BinaryIO, ClassVar
+from itertools import chain
+from typing import BinaryIO, Callable, ClassVar
 
 from repro.dynamic.events import UpdateBatch
 
@@ -132,53 +137,78 @@ class ProtocolError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Payload field validation helpers
+# Field checks: one per annotation a frame field may carry
 # ----------------------------------------------------------------------
-def _require(payload: dict, key: str, types: tuple[type, ...], what: str):
-    if key not in payload:
-        raise ProtocolError("bad-payload", f"{what}: missing field {key!r}")
-    value = payload[key]
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
-        names = "/".join(t.__name__ for t in types)
-        raise ProtocolError(
-            "bad-payload",
-            f"{what}: field {key!r} must be {names}, got {type(value).__name__}",
-        )
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _echo_id(payload: dict) -> int | None:
+    """The payload's ``id`` when an ``error`` frame can echo it."""
+    ident = payload.get("id")
+    return ident if type(ident) is int and _INT64_MIN <= ident <= _INT64_MAX else None
+
+
+def _in_int64(ints: list) -> None:
+    # One min/max pass after the per-entry type test: a per-entry range
+    # call would cost more than the type test itself.
+    if ints and (min(ints) < _INT64_MIN or max(ints) > _INT64_MAX):
+        raise ValueError("holds an integer outside the signed 64-bit range")
+
+
+def _scalar(kind: type) -> Callable:
+    def check(value):
+        # ``type(...) is``, not isinstance: a JSON boolean is not an int.
+        if type(value) is not kind:
+            raise ValueError(f"must be {kind.__name__}, got {type(value).__name__}")
+        if kind is int:
+            _in_int64([value])
+        return value
+
+    return check
+
+
+_int = _scalar(int)
+
+
+def _float(value) -> float:
+    if type(value) is int:
+        return float(_int(value))  # range-checked before float() can overflow
+    if type(value) is not float:
+        raise ValueError(f"must be float, got {type(value).__name__}")
     return value
 
 
-def _optional(payload: dict, key: str, types: tuple[type, ...], what: str, default=None):
-    if key not in payload or payload[key] is None:
-        return default
-    return _require(payload, key, types, what)
+def _int_list(value) -> list:
+    if type(value) is not list or set(map(type, value)) - {int}:
+        raise ValueError("must be a list of ints")
+    _in_int64(value)
+    return value
 
 
-def _frame_id(payload: dict, what: str) -> int:
-    return int(_require(payload, "id", (int,), what))
+def _pair_list(value) -> list:
+    if (
+        type(value) is not list
+        or set(map(type, value)) - {list}
+        or set(map(len, value)) - {2}
+        or set(map(type, flat := list(chain.from_iterable(value)))) - {int}
+    ):
+        raise ValueError("must be a list of [u, v] int pairs")
+    _in_int64(flat)
+    return value
 
 
-def _edge_list(payload: dict, key: str, what: str) -> list:
-    value = _optional(payload, key, (list,), what, default=[])
-    for pair in value:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ProtocolError(
-                "bad-payload", f"{what}: {key!r} entries must be [u, v] int pairs"
-            )
-    return [list(pair) for pair in value]
-
-
-def _node_list(payload: dict, key: str, what: str) -> list:
-    value = _optional(payload, key, (list,), what, default=[])
-    for x in value:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ProtocolError(
-                "bad-payload", f"{what}: {key!r} entries must be ints"
-            )
-    return list(value)
+_CHECKS: dict[str, Callable] = {
+    "int": _int,
+    "float": _float,
+    "str": _scalar(str),
+    "bool": _scalar(bool),
+    "dict": _scalar(dict),
+    "list[int]": _int_list,
+    "list[list[int]]": _pair_list,
+}
+"""Field annotation (with any ``| None`` stripped) → its wire check: the
+check returns the decoded value or raises ``ValueError`` naming what the
+field must be."""
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +218,21 @@ def _node_list(payload: dict, key: str, what: str) -> list:
 class Frame:
     """Base class: a typed wire message.
 
-    Subclasses set ``TYPE`` (the registry key) and implement
-    ``to_payload``/``from_payload``.  All fields are plain JSON-safe
-    python values — conversions to numpy live at the edges
-    (:meth:`UpdateBatchFrame.batch`), so round-tripping a frame through
-    :func:`encode_frame`/:func:`decode_payload` is exact equality.
+    Subclasses set ``TYPE`` (the registry key) and declare their wire
+    fields as dataclass fields, once: the annotation names the field's
+    check (``int``, ``str``, ``bool``, ``dict``, ``float``,
+    ``list[int]``, ``list[list[int]]``, any of them ``| None``) and
+    ``REQUIRED`` names the fields a payload must carry; an absent or
+    null optional field takes the dataclass default.  The one
+    :meth:`from_payload` decodes every registered type from that schema.
+    All fields are plain JSON-safe python values — conversions to numpy
+    live at the edges (:meth:`UpdateBatchFrame.batch`), so
+    round-tripping a frame through :func:`encode_frame`/
+    :func:`decode_payload` is exact equality.
     """
 
     TYPE: ClassVar[str] = ""
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id",)
     id: int = 0
 
     def to_payload(self) -> dict:
@@ -207,7 +244,35 @@ class Frame:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Frame":
-        return cls(id=_frame_id(payload, cls.TYPE))
+        """Decode ``payload`` as this frame type, checking every field
+        against its annotation.  A failure is ``bad-payload`` and echoes
+        the payload's ``id`` when that is a valid int."""
+        echo = _echo_id(payload)
+        values = {}
+        for name, check, required in _SCHEMA[cls]:
+            value = payload.get(name)
+            if value is None:
+                if required:
+                    raise ProtocolError(
+                        "bad-payload", f"{cls.TYPE}: missing field {name!r}", id=echo
+                    )
+                continue
+            try:
+                values[name] = check(value)
+            except ValueError as exc:
+                raise ProtocolError(
+                    "bad-payload", f"{cls.TYPE}: field {name!r} {exc}", id=echo
+                ) from None
+        frame = cls(**values)
+        problem = frame._problem()
+        if problem:
+            raise ProtocolError("bad-payload", f"{cls.TYPE}: {problem}", id=echo)
+        return frame
+
+    def _problem(self) -> str | None:
+        """What breaks a rule the per-field checks cannot state (one
+        spanning fields, or a value set), or None."""
+        return None
 
 
 # -- requests (client → server) ----------------------------------------
@@ -220,22 +285,9 @@ class Hello(Frame):
     """
 
     TYPE: ClassVar[str] = "hello"
-    versions: list = field(default_factory=lambda: [PROTOCOL_VERSION])
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "versions")
+    versions: list[int] = field(default_factory=lambda: [PROTOCOL_VERSION])
     client: str = ""
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Hello":
-        versions = _require(payload, "versions", (list,), cls.TYPE)
-        for v in versions:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ProtocolError(
-                    "bad-payload", "hello: 'versions' entries must be ints"
-                )
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            versions=list(versions),
-            client=_optional(payload, "client", (str,), cls.TYPE, default=""),
-        )
 
 
 @dataclass(frozen=True)
@@ -249,26 +301,17 @@ class LoadGraph(Frame):
     :class:`~repro.dynamic.DynamicColoring`, adopts)."""
 
     TYPE: ClassVar[str] = "load_graph"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "n")
     n: int = 0
-    edges: list = field(default_factory=list)
+    edges: list[list[int]] = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LoadGraph":
-        n = _require(payload, "n", (int,), cls.TYPE)
-        if n <= 0:
-            raise ProtocolError("bad-payload", "load_graph: n must be positive")
-        config = _optional(payload, "config", (dict,), cls.TYPE, default={})
-        if not all(isinstance(k, str) for k in config):
-            raise ProtocolError(
-                "bad-payload", "load_graph: config keys must be strings"
-            )
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            n=n,
-            edges=_edge_list(payload, "edges", cls.TYPE),
-            config=dict(config),
-        )
+    def _problem(self) -> str | None:
+        if self.n <= 0:
+            return "n must be positive"
+        if not all(isinstance(k, str) for k in self.config):
+            return "config keys must be strings"
+        return None
 
 
 @dataclass(frozen=True)
@@ -279,46 +322,24 @@ class UpdateBatchFrame(Frame):
     ``queue-full`` error when admission control rejects it."""
 
     TYPE: ClassVar[str] = "update_batch"
-    insert_edges: list = field(default_factory=list)
-    delete_edges: list = field(default_factory=list)
-    arrivals: list = field(default_factory=list)
-    departures: list = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "UpdateBatchFrame":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            insert_edges=_edge_list(payload, "insert_edges", cls.TYPE),
-            delete_edges=_edge_list(payload, "delete_edges", cls.TYPE),
-            arrivals=_node_list(payload, "arrivals", cls.TYPE),
-            departures=_node_list(payload, "departures", cls.TYPE),
-        )
+    insert_edges: list[list[int]] = field(default_factory=list)
+    delete_edges: list[list[int]] = field(default_factory=list)
+    arrivals: list[int] = field(default_factory=list)
+    departures: list[int] = field(default_factory=list)
 
     @property
     def batch(self) -> UpdateBatch:
         """The numpy event object the engine consumes (may raise
         ``ValueError`` for e.g. a node arriving and departing at once —
         the server maps that onto ``bad-payload``)."""
-        return UpdateBatch.from_payload(
-            {
-                "insert_edges": self.insert_edges,
-                "delete_edges": self.delete_edges,
-                "arrivals": self.arrivals,
-                "departures": self.departures,
-            }
-        )
+        events = {f.name: getattr(self, f.name) for f in fields(UpdateBatch)}
+        return UpdateBatch(**events)
 
     @classmethod
     def from_batch(cls, batch: UpdateBatch, id: int = 0) -> "UpdateBatchFrame":
         """Wrap an in-memory :class:`UpdateBatch` for the wire."""
-        p = batch.as_payload()
-        return cls(
-            id=id,
-            insert_edges=p["insert_edges"],
-            delete_edges=p["delete_edges"],
-            arrivals=p["arrivals"],
-            departures=p["departures"],
-        )
+        events = {f.name: getattr(batch, f.name).tolist() for f in fields(UpdateBatch)}
+        return cls(id=id, **events)
 
 
 @dataclass(frozen=True)
@@ -327,14 +348,7 @@ class QueryColors(Frame):
     the listed subset.  Departed nodes read as -1."""
 
     TYPE: ClassVar[str] = "query_colors"
-    nodes: list | None = None
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "QueryColors":
-        nodes = None
-        if payload.get("nodes") is not None:
-            nodes = _node_list(payload, "nodes", cls.TYPE)
-        return cls(id=_frame_id(payload, cls.TYPE), nodes=nodes)
+    nodes: list[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -343,14 +357,8 @@ class QueryPalette(Frame):
     [Δ_t+1] color space (free = not held by any colored neighbor)."""
 
     TYPE: ClassVar[str] = "query_palette"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "node")
     node: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "QueryPalette":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            node=_require(payload, "node", (int,), cls.TYPE),
-        )
 
 
 @dataclass(frozen=True)
@@ -379,13 +387,6 @@ class SnapshotRequest(Frame):
     TYPE: ClassVar[str] = "snapshot"
     path: str | None = None
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SnapshotRequest":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            path=_optional(payload, "path", (str,), cls.TYPE),
-        )
-
 
 @dataclass(frozen=True)
 class Ping(Frame):
@@ -413,18 +414,10 @@ class Welcome(Frame):
     server already holds (``n`` null until ``load_graph``)."""
 
     TYPE: ClassVar[str] = "welcome"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "v")
     v: int = PROTOCOL_VERSION
     server: str = ""
     n: int | None = None
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Welcome":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            v=_require(payload, "v", (int,), cls.TYPE),
-            server=_optional(payload, "server", (str,), cls.TYPE, default=""),
-            n=_optional(payload, "n", (int,), cls.TYPE),
-        )
 
 
 @dataclass(frozen=True)
@@ -434,6 +427,9 @@ class GraphLoaded(Frame):
     ``"pipeline"`` or ``"sharded"``)."""
 
     TYPE: ClassVar[str] = "graph_loaded"
+    REQUIRED: ClassVar[tuple[str, ...]] = (
+        "id", "n", "m", "delta", "colors_used", "initial_rounds", "seconds",
+    )
     n: int = 0
     m: int = 0
     delta: int = 0
@@ -441,19 +437,6 @@ class GraphLoaded(Frame):
     initial_rounds: int = 0
     seconds: float = 0.0
     initial: str = "pipeline"
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GraphLoaded":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            n=_require(payload, "n", (int,), cls.TYPE),
-            m=_require(payload, "m", (int,), cls.TYPE),
-            delta=_require(payload, "delta", (int,), cls.TYPE),
-            colors_used=_require(payload, "colors_used", (int,), cls.TYPE),
-            initial_rounds=_require(payload, "initial_rounds", (int,), cls.TYPE),
-            seconds=float(_require(payload, "seconds", (int, float), cls.TYPE)),
-            initial=_optional(payload, "initial", (str,), cls.TYPE, default="pipeline"),
-        )
 
 
 @dataclass(frozen=True)
@@ -464,18 +447,11 @@ class BatchReportFrame(Frame):
     ``id`` is fixed at -1 — correlation runs through ``ids``."""
 
     TYPE: ClassVar[str] = "batch_report"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("coalesced", "report")
     id: int = -1
-    ids: list = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
     coalesced: int = 1
     report: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "BatchReportFrame":
-        return cls(
-            ids=_node_list(payload, "ids", cls.TYPE),
-            coalesced=_require(payload, "coalesced", (int,), cls.TYPE),
-            report=_require(payload, "report", (dict,), cls.TYPE),
-        )
 
 
 @dataclass(frozen=True)
@@ -485,23 +461,11 @@ class ColorsReply(Frame):
     bits every read can be checked against."""
 
     TYPE: ClassVar[str] = "colors"
-    nodes: list | None = None
-    colors: list = field(default_factory=list)
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "proper", "complete")
+    nodes: list[int] | None = None
+    colors: list[int] = field(default_factory=list)
     proper: bool = True
     complete: bool = True
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ColorsReply":
-        nodes = None
-        if payload.get("nodes") is not None:
-            nodes = _node_list(payload, "nodes", cls.TYPE)
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            nodes=nodes,
-            colors=_node_list(payload, "colors", cls.TYPE),
-            proper=bool(_require(payload, "proper", (bool,), cls.TYPE)),
-            complete=bool(_require(payload, "complete", (bool,), cls.TYPE)),
-        )
 
 
 @dataclass(frozen=True)
@@ -509,20 +473,11 @@ class PaletteReply(Frame):
     """Answer to :class:`QueryPalette`."""
 
     TYPE: ClassVar[str] = "palette"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "node", "color", "num_colors")
     node: int = 0
     color: int = -1
     num_colors: int = 0
-    free: list = field(default_factory=list)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PaletteReply":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            node=_require(payload, "node", (int,), cls.TYPE),
-            color=_require(payload, "color", (int,), cls.TYPE),
-            num_colors=_require(payload, "num_colors", (int,), cls.TYPE),
-            free=_node_list(payload, "free", cls.TYPE),
-        )
+    free: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -531,14 +486,8 @@ class StatsReply(Frame):
     (docs/PROTOCOL.md lists every key)."""
 
     TYPE: ClassVar[str] = "stats_report"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "stats")
     stats: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StatsReply":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            stats=_require(payload, "stats", (dict,), cls.TYPE),
-        )
 
 
 @dataclass(frozen=True)
@@ -550,13 +499,6 @@ class MetricsReply(Frame):
     TYPE: ClassVar[str] = "metrics_report"
     text: str = ""
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MetricsReply":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            text=_optional(payload, "text", (str,), cls.TYPE, default=""),
-        )
-
 
 @dataclass(frozen=True)
 class SnapshotSaved(Frame):
@@ -564,18 +506,10 @@ class SnapshotSaved(Frame):
     the batch index it captures (restores resume from there)."""
 
     TYPE: ClassVar[str] = "snapshot_saved"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("id", "path", "batch_index", "bytes")
     path: str = ""
     batch_index: int = 0
     bytes: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SnapshotSaved":
-        return cls(
-            id=_frame_id(payload, cls.TYPE),
-            path=_require(payload, "path", (str,), cls.TYPE),
-            batch_index=_require(payload, "batch_index", (int,), cls.TYPE),
-            bytes=_require(payload, "bytes", (int,), cls.TYPE),
-        )
 
 
 @dataclass(frozen=True)
@@ -600,28 +534,14 @@ class ErrorFrame(Frame):
     ``queue-full`` — the backpressure contract: wait, then resubmit."""
 
     TYPE: ClassVar[str] = "error"
+    REQUIRED: ClassVar[tuple[str, ...]] = ("code",)
     id: int | None = None
     code: str = "internal"
     message: str = ""
     retry_after: float | None = None
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ErrorFrame":
-        code = _require(payload, "code", (str,), cls.TYPE)
-        if code not in ERROR_CODES:
-            raise ProtocolError("bad-payload", f"error: unknown code {code!r}")
-        id_ = payload.get("id")
-        if id_ is not None and (not isinstance(id_, int) or isinstance(id_, bool)):
-            raise ProtocolError("bad-payload", "error: 'id' must be int or null")
-        retry = payload.get("retry_after")
-        if retry is not None and not isinstance(retry, (int, float)):
-            raise ProtocolError("bad-payload", "error: 'retry_after' must be a number")
-        return cls(
-            id=id_,
-            code=code,
-            message=_optional(payload, "message", (str,), cls.TYPE, default=""),
-            retry_after=float(retry) if retry is not None else None,
-        )
+    def _problem(self) -> str | None:
+        return None if self.code in ERROR_CODES else f"unknown code {self.code!r}"
 
     def to_exception(self) -> ProtocolError:
         """The exception form a client raises on receipt."""
@@ -673,6 +593,24 @@ MESSAGE_TYPES: dict[str, type[Frame]] = {**REQUEST_TYPES, **RESPONSE_TYPES}
 """The complete registry — the docs-lint source of truth."""
 
 
+def _schema(cls: type[Frame]) -> tuple[tuple[str, Callable, bool], ...]:
+    """``(name, check, required)`` per field of ``cls``, in wire order.
+    A field whose annotation has no check, or a ``REQUIRED`` name that
+    is no field, fails here, at import."""
+    if not {f.name for f in fields(cls)}.issuperset(cls.REQUIRED):
+        raise TypeError(f"{cls.__name__}.REQUIRED names no field: {cls.REQUIRED}")
+    out = []
+    for f in fields(cls):
+        check = _CHECKS.get(f.type.removesuffix(" | None"))
+        if check is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no wire check for {f.type!r}")
+        out.append((f.name, check, f.name in cls.REQUIRED))
+    return tuple(out)
+
+
+_SCHEMA = {cls: _schema(cls) for cls in MESSAGE_TYPES.values()}
+
+
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
@@ -692,7 +630,10 @@ def decode_payload(raw: bytes) -> Frame:
     typed dataclass, validating as it goes."""
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer literal past the
+        # interpreter's int-string limit; RecursionError: nesting deeper
+        # than the parser's stack.
         raise ProtocolError("bad-frame", f"frame body is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("bad-frame", "frame body must be a JSON object")
@@ -702,9 +643,7 @@ def decode_payload(raw: bytes) -> Frame:
     cls = MESSAGE_TYPES.get(kind)
     if cls is None:
         raise ProtocolError(
-            "bad-type",
-            f"unknown message type {kind!r}",
-            id=payload.get("id") if isinstance(payload.get("id"), int) else None,
+            "bad-type", f"unknown message type {kind!r}", id=_echo_id(payload)
         )
     return cls.from_payload(payload)
 

@@ -4,6 +4,8 @@
   message type registered in ``repro.serve.protocol.MESSAGE_TYPES`` —
   both directions: an undocumented type fails, and so does a documented
   type the code no longer speaks.
+* Each such section's JSON example must decode to that type's frame and
+  name every field of the frame class — the spec's field lists.
 * Every ``ERROR_CODES`` entry must appear in PROTOCOL.md's error table.
 * Every relative link in docs/*.md must resolve inside the repo.
 * The public surfaces docs/API.md indexes (repro.dynamic, repro.shard,
@@ -21,10 +23,12 @@
 """
 
 import ast
+import dataclasses
 import functools
 import inspect
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -46,6 +50,16 @@ def protocol_headings() -> list[str]:
     return re.findall(r"^#### `([a-z_]+)`\s*$", text, flags=re.M)
 
 
+def protocol_examples() -> dict[str, str | None]:
+    """Heading → the first ```json block of its ``#### `type``` section."""
+    parts = re.split(r"^#### `([a-z_]+)`\s*$", PROTOCOL_MD.read_text(), flags=re.M)
+    out = {}
+    for kind, body in zip(parts[1::2], parts[2::2]):
+        block = re.search(r"^```json\n(.*?)^```", body, flags=re.M | re.S)
+        out[kind] = block and block.group(1)
+    return out
+
+
 class TestProtocolSpec:
     def test_every_registered_type_is_documented(self):
         missing = set(wire.MESSAGE_TYPES) - set(protocol_headings())
@@ -64,6 +78,19 @@ class TestProtocolSpec:
     def test_no_duplicate_sections(self):
         headings = protocol_headings()
         assert len(headings) == len(set(headings))
+
+    @pytest.mark.parametrize("kind", sorted(wire.MESSAGE_TYPES))
+    def test_example_decodes_and_names_every_field(self, kind):
+        example = protocol_examples().get(kind)
+        assert example, f"docs/PROTOCOL.md: `{kind}` has no JSON example"
+        frame = wire.decode_payload(example.encode())
+        assert type(frame) is wire.MESSAGE_TYPES[kind]
+        fields = {f.name for f in dataclasses.fields(frame)}
+        named = set(json.loads(example)) - {"type"}
+        assert named == fields, (
+            f"docs/PROTOCOL.md `{kind}` example: missing {sorted(fields - named)}, "
+            f"unknown {sorted(named - fields)}"
+        )
 
     def test_every_error_code_is_documented(self):
         text = PROTOCOL_MD.read_text()

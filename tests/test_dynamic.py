@@ -67,8 +67,6 @@ class TestEvents:
             UpdateBatch(insert_edges=[(3, 3)])
         with pytest.raises(ValueError, match="self-loop"):
             UpdateBatch(delete_edges=[(0, 1), (2, 2)])
-        with pytest.raises(ValueError, match="self-loop"):
-            UpdateBatch.from_payload({"insert_edges": [[5, 5]]})
 
     def test_schedule_validates_initial_edges(self):
         """Regression (ISSUE 10 satellite): a bad initial graph (e.g. an

@@ -17,6 +17,7 @@ Three layers of guarantees, in test-speed order:
 
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -629,6 +630,43 @@ class TestLiveServer:
                 assert isinstance(reply, wire.ErrorFrame)
                 assert reply.code == "bad-payload" and reply.id == 11
                 assert "self-loop" in reply.message
+                client.shutdown()
+            proc.wait(timeout=20)
+        finally:
+            stop(proc)
+
+    def test_wire_edge_refuses_out_of_range_input(self, tmp_path):
+        """Regression: an id outside int64 decoded, then overflowed the
+        daemon's int64 arrays and came back ``internal``; an integer
+        literal past the interpreter's int-string limit escaped the
+        decoder and dropped the session without an error frame.  The
+        first is ``bad-payload`` echoing the request's id, the second
+        ``bad-frame``, and the daemon keeps serving."""
+        proc, sock = spawn_server(tmp_path)
+        try:
+            with ServeClient(socket_path=sock) as client:
+                client.load_graph(4, [[0, 1], [2, 3]], seed=1)
+                huge = 2**70
+                for frame in (
+                    wire.LoadGraph(id=30, n=4, edges=[[0, huge]]),
+                    wire.UpdateBatchFrame(id=31, insert_edges=[[0, huge]]),
+                    wire.UpdateBatchFrame(id=32, arrivals=[-huge]),
+                    wire.QueryColors(id=33, nodes=[huge]),
+                ):
+                    client.send(frame)
+                    reply = client.recv()
+                    assert isinstance(reply, wire.ErrorFrame)
+                    assert (reply.code, reply.id) == ("bad-payload", frame.id)
+                assert client.query_colors().complete
+                body = b'{"type": "stats", "id": ' + b"9" * 5000 + b"}\n"
+                client.fp.write(struct.pack(">I", len(body)) + body)
+                client.fp.flush()
+                reply = client.recv()
+                assert isinstance(reply, wire.ErrorFrame)
+                assert reply.code == "bad-frame"
+                assert client.recv() is None  # framing lost: the server hangs up
+            with ServeClient(socket_path=sock) as client:
+                assert client.stats()["n"] == 4
                 client.shutdown()
             proc.wait(timeout=20)
         finally:

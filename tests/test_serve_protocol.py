@@ -7,11 +7,14 @@ documented error code — these are the docs/PROTOCOL.md guarantees a
 client is allowed to rely on.
 """
 
+import dataclasses
 import io
 import json
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.dynamic.events import UpdateBatch
 from repro.serve import protocol as wire
@@ -79,6 +82,23 @@ class TestRegistry:
     def test_protocol_error_rejects_unknown_code(self):
         with pytest.raises(ValueError):
             wire.ProtocolError("not-a-code", "x")
+
+    def test_field_without_a_wire_check_is_refused(self):
+        @dataclasses.dataclass(frozen=True)
+        class Odd(wire.Frame):
+            # A string, as protocol.py's postponed annotations are.
+            when: "set[int]" = dataclasses.field(default_factory=set)
+
+        with pytest.raises(TypeError, match="no wire check"):
+            wire._schema(Odd)
+
+    def test_required_names_a_field(self):
+        @dataclasses.dataclass(frozen=True)
+        class Odd(wire.Frame):
+            REQUIRED = ("id", "nodes")
+
+        with pytest.raises(TypeError, match="REQUIRED"):
+            wire._schema(Odd)
 
 
 class TestRoundTrip:
@@ -198,6 +218,68 @@ class TestMalformed:
             )
         assert err.value.code == "bad-payload"
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"type": "update_batch", "id": 1, "insert_edges": [[0, 2**70]]},
+         "insert_edges"),
+        ({"type": "update_batch", "id": 1, "delete_edges": [[-(2**63) - 1, 0]]},
+         "delete_edges"),
+        ({"type": "update_batch", "id": 1, "arrivals": [2**63]}, "arrivals"),
+        ({"type": "query_colors", "id": 1, "nodes": [-(2**70)]}, "nodes"),
+        ({"type": "load_graph", "id": 1, "n": 4, "edges": [[0, 2**70]]}, "edges"),
+        ({"type": "query_palette", "id": 1, "node": 2**63}, "node"),
+        ({"type": "stats", "id": 2**63}, "id"),
+    ], ids=lambda v: v if isinstance(v, str) else v["type"])
+    def test_integer_outside_int64(self, payload, field):
+        # Regression: these used to decode; the daemon's int64 arrays
+        # then overflowed on the update and query ids (`internal`).
+        with pytest.raises(wire.ProtocolError) as err:
+            wire.decode_payload(json.dumps(payload).encode())
+        assert err.value.code == "bad-payload"
+        assert repr(field) in err.value.message
+
+    def test_int64_bounds_decode(self):
+        lo, hi = -(2**63), 2**63 - 1
+        frame = wire.UpdateBatchFrame(id=hi, insert_edges=[[lo, hi]], arrivals=[lo])
+        assert roundtrip(frame) == frame
+
+    def test_bad_field_echoes_request_id(self):
+        with pytest.raises(wire.ProtocolError) as err:
+            wire.decode_payload(
+                json.dumps({"type": "query_colors", "id": 7, "nodes": [2**64]}).encode()
+            )
+        assert (err.value.code, err.value.id) == ("bad-payload", 7)
+
+    def test_oversized_integer_literal_is_bad_frame(self):
+        # Past the interpreter's int-string limit json.loads raises a
+        # plain ValueError, which used to escape the decoder.
+        body = b'{"type": "stats", "id": ' + b"9" * 5000 + b"}\n"
+        self.expect(struct.pack(">I", len(body)) + body, "bad-frame")
+
+    def test_deeply_nested_body_is_bad_frame(self):
+        body = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        self.expect(struct.pack(">I", len(body)) + body, "bad-frame")
+
+    @pytest.mark.parametrize("payload", [
+        {"type": "graph_loaded", "id": 1, "n": 1, "m": 0, "delta": 0,
+         "colors_used": 1, "initial_rounds": 1, "seconds": 10**400},
+        {"type": "error", "id": 1, "code": "queue-full", "retry_after": 10**400},
+    ], ids=lambda p: p["type"])
+    def test_float_field_refuses_huge_integer(self, payload):
+        # float(10**400) raised OverflowError inside the client's decoder.
+        self.expect(encode_raw(payload), "bad-payload")
+
+    def test_bool_is_not_a_number(self):
+        self.expect(
+            encode_raw({"type": "error", "id": 1, "code": "queue-full",
+                        "retry_after": True}),
+            "bad-payload",
+        )
+
+    def test_bool_id_is_not_echoed(self):
+        with pytest.raises(wire.ProtocolError) as err:
+            wire.read_frame(io.BytesIO(encode_raw({"type": "warp-core", "id": True})))
+        assert (err.value.code, err.value.id) == ("bad-type", None)
+
     def test_unknown_error_code_on_wire(self):
         self.expect(
             encode_raw({"type": "error", "id": 1, "code": "nope"}), "bad-payload"
@@ -211,3 +293,68 @@ class TestMalformed:
 
     def test_clean_eof_is_none(self):
         assert wire.read_frame(io.BytesIO(b"")) is None
+
+
+# ----------------------------------------------------------------------
+# The schema under arbitrary JSON
+# ----------------------------------------------------------------------
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# A fixed alphabet with JSON's escapes, non-ASCII and a lone surrogate:
+# st.text()'s full-Unicode table takes seconds to build on a fresh
+# checkout, which trips Hypothesis's too_slow health check.
+TEXT = st.text(alphabet="az \"\\\x00\x1f\u00e9\u2603\U0001f600\ud800")
+WIDE_INTS = st.integers(-(2**70), 2**70) | st.sampled_from(
+    [INT64_MIN - 1, INT64_MIN, INT64_MAX, INT64_MAX + 1]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | WIDE_INTS | TEXT
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(wire.ERROR_CODES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+# Bare ints and well-typed lists first, so the happy path of every int
+# field is reached often.
+FIELD_VALUES = (
+    WIDE_INTS
+    | st.lists(WIDE_INTS, max_size=5)
+    | st.lists(st.lists(WIDE_INTS, min_size=2, max_size=2), max_size=4)
+    | JSON_VALUES
+)
+
+
+@st.composite
+def payloads(draw):
+    """A payload of a registered type whose fields, each present or not,
+    hold arbitrary JSON values."""
+    kind = draw(st.sampled_from(sorted(wire.MESSAGE_TYPES)))
+    names = [f.name for f in dataclasses.fields(wire.MESSAGE_TYPES[kind])]
+    body = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(names, FIELD_VALUES)))
+    return {"type": kind, **body}
+
+
+def typed_ints(frame: wire.Frame):
+    """Every int held by the frame's int-typed fields (``dict`` fields
+    carry opaque JSON)."""
+    todo = [getattr(frame, f.name) for f in dataclasses.fields(frame)]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, list):
+            todo.extend(value)
+        elif type(value) is int:
+            yield value
+
+
+class TestSchemaProperty:
+    @given(payload=payloads())
+    @example(payload={"type": "stats", "id": 2**63})
+    def test_arbitrary_payload_is_refused_or_round_trips(self, payload):
+        try:
+            frame = wire.decode_payload(json.dumps(payload).encode())
+        except wire.ProtocolError as err:
+            assert err.code == "bad-payload"
+            return
+        assert type(frame) is wire.MESSAGE_TYPES[payload["type"]]
+        assert all(INT64_MIN <= x <= INT64_MAX for x in typed_ints(frame))
+        assert roundtrip(frame) == frame
