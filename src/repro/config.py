@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from repro.util.mathx import poly_log
@@ -335,31 +335,34 @@ class ColoringConfig:
     """Root seed; a run is a pure function of (graph, config, seed)."""
 
     def __post_init__(self) -> None:
-        # eps, the sketch fields, the CompressTry counts, shard_k and the
-        # named choices can arrive from outside the program (load_graph
-        # and spec-file overrides, snapshots): refuse here, naming the
-        # field, what the pipeline cannot run.  An eps outside (0, 1) finds no
-        # cliques or too many, and the validator, checking against the
-        # same eps, would pass either.
-        eps = self.eps
-        if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be a real number in (0, 1), got {eps!r}")
-        samples, bits = self.acd_minhash_samples, self.acd_minhash_bits
-        if not isinstance(samples, numbers.Integral) or samples < 1:
-            raise ValueError(
-                f"acd_minhash_samples must be an integer >= 1, got {samples!r}"
-            )
-        if not isinstance(bits, numbers.Integral) or not 1 <= bits <= 16:
-            raise ValueError(
-                f"acd_minhash_bits must be an integer in [1, 16], got {bits!r}"
-            )
-        # CompressTry draws and charges k color indices in each of its
-        # repeats: a count below 1 would charge negative or phantom bits.
-        # A shard count below 1 partitions nothing.  MultiTrial tries at
-        # least one color per iteration, never fewer than the iteration
-        # before: a bad count or growth would fail deep inside the sparse
-        # phase, or silently skip it.
+        # Every field can arrive from outside the program (load_graph and
+        # spec-file overrides, snapshots): refuse here, naming the field, a
+        # value of the wrong type, then what the pipeline cannot run.
+        for name, (annotation, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # A bool is an Integral and a Real: only a bool field takes one.
+            if (
+                not isinstance(value, kind)
+                or (isinstance(value, bool) and kind is not bool)
+                or (kind is numbers.Integral and not -(1 << 63) <= value < 1 << 63)
+            ):
+                width = " in the signed 64-bit range" if kind is numbers.Integral else ""
+                raise ValueError(f"{name} must be {annotation}{width}, got {value!r}")
+        # An eps outside (0, 1) finds no cliques or too many, and the
+        # validator, checking against the same eps, would pass either.
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
+        bits = self.acd_minhash_bits
+        if not 1 <= bits <= 16:
+            raise ValueError(f"acd_minhash_bits must be in [1, 16], got {bits!r}")
+        # The sketch needs a sample.  CompressTry draws and charges k color
+        # indices in each of its repeats: a count below 1 would charge
+        # negative or phantom bits.  A shard count below 1 partitions
+        # nothing.  MultiTrial tries at least one color per iteration,
+        # never fewer than the iteration before: a bad count or growth
+        # would fail deep inside the sparse phase, or silently skip it.
         for name, least in (
+            ("acd_minhash_samples", 1),
             ("compress_try_colors", 1),
             ("compress_try_repeats", 1),
             ("shard_k", 1),
@@ -368,13 +371,11 @@ class ColoringConfig:
             ("multitrial_max_iters", 0),
         ):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         growth = self.multitrial_growth
-        if not isinstance(growth, numbers.Real) or not 1.0 <= growth < math.inf:
-            raise ValueError(
-                f"multitrial_growth must be a finite real number >= 1, got {growth!r}"
-            )
+        if not 1.0 <= growth < math.inf:
+            raise ValueError(f"multitrial_growth must be finite and >= 1, got {growth!r}")
         # Checked here, not where they are used: an unknown victim rule
         # would fail only inside the first repair, after the batch had
         # changed the topology, an unknown sampler name would silently
@@ -388,7 +389,7 @@ class ColoringConfig:
             ("shard_start_method", START_METHODS),
         ):
             value = getattr(self, name)
-            if not isinstance(value, str) or value not in accepted:
+            if value not in accepted:
                 raise ValueError(f"{name} must be one of {accepted}, got {value!r}")
 
     # ------------------------------------------------------------------
@@ -466,3 +467,9 @@ class ColoringConfig:
     def with_seed(self, seed: int) -> "ColoringConfig":
         """Copy of this config with a different root seed."""
         return replace(self, seed=seed)
+
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+_FIELD_TYPES = {f.name: (f.type, _KINDS[f.type]) for f in fields(ColoringConfig)}
+"""Field name → (its annotation, the type its value must have).  Built at
+import, so a field annotated with any other type fails here."""

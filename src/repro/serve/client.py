@@ -28,6 +28,8 @@ import socket
 import time
 from types import TracebackType
 
+import numpy as np
+
 from repro.dynamic.events import UpdateBatch
 from repro.serve import protocol as wire
 
@@ -186,9 +188,9 @@ class ServeClient:
     def load_graph(self, n: int, edges, **config) -> wire.GraphLoaded:
         """Install the graph; keyword args become config overrides
         (``seed=...``, ``initial="sharded"``, any ColoringConfig field)."""
-        edges_list = [
-            [int(u), int(v)] for u, v in (edges if edges is not None else [])
-        ]
+        edges_list = np.asarray(
+            edges if edges is not None else (), dtype=np.int64
+        ).reshape(-1, 2).tolist()
         reply = self._rpc(
             wire.LoadGraph(id=self._fresh_id(), n=int(n), edges=edges_list,
                            config=config)

@@ -45,6 +45,7 @@ from itertools import chain
 from typing import BinaryIO, Callable, ClassVar
 
 from repro.dynamic.events import UpdateBatch
+from repro.simulator.network import MAX_NODES
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -309,6 +310,8 @@ class LoadGraph(Frame):
     def _problem(self) -> str | None:
         if self.n <= 0:
             return "n must be positive"
+        if self.n > MAX_NODES:
+            return f"n must be at most {MAX_NODES}, got {self.n}"
         if not all(isinstance(k, str) for k in self.config):
             return "config keys must be strings"
         return None

@@ -9,10 +9,12 @@ announcements in :meth:`apply_delta`.  Both go through one check of the
 BCONGEST bandwidth cap: any message above ``bandwidth_bits`` raises
 :class:`BandwidthExceeded` and records nothing.
 
-A topology change splices the one compact CSR by position
-(:meth:`apply_delta`), so all its work but one copy of ``indices``
-follows the delta, not m.  ``edge_src`` and :meth:`undirected_edges` are
-built on their first read after a change.
+The build and each side of a topology change share one normalisation
+(:func:`_sorted_pairs`): a sort of the int64 keys ``u·n + v``, which
+bounds n by :data:`MAX_NODES`.  A change then splices the one compact
+CSR by position (:meth:`apply_delta`), so all its work but one copy of
+``indices`` follows the delta, not m.  ``edge_src`` and
+:meth:`undirected_edges` are built on their first read after a change.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "BroadcastNetwork",
     "BandwidthExceeded",
     "DeltaReport",
+    "MAX_NODES",
     "ShardView",
     "gather_csr_rows",
     "shard_view_from_csr",
@@ -201,33 +204,53 @@ def shard_view_from_csr(
     )
 
 
-def _edges_from_input(graph) -> tuple[int, np.ndarray]:
-    """Normalize the input into (n, undirected edge array of shape (m, 2)).
+MAX_NODES = math.isqrt(1 << 63)
+"""The largest n a :class:`BroadcastNetwork` accepts (3,037,000,499): the
+CSR build and :meth:`~BroadcastNetwork.apply_delta` encode the directed
+pair (u, v) as the int64 key ``u·n + v``, which is below n² ≤ 2⁶³."""
 
-    Accepts a networkx graph or an (n, edge-iterable) pair.
-    """
-    # networkx graph?
-    if hasattr(graph, "number_of_nodes") and hasattr(graph, "edges"):
-        nodes = list(graph.nodes())
-        n = len(nodes)
-        relabel = {v: i for i, v in enumerate(nodes)}
-        edges = np.array(
-            [(relabel[u], relabel[v]) for u, v in graph.edges() if u != v],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        return n, edges
-    # (n, edges) pair — fast path for numpy arrays (the generators' output).
-    n, edge_iter = graph
-    if isinstance(edge_iter, np.ndarray) and edge_iter.ndim == 2:
-        edges = edge_iter.astype(np.int64, copy=False)
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    else:
-        edges = np.array(
-            [(int(u), int(v)) for u, v in edge_iter if u != v], dtype=np.int64
+
+def _sorted_pairs(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected pairs (an (m, 2) array or a sequence of pairs) → the
+    sorted unique *directed* pairs ``(src, dst)`` (both orientations,
+    self-loops dropped; endpoints must lie in ``[0, n)``) — the one
+    routine behind the CSR build and each side of a delta.  A sort and an
+    adjacent-difference mask over the 2m keys ``src·n + dst``, then one
+    ``divmod`` back into ids: the (src, dst)-lexicographic order without
+    a two-key sort."""
+    if n > MAX_NODES:
+        raise ValueError(
+            f"n = {n} exceeds {MAX_NODES}, the largest n whose pair keys "
+            f"u·n + v fit a signed 64-bit integer"
         )
-        edges = edges.reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
+    arr = np.asarray(edges if edges is not None else (), dtype=np.int64)
+    arr = arr.reshape(-1, 2)
+    # Copies are made only when there is something to drop: a row mask
+    # over the (m, 2) array costs more than the key sort.
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        arr = arr[~loops]
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("edge endpoint out of range")
+    keys = np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+    keys.sort()
+    if keys.size:
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if not fresh.all():
+            keys = keys[fresh]
+    return np.divmod(keys, n)
+
+
+def _edges_from_input(graph) -> tuple[int, np.ndarray | list]:
+    """Normalize the input into (n, undirected pairs) for
+    :func:`_sorted_pairs`.  Accepts a networkx graph or an (n, pairs)
+    pair, where pairs is an (m, 2) array or a sequence of pairs."""
+    if hasattr(graph, "number_of_nodes") and hasattr(graph, "edges"):
+        relabel = {v: i for i, v in enumerate(graph.nodes())}
+        return len(relabel), [(relabel[u], relabel[v]) for u, v in graph.edges()]
+    n, edges = graph
     return int(n), edges
 
 
@@ -254,32 +277,17 @@ class BroadcastNetwork:
     ) -> None:
         n, edges = _edges_from_input(graph)
         self.n = n
-        # One lexsort over the 2m directed pairs builds everything: the CSR
-        # arrays, the deduplication (adjacent-equal pairs in sorted order),
-        # and the undirected edge list (the src < dst half of the CSR order
-        # is exactly the (lo, hi)-sorted unique edge array).  No second
-        # sort of data the CSR sort already ordered.
-        if edges.size:
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            keep = np.empty(src.size, dtype=bool)
-            keep[0] = True
-            np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-            src, dst = src[keep], dst[keep]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
         self.bandwidth_bits = bandwidth_bits
         self.metrics = metrics if metrics is not None else RoundMetrics()
-        self._set_csr(src, dst)
+        self._set_csr(*_sorted_pairs(n, edges))
 
     def _set_csr(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Build every derived array from sorted unique directed pairs.
 
-        ``src``/``dst`` must already be lexsorted by (src, dst) and free of
-        duplicates and self-loops, as ``__init__`` establishes."""
+        ``src``/``dst`` must already be sorted by (src, dst) and free of
+        duplicates and self-loops, as :func:`_sorted_pairs` returns them;
+        ``src`` is kept as ``edge_src`` and the src < dst half is the
+        (lo, hi)-sorted undirected edge list, so nothing is sorted twice."""
         n = self.n
         self.indices = dst
         self.degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
@@ -366,30 +374,6 @@ class BroadcastNetwork:
     # ------------------------------------------------------------------
     # Dynamic topology (the repro.dynamic substrate)
     # ------------------------------------------------------------------
-    def _delta_pairs(
-        self, edges: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected pair array → the sorted unique *directed* pairs
-        ``(src, dst)`` (both orientations, self-loops dropped).  A sort and
-        an adjacent-difference mask over the 2k keys ``src·n + dst``; the
-        split back into ids divides the k keys only."""
-        arr = np.asarray(
-            edges if edges is not None else (), dtype=np.int64
-        ).reshape(-1, 2)
-        arr = arr[arr[:, 0] != arr[:, 1]]
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-            raise ValueError("delta edge endpoint out of range")
-        keys = np.concatenate(
-            [arr[:, 0] * self.n + arr[:, 1], arr[:, 1] * self.n + arr[:, 0]]
-        )
-        keys.sort()
-        if keys.size:
-            fresh = np.empty(keys.size, dtype=bool)
-            fresh[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-            keys = keys[fresh]
-        return np.divmod(keys, self.n)
-
     def _row_positions(
         self, src: np.ndarray, dst: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,8 +429,8 @@ class BroadcastNetwork:
         not charged — their neighbors still announce the shared edge's
         other orientation.
         """
-        del_src, del_dst = self._delta_pairs(delete_edges)
-        ins_src, ins_dst = self._delta_pairs(insert_edges)
+        del_src, del_dst = _sorted_pairs(self.n, delete_edges)
+        ins_src, ins_dst = _sorted_pairs(self.n, insert_edges)
 
         del_pos, found = self._row_positions(del_src, del_dst)
         ignored = int((~found).sum()) // 2

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -128,6 +129,36 @@ class TestPresets:
             multitrial_initial=1, multitrial_cap=1, multitrial_max_iters=0,
             multitrial_growth=1,
         )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("shard_k", 2**70),
+            ("seed", -(2**63) - 1),
+            ("bandwidth_factor", "big"),
+            ("eps", True),
+            ("enable_matching", "no"),
+            ("enable_matching", 1),
+            ("shard_strategy", 3),
+        ],
+    )
+    def test_rejects_value_not_of_field_type(self, field, value):
+        """Every field is checked against its annotation, naming it: an
+        int field takes an integer within int64 and no bool, a float
+        field any real number but a bool, a bool field only a bool, a str
+        field only a string."""
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(ColoringConfig(), **{field: value})
+
+    def test_accepts_values_of_field_type(self):
+        for seed in (-(2**63), 2**63 - 1, np.int64(7)):
+            assert ColoringConfig(seed=seed).seed == seed
+        assert ColoringConfig(bandwidth_factor=32).bandwidth_factor == 32
+        assert ColoringConfig(eps=np.float64(0.2)).eps == 0.2
+        assert ColoringConfig(enable_matching=False).enable_matching is False
 
     def test_shard_choices_defined_once(self):
         """The shard package re-exports the config's tuples, so the CLI's

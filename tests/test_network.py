@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.families import make_graph
 from repro.simulator.metrics import RoundMetrics
-from repro.simulator.network import BandwidthExceeded, BroadcastNetwork
+from repro.simulator.network import MAX_NODES, BandwidthExceeded, BroadcastNetwork
 
 
 def edges_strategy(max_n=12):
@@ -89,17 +89,29 @@ class TestConstruction:
             for u in net.neighbors(v):
                 assert v in net.neighbors(int(u))
 
-    @given(edges_strategy())
-    @settings(max_examples=40, deadline=None)
-    def test_single_sort_construction_matches_reference(self, graph):
-        """The one-lexsort CSR build (edges deduped in sorted order,
-        ``_und_edges`` = the src < dst half) must reproduce the reference
-        construction: np.unique over canonicalized pairs + a second
-        lexsort of both directions."""
-        net = BroadcastNetwork(graph)
-        n, edge_list = graph
+    @given(edges_strategy(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    def test_single_sort_construction_matches_reference(
+        self, graph, isolated, as_array
+    ):
+        """The key-sort CSR build (one sort of ``src·n + dst``, edges
+        deduped in sorted order, ``_und_edges`` = the src < dst half) must
+        reproduce the reference construction: np.unique over
+        canonicalized pairs + a lexsort of both directions.  The input
+        has self-loops, duplicates in both orientations and isolated top
+        ids, and comes as an int64 array or as a list of pairs."""
+        n, pairs = graph
+        pairs = (
+            pairs
+            + [(v, u) for u, v in pairs[::2]]
+            + [(u, u) for u, _ in pairs[:2]]
+        )
+        n += isolated
+        net = BroadcastNetwork(
+            (n, np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs)
+        )
         edges = np.array(
-            [(u, v) for u, v in edge_list if u != v], dtype=np.int64
+            [(u, v) for u, v in pairs if u != v], dtype=np.int64
         ).reshape(-1, 2)
         if edges.size:
             lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -112,10 +124,23 @@ class TestConstruction:
         else:
             und = edges
             src = dst = np.empty(0, dtype=np.int64)
+        degrees = np.bincount(src, minlength=n)
         assert np.array_equal(net.undirected_edges(), und)
         assert np.array_equal(net.edge_src, src)
         assert np.array_equal(net.indices, dst)
+        assert np.array_equal(net.degrees, degrees)
+        assert np.array_equal(net.indptr, np.concatenate([[0], np.cumsum(degrees)]))
+        assert net.delta == int(degrees.max())
         assert net.m == und.shape[0]
+        assert net.indices.dtype == net.indptr.dtype == np.int64
+
+    def test_refuses_n_beyond_pair_key_range(self):
+        # Pair keys u·n + v must fit int64: a larger n is refused, named,
+        # before any O(n) array is allocated.
+        with pytest.raises(ValueError, match=f"n = {2**40} exceeds {MAX_NODES}"):
+            BroadcastNetwork((2**40, [(0, 1)]))
+        assert (MAX_NODES - 1) * MAX_NODES + MAX_NODES - 1 <= np.iinfo(np.int64).max
+        assert (MAX_NODES + 1) ** 2 - 1 > np.iinfo(np.int64).max
 
     def test_und_edges_sorted_and_neighbors_sorted(self):
         net = BroadcastNetwork((6, [(4, 1), (2, 0), (1, 0), (5, 2), (2, 1)]))

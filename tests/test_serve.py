@@ -672,8 +672,34 @@ class TestLiveServer:
         finally:
             stop(proc)
 
+    def test_load_graph_refuses_n_beyond_key_range(self, tmp_path):
+        """Regression: a load_graph with n = 2⁴⁰ decoded (an int64) and
+        came back ``internal`` from a failed O(n) allocation.  An n above
+        MAX_NODES, whose pair keys u·n + v would overflow int64, is
+        ``bad-payload`` naming ``n`` and echoing the request's id, and the
+        engine loaded before it keeps serving."""
+        proc, sock = spawn_server(tmp_path)
+        try:
+            with ServeClient(socket_path=sock) as client:
+                client.load_graph(4, [[0, 1], [2, 3]], seed=1)
+                before = client.query_colors()
+                client.send(wire.LoadGraph(id=40, n=2**40, edges=[[0, 1]]))
+                reply = client.recv()
+                assert isinstance(reply, wire.ErrorFrame)
+                assert (reply.code, reply.id) == ("bad-payload", 40)
+                assert "n must be at most" in reply.message
+                assert client.stats()["n"] == 4
+                assert client.query_colors().colors == before.colors
+                report = client.update_batch(UpdateBatch(insert_edges=[(1, 2)]))
+                assert report.report["proper"]
+                client.shutdown()
+            proc.wait(timeout=20)
+        finally:
+            stop(proc)
+
     def test_invalid_sketch_config_keeps_engine(self, tmp_path):
-        """A load_graph whose config overrides ColoringConfig refuses,
+        """A load_graph whose config overrides ColoringConfig refuses
+        (a value out of its field's range or not of its field's type),
         that names a key which is no field (such as the removed
         ``backend``), or that names a daemon setting (``serve_*``,
         ``obs_*``) is a bad-payload error naming it, not an internal
@@ -704,7 +730,10 @@ class TestLiveServer:
                        ("max_cleanup_rounds", MAX_CLEANUP_ROUNDS),
                        ("dynamic_repair_multitrial_min", REPAIR_MULTITRIAL_MIN),
                        ("serve_queue_max", 1), ("serve_coalesce_max", 99),
-                       ("obs_trace", True), ("obs_metrics", True)]
+                       ("obs_trace", True), ("obs_metrics", True),
+                       ("seed", "x"), ("seed", 1.5), ("seed", True),
+                       ("shard_k", 2**70), ("bandwidth_factor", "big"),
+                       ("enable_matching", "no")]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.dynamic.events import UpdateBatch
 from repro.serve import protocol as wire
+from repro.simulator.network import MAX_NODES
 
 
 def roundtrip(frame: wire.Frame) -> wire.Frame:
@@ -209,6 +210,18 @@ class TestMalformed:
     def test_nonpositive_n(self):
         self.expect(encode_raw({"type": "load_graph", "id": 1, "n": 0}),
                     "bad-payload")
+
+    def test_n_beyond_pair_key_range(self):
+        # An int64 n whose pair keys u·n + v would overflow: refused at
+        # decode, naming n, before the daemon tries an O(n) allocation.
+        with pytest.raises(wire.ProtocolError) as err:
+            wire.decode_payload(json.dumps(
+                {"type": "load_graph", "id": 3, "n": 2**40, "edges": [[0, 1]]}
+            ).encode())
+        assert (err.value.code, err.value.id) == ("bad-payload", 3)
+        assert "n must be at most" in err.value.message
+        frame = wire.LoadGraph(id=1, n=MAX_NODES)
+        assert wire.LoadGraph.from_payload(frame.to_payload()) == frame
 
     def test_config_keys_must_be_strings(self):
         # json keys are always strings, but from_payload guards direct use.
