@@ -345,8 +345,9 @@ class ColoringConfig:
                 not isinstance(value, kind)
                 or (isinstance(value, bool) and kind is not bool)
                 or (kind is numbers.Integral and not -(1 << 63) <= value < 1 << 63)
+                or (kind is numbers.Real and not _finite(value))
             ):
-                width = " in the signed 64-bit range" if kind is numbers.Integral else ""
+                width = _RANGES.get(kind, "")
                 raise ValueError(f"{name} must be {annotation}{width}, got {value!r}")
         # An eps outside (0, 1) finds no cliques or too many, and the
         # validator, checking against the same eps, would pass either.
@@ -369,13 +370,11 @@ class ColoringConfig:
             ("multitrial_initial", 1),
             ("multitrial_cap", 1),
             ("multitrial_max_iters", 0),
+            ("multitrial_growth", 1),
         ):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
-        growth = self.multitrial_growth
-        if not 1.0 <= growth < math.inf:
-            raise ValueError(f"multitrial_growth must be finite and >= 1, got {growth!r}")
         # Checked here, not where they are used: an unknown victim rule
         # would fail only inside the first repair, after the batch had
         # changed the topology, an unknown sampler name would silently
@@ -470,6 +469,17 @@ class ColoringConfig:
 
 
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+_RANGES = {numbers.Integral: " in the signed 64-bit range", numbers.Real: " and finite"}
 _FIELD_TYPES = {f.name: (f.type, _KINDS[f.type]) for f in fields(ColoringConfig)}
 """Field name → (its annotation, the type its value must have).  Built at
 import, so a field annotated with any other type fails here."""
+
+
+def _finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is a finite float: NaN and ±inf are not, and
+    neither is an integer too large for a float (``float(10**400)``
+    overflows)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

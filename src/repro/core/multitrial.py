@@ -19,16 +19,16 @@ the O(log* n) bound: with slack ≥ 2d̂ each try fails with probability
 ≤ 1/2, so the uncolored degree decays doubly exponentially while the try
 budget catches up.
 
-The round is a pure function of the per-node expansions, and one kernel
-implements it (DESIGN.md §4): the whole iteration runs on the CSR edge
-arrays.  The (A×k) proposal matrix is built in one call; each directed
-pair compares values directly, as a listener does: a row's k tries
-against a colored neighbor's color, and against each of a smaller-ID
-active neighbor's k tries, in chunks of pairs whose gathered rows stay
-within a fixed byte budget at any k.  Each row adopts its first
-surviving column with one ``argmax``.  No per-node Python; the
-node-at-a-time oracle the tests compare it with is
-``tests/helpers.py:resolve_pernode_oracle``.
+The round is a pure function of the per-node expansions (DESIGN.md §4):
+the whole iteration runs on the CSR edge arrays, with the (A×k) proposal
+matrix built in one call.  When every try is below 64 a listener needs
+only one word: each row ORs the one-hot words of its colored neighbors'
+colors and of its smaller-ID active neighbors' tries, and a try
+survives iff its bit is clear.  Wider tries are compared directly, pair
+by pair, in chunks whose gathered rows stay within a fixed byte budget
+at any k.  Each row adopts its first surviving column with one
+``argmax``.  No per-node Python; the node-at-a-time oracle the tests
+compare both kernels with is ``tests/helpers.py:resolve_pernode_oracle``.
 """
 
 from __future__ import annotations
@@ -46,8 +46,12 @@ from repro.util.bitio import bits_for_color
 
 __all__ = ["MultiTrialReport", "multitrial"]
 
-# The kill rules take a chunk of C pairs at a time, sized so the two
-# (k×C) int64 arrays they gather stay near this many bytes at any k
+# Tries below this bound are resolved with one forbidden-color word per
+# row (DESIGN.md §4).
+_WORD_BITS = 64
+
+# The compare kernel takes a chunk of C pairs at a time, sized so the two
+# (k×C) int64 arrays it gathers stay near this many bytes at any k
 # (DESIGN.md §4).
 _CHUNK_BYTES = 4 << 20
 
@@ -100,6 +104,58 @@ def _proposal_matrix(
     return proposals
 
 
+def _one_hot(values: np.ndarray) -> np.ndarray:
+    """The word ``1 << x`` of each int64 entry x, and 0 where x is
+    negative or at least 64 (an uncolored node, an empty row's ``-1``, a
+    color no try below 64 can equal): read as unsigned, such an x is at
+    least 64, and numpy defines a shift past the word width as 0."""
+    return np.left_shift(np.uint64(1), np.asarray(values, dtype=np.int64).view(np.uint64))
+
+
+def _forbidden_words(
+    state: ColoringState, active: np.ndarray, try_words: np.ndarray
+) -> np.ndarray:
+    """For each active row v, the OR of the words its kill rules read: a
+    colored neighbor's color bit, and a smaller-ID active neighbor's try
+    word (``try_words``, aligned with ``active``).  A larger-ID active
+    neighbor contributes 0.  One gather over the rows' pairs and one OR
+    per row segment."""
+    net = state.net
+    deg = net.degrees[active]
+    src, dst = net.row_edges(active)
+    if 2 * int(deg.sum()) > net.indices.size:
+        # row_edges returned all 2m pairs: one word per node, and the
+        # segments are every CSR row.
+        word = _one_hot(state.colors)
+        word[active] = try_words  # active nodes are uncolored
+        keep = np.ones(state.n, dtype=bool)
+        keep[active] = False  # an active neighbor counts only from below
+        keep = keep[dst]
+        keep |= dst < src
+        pairs = word.take(dst)
+        pairs *= keep
+        return _segment_or(pairs, net.degrees)[active]
+    # Gathered rows: the words are built per pair.
+    row = np.full(state.n, -1, dtype=np.int64)
+    row[active] = np.arange(active.size)
+    row = row[dst]
+    early = (row >= 0) & (dst < src)
+    pairs = _one_hot(state.colors[dst])
+    pairs[early] = try_words[row[early]]  # active nodes are uncolored
+    return _segment_or(pairs, deg)
+
+
+def _segment_or(pairs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """OR of each of the consecutive segments of ``pairs`` with the given
+    lengths (0 for an empty segment)."""
+    out = np.zeros(lengths.size, dtype=np.uint64)
+    has = lengths > 0
+    if has.any():
+        starts = np.cumsum(lengths) - lengths
+        out[has] = np.bitwise_or.reduceat(pairs, starts[has])
+    return out
+
+
 def _kill_matches(
     killed: np.ndarray, tries: np.ndarray, rows: np.ndarray, table: np.ndarray, cols: np.ndarray
 ) -> None:
@@ -120,27 +176,18 @@ def _kill_matches(
         killed[flat // r.size, r[flat % r.size]] = True  # duplicates are harmless
 
 
-def _resolve_vectorized(
-    state: ColoringState, active: np.ndarray, proposals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-wise adoption over the active nodes' CSR rows
-    (:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`; ``active``
-    ascends) — no per-node Python and no sort, only direct compares.
-
-    Kill rule (a): a try equal to a colored neighbor's color dies.  Kill
-    rule (b): a try present anywhere in a smaller-ID active neighbor u's
-    expansion dies; v's k tries are compared with each of u's.  Rule (a)
-    is rule (b) with a one-entry other side, so one helper runs both.
-    Empty rows are all ``-1``: they match no color, and what two of them
-    kill in each other could not be adopted anyway.
-    """
-    a_count, k = proposals.shape
+def _compare_kills(
+    state: ColoringState, active: np.ndarray, tries: np.ndarray
+) -> np.ndarray:
+    """The (k×A) mask of killed tries by direct compares, for tries of any
+    size.  Rule (a) is rule (b) with a one-entry other side, so one
+    helper runs both."""
+    k, a_count = tries.shape
     pos = np.full(state.n, -1, dtype=np.int64)
     pos[active] = np.arange(a_count)
     src, dst = state.net.row_edges(active)
     src_pos = pos[src]
     src_active = src_pos >= 0
-    tries = np.ascontiguousarray(proposals.T)
     killed = np.zeros((k, a_count), dtype=bool)
 
     am = np.flatnonzero(src_active & (state.colors[dst] >= 0))  # rule (a)
@@ -148,8 +195,32 @@ def _resolve_vectorized(
     dst_pos = pos[dst]
     bm = np.flatnonzero(src_active & (dst_pos >= 0) & (dst < src))  # rule (b)
     _kill_matches(killed, tries, src_pos[bm], tries, dst_pos[bm])
+    return killed
 
-    alive = (tries >= 0) & ~killed
+
+def _resolve_vectorized(
+    state: ColoringState, active: np.ndarray, proposals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-wise adoption over the active nodes' CSR rows
+    (:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`; ``active``
+    ascends) — no per-node Python and no sort.
+
+    Kill rule (a): a try equal to a colored neighbor's color dies.  Kill
+    rule (b): a try present anywhere in a smaller-ID active neighbor u's
+    expansion dies.  When every try is below 64, both rules are one
+    forbidden-color word per row (:func:`_forbidden_words`); otherwise
+    v's k tries are compared with each of u's (:func:`_compare_kills`).
+    The choice reads the proposal matrix only.  Empty rows are all
+    ``-1``: they match no color, and no ``-1`` is adopted.
+    """
+    tries = np.ascontiguousarray(proposals.T)
+    if tries.max(initial=-1) < _WORD_BITS:
+        bits = _one_hot(tries)  # 0 exactly where a try is -1
+        forbidden = _forbidden_words(state, active, np.bitwise_or.reduce(bits, axis=0))
+        alive = (bits & forbidden) == 0
+        alive &= bits != 0
+    else:
+        alive = (tries >= 0) & ~_compare_kills(state, active, tries)
     first = alive.argmax(axis=0)
     rows = np.flatnonzero(alive.any(axis=0))
     return active[rows], tries[first[rows], rows]

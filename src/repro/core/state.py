@@ -11,7 +11,9 @@ the paper's invariants as hard assertions:
 
 Everything is vectorized over the network's CSR arrays; the node-set
 kernels (:meth:`ColoringState.adopt`, :meth:`ColoringState.grouped_palettes`)
-read only their nodes' rows (:meth:`BroadcastNetwork.row_edges`).
+read only their nodes' rows (:meth:`BroadcastNetwork.row_edges`), and the
+whole-graph checks (:meth:`ColoringState.is_proper`, and ``adopt`` for a
+batch whose rows hold most pairs) read each undirected edge once.
 Palettes are materialized per node on demand (the palette of
 Definition 2.10 is the complement of the colored neighborhood).
 """
@@ -255,12 +257,21 @@ class ColoringState:
             raise ImproperColoring("color out of palette range")
         proposal = self.colors.copy()
         proposal[nodes] = new_colors
+        touched = np.zeros(self.n, dtype=bool)
+        touched[nodes] = True
+        net = self.net
+        if 2 * int(net.degrees[nodes].sum()) > net.indices.size:
+            # A batch whose rows hold most pairs reads each undirected edge
+            # once; only a monochromatic edge that touches the batch sends
+            # it on to the row scan below, which names the first such edge.
+            mono = net.undirected_edges()[self._monochromatic(proposal)]
+            if not touched[mono].any():
+                self.colors = proposal
+                return
         # Edge-wise propriety check on the would-be coloring, restricted to
         # edges touching the batch: the batch's own CSR rows, in CSR order,
         # so the first offending edge is the one a full scan would name.
-        touched = np.zeros(self.n, dtype=bool)
-        touched[nodes] = True
-        src, dst = self.net.row_edges(ordered)
+        src, dst = net.row_edges(ordered)
         rel = touched[src]
         bad = (
             rel
@@ -280,10 +291,17 @@ class ColoringState:
     # ------------------------------------------------------------------
     def is_proper(self) -> bool:
         """No monochromatic edge among colored endpoints."""
-        src, dst = self.net.edge_src, self.net.indices
-        c = self.colors
-        bad = (c[src] >= 0) & (c[src] == c[dst])
-        return not bool(bad.any())
+        return not bool(self._monochromatic(self.colors).any())
+
+    def _monochromatic(self, colors: np.ndarray) -> np.ndarray:
+        """Mask over ``net.undirected_edges()``: both endpoints hold one
+        color.  Two m-length gathers over the cached list, which every
+        pipeline coloring has built for the ACD."""
+        und = self.net.undirected_edges()
+        lo = colors[und[:, 0]]
+        mono = lo == colors[und[:, 1]]
+        mono &= lo >= 0
+        return mono
 
     def is_complete(self) -> bool:
         return bool((self.colors >= 0).all())

@@ -557,10 +557,11 @@ def sct_oracle(state, info, putaside, cfg, seq, phase="sct"):
     return report, proposals
 
 
-def greedy_color(state, nodes, rng):
+def greedy_color(state, nodes, rng, choices=3):
     """Color ``nodes`` greedily in a random order, each with one of its
-    three smallest free colors, and adopt them in one batch: a varied,
-    proper partial coloring to run the dense phases on."""
+    ``choices`` smallest free colors (any free color when ``None``), and
+    adopt them in one batch: a varied, proper partial coloring to run the
+    dense phases on."""
     colors = state.colors.copy()
     for v in rng.permutation(np.asarray(nodes, dtype=np.int64)):
         nb = colors[state.net.neighbors(v)]
@@ -568,7 +569,7 @@ def greedy_color(state, nodes, rng):
         used[nb[nb >= 0]] = True
         free = np.flatnonzero(~used)
         if free.size:
-            colors[v] = free[rng.integers(0, min(free.size, 3))]
+            colors[v] = free[rng.integers(0, min(free.size, choices or free.size))]
     fresh = np.flatnonzero((colors >= 0) & (state.colors < 0))
     state.adopt(fresh, colors[fresh])
 

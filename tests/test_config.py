@@ -139,6 +139,12 @@ class TestPresets:
             ("shard_k", 2**70),
             ("seed", -(2**63) - 1),
             ("bandwidth_factor", "big"),
+            ("bandwidth_factor", float("inf")),
+            ("bandwidth_factor", float("-inf")),
+            ("bandwidth_factor", float("nan")),
+            pytest.param("bandwidth_factor", 10**400, id="bandwidth_factor-10**400"),
+            ("slack_probability", float("nan")),
+            ("beta", float("inf")),
             ("eps", True),
             ("enable_matching", "no"),
             ("enable_matching", 1),
@@ -148,7 +154,8 @@ class TestPresets:
     def test_rejects_value_not_of_field_type(self, field, value):
         """Every field is checked against its annotation, naming it: an
         int field takes an integer within int64 and no bool, a float
-        field any real number but a bool, a bool field only a bool, a str
+        field a finite real number but no bool (not NaN, ±inf or an
+        integer past the float range), a bool field only a bool, a str
         field only a string."""
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(ColoringConfig(), **{field: value})

@@ -733,7 +733,9 @@ class TestLiveServer:
                        ("obs_trace", True), ("obs_metrics", True),
                        ("seed", "x"), ("seed", 1.5), ("seed", True),
                        ("shard_k", 2**70), ("bandwidth_factor", "big"),
-                       ("enable_matching", "no")]
+                       ("enable_matching", "no"),
+                       ("bandwidth_factor", float("inf")),
+                       ("slack_probability", float("nan"))]
                 for request_id, (field, value) in enumerate(bad, start=20):
                     client.send(wire.LoadGraph(
                         id=request_id, n=4, edges=[[0, 1]], config={field: value}

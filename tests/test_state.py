@@ -1,8 +1,10 @@
 """Tests for ColoringState: palettes, slack, adoption invariants (§2.2)."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.state import ColoringState, ImproperColoring, count_distinct_colors
@@ -102,6 +104,129 @@ class TestAdopt:
         state = ColoringState(path_net)
         state.adopt(np.array([0, 2]), np.array([0, 0]))
         assert state.is_proper()
+
+
+def _whole(net, nodes):
+    """Whether the rows of ``nodes`` hold more than half of the 2m pairs,
+    so ``adopt`` scans the undirected edges first."""
+    return 2 * int(net.degrees[nodes].sum()) > net.indices.size
+
+
+def _first_offending_pair(net, colors, nodes):
+    """The message of the first monochromatic directed pair, in CSR
+    order, whose source is in ``nodes``: the edge a scan of the batch's
+    rows names."""
+    src, dst = net.edge_src, net.indices
+    touched = np.zeros(net.n, dtype=bool)
+    touched[nodes] = True
+    bad = np.flatnonzero(touched[src] & (colors[src] >= 0) & (colors[src] == colors[dst]))
+    return None if not bad.size else f"edge ({src[bad[0]]}, {dst[bad[0]]})"
+
+
+class TestWholeGraphBatch:
+    """A batch whose rows hold more than half of the pairs is checked by one
+    pass over the undirected edges; only a monochromatic edge that touches
+    it sends it to the row scan, which names the edge."""
+
+    # Path 0-1-...-9 with node 3 colored 0 first; the rest alternate 1, 2.
+    BASE = {v: 1 + v % 2 for v in range(10) if v != 3}
+
+    @pytest.mark.parametrize(
+        "small,edge",
+        [({4: 0}, "(4, 3)"), ({8: 1, 9: 1}, "(8, 9)")],
+        ids=["old-color", "within-batch"],
+    )
+    def test_names_the_edge_a_gathered_batch_names(self, small, edge):
+        net = BroadcastNetwork((10, [(i, i + 1) for i in range(9)]))
+        messages = []
+        for batch in (small, {**self.BASE, **small}):
+            state = ColoringState(net)
+            state.adopt(np.array([3]), np.array([0]))
+            nodes = np.array(sorted(batch))
+            assert _whole(net, nodes) == (batch is not small)
+            with pytest.raises(ImproperColoring) as err:
+                state.adopt(nodes, np.array([batch[v] for v in nodes]))
+            assert state.num_uncolored() == 9  # nothing applied
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"edge {edge}" in messages[1]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_names_the_first_offending_edge_in_csr_order(self, seed):
+        """A batch of every uncolored node, after a few proper adoptions,
+        colored greedily and then given up to two conflicts (a node takes
+        a neighbor's color): it is accepted iff no pair in its rows is
+        monochromatic, and a refusal names the first such pair in CSR
+        order."""
+        rng = np.random.default_rng(seed)
+        net = BroadcastNetwork(gnp_graph(40, 0.15, seed=seed % 50))
+        state = ColoringState(net)
+        pre = rng.permutation(net.n)[: rng.integers(0, net.n // 4 + 1)]
+        for v in pre:  # a proper partial coloring of a few nodes
+            state.adopt(np.array([v]), state.palette(int(v))[:1])
+        nodes = rng.permutation(state.uncolored_nodes())
+        proposal = state.colors.copy()
+        for v in nodes:
+            nb = proposal[net.neighbors(v)]
+            proposal[v] = np.setdiff1d(np.arange(state.num_colors), nb)[0]
+        for v in rng.choice(nodes, size=rng.integers(0, 3)):
+            nb = net.neighbors(v)
+            if nb.size:
+                proposal[v] = proposal[rng.choice(nb)]
+        colors = proposal[nodes]
+        want = _first_offending_pair(net, proposal, nodes)
+        event("whole" if _whole(net, nodes) else "gathered")
+        event("refused" if want else "accepted")
+        before = state.colors.copy()
+        if want is None:
+            state.adopt(nodes, colors)
+            assert np.array_equal(state.colors, proposal)
+        else:
+            with pytest.raises(ImproperColoring, match=re.escape(want)):
+                state.adopt(nodes, colors)
+            assert np.array_equal(state.colors, before)
+
+    def test_monochromatic_edge_off_the_batch_does_not_refuse_it(self):
+        net = BroadcastNetwork((10, [(i, i + 1) for i in range(9)]))
+        state = ColoringState(net, num_colors=3)
+        state.adopt(np.array([0, 5]), np.array([0, 0]))
+        net.apply_delta(insert_edges=np.array([[0, 5]]))  # now monochromatic
+        nodes = np.array([1, 2, 3, 4, 6, 7, 8, 9])
+        colors = np.array([1, 2, 1, 2, 1, 2, 1, 2])
+        assert _whole(net, nodes)
+        clash = state.colors.copy()
+        with pytest.raises(ImproperColoring, match=r"edge \(4, 5\)"):
+            state.adopt(nodes, np.where(nodes == 4, 0, colors))
+        assert np.array_equal(state.colors, clash)
+        state.adopt(nodes, colors)
+        assert state.num_uncolored() == 0
+        assert not state.is_proper()  # the edge (0, 5) is still monochromatic
+
+
+class TestIsProper:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_directed_scan(self, seed, delta):
+        """The undirected scan gives the directed scan's verdict on random
+        colorings, also after a topology change has replaced the cached
+        edge list."""
+        rng = np.random.default_rng(seed)
+        net = BroadcastNetwork(gnp_graph(40, 0.1, seed=seed % 50))
+        state = ColoringState(net)
+        state.is_proper()  # caches the undirected edge list
+        if delta:
+            und = net.undirected_edges()
+            gone = und[rng.random(len(und)) < 0.3]
+            new = rng.integers(0, net.n, size=(rng.integers(0, 40), 2))
+            net.apply_delta(insert_edges=new, delete_edges=gone)
+        for _ in range(5):
+            width = int(rng.integers(1, 3 * net.n))
+            state.colors = rng.integers(-1, width, size=net.n)
+            src, dst = net.edge_src, net.indices
+            c = state.colors
+            want = not ((c[src] >= 0) & (c[src] == c[dst])).any()
+            assert state.is_proper() == want
 
 
 class TestPalettes:

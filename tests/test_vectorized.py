@@ -5,19 +5,21 @@ Two contracts from DESIGN.md §4:
 1. **broadcaster/listener symmetry** — the batched (vectorized) seed
    derivation and expansion agree entry-for-entry with the scalar item
    path a single listener would compute;
-2. **oracle equivalence** — the edge-wise adoption kernel and the
+2. **oracle equivalence** — the edge-wise adoption kernels and the
    per-node oracle (``tests/helpers.py:resolve_pernode_oracle``) produce
    identical colorings and identical per-phase round counts/bits, for
    both samplers, including on the full E1 quick matrix, and identical
-   adoptions on random inputs at every try count up to the cap, across
-   chunk boundaries, with the kernel's memory bounded by its chunk budget.
+   adoptions on random inputs at every try count up to the cap, on
+   palettes on both sides of the word kernel's 64 colors, across the
+   compare kernel's chunk boundaries, with either kernel's memory bounded
+   by the compare kernel's chunk budget.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import greedy_color, resolve_pernode_oracle
@@ -136,20 +138,35 @@ KERNEL_GRAPHS = {
 }
 
 
-def _random_resolve_input(graph, k, rng):
+WORD_BITS = multitrial_module._WORD_BITS
+# Palettes on both sides of the word kernel's 64-color bound.
+PALETTES = [1, 2, WORD_BITS - 1, WORD_BITS, WORD_BITS + 1, 200]
+# A palette wider than a word: every run on it reaches the compare kernel.
+WIDE = 2 * WORD_BITS
+
+
+def _random_resolve_input(graph, k, num_colors, wide, rng):
     """A kernel input as MultiTrial builds one: a proper partial coloring
-    of a random node subset, an ascending random subset of the uncolored
-    nodes as ``active``, and k tries per row drawn from a random interval
-    of ``[0, num_colors)`` (so rows repeat colors), or all ``-1`` for an
-    empty interval."""
-    state = ColoringState(BroadcastNetwork(graph))
-    greedy_color(state, np.flatnonzero(rng.random(state.n) < rng.random()), rng)
+    of a random node subset with colors from the whole palette
+    ``[0, num_colors)``, an ascending random subset of the uncolored nodes
+    as ``active``, and k tries per row drawn from a random interval (so
+    rows repeat colors), or all ``-1`` for an empty interval.  Unless
+    ``wide``, every try stays below 64 while the colors may not; if
+    ``wide``, tries range over the whole palette and one row holds its
+    top color."""
+    state = ColoringState(BroadcastNetwork(graph), num_colors=num_colors)
+    colored = np.flatnonzero(rng.random(state.n) < rng.random())
+    greedy_color(state, colored, rng, choices=None)
     uncolored = state.uncolored_nodes()
     active = uncolored[rng.random(uncolored.size) < rng.random()]
-    lo = rng.integers(0, state.num_colors, size=active.size)
-    width = rng.integers(1, state.num_colors - lo + 1)
+    top = num_colors if wide else min(num_colors, WORD_BITS)
+    lo = rng.integers(0, top, size=active.size)
+    width = rng.integers(1, top - lo + 1)
     proposals = lo[:, None] + rng.integers(0, width[:, None], size=(active.size, k))
     proposals[rng.random(active.size) < 0.15] = -1
+    live = np.flatnonzero(proposals[:, 0] >= 0)
+    if wide and live.size:
+        proposals[rng.choice(live)] = num_colors - 1
     return state, active, proposals
 
 
@@ -157,33 +174,62 @@ class TestKernelAgainstOracle:
     @given(
         graph=st.sampled_from(sorted(KERNEL_GRAPHS)),
         k=st.sampled_from([1, 2, 3, 8, 33, 64]),
+        palette=st.one_of(
+            st.tuples(st.sampled_from(PALETTES), st.just(False)),
+            st.tuples(st.sampled_from([p for p in PALETTES if p > WORD_BITS]), st.just(True)),
+        ),
         seed=st.integers(0, 2**32 - 1),
         chunk_pairs=st.one_of(st.none(), st.integers(1, 5)),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_kernel_equals_pernode_oracle(self, graph, k, seed, chunk_pairs):
+    @settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
+    def test_kernel_equals_pernode_oracle(self, graph, k, palette, seed, chunk_pairs):
         """Same adoptions as the node-at-a-time rule at every try count up
-        to the default cap; with ``chunk_pairs`` set, the chunk budget
-        holds that many pairs, so chunk boundaries fall inside both kill
-        rules."""
+        to the default cap, on palettes on both sides of 64: tries below
+        64 take the word kernel, a try of 64 or more the compare kernel
+        (``palette`` is the palette size and whether tries may reach
+        past 64).  With ``chunk_pairs`` set, the chunk budget holds that
+        many pairs, so chunk boundaries fall inside both of the compare
+        kernel's rules."""
+        num_colors, wide = palette
         rng = np.random.default_rng(seed)
-        state, active, proposals = _random_resolve_input(KERNEL_GRAPHS[graph], k, rng)
+        state, active, proposals = _random_resolve_input(
+            KERNEL_GRAPHS[graph], k, num_colors, wide, rng
+        )
+        word = proposals.max(initial=-1) < WORD_BITS
+        event("word kernel" if word else "compare kernel")
+        calls = []
+        kill_matches = multitrial_module._kill_matches
         with pytest.MonkeyPatch.context() as patch:
             if chunk_pairs is not None:
                 patch.setattr(multitrial_module, "_CHUNK_BYTES", 16 * k * chunk_pairs)
+            patch.setattr(
+                multitrial_module, "_kill_matches",
+                lambda *args: calls.append(1) or kill_matches(*args),
+            )
             nodes, colors = multitrial_module._resolve_vectorized(state, active, proposals)
+        assert bool(calls) != word
         want_nodes, want_colors = resolve_pernode_oracle(state, active, proposals)
         assert np.array_equal(nodes, want_nodes)
         assert np.array_equal(colors, want_colors)
 
+    def test_word_bits_of_edge_values(self):
+        """A try or color of -1 or of 64 and more sets no bit."""
+        values = np.array([-1, 0, 1, 63, 64, 65, 200, -(2**63)], dtype=np.int64)
+        got = multitrial_module._one_hot(values)
+        want = [0, 1, 2, 1 << 63, 0, 0, 0, 0]
+        assert got.dtype == np.uint64 and got.tolist() == want
+
     def test_cap_tries_span_chunks_and_equal_oracle(self, monkeypatch):
-        """At the cap (64 tries from the first iteration) on G(2000, 24/n),
-        rule (b)'s pairs need several chunks at the default budget, and the
-        run still colors exactly as the per-node oracle does."""
+        """At the cap (64 tries from the first iteration) on G(2000, 24/n)
+        with a palette wider than a word, rule (b)'s pairs need several
+        chunks of the compare kernel at the default budget, and the run
+        still colors exactly as the per-node oracle does."""
         graph = gnp_graph(2000, 24.0 / 2000, seed=4)
 
         def run():
-            return _run_multitrial(graph, "batched", multitrial_initial=64)
+            return _run_multitrial(
+                graph, "batched", num_colors=WIDE, multitrial_initial=64
+            )
 
         rule_b = []  # (tries, pairs) of each rule-(b) call
         kill_matches = multitrial_module._kill_matches
@@ -211,22 +257,27 @@ class TestKernelAgainstOracle:
     def test_cap_tries_memory_bounded_by_chunk_budget(self):
         """At k = 64, gathering both sides of every rule-(b) pair at once
         would take E_b·k·16 bytes, at least 8× the chunk budget on this
-        graph; the kernel's traced peak stays below that."""
+        graph; the traced peak of either kernel stays below that (Δ+1
+        colors take the word kernel, a palette wider than a word the
+        compare kernel)."""
         n, k = 4000, 64
-        state = ColoringState(BroadcastNetwork(gnp_graph(n, 24.0 / n, seed=6)))
+        net = BroadcastNetwork(gnp_graph(n, 24.0 / n, seed=6))
         active = np.arange(n, dtype=np.int64)
-        rng = np.random.default_rng(6)
-        proposals = rng.integers(0, state.num_colors, size=(n, k))
-        e_b = state.net.indices.size // 2  # every node active: one pair per edge
+        e_b = net.indices.size // 2  # every node active: one pair per edge
         full_gather = e_b * k * 16
         assert full_gather >= 8 * multitrial_module._CHUNK_BYTES
-        tracemalloc.start()
-        try:
-            multitrial_module._resolve_vectorized(state, active, proposals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < full_gather
+        for num_colors in (None, WIDE):
+            state = ColoringState(net, num_colors=num_colors)
+            rng = np.random.default_rng(6)
+            proposals = rng.integers(0, state.num_colors, size=(n, k))
+            assert (proposals.max() < WORD_BITS) == (num_colors is None)
+            tracemalloc.start()
+            try:
+                multitrial_module._resolve_vectorized(state, active, proposals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full_gather, num_colors
 
 
 # The E1 quick matrix cells (benchmarks/specs/quick.toml) that exercise the
