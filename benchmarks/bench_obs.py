@@ -16,7 +16,6 @@ Quick mode: ``REPRO_BENCH_OBS_N`` shrinks the graph for CI smoke runs.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 
@@ -65,9 +64,8 @@ def test_e18_obs_overhead_tracked():
     obs.disable()
     colors_off, seconds_off = _sharded_colors(base_cfg, graph)
     obs.disable()
-    colors_on, seconds_on = _sharded_colors(
-        dataclasses.replace(base_cfg, obs_trace=True), graph
-    )
+    obs.enable(tracing=True, metrics=False)
+    colors_on, seconds_on = _sharded_colors(base_cfg, graph)
     spans = obs.drain_spans()
     obs.disable()
 

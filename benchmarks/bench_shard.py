@@ -20,7 +20,7 @@ Measured along the n-scaling axis (geometric graphs of average degree
   show;
 * partition / reconcile phase seconds (partition must stay ≤10% of the
   sharded wall — the vectorized-partitioner regression gate);
-* per-worker peak RSS under ``shard_start_method="spawn"`` (fresh
+* per-worker peak RSS under ``start_method="spawn"`` (fresh
   interpreters: RSS reflects the shm pages a worker actually touches,
   not fork's copy-on-write inheritance of the driver);
 * ``k1_identical`` — a k=1 sharded run reproduces the single-process
@@ -80,11 +80,9 @@ def _one_size(n: int, k: int) -> dict:
     net = BroadcastNetwork(make_graph("geometric", n, AVG_DEGREE, 1))
 
     # k-shard run: pool of k spawned workers over the shm arena.
-    scfg = ColoringConfig.practical(seed=5, shard_start_method="spawn")
+    scfg = ColoringConfig.practical(seed=5, shard_k=k, shard_strategy="greedy")
     t0 = time.perf_counter()
-    sharded = ShardedColoring(
-        net, scfg, k=k, strategy="greedy", workers=k
-    ).run()
+    sharded = ShardedColoring(net, scfg, workers=k, start_method="spawn").run()
     sharded_s = time.perf_counter() - t0
     assert leaked_segments() == [], "sharded run leaked /dev/shm segments"
     assert sharded.faults.get("inline_fallbacks", 0) == 0, sharded.faults
@@ -95,7 +93,7 @@ def _one_size(n: int, k: int) -> dict:
     single_s = time.perf_counter() - t0
 
     # k=1 must reproduce it bit for bit (the identity anchor).
-    k1 = ShardedColoring(net, cfg, k=1).run()
+    k1 = ShardedColoring(net, ColoringConfig.practical(seed=5, shard_k=1)).run()
     assert np.array_equal(k1.colors, ref.colors), (
         "k=1 diverged from the unsharded pipeline"
     )

@@ -32,6 +32,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.config import VICTIM_POLICIES, ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_distributed
@@ -49,10 +50,20 @@ from repro.runner import (
     mean_by,
     summarize_payloads,
 )
-from repro.shard import STRATEGIES, TRANSPORTS, ShardedColoring
+from repro.shard import STRATEGIES, ShardedColoring
 from repro.simulator.network import BroadcastNetwork
 
 __all__ = ["main", "build_parser", "make_graph"]
+
+_SERVE_FLAGS = {
+    "queue_max": "--queue-max",
+    "coalesce_max": "--coalesce-max",
+    "snapshot_every": "--snapshot-every",
+    "snapshot_keep": "--snapshot-keep",
+    "idle_timeout_s": "--idle-timeout",
+}
+"""``ColoringServer`` setting → the ``repro serve`` flag that sets it
+(each flag's argparse ``dest`` is its setting's name)."""
 
 
 def _json_safe(value: Any) -> Any:
@@ -80,14 +91,18 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _start_trace(path: str | None) -> None:
+    """Arm the span tracer when ``--trace`` names a file."""
+    if path:
+        obs.enable(tracing=True, metrics=False)
+
+
 def _finish_trace(path: str | None) -> None:
     """Drain the armed tracer into the file ``--trace`` named: span
     JSONL when the path ends in ``.jsonl`` (re-exportable via ``repro
     trace export``), Chrome/Perfetto trace_event JSON otherwise."""
     if not path:
         return
-    from repro import obs
-
     spans = obs.drain_spans()
     with open(path, "w", encoding="utf-8") as fp:
         if path.endswith(".jsonl"):
@@ -102,7 +117,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     preset = (
         ColoringConfig.paper if args.paper_constants else ColoringConfig.practical
     )
-    cfg = preset(seed=args.seed, obs_trace=bool(args.trace))
+    cfg = preset(seed=args.seed)
+    _start_trace(args.trace)
     result = BroadcastColoring(graph, cfg).run()
     _finish_trace(args.trace)
     report = result.as_dict()
@@ -117,7 +133,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         dynamic_batches=args.batches,
         dynamic_churn_fraction=args.churn,
         dynamic_fallback_fraction=args.fallback_fraction,
-        obs_trace=bool(args.trace),
     )
     schedule = make_churn(
         args.family,
@@ -127,6 +142,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         batches=cfg.dynamic_batches,
         churn_fraction=cfg.dynamic_churn_fraction,
     )
+    _start_trace(args.trace)
     engine = DynamicColoring(schedule, cfg)
     result = engine.run(schedule)
     _finish_trace(args.trace)
@@ -178,11 +194,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
         seed=args.seed,
         shard_k=args.k,
         shard_strategy=args.strategy,
-        shard_transport=args.transport,
         conflict_victim=args.victim,
-        obs_trace=bool(args.trace),
     )
     graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
+    _start_trace(args.trace)
     with _sigterm_as_sigint():
         result = ShardedColoring(graph, cfg, workers=args.workers).run()
     _finish_trace(args.trace)
@@ -400,24 +415,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
             fault_plan = FaultPlan.load(args.fault_plan)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro serve: cannot load --fault-plan: {exc}")
-    cfg = ColoringConfig.practical(
-        seed=args.seed,
-        serve_queue_max=args.queue_max,
-        serve_coalesce_max=args.coalesce_max,
-        serve_snapshot_every=args.snapshot_every,
-        serve_snapshot_keep=args.snapshot_keep,
-        serve_idle_timeout_s=args.idle_timeout,
-    )
-    server = ColoringServer(
-        cfg,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        snapshot_path=args.snapshot_path,
-        restore=args.restore,
-        fault_plan=fault_plan,
-        metrics_port=args.metrics_port,
-    )
+    try:
+        server = ColoringServer(
+            ColoringConfig.practical(seed=args.seed),
+            socket_path=args.socket,
+            host=args.host,
+            port=args.port,
+            snapshot_path=args.snapshot_path,
+            restore=args.restore,
+            fault_plan=fault_plan,
+            metrics_port=args.metrics_port,
+            **{name: getattr(args, name) for name in _SERVE_FLAGS},
+        )
+    except ValueError as exc:
+        # The server names the setting it refused; name the flag.
+        flag = _SERVE_FLAGS.get(str(exc).split()[0])
+        if flag is None:
+            raise
+        raise SystemExit(f"repro serve: {flag}: {exc}") from None
     asyncio.run(server.run_until_stopped())
     return 0
 
@@ -437,12 +452,9 @@ def cmd_top(args: argparse.Namespace) -> int:
             text = client.metrics()
         sys.stdout.write(text)
         return 0
-    from repro import obs
-
     obs.enable(tracing=False, metrics=True)
     graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
-    cfg = ColoringConfig.practical(seed=args.seed, obs_metrics=True)
-    result = BroadcastColoring(graph, cfg).run()
+    result = BroadcastColoring(graph, ColoringConfig.practical(seed=args.seed)).run()
     sys.stdout.write(obs.render_metrics())
     return 0 if (result.proper and result.complete) else 1
 
@@ -451,8 +463,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace export``: convert a span JSONL (captured with
     ``--trace path.jsonl``) to Perfetto trace_event JSON for
     https://ui.perfetto.dev, or re-emit normalized JSONL."""
-    from repro import obs
-
     try:
         with open(args.input, "r", encoding="utf-8") as fp:
             spans = obs.read_jsonl(fp)
@@ -624,10 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--workers", type=int, default=1,
                          help="process-pool size for shard interiors "
                               "(1 = color shards inline, same results)")
-    p_shard.add_argument("--transport", default="shm", choices=list(TRANSPORTS),
-                         help="how workers receive their shard: 'shm' attaches a "
-                              "zero-copy shared-memory arena, 'pickle' ships the "
-                              "view arrays through the pool pipe (same results)")
     p_shard.add_argument("--victim", default="id", choices=VICTIM_POLICIES,
                          help="conflict victim selection during reconciliation")
     p_shard.add_argument("--verbose", action="store_true",
@@ -683,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rotated snapshot generations kept on disk "
                               "(.1, .2, ... — restore falls back through them)")
     p_serve.add_argument("--idle-timeout", type=float, default=0.0,
-                         metavar="SECONDS",
+                         dest="idle_timeout_s", metavar="SECONDS",
                          help="disconnect sessions idle for this long "
                               "(0 = never)")
     p_serve.add_argument("--fault-plan", default=None, metavar="PATH",

@@ -29,10 +29,9 @@ from repro.util.mathx import poly_log
 __all__ = [
     "ColoringConfig",
     "MULTITRIAL_SAMPLERS",
-    "START_METHODS",
     "STRATEGIES",
-    "TRANSPORTS",
     "VICTIM_POLICIES",
+    "check_setting",
 ]
 
 MULTITRIAL_SAMPLERS = ("batched", "expander")
@@ -43,12 +42,6 @@ VICTIM_POLICIES = ("id", "slack")
 
 STRATEGIES = ("contiguous", "random", "greedy")
 """The partition strategies ``shard_strategy`` accepts."""
-
-TRANSPORTS = ("shm", "pickle")
-"""The shard-view transports ``shard_transport`` accepts."""
-
-START_METHODS = ("default", "fork", "forkserver", "spawn")
-"""The worker-pool start methods ``shard_start_method`` accepts."""
 
 
 @dataclass(frozen=True)
@@ -210,113 +203,6 @@ class ColoringConfig:
     balanced graph growing, minimizing the cut on graphs with locality).
     See :data:`STRATEGIES`."""
 
-    shard_worker_timeout_s: float = 0.0
-    """Per-shard wall-clock deadline for pool workers (seconds): a shard
-    whose worker has not returned within this budget counts as a
-    ``worker_timeout`` fault and is retried/degraded by the supervisor
-    (DESIGN.md §9).  0 disables the deadline.  Inline execution
-    (``workers=1``) cannot be deadlined — the driver would be
-    interrupting itself."""
-
-    shard_max_retries: int = 2
-    """How many times the shard supervisor re-submits a failed shard
-    (crash, ``BrokenProcessPool``, deadline overrun) before degrading.
-    Retries replay the *same* derived per-shard seed, so a recovered run
-    is bit-identical to a fault-free one."""
-
-    shard_retry_backoff_s: float = 0.05
-    """Base of the supervisor's capped exponential backoff between
-    retries of one shard: attempt ``a`` waits
-    ``base · 2^(a-1) · jitter`` with a deterministic jitter in
-    [0.5, 1.0) derived from the run's seed sequencer."""
-
-    shard_inline_fallback: bool = True
-    """Graceful degradation: when a shard exhausts its retries, color it
-    inline in the driver (with any armed fault plan suppressed) instead
-    of failing the run.  Off = raise
-    :class:`repro.shard.engine.ShardWorkerError` — the fail-fast mode
-    the ``BrokenProcessPool`` propagation test pins."""
-
-    shard_transport: str = "shm"
-    """How shard workers receive their view of the graph. ``"shm"``
-    (default): the driver packs the global CSR + partition index + colors
-    into one ``multiprocessing.shared_memory`` arena
-    (:class:`repro.shard.shm.ShmArena`) and workers attach zero-copy —
-    the argument pipe carries a descriptor of a few hundred bytes and
-    per-worker memory scales with interior + ghost size, not n.
-    ``"pickle"``: each worker receives its
-    :class:`~repro.simulator.network.ShardView` pickled through the pool
-    pipe (O(n_i + m_i) bytes per worker) — the pooled path on hosts whose
-    ``/dev/shm`` cannot hold the arena.  Results are byte-identical
-    either way; the tests pin that."""
-
-    shard_start_method: str = "default"
-    """Multiprocessing start method for the shard worker pool:
-    ``"default"`` (the platform's — fork on linux, fast), ``"fork"``,
-    ``"forkserver"`` or ``"spawn"``.  Results are identical under all of
-    them (the fault plan and every task ride the argument pipe
-    explicitly).  ``"spawn"`` matters for *measurement*: forked workers
-    inherit the driver's whole address space copy-on-write, so their RSS
-    reflects the driver, not the shard — spawned workers start from a
-    bare interpreter and fault in only the shared-memory pages they
-    touch, which is how the per-worker ``peak_rss_mb`` ∝ interior+ghost
-    claim is benchmarked."""
-
-    # --- streaming service (repro.serve, DESIGN.md §8) ---
-    serve_queue_max: int = 64
-    """Admission control for ``repro serve``: the bounded depth of the
-    ingest queue, in ``update_batch`` requests.  When the queue is full
-    the server *rejects* the batch with a ``queue-full`` error frame
-    carrying ``retry_after`` — it never blocks the socket reader, so a
-    slow engine degrades into explicit backpressure instead of unbounded
-    buffering (docs/PROTOCOL.md §Backpressure)."""
-
-    serve_coalesce_max: int = 8
-    """Batch coalescing under load: when the serve worker dequeues, it
-    drains up to this many queued ``update_batch`` requests and merges
-    them into one :class:`~repro.dynamic.UpdateBatch` (exact last-op-wins
-    replay, :func:`repro.serve.coalesce.coalesce_batches`) before paying
-    one detect/repair cycle.  1 disables coalescing — every request is
-    applied individually (required when bit-exact equivalence with an
-    in-process run matters, e.g. the E2E equivalence test)."""
-
-    serve_snapshot_every: int = 0
-    """Crash-recovery cadence for ``repro serve``: write a snapshot of the
-    engine state (CSR + colors + active mask + batch index, see
-    :mod:`repro.serve.snapshot`) after every N applied batches.  0
-    disables periodic snapshots; a clean shutdown still writes a final
-    one when ``--snapshot-path`` is configured."""
-
-    serve_snapshot_keep: int = 2
-    """Snapshot rotation depth for ``repro serve``: how many snapshot
-    generations exist on disk (the current file plus ``.1``, ``.2``, …
-    predecessors).  A torn or corrupt current snapshot falls back to the
-    previous generation on restore (:func:`repro.serve.snapshot.restore_engine`).
-    1 keeps only the current file — the pre-rotation behavior."""
-
-    serve_idle_timeout_s: float = 0.0
-    """Per-session idle timeout for ``repro serve`` (seconds): a
-    connection that sends no frame for this long is closed by the
-    server, reclaiming sessions abandoned by crashed clients.  Clients
-    that idle legitimately keep the session alive with the ``ping``
-    heartbeat verb.  0 disables the timeout."""
-
-    # --- observability (repro.obs, DESIGN.md §10) ---
-    obs_trace: bool = False
-    """On = engines arm the :mod:`repro.obs` span tracer for this run
-    (driver *and* pool workers — the config crosses the argument pipe,
-    so workers arm themselves and ship their span buffers back inside
-    ordinary result payloads).  Off (the default) leaves every
-    instrumentation hook on its disarmed ~100 ns fast path.
-    Tracing never touches any RNG: colorings are byte-identical with
-    this knob on or off (pinned by tests/test_obs.py)."""
-
-    obs_metrics: bool = False
-    """On = engines arm the :mod:`repro.obs` metrics registry
-    (counters/gauges/histograms) for this run.  ``repro serve`` arms it
-    unconditionally — a daemon is what the registry is for; this knob
-    covers one-shot runs (``repro top``, traced benches)."""
-
     # --- ablation switches (DESIGN.md design-choice experiments) ---
     enable_matching: bool = True
     """Off = skip the colorful matching (Lemma 2.9).  Ablation EA1: closed
@@ -337,18 +223,12 @@ class ColoringConfig:
     def __post_init__(self) -> None:
         # Every field can arrive from outside the program (load_graph and
         # spec-file overrides, snapshots): refuse here, naming the field, a
-        # value of the wrong type, then what the pipeline cannot run.
-        for name, (annotation, kind) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            # A bool is an Integral and a Real: only a bool field takes one.
-            if (
-                not isinstance(value, kind)
-                or (isinstance(value, bool) and kind is not bool)
-                or (kind is numbers.Integral and not -(1 << 63) <= value < 1 << 63)
-                or (kind is numbers.Real and not _finite(value))
-            ):
-                width = _RANGES.get(kind, "")
-                raise ValueError(f"{name} must be {annotation}{width}, got {value!r}")
+        # value of the wrong type, or one the pipeline cannot run.
+        for name, annotation in _FIELD_TYPES.items():
+            check_setting(
+                name, getattr(self, name), annotation,
+                least=_LEAST.get(name), choices=_CHOICES.get(name),
+            )
         # An eps outside (0, 1) finds no cliques or too many, and the
         # validator, checking against the same eps, would pass either.
         if not 0.0 < self.eps < 1.0:
@@ -356,40 +236,6 @@ class ColoringConfig:
         bits = self.acd_minhash_bits
         if not 1 <= bits <= 16:
             raise ValueError(f"acd_minhash_bits must be in [1, 16], got {bits!r}")
-        # The sketch needs a sample.  CompressTry draws and charges k color
-        # indices in each of its repeats: a count below 1 would charge
-        # negative or phantom bits.  A shard count below 1 partitions
-        # nothing.  MultiTrial tries at least one color per iteration,
-        # never fewer than the iteration before: a bad count or growth
-        # would fail deep inside the sparse phase, or silently skip it.
-        for name, least in (
-            ("acd_minhash_samples", 1),
-            ("compress_try_colors", 1),
-            ("compress_try_repeats", 1),
-            ("shard_k", 1),
-            ("multitrial_initial", 1),
-            ("multitrial_cap", 1),
-            ("multitrial_max_iters", 0),
-            ("multitrial_growth", 1),
-        ):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value!r}")
-        # Checked here, not where they are used: an unknown victim rule
-        # would fail only inside the first repair, after the batch had
-        # changed the topology, an unknown sampler name would silently
-        # run the expander, and an unknown start method would fail only
-        # when a worker pool starts.
-        for name, accepted in (
-            ("multitrial_sampler", MULTITRIAL_SAMPLERS),
-            ("conflict_victim", VICTIM_POLICIES),
-            ("shard_strategy", STRATEGIES),
-            ("shard_transport", TRANSPORTS),
-            ("shard_start_method", START_METHODS),
-        ):
-            value = getattr(self, name)
-            if value not in accepted:
-                raise ValueError(f"{name} must be one of {accepted}, got {value!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -470,9 +316,67 @@ class ColoringConfig:
 
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 _RANGES = {numbers.Integral: " in the signed 64-bit range", numbers.Real: " and finite"}
-_FIELD_TYPES = {f.name: (f.type, _KINDS[f.type]) for f in fields(ColoringConfig)}
-"""Field name → (its annotation, the type its value must have).  Built at
-import, so a field annotated with any other type fails here."""
+_FIELD_TYPES = {f.name: f.type for f in fields(ColoringConfig)}
+"""Field name → its annotation, one of the keys of ``_KINDS``."""
+
+_LEAST = {
+    "acd_minhash_samples": 1,
+    "compress_try_colors": 1,
+    "compress_try_repeats": 1,
+    "shard_k": 1,
+    "multitrial_initial": 1,
+    "multitrial_cap": 1,
+    "multitrial_max_iters": 0,
+    "multitrial_growth": 1,
+}
+"""Field → the least value it takes.  The sketch needs a sample.
+CompressTry draws and charges k color indices in each of its repeats: a
+count below 1 would charge negative or phantom bits.  A shard count
+below 1 partitions nothing.  MultiTrial tries at least one color per
+iteration, never fewer than the iteration before: a bad count or growth
+would fail deep inside the sparse phase, or silently skip it."""
+
+_CHOICES = {
+    "multitrial_sampler": MULTITRIAL_SAMPLERS,
+    "conflict_victim": VICTIM_POLICIES,
+    "shard_strategy": STRATEGIES,
+}
+"""Field → the names it accepts.  Checked at construction, not where
+they are used: an unknown victim rule would fail only inside the first
+repair, after the batch had changed the topology, and an unknown
+sampler name would silently run the expander."""
+
+
+def check_setting(
+    name: str,
+    value: Any,
+    annotation: str,
+    *,
+    least: float | None = None,
+    choices: tuple | None = None,
+) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is of
+    ``annotation``'s type (``"int"``, ``"float"``, ``"bool"`` or
+    ``"str"``), at least ``least`` and one of ``choices`` where those
+    are given.  An int takes an integer within int64 and no bool, a
+    float a finite real number but no bool (not NaN, ±inf or an integer
+    past the float range), a bool only a bool, a str only a string.
+    :class:`ColoringConfig` checks every field with it, and
+    ``ShardedColoring`` and ``ColoringServer`` the settings they take."""
+    kind = _KINDS[annotation]
+    # A bool is an Integral and a Real: only a bool setting takes one.
+    if (
+        not isinstance(value, kind)
+        or (isinstance(value, bool) and kind is not bool)
+        or (kind is numbers.Integral and not -(1 << 63) <= value < 1 << 63)
+        or (kind is numbers.Real and not _finite(value))
+    ):
+        width = _RANGES.get(kind, "")
+        raise ValueError(f"{name} must be {annotation}{width}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _finite(value: numbers.Real) -> bool:

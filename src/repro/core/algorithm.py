@@ -149,7 +149,6 @@ class BroadcastColoring:
     def run(self) -> ColoringResult:
         cfg = self.cfg
         net = self.net
-        obs.enable_from_config(cfg)
         obs.count("repro_color_runs_total")
         # Unscoped span around the whole pipeline: the per-phase spans
         # RoundMetrics emits (begin_phase/stop_timer) nest under it.

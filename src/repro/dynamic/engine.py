@@ -438,7 +438,6 @@ class DynamicColoring:
     def apply_batch(self, batch: UpdateBatch) -> BatchReport:
         """Apply one update batch and restore the coloring invariant."""
         cfg, net = self.cfg, self.net
-        obs.enable_from_config(cfg)
         metrics = net.metrics
         t = self._batch_index
         self._batch_index += 1

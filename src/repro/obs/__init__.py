@@ -18,11 +18,11 @@ dynamic, shard, serve, runner, faults).  Three pieces:
   load + ``is None`` test (~100 ns, gated by
   ``benchmarks/bench_obs.py``).
 
-Tracing is off by default; arm it per-run with
-``ColoringConfig(obs_trace=True)`` (engines arm the plane themselves,
-including in pool workers, since the config already crosses the pipe)
-or ``repro ... --trace out.json``.  Instrumentation never touches any
-RNG: colorings are byte-identical with tracing on or off.
+Tracing is off by default; :func:`enable` is the one way to arm it
+(``repro ... --trace out.json`` calls it).  The sharded engine carries
+its own ``(tracing, metrics)`` flags in every pool task, so its workers
+arm themselves under any start method.  Instrumentation never
+touches any RNG: colorings are byte-identical with tracing on or off.
 """
 
 from .export import (
@@ -41,7 +41,6 @@ from .plane import (
     disable,
     drain_spans,
     enable,
-    enable_from_config,
     enabled,
     end_span,
     gauge_set,
@@ -78,7 +77,6 @@ __all__ = [
     "disable",
     "drain_spans",
     "enable",
-    "enable_from_config",
     "enabled",
     "end_span",
     "gauge_set",

@@ -37,7 +37,6 @@ __all__ = [
     "disable",
     "drain_spans",
     "enable",
-    "enable_from_config",
     "enabled",
     "end_span",
     "gauge_set",
@@ -190,25 +189,6 @@ def enable(
         state.tracing = state.tracing or tracing
         state.metrics = state.metrics or metrics
     return state
-
-
-def enable_from_config(cfg: Any) -> bool:
-    """Arm the plane from a config object's ``obs_*`` knobs.
-
-    Duck-typed (reads the ``obs_trace``/``obs_metrics`` attributes) so
-    this leaf package never imports ``repro.config``.  The span buffer
-    keeps its default cap, :data:`DEFAULT_TRACE_BUFFER`; call
-    :func:`enable` directly for another.
-    Returns True when anything was armed.  Engines call this at entry —
-    including inside pool workers, since the config rides the argument
-    pipe — so one knob traces driver and workers alike.
-    """
-    tracing = bool(getattr(cfg, "obs_trace", False))
-    metrics = bool(getattr(cfg, "obs_metrics", False))
-    if not (tracing or metrics):
-        return False
-    enable(tracing=tracing, metrics=metrics)
-    return True
 
 
 def disable() -> None:

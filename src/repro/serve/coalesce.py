@@ -1,6 +1,6 @@
 """Batch coalescing: merge queued :class:`UpdateBatch` objects into one.
 
-Under load the serve worker drains up to ``serve_coalesce_max`` queued
+Under load the serve worker drains up to ``coalesce_max`` queued
 batches and applies them as a single engine batch, paying one
 detect/repair cycle instead of k.  The merge must be *topology-exact*:
 after applying the coalesced batch, the CSR and the active-node set are

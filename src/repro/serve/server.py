@@ -9,17 +9,17 @@ Architecture (DESIGN.md §8):
   duration; the admission control *in front* of it is what bounds the
   damage a slow apply can do.
 * **bounded ingestion** — ``update_batch`` requests land in an
-  ``asyncio.Queue`` of depth ``serve_queue_max`` via ``put_nowait``:
+  ``asyncio.Queue`` of depth ``queue_max`` via ``put_nowait``:
   the reader never blocks on the engine.  A full queue rejects with a
   ``queue-full`` error frame carrying ``retry_after`` — backpressure is
   explicit and client-visible, not hidden in TCP buffers.
-* **coalescing** — the worker drains up to ``serve_coalesce_max``
+* **coalescing** — the worker drains up to ``coalesce_max``
   queued batches per cycle and merges them
   (:func:`~repro.serve.coalesce.coalesce_batches`) so a burst pays one
   detect/repair instead of k.  Each applied engine batch streams one
   :class:`~repro.serve.protocol.BatchReportFrame` back to every session
   that contributed to it.
-* **snapshots** — every ``serve_snapshot_every`` applied batches (and
+* **snapshots** — every ``snapshot_every`` applied batches (and
   on clean shutdown) the engine state goes to ``--snapshot-path``
   atomically; ``--restore`` warm-starts from one.  Crash loss is
   bounded by the cadence; restored replay is byte-identical
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import __version__, obs
-from repro.config import ColoringConfig
+from repro.config import ColoringConfig, check_setting
 from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 from repro.serve import protocol as wire
@@ -63,10 +63,6 @@ _RETRY_AFTER_S = 0.05
 """The ``retry_after`` hint (seconds) carried by ``queue-full`` error
 frames — the client-visible half of the admission-control contract.
 Clients should wait at least this long before resubmitting."""
-
-_DAEMON_PREFIXES = ("serve_", "obs_")
-"""``ColoringConfig`` fields the daemon takes from its command line:
-``load_graph`` refuses them instead of silently ignoring them."""
 
 
 @dataclass
@@ -113,9 +109,8 @@ class ColoringServer:
     Parameters
     ----------
     config:
-        Base :class:`ColoringConfig`; the ``serve_*`` knobs size the
-        queue, coalescing and snapshot cadence, and everything else is
-        the default engine config ``load_graph`` overrides merge into.
+        Base :class:`ColoringConfig`: the default engine config
+        ``load_graph`` overrides merge into.
     socket_path / host+port:
         Exactly one listening endpoint: a unix socket path, or a TCP
         port (default host 127.0.0.1 — the protocol has no auth; see
@@ -125,8 +120,9 @@ class ColoringServer:
         the request doesn't name a path.
     restore:
         Snapshot to warm-start from: the engine (graph + colors + batch
-        index + config) is rebuilt before the first connection.  A torn
-        current snapshot falls back to rotated generations
+        index + config) is rebuilt before the first connection, and its
+        config replaces ``config``.  A torn current snapshot falls back
+        to rotated generations
         (:func:`~repro.serve.snapshot.restore_engine`).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` armed at ``start()`` —
@@ -139,6 +135,32 @@ class ColoringServer:
         (``GET /metrics`` — any path answers).  The same text is
         available in-protocol via the ``metrics`` verb; this port
         exists for scrapers that speak HTTP, not our framing.
+
+    The daemon's own settings, one ``repro serve`` flag each:
+
+    queue_max:
+        Admission control: the bounded depth of the ingest queue, in
+        ``update_batch`` requests.  A full queue *rejects* the batch
+        with a ``queue-full`` error frame carrying ``retry_after``; it
+        never blocks the socket reader (docs/PROTOCOL.md
+        §Backpressure).
+    coalesce_max:
+        How many queued ``update_batch`` requests the worker drains and
+        merges into one :class:`~repro.dynamic.UpdateBatch`
+        (:func:`~repro.serve.coalesce.coalesce_batches`) before paying
+        one detect/repair cycle.  1 applies every request on its own,
+        as bit-exact equivalence with an in-process run needs.
+    snapshot_every:
+        Write a snapshot after every N applied batches; 0 disables
+        periodic snapshots (a clean shutdown still writes one when
+        ``snapshot_path`` is set).
+    snapshot_keep:
+        Snapshot generations kept on disk (the current file plus
+        ``.1``, ``.2``, … predecessors); restore falls back through
+        them.  1 keeps only the current file.
+    idle_timeout_s:
+        Close a session that sends no frame for this many seconds
+        (``ping`` keeps one alive); 0 disables the timeout.
     """
 
     def __init__(
@@ -152,10 +174,25 @@ class ColoringServer:
         restore: str | None = None,
         fault_plan: "faults.FaultPlan | None" = None,
         metrics_port: int | None = None,
+        queue_max: int = 64,
+        coalesce_max: int = 8,
+        snapshot_every: int = 0,
+        snapshot_keep: int = 2,
+        idle_timeout_s: float = 0.0,
     ) -> None:
         if (socket_path is None) == (port is None):
             raise ValueError("exactly one of socket_path / port is required")
+        check_setting("queue_max", queue_max, "int", least=1)
+        check_setting("coalesce_max", coalesce_max, "int", least=1)
+        check_setting("snapshot_every", snapshot_every, "int", least=0)
+        check_setting("snapshot_keep", snapshot_keep, "int", least=1)
+        check_setting("idle_timeout_s", idle_timeout_s, "float", least=0)
         self.cfg = config or ColoringConfig.practical()
+        # Plain ints and floats: ``stats`` sends them as JSON.
+        self.coalesce_max = int(coalesce_max)
+        self.snapshot_every = int(snapshot_every)
+        self.snapshot_keep = int(snapshot_keep)
+        self.idle_timeout_s = float(idle_timeout_s)
         self.socket_path = socket_path
         self.host = host
         self.port = port
@@ -166,9 +203,7 @@ class ColoringServer:
 
         self.engine: DynamicColoring | None = None
         self.initial_mode = "pipeline"
-        self._queue: asyncio.Queue[_QueueItem] = asyncio.Queue(
-            maxsize=max(1, int(self.cfg.serve_queue_max))
-        )
+        self._queue: asyncio.Queue[_QueueItem] = asyncio.Queue(maxsize=int(queue_max))
         self._sessions: set[_Session] = set()
         self._server: asyncio.base_events.Server | None = None
         self._worker: asyncio.Task | None = None
@@ -191,19 +226,7 @@ class ColoringServer:
 
         if restore is not None:
             self.engine = restore_engine(restore)
-            self.cfg = dataclasses.replace(
-                self.engine.cfg,
-                **{
-                    f: getattr(self.cfg, f)
-                    for f in (
-                        "serve_queue_max",
-                        "serve_coalesce_max",
-                        "serve_snapshot_every",
-                        "serve_snapshot_keep",
-                        "serve_idle_timeout_s",
-                    )
-                },
-            )
+            self.cfg = self.engine.cfg
             self.initial_mode = "restored"
 
     # ------------------------------------------------------------------
@@ -213,9 +236,8 @@ class ColoringServer:
         """Bind the endpoint and start the ingest worker."""
         self._stop_event = asyncio.Event()
         # A daemon is what the metrics registry exists for: arm it
-        # unconditionally (tracing still follows the obs_trace knob).
+        # unconditionally (tracing is armed, if at all, by the caller).
         obs.enable(tracing=False, metrics=True)
-        obs.enable_from_config(self.cfg)
         if self.fault_plan is not None:
             faults.arm(self.fault_plan)
         if self.snapshot_path:
@@ -340,8 +362,7 @@ class ColoringServer:
     async def _worker_loop(self) -> None:
         while True:
             items = [await self._queue.get()]
-            limit = max(1, int(self.cfg.serve_coalesce_max))
-            while len(items) < limit:
+            while len(items) < self.coalesce_max:
                 try:
                     items.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -384,7 +405,7 @@ class ColoringServer:
         )
         for session in {item.session for item in items}:
             await session.send(frame)
-        every = int(self.cfg.serve_snapshot_every)
+        every = self.snapshot_every
         if every > 0 and self.snapshot_path and self.batches_applied % every == 0:
             # A failed *periodic* snapshot (disk trouble, injected torn
             # write) must not take the service down: the engine state is
@@ -404,9 +425,7 @@ class ColoringServer:
     def _write_snapshot(self, path: str) -> None:
         assert self.engine is not None
         t0 = time.perf_counter()
-        info = save_snapshot(
-            self.engine, path, keep=max(1, int(self.cfg.serve_snapshot_keep))
-        )
+        info = save_snapshot(self.engine, path, keep=self.snapshot_keep)
         self.snapshots_written += 1
         self.last_snapshot_index = info.batch_index
         self.last_snapshot_seconds = time.perf_counter() - t0
@@ -422,12 +441,12 @@ class ColoringServer:
     ) -> None:
         session = _Session(reader, writer)
         self._sessions.add(session)
-        idle = float(self.cfg.serve_idle_timeout_s)
         try:
             while True:
                 try:
                     frame = await asyncio.wait_for(
-                        wire.read_frame_async(reader), timeout=idle or None
+                        wire.read_frame_async(reader),
+                        timeout=self.idle_timeout_s or None,
                     )
                 except asyncio.TimeoutError:
                     # Quiet client past the idle window: reclaim the
@@ -577,16 +596,6 @@ class ColoringServer:
                 f"load_graph: unknown config fields {sorted(unknown)}",
                 id=frame.id,
             )
-        # The daemon reads serve_* from its own config, and obs_* would
-        # arm process-wide telemetry that no later load can disarm.
-        daemon_owned = sorted(k for k in overrides if k.startswith(_DAEMON_PREFIXES))
-        if daemon_owned:
-            raise wire.ProtocolError(
-                "bad-payload",
-                f"load_graph: {daemon_owned} are daemon settings; the daemon "
-                f"takes them from its command line",
-                id=frame.id,
-            )
         try:
             cfg = dataclasses.replace(self.cfg, **overrides)
         except ValueError as exc:
@@ -709,9 +718,7 @@ class ColoringServer:
             )
         t0 = time.perf_counter()
         try:
-            info = save_snapshot(
-                engine, path, keep=max(1, int(self.cfg.serve_snapshot_keep))
-            )
+            info = save_snapshot(engine, path, keep=self.snapshot_keep)
         except (OSError, faults.FaultInjected) as exc:
             raise wire.ProtocolError(
                 "snapshot-failed", f"cannot write {path}: {exc}", id=frame.id
@@ -740,10 +747,10 @@ class ColoringServer:
             "initial": self.initial_mode,
             "queue_depth": self._queue.qsize(),
             "queue_max": self._queue.maxsize,
-            "coalesce_max": int(self.cfg.serve_coalesce_max),
-            "snapshot_every": int(self.cfg.serve_snapshot_every),
-            "snapshot_keep": int(self.cfg.serve_snapshot_keep),
-            "idle_timeout_s": float(self.cfg.serve_idle_timeout_s),
+            "coalesce_max": self.coalesce_max,
+            "snapshot_every": self.snapshot_every,
+            "snapshot_keep": self.snapshot_keep,
+            "idle_timeout_s": self.idle_timeout_s,
             "batches_applied": self.batches_applied,
             "coalesced_batches": self.coalesced_batches,
             "rejected_batches": self.rejected_batches,

@@ -66,14 +66,29 @@ _RETIRED_CONFIG_FIELDS = frozenset(
         "shard_reconcile_max_iters",
         "serve_retry_after_s",
         "obs_trace_buffer",
+        "shard_worker_timeout_s",
+        "shard_max_retries",
+        "shard_retry_backoff_s",
+        "shard_inline_fallback",
+        "shard_transport",
+        "shard_start_method",
+        "serve_queue_max",
+        "serve_coalesce_max",
+        "serve_snapshot_every",
+        "serve_snapshot_keep",
+        "serve_idle_timeout_s",
+        "obs_trace",
+        "obs_metrics",
     }
 )
 """Config fields older snapshots carry that no longer exist.  None of
 them changes what a restored engine computes: both sketch estimators
 gave bit-identical estimates, nothing read the bucket size, the
-:class:`DynamicColoring` a restore builds reads neither the trace switch
-nor the shard knobs, and the retry hint and the span-buffer cap are
-constants now that never touched a coloring.  So dropping them on load
+:class:`DynamicColoring` a restore builds reads neither the trace
+switches nor the shard knobs, the retry hint and the span-buffer cap are
+constants now that never touched a coloring, and the daemon and
+supervisor settings are constructor arguments now
+(``ColoringServer``, ``ShardedColoring``).  So dropping them on load
 restores exactly."""
 
 _CONSTANT_CONFIG_FIELDS = {

@@ -5,8 +5,8 @@ property: the node universe is split across k workers, each colors its
 shard's interior on the induced CSR (plus a read-only ghost frontier of
 cut neighbors), and the shards themselves re-establish propriety across the cut with the
 boundary-exchange protocol (:mod:`repro.shard.boundary`) — by protocol,
-not by construction.  Workers receive the graph zero-copy through a
-shared-memory arena (:mod:`repro.shard.shm`) by default.  Partitioners
+not by construction.  Pool workers receive the graph zero-copy through
+a shared-memory arena (:mod:`repro.shard.shm`).  Partitioners
 in :mod:`repro.shard.partition`, driver in :mod:`repro.shard.engine`,
 surface via ``repro shard`` and the runner's ``algorithm="shard"``
 trials.
@@ -14,7 +14,7 @@ trials.
 
 from repro.shard.boundary import CutPlan, repair_boundary
 from repro.shard.engine import (
-    TRANSPORTS,
+    START_METHODS,
     ShardedColoring,
     ShardedResult,
     ShardReport,
@@ -30,12 +30,12 @@ __all__ = [
     "ArenaDescriptor",
     "CutPlan",
     "Partition",
+    "START_METHODS",
     "STRATEGIES",
     "ShardReport",
     "ShardedColoring",
     "ShardedResult",
     "ShmArena",
-    "TRANSPORTS",
     "leaked_segments",
     "partition_nodes",
     "repair_boundary",

@@ -4,17 +4,18 @@ reconcile the cut (DESIGN.md §7).
 The control flow of :class:`ShardedColoring.run`:
 
 1. **partition** — split [n] into k shards
-   (:func:`repro.shard.partition.partition_nodes`).  Under the default
-   ``shard_transport="shm"`` the driver then packs the global CSR, the
-   partition index, the cut plan and the colors array into one
-   shared-memory arena (:class:`repro.shard.shm.ShmArena`); workers
-   attach zero-copy and rebuild their own
-   :class:`~repro.simulator.network.ShardView` from the shared buffers
-   (:func:`~repro.simulator.network.shard_view_from_csr`) — the pool
-   pipe carries a descriptor of a few hundred bytes, never O(n + m)
-   arrays.  Under ``shard_transport="pickle"`` (and inline) each view is
-   built with the same function in this process and pickled to the
-   worker.
+   (:func:`repro.shard.partition.partition_nodes`).  A pooled run then
+   packs the global CSR, the partition index, the cut plan and the
+   colors array into one shared-memory arena
+   (:class:`repro.shard.shm.ShmArena`); workers attach zero-copy and
+   rebuild their own :class:`~repro.simulator.network.ShardView` from
+   the shared buffers (:func:`~repro.simulator.network.shard_view_from_csr`)
+   — the pool pipe carries a descriptor of a few hundred bytes, never
+   O(n + m) arrays.  When the arena cannot be created (``OSError``: a
+   ``/dev/shm`` too small or absent) each view is built with the same
+   function in this process and pickled to its worker, and an inline
+   run (one worker or one shard) builds them for itself;
+   :attr:`ShardedResult.transport` names which happened.
 2. **interior** — each shard's interior subgraph is colored by the full
    existing pipeline (:class:`BroadcastColoring`), one worker per shard on
    a ``ProcessPoolExecutor`` (``workers=1`` runs inline — same results,
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.config import TRANSPORTS, ColoringConfig
+from repro.config import ColoringConfig, check_setting
 from repro.core.algorithm import BroadcastColoring
 from repro.faults import plan as faults
 from repro.shard.boundary import CutPlan, repair_boundary
@@ -92,7 +93,7 @@ _REPAIR_POOL_MIN = 20_000
 repair set (monochromatic cut edges + uncolored stragglers) is at least
 this many nodes; smaller sweeps run inline, in this process.  Boundary
 repair is cut-sized, so below this scale pool dispatch — worker boot
-under ``shard_start_method="spawn"`` especially — costs more than the
+under ``start_method="spawn"`` especially — costs more than the
 repair itself.  Inline and pooled repair are the same pure function, so
 the threshold never changes the coloring, only where it is computed."""
 
@@ -106,27 +107,21 @@ _PARENT_POLL_S = 0.5
 """How often a pool worker checks that the process that started it is
 still alive (:func:`_exit_with_parent`)."""
 
-_FAULT_KINDS = {
-    "retries": "retry",
-    "worker_crashes": "worker_crash",
-    "worker_timeouts": "worker_timeout",
-    "inline_fallbacks": "inline_fallback",
-}
-""":attr:`ShardedResult.faults` key → the :meth:`RoundMetrics.record_fault`
-kind it counts."""
+START_METHODS = ("default", "fork", "forkserver", "spawn")
+"""The worker-pool start methods ``ShardedColoring`` accepts."""
 
 __all__ = [
+    "START_METHODS",
     "ShardedColoring",
     "ShardReport",
     "ShardedResult",
     "ShardWorkerError",
-    "TRANSPORTS",
 ]
 
 
 class ShardWorkerError(RuntimeError):
     """A shard's interior coloring failed on every allowed attempt and
-    graceful degradation is disabled (``shard_inline_fallback=False``):
+    graceful degradation is disabled (``inline_fallback=False``):
     the supervisor re-raises instead of silently absorbing the loss.
     Carries the failing shard id and the last underlying failure."""
 
@@ -222,17 +217,18 @@ class ShardedResult:
     rounds_total: int
     total_bits: int
     seconds: float
-    transport: str = "shm"
-    """Which worker transport produced this run ("shm" / "pickle") —
-    results are byte-identical across transports, only the plumbing
-    differs."""
+    transport: str = "inline"
+    """What carried the shard views: ``"shm"`` (a pooled run's arena),
+    ``"pickle"`` (a pooled run whose arena could not be created) or
+    ``"inline"`` (one worker or one shard: no pool).  Results are
+    byte-identical across all three; only the plumbing differs."""
     shard_reports: list[ShardReport] = field(default_factory=list)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     faults: dict = field(default_factory=dict)
     """Supervision account (DESIGN.md §9): retries, worker_crashes,
-    worker_timeouts, inline_fallbacks and time_lost_s — the run's delta
-    of the network's :attr:`RoundMetrics.faults` and ``fault_seconds``,
-    all zero on a fault-free run."""
+    worker_timeouts, inline_fallbacks and time_lost_s, each event
+    counted once by the supervisor as it happens; all zero on a
+    fault-free run."""
 
     @property
     def touched_fraction(self) -> float:
@@ -379,28 +375,47 @@ def _stop_workers(pool: ProcessPoolExecutor) -> None:
         proc.terminate()
 
 
+def _armed_state() -> tuple:
+    """What every pool task carries beside its work: this process's armed
+    fault plan as its dict form (or None) and its ``(tracing, metrics)``
+    telemetry flags, for :func:`_arm_worker`."""
+    plan = faults.armed_plan()
+    return (
+        plan.as_dict() if plan is not None else None,
+        (obs.tracing_enabled(), obs.metrics_enabled()),
+    )
+
+
+def _arm_worker(armed: tuple) -> None:
+    """Arm, inside a pool worker, what :func:`_armed_state` read in
+    the process that submitted the task.  Riding every task, the plan
+    and the flags arm the worker under any multiprocessing start method
+    — not just fork inheritance — and after a pool is re-created.  Then
+    drop any span buffer inherited via fork: the submitting process
+    keeps its own copy, and this worker ships back only the spans *it*
+    produced for this task."""
+    plan_payload, (tracing, metrics) = armed
+    if plan_payload is not None:
+        faults.arm(faults.FaultPlan.from_dict(plan_payload))
+    if tracing or metrics:
+        obs.enable(tracing=tracing, metrics=metrics)
+    obs.drain_spans()
+
+
 def _pool_color_shard(args: tuple) -> dict:
     """``ProcessPoolExecutor`` entry point (single-argument).
 
-    ``args`` is ``(spec, cfg, attempt, plan_payload)``; ``spec`` is a
-    pickled :class:`ShardView` under ``shard_transport="pickle"``, or an
-    ``(ArenaDescriptor, shard)`` pair under ``"shm"`` — the worker then
-    attaches the arena, rebuilds its view zero-copy, and writes its
-    interior colors straight into the shared colors array (its slots are
-    disjoint from every other shard's), returning ``colors=None`` over
-    the pipe.  The fault plan rides along explicitly (as its dict form)
-    and is armed inside the worker, so injection works under any
-    multiprocessing start method — not just fork inheritance — and
-    survives pool re-creation after a hard crash.
+    ``args`` is ``(spec, cfg, attempt, armed)``; ``spec`` is a pickled
+    :class:`ShardView` when the run fell back to pickled views, or an
+    ``(ArenaDescriptor, shard)`` pair — the worker then attaches the
+    arena, rebuilds its view zero-copy, and writes its interior colors
+    straight into the shared colors array (its slots are disjoint from
+    every other shard's), returning ``colors=None`` over the pipe.
+    ``armed`` is :func:`_armed_state`'s fault plan and telemetry
+    flags.
     """
-    spec, cfg, attempt, plan_payload = args
-    if plan_payload is not None:
-        faults.arm(faults.FaultPlan.from_dict(plan_payload))
-    # Arm tracing from the config (the knob rides the pipe), then drop any
-    # span buffer inherited via fork — the driver keeps its own copy; this
-    # worker must ship back only the spans *it* produced for this task.
-    obs.enable_from_config(cfg)
-    obs.drain_spans()
+    spec, cfg, attempt, armed = args
+    _arm_worker(armed)
     if isinstance(spec, ShardView):
         out = _color_shard(spec, cfg, attempt=attempt)
         out["spans"] = obs.drain_spans()
@@ -416,17 +431,14 @@ def _pool_color_shard(args: tuple) -> dict:
 
 
 def _pool_repair_shard(args: tuple) -> dict:
-    """Pool entry point for one shard's reconciliation sweep under the
-    shm transport: attach read-only, slice the shard's cut edges out of
-    the packed :class:`~repro.shard.boundary.CutPlan`, and run the pure
+    """Pool entry point for one shard's reconciliation sweep over the
+    arena: attach read-only, slice the shard's cut edges out of the
+    packed :class:`~repro.shard.boundary.CutPlan`, and run the pure
     :func:`~repro.shard.boundary.repair_boundary` kernel.  The returned
     delta is boundary-sized — the only reconciliation bytes that ever
     cross a process boundary."""
-    descriptor, shard, extra, num_colors, cfg, seed, sweep, plan_payload = args
-    if plan_payload is not None:
-        faults.arm(faults.FaultPlan.from_dict(plan_payload))
-    obs.enable_from_config(cfg)
-    obs.drain_spans()
+    descriptor, shard, extra, num_colors, cfg, seed, sweep, armed = args
+    _arm_worker(armed)
     with ShmArena.attach(descriptor) as arena:
         a = arena.arrays()
         plan = CutPlan.from_arrays(a)
@@ -453,7 +465,7 @@ class ShardedColoring:
     cut reconciliation.
 
     >>> from repro.graphs.generators import gnp_graph
-    >>> result = ShardedColoring(gnp_graph(300, 0.05, seed=1), k=4).run()
+    >>> result = ShardedColoring(gnp_graph(300, 0.05, seed=1)).run()
     >>> assert result.proper and result.complete
 
     Parameters
@@ -463,40 +475,68 @@ class ShardedColoring:
         :class:`BroadcastNetwork` (the driver's coordinator copy; workers
         only ever see their :class:`ShardView`).
     config:
-        :class:`ColoringConfig`; ``shard_*`` and ``conflict_victim`` knobs
-        drive partitioning and reconciliation.
-    k / strategy:
-        Override the config's ``shard_k`` / ``shard_strategy``.
+        :class:`ColoringConfig`; ``shard_k``, ``shard_strategy`` and
+        ``conflict_victim`` drive partitioning and reconciliation.
     workers:
         Process-pool size for the interior phase; ``1`` (default) colors
         shards inline in spec order — identical results, no pool.
-    transport:
-        Overrides the config's ``shard_transport`` ("shm" zero-copy
-        arena / "pickle" pickled views).  Results are byte-identical
-        either way; only bytes-on-the-pipe and per-worker RSS differ.
+
+    The supervisor's settings (DESIGN.md §9) change how a run survives
+    its workers, never its colors:
+
+    start_method:
+        The pool's multiprocessing start method, one of
+        :data:`START_METHODS`.  ``"default"`` is the platform's (fork on
+        linux, fast).  ``"spawn"`` matters for *measurement*: forked
+        workers inherit the driver's address space copy-on-write, so
+        their RSS reflects the driver, while spawned workers start from
+        a bare interpreter and fault in only the shared-memory pages
+        they touch.
+    worker_timeout_s:
+        Per-shard wall-clock deadline for pool workers; a shard past it
+        counts as a ``worker_timeout`` and is retried or degraded.  0
+        disables it.  Inline execution cannot be deadlined: the driver
+        would be interrupting itself.
+    max_retries:
+        How many times a failed shard (crash, ``BrokenProcessPool``,
+        deadline overrun) is re-submitted before degrading.  Retries
+        replay the same derived per-shard seed, so a recovered run is
+        bit-identical to a fault-free one.
+    retry_backoff_s:
+        Base of the capped exponential backoff between retries of one
+        shard (:meth:`_backoff`).
+    inline_fallback:
+        When a shard exhausts its retries, color it inline in the driver
+        with any armed fault plan suppressed; ``False`` raises
+        :class:`ShardWorkerError` instead.
     """
 
     def __init__(
         self,
         graph,
         config: ColoringConfig | None = None,
-        k: int | None = None,
-        strategy: str | None = None,
+        *,
         workers: int = 1,
-        transport: str | None = None,
+        start_method: str = "default",
+        worker_timeout_s: float = 0.0,
+        max_retries: int = 2,
+        retry_backoff_s: float = 0.05,
+        inline_fallback: bool = True,
     ):
+        check_setting("start_method", start_method, "str", choices=START_METHODS)
+        check_setting("worker_timeout_s", worker_timeout_s, "float", least=0)
+        check_setting("max_retries", max_retries, "int", least=0)
+        check_setting("retry_backoff_s", retry_backoff_s, "float", least=0)
+        check_setting("inline_fallback", inline_fallback, "bool")
         self.cfg = config or ColoringConfig.practical()
-        self.k = int(k) if k is not None else self.cfg.shard_k
-        self.strategy = strategy if strategy is not None else self.cfg.shard_strategy
+        self.k = self.cfg.shard_k
+        self.strategy = self.cfg.shard_strategy
         self.workers = max(1, int(workers))
-        self.transport = (
-            transport if transport is not None else self.cfg.shard_transport
-        )
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown shard transport {self.transport!r} "
-                f"(choose from {TRANSPORTS})"
-            )
+        self.start_method = start_method
+        self.worker_timeout_s = worker_timeout_s
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self.inline_fallback = inline_fallback
         if isinstance(graph, BroadcastNetwork):
             self.net = graph
         else:
@@ -509,12 +549,9 @@ class ShardedColoring:
         self._views: dict[int, ShardView] = {}
 
     def _pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """A worker pool honoring ``shard_start_method``.  ``"default"``
-        inherits the platform's context (fork on linux); ``"spawn"`` is
-        the measurement mode — workers start from a bare interpreter, so
-        their RSS reflects the shm pages they touch, not the driver's
-        copy-on-write inheritance."""
-        method = self.cfg.shard_start_method
+        """A worker pool under ``start_method`` (``"default"`` inherits
+        the platform's context)."""
+        method = self.start_method
         if method == "default":
             return ProcessPoolExecutor(
                 max_workers=max_workers, initializer=_exit_with_parent
@@ -529,7 +566,7 @@ class ShardedColoring:
 
     def _view(self, shard: int) -> ShardView:
         """One shard's view, built on demand in this process (inline and
-        pickle-transport tasks, pool-failure fallbacks) and cached."""
+        pickled-view tasks, pool-failure fallbacks) and cached."""
         view = self._views.get(shard)
         if view is None:
             if self._local is None:
@@ -563,14 +600,18 @@ class ShardedColoring:
         shard-local cut reconciliation.  Deterministic in
         ``(graph, config)`` regardless of ``workers`` and transport."""
         cfg, net = self.cfg, self.net
-        obs.enable_from_config(cfg)
         obs.count("repro_shard_runs_total")
         metrics = net.metrics
         t0 = time.perf_counter()
         rounds_before = metrics.total_rounds
         bits_before = metrics.total_bits
-        faults_before = dict(metrics.faults)
-        fault_seconds_before = metrics.fault_seconds
+        self._faults = {
+            "retries": 0,
+            "worker_crashes": 0,
+            "worker_timeouts": 0,
+            "inline_fallbacks": 0,
+            "time_lost_s": 0.0,
+        }
 
         # ---- 1. partition --------------------------------------------
         with metrics.time_phase("shard/partition"):
@@ -583,33 +624,20 @@ class ShardedColoring:
         boundary = plan.boundary
         obs.gauge_set("repro_shard_cut_edges", cut_edge_count, k=self.k)
 
-        # ---- 1b. pack: shared arena (shm) or extracted views ---------
-        use_shm = self.transport == "shm" and self.workers > 1 and self.k > 1
+        # ---- 1b. pack: a pooled run's arena, else extracted views ---
+        pooled = self.workers > 1 and self.k > 1
         arena: ShmArena | None = None
         try:
-            if use_shm:
-                with metrics.time_phase("shard/pack"):
-                    order, starts = part.index_arrays()
-                    local = part.local_ids()
-                    self._local = local
-                    arrays = {
-                        "indptr": net.indptr,
-                        "indices": net.indices,
-                        "degrees": net.degrees,
-                        "assignment": part.assignment,
-                        "order": order,
-                        "starts": starts,
-                        "local": local,
-                        "colors": np.full(net.n, -1, dtype=np.int64),
-                    }
-                    arrays.update(plan.arrays())
-                    arena = ShmArena.create(arrays, label=f"k{self.k}")
+            with metrics.time_phase("shard/pack"):
+                if pooled:
+                    arena = self._pack_arena(part, plan)
+                if arena is not None:
                     colors = arena.array("colors")
-                tasks: list = [(arena.descriptor(), i) for i in range(self.k)]
-            else:
-                with metrics.time_phase("shard/pack"):
+                    tasks: list = [(arena.descriptor(), i) for i in range(self.k)]
+                else:
                     tasks = [self._view(i) for i in range(self.k)]
-                colors = np.full(net.n, -1, dtype=np.int64)
+                    colors = np.full(net.n, -1, dtype=np.int64)
+            transport = "shm" if arena is not None else "pickle" if pooled else "inline"
 
             # ---- 2. interior (parallel over shards, supervised) ------
             with metrics.time_phase("shard/interior"):
@@ -641,19 +669,13 @@ class ShardedColoring:
             reconcile_rounds = (
                 metrics.rounds_in("shard/reconcile") - reconcile_rounds_before
             )
-            if use_shm:
+            if arena is not None:
                 colors = np.array(colors, dtype=np.int64, copy=True)
         finally:
             if arena is not None:
                 arena.unlink()
 
-        fault_account = {
-            key: metrics.faults.get(kind, 0) - faults_before.get(kind, 0)
-            for key, kind in _FAULT_KINDS.items()
-        }
-        fault_account["time_lost_s"] = round(
-            metrics.fault_seconds - fault_seconds_before, 6
-        )
+        self._faults["time_lost_s"] = round(self._faults["time_lost_s"], 6)
         src, dst = net.edge_src, net.indices
         proper = not bool(((colors[src] >= 0) & (colors[src] == colors[dst])).any())
         complete = bool((colors >= 0).all())
@@ -680,15 +702,39 @@ class ShardedColoring:
             rounds_total=metrics.total_rounds - rounds_before,
             total_bits=metrics.total_bits - bits_before,
             seconds=time.perf_counter() - t0,
-            transport=self.transport,
+            transport=transport,
             shard_reports=shard_reports,
             phase_seconds={
                 name: float(secs)
                 for name, secs in metrics.phase_seconds.items()
                 if name.startswith("shard/")
             },
-            faults=fault_account,
+            faults=self._faults,
         )
+
+    def _pack_arena(self, part: Partition, plan: CutPlan) -> ShmArena | None:
+        """Pack the global CSR, the partition index, the cut plan and a
+        colors array into one shared-memory arena, or return None when
+        the arena cannot be created (``OSError``: a ``/dev/shm`` too
+        small or absent) — the run then pickles each worker its view."""
+        net = self.net
+        order, starts = part.index_arrays()
+        self._local = part.local_ids()
+        arrays = {
+            "indptr": net.indptr,
+            "indices": net.indices,
+            "degrees": net.degrees,
+            "assignment": part.assignment,
+            "order": order,
+            "starts": starts,
+            "local": self._local,
+            "colors": np.full(net.n, -1, dtype=np.int64),
+            **plan.arrays(),
+        }
+        try:
+            return ShmArena.create(arrays, label=f"k{self.k}")
+        except OSError:
+            return None
 
     # ------------------------------------------------------------------
     # Reconciliation
@@ -732,10 +778,11 @@ class ShardedColoring:
         shard_reports: list[ShardReport],
     ) -> tuple[int, int, int]:
         """The boundary-exchange sweep loop, for every k: shards with
-        work repair their own boundary shard-locally (pool under shm,
-        otherwise inline — byte-identical either way); the driver merges
-        the disjoint deltas and re-checks only the cut.  At k=1 there is
-        no cut, so the loop can only pick up uncolored stragglers.  Pool
+        work repair their own boundary shard-locally (pooled over the
+        arena, otherwise inline — byte-identical either way); the driver
+        merges the disjoint deltas and re-checks only the cut.  At k=1
+        there is no cut, so the loop can only pick up uncolored
+        stragglers.  Pool
         failures degrade to inline execution with faults suppressed —
         the sweep must finish, and the inline kernel is the same pure
         function.  Each merged sweep appends a timing row to the owning
@@ -745,9 +792,8 @@ class ShardedColoring:
         cu_idx, cv_idx = plan.cut[:, 0], plan.cut[:, 1]
         assignment = self._part.assignment
         empty = np.empty(0, dtype=np.int64)
-        armed = faults.armed_plan()
-        plan_payload = armed.as_dict() if armed is not None else None
-        timeout = float(cfg.shard_worker_timeout_s) or None
+        armed = _armed_state()
+        timeout = self.worker_timeout_s or None
         initial_conflicts = 0
         iterations = 0
         unresolved = 0
@@ -808,7 +854,7 @@ class ShardedColoring:
                                 cfg,
                                 self.seq.derive_seed("reconcile", s),
                                 iterations,
-                                plan_payload,
+                                armed,
                             ),
                         )
                         for s in shards
@@ -818,10 +864,11 @@ class ShardedColoring:
                         try:
                             outs.append(fut.result(timeout=timeout))
                         except Exception:
-                            metrics.record_fault(
-                                "worker_crash", time.perf_counter() - t_fail
+                            self._fault(
+                                "worker_crashes", "worker_crash",
+                                time.perf_counter() - t_fail,
                             )
-                            metrics.record_fault("inline_fallback")
+                            self._fault("inline_fallbacks", "inline_fallback")
                             # A dead/hung worker poisons the pool: rebuild
                             # it lazily on the next sweep.
                             if pool is not None:
@@ -880,14 +927,25 @@ class ShardedColoring:
     # ------------------------------------------------------------------
     # Interior supervision (DESIGN.md §9)
     # ------------------------------------------------------------------
+    def _fault(self, key: str, kind: str, seconds: float = 0.0) -> None:
+        """Count one supervision event, once: under ``key`` in this
+        run's :attr:`ShardedResult.faults`, and as
+        ``repro_fault_events_total{kind}``.  ``seconds`` is the
+        wall-clock lost to it (waiting on a doomed worker).  Faults
+        never touch rounds or bits: recovery replays the same protocol,
+        so only real time is lost."""
+        self._faults[key] += 1
+        self._faults["time_lost_s"] += seconds
+        obs.count("repro_fault_events_total", kind=kind)
+
     def _backoff(self, shard: int, attempt: int) -> float:
         """Capped exponential backoff with deterministic jitter: attempt
         ``a`` of one shard waits ``base · 2^(a-1) · u`` seconds with
         ``u ∈ [0.5, 1.0)`` derived from the run's seed sequencer — two
         crashed shards never retry in lock-step, yet the schedule is a
         pure function of ``(seed, shard, attempt)``."""
-        base = max(0.0, float(self.cfg.shard_retry_backoff_s))
-        if base == 0.0:
+        base = self.retry_backoff_s
+        if base == 0:
             return 0.0
         jitter = 0.5 + (self.seq.derive_seed("backoff", shard, attempt) % 1000) / 2000.0
         return min(base * (2 ** (attempt - 1)), 30.0) * jitter
@@ -900,9 +958,9 @@ class ShardedColoring:
         or raise :class:`ShardWorkerError` when degradation is off.  The
         driver builds the shard's view on demand — under shm it never
         extracted one up front."""
-        if not self.cfg.shard_inline_fallback:
+        if not self.inline_fallback:
             raise ShardWorkerError(shard, attempts, cause)
-        self.net.metrics.record_fault("inline_fallback")
+        self._fault("inline_fallbacks", "inline_fallback")
         with faults.suppressed():
             return _color_shard(self._view(shard), cfg_i, attempt=attempts + 1)
 
@@ -912,15 +970,13 @@ class ShardedColoring:
         enforce the per-shard wall-clock deadline, retry with backoff
         (same derived seed → bit-identical recovery), and degrade to
         inline execution for shards that keep failing; every event goes
-        to :meth:`RoundMetrics.record_fault`.  Returns the per-shard
-        outputs in shard order.  ``tasks`` holds one picklable spec per
-        shard: a :class:`ShardView` (pickle transport / inline) or an
-        ``(ArenaDescriptor, shard)`` pair (shm)."""
-        cfg = self.cfg
-        metrics = self.net.metrics
+        to :meth:`_fault`.  Returns the per-shard outputs in shard
+        order.  ``tasks`` holds one picklable spec per shard: a
+        :class:`ShardView` (pickled or inline) or an
+        ``(ArenaDescriptor, shard)`` pair (arena)."""
         shard_cfgs = [self._shard_config(i) for i in range(self.k)]
         outs: list = [None] * self.k
-        max_attempts = 1 + max(0, int(cfg.shard_max_retries))
+        max_attempts = 1 + self.max_retries
 
         if not (self.workers > 1 and self.k > 1):
             # Inline path: same supervision semantics, no pool, no
@@ -932,20 +988,21 @@ class ShardedColoring:
                     try:
                         outs[i] = _color_shard(tasks[i], shard_cfgs[i], attempt=attempt)
                     except Exception as exc:
-                        metrics.record_fault("worker_crash", time.perf_counter() - t0)
+                        self._fault(
+                            "worker_crashes", "worker_crash", time.perf_counter() - t0
+                        )
                         if attempt >= max_attempts:
                             outs[i] = self._fail_or_fallback(
                                 i, shard_cfgs[i], attempt, repr(exc)
                             )
                             break
-                        metrics.record_fault("retry")
+                        self._fault("retries", "retry")
                         time.sleep(self._backoff(i, attempt))
                         attempt += 1
             return outs
 
-        plan = faults.armed_plan()
-        plan_payload = plan.as_dict() if plan is not None else None
-        timeout = float(cfg.shard_worker_timeout_s) or None
+        armed = _armed_state()
+        timeout = self.worker_timeout_s or None
         pending = list(range(self.k))
         attempt = {i: 1 for i in pending}
         pool = self._pool(min(self.workers, self.k))
@@ -954,41 +1011,42 @@ class ShardedColoring:
                 futs = {
                     i: pool.submit(
                         _pool_color_shard,
-                        (tasks[i], shard_cfgs[i], attempt[i], plan_payload),
+                        (tasks[i], shard_cfgs[i], attempt[i], armed),
                     )
                     for i in pending
                 }
-                failed: list[tuple[int, str, str]] = []
+                failed: list[tuple[int, str]] = []
                 pool_broken = False
                 for i, fut in futs.items():
                     t0 = time.perf_counter()
                     try:
                         outs[i] = fut.result(timeout=timeout)
+                        continue
                     except FuturesTimeout:
                         fut.cancel()
-                        failed.append((i, "worker_timeout", f"no result within {timeout}s"))
-                        metrics.record_fault("worker_timeout", time.perf_counter() - t0)
+                        key, kind = "worker_timeouts", "worker_timeout"
+                        cause = f"no result within {timeout}s"
                         pool_broken = True  # a hung worker poisons its slot
                     except BrokenProcessPool as exc:
-                        failed.append((i, "worker_crash", repr(exc)))
-                        metrics.record_fault("worker_crash", time.perf_counter() - t0)
+                        key, kind, cause = "worker_crashes", "worker_crash", repr(exc)
                         pool_broken = True
                     except Exception as exc:  # soft crash inside the worker
-                        failed.append((i, "worker_crash", repr(exc)))
-                        metrics.record_fault("worker_crash", time.perf_counter() - t0)
+                        key, kind, cause = "worker_crashes", "worker_crash", repr(exc)
+                    self._fault(key, kind, time.perf_counter() - t0)
+                    failed.append((i, cause))
                 pending = []
                 if not failed:
                     continue
                 if pool_broken:
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = self._pool(min(self.workers, self.k))
-                for i, _kind, cause in failed:
+                for i, cause in failed:
                     if attempt[i] >= max_attempts:
                         outs[i] = self._fail_or_fallback(
                             i, shard_cfgs[i], attempt[i], cause
                         )
                         continue
-                    metrics.record_fault("retry")
+                    self._fault("retries", "retry")
                     time.sleep(self._backoff(i, attempt[i]))
                     attempt[i] += 1
                     pending.append(i)

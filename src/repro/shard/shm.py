@@ -87,8 +87,8 @@ class ArraySpec:
 class ArenaDescriptor:
     """The picklable handle workers receive instead of the arrays: the
     segment name plus one :class:`ArraySpec` slice per array.  A few
-    hundred bytes at any n — this is the whole cost of spawning a
-    worker under ``shard_transport="shm"``."""
+    hundred bytes at any n — this is the whole cost of handing a pool
+    worker its shard."""
 
     segment: str
     specs: tuple[ArraySpec, ...]

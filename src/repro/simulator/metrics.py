@@ -52,8 +52,6 @@ class RoundMetrics:
     def __init__(self) -> None:
         self.phases: dict[str, PhaseStats] = defaultdict(PhaseStats)
         self.phase_seconds: dict[str, float] = defaultdict(float)
-        self.faults: dict[str, int] = defaultdict(int)
-        self.fault_seconds: float = 0.0
         self._current_phase = "unphased"
         self._phase_started: float | None = None
         self._phase_span: dict | None = None
@@ -144,18 +142,6 @@ class RoundMetrics:
             extra = k - per_round * r
             for i in range(r):
                 self._notify(name, per_round + (1 if i < extra else 0))
-
-    def record_fault(self, kind: str, seconds: float = 0.0) -> None:
-        """Account one supervision event (DESIGN.md §9): ``kind`` names
-        what happened (``"retry"``, ``"worker_crash"``,
-        ``"worker_timeout"``, ``"inline_fallback"``, ...) and ``seconds``
-        is the wall-clock lost to it (waiting on a doomed worker,
-        backing off).  Faults never touch rounds/bits — recovery replays
-        the same protocol, so the *algorithmic* account is unchanged;
-        only real time is lost."""
-        self.faults[kind] += 1
-        self.fault_seconds += float(seconds)
-        obs.count("repro_fault_events_total", kind=kind)
 
     # -- reading ----------------------------------------------------------
     @property

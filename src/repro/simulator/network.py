@@ -153,9 +153,9 @@ def shard_view_from_csr(
     Only the *members'* CSR rows are gathered — O(vol(shard)) — so it
     works equally on in-process arrays (the views
     :class:`~repro.shard.engine.ShardedColoring` builds for inline and
-    pickle-transport tasks) and on read-only
-    ``multiprocessing.shared_memory`` attachments, which is how
-    ``shard_transport="shm"`` workers reconstruct their view without ever
+    pickled-view tasks) and on read-only
+    ``multiprocessing.shared_memory`` attachments, which is how pool
+    workers reconstruct their view from the arena without ever
     receiving O(n + m) pickled bytes.  Members ascend and CSR rows are
     sorted, so interior edges fall out already in undirected
     (u, v)-lexicographic order; cut edges get one small lexsort over the

@@ -8,9 +8,7 @@ import pytest
 
 from repro.config import (
     MULTITRIAL_SAMPLERS,
-    START_METHODS,
     STRATEGIES,
-    TRANSPORTS,
     VICTIM_POLICIES,
     ColoringConfig,
 )
@@ -76,9 +74,6 @@ class TestPresets:
             ("shard_k", -1),
             ("shard_k", 2.5),
             ("shard_strategy", "bogus"),
-            ("shard_transport", "carrier-pigeon"),
-            ("shard_start_method", "bogus"),
-            ("shard_start_method", None),
             ("multitrial_initial", 0),
             ("multitrial_initial", -2),
             ("multitrial_initial", 2.0),
@@ -100,9 +95,8 @@ class TestPresets:
         fingerprint kernel cannot run, a CompressTry count or shard count
         below 1, MultiTrial try counts, iteration bound or growth that
         would shrink, skip or overflow its tries, and a victim rule,
-        sampler, partition strategy, shard transport or start method that
-        does not exist, naming the field; the edges of the valid range
-        still build."""
+        sampler or partition strategy that does not exist, naming the
+        field; the edges of the valid range still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -121,10 +115,6 @@ class TestPresets:
         ColoringConfig.practical(shard_k=1)
         for strategy in STRATEGIES:
             ColoringConfig.practical(shard_strategy=strategy)
-        for transport in TRANSPORTS:
-            ColoringConfig.practical(shard_transport=transport)
-        for method in START_METHODS:
-            ColoringConfig.practical(shard_start_method=method)
         ColoringConfig.practical(
             multitrial_initial=1, multitrial_cap=1, multitrial_max_iters=0,
             multitrial_growth=1,
@@ -168,13 +158,12 @@ class TestPresets:
         assert ColoringConfig(enable_matching=False).enable_matching is False
 
     def test_shard_choices_defined_once(self):
-        """The shard package re-exports the config's tuples, so the CLI's
+        """The shard package re-exports the config's tuple, so the CLI's
         choices and the engine's checks accept what the config accepts."""
         from repro import shard
-        from repro.shard import engine, partition
+        from repro.shard import partition
 
         assert shard.STRATEGIES is partition.STRATEGIES is STRATEGIES
-        assert shard.TRANSPORTS is engine.TRANSPORTS is TRANSPORTS
 
 
 class TestDerived:

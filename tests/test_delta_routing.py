@@ -250,7 +250,9 @@ class TestWarmStart:
 
     def test_warm_start_skips_initial_coloring(self):
         schedule = make_churn("gnp-churn", 200, 8.0, seed=7, batches=2)
-        adopted = ShardedColoring(schedule.initial, k=4).run()
+        adopted = ShardedColoring(
+            schedule.initial, ColoringConfig.practical(shard_k=4)
+        ).run()
         assert adopted.proper
         warm = DynamicColoring(schedule.initial, initial_colors=adopted.colors)
         assert warm.initial_rounds == 0

@@ -31,6 +31,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import ColoringConfig
 from repro.dynamic import DynamicColoring
 from repro.faults import (
@@ -54,8 +55,7 @@ from repro.serve.snapshot import (
     snapshot_generations,
     sweep_stale_tmp,
 )
-from repro.shard.engine import ShardedColoring, ShardWorkerError
-from repro.simulator.network import BroadcastNetwork
+from repro.shard.engine import START_METHODS, ShardedColoring, ShardWorkerError
 
 
 @pytest.fixture(autouse=True)
@@ -209,25 +209,25 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # Layer 2: shard supervision
 # ----------------------------------------------------------------------
-def shard_setup(seed=5, n=600, retries=2, **over):
-    cfg = ColoringConfig.practical(
-        seed=seed, shard_k=4, shard_retry_backoff_s=0.01,
-        shard_max_retries=retries, **over,
-    )
+def shard_setup(seed=5, n=600, retries=2, **settings):
+    """A geometric graph, its config and supervisor settings, and the
+    fault-free reference run."""
+    cfg = ColoringConfig.practical(seed=seed, shard_k=4)
+    settings = dict(retry_backoff_s=0.01, max_retries=retries, **settings)
     graph = make_graph("geometric", n, 10.0, seed)
     with fplan.suppressed():
-        reference = ShardedColoring(graph, cfg, workers=1).run()
-    return graph, cfg, reference
+        reference = ShardedColoring(graph, cfg, workers=1, **settings).run()
+    return graph, cfg, settings, reference
 
 
 class TestShardSupervision:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_soft_crash_retry_is_byte_identical(self, workers):
-        graph, cfg, reference = shard_setup()
+        graph, cfg, settings, reference = shard_setup()
         plan = FaultPlan(name="p", rules=(crash_rule(shard=1, attempt=1),))
         fplan.arm(plan)
         try:
-            res = ShardedColoring(graph, cfg, workers=workers).run()
+            res = ShardedColoring(graph, cfg, workers=workers, **settings).run()
         finally:
             fplan.disarm()
         assert res.faults["worker_crashes"] >= 1
@@ -238,7 +238,7 @@ class TestShardSupervision:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_persistent_crash_degrades_inline(self, workers):
-        graph, cfg, reference = shard_setup(retries=1)
+        graph, cfg, settings, reference = shard_setup(retries=1)
         # max_fires=0: crash shard 1 on *every* attempt.
         plan = FaultPlan(
             name="p",
@@ -247,14 +247,14 @@ class TestShardSupervision:
         )
         fplan.arm(plan)
         try:
-            res = ShardedColoring(graph, cfg, workers=workers).run()
+            res = ShardedColoring(graph, cfg, workers=workers, **settings).run()
         finally:
             fplan.disarm()
         assert res.faults["inline_fallbacks"] == 1
         np.testing.assert_array_equal(res.colors, reference.colors)
 
     def test_fallback_disabled_raises_worker_error(self):
-        graph, cfg, _ = shard_setup(retries=1, shard_inline_fallback=False)
+        graph, cfg, settings, _ = shard_setup(retries=1, inline_fallback=False)
         plan = FaultPlan(
             name="p",
             rules=(FaultRule(site="shard.worker", kind="crash",
@@ -263,18 +263,18 @@ class TestShardSupervision:
         fplan.arm(plan)
         try:
             with pytest.raises(ShardWorkerError) as err:
-                ShardedColoring(graph, cfg, workers=1).run()
+                ShardedColoring(graph, cfg, workers=1, **settings).run()
         finally:
             fplan.disarm()
         assert err.value.shard == 1
-        assert err.value.attempts == 2  # 1 + shard_max_retries
+        assert err.value.attempts == 2  # 1 + max_retries
 
     def test_hard_crash_breaks_pool_and_recovers(self):
         """A hard crash (`os._exit`) kills a real pool worker: the
         supervisor must survive BrokenProcessPool, rebuild the pool and
         still converge byte-identically (satellite: BrokenProcessPool
         propagation)."""
-        graph, cfg, reference = shard_setup()
+        graph, cfg, settings, reference = shard_setup()
         plan = FaultPlan(
             name="p",
             rules=(FaultRule(site="shard.worker", kind="crash", hard=True,
@@ -282,14 +282,14 @@ class TestShardSupervision:
         )
         fplan.arm(plan)
         try:
-            res = ShardedColoring(graph, cfg, workers=2).run()
+            res = ShardedColoring(graph, cfg, workers=2, **settings).run()
         finally:
             fplan.disarm()
         assert res.faults["worker_crashes"] >= 1
         np.testing.assert_array_equal(res.colors, reference.colors)
 
     def test_hung_worker_times_out_and_recovers(self):
-        graph, cfg, reference = shard_setup(shard_worker_timeout_s=0.3)
+        graph, cfg, settings, reference = shard_setup(worker_timeout_s=0.3)
         plan = FaultPlan(
             name="p",
             rules=(FaultRule(site="shard.worker", kind="hang", seconds=5.0,
@@ -298,7 +298,7 @@ class TestShardSupervision:
         fplan.arm(plan)
         t0 = time.perf_counter()
         try:
-            res = ShardedColoring(graph, cfg, workers=2).run()
+            res = ShardedColoring(graph, cfg, workers=2, **settings).run()
         finally:
             fplan.disarm()
         assert time.perf_counter() - t0 < 5.0  # did not wait out the hang
@@ -306,11 +306,11 @@ class TestShardSupervision:
         np.testing.assert_array_equal(res.colors, reference.colors)
 
     def test_fault_account_rides_result_dict(self):
-        graph, cfg, _ = shard_setup()
+        graph, cfg, settings, _ = shard_setup()
         plan = FaultPlan(name="p", rules=(crash_rule(shard=1, attempt=1),))
         fplan.arm(plan)
         try:
-            res = ShardedColoring(graph, cfg, workers=1).run()
+            res = ShardedColoring(graph, cfg, workers=1, **settings).run()
         finally:
             fplan.disarm()
         d = res.as_dict()
@@ -322,7 +322,7 @@ class TestShardSupervision:
         [
             ("crash", 1, {}, crash_rule(shard=1, attempt=1), "worker_crashes"),
             (
-                "timeout", 2, {"shard_worker_timeout_s": 0.3},
+                "timeout", 2, {"worker_timeout_s": 0.3},
                 FaultRule(site="shard.worker", kind="hang", seconds=5.0,
                           match={"shard": 0, "attempt": 1}),
                 "worker_timeouts",
@@ -337,31 +337,78 @@ class TestShardSupervision:
         ids=["crash", "timeout", "fallback"],
     )
     def test_fault_account_is_the_metrics_delta(self, case, workers, setup, rule, key):
-        """Supervision events are recorded once, in the network's
-        RoundMetrics: ShardedResult.faults is the run's delta of
-        ``faults`` and ``fault_seconds``, under the same five keys."""
-        graph, cfg, _ = shard_setup(**setup)
-        net = BroadcastNetwork(graph)
-        net.metrics.record_fault("retry", 0.25)  # before the run: not counted
-        before, seconds_before = dict(net.metrics.faults), net.metrics.fault_seconds
-        fplan.arm(FaultPlan(name=case, rules=(rule,)))
-        try:
-            res = ShardedColoring(net, cfg, workers=workers).run()
-        finally:
-            fplan.disarm()
+        """The supervisor counts each event once, straight into the run's
+        ShardedResult.faults under the same five keys, and as the
+        ``repro_fault_events_total{kind}`` counter: the account is the
+        run's delta of that counter.  It also matches what the armed plan
+        fired: every crash the plan fired in this process (an inline run)
+        is one worker crash, and every failed attempt is either one retry
+        or one inline fallback."""
+        graph, cfg, settings, _ = shard_setup(**setup)
         kinds = {
             "retries": "retry",
             "worker_crashes": "worker_crash",
             "worker_timeouts": "worker_timeout",
             "inline_fallbacks": "inline_fallback",
         }
+        state = obs.enable(tracing=False, metrics=True)
+
+        def counted(kind):
+            return state.registry.counter("repro_fault_events_total", kind=kind).value
+
+        try:
+            obs.count("repro_fault_events_total", kind="retry")  # before the run
+            before = {name: counted(kind) for name, kind in kinds.items()}
+            fplan.arm(FaultPlan(name=case, rules=(rule,)))
+            try:
+                res = ShardedColoring(graph, cfg, workers=workers, **settings).run()
+                fired = fplan.fault_events()
+            finally:
+                fplan.disarm()
+            delta = {name: counted(kind) - before[name] for name, kind in kinds.items()}
+        finally:
+            obs.disable()
         assert list(res.faults) == [*kinds, "time_lost_s"]
-        for name, kind in kinds.items():
-            assert res.faults[name] == net.metrics.faults[kind] - before.get(kind, 0)
-        assert res.faults["time_lost_s"] == round(
-            net.metrics.fault_seconds - seconds_before, 6
-        )
+        assert {name: res.faults[name] for name in kinds} == delta
+        failed = res.faults["worker_crashes"] + res.faults["worker_timeouts"]
+        assert res.faults["retries"] + res.faults["inline_fallbacks"] == failed
+        if workers == 1:
+            crashes = [e for e in fired if e["kind"] == "crash"]
+            assert res.faults["worker_crashes"] == len(crashes) >= 1
         assert res.faults[key] >= 1
+        assert res.faults["time_lost_s"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("start_method", "bogus"),
+            ("start_method", None),
+            ("worker_timeout_s", -1.0),
+            ("worker_timeout_s", float("nan")),
+            ("worker_timeout_s", float("inf")),
+            ("worker_timeout_s", "1"),
+            ("max_retries", -1),
+            ("max_retries", 1.5),
+            ("max_retries", True),
+            ("retry_backoff_s", -0.05),
+            ("retry_backoff_s", float("inf")),
+            ("inline_fallback", 1),
+            ("inline_fallback", "yes"),
+        ],
+    )
+    def test_rejects_bad_setting(self, name, value):
+        """ShardedColoring checks each supervisor setting it takes,
+        naming it, before any run: a negative deadline would time out
+        every shard of a fault-free pooled run, and a negative retry
+        count or back-off used to be clamped silently.  The edges of the
+        valid ranges still build."""
+        with pytest.raises(ValueError, match=name):
+            ShardedColoring((4, [(0, 1)]), workers=2, **{name: value})
+        for method in START_METHODS:
+            ShardedColoring(
+                (4, [(0, 1)]), start_method=method, worker_timeout_s=0,
+                max_retries=0, retry_backoff_s=0, inline_fallback=False,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -102,15 +102,7 @@ class TestPlane:
         assert obs.enable(tracing=True, metrics=False) is state
         assert obs.tracing_enabled() and obs.metrics_enabled()
         assert "kept_total 1" in obs.render_metrics()
-
-    def test_enable_from_config(self):
-        cfg = ColoringConfig.practical()
-        assert not obs.enable_from_config(cfg)
-        assert not obs.enabled()
-        assert obs.enable_from_config(ColoringConfig.practical(obs_trace=True))
-        assert obs.tracing_enabled()
-        # No config knob sizes the span buffer: it keeps the default cap.
-        state = obs.enable(tracing=False, metrics=False)
+        # Unless a caller asks for another cap, the buffer keeps the default.
         assert state.trace_buffer == obs.DEFAULT_TRACE_BUFFER
 
     def test_adopt_spans_merges(self):
@@ -274,8 +266,8 @@ class TestExport:
 # ----------------------------------------------------------------------
 # Layer 4: integration with the engines
 # ----------------------------------------------------------------------
-def _shard_cfg(**kw):
-    return ColoringConfig.practical(seed=7, shard_k=3, **kw)
+def _shard_cfg():
+    return ColoringConfig.practical(seed=7, shard_k=3)
 
 
 GRAPH = make_graph("geometric", 900, 10.0, 7)
@@ -295,9 +287,8 @@ class TestIntegration:
     def test_coloring_byte_identical_tracing_on_off(self):
         off = ShardedColoring(GRAPH, _shard_cfg(), workers=1).run()
         obs.disable()
-        on = ShardedColoring(
-            GRAPH, _shard_cfg(obs_trace=True), workers=1
-        ).run()
+        obs.enable(tracing=True, metrics=False)
+        on = ShardedColoring(GRAPH, _shard_cfg(), workers=1).run()
         spans = obs.drain_spans()
         assert spans, "traced run recorded nothing"
         assert np.array_equal(off.colors, on.colors)
@@ -306,13 +297,15 @@ class TestIntegration:
 
     def test_spawned_workers_ship_spans_back(self):
         """Cross-process reassembly: spawned shard workers arm from the
-        config riding the pool pipe and piggyback their span buffers on
-        the result payloads; the driver trace must contain worker-pid
-        spans for every shard."""
+        telemetry flags riding each pool task and piggyback their span
+        buffers on the result payloads; the merged trace must contain
+        worker-pid spans for every shard."""
         import os
 
-        cfg = _shard_cfg(obs_trace=True, shard_start_method="spawn")
-        result = ShardedColoring(GRAPH, cfg, workers=2).run()
+        obs.enable(tracing=True, metrics=False)
+        result = ShardedColoring(
+            GRAPH, _shard_cfg(), workers=2, start_method="spawn"
+        ).run()
         assert result.proper and result.complete
         spans = obs.drain_spans()
         worker = [s for s in spans if s["pid"] != os.getpid()]
@@ -338,8 +331,10 @@ class TestIntegration:
                 ),
             )
         )
-        cfg = _shard_cfg(obs_trace=True, shard_start_method="spawn")
-        result = ShardedColoring(GRAPH, cfg, workers=2).run()
+        obs.enable(tracing=True, metrics=False)
+        result = ShardedColoring(
+            GRAPH, _shard_cfg(), workers=2, start_method="spawn"
+        ).run()
         assert result.proper and result.complete
         spans = obs.drain_spans()
         fp = io.StringIO()

@@ -384,6 +384,19 @@ class TestSnapshot:
             ("shard_reconcile_max_iters", 3),
             ("serve_retry_after_s", 0.5),
             ("obs_trace_buffer", 9),
+            ("shard_worker_timeout_s", 1.5),
+            ("shard_max_retries", 5),
+            ("shard_retry_backoff_s", 0.1),
+            ("shard_inline_fallback", False),
+            ("shard_transport", "pickle"),
+            ("shard_start_method", "spawn"),
+            ("serve_queue_max", 4),
+            ("serve_coalesce_max", 1),
+            ("serve_snapshot_every", 3),
+            ("serve_snapshot_keep", 5),
+            ("serve_idle_timeout_s", 2.0),
+            ("obs_trace", True),
+            ("obs_metrics", True),
         ],
     )
     def test_retired_config_field_restores(self, tmp_path, field, value):
@@ -391,6 +404,16 @@ class TestSnapshot:
         build retired restore exactly: the restored DynamicColoring reads
         none of them, so it continues as if it never crashed."""
         self.restore_with_fields(tmp_path, **{field: value})
+
+    def test_retired_fields_are_not_config_fields(self):
+        """A restore drops every retired field it finds, so none may be
+        a live config field: its value would be lost silently."""
+        import dataclasses
+
+        from repro.serve.snapshot import _RETIRED_CONFIG_FIELDS
+
+        live = {f.name for f in dataclasses.fields(ColoringConfig)}
+        assert not live & _RETIRED_CONFIG_FIELDS
 
     @pytest.mark.parametrize(
         "field,constant,other",
@@ -455,6 +478,61 @@ class TestReadPath:
             assert reply.proper == engine.is_proper()
             assert reply.complete == engine.is_complete()
         assert planted and not reply.proper
+
+
+class TestServerSettings:
+    """The daemon's settings are ColoringServer's own arguments, checked
+    where they are taken: a value the server cannot run is refused,
+    naming it, instead of being clamped or acted on."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("queue_max", 0),
+            ("queue_max", 2.0),
+            ("queue_max", True),
+            ("coalesce_max", 0),
+            ("snapshot_every", -1),
+            ("snapshot_keep", 0),
+            ("idle_timeout_s", -1.0),
+            ("idle_timeout_s", float("nan")),
+            ("idle_timeout_s", float("inf")),
+            ("idle_timeout_s", "5"),
+        ],
+    )
+    def test_rejects_bad_setting(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=name):
+            ColoringServer(socket_path=str(tmp_path / "s.sock"), **{name: value})
+        server = ColoringServer(
+            socket_path=str(tmp_path / "s.sock"), queue_max=1, coalesce_max=1,
+            snapshot_every=0, snapshot_keep=1, idle_timeout_s=0,
+        )
+        assert server.stats()["queue_max"] == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--queue-max", "0"),
+            ("--coalesce-max", "0"),
+            ("--snapshot-every", "-1"),
+            ("--snapshot-keep", "0"),
+            ("--idle-timeout", "-1"),
+            ("--idle-timeout", "nan"),
+        ],
+    )
+    def test_serve_refuses_bad_flag_before_binding(self, tmp_path, flag, value):
+        """``repro serve`` exits non-zero naming the flag, before it
+        binds: ``--idle-timeout -1`` used to print its ready line and
+        then close the connection on the first request."""
+        from repro.cli import main
+
+        sock = tmp_path / "s.sock"
+        serving = AssertionError("repro serve started serving")
+        with mock.patch("asyncio.run", side_effect=serving):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--socket", str(sock), flag, value])
+        assert isinstance(exc.value.code, str) and flag in exc.value.code
+        assert not sock.exists()
 
 
 # ----------------------------------------------------------------------
@@ -700,10 +778,11 @@ class TestLiveServer:
     def test_invalid_sketch_config_keeps_engine(self, tmp_path):
         """A load_graph whose config overrides ColoringConfig refuses
         (a value out of its field's range or not of its field's type),
-        that names a key which is no field (such as the removed
-        ``backend``), or that names a daemon setting (``serve_*``,
-        ``obs_*``) is a bad-payload error naming it, not an internal
-        one, and the engine loaded before it keeps serving."""
+        or that names a key which is no field (such as the removed
+        ``backend``, or a daemon, supervisor or telemetry setting, which
+        the constructor that reads it takes) is a bad-payload error
+        naming it, not an internal one, and the engine loaded before it
+        keeps serving."""
         seed = 3
         n, edges = make_graph("gnp", 150, 8.0, seed)
         proc, sock = spawn_server(tmp_path, "--coalesce-max", "1")
@@ -731,6 +810,11 @@ class TestLiveServer:
                        ("dynamic_repair_multitrial_min", REPAIR_MULTITRIAL_MIN),
                        ("serve_queue_max", 1), ("serve_coalesce_max", 99),
                        ("obs_trace", True), ("obs_metrics", True),
+                       ("serve_snapshot_every", 1), ("serve_snapshot_keep", 3),
+                       ("serve_idle_timeout_s", 1.0),
+                       ("shard_worker_timeout_s", 1.0), ("shard_max_retries", 5),
+                       ("shard_retry_backoff_s", 0.1),
+                       ("shard_inline_fallback", False),
                        ("seed", "x"), ("seed", 1.5), ("seed", True),
                        ("shard_k", 2**70), ("bandwidth_factor", "big"),
                        ("enable_matching", "no"),

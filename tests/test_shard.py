@@ -30,7 +30,7 @@ from repro.graphs.families import make_graph
 from repro.graphs.generators import geometric_graph, gnp_graph
 from repro.runner import ParallelRunner, ResultStore, TrialSpec, load_matrix
 from repro.runner.execute import run_trial
-from repro.shard import STRATEGIES, TRANSPORTS, ShardedColoring, partition_nodes
+from repro.shard import STRATEGIES, ShardedColoring, partition_nodes
 from repro.shard import engine as shard_engine
 from repro.shard.engine import _color_shard, _view_from_arena
 from repro.shard.shm import ShmArena, leaked_segments
@@ -270,7 +270,7 @@ class TestShardedColoring:
         graph = gnp_graph(n, min(1.0, avg_deg / n), seed=seed)
         net = BroadcastNetwork(graph)
         result = ShardedColoring(
-            net, shard_cfg(seed=seed), k=k, strategy=strategy
+            net, shard_cfg(seed=seed, shard_k=k, shard_strategy=strategy)
         ).run()
         assert result.unresolved_conflicts == 0
         assert brute_force_proper(net, result.colors)
@@ -284,7 +284,9 @@ class TestShardedColoring:
         cfg = shard_cfg(seed=11)
         graph = gnp_graph(300, 0.05, seed=6)
         ref = BroadcastColoring(graph, cfg).run()
-        got = ShardedColoring(graph, cfg, k=1, strategy=strategy).run()
+        got = ShardedColoring(
+            graph, shard_cfg(seed=11, shard_k=1, shard_strategy=strategy)
+        ).run()
         assert np.array_equal(got.colors, ref.colors)
         assert got.cut_edges == 0 and got.reconcile_touched == 0
 
@@ -300,15 +302,18 @@ class TestShardedColoring:
             graph = make_graph(family, n, deg, spec.graph_seed())
             cfg = shard_cfg(seed=spec.algo_seed())
             ref = BroadcastColoring(graph, cfg).run()
-            got = ShardedColoring(graph, cfg, k=1).run()
+            got = ShardedColoring(
+                graph, shard_cfg(seed=spec.algo_seed(), shard_k=1)
+            ).run()
             assert np.array_equal(got.colors, ref.colors), (family, n, deg, seed)
             assert got.num_colors_used == ref.num_colors_used
 
     def test_pool_identical_to_inline(self):
         def deterministic(d: dict) -> dict:
-            # Wall-clock and RSS ride outside the deterministic account,
-            # exactly as in TrialResult (elapsed_s/timings vs payload).
-            env = ("seconds", "cpu_seconds", "peak_rss_mb")
+            # Wall-clock, RSS and what carried the views ride outside the
+            # deterministic account, exactly as in TrialResult
+            # (elapsed_s/timings vs payload).
+            env = ("seconds", "cpu_seconds", "peak_rss_mb", "transport")
             d = {k: v for k, v in d.items() if k not in env}
             d["shards"] = [
                 {
@@ -322,8 +327,9 @@ class TestShardedColoring:
 
         cfg = shard_cfg(seed=4)
         graph = gnp_graph(400, 0.03, seed=2)
-        inline = ShardedColoring(graph, cfg, k=4, workers=1).run()
-        pooled = ShardedColoring(graph, cfg, k=4, workers=4).run()
+        inline = ShardedColoring(graph, cfg, workers=1).run()
+        pooled = ShardedColoring(graph, cfg, workers=4).run()
+        assert (inline.transport, pooled.transport) == ("inline", "shm")
         assert np.array_equal(inline.colors, pooled.colors)
         assert json.dumps(deterministic(inline.as_dict()), sort_keys=True) == \
             json.dumps(deterministic(pooled.as_dict()), sort_keys=True)
@@ -363,13 +369,13 @@ class TestShardedColoring:
         assert not view.cut_edges.flags.writeable
 
     def test_empty_graph_and_empty_shards(self):
-        result = ShardedColoring((5, []), shard_cfg(), k=8).run()
+        result = ShardedColoring((5, []), shard_cfg(shard_k=8)).run()
         assert result.proper and result.complete
         assert result.unresolved_conflicts == 0
 
     def test_touched_nodes_reported(self):
         graph = gnp_graph(500, 0.04, seed=1)
-        result = ShardedColoring(graph, shard_cfg(seed=3), k=4).run()
+        result = ShardedColoring(graph, shard_cfg(seed=3)).run()
         assert result.initial_conflicts > 0  # expander cut must conflict
         assert 0 < result.reconcile_touched <= result.n
         assert result.unresolved_conflicts == 0
@@ -380,7 +386,7 @@ class TestShardedColoring:
         graph = gnp_graph(300, 0.06, seed=2)
         net = BroadcastNetwork(graph)
         result = ShardedColoring(
-            net, shard_cfg(seed=2, conflict_victim=victim), k=4
+            net, shard_cfg(seed=2, conflict_victim=victim)
         ).run()
         assert result.unresolved_conflicts == 0
         assert brute_force_proper(net, result.colors)
@@ -521,32 +527,53 @@ class TestShmTransport:
                 with pytest.raises((ValueError, RuntimeError)):
                     view.ghost_nodes[:] = 0
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_transports_identical_through_pool(self, transport):
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_transports_identical_through_pool(self, transport, monkeypatch):
+        """A pooled run packs an arena; when ShmArena.create raises
+        OSError (no room in /dev/shm) it pickles each worker its view
+        instead, says so in ``transport``, and colors byte for byte as
+        the arena run does."""
         graph = gnp_graph(400, 0.03, seed=2)
-        ref = ShardedColoring(graph, shard_cfg(seed=4), k=4, workers=1).run()
-        got = ShardedColoring(
-            graph,
-            shard_cfg(seed=4, shard_transport=transport),
-            k=4,
-            workers=4,
-        ).run()
+        ref = ShardedColoring(graph, shard_cfg(seed=4), workers=4).run()
+        assert ref.transport == "shm"
+        if transport == "pickle":
+            def no_room(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(ShmArena, "create", no_room)
+        got = ShardedColoring(graph, shard_cfg(seed=4), workers=4).run()
         assert got.transport == transport
         assert np.array_equal(got.colors, ref.colors)
         assert got.proper and got.complete and got.unresolved_conflicts == 0
+        assert leaked_segments() == []
+
+    @pytest.mark.parametrize("workers,k", [(1, 4), (2, 1)])
+    def test_inline_run_creates_no_arena(self, workers, k, monkeypatch):
+        """One worker or one shard runs without a pool: no arena is
+        created, and ``transport`` says ``"inline"``."""
+        created = []
+        real_create = ShmArena.create
+
+        def spy(*args, **kwargs):
+            created.append(kwargs.get("label"))
+            return real_create(*args, **kwargs)
+
+        monkeypatch.setattr(ShmArena, "create", spy)
+        graph = gnp_graph(200, 0.05, seed=3)
+        result = ShardedColoring(
+            graph, shard_cfg(seed=1, shard_k=k), workers=workers
+        ).run()
+        assert result.transport == "inline" and created == []
+        assert result.proper and result.complete
 
     def test_pooled_repair_identical_to_inline_repair(self, monkeypatch):
         """A pool threshold of 0 forces every reconciliation sweep
         through _pool_repair_shard; the default threshold keeps small
         sweeps inline.  Same pure kernel, byte-identical colors."""
         graph = gnp_graph(400, 0.04, seed=7)
-        inline = ShardedColoring(
-            graph, shard_cfg(seed=3), k=4, workers=1
-        ).run()
+        inline = ShardedColoring(graph, shard_cfg(seed=3), workers=1).run()
         monkeypatch.setattr(shard_engine, "_REPAIR_POOL_MIN", 0)
-        pooled = ShardedColoring(
-            graph, shard_cfg(seed=3), k=4, workers=4,
-        ).run()
+        pooled = ShardedColoring(graph, shard_cfg(seed=3), workers=4).run()
         assert np.array_equal(inline.colors, pooled.colors)
         assert pooled.unresolved_conflicts == 0
         assert leaked_segments() == []
@@ -554,7 +581,7 @@ class TestShmTransport:
     def test_segments_unlinked_after_normal_run(self):
         before = leaked_segments()
         ShardedColoring(
-            gnp_graph(300, 0.04, seed=1), shard_cfg(seed=1), k=4, workers=2
+            gnp_graph(300, 0.04, seed=1), shard_cfg(seed=1), workers=2
         ).run()
         assert leaked_segments() == before == []
 
@@ -575,14 +602,10 @@ class TestShmTransport:
         )
         graph = gnp_graph(300, 0.04, seed=9)
         with faults.suppressed():
-            reference = ShardedColoring(
-                graph, shard_cfg(seed=2), k=4, workers=2
-            ).run()
+            reference = ShardedColoring(graph, shard_cfg(seed=2), workers=2).run()
         faults.arm(plan)
         try:
-            crashed = ShardedColoring(
-                graph, shard_cfg(seed=2), k=4, workers=2
-            ).run()
+            crashed = ShardedColoring(graph, shard_cfg(seed=2), workers=2).run()
         finally:
             faults.disarm()
         assert crashed.faults.get("worker_crashes", 0) >= 1
@@ -607,26 +630,14 @@ class TestShmTransport:
         )
         graph = gnp_graph(300, 0.05, seed=4)
         with faults.suppressed():
-            reference = ShardedColoring(
-                graph, shard_cfg(seed=6), k=4, workers=2
-            ).run()
+            reference = ShardedColoring(graph, shard_cfg(seed=6), workers=2).run()
         faults.arm(plan)
         try:
-            recovered = ShardedColoring(
-                graph, shard_cfg(seed=6), k=4, workers=2
-            ).run()
+            recovered = ShardedColoring(graph, shard_cfg(seed=6), workers=2).run()
         finally:
             faults.disarm()
         assert np.array_equal(recovered.colors, reference.colors)
         assert leaked_segments() == []
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedColoring(
-                gnp_graph(50, 0.1, seed=0),
-                shard_cfg(seed=0, shard_transport="carrier-pigeon"),
-                k=2,
-            )
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     @pytest.mark.parametrize("sig", ["SIGTERM", "SIGKILL"])
