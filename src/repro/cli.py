@@ -28,7 +28,7 @@ import contextlib
 import json
 import signal
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -64,6 +64,19 @@ _SERVE_FLAGS = {
 }
 """``ColoringServer`` setting → the ``repro serve`` flag that sets it
 (each flag's argparse ``dest`` is its setting's name)."""
+
+_SHARD_FLAGS = {"workers": "--workers"}
+"""``ShardedColoring`` setting → the ``repro shard`` flag that sets it."""
+
+
+def _refused_flag(command: str, flags: dict[str, str], exc: ValueError) -> NoReturn:
+    """Turn a constructor's refusal of a setting in ``flags`` (its message
+    starts with the setting's name) into ``repro <command>``'s exit naming
+    the flag; any other ``ValueError`` propagates."""
+    flag = flags.get(str(exc).partition(" ")[0])
+    if flag is None:
+        raise exc
+    raise SystemExit(f"repro {command}: {flag}: {exc}") from None
 
 
 def _json_safe(value: Any) -> Any:
@@ -119,10 +132,12 @@ def cmd_color(args: argparse.Namespace) -> int:
     )
     cfg = preset(seed=args.seed)
     _start_trace(args.trace)
-    result = BroadcastColoring(graph, cfg).run()
+    algo = BroadcastColoring(graph, cfg)
+    result = algo.run()
     _finish_trace(args.trace)
     report = result.as_dict()
     report["clique_summary"] = result.clique_summary
+    report["phases"] = result.metrics.fill_report(algo.net.bandwidth_bits)
     _emit(report, args.json)
     return 0 if (result.proper and result.complete) else 1
 
@@ -152,6 +167,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         "n": engine.n,
         "batches": [r.as_dict() for r in result.reports],
         "summary": summary,
+        "phases": engine.net.metrics.fill_report(engine.net.bandwidth_bits),
     }
     if not args.json:
         # Compact per-batch table instead of nested dict dumping.
@@ -197,9 +213,13 @@ def cmd_shard(args: argparse.Namespace) -> int:
         conflict_victim=args.victim,
     )
     graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
+    try:
+        engine = ShardedColoring(graph, cfg, workers=args.workers)
+    except ValueError as exc:
+        _refused_flag("shard", _SHARD_FLAGS, exc)
     _start_trace(args.trace)
     with _sigterm_as_sigint():
-        result = ShardedColoring(graph, cfg, workers=args.workers).run()
+        result = engine.run()
     _finish_trace(args.trace)
     report = result.as_dict()
     if args.json:
@@ -428,11 +448,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             **{name: getattr(args, name) for name in _SERVE_FLAGS},
         )
     except ValueError as exc:
-        # The server names the setting it refused; name the flag.
-        flag = _SERVE_FLAGS.get(str(exc).split()[0])
-        if flag is None:
-            raise
-        raise SystemExit(f"repro serve: {flag}: {exc}") from None
+        _refused_flag("serve", _SERVE_FLAGS, exc)
     asyncio.run(server.run_until_stopped())
     return 0
 

@@ -523,6 +523,7 @@ class ShardedColoring:
         retry_backoff_s: float = 0.05,
         inline_fallback: bool = True,
     ):
+        check_setting("workers", workers, "int", least=1)
         check_setting("start_method", start_method, "str", choices=START_METHODS)
         check_setting("worker_timeout_s", worker_timeout_s, "float", least=0)
         check_setting("max_retries", max_retries, "int", least=0)
@@ -531,7 +532,7 @@ class ShardedColoring:
         self.cfg = config or ColoringConfig.practical()
         self.k = self.cfg.shard_k
         self.strategy = self.cfg.shard_strategy
-        self.workers = max(1, int(workers))
+        self.workers = workers
         self.start_method = start_method
         self.worker_timeout_s = worker_timeout_s
         self.max_retries = max_retries
@@ -859,29 +860,35 @@ class ShardedColoring:
                         )
                         for s in shards
                     }
+                    pool_broken = False
                     for s, fut in futs.items():
                         t_fail = time.perf_counter()
                         try:
                             outs.append(fut.result(timeout=timeout))
+                            continue
+                        except FuturesTimeout:
+                            fut.cancel()
+                            key, kind = "worker_timeouts", "worker_timeout"
                         except Exception:
-                            self._fault(
-                                "worker_crashes", "worker_crash",
-                                time.perf_counter() - t_fail,
-                            )
-                            self._fault("inline_fallbacks", "inline_fallback")
-                            # A dead/hung worker poisons the pool: rebuild
-                            # it lazily on the next sweep.
-                            if pool is not None:
-                                pool.shutdown(wait=False, cancel_futures=True)
-                                pool = None
-                            with faults.suppressed():
-                                outs.append(
-                                    self._repair_inline(
-                                        plan, colors, s,
-                                        extras.get(s, empty),
-                                        num_colors, iterations,
-                                    )
+                            key, kind = "worker_crashes", "worker_crash"
+                        self._fault(key, kind, time.perf_counter() - t_fail)
+                        self._fault("inline_fallbacks", "inline_fallback")
+                        pool_broken = True
+                        with faults.suppressed():
+                            outs.append(
+                                self._repair_inline(
+                                    plan, colors, s,
+                                    extras.get(s, empty),
+                                    num_colors, iterations,
                                 )
+                            )
+                    if pool_broken:
+                        # A dead/hung worker poisons the pool: rebuild it
+                        # lazily on the next sweep.  Shut it down only
+                        # after every sibling's result is in, or the ones
+                        # still queued would be cancelled and miscounted.
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = None
                 else:
                     for s in shards:
                         outs.append(

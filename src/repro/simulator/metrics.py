@@ -4,8 +4,10 @@ The observable quantities the paper bounds are (a) the number of
 synchronous rounds, per phase, and (b) the size in bits of each broadcast.
 Every protocol runs as vectorized whole-graph steps with closed-form bit
 costs, and :class:`RoundMetrics` records them through one method,
-:meth:`RoundMetrics.add_rounds` (r rounds, k messages, b bits each).
-``report()`` produces the rows the experiment harness prints.
+:meth:`RoundMetrics.add_rounds` (r rounds, k messages, the widest b
+bits, and their payload when they differ in size).  ``report()``
+produces the rows the experiment harness prints, and ``fill_report()``
+the same rows with each phase's share of the bandwidth cap.
 """
 
 from __future__ import annotations
@@ -115,26 +117,31 @@ class RoundMetrics:
         num_messages: int,
         bits_per_message: int,
         phase: str | None = None,
+        payload_bits: int | None = None,
     ) -> None:
-        """Charge ``num_messages`` equal-size messages spread over
-        ``num_rounds`` synchronous rounds, in O(1) arithmetic — the one
-        way a round is recorded.  ``(1, k, b)`` is one round in which k
-        nodes broadcast b bits each, ``(r, r·k, b)`` is r such rounds, and
-        ``(1, 0, 1)`` is a silent round (it still costs a round).  A node
-        with c messages pipelines them over c rounds, so the rounds need
-        not carry equal counts: this is the shape of delta announcements
-        (``BroadcastNetwork.apply_delta``).  Observers fire once per round
-        with that round's share of the messages."""
+        """Charge ``num_messages`` messages spread over ``num_rounds``
+        synchronous rounds, in O(1) arithmetic — the one way a round is
+        recorded.  ``(1, k, b)`` is one round in which k nodes broadcast
+        b bits each, ``(r, r·k, b)`` is r such rounds, and ``(1, 0, 1)``
+        is a silent round (it still costs a round).  The rounds need not
+        carry equal counts, and the messages need not be of equal size:
+        then ``bits_per_message`` is the widest message and
+        ``payload_bits`` the total the messages carry (by default
+        ``num_messages · bits_per_message``).  Delta announcements have
+        both shapes (``BroadcastNetwork.apply_delta``): a node with c
+        changes sends ⌈c/k⌉ messages of up to k entries each.  Observers
+        fire once per round with that round's share of the messages."""
         name = phase or self._current_phase
         r = int(num_rounds)
         if r <= 0:
             return
         b = int(bits_per_message)
         k = int(num_messages)
+        total = k * b if payload_bits is None else int(payload_bits)
         for s in (self.phases[name], self.phases["total"]):
             s.rounds += r
             s.messages += k
-            s.total_bits += k * b
+            s.total_bits += total
             if k > 0:
                 s.max_message_bits = max(s.max_message_bits, b)
         if self.observers:
@@ -165,6 +172,17 @@ class RoundMetrics:
     def report(self) -> dict[str, dict]:
         """Phase → stats dict, including "total"."""
         return {name: stats.as_dict() for name, stats in self.phases.items()}
+
+    def fill_report(self, cap: int | None) -> dict[str, dict]:
+        """:meth:`report` with each phase's ``fill``: its payload over
+        messages × ``cap``, the share of the bandwidth its messages use.
+        A phase billed at the cap reads 1.0; ``None`` without a cap or
+        without messages."""
+        rows = self.report()
+        for row in rows.values():
+            sent = row["messages"] * cap if cap else 0
+            row["fill"] = round(row["total_bits"] / sent, 4) if sent else None
+        return rows
 
     def absorb_parallel(
         self, others: Iterable["RoundMetrics"], phase: str

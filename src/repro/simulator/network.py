@@ -5,9 +5,12 @@
 these arrays (the node-set edge view :meth:`row_edges`,
 :meth:`subgraph_degrees`, ...) and charges its rounds in closed form
 through :meth:`account_vector_round`; topology changes charge their
-announcements in :meth:`apply_delta`.  Both go through one check of the
-BCONGEST bandwidth cap: any message above ``bandwidth_bits`` raises
-:class:`BandwidthExceeded` and records nothing.
+announcements in :meth:`apply_delta`, where each node packs its
+fixed-width change entries ⌊cap/(⌈log₂ n⌉+1)⌋ to a broadcast and the
+charge bills the payload those broadcasts carry.  Both go through one
+check of the BCONGEST bandwidth cap: a widest message above
+``bandwidth_bits`` raises :class:`BandwidthExceeded` and records
+nothing.
 
 The build and each side of a topology change share one normalisation
 (:func:`_sorted_pairs`): a sort of the int64 keys ``u·n + v``, which
@@ -20,7 +23,7 @@ CSR by position (:meth:`apply_delta`), so all its work but one copy of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,14 +65,20 @@ class BandwidthExceeded(RuntimeError):
 
 @dataclass
 class DeltaReport:
-    """What one :meth:`BroadcastNetwork.apply_delta` call changed.
+    """What one :meth:`BroadcastNetwork.apply_delta` call changed, and
+    what announcing it cost.
 
     ``edges_added``/``edges_removed`` count *undirected* edges that
     actually changed (no-op insertions of existing edges and deletions of
     absent edges are dropped, and reported separately as ``ignored``).
-    ``rounds`` is the announcement cost charged to the metrics: a node
-    with c incident changes pipelines one O(log n)-bit announcement per
-    round, so the batch lands in max-c rounds.
+    Each live endpoint of a changed edge announces it as one fixed-width
+    (neighbor id, add/remove flag) entry of ``entry_bits`` = ⌈log₂ n⌉+1
+    bits, and packs up to k = ⌊cap/entry_bits⌋ entries into one broadcast
+    (all of them with no cap).  ``messages`` counts those broadcasts,
+    ``payload_bits`` the entries' bits in all, ``max_message_bits`` the
+    widest broadcast, and ``rounds`` the charge: a node with c entries
+    sends ⌈c/k⌉ broadcasts, one a round, so the batch lands in
+    max ⌈c/k⌉ rounds.
     """
 
     edges_added: int = 0
@@ -77,21 +86,14 @@ class DeltaReport:
     ignored: int = 0
     rounds: int = 0
     messages: int = 0
-    bits_per_message: int = 0
+    payload_bits: int = 0
+    max_message_bits: int = 0
+    entry_bits: int = 0
     delta_before: int = 0
     delta_after: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
-            "ignored": self.ignored,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "bits_per_message": self.bits_per_message,
-            "delta_before": self.delta_before,
-            "delta_after": self.delta_after,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -333,10 +335,11 @@ class BroadcastNetwork:
         the ``src < dst`` half of the directed pairs, built on the first
         call after each topology change and cached."""
         if self._und_edges is None:
-            half = self.edge_src < self.indices
-            self._und_edges = np.stack(
-                [self.edge_src[half], self.indices[half]], axis=1
-            )
+            src, dst = self.edge_src, self.indices
+            # One index list and two gathers: cheaper than compressing
+            # both arrays under the half-dense boolean mask.
+            half = np.flatnonzero(src < dst)
+            self._und_edges = np.stack([src.take(half), dst.take(half)], axis=1)
         return self._und_edges
 
     def row_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,18 +386,19 @@ class BroadcastNetwork:
         each pair's own row, ``indptr[src]..indptr[src+1]``: it advances
         by halving powers of two while the probed neighbor is below
         ``dst``, so it is O(k log Δ) and reads only the delta's rows."""
+        indices = self.indices
         pos = self.indptr[src]
         end = self.indptr[src + 1]
-        last = self.indices.size - 1
         step = 1 << int((end - pos).max(initial=0)).bit_length()
         while step > 1:
             step >>= 1
-            probe = pos + step
-            advance = probe <= end
-            advance &= self.indices[np.minimum(probe - 1, last)] < dst
-            pos = pos + advance * step
+            probe = pos + (step - 1)
+            advance = probe < end
+            # A probe past the last slot is clipped; ``advance`` drops it.
+            advance &= indices.take(probe, mode="clip") < dst
+            pos += advance * step
         found = pos < end
-        found[found] = self.indices[pos[found]] == dst[found]
+        found[found] = indices[pos[found]] == dst[found]
         return pos, found
 
     def apply_delta(
@@ -407,38 +411,47 @@ class BroadcastNetwork:
         """Mutate the topology by a batch of edge deletions + insertions.
 
         The update is a *positional splice* of the CSR: each directed
-        delta pair is located in its own sorted row
-        (:meth:`_row_positions`), deletions drop out of ``indices`` under a
-        keep-mask, and insertions go in with one ``np.insert`` at their
-        positions shifted by the deletions before them.  ``degrees``
-        follow from the delta's endpoints, ``indptr`` from one cumsum and
-        Δ from ``degrees.max()``; ``edge_src`` and the undirected edge list
-        are rebuilt only when next read.  The arrays equal a fresh build
-        of the edited edge set, and nothing of size m is built but the
-        new ``indices``, its kept part and the keep-mask (DESIGN.md §6).
-        Deletions are applied before insertions, so a same-batch
-        delete+insert of one edge is a net no-op.
+        delta pair of both sides is located in its own sorted row by one
+        bisection (:meth:`_row_positions`), deletions drop out of
+        ``indices`` under a keep-mask, and insertions go in with one
+        ``np.insert`` at their positions shifted by the deletions before
+        them.  ``degrees`` follow from the delta's endpoints, ``indptr``
+        from one cumsum and Δ from ``degrees.max()``; ``edge_src`` and the
+        undirected edge list are rebuilt only when next read.  The arrays
+        equal a fresh build of the edited edge set, and nothing of size m
+        is built but the new ``indices``, its kept part and the keep-mask
+        (DESIGN.md §6).  Deletions are applied before insertions, so a
+        same-batch delete+insert of one edge is a net no-op.
 
         Announcement traffic is charged through the shared metrics: each
-        endpoint of a changed edge broadcasts one ``⌈log₂ n⌉+1``-bit
-        (neighbor id, add/remove flag) message; a node with c incident
-        changes pipelines them, so the batch costs max-c rounds.  No-op
-        changes (inserting an existing edge, deleting an absent one) are
-        dropped before accounting.  ``silent_nodes`` (e.g. nodes powering
-        down in a departure) cannot broadcast: their announcements are
-        not charged — their neighbors still announce the shared edge's
-        other orientation.
+        endpoint of a changed edge announces it as one fixed-width
+        ⌈log₂ n⌉+1-bit (neighbor id, add/remove flag) entry, and a node
+        with c entries packs them k = ⌊cap/(⌈log₂ n⌉+1)⌋ to a broadcast
+        (all c in one with no cap), one broadcast a round.  The batch
+        costs max ⌈c/k⌉ rounds and Σ ⌈c/k⌉ messages carrying
+        (⌈log₂ n⌉+1)·Σ c bits; the widest message, min(max c, k) entries,
+        is checked against the cap, so a cap below one entry raises
+        :class:`BandwidthExceeded`.  No-op changes (inserting an existing
+        edge, deleting an absent one) are dropped before accounting.
+        ``silent_nodes`` (e.g. nodes powering down in a departure) cannot
+        broadcast: their announcements are not charged — their neighbors
+        still announce the shared edge's other orientation.
         """
         del_src, del_dst = _sorted_pairs(self.n, delete_edges)
         ins_src, ins_dst = _sorted_pairs(self.n, insert_edges)
 
-        del_pos, found = self._row_positions(del_src, del_dst)
+        # Both sides are located against the pre-batch CSR in one call.
+        pos, found = self._row_positions(
+            np.concatenate([del_src, ins_src]), np.concatenate([del_dst, ins_dst])
+        )
+        d = del_src.size
+        del_pos, ins_pos = pos[:d], pos[d:]
+        found, present = found[:d], found[d:]
         ignored = int((~found).sum()) // 2
         del_pos, del_src = del_pos[found], del_src[found]
         keep = np.ones(self.indices.size, dtype=bool)
         keep[del_pos] = False
 
-        ins_pos, present = self._row_positions(ins_src, ins_dst)
         # Found at a position this batch deletes: re-inserted, not present.
         present[present] = keep[ins_pos[present]]
         ignored += int(present.sum()) // 2
@@ -450,7 +463,7 @@ class BroadcastNetwork:
         delta_before = self.delta
 
         # Announcement accounting: every applied directed change is one
-        # message from its source endpoint.  The charge runs *before* the
+        # entry from its source endpoint.  The charge runs *before* the
         # topology mutates, so a rejected delta leaves the network
         # untouched.
         changed_src = np.concatenate([del_src, ins_src])
@@ -458,11 +471,23 @@ class BroadcastNetwork:
             silent = np.zeros(self.n, dtype=bool)
             silent[np.asarray(silent_nodes, dtype=np.int64)] = True
             changed_src = changed_src[~silent[changed_src]]
-        bits = int(math.ceil(math.log2(max(self.n, 2)))) + 1
-        rounds = 0
+        entry_bits = int(math.ceil(math.log2(max(self.n, 2)))) + 1
+        rounds = messages = payload = widest = 0
         if changed_src.size:
-            rounds = int(np.bincount(changed_src, minlength=self.n).max())
-            self._charge(rounds, int(changed_src.size), bits, phase)
+            counts = np.bincount(changed_src)
+            most = int(counts.max())
+            cap = self.bandwidth_bits
+            # Below one entry a message still holds one: the cap check
+            # in _charge refuses it.
+            k = most if cap is None else max(cap // entry_bits, 1)
+            rounds = -(-most // k)
+            # ⌈c/k⌉ = 1 + (c−1)//k for each sender: only counts above k
+            # need the division, which costs ≈0.25 ms over all n bins.
+            over = counts[counts > k]
+            messages = int(np.count_nonzero(counts)) + int(((over - 1) // k).sum())
+            payload = int(changed_src.size) * entry_bits
+            widest = min(most, k) * entry_bits
+            self._charge(rounds, messages, widest, phase, payload_bits=payload)
 
         if del_src.size or ins_src.size:
             # Deleted positions ascend with the sorted pairs, so one search
@@ -484,8 +509,10 @@ class BroadcastNetwork:
             edges_removed=removed,
             ignored=ignored,
             rounds=rounds,
-            messages=int(changed_src.size),
-            bits_per_message=bits if changed_src.size else 0,
+            messages=messages,
+            payload_bits=payload,
+            max_message_bits=widest,
+            entry_bits=entry_bits,
             delta_before=delta_before,
             delta_after=self.delta,
         )
@@ -494,18 +521,26 @@ class BroadcastNetwork:
     # Vectorized collectives (whole-graph single-word rounds)
     # ------------------------------------------------------------------
     def _charge(
-        self, rounds: int, messages: int, bits: int, phase: str | None
+        self,
+        rounds: int,
+        messages: int,
+        bits: int,
+        phase: str | None,
+        payload_bits: int | None = None,
     ) -> None:
         """The one place a broadcast is charged: refuse a message over the
         bandwidth cap, then record ``rounds`` rounds carrying ``messages``
-        messages of ``bits`` bits (:meth:`RoundMetrics.add_rounds`).  A
+        messages, the widest of ``bits`` bits, and ``payload_bits`` in all
+        when they differ in size (:meth:`RoundMetrics.add_rounds`).  A
         refused charge records nothing."""
         if self.bandwidth_bits is not None and bits > self.bandwidth_bits:
             raise BandwidthExceeded(
                 f"{bits}-bit message exceeds the bandwidth cap of "
                 f"{self.bandwidth_bits} bits"
             )
-        self.metrics.add_rounds(rounds, messages, bits, phase=phase)
+        self.metrics.add_rounds(
+            rounds, messages, bits, phase=phase, payload_bits=payload_bits
+        )
 
     def account_vector_round(
         self,

@@ -40,6 +40,22 @@ def brute_force_proper(net: BroadcastNetwork, colors: np.ndarray) -> bool:
     return True
 
 
+def one_per_round_charge(n: int, senders, silent=()) -> tuple[int, int, int]:
+    """The delta-announcement charge with one entry per broadcast — the
+    k = 1 oracle for ``BroadcastNetwork.apply_delta``'s packed charge.
+    Each applied directed change is its own ⌈log₂ n⌉+1-bit message from
+    its source in ``senders``, unless the source is silent; a node with c
+    changes takes c rounds.  Returns (rounds, messages, payload bits)."""
+    quiet = {int(v) for v in silent}
+    counts: dict[int, int] = {}
+    for v in map(int, senders):
+        if v not in quiet:
+            counts[v] = counts.get(v, 0) + 1
+    messages = sum(counts.values())
+    entry_bits = bits_for_id(max(n, 2)) + 1
+    return max(counts.values(), default=0), messages, messages * entry_bits
+
+
 def count_propriety_scans(patch) -> list:
     """Count ``ColoringState.is_proper`` calls under ``patch`` (a
     ``pytest.MonkeyPatch``): one entry per full edge scan."""

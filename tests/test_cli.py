@@ -77,6 +77,60 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["proper"] and data["complete"]
 
+    @staticmethod
+    def assert_fill_rows(rows, metrics, cap):
+        """Each phase's JSON row is its RoundMetrics account plus fill =
+        payload bits / (messages × cap)."""
+        assert set(rows) == set(metrics.phases)
+        for name, stats in metrics.phases.items():
+            row = rows[name]
+            assert row["rounds"] == stats.rounds
+            assert row["messages"] == stats.messages
+            assert row["total_bits"] == stats.total_bits
+            assert row["max_message_bits"] == stats.max_message_bits <= cap
+            if stats.messages:
+                fill = stats.total_bits / (stats.messages * cap)
+                assert row["fill"] == pytest.approx(fill, abs=1e-4)
+                assert 0 < row["fill"] <= 1
+            else:
+                assert row["fill"] is None
+
+    def test_color_json_reports_phase_fill(self, capsys):
+        from repro.config import ColoringConfig
+        from repro.core.algorithm import BroadcastColoring
+
+        assert main(["color", "--n", "300", "--avg-degree", "20", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["phases"]
+        algo = BroadcastColoring(make_graph("gnp", 300, 20.0, 0), ColoringConfig.practical())
+        metrics = algo.run().metrics
+        self.assert_fill_rows(rows, metrics, algo.net.bandwidth_bits)
+
+    def test_churn_json_reports_phase_fill(self, capsys):
+        from repro.config import ColoringConfig
+        from repro.dynamic import DynamicColoring
+        from repro.graphs.families import make_churn
+
+        argv = ["churn", "--n", "300", "--avg-degree", "12", "--batches", "3", "--json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["phases"]
+        cfg = ColoringConfig.practical(seed=0, dynamic_batches=3)
+        schedule = make_churn(
+            "gnp-churn", 300, 12.0, 0, batches=3,
+            churn_fraction=cfg.dynamic_churn_fraction,
+        )
+        engine = DynamicColoring(schedule, cfg)
+        engine.run(schedule)
+        self.assert_fill_rows(rows, engine.net.metrics, engine.net.bandwidth_bits)
+        assert rows["dynamic/delta"]["messages"] > 0
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_shard_refuses_bad_workers(self, value):
+        """``repro shard`` exits non-zero naming ``--workers``, as
+        ``repro serve`` names its flags: 0 and −3 used to run inline."""
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "--n", "200", "--k", "2", "--workers", value])
+        assert isinstance(exc.value.code, str) and "--workers" in exc.value.code
+
     def test_color_paper_constants(self, capsys):
         rc = main(["color", "--n", "200", "--paper-constants", "--json"])
         assert rc == 0

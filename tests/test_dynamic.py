@@ -135,7 +135,8 @@ class TestApplyDelta:
             net.apply_delta(insert_edges=[(0, 9)])
 
     def test_accounting_charged(self):
-        net = BroadcastNetwork((8, [(0, 1), (2, 3)]))
+        # A cap of exactly one ⌈log₂ 8⌉+1 = 4-bit entry: one per message.
+        net = BroadcastNetwork((8, [(0, 1), (2, 3)]), bandwidth_bits=4)
         before = net.metrics.total_rounds
         rep = net.apply_delta(insert_edges=[(4, 5), (4, 6)], delete_edges=[(0, 1)])
         # 3 changed edges → 6 directed announcements; node 4 has 2 changes
@@ -144,6 +145,17 @@ class TestApplyDelta:
         assert rep.rounds == 2
         assert net.metrics.total_rounds - before == 2
         assert net.metrics.phases["dynamic/delta"].messages == 6
+
+    def test_accounting_packed_without_cap(self):
+        # The same batch with no cap: each of the 5 senders packs its
+        # entries (node 4 has 2) into one message, all in one round.
+        net = BroadcastNetwork((8, [(0, 1), (2, 3)]))
+        rep = net.apply_delta(insert_edges=[(4, 5), (4, 6)], delete_edges=[(0, 1)])
+        assert (rep.rounds, rep.messages, rep.payload_bits) == (1, 5, 24)
+        assert (rep.entry_bits, rep.max_message_bits) == (4, 8)
+        stats = net.metrics.phases["dynamic/delta"]
+        assert (stats.rounds, stats.messages, stats.total_bits) == (1, 5, 24)
+        assert stats.max_message_bits == 8
 
     @staticmethod
     def assert_matches_fresh_build(net, rep, n, initial, ins, dels):

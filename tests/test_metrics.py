@@ -80,6 +80,31 @@ class TestBulkUniformRounds:
         assert m.phases["v"].messages == 7
 
 
+class TestUnequalMessages:
+    def test_payload_total_and_widest_message(self):
+        # Three messages of 1, 2 and 4 fixed-width 5-bit entries.
+        m = RoundMetrics()
+        m.add_rounds(1, 3, 20, phase="v", payload_bits=35)
+        assert m.phases["v"].messages == 3
+        assert m.phases["v"].total_bits == m.total_bits == 35
+        assert m.max_message_bits == 20
+
+    def test_fill_report(self):
+        m = RoundMetrics()
+        m.add_rounds(1, 4, 10, phase="full")
+        m.add_rounds(2, 4, 10, phase="packed", payload_bits=10)
+        m.add_rounds(1, 0, 1, phase="quiet")
+        rows = m.fill_report(10)
+        assert rows["full"]["fill"] == 1.0
+        assert rows["packed"]["fill"] == 0.25
+        assert rows["quiet"]["fill"] is None
+        assert rows["total"]["fill"] == 0.625
+        assert {k: v for k, v in rows["full"].items() if k != "fill"} == (
+            m.report()["full"]
+        )
+        assert all(row["fill"] is None for row in m.fill_report(None).values())
+
+
 class TestTimePhase:
     def test_nested_timing_not_double_counted(self):
         m = RoundMetrics()

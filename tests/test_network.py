@@ -1,5 +1,7 @@
 """Tests for the broadcast network substrate (repro.simulator.network)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.graphs.families import make_graph
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import MAX_NODES, BandwidthExceeded, BroadcastNetwork
+from tests.helpers import one_per_round_charge
 
 
 def edges_strategy(max_n=12):
@@ -126,6 +129,8 @@ class TestConstruction:
             src = dst = np.empty(0, dtype=np.int64)
         degrees = np.bincount(src, minlength=n)
         assert np.array_equal(net.undirected_edges(), und)
+        assert net.undirected_edges().dtype == np.int64
+        assert net.undirected_edges().flags.c_contiguous
         assert np.array_equal(net.edge_src, src)
         assert np.array_equal(net.indices, dst)
         assert np.array_equal(net.degrees, degrees)
@@ -295,6 +300,113 @@ class TestBroadcastRound:
         send(at_cap)
         assert at_cap.metrics.max_message_bits == bits
         assert at_cap.metrics.phases["p"].max_message_bits == bits
+
+
+class TestPackedAnnouncements:
+    """apply_delta's charge, recomputed from the entries each live
+    endpoint of an applied change packs into its broadcasts."""
+
+    @staticmethod
+    def packed_messages(initial, ins, dels, silent, per_message):
+        """Each live sender's broadcasts, built entry by entry: node →
+        list of messages, each a list of at most ``per_message``
+        (neighbor, add) entries (all of a node's in one when ``None``).
+        Also returns the source of every applied directed change."""
+        def key(u, v):
+            return (min(u, v), max(u, v))
+
+        before = {key(u, v) for u, v in initial if u != v}
+        deleted = {key(u, v) for u, v in dels if u != v} & before
+        inserted = {key(u, v) for u, v in ins if u != v} - (before - deleted)
+        entries: dict[int, list] = {}
+        senders = []
+        for add, side in ((False, deleted), (True, inserted)):
+            for u, v in side:
+                for a, b in ((u, v), (v, u)):
+                    senders.append(a)
+                    if a not in silent:
+                        entries.setdefault(a, []).append((b, add))
+        sent = {}
+        for node, items in entries.items():
+            k = per_message or len(items)
+            sent[node] = [items[i : i + k] for i in range(0, len(items), k)]
+        return sent, senders
+
+    @given(st.data())
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    def test_charge_recomputed_from_payload(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40))
+        pair = st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1),
+        )
+        # Duplicates, self-loops, no-op changes and unsorted, repeated
+        # silent nodes come with the draws.
+        initial = data.draw(st.lists(pair, max_size=80))
+        live = [e for e in initial if e[0] != e[1]]
+        dels = data.draw(st.lists(pair, max_size=10))
+        if live:
+            dels += data.draw(st.lists(st.sampled_from(live), max_size=25))
+        ins = data.draw(st.lists(pair, max_size=30))
+        departed = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        silent = set(departed)
+        entry = math.ceil(math.log2(max(n, 2))) + 1  # one (neighbor, add) entry
+        cap = data.draw(st.none() | st.integers(min_value=1, max_value=6 * entry))
+        per_message = None if cap is None else max(cap // entry, 1)
+        sent, senders = self.packed_messages(initial, ins, dels, silent, per_message)
+        messages = [msg for msgs in sent.values() for msg in msgs]
+
+        net = BroadcastNetwork((n, initial), bandwidth_bits=cap)
+        net.account_vector_round(2, 1, phase="before")
+        report = net.metrics.report()
+        indptr, indices, delta = net.indptr.copy(), net.indices.copy(), net.delta
+
+        def send():
+            return net.apply_delta(
+                np.array(ins).reshape(-1, 2),
+                np.array(dels).reshape(-1, 2),
+                phase="p",
+                silent_nodes=np.array(departed, dtype=np.int64),
+            )
+
+        if cap is not None and cap < entry and messages:
+            # A cap below one entry refuses the batch before it changes
+            # anything.
+            with pytest.raises(BandwidthExceeded):
+                send()
+            assert net.metrics.report() == report
+            assert np.array_equal(net.indptr, indptr)
+            assert np.array_equal(net.indices, indices)
+            assert net.delta == delta
+            return
+
+        rep = send()
+        rounds = max(map(len, sent.values()), default=0)
+        payload = sum(map(len, messages)) * entry
+        widest = max(map(len, messages), default=0) * entry
+        assert rep.entry_bits == entry
+        assert (rep.rounds, rep.messages) == (rounds, len(messages))
+        assert (rep.payload_bits, rep.max_message_bits) == (payload, widest)
+        if cap is not None:
+            assert widest <= cap
+        if per_message == 1:
+            assert (rep.rounds, rep.messages, rep.payload_bits) == (
+                one_per_round_charge(n, senders, silent)
+            )
+        after = net.metrics.report()
+        for field, value in (
+            ("rounds", rounds), ("messages", len(messages)), ("total_bits", payload)
+        ):
+            assert after["total"][field] - report["total"][field] == value
+        if messages:
+            assert after["p"] == {
+                "rounds": rounds,
+                "messages": len(messages),
+                "total_bits": payload,
+                "max_message_bits": widest,
+            }
+        else:
+            assert "p" not in after
 
 
 class TestVectorCollectives:
