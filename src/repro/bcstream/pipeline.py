@@ -60,9 +60,11 @@ def _phase_memory_audit(cfg: ColoringConfig, n: int, delta: int) -> dict[str, in
 
     Derivations (all O(poly log n), independent of Δ):
 
-    * acd — per round, ⌊B/b⌋ fingerprints of own sketch + the per-edge
-      collision counters are maintained per *incident similarity decision*,
-      processed one neighbor at a time: O(B/b) words live at once.
+    * acd — one bit from the flag round (the OR of the neighbors'
+      candidate flags: must this node send its sketch?), then per round
+      ⌊B/b⌋ fingerprints of own sketch + the per-edge collision counters
+      are maintained per *incident similarity decision*, processed one
+      neighbor at a time: O(B/b) words live at once.
     * slack/trycolor — one candidate color + stream check: O(1).
     * matching — own proposal + pair bookkeeping: O(1).
     * multitrial — k_cap candidate colors + seed: O(k_cap).

@@ -343,6 +343,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "rounds": acd.rounds_used,
         "sketch_seconds": round(net.metrics.phase_seconds.get("acd/sketch", 0.0), 4),
         "validator": rep.as_dict(),
+        "phases": net.metrics.fill_report(net.bandwidth_bits),
     }
     _emit(report, args.json)
     return 0 if rep.ok else 1

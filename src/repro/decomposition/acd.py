@@ -6,10 +6,18 @@ Two constructions with a common repair/normalization core:
   Jaccard similarities, friend graph, connected components.  Used by tests
   and as a cross-check for the distributed protocol.
 * :func:`decompose_distributed` — the BCONGEST protocol in the spirit of
-  [FGH+23]: b-bit minhash sketches broadcast under the bandwidth cap
-  (O(ε⁻⁴) rounds), friendship decided from local estimates, clusters formed
-  by two rounds of min-ID propagation over friend edges (almost-cliques
-  have friend-diameter ≤ 2), then O(1) local repair rounds.
+  [FGH+23]: a 1-bit candidate flag, then b-bit minhash sketches broadcast
+  under the bandwidth cap (O(ε⁻⁴) rounds) by the endpoints of the
+  candidates' edges only, friendship decided from local estimates,
+  clusters formed by two rounds of min-ID propagation over friend edges
+  (almost-cliques have friend-diameter ≤ 2), then O(1) local repair
+  rounds.
+
+Every round bills exactly its senders: the flag round all n nodes, the
+sketch rounds the candidates' edge endpoints, the cluster rounds the
+dense nodes, and each repair pass its members (labels) and the nodes it
+moved (decisions).  A silent neighbour is one with nothing to say, so
+the labels are those of the protocol in which every node sends.
 
 Both enforce Definition 2.2 on their output:
   (1) evicted nodes are locally sparse (validated separately),
@@ -178,20 +186,24 @@ def _repair(
     labels: np.ndarray,
     eps: float,
     iterations: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Enforce 2a/2b/2c by peeling/dissolving/joining.  Returns the repaired
-    labels and the number of O(1)-round repair passes performed (each pass
-    corresponds to 2 broadcast rounds: labels out, decisions out)."""
+    labels and, per O(1)-round repair pass performed, its two rounds'
+    senders: (the members at the pass's start, who broadcast their
+    labels; the nodes the pass moved, who broadcast a 1-bit decision).
+    Every rule reads only members' labels, so a silent neighbour is a
+    non-member, or a node that did not move."""
     delta = max(net.delta, 1)
     need_inside = (1.0 - eps) * delta  # 2b
     max_size = (1.0 + eps) * delta  # 2a
     join_threshold = (1.0 - eps / 2.0) * delta  # 2c
-    passes = 0
+    senders: list[tuple[int, int]] = []
     labels = labels.copy()
     for _ in range(max(1, iterations)):
-        passes += 1
+        start = labels.copy()
         k = int(labels.max(initial=SPARSE)) + 1
         if k == 0:
+            senders.append((0, 0))
             break
         # (2b) peel members with too few inside-neighbors.
         bad = (labels >= 0) & (_own_counts(net, labels) < need_inside)
@@ -231,9 +243,10 @@ def _repair(
                 order = np.argsort(own[members[c]])
                 labels[members[c][order[: int(sizes[c] - np.floor(max_size))]]] = SPARSE
             changed = True
+        senders.append((int((start >= 0).sum()), int((labels != start).sum())))
         if not changed:
             break
-    return _compact_labels(labels), passes
+    return _compact_labels(labels), senders
 
 
 def _clusters_from_friend_edges(
@@ -274,7 +287,9 @@ def _candidate_edges(net: BroadcastNetwork, eps: float) -> np.ndarray:
     A candidate's friend degree counts only its own edges, all of which
     are listed; a non-candidate stays sparse whatever its edges hold; and
     clusters form over friend edges between two dense nodes, both
-    candidates.  So any value on an unlisted edge gives the same labels."""
+    candidates.  So any value on an unlisted edge gives the same labels.
+    After the flag round each node knows which of its neighbours are
+    candidates, so both endpoints of a listed edge know they must send."""
     cand = net.degrees >= _density_floor(net, eps)
     edges = net.undirected_edges()
     return np.flatnonzero(cand[edges[:, 0]] | cand[edges[:, 1]])
@@ -295,13 +310,14 @@ def _build(
     # cluster formation: 2 rounds of id broadcasts.
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
-    labels, passes = _repair(net, labels, eps, cfg.acd_repair_iterations)
-    for _ in range(passes):
-        # each repair pass: broadcast label, then broadcast join/leave bit.
-        net.account_vector_round(net.n, bits_for_id(net.n), phase="acd/repair")
-        net.account_vector_round(net.n, 1, phase="acd/repair")
+    labels, senders = _repair(net, labels, eps, cfg.acd_repair_iterations)
+    for members, moved in senders:
+        # each repair pass: its members broadcast their labels, then the
+        # nodes it moved broadcast a join/leave bit.
+        net.account_vector_round(members, bits_for_id(net.n), phase="acd/repair")
+        net.account_vector_round(moved, 1, phase="acd/repair")
     return AlmostCliqueDecomposition(
-        labels=labels, eps=eps, rounds_used=rounds_used + 2 + 2 * passes
+        labels=labels, eps=eps, rounds_used=rounds_used + 2 + 2 * len(senders)
     )
 
 
@@ -338,19 +354,23 @@ def decompose_distributed(
     cfg: ColoringConfig | None = None,
     seq: SeedSequencer | None = None,
 ) -> AlmostCliqueDecomposition:
-    """The broadcast protocol of Lemma 2.5: minhash sketches → friendship →
-    min-ID clustering → O(1) repair rounds.  All rounds accounted.
+    """The broadcast protocol of Lemma 2.5: candidate flags → minhash
+    sketches → friendship → min-ID clustering → O(1) repair rounds.  All
+    rounds accounted, each billing exactly its senders.
 
-    The simulator fingerprints only the endpoints of the edges that touch
-    a candidate (:func:`_candidate_edges`) and estimates only those edges,
-    which gives the labels of the all-nodes sketch.  Rounds and bits still
-    charge every node's broadcast, as the protocol sends them."""
+    Every node first broadcasts a 1-bit flag: is its degree at least the
+    density floor?  Then only the endpoints of the edges that touch a
+    candidate (:func:`_candidate_edges`) send their fingerprints, and
+    only those edges are estimated; no decision reads any other edge, so
+    the labels are those of the all-nodes sketch.  The flag round is
+    charged under ``acd/sketch``."""
     cfg = cfg or ColoringConfig.practical()
     seq = seq or SeedSequencer(cfg.seed)
     if net.undirected_edges().size == 0:
         return AlmostCliqueDecomposition(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
         )
+    net.account_vector_round(net.n, 1, phase="acd/sketch")  # candidate flags
     touched = _candidate_edges(net, cfg.eps)
     touched_edges = net.undirected_edges()[touched]
     endpoints = np.zeros(net.n, dtype=bool)
@@ -364,4 +384,4 @@ def decompose_distributed(
     )
     similarity = np.zeros(net.m, dtype=np.float64)
     similarity[touched] = estimate_edge_similarity(net, sketch, touched_edges)
-    return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
+    return _build(net, similarity, cfg, rounds_used=1 + sketch.rounds_used)

@@ -1,8 +1,10 @@
 """BCONGEST neighborhood-similarity sketches via b-bit minwise hashing.
 
-Every node repeatedly broadcasts a few bits of minhash fingerprint of its
-closed neighborhood; after ``T`` samples each node can estimate, for every
-incident edge, the Jaccard similarity of the two closed neighborhoods.
+Each sender repeatedly broadcasts a few bits of minhash fingerprint of its
+closed neighborhood; after ``T`` samples each endpoint of an edge whose
+two ends both sent can estimate the Jaccard similarity of the two closed
+neighborhoods.  The senders are every node, or the ones the caller names
+(the decomposition names the endpoints of its candidates' edges).
 With constant fingerprint width ``b``, ``⌊bandwidth/b⌋`` samples fit in
 one ``O(log n)``-bit broadcast, which is how the almost-clique
 decomposition achieves its O(ε⁻⁴)-round budget (Lemma 2.5, following the
@@ -47,10 +49,11 @@ class SimilaritySketch:
     """Fingerprints, their packed words, and the accounting of the rounds
     that shipped them.
 
-    ``nodes`` says which nodes have a row.  None: every node, row v is
-    node v.  Otherwise the sketch holds only the listed nodes' rows, row
-    i for node ``nodes[i]``; other nodes have no row, and estimating an
-    edge that touches one raises ``ValueError``."""
+    ``nodes`` says which nodes sent a sketch and so have a row.  None:
+    every node, row v is node v.  Otherwise the sketch holds only the
+    listed nodes' rows, row i for node ``nodes[i]``, and only they were
+    billed; other nodes stayed silent, and estimating an edge that
+    touches one raises ``ValueError``."""
 
     fingerprints: np.ndarray  # (T, rows) uint16
     packed: np.ndarray  # (rows, words) uint64, see pack_fingerprints
@@ -72,12 +75,11 @@ def compute_sketches(
     """Compute and pack fingerprints and account the broadcast rounds
     needed to exchange them under the network's bandwidth cap.
 
-    With ``nodes`` only those nodes' fingerprints are computed and
-    packed (the sketch's ``nodes`` then lists its rows).  The charge is
-    the same either way: in the model every node broadcasts its
-    fingerprint, and the simulator only skips computing the ones no
-    caller reads.  It is closed-form: ``full`` saturated rounds of
-    ``⌊budget/b⌋`` samples plus one remainder round."""
+    ``nodes`` lists the senders: only they compute, pack and broadcast
+    their fingerprints (the sketch's ``nodes`` then lists its rows), and
+    only they are billed.  ``None`` means every node.  The charge is
+    closed-form: ``full`` saturated rounds of ``⌊budget/b⌋`` samples
+    plus one remainder round, each carrying one message per sender."""
     if nodes is not None:
         nodes = np.asarray(nodes, dtype=np.int64)
     with net.metrics.time_phase(phase):
@@ -89,9 +91,10 @@ def compute_sketches(
     budget = net.bandwidth_bits or (64 * max(1, num_samples))
     per_round = max(1, budget // bits)
     full, rem = divmod(num_samples, per_round)
-    net.account_vector_round(net.n, per_round * bits, phase=phase, rounds=full)
+    senders = net.n if nodes is None else nodes.size
+    net.account_vector_round(senders, per_round * bits, phase=phase, rounds=full)
     if rem:
-        net.account_vector_round(net.n, rem * bits, phase=phase)
+        net.account_vector_round(senders, rem * bits, phase=phase)
     return SimilaritySketch(
         fingerprints=fps,
         packed=packed,

@@ -12,7 +12,9 @@ dynamic, shard, serve, runner, faults).  Three pieces:
 * a **metrics registry** (:func:`count`, :func:`gauge_set`,
   :func:`observe`) of counters/gauges/log2-bucket histograms rendered
   in Prometheus text format (:func:`render_metrics`, ``repro serve
-  --metrics-port``, ``repro top``);
+  --metrics-port``, ``repro top``); workers ship their counter and
+  histogram increments back beside their spans (:func:`drain_metrics`
+  / :func:`adopt_metrics`);
 * an **armed-state switch** (:func:`enable`/:func:`disable`) copying
   the ``repro.faults`` pattern: disarmed, every hook is one global
   load + ``is None`` test (~100 ns, gated by
@@ -36,9 +38,11 @@ from .export import (
 from .plane import (
     DEFAULT_TRACE_BUFFER,
     ObsState,
+    adopt_metrics,
     adopt_spans,
     count,
     disable,
+    drain_metrics,
     drain_spans,
     enable,
     enabled,
@@ -70,11 +74,13 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsState",
+    "adopt_metrics",
     "adopt_spans",
     "bucket_bounds",
     "bucket_index",
     "count",
     "disable",
+    "drain_metrics",
     "drain_spans",
     "enable",
     "enabled",

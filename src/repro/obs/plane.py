@@ -32,9 +32,11 @@ from .registry import MetricsRegistry
 __all__ = [
     "DEFAULT_TRACE_BUFFER",
     "ObsState",
+    "adopt_metrics",
     "adopt_spans",
     "count",
     "disable",
+    "drain_metrics",
     "drain_spans",
     "enable",
     "enabled",
@@ -310,6 +312,25 @@ def adopt_spans(spans: Iterator[dict[str, Any]] | list[dict[str, Any]] | None) -
             else:
                 state.dropped += 1
     return adopted
+
+
+def drain_metrics() -> dict[str, Any]:
+    """Return and reset this process's counter and histogram increments
+    (``{}`` when metrics are disarmed): what a worker ships back beside
+    its spans, for :func:`adopt_metrics`."""
+    state = _STATE
+    if state is None or not state.metrics:
+        return {}
+    return state.registry.drain()
+
+
+def adopt_metrics(drained: dict[str, Any] | None) -> None:
+    """Add counter and histogram increments drained in another process
+    to this plane's registry (a no-op when metrics are disarmed)."""
+    state = _STATE
+    if state is None or not state.metrics or not drained:
+        return
+    state.registry.merge(drained)
 
 
 def registry() -> MetricsRegistry | None:

@@ -9,8 +9,10 @@ microseconds by convention.
 
 Thread safety: each instrument guards its mutable state with the
 registry-wide lock; the hot increment path is one lock acquire + int
-add.  Registries live in one process: shard workers ship spans, not
-metrics, back to the driver.
+add.  Each process has its own registry: a shard worker drains its
+counter and histogram increments (:meth:`MetricsRegistry.drain`) into
+its result, beside its spans, and the driver merges them
+(:meth:`MetricsRegistry.merge`).  Gauges stay per-process.
 """
 
 from __future__ import annotations
@@ -215,6 +217,49 @@ class MetricsRegistry:
                         )
                 out[name] = {"kind": kind, "series": rows}
         return out
+
+    def drain(self) -> dict[str, Any]:
+        """:meth:`snapshot` of the counters and histograms, each series
+        reset to zero as it is read: the increments this process made
+        since its last drain, for another process's :meth:`merge`.
+        Series that read zero are left out.  Gauges are instantaneous:
+        they are neither drained nor reset."""
+        out: dict[str, Any] = {}
+        with self._lock:
+            for name, (kind, series) in sorted(self._families.items()):
+                rows = []
+                for key, inst in sorted(series.items()):
+                    if kind == "counter" and inst.value:
+                        rows.append({"labels": dict(key), "value": inst.value})
+                        inst.value = 0.0
+                    elif kind == "histogram" and inst.count:
+                        rows.append(
+                            {
+                                "labels": dict(key),
+                                "count": inst.count,
+                                "sum": inst.total,
+                                "buckets": inst.buckets,
+                            }
+                        )
+                        inst.buckets = [0] * NUM_BUCKETS
+                        inst.total, inst.count = 0.0, 0
+                if rows:
+                    out[name] = {"kind": kind, "series": rows}
+        return out
+
+    def merge(self, drained: dict[str, Any]) -> None:
+        """Add another registry's :meth:`drain` into this one."""
+        for name, family in drained.items():
+            kind = family["kind"]
+            for row in family["series"]:
+                inst = self._instrument(kind, name, row["labels"])
+                with self._lock:
+                    if kind == "counter":
+                        inst.value += row["value"]
+                    else:
+                        inst.buckets = [a + b for a, b in zip(inst.buckets, row["buckets"])]
+                        inst.total += row["sum"]
+                        inst.count += row["count"]
 
     def render(self) -> str:
         """Prometheus text exposition (format version 0.0.4)."""

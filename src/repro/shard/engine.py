@@ -391,15 +391,26 @@ def _arm_worker(armed: tuple) -> None:
     the process that submitted the task.  Riding every task, the plan
     and the flags arm the worker under any multiprocessing start method
     — not just fork inheritance — and after a pool is re-created.  Then
-    drop any span buffer inherited via fork: the submitting process
-    keeps its own copy, and this worker ships back only the spans *it*
-    produced for this task."""
+    drop the spans and registry counts inherited via fork or left by an
+    earlier task, and this arming's own count: the submitting process
+    keeps its own copy, and this worker ships back only what *it*
+    produced for this task (:func:`_with_telemetry`)."""
     plan_payload, (tracing, metrics) = armed
     if plan_payload is not None:
         faults.arm(faults.FaultPlan.from_dict(plan_payload))
     if tracing or metrics:
         obs.enable(tracing=tracing, metrics=metrics)
     obs.drain_spans()
+    obs.drain_metrics()
+
+
+def _with_telemetry(out: dict) -> dict:
+    """``out`` with this task's spans and counter and histogram
+    increments attached, which the driver adopts (``obs.adopt_spans``,
+    ``obs.adopt_metrics``)."""
+    out["spans"] = obs.drain_spans()
+    out["obs_metrics"] = obs.drain_metrics()
+    return out
 
 
 def _pool_color_shard(args: tuple) -> dict:
@@ -417,17 +428,14 @@ def _pool_color_shard(args: tuple) -> dict:
     spec, cfg, attempt, armed = args
     _arm_worker(armed)
     if isinstance(spec, ShardView):
-        out = _color_shard(spec, cfg, attempt=attempt)
-        out["spans"] = obs.drain_spans()
-        return out
+        return _with_telemetry(_color_shard(spec, cfg, attempt=attempt))
     descriptor, shard = spec
     with ShmArena.attach(descriptor, writeable=("colors",)) as arena:
         view = _view_from_arena(arena, int(shard))
         out = _color_shard(view, cfg, attempt=attempt)
         arena.array("colors")[view.nodes] = out["colors"]
         out["colors"] = None  # already in shared memory
-        out["spans"] = obs.drain_spans()
-        return out
+        return _with_telemetry(out)
 
 
 def _pool_repair_shard(args: tuple) -> dict:
@@ -456,8 +464,7 @@ def _pool_repair_shard(args: tuple) -> dict:
             seed,
             sweep,
         )
-        out["spans"] = obs.drain_spans()
-        return out
+        return _with_telemetry(out)
 
 
 class ShardedColoring:
@@ -649,6 +656,7 @@ class ShardedColoring:
                 # pickled/inline/fallback outputs scatter here.
                 for i, out in enumerate(outs):
                     obs.adopt_spans(out.get("spans"))
+                    obs.adopt_metrics(out.get("obs_metrics"))
                     if out["colors"] is not None:
                         colors[part.members(i)] = out["colors"]
                 metrics.absorb_parallel(
@@ -901,6 +909,7 @@ class ShardedColoring:
                 # of application cannot matter.
                 for out in outs:
                     obs.adopt_spans(out.get("spans"))
+                    obs.adopt_metrics(out.get("obs_metrics"))
                     nodes = out["nodes"]
                     if nodes.size:
                         colors[nodes] = out["colors"]

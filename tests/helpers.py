@@ -114,10 +114,11 @@ def unpacked_edge_similarity(net: BroadcastNetwork, sketch) -> np.ndarray:
 
 def all_nodes_decomposition(net: BroadcastNetwork, cfg):
     """Reference ACD: fingerprint every node, estimate every edge, then
-    build.  The oracle that
+    build.  The oracle whose labels
     :func:`repro.decomposition.acd.decompose_distributed`, which reads
-    only the edges around the dense candidates, must match in labels,
-    rounds and bits."""
+    only the edges around the dense candidates, must match.  It bills
+    every node's sketch and sends no candidate flag, so its rounds and
+    bits are not the protocol's."""
     if net.m == 0:
         return AlmostCliqueDecomposition(
             labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
@@ -170,19 +171,21 @@ def outsider_counts_oracle(net: BroadcastNetwork, labels: np.ndarray, k: int):
 
 def repair_oracle(net: BroadcastNetwork, labels: np.ndarray, eps: float, iterations: int):
     """``acd._repair`` recounting the whole matrix before each rule, with a
-    per-clique dissolve loop.  Returns (labels, passes)."""
+    per-clique dissolve loop.  Returns (labels, senders): per pass, the
+    members at its start and the nodes whose label it changed."""
     delta = max(net.delta, 1)
     need_inside = (1.0 - eps) * delta  # 2b
     max_size = (1.0 + eps) * delta  # 2a
     join_threshold = (1.0 - eps / 2.0) * delta  # 2c
-    passes = 0
+    senders = []
     labels = labels.copy()
     for _ in range(max(1, iterations)):
-        passes += 1
+        start = labels.copy()
         changed = False
         counts = _neighbor_label_counts(net, labels)
         k = counts.shape[1]
         if k == 0:
+            senders.append((0, 0))
             break
         own = np.zeros(net.n, dtype=np.int64)
         member = labels >= 0
@@ -233,9 +236,11 @@ def repair_oracle(net: BroadcastNetwork, labels: np.ndarray, eps: float, iterati
                 shed = members_c[order[: int(sizes[c] - np.floor(max_size))]]
                 labels[shed] = SPARSE
                 changed = True
+        members, moved = np.count_nonzero(start >= 0), np.count_nonzero(labels != start)
+        senders.append((int(members), int(moved)))
         if not changed:
             break
-    return _compact_labels(labels), passes
+    return _compact_labels(labels), senders
 
 # ---------------------------------------------------------------------------
 # Per-node oracles of the dense-clique phases (put-aside, LearnPalette, SCT).

@@ -28,7 +28,9 @@ from repro.graphs.generators import (
     ring_graph,
     star_graph,
 )
+from repro.simulator.metrics import PhaseStats
 from repro.simulator.network import BroadcastNetwork
+from repro.util.bitio import bits_for_id
 from tests.helpers import (
     all_nodes_decomposition,
     outsider_counts_oracle,
@@ -134,10 +136,69 @@ def ring_with_hub(ring: int) -> tuple[int, list[tuple[int, int]]]:
     return ring + 1, edges + [(ring, i) for i in range(0, ring, 2)]
 
 
+def all_nodes_with_clusters(net, cfg):
+    """`all_nodes_decomposition`, and the cluster labels its repair
+    started from (all sparse when it never repairs)."""
+    seen = [np.full(net.n, SPARSE, dtype=np.int64)]
+    repair = acd_mod._repair
+
+    def spy(net, labels, eps, iterations):
+        seen.append(labels.copy())
+        return repair(net, labels, eps, iterations)
+
+    with mock.patch.object(acd_mod, "_repair", spy):
+        want = all_nodes_decomposition(net, cfg)
+    return want, seen[-1]
+
+
+def acd_charge(net, cfg, clusters):
+    """Each ``acd/*`` phase's account, recomputed from who speaks.  Every
+    node sends a 1-bit candidate flag; the endpoints of the edges that
+    touch a candidate (degree ≥ (1−2ε)Δ) send their T b-bit fingerprints,
+    ⌊cap/b⌋ to a message; the dense nodes, which ``clusters`` labels,
+    send two ids; and each repair pass's starting members send an id and
+    the nodes it moved one bit (per pass, from `repair_oracle`).  An
+    edgeless graph sends nothing."""
+    if net.m == 0:
+        return {}
+    n, cap, id_bits = net.n, net.bandwidth_bits, bits_for_id(net.n)
+    samples, b = cfg.acd_minhash_samples, cfg.acd_minhash_bits
+    candidate = net.degrees >= (1.0 - 2.0 * cfg.eps) * max(net.delta, 1)
+    edges = net.undirected_edges()
+    senders = np.unique(edges[candidate[edges[:, 0]] | candidate[edges[:, 1]]]).size
+    per_message = cap // b
+    sketch_rounds = -(-samples // per_message)
+    dense = int(np.count_nonzero(clusters >= 0))
+    passes = repair_oracle(net, clusters, cfg.eps, cfg.acd_repair_iterations)[1]
+    members = sum(m for m, _ in passes)
+    moved = sum(v for _, v in passes)
+    return {
+        "acd/sketch": PhaseStats(
+            rounds=1 + sketch_rounds,
+            messages=n + senders * sketch_rounds,
+            total_bits=n + senders * samples * b,
+            max_message_bits=min(samples, per_message) * b,
+        ),
+        "acd/cluster": PhaseStats(
+            rounds=2,
+            messages=2 * dense,
+            total_bits=2 * dense * id_bits,
+            max_message_bits=id_bits if dense else 0,
+        ),
+        "acd/repair": PhaseStats(
+            rounds=2 * len(passes),
+            messages=members + moved,
+            total_bits=members * id_bits + moved,
+            max_message_bits=max(id_bits if members else 0, 1 if moved else 0),
+        ),
+    }
+
+
 class TestCandidateSketch:
     """The decomposition reads only the similarities of edges that touch a
     candidate (a node of degree ≥ (1−2ε)Δ).  Sketching and estimating just
-    those must give the labels, rounds and bits of the all-nodes oracle."""
+    those must give the labels of the all-nodes oracle, in one more round
+    (the candidate flag), billing only the nodes that speak."""
 
     GRAPHS = {
         "planted": lambda seed: planted_acd_graph(3, 20, 0.1, sparse_nodes=20, seed=seed),
@@ -160,10 +221,30 @@ class TestCandidateSketch:
             BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0])) for _ in "ab"
         )
         got = decompose_distributed(got_net, cfg)
-        want = all_nodes_decomposition(want_net, cfg)
+        want, clusters = all_nodes_with_clusters(want_net, cfg)
         assert np.array_equal(got.labels, want.labels)
-        assert got.rounds_used == want.rounds_used
-        assert got_net.metrics.total_bits == want_net.metrics.total_bits
+        assert got.rounds_used == want.rounds_used + (got_net.m > 0)
+        charge = acd_charge(got_net, cfg, clusters)
+        assert got_net.metrics.total_bits == sum(s.total_bits for s in charge.values())
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.45, 0.5, 0.7])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=settings.default.max_examples // 20, deadline=None)
+    def test_charge_recomputed_from_senders(self, graph, eps, seed, data):
+        """Every ``acd/*`` phase bills exactly its senders, under any cap
+        from the config's down to one id (at ε ≥ 0.5 every node is a
+        candidate)."""
+        g = self.GRAPHS[graph](seed)
+        cfg = ColoringConfig.practical(eps=eps, seed=seed)
+        cap = data.draw(st.integers(bits_for_id(g[0]), cfg.bandwidth_bits(g[0])), label="cap")
+        got_net, want_net = (BroadcastNetwork(g, bandwidth_bits=cap) for _ in "ab")
+        got = decompose_distributed(got_net, cfg)
+        want, clusters = all_nodes_with_clusters(want_net, cfg)
+        assert np.array_equal(got.labels, want.labels)
+        phases = {k: v for k, v in got_net.metrics.phases.items() if k.startswith("acd/")}
+        assert phases == acd_charge(got_net, cfg, clusters)
+        assert got.rounds_used == sum(s.rounds for s in phases.values())
 
     def test_sketches_only_around_the_hub(self, monkeypatch):
         """With the hub the only candidate, only N[hub] is fingerprinted
@@ -261,7 +342,7 @@ def cluster_labels(net, cfg):
 
     def spy(net, labels, eps, iterations):
         seen.append(labels.copy())
-        return labels, 0
+        return labels, []
 
     with mock.patch.object(acd_mod, "_repair", spy):
         decompose_exact(net, cfg)
@@ -276,10 +357,10 @@ def validator_report(net, labels, eps):
 class TestRepairMatchesOracle:
     """The repair reads each rule's counts from the CSR pairs; the oracle
     (`tests/helpers.py:repair_oracle`) recounts the (n × k) neighbor-label
-    matrix before every rule.  Labels, passes and the validator's reports
-    must be identical.  Perturbed labelings (merged cliques, evicted
-    members, moved nodes, gaps) reach (2c) and (2a), which clean ones
-    rarely do."""
+    matrix before every rule.  Labels, per-pass senders and the
+    validator's reports must be identical.  Perturbed labelings (merged
+    cliques, evicted members, moved nodes, gaps) reach (2c) and (2a),
+    which clean ones rarely do."""
 
     GRAPHS = {
         "planted": lambda seed: planted_acd_graph(3, 24, 0.1, sparse_nodes=24, seed=seed),
@@ -317,10 +398,10 @@ class TestRepairMatchesOracle:
         labels = cluster_labels(net, ColoringConfig.practical(eps=eps))
         if perturbed:
             labels = self.perturb(labels, data)
-        got, got_passes = acd_mod._repair(net, labels, eps, iterations)
-        want, want_passes = repair_oracle(net, labels, eps, iterations)
+        got, got_senders = acd_mod._repair(net, labels, eps, iterations)
+        want, want_senders = repair_oracle(net, labels, eps, iterations)
         assert np.array_equal(got, want)
-        assert got_passes == want_passes
+        assert got_senders == want_senders
         for lab in (labels, got):
             report = validator_report(net, lab, eps)
             with mock.patch.multiple(
@@ -339,8 +420,8 @@ class TestRepairMatchesOracle:
             (i, j) for b in (0, 20) for i in range(b, b + 20) for j in range(i + 1, b + 20)
         ] + [(i, i + 20) for i in range(4, 20)]
         net = BroadcastNetwork((40, edges))
-        labels, passes = acd_mod._repair(net, np.zeros(40, dtype=np.int64), 0.2, 1)
-        assert passes == 1
+        labels, senders = acd_mod._repair(net, np.zeros(40, dtype=np.int64), 0.2, 1)
+        assert senders == [(40, 16)]  # one pass: 40 members send, 16 shed
         assert (labels >= 0).sum() == 24
         assert (labels[[0, 1, 2, 3, 20, 21, 22, 23]] == SPARSE).all()
         assert np.array_equal(labels, repair_oracle(net, np.zeros(40, dtype=np.int64), 0.2, 1)[0])

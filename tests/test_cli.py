@@ -153,6 +153,32 @@ class TestCommands:
         assert data["cliques_found"] == 3
         assert data["validator"]["ok"]
 
+    def test_decompose_json_reports_who_spoke(self, capsys):
+        """``phases`` shows the flag round and the sketch's senders: all n
+        nodes send a flag, then only the endpoints of the candidates'
+        edges send, in each sketch round."""
+        import numpy as np
+
+        from repro.config import ColoringConfig
+        from repro.decomposition.acd import decompose_distributed
+        from repro.graphs.generators import planted_acd_graph
+
+        assert main(["decompose", "--cliques", "3", "--size", "40", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["phases"]
+        cfg = ColoringConfig.practical(seed=0)
+        g = planted_acd_graph(3, 40, cfg.eps, sparse_nodes=100, seed=0)
+        net = BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(g[0]))
+        candidate = net.degrees >= (1.0 - 2.0 * cfg.eps) * net.delta
+        edges = net.undirected_edges()
+        senders = np.unique(edges[candidate[edges[:, 0]] | candidate[edges[:, 1]]]).size
+        per_message = net.bandwidth_bits // cfg.acd_minhash_bits
+        sketch_rounds = -(-cfg.acd_minhash_samples // per_message)
+        assert 0 < senders < net.n
+        assert rows["acd/sketch"]["rounds"] == 1 + sketch_rounds
+        assert rows["acd/sketch"]["messages"] == net.n + senders * sketch_rounds
+        decompose_distributed(net, cfg)
+        self.assert_fill_rows(rows, net.metrics, net.bandwidth_bits)
+
     def test_sweep(self, capsys):
         rc = main(
             ["sweep", "--family", "gnp", "--avg-degree", "16",

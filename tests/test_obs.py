@@ -167,6 +167,24 @@ class TestRegistry:
         assert 'lat_us_count 2' in text
         assert 'lat_us_sum 4' in text
 
+    def test_drain_and_merge(self):
+        """A drain hands over the counter and histogram increments and
+        zeroes them; gauges stay.  Merging it twice adds it twice."""
+        obs.enable()
+        obs.count("jobs_total", 3, kind="a")
+        obs.observe("lat_us", 5.0)
+        obs.gauge_set("depth", 7.0)
+        drained = obs.drain_metrics()
+        assert set(drained) == {"jobs_total", "lat_us"}
+        assert obs.drain_metrics() == {}
+        assert obs.registry().snapshot()["depth"]["series"][0]["value"] == 7.0
+        obs.adopt_metrics(drained)
+        obs.adopt_metrics(drained)
+        snap = obs.registry().snapshot()
+        assert snap["jobs_total"]["series"][0] == {"labels": {"kind": "a"}, "value": 6.0}
+        lat = snap["lat_us"]["series"][0]
+        assert (lat["count"], lat["sum"], lat["buckets"][bucket_index(5.0)]) == (2, 10.0, 2)
+
     def test_kind_mismatch_raises(self):
         obs.enable()
         reg = obs.registry()
@@ -273,6 +291,17 @@ def _shard_cfg():
 GRAPH = make_graph("geometric", 900, 10.0, 7)
 
 
+def _counts(snapshot):
+    """Each counter's value and each histogram's count, by name and
+    labels; histogram sums are wall-clock and gauges per-process."""
+    out = {}
+    for name, family in snapshot.items():
+        field = {"counter": "value", "histogram": "count"}.get(family["kind"])
+        if field:
+            out[name] = {tuple(sorted(r["labels"].items())): r[field] for r in family["series"]}
+    return out
+
+
 class TestIntegration:
     def test_round_metrics_emits_phase_spans(self):
         obs.enable()
@@ -317,6 +346,30 @@ class TestIntegration:
         # The merged trace still exports and validates.
         doc = obs.spans_to_perfetto(spans)
         assert obs.validate_perfetto(doc) == []
+
+    def test_spawned_workers_ship_metrics_back(self):
+        """Pooled shard work reaches the driver's registry: every counter
+        and histogram count equals the inline run's.  Each pool task
+        re-arms the driver's fault plan in its worker, and that is not
+        counted again: the plan was armed once."""
+        graph = make_graph("gnp", 400, 20.0, 1)
+        cfg = ColoringConfig.practical(seed=1, shard_k=4, shard_strategy="greedy")
+        plan = FaultPlan(
+            name="quiet", seed=1,
+            rules=(FaultRule(site="shard.worker", kind="crash",
+                             match=(("shard", 99),)),),
+        )
+        readings = []
+        for workers in (1, 2):
+            obs.disable()
+            obs.enable(tracing=False, metrics=True)
+            fplan.arm(plan)
+            ShardedColoring(graph, cfg, workers=workers, start_method="spawn").run()
+            readings.append(_counts(obs.registry().snapshot()))
+        inline, pooled = readings
+        assert pooled == inline
+        assert inline["repro_color_runs_total"] == {(): 4.0}
+        assert pooled["repro_faults_armed_total"] == {(("plan", "quiet"),): 1.0}
 
     def test_spans_survive_injected_worker_crash(self):
         """A seeded ``shard.worker`` crash kills one attempt; the retry
