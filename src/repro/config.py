@@ -170,8 +170,9 @@ class ColoringConfig:
     dynamic_repair_use_multitrial: bool = True
     """Repair engine: seed the conflict set through MultiTrial (geometric
     try growth, seed broadcasts) before the TryColor mop-up.  Off = plain
-    TryColor rounds only — the right choice for tiny conflict sets, and
-    the ablation axis of bench_dynamic."""
+    TryColor rounds only — the right choice for tiny conflict sets; no
+    benchmark sets it, and ``tests/test_dynamic.py``'s
+    ``trycolor-repair`` engine case checks the invariants with it off."""
 
     dynamic_batches: int = 8
     """Default churn-schedule length for runner trials (algorithm

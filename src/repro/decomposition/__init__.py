@@ -1,7 +1,7 @@
 """Sparse-dense decomposition (§2.1 of the paper).
 
 * :mod:`repro.decomposition.sparsity` — exact sparsity ζ_v (Definition 2.1)
-  via blocked triangle counting.
+  via per-edge triangle counting on the CSR.
 * :mod:`repro.decomposition.minhash` — BCONGEST similarity sketches
   (b-bit minwise hashing with round/bit accounting).
 * :mod:`repro.decomposition.acd` — the ε-almost-clique decomposition

@@ -1,4 +1,4 @@
-"""Exact local sparsity (Definition 2.1) via blocked triangle counting.
+"""Exact local sparsity (Definition 2.1) via per-edge triangle counting.
 
 ``ζ_v = (1/Δ)·(C(Δ,2) − m(N(v)))`` where ``m(N(v))`` is the number of
 edges induced by v's neighborhood — equivalently the number of triangles
@@ -14,72 +14,58 @@ algorithm never calls it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.simulator.network import BroadcastNetwork
+from repro.simulator.network import BroadcastNetwork, gather_csr_rows
 
-__all__ = ["triangle_counts", "local_sparsity", "adjacency_matrix", "edge_common_neighbors"]
+__all__ = ["triangle_counts", "local_sparsity", "edge_common_neighbors"]
 
-
-def adjacency_matrix(net: BroadcastNetwork, closed: bool = False) -> sp.csr_matrix:
-    """CSR 0/1 adjacency (optionally with the identity added: closed
-    neighborhoods N[v])."""
-    n = net.n
-    data = np.ones(net.indices.size, dtype=np.int32)
-    A = sp.csr_matrix((data, net.indices.copy(), net.indptr.copy()), shape=(n, n))
-    if closed:
-        A = (A + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
-        A.data[:] = 1
-    return A
+_CHUNK_ENTRIES = 1 << 20
+"""Upper bound on the neighbor entries one chunk of edges gathers (an
+edge whose row alone is longer gets a chunk to itself): a chunk's probe
+arrays stay at a few MB each whatever m is."""
 
 
-def edge_common_neighbors(
-    net: BroadcastNetwork,
-    closed: bool = False,
-    block: int = 1024,
-) -> np.ndarray:
-    """For every undirected edge (u, v), the size of ``N(u) ∩ N(v)`` (or
-    ``N[u] ∩ N[v]`` when ``closed``), computed in src-blocks so memory
-    stays bounded by ``block · Δ²`` sparse entries."""
+def edge_common_neighbors(net: BroadcastNetwork, closed: bool = False) -> np.ndarray:
+    """For every undirected edge (u, v), in ``net.undirected_edges()``
+    order, the size of ``N(u) ∩ N(v)``, or of ``N[u] ∩ N[v]`` when
+    ``closed`` — the open count plus u and v.
+
+    Each edge gathers the shorter of its two CSR rows (a hub's row is
+    never gathered once per incident edge) and looks every entry w up
+    as the directed key ``other·n + w``; a hit is a common neighbor.
+    Rows are sorted, so the keys of the whole CSR are too."""
     edges = net.undirected_edges()
-    if edges.size == 0:
-        return np.empty(0, dtype=np.int64)
-    A = adjacency_matrix(net, closed=closed)
     out = np.zeros(edges.shape[0], dtype=np.int64)
-    src = edges[:, 0]
-    order = np.argsort(src, kind="stable")
-    edges_sorted = edges[order]
-    # Walk edge blocks grouped by source node ranges.
-    i = 0
-    m = edges_sorted.shape[0]
-    while i < m:
-        lo_src = edges_sorted[i, 0]
-        hi = i
-        uniq: set[int] = set()
-        while hi < m and len(uniq | {int(edges_sorted[hi, 0])}) <= block:
-            uniq.add(int(edges_sorted[hi, 0]))
-            hi += 1
-        rows = np.array(sorted(uniq), dtype=np.int64)
-        local = {int(r): k for k, r in enumerate(rows)}
-        C = (A[rows] @ A.T).tocsr()
-        seg = edges_sorted[i:hi]
-        li = np.array([local[int(s)] for s in seg[:, 0]], dtype=np.int64)
-        vals = np.asarray(C[li, seg[:, 1]]).ravel()
-        out[order[i:hi]] = vals.astype(np.int64)
-        i = hi
-        del C
-        _ = lo_src  # readability only
-    return out
+    if not out.size:
+        return out
+    n, deg = net.n, net.degrees
+    keys = net.edge_src * n + net.indices
+    u, v = edges[:, 0], edges[:, 1]
+    swap = deg[u] > deg[v]
+    row, other = np.where(swap, v, u), np.where(swap, u, v)
+    ends = np.cumsum(deg[row])
+    lo = 0
+    while lo < out.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, base + _CHUNK_ENTRIES, side="right"))
+        hi = max(hi, lo + 1)
+        w = gather_csr_rows(net.indptr, net.indices, row[lo:hi])
+        owner = np.repeat(np.arange(hi - lo), deg[row[lo:hi]])
+        probe = other[lo:hi][owner] * n + w
+        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+        out[lo:hi] = np.bincount(owner[keys[pos] == probe], minlength=hi - lo)
+        lo = hi
+    return out + 2 if closed else out
 
 
-def triangle_counts(net: BroadcastNetwork, block: int = 1024) -> np.ndarray:
+def triangle_counts(net: BroadcastNetwork) -> np.ndarray:
     """Number of triangles through each node — i.e. ``m(N(v))``."""
     n = net.n
     t = np.zeros(n, dtype=np.int64)
     edges = net.undirected_edges()
     if edges.size == 0:
         return t
-    tri_per_edge = edge_common_neighbors(net, closed=False, block=block)
+    tri_per_edge = edge_common_neighbors(net, closed=False)
     # Each triangle (v,u,w) contributes to edges (v,u) and (v,w) at v;
     # summing per-edge triangle counts over incident edges double counts.
     np.add.at(t, edges[:, 0], tri_per_edge)
@@ -88,9 +74,9 @@ def triangle_counts(net: BroadcastNetwork, block: int = 1024) -> np.ndarray:
     return t // 2
 
 
-def local_sparsity(net: BroadcastNetwork, block: int = 1024) -> np.ndarray:
+def local_sparsity(net: BroadcastNetwork) -> np.ndarray:
     """ζ_v for every node (Definition 2.1), as float64."""
     delta = max(net.delta, 1)
     max_edges = delta * (delta - 1) / 2.0
-    t = triangle_counts(net, block=block)
+    t = triangle_counts(net)
     return (max_edges - t.astype(np.float64)) / delta

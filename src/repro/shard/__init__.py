@@ -3,10 +3,11 @@
 The first layer where the proper-coloring invariant is a *distributed*
 property: the node universe is split across k workers, each colors its
 shard's interior on the induced CSR (plus a read-only ghost frontier of
-cut neighbors), and the shards themselves re-establish propriety across the cut with the
-boundary-exchange protocol (:mod:`repro.shard.boundary`) — by protocol,
-not by construction.  Pool workers receive the graph zero-copy through
-a shared-memory arena (:mod:`repro.shard.shm`).  Partitioners
+cut neighbors), and propriety across the cut is re-established shard by
+shard in the driver with the boundary-exchange protocol
+(:mod:`repro.shard.boundary`) — by protocol, not by construction.  Pool
+workers receive the graph zero-copy through a shared-memory arena
+(:mod:`repro.shard.shm`).  Partitioners
 in :mod:`repro.shard.partition`, driver in :mod:`repro.shard.engine`,
 surface via ``repro shard`` and the runner's ``algorithm="shard"``
 trials.

@@ -4,27 +4,30 @@
 The former reconcile loop ran centrally: every sweep the *driver*
 scanned all m edges for monochromatic pairs and repaired the victims on
 the full global network — an O(m)-per-sweep touch-point that made the
-driver a k-th machine holding the whole graph.  This module moves the
-repair to the shards, keeping the driver's role to *merging deltas and
+driver a k-th machine holding the whole graph.  This module repairs
+shard by shard instead, keeping the driver's role to *merging deltas and
 detecting convergence*, exactly the cut-centric split of Halldórsson &
 Nolin: reconciliation work and traffic scale with the cut, never with n
-or m.
+or m.  The driver runs every shard's sweep itself; the locality lives in
+what the kernel reads, not in which process runs it.
 
 Protocol, per sweep:
 
 1. **exchange** — every boundary node's color is (conceptually) one
-   broadcast; under the shm transport the exchange is literally reading
-   the shared colors array, and the driver accounts one vector round of
-   ``color_bits`` per boundary node.
+   broadcast; the driver accounts one vector round of ``color_bits``
+   per boundary node, and each shard reads the exchanged colors from
+   the driver's colors array.
 2. **detect, locally** — each shard scans only *its own incident cut
    edges* (:meth:`CutPlan.edges_of`) for monochromatic pairs.  Both
    owners of a cut edge see the same two colors, so they agree on the
    conflict set without any extra message.
 3. **yield, symmetrically** — one endpoint of each conflicting edge
-   surrenders, chosen by a rule both sides evaluate identically from
-   exchanged data only (``conflict_victim`` knob): the larger global id
-   (``"id"``), or the endpoint with more palette slack, ties to the
-   larger id (``"slack"``).  A shard uncolors *only its own* victims.
+   surrenders, chosen by the churn engine's rule
+   (:func:`repro.dynamic.engine.conflict_victims`, ``conflict_victim``
+   knob), which both sides evaluate identically from exchanged data
+   only: the larger global id (``"id"``), or the endpoint with more
+   palette slack, ties to the larger id (``"slack"``).  A shard uncolors
+   *only its own* victims.
 4. **repair, locally** — the shard re-colors its victims (plus any of
    its interior nodes the interior phase left uncolored) against the
    *fixed* halo — victims' neighbors keep their colors, ghosts included
@@ -38,21 +41,21 @@ Protocol, per sweep:
 Two victims adjacent *across* shards can still collide (each repaired
 against the other's pre-sweep color); the sweep loop catches that on the
 next pass, and ``engine._RECONCILE_MAX_ITERS`` bounds the tail.  Every
-function here is a pure function of its array arguments, which is what
-keeps pool, inline, retried, and shm-attached execution byte-identical.
+function here reads its array arguments and never writes them, so a
+shard's delta depends only on the colors exchanged at the sweep's start,
+never on the order in which the driver runs the shards.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-import time
-
 from repro import obs
 from repro.config import ColoringConfig
-from repro.dynamic.engine import conflict_repair
+from repro.dynamic.engine import conflict_repair, conflict_victims
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import BroadcastNetwork, gather_csr_rows
 from repro.simulator.rng import SeedSequencer
@@ -64,9 +67,7 @@ __all__ = ["CutPlan", "repair_boundary"]
 class CutPlan:
     """The static geometry of the cut, computed once per run: the cut
     edge array plus a grouped index so each shard can slice *its* edges
-    in O(1).  Every array is plain data — packable into the shared
-    arena and reconstructible on the worker side via :meth:`from_arrays`.
-    """
+    in O(1)."""
 
     cut: np.ndarray
     """(c, 2) cut edges, global ids, ``u < v``."""
@@ -108,54 +109,9 @@ class CutPlan:
         """(c_s, 2) cut edges incident to ``shard`` (global ids)."""
         return self.cut[self.idx[self.indptr[shard] : self.indptr[shard + 1]]]
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The plan as named arrays, for arena packing."""
-        return {
-            "cut": self.cut,
-            "cut_idx": self.idx,
-            "cut_indptr": self.indptr,
-            "cut_boundary": self.boundary,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "CutPlan":
-        """Rebuild from :meth:`arrays` output (worker side; the arrays
-        may be read-only shared-memory views)."""
-        return cls(
-            cut=arrays["cut"],
-            idx=arrays["cut_idx"],
-            indptr=arrays["cut_indptr"],
-            boundary=arrays["cut_boundary"],
-        )
-
-
-def _endpoint_slack(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    colors: np.ndarray,
-    nodes: np.ndarray,
-    num_colors: int,
-) -> np.ndarray:
-    """Palette slack |Ψ(v)| for ``nodes`` only — the shard-local mirror
-    of :func:`repro.dynamic.engine._palette_sizes`, touching just the
-    endpoints' CSR rows.  Both owners of a cut edge compute this from
-    the same exchanged colors, so the slack victim rule stays symmetric."""
-    nb = gather_csr_rows(indptr, indices, nodes)
-    deg = indptr[nodes + 1] - indptr[nodes]
-    owner = np.repeat(np.arange(nodes.size, dtype=np.int64), deg)
-    c = colors[nb]
-    ok = (c >= 0) & (c < num_colors)
-    pairs = owner[ok] * (num_colors + 1) + c[ok]
-    distinct = np.bincount(
-        np.unique(pairs) // (num_colors + 1), minlength=nodes.size
-    )
-    return num_colors - distinct.astype(np.int64)
-
 
 def repair_boundary(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    net: BroadcastNetwork,
     assignment: np.ndarray,
     colors: np.ndarray,
     cut_pairs: np.ndarray,
@@ -168,27 +124,27 @@ def repair_boundary(
 ) -> dict:
     """One shard's reconciliation sweep (steps 2–4 of the protocol).
 
-    Pure function of its arguments — all array inputs are read, never
-    written (they may be read-only shm attachments).  ``cut_pairs`` is
-    the shard's incident cut slice (:meth:`CutPlan.edges_of`); ``extra``
-    lists the shard's own still-uncolored nodes (interior stragglers).
-    Returns the delta dict: ``nodes`` / ``colors`` (the shard's repaired
-    nodes, global ids, disjoint across shards by ownership), plus the
-    halo metrics and sweep stats — including the sweep's own
-    wall-clock ``seconds``, which the driver folds into the owning
-    shard's :attr:`~repro.shard.engine.ShardReport.reconcile_sweeps`.
+    Reads its array arguments and never writes them.  Of the driver's
+    network ``net`` it reads only CSR rows: the conflict endpoints'
+    under the ``"slack"`` rule, and the repair set's for the halo.
+    ``cut_pairs`` is the shard's incident cut slice
+    (:meth:`CutPlan.edges_of`); ``extra`` lists the shard's own
+    still-uncolored nodes (interior stragglers).  Returns the delta
+    dict: ``nodes`` / ``colors`` (the shard's repaired nodes, global
+    ids, disjoint across shards by ownership), plus the halo metrics and
+    sweep stats — including the sweep's own wall-clock ``seconds``,
+    which the driver folds into the owning shard's
+    :attr:`~repro.shard.engine.ShardReport.reconcile_sweeps`.
     """
     with obs.span("shard.reconcile", shard=int(shard), sweep=int(sweep)):
         return _repair_boundary_inner(
-            n, indptr, indices, assignment, colors, cut_pairs, shard,
-            extra, num_colors, cfg, seed, sweep,
+            net, assignment, colors, cut_pairs, shard, extra, num_colors,
+            cfg, seed, sweep,
         )
 
 
 def _repair_boundary_inner(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    net: BroadcastNetwork,
     assignment: np.ndarray,
     colors: np.ndarray,
     cut_pairs: np.ndarray,
@@ -205,20 +161,12 @@ def _repair_boundary_inner(
     u, v = cut_pairs[:, 0], cut_pairs[:, 1]
     cu, cv = colors[u], colors[v]
     mono = (cu >= 0) & (cu == cv)
-    um, vm = u[mono], v[mono]
-    policy = cfg.conflict_victim
-    if um.size == 0:
-        vic = np.empty(0, dtype=np.int64)
-    elif policy == "id":
-        vic = vm  # u < v: the larger-id endpoint yields.
-    else:  # "slack"
-        endpoints = np.unique(np.concatenate([um, vm]))
-        pal = _endpoint_slack(indptr, indices, colors, endpoints, num_colors)
-        pal_u = pal[np.searchsorted(endpoints, um)]
-        pal_v = pal[np.searchsorted(endpoints, vm)]
-        pick_v = pal_v >= pal_u
-        vic = np.concatenate([vm[pick_v], um[~pick_v]])
-    own_vic = np.unique(vic[assignment[vic] == shard])
+    # Cut pairs hold u < v, so (v, u) is the (hi, lo) pair the rule takes.
+    victim = conflict_victims(
+        net, colors, cfg.conflict_victim, num_colors, edges=(v[mono], u[mono])
+    )
+    ends = cut_pairs[mono].reshape(-1)
+    own_vic = np.unique(ends[victim[ends] & (assignment[ends] == shard)])
     repair = (
         np.unique(np.concatenate([own_vic, extra])) if extra.size else own_vic
     )
@@ -237,9 +185,8 @@ def _repair_boundary_inner(
     # The halo: the repair set plus every neighbor (fixed fringe, ghosts
     # included).  Edges are the repair nodes' CSR rows, relabeled; the
     # scratch network is halo-sized — never the shard, never the graph.
-    nb = gather_csr_rows(indptr, indices, repair)
-    deg = indptr[repair + 1] - indptr[repair]
-    src = np.repeat(repair, deg)
+    nb = gather_csr_rows(net.indptr, net.indices, repair)
+    src = np.repeat(repair, net.degrees[repair])
     halo = np.unique(np.concatenate([repair, nb]))
     pairs = np.stack(
         [
@@ -250,7 +197,7 @@ def _repair_boundary_inner(
     )
     hnet = BroadcastNetwork(
         (int(halo.size), pairs),
-        bandwidth_bits=cfg.bandwidth_bits(n),
+        bandwidth_bits=cfg.bandwidth_bits(net.n),
         metrics=metrics,
     )
     hcolors = colors[halo]

@@ -5,8 +5,8 @@ The control flow of :class:`ShardedColoring.run`:
 
 1. **partition** — split [n] into k shards
    (:func:`repro.shard.partition.partition_nodes`).  A pooled run then
-   packs the global CSR, the partition index, the cut plan and the
-   colors array into one shared-memory arena
+   packs the global CSR, the partition index and the colors array into
+   one shared-memory arena
    (:class:`repro.shard.shm.ShmArena`); workers attach zero-copy and
    rebuild their own :class:`~repro.simulator.network.ShardView` from
    the shared buffers (:func:`~repro.simulator.network.shard_view_from_csr`)
@@ -28,19 +28,21 @@ The control flow of :class:`ShardedColoring.run`:
    them over the pipe); the per-shard :class:`RoundMetrics` fold into
    the driver's account by parallel composition (max rounds, summed
    traffic — :meth:`RoundMetrics.absorb_parallel`).
-4. **reconcile** — shard-locally, via the boundary-exchange protocol
-   (:mod:`repro.shard.boundary`): each sweep, every shard with work
-   detects monochromatic edges among *its own incident cut edges*,
-   yields victims by a symmetric rule, and repairs them against the
-   fixed ghost fringe on a halo-sized scratch network; the driver only
-   merges the returned ``(node, color)`` deltas and re-checks the cut
-   for convergence.  k=1 runs the same loop: with no cut and a complete
-   interior coloring it stops at its first check, so a one-shard run is
-   bit for bit the unsharded engine.
+4. **reconcile** — in the driver, shard by shard, via the
+   boundary-exchange protocol (:mod:`repro.shard.boundary`): each
+   sweep, every shard with work detects monochromatic edges among *its
+   own incident cut edges*, yields victims by the churn engine's
+   symmetric rule, and repairs them against the fixed ghost fringe on a
+   halo-sized scratch network; the driver merges the returned
+   ``(node, color)`` deltas and re-checks the cut for convergence.
+   k=1 runs the same loop: with no cut and a complete interior coloring
+   it stops at its first check, so a one-shard run is bit for bit the
+   unsharded engine.
 
 The proper-coloring invariant is thus re-established *by protocol*: no
-single worker ever holds the whole graph, and the driver only ever
-touches the cut.
+worker ever holds the whole graph, and each shard's repair reads only
+its cut slice and the CSR rows of its conflict endpoints and repair
+set.
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ def _peak_rss_mb() -> float:
     kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
     return round(kb / 1024.0, 3)
 
-
-_REPAIR_POOL_MIN = 20_000
-"""Dispatch a reconciliation sweep to the worker pool only when its
-repair set (monochromatic cut edges + uncolored stragglers) is at least
-this many nodes; smaller sweeps run inline, in this process.  Boundary
-repair is cut-sized, so below this scale pool dispatch — worker boot
-under ``start_method="spawn"`` especially — costs more than the
-repair itself.  Inline and pooled repair are the same pure function, so
-the threshold never changes the coloring, only where it is computed."""
 
 _RECONCILE_MAX_ITERS = 10
 """Upper bound on detect→repair sweeps of the cross-shard reconciliation
@@ -413,6 +406,21 @@ def _with_telemetry(out: dict) -> dict:
     return out
 
 
+class _TaskFailed(Exception):
+    """A pool task's soft failure as it crosses the pipe: the failure's
+    repr plus the task's :func:`_with_telemetry` payload (the fault
+    that fired, for one), which the driver adopts as it would a
+    result's.  Left in the worker, the next task's :func:`_arm_worker`
+    would drop it."""
+
+    def __init__(self, cause: str, telemetry: dict) -> None:
+        super().__init__(cause)
+        self.telemetry = telemetry
+
+    def __reduce__(self):
+        return (type(self), (self.args[0], self.telemetry))
+
+
 def _pool_color_shard(args: tuple) -> dict:
     """``ProcessPoolExecutor`` entry point (single-argument).
 
@@ -423,48 +431,23 @@ def _pool_color_shard(args: tuple) -> dict:
     straight into the shared colors array (its slots are disjoint from
     every other shard's), returning ``colors=None`` over the pipe.
     ``armed`` is :func:`_armed_state`'s fault plan and telemetry
-    flags.
+    flags.  A coloring or an attach that raises comes back as
+    :class:`_TaskFailed`.
     """
     spec, cfg, attempt, armed = args
     _arm_worker(armed)
-    if isinstance(spec, ShardView):
-        return _with_telemetry(_color_shard(spec, cfg, attempt=attempt))
-    descriptor, shard = spec
-    with ShmArena.attach(descriptor, writeable=("colors",)) as arena:
-        view = _view_from_arena(arena, int(shard))
-        out = _color_shard(view, cfg, attempt=attempt)
-        arena.array("colors")[view.nodes] = out["colors"]
-        out["colors"] = None  # already in shared memory
-        return _with_telemetry(out)
-
-
-def _pool_repair_shard(args: tuple) -> dict:
-    """Pool entry point for one shard's reconciliation sweep over the
-    arena: attach read-only, slice the shard's cut edges out of the
-    packed :class:`~repro.shard.boundary.CutPlan`, and run the pure
-    :func:`~repro.shard.boundary.repair_boundary` kernel.  The returned
-    delta is boundary-sized — the only reconciliation bytes that ever
-    cross a process boundary."""
-    descriptor, shard, extra, num_colors, cfg, seed, sweep, armed = args
-    _arm_worker(armed)
-    with ShmArena.attach(descriptor) as arena:
-        a = arena.arrays()
-        plan = CutPlan.from_arrays(a)
-        out = repair_boundary(
-            int(a["indptr"].size - 1),
-            a["indptr"],
-            a["indices"],
-            a["assignment"],
-            a["colors"],
-            plan.edges_of(int(shard)),
-            int(shard),
-            extra,
-            num_colors,
-            cfg,
-            seed,
-            sweep,
-        )
-        return _with_telemetry(out)
+    try:
+        if isinstance(spec, ShardView):
+            return _with_telemetry(_color_shard(spec, cfg, attempt=attempt))
+        descriptor, shard = spec
+        with ShmArena.attach(descriptor, writeable=("colors",)) as arena:
+            view = _view_from_arena(arena, int(shard))
+            out = _color_shard(view, cfg, attempt=attempt)
+            arena.array("colors")[view.nodes] = out["colors"]
+            out["colors"] = None  # already in shared memory
+            return _with_telemetry(out)
+    except Exception as exc:
+        raise _TaskFailed(repr(exc), _with_telemetry({})) from exc
 
 
 class ShardedColoring:
@@ -604,8 +587,8 @@ class ShardedColoring:
 
     def run(self) -> ShardedResult:
         """Execute the full partitioned run: partition → pack (arena or
-        views) → k interior colorings (pool or inline) → merge →
-        shard-local cut reconciliation.  Deterministic in
+        views) → k interior colorings (pool or inline) → merge → cut
+        reconciliation, shard by shard in the driver.  Deterministic in
         ``(graph, config)`` regardless of ``workers`` and transport."""
         cfg, net = self.cfg, self.net
         obs.count("repro_shard_runs_total")
@@ -638,7 +621,7 @@ class ShardedColoring:
         try:
             with metrics.time_phase("shard/pack"):
                 if pooled:
-                    arena = self._pack_arena(part, plan)
+                    arena = self._pack_arena(part)
                 if arena is not None:
                     colors = arena.array("colors")
                     tasks: list = [(arena.descriptor(), i) for i in range(self.k)]
@@ -662,27 +645,26 @@ class ShardedColoring:
                 metrics.absorb_parallel(
                     [out["metrics"] for out in outs], phase="shard/interior"
                 )
-            shard_reports = [out["report"] for out in outs]
-            rounds_interior = max((r.rounds for r in shard_reports), default=0)
-
-            # ---- 4. cut reconciliation (shard-local, DESIGN.md §7) ---
-            num_colors = net.delta + 1
-            color_bits = bits_for_color(max(net.delta, 1))
-            touched = np.zeros(net.n, dtype=bool)
-            reconcile_rounds_before = metrics.rounds_in("shard/reconcile")
-            with metrics.time_phase("shard/reconcile"):
-                initial_conflicts, iterations, unresolved = self._reconcile_boundary(
-                    plan, colors, touched, num_colors, color_bits, arena,
-                    shard_reports,
-                )
-            reconcile_rounds = (
-                metrics.rounds_in("shard/reconcile") - reconcile_rounds_before
-            )
             if arena is not None:
-                colors = np.array(colors, dtype=np.int64, copy=True)
+                colors = colors.copy()  # the arena is unlinked below
         finally:
             if arena is not None:
                 arena.unlink()
+        shard_reports = [out["report"] for out in outs]
+        rounds_interior = max((r.rounds for r in shard_reports), default=0)
+
+        # ---- 4. cut reconciliation (in the driver, DESIGN.md §7) -----
+        num_colors = net.delta + 1
+        color_bits = bits_for_color(max(net.delta, 1))
+        touched = np.zeros(net.n, dtype=bool)
+        reconcile_rounds_before = metrics.rounds_in("shard/reconcile")
+        with metrics.time_phase("shard/reconcile"):
+            initial_conflicts, iterations, unresolved = self._reconcile_boundary(
+                plan, colors, touched, num_colors, color_bits, shard_reports
+            )
+        reconcile_rounds = (
+            metrics.rounds_in("shard/reconcile") - reconcile_rounds_before
+        )
 
         self._faults["time_lost_s"] = round(self._faults["time_lost_s"], 6)
         src, dst = net.edge_src, net.indices
@@ -721,24 +703,23 @@ class ShardedColoring:
             faults=self._faults,
         )
 
-    def _pack_arena(self, part: Partition, plan: CutPlan) -> ShmArena | None:
-        """Pack the global CSR, the partition index, the cut plan and a
-        colors array into one shared-memory arena, or return None when
-        the arena cannot be created (``OSError``: a ``/dev/shm`` too
-        small or absent) — the run then pickles each worker its view."""
+    def _pack_arena(self, part: Partition) -> ShmArena | None:
+        """Pack what :func:`_view_from_arena` reads — the global CSR and
+        the partition index — and the colors array the workers write
+        into one shared-memory arena, or return None when the arena
+        cannot be created (``OSError``: a ``/dev/shm`` too small or
+        absent) — the run then pickles each worker its view."""
         net = self.net
         order, starts = part.index_arrays()
         self._local = part.local_ids()
         arrays = {
             "indptr": net.indptr,
             "indices": net.indices,
-            "degrees": net.degrees,
             "assignment": part.assignment,
             "order": order,
             "starts": starts,
             "local": self._local,
             "colors": np.full(net.n, -1, dtype=np.int64),
-            **plan.arrays(),
         }
         try:
             return ShmArena.create(arrays, label=f"k{self.k}")
@@ -748,34 +729,6 @@ class ShardedColoring:
     # ------------------------------------------------------------------
     # Reconciliation
     # ------------------------------------------------------------------
-    def _repair_inline(
-        self,
-        plan: CutPlan,
-        colors: np.ndarray,
-        shard: int,
-        extra: np.ndarray,
-        num_colors: int,
-        sweep: int,
-    ) -> dict:
-        """Driver-side execution of one shard's sweep — the inline twin
-        of :func:`_pool_repair_shard` (same pure kernel, direct array
-        references instead of an arena attachment)."""
-        net = self.net
-        return repair_boundary(
-            net.n,
-            net.indptr,
-            net.indices,
-            self._part.assignment,
-            np.asarray(colors),
-            plan.edges_of(shard),
-            shard,
-            extra,
-            num_colors,
-            self.cfg,
-            self.seq.derive_seed("reconcile", shard),
-            sweep,
-        )
-
     def _reconcile_boundary(
         self,
         plan: CutPlan,
@@ -783,161 +736,81 @@ class ShardedColoring:
         touched: np.ndarray,
         num_colors: int,
         color_bits: int,
-        arena: ShmArena | None,
         shard_reports: list[ShardReport],
     ) -> tuple[int, int, int]:
-        """The boundary-exchange sweep loop, for every k: shards with
-        work repair their own boundary shard-locally (pooled over the
-        arena, otherwise inline — byte-identical either way); the driver
-        merges the disjoint deltas and re-checks only the cut.  At k=1
-        there is no cut, so the loop can only pick up uncolored
-        stragglers.  Pool
-        failures degrade to inline execution with faults suppressed —
-        the sweep must finish, and the inline kernel is the same pure
-        function.  Each merged sweep appends a timing row to the owning
-        shard's :attr:`ShardReport.reconcile_sweeps`."""
+        """The boundary-exchange sweep loop, for every k, run in the
+        driver: each shard with work repairs its own boundary with
+        :func:`repair_boundary` against the colors of the sweep's start,
+        then the driver merges the disjoint deltas and re-checks only
+        the cut.  At k=1 there is no cut, so the loop can only pick up
+        uncolored stragglers.  Each merged sweep appends a timing row to
+        the owning shard's :attr:`ShardReport.reconcile_sweeps`."""
         cfg, net = self.cfg, self.net
         metrics = net.metrics
         cu_idx, cv_idx = plan.cut[:, 0], plan.cut[:, 1]
         assignment = self._part.assignment
         empty = np.empty(0, dtype=np.int64)
-        armed = _armed_state()
-        timeout = self.worker_timeout_s or None
         initial_conflicts = 0
         iterations = 0
         unresolved = 0
-        pool: ProcessPoolExecutor | None = None
-        try:
-            while iterations < _RECONCILE_MAX_ITERS:
-                # The exchange: every boundary node's color, one vector
-                # round per sweep (under shm the bytes are literally the
-                # shared colors pages).
-                net.account_vector_round(
-                    int(plan.boundary.size), color_bits, phase="shard/reconcile"
+        while iterations < _RECONCILE_MAX_ITERS:
+            # The exchange: every boundary node's color, one vector
+            # round per sweep.
+            net.account_vector_round(
+                int(plan.boundary.size), color_bits, phase="shard/reconcile"
+            )
+            cu, cv = colors[cu_idx], colors[cv_idx]
+            mono = (cu >= 0) & (cu == cv)
+            unresolved = int(mono.sum())
+            obs.gauge_set("repro_shard_unresolved_cut_conflicts", unresolved)
+            if iterations == 0:
+                initial_conflicts = unresolved
+            uncolored = np.flatnonzero(colors < 0)
+            if unresolved == 0 and uncolored.size == 0:
+                break
+            active = np.zeros(self.k, dtype=bool)
+            if unresolved:
+                active[np.unique(assignment[plan.cut[mono].reshape(-1)])] = True
+            extras: dict[int, np.ndarray] = {}
+            if uncolored.size:
+                own = assignment[uncolored]
+                for s in np.unique(own):
+                    extras[int(s)] = uncolored[own == s]
+                    active[s] = True
+            # Every shard repairs against the same colors: the merge
+            # waits until all of them are done.
+            outs = [
+                repair_boundary(
+                    net, assignment, colors, plan.edges_of(s), s,
+                    extras.get(s, empty), num_colors, cfg,
+                    self.seq.derive_seed("reconcile", s), iterations,
                 )
-                cu, cv = colors[cu_idx], colors[cv_idx]
-                mono = (cu >= 0) & (cu == cv)
-                unresolved = int(mono.sum())
-                obs.gauge_set("repro_shard_unresolved_cut_conflicts", unresolved)
-                if iterations == 0:
-                    initial_conflicts = unresolved
-                uncolored = np.flatnonzero(np.asarray(colors) < 0)
-                if unresolved == 0 and uncolored.size == 0:
-                    break
-                active = np.zeros(self.k, dtype=bool)
-                if unresolved:
-                    active[
-                        np.unique(assignment[plan.cut[mono].reshape(-1)])
-                    ] = True
-                extras: dict[int, np.ndarray] = {}
-                if uncolored.size:
-                    own = assignment[uncolored]
-                    for s in np.unique(own):
-                        extras[int(s)] = uncolored[own == s]
-                        active[s] = True
-                shards = [int(s) for s in np.flatnonzero(active)]
-                outs: list[dict] = []
-                # Boundary repair is cut-sized: below the dispatch
-                # threshold the driver repairs inline — the pure kernel
-                # is byte-identical either way, and pool dispatch
-                # (possibly spawning fresh interpreters) costs more than
-                # a small sweep's repair itself.
-                sweep_work = unresolved + int(uncolored.size)
-                use_pool = (
-                    arena is not None
-                    and self.workers > 1
-                    and shards
-                    and sweep_work >= _REPAIR_POOL_MIN
-                )
-                if use_pool:
-                    if pool is None:
-                        pool = self._pool(min(self.workers, len(shards)))
-                    futs = {
-                        s: pool.submit(
-                            _pool_repair_shard,
-                            (
-                                arena.descriptor(),
-                                s,
-                                extras.get(s, empty),
-                                num_colors,
-                                cfg,
-                                self.seq.derive_seed("reconcile", s),
-                                iterations,
-                                armed,
-                            ),
-                        )
-                        for s in shards
+                for s in map(int, np.flatnonzero(active))
+            ]
+            # Merge: deltas are disjoint by ownership, so the order
+            # of application cannot matter.
+            for out in outs:
+                nodes = out["nodes"]
+                if nodes.size:
+                    colors[nodes] = out["colors"]
+                    touched[nodes] = True
+                shard_reports[out["shard"]].reconcile_sweeps.append(
+                    {
+                        "sweep": iterations,
+                        "victims": out["victims"],
+                        "halo_nodes": out["halo_nodes"],
+                        "repair_rounds": out["repair_rounds"],
+                        "seconds": round(out["seconds"], 6),
                     }
-                    pool_broken = False
-                    for s, fut in futs.items():
-                        t_fail = time.perf_counter()
-                        try:
-                            outs.append(fut.result(timeout=timeout))
-                            continue
-                        except FuturesTimeout:
-                            fut.cancel()
-                            key, kind = "worker_timeouts", "worker_timeout"
-                        except Exception:
-                            key, kind = "worker_crashes", "worker_crash"
-                        self._fault(key, kind, time.perf_counter() - t_fail)
-                        self._fault("inline_fallbacks", "inline_fallback")
-                        pool_broken = True
-                        with faults.suppressed():
-                            outs.append(
-                                self._repair_inline(
-                                    plan, colors, s,
-                                    extras.get(s, empty),
-                                    num_colors, iterations,
-                                )
-                            )
-                    if pool_broken:
-                        # A dead/hung worker poisons the pool: rebuild it
-                        # lazily on the next sweep.  Shut it down only
-                        # after every sibling's result is in, or the ones
-                        # still queued would be cancelled and miscounted.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
-                else:
-                    for s in shards:
-                        outs.append(
-                            self._repair_inline(
-                                plan, colors, s, extras.get(s, empty),
-                                num_colors, iterations,
-                            )
-                        )
-                # Merge: deltas are disjoint by ownership, so the order
-                # of application cannot matter.
-                for out in outs:
-                    obs.adopt_spans(out.get("spans"))
-                    obs.adopt_metrics(out.get("obs_metrics"))
-                    nodes = out["nodes"]
-                    if nodes.size:
-                        colors[nodes] = out["colors"]
-                        touched[nodes] = True
-                    shard_reports[int(out["shard"])].reconcile_sweeps.append(
-                        {
-                            "sweep": iterations,
-                            "victims": int(out["victims"]),
-                            "halo_nodes": int(out["halo_nodes"]),
-                            "repair_rounds": int(out["repair_rounds"]),
-                            "seconds": round(float(out.get("seconds", 0.0)), 6),
-                        }
-                    )
-                metrics.absorb_parallel(
-                    [out["metrics"] for out in outs], phase="shard/reconcile"
                 )
-                obs.count("repro_shard_reconcile_sweeps_total")
-                iterations += 1
-            if iterations == _RECONCILE_MAX_ITERS:
-                cu, cv = colors[cu_idx], colors[cv_idx]
-                unresolved = int(((cu >= 0) & (cu == cv)).sum())
-        except BaseException:
-            if pool is not None:
-                _stop_workers(pool)
-            raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            metrics.absorb_parallel(
+                [out["metrics"] for out in outs], phase="shard/reconcile"
+            )
+            obs.count("repro_shard_reconcile_sweeps_total")
+            iterations += 1
+        if iterations == _RECONCILE_MAX_ITERS:
+            cu, cv = colors[cu_idx], colors[cv_idx]
+            unresolved = int(((cu >= 0) & (cu == cv)).sum())
         return initial_conflicts, iterations, unresolved
 
     # ------------------------------------------------------------------
@@ -1047,6 +920,9 @@ class ShardedColoring:
                         key, kind, cause = "worker_crashes", "worker_crash", repr(exc)
                         pool_broken = True
                     except Exception as exc:  # soft crash inside the worker
+                        if isinstance(exc, _TaskFailed):
+                            obs.adopt_spans(exc.telemetry["spans"])
+                            obs.adopt_metrics(exc.telemetry["obs_metrics"])
                         key, kind, cause = "worker_crashes", "worker_crash", repr(exc)
                     self._fault(key, kind, time.perf_counter() - t0)
                     failed.append((i, cause))

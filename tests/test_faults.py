@@ -305,67 +305,6 @@ class TestShardSupervision:
         assert res.faults["worker_timeouts"] >= 1
         np.testing.assert_array_equal(res.colors, reference.colors)
 
-    def test_reconcile_timeout_counts_as_timeout(self, monkeypatch):
-        """A reconciliation worker past its deadline counts as a timeout,
-        as an interior worker's does, not as a crash; its shard is
-        repaired inline and the colors equal the fault-free run's.  Its
-        siblings still queued on the pool (more shards than workers) are
-        not cancelled and miscounted as crashes.  A stub pool runs each
-        task in the driver when its result is first read, and
-        ``shutdown(cancel_futures=True)`` cancels the tasks not yet run;
-        the first reconciliation task's result raises the deadline's
-        ``TimeoutError``."""
-        from concurrent.futures import Future
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        from repro.shard import engine as shard_engine
-
-        timed_out = []
-        queued_behind = []
-
-        class QueuedFuture(Future):
-            def __init__(self, pool, fn, args):
-                super().__init__()
-                self.pool, self.task = pool, (fn, args)
-
-            def result(self, timeout=None):
-                if not self.done() and self.set_running_or_notify_cancel():
-                    fn, args = self.task
-                    if fn is shard_engine._pool_repair_shard and not timed_out:
-                        timed_out.append(args[1])
-                        queued_behind.append(
-                            sum(not f.done() for f in self.pool.futures)
-                        )
-                        self.set_exception(FuturesTimeout())
-                    else:
-                        self.set_result(fn(args))
-                return super().result(timeout)
-
-        class QueuedPool:
-            def __init__(self):
-                self.futures = []
-
-            def submit(self, fn, args):
-                self.futures.append(QueuedFuture(self, fn, args))
-                return self.futures[-1]
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                if cancel_futures:
-                    for fut in self.futures:
-                        fut.cancel()
-
-        graph, cfg, settings, reference = shard_setup(worker_timeout_s=5.0)
-        monkeypatch.setattr(ShardedColoring, "_pool", lambda self, workers: QueuedPool())
-        monkeypatch.setattr(shard_engine, "_REPAIR_POOL_MIN", 0)
-        res = ShardedColoring(graph, cfg, workers=2, **settings).run()
-        assert len(timed_out) == 1
-        assert queued_behind[0] >= 1
-        assert res.faults["worker_timeouts"] == 1
-        assert res.faults["worker_crashes"] == 0
-        assert res.faults["inline_fallbacks"] == 1
-        np.testing.assert_array_equal(res.colors, reference.colors)
-        assert res.proper and res.complete
-
     def test_fault_account_rides_result_dict(self):
         graph, cfg, settings, _ = shard_setup()
         plan = FaultPlan(name="p", rules=(crash_rule(shard=1, attempt=1),))

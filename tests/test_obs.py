@@ -351,25 +351,39 @@ class TestIntegration:
         """Pooled shard work reaches the driver's registry: every counter
         and histogram count equals the inline run's.  Each pool task
         re-arms the driver's fault plan in its worker, and that is not
-        counted again: the plan was armed once."""
+        counted again: the plan was armed once.  Under a plan that
+        crashes one attempt, the soft-failed task ships its fired fault
+        back with the failure."""
         graph = make_graph("gnp", 400, 20.0, 1)
         cfg = ColoringConfig.practical(seed=1, shard_k=4, shard_strategy="greedy")
-        plan = FaultPlan(
+        quiet = FaultPlan(
             name="quiet", seed=1,
             rules=(FaultRule(site="shard.worker", kind="crash",
                              match=(("shard", 99),)),),
         )
-        readings = []
-        for workers in (1, 2):
-            obs.disable()
-            obs.enable(tracing=False, metrics=True)
-            fplan.arm(plan)
-            ShardedColoring(graph, cfg, workers=workers, start_method="spawn").run()
-            readings.append(_counts(obs.registry().snapshot()))
-        inline, pooled = readings
-        assert pooled == inline
-        assert inline["repro_color_runs_total"] == {(): 4.0}
-        assert pooled["repro_faults_armed_total"] == {(("plan", "quiet"),): 1.0}
+        firing = FaultPlan(
+            name="firing", seed=1,
+            rules=(FaultRule(site="shard.worker", kind="crash",
+                             match=(("shard", 1), ("attempt", 1))),),
+        )
+        for plan, fired in ((quiet, None), (firing, 1.0)):
+            readings = []
+            for workers in (1, 2):
+                obs.disable()
+                obs.enable(tracing=False, metrics=True)
+                fplan.arm(plan)
+                ShardedColoring(
+                    graph, cfg, workers=workers, start_method="spawn"
+                ).run()
+                readings.append(_counts(obs.registry().snapshot()))
+            inline, pooled = readings
+            assert pooled == inline, plan.name
+            assert inline["repro_color_runs_total"] == {(): 4.0}
+            assert pooled["repro_faults_armed_total"] == {
+                (("plan", plan.name),): 1.0
+            }
+            crashes = pooled.get("repro_faults_fired_total", {})
+            assert crashes.get((("kind", "crash"), ("site", "shard.worker"))) == fired
 
     def test_spans_survive_injected_worker_crash(self):
         """A seeded ``shard.worker`` crash kills one attempt; the retry

@@ -31,7 +31,6 @@ from repro.graphs.generators import geometric_graph, gnp_graph
 from repro.runner import ParallelRunner, ResultStore, TrialSpec, load_matrix
 from repro.runner.execute import run_trial
 from repro.shard import STRATEGIES, ShardedColoring, partition_nodes
-from repro.shard import engine as shard_engine
 from repro.shard.engine import _color_shard, _view_from_arena
 from repro.shard.shm import ShmArena, leaked_segments
 from repro.simulator.network import BroadcastNetwork, shard_view_from_csr
@@ -565,18 +564,6 @@ class TestShmTransport:
         ).run()
         assert result.transport == "inline" and created == []
         assert result.proper and result.complete
-
-    def test_pooled_repair_identical_to_inline_repair(self, monkeypatch):
-        """A pool threshold of 0 forces every reconciliation sweep
-        through _pool_repair_shard; the default threshold keeps small
-        sweeps inline.  Same pure kernel, byte-identical colors."""
-        graph = gnp_graph(400, 0.04, seed=7)
-        inline = ShardedColoring(graph, shard_cfg(seed=3), workers=1).run()
-        monkeypatch.setattr(shard_engine, "_REPAIR_POOL_MIN", 0)
-        pooled = ShardedColoring(graph, shard_cfg(seed=3), workers=4).run()
-        assert np.array_equal(inline.colors, pooled.colors)
-        assert pooled.unresolved_conflicts == 0
-        assert leaked_segments() == []
 
     def test_segments_unlinked_after_normal_run(self):
         before = leaked_segments()

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.decomposition import sparsity
 from repro.decomposition.sparsity import (
     edge_common_neighbors,
     local_sparsity,
     triangle_counts,
 )
-from repro.graphs.generators import complete_graph, ring_graph, star_graph
+from repro.graphs.generators import complete_graph, gnp_graph, ring_graph, star_graph
 from repro.simulator.network import BroadcastNetwork
 
 
@@ -55,9 +56,15 @@ class TestTriangleCounts:
         net = BroadcastNetwork((10, edges))
         assert np.array_equal(triangle_counts(net), brute_triangles(net))
 
-    def test_small_block_size_consistent(self):
-        net = BroadcastNetwork(complete_graph(9))
-        assert np.array_equal(triangle_counts(net, block=2), triangle_counts(net))
+    def test_small_block_size_consistent(self, monkeypatch):
+        """A chunk bound below one row puts every edge in a chunk of its
+        own; the counts still match brute force."""
+        monkeypatch.setattr(sparsity, "_CHUNK_ENTRIES", 1)
+        for net in (
+            BroadcastNetwork(complete_graph(9)),
+            BroadcastNetwork(gnp_graph(40, 0.3, seed=1)),
+        ):
+            assert np.array_equal(triangle_counts(net), brute_triangles(net))
 
 
 class TestEdgeCommonNeighbors:
