@@ -14,7 +14,7 @@ import pytest
 from _common import print_table
 from repro.config import ColoringConfig
 from repro.core.cliques import compute_clique_info
-from repro.core.matching import colorful_matching
+from repro.core.matching import ROUND_FACTOR, colorful_matching
 from repro.core.state import ColoringState
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import clique_blob_graph
@@ -79,7 +79,7 @@ def test_e5_rounds_are_o_beta(benchmark):
     for beta in [0.5, 1.0, 2.0, 4.0]:
         cfg, net, state, info = setup(400, beta=beta, seed=1)
         rep = colorful_matching(state, info, cfg, SeedSequencer(1))
-        budget = int(np.ceil(cfg.matching_round_factor * beta))
+        budget = int(np.ceil(ROUND_FACTOR * beta))
         rows.append((beta, rep.rounds, budget, sum(rep.sizes.values())))
         assert rep.rounds <= budget
     print_table(

@@ -166,7 +166,7 @@ def test_e9_vectorized_speedup_tracked(benchmark, monkeypatch):
 def test_e9_seed_bandwidth(benchmark):
     """The whole point of representative sets: bits per round stay one
     seed (+ the adopted color), independent of how many colors are tried."""
-    cfg = ColoringConfig.practical(multitrial_cap=64)
+    cfg = ColoringConfig.practical()
     n = 2048
     net = BroadcastNetwork(high_slack_graph(n, 1))
     net.bandwidth_bits = cfg.bandwidth_bits(n)

@@ -4,8 +4,8 @@ The claim the `repro.shard` subsystem makes (DESIGN.md §7): with the
 zero-copy shared-memory transport, the vectorized partitioner and
 shard-local cut repair, k shard workers behave like k machines — the
 driver's serial overhead (partition + arena pack + delta merges) stays a
-small fraction of the run, per-worker memory scales with interior +
-ghost size rather than n, and reconciliation touches only the cut.
+small fraction of the run, per-worker memory scales with the shard's
+CSR rows rather than n, and reconciliation touches only the cut.
 
 Measured along the n-scaling axis (geometric graphs of average degree
 10), one row per graph size:

@@ -27,6 +27,7 @@ from repro.bcstream.memory import MemoryExceeded, MemoryMeter
 from repro.bcstream.palette_stream import streaming_palette_lookup
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring, ColoringResult
+from repro.core.multitrial import TRY_CAP
 from repro.simulator.rng import SeedSequencer
 from repro.util.mathx import poly_log
 
@@ -67,7 +68,7 @@ def _phase_memory_audit(cfg: ColoringConfig, n: int, delta: int) -> dict[str, in
       neighbor at a time: O(B/b) words live at once.
     * slack/trycolor — one candidate color + stream check: O(1).
     * matching — own proposal + pair bookkeeping: O(1).
-    * multitrial — k_cap candidate colors + seed: O(k_cap).
+    * multitrial — ``TRY_CAP`` candidate colors + seed: O(TRY_CAP).
     * learn-palette — own range bitmap (C log n bits) + assembled range:
       O(C log n / 64 + 1) words per range held one at a time.
     * permute — relabel candidates x ≈ C log n/log log n labels + bucket
@@ -82,7 +83,7 @@ def _phase_memory_audit(cfg: ColoringConfig, n: int, delta: int) -> dict[str, in
         "acd": max(4, int(cfg.bandwidth_factor)),
         "slack": 2,
         "matching": 4,
-        "multitrial": cfg.multitrial_cap + 2,
+        "multitrial": TRY_CAP + 2,
         "learn-palette": z0 // 64 + 2,
         "permute": x_labels + 4,
         "prefix-sums": z0 + 2,

@@ -13,8 +13,10 @@ therefore ships two presets:
   synchronized color trial, MultiTrial) actually executes at simulable
   sizes (n up to ~10⁵).  All experiments state which preset they use.
 
-Nothing else in the code base hard-codes a threshold; change the config and
-the whole pipeline follows.
+The paper's named constants, and the settings a caller varies, are fields
+here.  An implementation constant the paper leaves open and that takes one
+value in use (MultiTrial's try schedule, the matching's round factor, the
+sketch width, ...) is a module constant beside the code that reads it.
 """
 
 from __future__ import annotations
@@ -59,16 +61,6 @@ class ColoringConfig:
     acd_minhash_samples: int = 256
     """Number of b-bit minhash samples per edge-similarity estimate."""
 
-    acd_minhash_bits: int = 2
-    """b of b-bit minwise hashing (fingerprint width)."""
-
-    acd_friend_slack: float = 1.5
-    """Friend threshold: uv is a friend edge when the estimated Jaccard
-    similarity of closed neighborhoods is at least ``1 - friend_slack*eps``."""
-
-    acd_repair_iterations: int = 4
-    """Max peeling passes enforcing Def. 2.2(2b) on candidate cliques."""
-
     # --- slack generation (Lemma 2.12) ---
     slack_probability: float = 1.0 / 200.0
     """p_s: probability a node participates in slack generation.  Paper: 1/200."""
@@ -76,10 +68,6 @@ class ColoringConfig:
     # --- colorful matching (Lemma 2.9, Eq. (3)) ---
     beta: float = 2.0
     """β: target matching size is β·a_K.  Paper: 401 (with ε=10⁻⁵)."""
-
-    matching_round_factor: float = 6.0
-    """The matching loop runs at most ``ceil(matching_round_factor * beta)``
-    rounds — the O(β) bound of Lemma 2.9."""
 
     # --- thresholds of the form C·log n and ℓ = C·log^{1.1} n (Eq. (3)) ---
     c_log: float = 1.0
@@ -133,23 +121,7 @@ class ColoringConfig:
     1/12 — meaningful when buckets hold Θ(log n) ≫ 1 nodes; the practical
     preset relaxes it so small fine-buckets don't all fall into R."""
 
-    sct_extra_trycolor_rounds: int = 3
-    """Extra TryColor rounds in open cliques after SCT (proof of Lemma 3.7:
-    "O(1) additional rounds")."""
-
     # --- MultiTrial (Lemma 2.14) ---
-    multitrial_initial: int = 2
-    """Colors tried in the first MultiTrial iteration."""
-
-    multitrial_growth: float = 2.0
-    """Geometric growth of tries per iteration (the log* engine)."""
-
-    multitrial_cap: int = 64
-    """Upper bound on colors tried per iteration (seed expansion length)."""
-
-    multitrial_max_iters: int = 24
-    """Safety bound on MultiTrial iterations before falling back."""
-
     multitrial_sampler: str = "batched"
     """Seed-expansion device for representative sets (one of
     :data:`MULTITRIAL_SAMPLERS`): "batched" (vectorized counter-mode
@@ -166,13 +138,6 @@ class ColoringConfig:
     the maintained coloring and re-runs the whole pipeline.  ≥ 1.0 never
     falls back (repair-only); < 0.0 always falls back (the
     recolor-from-scratch baseline the bench compares against)."""
-
-    dynamic_repair_use_multitrial: bool = True
-    """Repair engine: seed the conflict set through MultiTrial (geometric
-    try growth, seed broadcasts) before the TryColor mop-up.  Off = plain
-    TryColor rounds only — the right choice for tiny conflict sets; no
-    benchmark sets it, and ``tests/test_dynamic.py``'s
-    ``trycolor-repair`` engine case checks the invariants with it off."""
 
     dynamic_batches: int = 8
     """Default churn-schedule length for runner trials (algorithm
@@ -234,9 +199,6 @@ class ColoringConfig:
         # validator, checking against the same eps, would pass either.
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
-        bits = self.acd_minhash_bits
-        if not 1 <= bits <= 16:
-            raise ValueError(f"acd_minhash_bits must be in [1, 16], got {bits!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -325,17 +287,11 @@ _LEAST = {
     "compress_try_colors": 1,
     "compress_try_repeats": 1,
     "shard_k": 1,
-    "multitrial_initial": 1,
-    "multitrial_cap": 1,
-    "multitrial_max_iters": 0,
-    "multitrial_growth": 1,
 }
 """Field → the least value it takes.  The sketch needs a sample.
 CompressTry draws and charges k color indices in each of its repeats: a
 count below 1 would charge negative or phantom bits.  A shard count
-below 1 partitions nothing.  MultiTrial tries at least one color per
-iteration, never fewer than the iteration before: a bad count or growth
-would fail deep inside the sparse phase, or silently skip it."""
+below 1 partitions nothing."""
 
 _CHOICES = {
     "multitrial_sampler": MULTITRIAL_SAMPLERS,

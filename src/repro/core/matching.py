@@ -29,7 +29,11 @@ from repro.core.state import ColoringState
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
-__all__ = ["MatchingReport", "colorful_matching"]
+__all__ = ["MatchingReport", "ROUND_FACTOR", "colorful_matching"]
+
+ROUND_FACTOR = 6.0
+"""The matching loop runs at most ``ceil(ROUND_FACTOR·β)`` rounds — the
+O(β) bound of Lemma 2.9."""
 
 
 @dataclass
@@ -79,7 +83,7 @@ def colorful_matching(
         report.targets[c] = int(np.ceil(cfg.beta * info.a_k[c]))
         report.sizes[c] = 0
 
-    max_rounds = max(1, int(np.ceil(cfg.matching_round_factor * cfg.beta)))
+    max_rounds = max(1, int(np.ceil(ROUND_FACTOR * cfg.beta)))
     matched_colors: dict[int, set[int]] = {c: set() for c in cliques}
 
     for rnd in range(max_rounds):

@@ -44,7 +44,27 @@ from repro.hashing.prg import derive_seeds_batch, expand_indices_batch
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
-__all__ = ["MultiTrialReport", "multitrial"]
+__all__ = [
+    "INITIAL_TRIES",
+    "MAX_ITERATIONS",
+    "MultiTrialReport",
+    "TRY_CAP",
+    "TRY_GROWTH",
+    "multitrial",
+]
+
+INITIAL_TRIES = 2
+"""Colors each node tries in the first iteration."""
+
+TRY_GROWTH = 2.0
+"""Geometric growth of the tries per iteration (the log* engine)."""
+
+TRY_CAP = 64
+"""Most colors a node tries in one iteration (the seed expansion's
+length)."""
+
+MAX_ITERATIONS = 24
+"""Iterations before the nodes still uncolored are left to the caller."""
 
 # Tries below this bound are resolved with one forbidden-color word per
 # row (DESIGN.md §4).
@@ -238,19 +258,19 @@ def multitrial(
     """Color (as many as possible of) the nodes in ``mask`` whose color
     lists are the intervals ``[list_lo[v], list_hi[v])``.
 
-    Returns a report; nodes still uncolored after ``cfg.multitrial_max_iters``
+    Returns a report; nodes still uncolored after :data:`MAX_ITERATIONS`
     iterations are left for the caller (the cleanup phase picks them up —
     with the paper's slack guarantees this does not happen w.h.p.).
     """
     net = state.net
     report = MultiTrialReport()
-    k = float(cfg.multitrial_initial)
-    for it in range(cfg.multitrial_max_iters):
+    k = float(INITIAL_TRIES)
+    for it in range(MAX_ITERATIONS):
         active = np.flatnonzero(mask & (state.colors < 0))
         if active.size == 0:
             break
         report.iterations += 1
-        k_i = int(min(cfg.multitrial_cap, round(k)))
+        k_i = int(min(TRY_CAP, round(k)))
 
         proposals = _proposal_matrix(
             active, k_i, list_lo, list_hi, cfg, seq, phase, it
@@ -276,7 +296,7 @@ def multitrial(
                 "colored": int(adopt_nodes.size),
             }
         )
-        k *= cfg.multitrial_growth
+        k *= TRY_GROWTH
 
     report.remaining = int((mask & (state.colors < 0)).sum())
     return report

@@ -40,7 +40,11 @@ from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
-__all__ = ["SCTReport", "synchronized_color_trial"]
+__all__ = ["EXTRA_TRYCOLOR_ROUNDS", "SCTReport", "synchronized_color_trial"]
+
+EXTRA_TRYCOLOR_ROUNDS = 3
+"""TryColor rounds open cliques run after the trial (proof of Lemma 3.7:
+"O(1) additional rounds")."""
 
 
 @dataclass
@@ -170,7 +174,7 @@ def synchronized_color_trial(
     if open_cliques:
         open_nodes_mask = np.isin(labels, open_cliques)
         sampler = palette_interval_sampler(state, info.x_node, state.num_colors)
-        for r in range(cfg.sct_extra_trycolor_rounds):
+        for r in range(EXTRA_TRYCOLOR_ROUNDS):
             participants = np.flatnonzero(open_nodes_mask & (state.colors < 0))
             if participants.size == 0:
                 break

@@ -8,8 +8,9 @@ color" (§2.2) — and, of course, if no colored neighbor already holds it.
 The round is fully vectorized: proposals are arrays, conflicts are
 edge-wise comparisons over the proposers' CSR rows
 (:meth:`~repro.simulator.network.BroadcastNetwork.row_edges`), and the
-bit cost (one color broadcast per participant) goes through the shared
-metrics.
+bit cost (one color broadcast per node that proposes) goes through the
+shared metrics.  Every trial adjudicates through
+:func:`resolve_proposals`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def resolve_proposals(
     """Adjudicate a full array of simultaneous color proposals (−1 = none)
     with the standard rule — drop a proposal that matches a colored
     neighbor or a smaller-ID neighbor's proposal — then adopt the
-    survivors.  Returns the number of adoptions.  Used by every phase that
-    builds proposals its own way (SCT's permutation trial, matching, ...).
+    survivors.  Returns the number of adoptions.  Used by
+    :func:`try_color_round` and by every phase that builds proposals its
+    own way (SCT's permutation trial, matching, ...).
     """
     net = state.net
     valid = (proposals >= 0) & (state.colors < 0)
@@ -124,43 +126,17 @@ def try_color_round(
     """One synchronous TryColor round.
 
     ``participants`` — node ids trying a color this round (must be
-    uncolored).  Returns the number of nodes that adopted.
-
-    Conflict rule (per the paper): v keeps its tried color c unless
-    (a) some colored neighbor already has c, or (b) some *smaller-ID*
-    neighbor tried c this round.
+    uncolored).  Each tries the color ``sampler`` draws, and
+    :func:`resolve_proposals` keeps it unless (a) some colored neighbor
+    already has it, or (b) some *smaller-ID* neighbor tried it this
+    round.  A participant whose draw is −1 sits the round out and sends
+    nothing; with no participant the round is silent, but still a round.
+    Returns the number of nodes that adopted.
     """
     participants = np.asarray(participants, dtype=np.int64)
     participants = participants[state.colors[participants] < 0]
-    net = state.net
-    if participants.size == 0:
-        net.metrics.add_rounds(1, 0, 1, phase=phase)
-        return 0
-
-    rng = seq.stream("trycolor", phase, round_tag)
-    tried = sampler(participants, rng)
-
     proposals = np.full(state.n, -1, dtype=np.int64)
-    proposals[participants] = tried
-    valid = proposals >= 0
-
-    src, dst = net.row_edges(np.flatnonzero(valid))
-    kill = np.zeros(state.n, dtype=bool)
-    # (a) colored-neighbor conflicts.
-    a = valid[src] & (state.colors[dst] >= 0) & (proposals[src] == state.colors[dst])
-    # (b) smaller-ID simultaneous trial of the same color.
-    b = (
-        valid[src]
-        & valid[dst]
-        & (proposals[src] == proposals[dst])
-        & (dst < src)
-    )
-    kill[src[a | b]] = True
-
-    winners = participants[~kill[participants] & (proposals[participants] >= 0)]
-    if winners.size:
-        state.adopt(winners, proposals[winners])
-    net.account_vector_round(
-        int(participants.size), bits_for_color(state.delta), phase=phase
-    )
-    return int(winners.size)
+    if participants.size:
+        rng = seq.stream("trycolor", phase, round_tag)
+        proposals[participants] = sampler(participants, rng)
+    return resolve_proposals(state, proposals, phase)

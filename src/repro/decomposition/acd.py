@@ -46,11 +46,25 @@ from repro.util.bitio import bits_for_id
 
 __all__ = [
     "AlmostCliqueDecomposition",
+    "FRIEND_SLACK",
+    "MINHASH_BITS",
+    "REPAIR_PASSES",
     "decompose_exact",
     "decompose_distributed",
 ]
 
 SPARSE = -1
+
+MINHASH_BITS = 2
+"""b of b-bit minwise hashing: the width of one fingerprint sample."""
+
+FRIEND_SLACK = 1.5
+"""uv is a friend edge when the estimated Jaccard similarity of the
+closed neighborhoods is at least ``1 - FRIEND_SLACK·ε``."""
+
+REPAIR_PASSES = 4
+"""At most this many repair passes enforce Definition 2.2 on the
+candidate cliques."""
 
 
 @dataclass
@@ -302,7 +316,7 @@ def _build(
     rounds_used: int,
 ) -> AlmostCliqueDecomposition:
     eps = cfg.eps
-    friend_threshold = 1.0 - cfg.acd_friend_slack * eps
+    friend_threshold = 1.0 - FRIEND_SLACK * eps
     friend_edges = net.undirected_edges()[similarity >= friend_threshold]
     fdeg = np.bincount(friend_edges.ravel(), minlength=net.n)
     dense_mask = fdeg >= _density_floor(net, eps)
@@ -310,7 +324,7 @@ def _build(
     # cluster formation: 2 rounds of id broadcasts.
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
     net.account_vector_round(int(dense_mask.sum()), bits_for_id(net.n), phase="acd/cluster")
-    labels, senders = _repair(net, labels, eps, cfg.acd_repair_iterations)
+    labels, senders = _repair(net, labels, eps, REPAIR_PASSES)
     for members, moved in senders:
         # each repair pass: its members broadcast their labels, then the
         # nodes it moved broadcast a join/leave bit.
@@ -378,7 +392,7 @@ def decompose_distributed(
     sketch = compute_sketches(
         net,
         num_samples=cfg.acd_minhash_samples,
-        bits=cfg.acd_minhash_bits,
+        bits=MINHASH_BITS,
         salt=seq.derive_seed("acd-hash") % (1 << 31),
         nodes=np.flatnonzero(endpoints),
     )

@@ -166,9 +166,9 @@ def conflict_repair(
     """The batched conflict-repair kernel shared by the dynamic engine and
     the shard reconciler: re-color ``repair_set`` (uncolored node ids)
     against the fixed fringe by re-running the existing kernels —
-    MultiTrial on ``[0, num_colors)`` when ``dynamic_repair_use_multitrial``
-    is set and the set has at least :data:`REPAIR_MULTITRIAL_MIN` nodes,
-    then TryColor rounds from true palettes.
+    MultiTrial on ``[0, num_colors)`` when the set has at least
+    :data:`REPAIR_MULTITRIAL_MIN` nodes, then TryColor rounds from true
+    palettes.
 
     Returns ``(colors, fully_colored, trycolor_rounds)``; the input
     ``colors`` array is never mutated.  The fringe — colored neighbors of
@@ -180,10 +180,7 @@ def conflict_repair(
         return colors, True, 0
     state = ColoringState(net, num_colors=num_colors)
     state.colors = colors.copy()
-    if (
-        cfg.dynamic_repair_use_multitrial
-        and repair_set.size >= REPAIR_MULTITRIAL_MIN
-    ):
+    if repair_set.size >= REPAIR_MULTITRIAL_MIN:
         mask = np.zeros(net.n, dtype=bool)
         mask[repair_set] = True
         lo = np.zeros(net.n, dtype=np.int64)

@@ -45,7 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import ColoringConfig
+from repro.core import matching, multitrial, sct
 from repro.core.algorithm import MAX_CLEANUP_ROUNDS
+from repro.decomposition import acd
 from repro.dynamic.engine import REPAIR_MULTITRIAL_MIN, DynamicColoring
 from repro.faults import plan as faults
 
@@ -94,9 +96,19 @@ restores exactly."""
 _CONSTANT_CONFIG_FIELDS = {
     "max_cleanup_rounds": MAX_CLEANUP_ROUNDS,
     "dynamic_repair_multitrial_min": REPAIR_MULTITRIAL_MIN,
+    "dynamic_repair_use_multitrial": True,
+    "acd_minhash_bits": acd.MINHASH_BITS,
+    "acd_friend_slack": acd.FRIEND_SLACK,
+    "acd_repair_iterations": acd.REPAIR_PASSES,
+    "matching_round_factor": matching.ROUND_FACTOR,
+    "sct_extra_trycolor_rounds": sct.EXTRA_TRYCOLOR_ROUNDS,
+    "multitrial_initial": multitrial.INITIAL_TRIES,
+    "multitrial_growth": multitrial.TRY_GROWTH,
+    "multitrial_cap": multitrial.TRY_CAP,
+    "multitrial_max_iters": multitrial.MAX_ITERATIONS,
 }
-"""Config fields older snapshots carry that are constants now.  Both
-change what an engine computes, so one is dropped on load only when it
+"""Config fields older snapshots carry that are constants now.  Each
+changes what an engine computes, so one is dropped on load only when it
 holds the constant's value; any other value refuses the restore."""
 
 

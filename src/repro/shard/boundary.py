@@ -30,9 +30,10 @@ Protocol, per sweep:
    *only its own* victims.
 4. **repair, locally** — the shard re-colors its victims (plus any of
    its interior nodes the interior phase left uncolored) against the
-   *fixed* halo — victims' neighbors keep their colors, ghosts included
-   — with the shared :func:`repro.dynamic.engine.conflict_repair`
-   kernel on a halo-sized scratch network.
+   *fixed* halo — victims' neighbors keep their colors, other shards'
+   included — with the shared
+   :func:`repro.dynamic.engine.conflict_repair` kernel on a halo-sized
+   scratch network.
 5. **merge** — the shard emits a compact ``(node, color)`` delta for
    exactly the nodes it repaired.  Deltas are disjoint by ownership, so
    the driver's merge is order-independent; it then re-checks only the
@@ -182,9 +183,10 @@ def _repair_boundary_inner(
             "repair_rounds": 0,
             "seconds": time.perf_counter() - t0,
         }
-    # The halo: the repair set plus every neighbor (fixed fringe, ghosts
-    # included).  Edges are the repair nodes' CSR rows, relabeled; the
-    # scratch network is halo-sized — never the shard, never the graph.
+    # The halo: the repair set plus every neighbor (fixed fringe, other
+    # shards' nodes included).  Edges are the repair nodes' CSR rows,
+    # relabeled; the scratch network is halo-sized — never the shard,
+    # never the graph.
     nb = gather_csr_rows(net.indptr, net.indices, repair)
     src = np.repeat(repair, net.degrees[repair])
     halo = np.unique(np.concatenate([repair, nb]))

@@ -32,7 +32,7 @@ The control flow of :class:`ShardedColoring.run`:
    boundary-exchange protocol (:mod:`repro.shard.boundary`): each
    sweep, every shard with work detects monochromatic edges among *its
    own incident cut edges*, yields victims by the churn engine's
-   symmetric rule, and repairs them against the fixed ghost fringe on a
+   symmetric rule, and repairs them against the fixed fringe on a
    halo-sized scratch network; the driver merges the returned
    ``(node, color)`` deltas and re-checks the cut for convergence.
    k=1 runs the same loop: with no cut and a complete interior coloring
@@ -83,7 +83,7 @@ except ImportError:  # pragma: no cover - non-unix
 def _peak_rss_mb() -> float:
     """This process's lifetime peak RSS in MiB (0.0 where unavailable).
     In a pool worker this bounds the transport claim: under shm it scales
-    with interior + ghost pages actually touched, not with n."""
+    with the pages of the shard's CSR rows actually touched, not with n."""
     if _resource is None:  # pragma: no cover
         return 0.0
     kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
@@ -134,7 +134,6 @@ class ShardReport:
     shard: int
     n_interior: int
     m_interior: int
-    cut_edges: int
     delta_interior: int
     colors_used: int
     rounds: int
@@ -142,6 +141,9 @@ class ShardReport:
     proper: bool
     complete: bool
     seconds: float
+    cut_edges: int = 0
+    """Cut edges incident to this shard, filled in by the driver from
+    its :class:`CutPlan` (the worker sees its interior only)."""
     cpu_seconds: float = 0.0
     """CPU time this shard's interior coloring consumed in its process
     (``time.process_time``).  On a host with fewer cores than workers the
@@ -266,9 +268,9 @@ def _color_shard(view: ShardView, cfg: ColoringConfig, attempt: int = 1) -> dict
     Module-level (picklable) so ``ProcessPoolExecutor`` workers can run it;
     the result is a pure function of ``(view, cfg)`` — ``attempt`` only
     feeds the fault-injection context, never the coloring — which is what
-    makes pool, inline and *retried* execution byte-identical.  The view's
-    ghost frontier is read-only metadata here — interior coloring happens
-    strictly on the interior-induced CSR.
+    makes pool, inline and *retried* execution byte-identical.  The view
+    holds the interior-induced CSR only, so the coloring cannot read the
+    cut.
     """
     faults.inject("shard.worker", shard=int(view.shard), attempt=int(attempt))
     with obs.span("shard.color", shard=int(view.shard), attempt=int(attempt)):
@@ -286,8 +288,7 @@ def _color_shard_inner(view: ShardView, cfg: ColoringConfig, attempt: int) -> di
             "colors": np.empty(0, dtype=np.int64),
             "metrics": RoundMetrics(),
             "report": ShardReport(
-                shard=view.shard, n_interior=0, m_interior=0,
-                cut_edges=int(view.cut_edges.shape[0]), delta_interior=0,
+                shard=view.shard, n_interior=0, m_interior=0, delta_interior=0,
                 colors_used=0, rounds=0, total_bits=0, proper=True,
                 complete=True, seconds=time.perf_counter() - t0,
                 cpu_seconds=time.process_time() - c0,
@@ -304,7 +305,6 @@ def _color_shard_inner(view: ShardView, cfg: ColoringConfig, attempt: int) -> di
         shard=view.shard,
         n_interior=view.n_interior,
         m_interior=int(sub.m),
-        cut_edges=int(view.cut_edges.shape[0]),
         delta_interior=int(sub.delta),
         colors_used=int(np.unique(used).size) if used.size else 0,
         rounds=int(result.rounds_total),
@@ -326,7 +326,7 @@ def _color_shard_inner(view: ShardView, cfg: ColoringConfig, attempt: int) -> di
 def _view_from_arena(arena: ShmArena, shard: int) -> ShardView:
     """Rebuild one shard's :class:`ShardView` from the attached arena —
     the worker-side half of the zero-copy transport.  Touches only the
-    shard's member slice plus its CSR rows (O(interior + ghost)); the
+    shard's member slice plus its CSR rows (O(vol(shard))); the
     full-n arrays are shared pages that fault in per-slice."""
     a = arena.arrays()
     starts = a["starts"]
@@ -651,6 +651,9 @@ class ShardedColoring:
             if arena is not None:
                 arena.unlink()
         shard_reports = [out["report"] for out in outs]
+        for report in shard_reports:
+            s = report.shard
+            report.cut_edges = int(plan.indptr[s + 1] - plan.indptr[s])
         rounds_interior = max((r.rounds for r in shard_reports), default=0)
 
         # ---- 4. cut reconciliation (in the driver, DESIGN.md §7) -----

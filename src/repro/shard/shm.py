@@ -5,8 +5,8 @@ arrays through the pool's argument pipe — O(n + m) bytes serialized,
 copied, and deserialized once per worker, which is exactly the
 whole-graph touch-point that stops k shards from behaving like k
 machines (OSERENA's partition-bounded-memory discipline in PAPERS.md is
-the target: per-worker footprint proportional to interior + ghost
-frontier only).  The arena removes it: the driver packs the view arrays
+the target: per-worker footprint proportional to its shard's CSR rows
+only).  The arena removes it: the driver packs the view arrays
 and the global colors array into one ``multiprocessing.shared_memory``
 segment, and workers *attach* — the argument pipe carries only an
 :class:`ArenaDescriptor` (segment name + per-array dtype/shape/offset
@@ -21,7 +21,8 @@ Lifecycle (the part that must be crash-safe):
   process-wide registry with an ``atexit`` sweep, so a driver that dies
   with an arena live still unlinks it on interpreter exit.
 * ``attach`` — worker side: map the segment, build read-only numpy
-  views (``writeable=False`` — the ghost contract survives transport),
+  views (``writeable=False``: only the slices named writeable, the
+  colors, take a worker's writes),
   and *unregister* the segment from the worker's resource tracker: the
   worker is a borrower, not an owner, and must not fight the driver
   over who unlinks (the stdlib tracker would otherwise unlink a

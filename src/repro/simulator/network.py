@@ -99,15 +99,9 @@ class DeltaReport:
 @dataclass
 class ShardView:
     """One shard's worker-visible slice of a partitioned graph — everything
-    a :mod:`repro.shard` worker is allowed to see (DESIGN.md §7).
-
-    The *interior* (``nodes`` + ``interior_edges``) is the worker's to
-    color.  The *frontier* (``ghost_nodes`` + ``cut_edges``) is strictly
-    read-only: ghost nodes belong to other shards, their state is never
-    known during interior coloring and never written by anyone but their
-    owner.  The frontier arrays are handed out with ``writeable=False`` so
-    a buggy worker mutating its ghosts fails loudly instead of silently
-    corrupting the distributed invariant.
+    a :mod:`repro.shard` worker is allowed to see (DESIGN.md §7): its
+    interior (``nodes`` + ``interior_edges``), the worker's to color.
+    The cut is the driver's business (:class:`repro.shard.boundary.CutPlan`).
     """
 
     shard: int
@@ -117,11 +111,6 @@ class ShardView:
     ``nodes[i]`` (the relabeling every other array uses)."""
     interior_edges: np.ndarray
     """(m_i, 2) interior-interior undirected edges in *local* ids."""
-    ghost_nodes: np.ndarray
-    """Global ids of the cut neighbors (frontier), sorted; read-only."""
-    cut_edges: np.ndarray
-    """(m_c, 2) cut edges as (local interior id, ghost index into
-    ``ghost_nodes``); read-only."""
 
     @property
     def n_interior(self) -> int:
@@ -146,11 +135,8 @@ def shard_view_from_csr(
     the shard subsystem's one way to build a view (DESIGN.md §7).
 
     Interior-interior edges are relabeled into local ids
-    ``0..|members|-1`` (the worker's coloring instance); edges with
-    exactly one endpoint inside become cut edges against the ghost
-    frontier (the outside endpoints, deduplicated).  The frontier arrays
-    come back write-protected — the ghost contract is enforced by numpy,
-    not by convention.
+    ``0..|members|-1`` (the worker's coloring instance); edges leaving
+    the shard are dropped.
 
     Only the *members'* CSR rows are gathered — O(vol(shard)) — so it
     works equally on in-process arrays (the views
@@ -160,8 +146,7 @@ def shard_view_from_csr(
     workers reconstruct their view from the arena without ever
     receiving O(n + m) pickled bytes.  Members ascend and CSR rows are
     sorted, so interior edges fall out already in undirected
-    (u, v)-lexicographic order; cut edges get one small lexsort over the
-    cut only, into the same order.
+    (u, v)-lexicographic order.
 
     ``members`` must be the shard's sorted global ids, ``assignment`` the
     full shard-id-per-node array, and ``local`` the per-node local rank
@@ -169,40 +154,13 @@ def shard_view_from_csr(
     """
     members = np.asarray(members, dtype=np.int64)
     nb = gather_csr_rows(indptr, indices, members)
-    if nb.size:
-        deg = indptr[members + 1] - indptr[members]
-        src = np.repeat(members, deg)
-        inside = assignment[nb] == shard
-        keep = inside & (src < nb)
-        interior = np.stack([local[src[keep]], local[nb[keep]]], axis=1)
-        cross = ~inside
-        inner_end, ghost_end = src[cross], nb[cross]
-        ghost_nodes = np.unique(ghost_end)
-        # Reference order: undirected edges sorted by (min, max).
-        order = np.lexsort(
-            (
-                np.maximum(inner_end, ghost_end),
-                np.minimum(inner_end, ghost_end),
-            )
-        )
-        inner_end, ghost_end = inner_end[order], ghost_end[order]
-        cut = np.stack(
-            [local[inner_end], np.searchsorted(ghost_nodes, ghost_end)],
-            axis=1,
-        )
-    else:
-        interior = np.empty((0, 2), dtype=np.int64)
-        ghost_nodes = np.empty(0, dtype=np.int64)
-        cut = np.empty((0, 2), dtype=np.int64)
-    ghost_nodes.flags.writeable = False
-    cut.flags.writeable = False
+    src = np.repeat(members, indptr[members + 1] - indptr[members])
+    keep = (assignment[nb] == shard) & (src < nb)
     return ShardView(
         shard=int(shard),
         n_global=int(n),
         nodes=members,
-        interior_edges=interior,
-        ghost_nodes=ghost_nodes,
-        cut_edges=cut,
+        interior_edges=np.stack([local[src[keep]], local[nb[keep]]], axis=1),
     )
 
 

@@ -11,10 +11,11 @@ from repro.core import algorithm
 from repro.core.algorithm import BroadcastColoring
 from repro.core.permute import permute_constant
 from repro.core.putaside import PutAsideReport
-from repro.core.sct import SCTReport
+from repro.core.sct import EXTRA_TRYCOLOR_ROUNDS, SCTReport
 from repro.core.state import ColoringState
 from repro.core.trycolor import palette_interval_sampler, resolve_proposals, try_color_round
 from repro.decomposition.acd import (
+    MINHASH_BITS,
     SPARSE,
     AlmostCliqueDecomposition,
     _admit_joins,
@@ -125,7 +126,7 @@ def all_nodes_decomposition(net: BroadcastNetwork, cfg):
         )
     salt = SeedSequencer(cfg.seed).derive_seed("acd-hash") % (1 << 31)
     sketch = compute_sketches(
-        net, cfg.acd_minhash_samples, cfg.acd_minhash_bits, salt=salt
+        net, cfg.acd_minhash_samples, MINHASH_BITS, salt=salt
     )
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
@@ -567,7 +568,7 @@ def sct_oracle(state, info, putaside, cfg, seq, phase="sct"):
         for c in open_cliques:
             open_nodes_mask[info.members(c)] = True
         sampler = palette_interval_sampler(state, info.x_node, state.num_colors)
-        for r in range(cfg.sct_extra_trycolor_rounds):
+        for r in range(EXTRA_TRYCOLOR_ROUNDS):
             participants = np.flatnonzero(open_nodes_mask & (state.colors < 0))
             if participants.size == 0:
                 break
@@ -629,8 +630,7 @@ def resolve_pernode_oracle(state, active, proposals):
 
 def induced_subgraph_oracle(net: BroadcastNetwork, members, shard: int = 0) -> ShardView:
     """One shard's view by a scan of the whole undirected edge array:
-    interior edges relabeled to local ids, cut edges against the sorted
-    ghost frontier, frontier write-protected.  The oracle of
+    interior edges relabeled to local ids.  The oracle of
     :func:`repro.simulator.network.shard_view_from_csr`."""
     mask = np.zeros(net.n, dtype=bool)
     mask[np.asarray(members, dtype=np.int64)] = True
@@ -638,23 +638,10 @@ def induced_subgraph_oracle(net: BroadcastNetwork, members, shard: int = 0) -> S
     local = np.full(net.n, -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.size, dtype=np.int64)
     und = net.undirected_edges()
-    in_u, in_v = mask[und[:, 0]], mask[und[:, 1]]
-    both = in_u & in_v
+    both = mask[und[:, 0]] & mask[und[:, 1]]
     interior = np.stack([local[und[both, 0]], local[und[both, 1]]], axis=1)
-    cross = in_u ^ in_v
-    inner_end = np.where(in_u[cross], und[cross, 0], und[cross, 1])
-    ghost_end = np.where(in_u[cross], und[cross, 1], und[cross, 0])
-    ghost_nodes = np.unique(ghost_end)
-    cut = np.stack([local[inner_end], np.searchsorted(ghost_nodes, ghost_end)], axis=1)
-    ghost_nodes.flags.writeable = False
-    cut.flags.writeable = False
     return ShardView(
-        shard=int(shard),
-        n_global=net.n,
-        nodes=nodes,
-        interior_edges=interior,
-        ghost_nodes=ghost_nodes,
-        cut_edges=cut,
+        shard=int(shard), n_global=net.n, nodes=nodes, interior_edges=interior
     )
 
 

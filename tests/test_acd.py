@@ -162,14 +162,14 @@ def acd_charge(net, cfg, clusters):
     if net.m == 0:
         return {}
     n, cap, id_bits = net.n, net.bandwidth_bits, bits_for_id(net.n)
-    samples, b = cfg.acd_minhash_samples, cfg.acd_minhash_bits
+    samples, b = cfg.acd_minhash_samples, acd_mod.MINHASH_BITS
     candidate = net.degrees >= (1.0 - 2.0 * cfg.eps) * max(net.delta, 1)
     edges = net.undirected_edges()
     senders = np.unique(edges[candidate[edges[:, 0]] | candidate[edges[:, 1]]]).size
     per_message = cap // b
     sketch_rounds = -(-samples // per_message)
     dense = int(np.count_nonzero(clusters >= 0))
-    passes = repair_oracle(net, clusters, cfg.eps, cfg.acd_repair_iterations)[1]
+    passes = repair_oracle(net, clusters, cfg.eps, acd_mod.REPAIR_PASSES)[1]
     members = sum(m for m, _ in passes)
     moved = sum(v for _, v in passes)
     return {

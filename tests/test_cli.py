@@ -160,7 +160,7 @@ class TestCommands:
         import numpy as np
 
         from repro.config import ColoringConfig
-        from repro.decomposition.acd import decompose_distributed
+        from repro.decomposition.acd import MINHASH_BITS, decompose_distributed
         from repro.graphs.generators import planted_acd_graph
 
         assert main(["decompose", "--cliques", "3", "--size", "40", "--json"]) == 0
@@ -171,7 +171,7 @@ class TestCommands:
         candidate = net.degrees >= (1.0 - 2.0 * cfg.eps) * net.delta
         edges = net.undirected_edges()
         senders = np.unique(edges[candidate[edges[:, 0]] | candidate[edges[:, 1]]]).size
-        per_message = net.bandwidth_bits // cfg.acd_minhash_bits
+        per_message = net.bandwidth_bits // MINHASH_BITS
         sketch_rounds = -(-cfg.acd_minhash_samples // per_message)
         assert 0 < senders < net.n
         assert rows["acd/sketch"]["rounds"] == 1 + sketch_rounds

@@ -52,9 +52,6 @@ class TestPresets:
             ("acd_minhash_samples", 0),
             ("acd_minhash_samples", -3),
             ("acd_minhash_samples", 2.5),
-            ("acd_minhash_bits", 0),
-            ("acd_minhash_bits", 17),
-            ("acd_minhash_bits", "2"),
             ("eps", 0),
             ("eps", -0.1),
             ("eps", 1.0),
@@ -74,29 +71,15 @@ class TestPresets:
             ("shard_k", -1),
             ("shard_k", 2.5),
             ("shard_strategy", "bogus"),
-            ("multitrial_initial", 0),
-            ("multitrial_initial", -2),
-            ("multitrial_initial", 2.0),
-            ("multitrial_cap", 0),
-            ("multitrial_cap", -3),
-            ("multitrial_cap", 8.5),
-            ("multitrial_max_iters", -1),
-            ("multitrial_max_iters", 3.0),
-            ("multitrial_growth", 0.5),
-            ("multitrial_growth", 0),
-            ("multitrial_growth", float("nan")),
-            ("multitrial_growth", float("inf")),
-            ("multitrial_growth", "2"),
         ],
     )
     def test_rejects_invalid_sketch_parameters(self, field, value):
         """Both presets and ``dataclasses.replace`` (the path of
         load_graph overrides) refuse an eps outside (0, 1), a sketch the
         fingerprint kernel cannot run, a CompressTry count or shard count
-        below 1, MultiTrial try counts, iteration bound or growth that
-        would shrink, skip or overflow its tries, and a victim rule,
-        sampler or partition strategy that does not exist, naming the
-        field; the edges of the valid range still build."""
+        below 1, and a victim rule, sampler or partition strategy that
+        does not exist, naming the field; the edges of the valid range
+        still build."""
         for build in (
             lambda: ColoringConfig.practical(**{field: value}),
             lambda: ColoringConfig.paper(**{field: value}),
@@ -104,8 +87,7 @@ class TestPresets:
         ):
             with pytest.raises(ValueError, match=field):
                 build()
-        ColoringConfig.practical(acd_minhash_samples=1, acd_minhash_bits=1)
-        ColoringConfig.practical(acd_minhash_bits=16)
+        ColoringConfig.practical(acd_minhash_samples=1)
         ColoringConfig.practical(eps=0.999)
         ColoringConfig.practical(compress_try_colors=1, compress_try_repeats=1)
         for victim in VICTIM_POLICIES:
@@ -115,10 +97,6 @@ class TestPresets:
         ColoringConfig.practical(shard_k=1)
         for strategy in STRATEGIES:
             ColoringConfig.practical(shard_strategy=strategy)
-        ColoringConfig.practical(
-            multitrial_initial=1, multitrial_cap=1, multitrial_max_iters=0,
-            multitrial_growth=1,
-        )
 
     @pytest.mark.parametrize(
         "field,value",

@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ColoringConfig
+from repro.core.algorithm import BroadcastColoring
 from repro.dynamic import ChurnSchedule, DynamicColoring, UpdateBatch
+from repro.dynamic import engine as engine_module
+from repro.dynamic.engine import REPAIR_MULTITRIAL_MIN, conflict_repair
 from repro.graphs.churn import (
     blob_merge_split_churn,
     mobile_geometric_churn,
@@ -29,6 +32,7 @@ from repro.graphs.families import (
 )
 from repro.graphs.generators import gnp_graph
 from repro.simulator.network import BroadcastNetwork
+from repro.simulator.rng import SeedSequencer
 
 
 def edge_keys(net: BroadcastNetwork) -> set[tuple[int, int]]:
@@ -403,19 +407,20 @@ ENGINE_CONFIGS = {
     "repair-only": {"dynamic_fallback_fraction": 1.5},
     "fallback-forced": {"dynamic_fallback_fraction": -1.0},
     "mixed": {"dynamic_fallback_fraction": 0.05},
-    "trycolor-repair": {
-        "dynamic_fallback_fraction": 1.5,
-        "dynamic_repair_use_multitrial": False,
-    },
+    # Repair-only with REPAIR_MULTITRIAL_MIN raised past every conflict
+    # set (the test patches it): TryColor rounds alone, as small sets run.
+    "trycolor-repair": {"dynamic_fallback_fraction": 1.5},
 }
 
 
 class TestDynamicColoring:
     @pytest.mark.parametrize("mode", sorted(ENGINE_CONFIGS))
     @pytest.mark.parametrize("family", CHURN_FAMILIES)
-    def test_invariant_after_every_batch(self, family, mode):
+    def test_invariant_after_every_batch(self, family, mode, monkeypatch):
         """The acceptance property: proper + ≤ Δ_t+1 colors after every
         batch, per churn family × engine policy."""
+        if mode == "trycolor-repair":
+            monkeypatch.setattr(engine_module, "REPAIR_MULTITRIAL_MIN", 1 << 62)
         cfg = ColoringConfig.practical(seed=9, **ENGINE_CONFIGS[mode])
         sched = make_churn(family, 260, 14.0, seed=11, batches=5)
         engine = DynamicColoring(sched, cfg)
@@ -756,3 +761,41 @@ class TestConflictVictims:
                 rounds += summary["total_rounds"]
             totals[policy] = rounds
         assert totals["slack"] <= totals["id"], totals
+
+
+class TestConflictRepair:
+    @pytest.mark.parametrize(
+        "size,seeded",
+        [(REPAIR_MULTITRIAL_MIN - 1, False), (REPAIR_MULTITRIAL_MIN, True)],
+    )
+    def test_multitrial_seeds_sets_of_the_minimum_size(
+        self, size, seeded, monkeypatch
+    ):
+        """A repair set below ``REPAIR_MULTITRIAL_MIN`` goes straight to
+        TryColor rounds; one of that size is seeded through MultiTrial
+        first.  Either way the set ends colored, the fringe keeps its
+        colors, and the coloring is proper."""
+        net = BroadcastNetwork(gnp_graph(150, 0.08, seed=4))
+        before = BroadcastColoring(net, ColoringConfig.practical(seed=2)).run().colors
+        repair_set = np.arange(0, net.n, net.n // size)[:size]
+        colors = before.copy()
+        colors[repair_set] = -1
+        calls = []
+        real = engine_module.multitrial
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "multitrial", spy)
+        after, done, _ = conflict_repair(
+            net, colors, repair_set, net.delta + 1,
+            ColoringConfig.practical(seed=5), SeedSequencer(5),
+        )
+        assert bool(calls) == seeded
+        assert done and (after[repair_set] >= 0).all()
+        fringe = np.ones(net.n, dtype=bool)
+        fringe[repair_set] = False
+        assert np.array_equal(after[fringe], before[fringe])
+        src, dst = net.edge_src, net.indices
+        assert not (after[src] == after[dst]).any()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ColoringConfig
 from repro.core.cliques import compute_clique_info
-from repro.core.matching import colorful_matching
+from repro.core.matching import ROUND_FACTOR, colorful_matching
 from repro.core.state import ColoringState
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphs.generators import clique_blob_graph
@@ -85,7 +85,7 @@ class TestMatchingProperties:
     def test_round_budget_o_beta(self):
         cfg, net, state, info = blob_setup(seed=7)
         rep = colorful_matching(state, info, cfg, SeedSequencer(7))
-        assert rep.rounds <= int(np.ceil(cfg.matching_round_factor * cfg.beta))
+        assert rep.rounds <= int(np.ceil(ROUND_FACTOR * cfg.beta))
 
 
 class TestMatchingGates:

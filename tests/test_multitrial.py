@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ColoringConfig
-from repro.core.multitrial import multitrial
+from repro.core.multitrial import INITIAL_TRIES, MAX_ITERATIONS, multitrial
 from repro.core.state import ColoringState
 from repro.graphs.generators import complete_graph, gnp_graph, ring_graph
 from repro.simulator.network import BroadcastNetwork
@@ -76,7 +76,7 @@ class TestReporting:
         state = ColoringState(net)
         mask = np.ones(net.n, dtype=bool)
         rep = multitrial(state, mask, *full_lists(state), cfg, SeedSequencer(6), "mt")
-        assert rep.iterations <= cfg.multitrial_max_iters
+        assert rep.iterations <= MAX_ITERATIONS
 
     def test_tries_grow_geometrically(self, cfg):
         net = BroadcastNetwork(complete_graph(30))
@@ -85,7 +85,7 @@ class TestReporting:
         rep = multitrial(state, mask, *full_lists(state), cfg, SeedSequencer(7), "mt")
         tries = [r["tries"] for r in rep.per_iteration]
         assert all(b >= a for a, b in zip(tries, tries[1:]))
-        assert tries[0] == cfg.multitrial_initial
+        assert tries[0] == INITIAL_TRIES
 
     def test_rounds_charged_two_per_iteration(self, cfg):
         net = BroadcastNetwork(ring_graph(12))

@@ -27,7 +27,9 @@ import numpy as np
 import pytest
 
 from repro.config import ColoringConfig
+from repro.core import matching, multitrial, sct
 from repro.core.algorithm import MAX_CLEANUP_ROUNDS
+from repro.decomposition import acd
 from repro.dynamic import DynamicColoring
 from repro.dynamic.events import UpdateBatch
 from repro.graphs.families import make_churn, make_graph
@@ -420,6 +422,16 @@ class TestSnapshot:
         [
             ("max_cleanup_rounds", MAX_CLEANUP_ROUNDS, 5),
             ("dynamic_repair_multitrial_min", REPAIR_MULTITRIAL_MIN, 1),
+            ("dynamic_repair_use_multitrial", True, False),
+            ("acd_minhash_bits", acd.MINHASH_BITS, 4),
+            ("acd_friend_slack", acd.FRIEND_SLACK, 2.0),
+            ("acd_repair_iterations", acd.REPAIR_PASSES, 2),
+            ("matching_round_factor", matching.ROUND_FACTOR, 3.0),
+            ("sct_extra_trycolor_rounds", sct.EXTRA_TRYCOLOR_ROUNDS, 1),
+            ("multitrial_initial", multitrial.INITIAL_TRIES, 4),
+            ("multitrial_growth", multitrial.TRY_GROWTH, 1.5),
+            ("multitrial_cap", multitrial.TRY_CAP, 8),
+            ("multitrial_max_iters", multitrial.MAX_ITERATIONS, 12),
         ],
     )
     def test_constant_config_field_restores_only_at_its_value(

@@ -171,7 +171,7 @@ class TestPartition:
 
 
 # ----------------------------------------------------------------------
-# Induced subgraphs with frontier ghosting
+# Induced subgraphs: a shard's interior view
 # ----------------------------------------------------------------------
 class TestShardView:
     def _view(self, n=50, p=0.15, seed=9, frac=0.4, shard=2):
@@ -194,38 +194,10 @@ class TestShardView:
         }
         assert got == want
 
-    def test_ghosts_are_exactly_cut_neighbors(self):
-        net, mask, view = self._view()
-        want_ghosts = set()
-        want_cut = set()
-        for u, v in net.undirected_edges():
-            u, v = int(u), int(v)
-            if mask[u] != mask[v]:
-                inner, ghost = (u, v) if mask[u] else (v, u)
-                want_ghosts.add(ghost)
-                want_cut.add((inner, ghost))
-        assert set(view.ghost_nodes.tolist()) == want_ghosts
-        got_cut = {
-            (int(view.nodes[i]), int(view.ghost_nodes[g]))
-            for i, g in view.cut_edges
-        }
-        assert got_cut == want_cut
-        assert view.shard == 2
-        assert view.n_global == net.n
-
-    def test_frontier_is_write_protected(self):
-        _, _, view = self._view()
-        assert view.ghost_nodes.size > 0
-        with pytest.raises(ValueError):
-            view.ghost_nodes[0] = 99
-        with pytest.raises(ValueError):
-            view.cut_edges[0, 0] = 99
-
     def test_full_mask_is_identity(self):
         net = BroadcastNetwork(gnp_graph(40, 0.2, seed=1))
         view = mask_view(net, np.ones(net.n, dtype=bool))
         assert np.array_equal(view.nodes, np.arange(net.n))
-        assert view.ghost_nodes.size == 0 and view.cut_edges.size == 0
         assert np.array_equal(view.interior_edges, net.undirected_edges())
 
     @settings(max_examples=25, deadline=None)
@@ -245,7 +217,7 @@ class TestShardView:
             got = partition_view(net, part, s)
             want = induced_subgraph_oracle(net, part.members(s), shard=s)
             assert got.shard == want.shard and got.n_global == want.n_global
-            for name in ("nodes", "interior_edges", "ghost_nodes", "cut_edges"):
+            for name in ("nodes", "interior_edges"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and np.array_equal(a, b), name
 
@@ -350,27 +322,28 @@ class TestShardedColoring:
         mono = colors[und[:, 0]] == colors[und[:, 1]]
         assert not (interior & mono).any()
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_ghost_frontier_never_mutates(self, seed):
-        """The worker contract: a full interior coloring leaves the ghost
-        frontier byte-identical (and still write-protected)."""
-        net = BroadcastNetwork(gnp_graph(40, 0.15, seed=seed))
-        mask = np.zeros(net.n, dtype=bool)
-        mask[: net.n // 2] = True
-        view = mask_view(net, mask)
-        ghosts_before = view.ghost_nodes.copy()
-        cut_before = view.cut_edges.copy()
-        _color_shard(view, shard_cfg(seed=seed))
-        assert np.array_equal(view.ghost_nodes, ghosts_before)
-        assert np.array_equal(view.cut_edges, cut_before)
-        assert not view.ghost_nodes.flags.writeable
-        assert not view.cut_edges.flags.writeable
-
     def test_empty_graph_and_empty_shards(self):
         result = ShardedColoring((5, []), shard_cfg(shard_k=8)).run()
         assert result.proper and result.complete
         assert result.unresolved_conflicts == 0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_shard_reports_count_incident_cut_edges(self, strategy):
+        """Each shard's ``cut_edges`` is the number of cut edges with an
+        endpoint in that shard, counted by brute force over the edge list:
+        a cut edge counts under both of its shards."""
+        k = 5
+        net = BroadcastNetwork(gnp_graph(300, 0.04, seed=5))
+        cfg = shard_cfg(seed=2, shard_k=k, shard_strategy=strategy)
+        result = ShardedColoring(net, cfg).run()
+        assignment = partition_nodes(net, k, strategy, seed=cfg.seed).assignment
+        want = [0] * k
+        for u, v in net.undirected_edges().tolist():
+            if assignment[u] != assignment[v]:
+                want[assignment[u]] += 1
+                want[assignment[v]] += 1
+        assert [r.cut_edges for r in result.shard_reports] == want
+        assert sum(want) == 2 * result.cut_edges > 0
 
     def test_touched_nodes_reported(self):
         graph = gnp_graph(500, 0.04, seed=1)
@@ -499,32 +472,6 @@ class TestShmTransport:
                     assert np.array_equal(
                         attached.interior_edges, oracle.interior_edges
                     )
-                    assert np.array_equal(
-                        attached.ghost_nodes, oracle.ghost_nodes
-                    )
-                    assert np.array_equal(attached.cut_edges, oracle.cut_edges)
-
-    def test_ghost_protection_survives_attachment(self):
-        """The ghost-frontier write protection is a property of the view
-        builder, not of pickling — it must hold on shm-attached arrays."""
-        net = BroadcastNetwork(gnp_graph(120, 0.08, seed=6))
-        part = partition_nodes(net, 3, "contiguous", seed=0)
-        order, starts = part.index_arrays()
-        arrays = {
-            "indptr": net.indptr,
-            "indices": net.indices,
-            "assignment": part.assignment,
-            "order": order,
-            "starts": starts,
-            "local": part.local_ids(),
-        }
-        with ShmArena.create(arrays, label="ghost") as arena:
-            with ShmArena.attach(arena.descriptor()) as borrowed:
-                view = _view_from_arena(borrowed, 1)
-                assert not view.ghost_nodes.flags.writeable
-                assert not view.cut_edges.flags.writeable
-                with pytest.raises((ValueError, RuntimeError)):
-                    view.ghost_nodes[:] = 0
 
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
     def test_transports_identical_through_pool(self, transport, monkeypatch):

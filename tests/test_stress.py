@@ -13,6 +13,7 @@ import pytest
 from helpers import traced_run
 from repro.analysis.verify import verify_coloring
 from repro.config import ColoringConfig
+from repro.core import multitrial
 from repro.core.algorithm import BroadcastColoring
 from repro.extensions.degplusone import deg_plus_one_coloring
 from repro.graphs.generators import (
@@ -106,7 +107,10 @@ class TestConfigVariantsMatrix:
         ],
         ids=lambda o: next(iter(o.items()))[0],
     )
-    def test_pipeline_robust_to_config_variants(self, overrides):
+    def test_pipeline_robust_to_config_variants(self, overrides, monkeypatch):
+        if "multitrial_cap" in overrides:  # a module constant, not a field
+            monkeypatch.setattr(multitrial, "TRY_CAP", overrides["multitrial_cap"])
+            overrides = {}
         cfg = ColoringConfig.practical(seed=7, **overrides)
         graph = hard_mix_graph(3, 40, 200, 0.03, 60, seed=7)
         res = BroadcastColoring(graph, cfg).run()

@@ -11,9 +11,10 @@ from repro.core.trycolor import (
     resolve_proposals,
     try_color_round,
 )
-from repro.graphs.generators import complete_graph, gnp_graph
+from repro.graphs.generators import complete_graph, gnp_graph, ring_graph
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
+from repro.util.bitio import bits_for_color
 
 
 @pytest.fixture
@@ -120,6 +121,26 @@ class TestTryColorRound:
         )
         assert colored == 0
         assert net.metrics.rounds_in("e") == 1
+
+    def test_draw_of_minus_one_sits_out_unbilled(self, seq):
+        """A participant whose sampler draws −1 sits the round out: it
+        neither adopts nor sends, so the round bills one message per
+        node that proposes."""
+        net = BroadcastNetwork(ring_graph(20))
+        state = ColoringState(net)
+        participants = np.arange(net.n)
+        sits_out = participants % 3 == 0
+
+        def sampler(nodes, rng):
+            return np.where(nodes % 3 == 0, -1, nodes % 3)
+
+        colored = try_color_round(state, participants, sampler, seq, "m", 0)
+        proposing = int((~sits_out).sum())
+        stats = net.metrics.phases["m"]
+        assert colored == proposing  # neighbors 3j+1, 3j+2 differ
+        assert (state.colors[sits_out] < 0).all()
+        assert stats.rounds == 1 and stats.messages == proposing
+        assert stats.total_bits == proposing * bits_for_color(state.delta)
 
     def test_deterministic_given_seed(self):
         def run(seed):

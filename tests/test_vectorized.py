@@ -225,11 +225,10 @@ class TestKernelAgainstOracle:
         chunks of the compare kernel at the default budget, and the run
         still colors exactly as the per-node oracle does."""
         graph = gnp_graph(2000, 24.0 / 2000, seed=4)
+        monkeypatch.setattr(multitrial_module, "INITIAL_TRIES", 64)
 
         def run():
-            return _run_multitrial(
-                graph, "batched", num_colors=WIDE, multitrial_initial=64
-            )
+            return _run_multitrial(graph, "batched", num_colors=WIDE)
 
         rule_b = []  # (tries, pairs) of each rule-(b) call
         kill_matches = multitrial_module._kill_matches
