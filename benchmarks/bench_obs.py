@@ -3,7 +3,7 @@
 Two claims ``repro.obs`` makes (DESIGN.md §10):
 
 1. **Disarmed is free.**  The ``span()``/``count()``/``observe()``
-   hooks sit on every kernel phase, every apply, every reconcile sweep;
+   hooks sit on every kernel phase, every apply, every shard phase;
    with the plane disarmed each must cost one global load + ``is
    None`` test.  We measure ns/call in a tight loop and gate it at a
    generous bound (same methodology and ceiling as ``bench_faults``).

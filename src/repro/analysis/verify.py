@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.state import count_distinct_colors
 from repro.simulator.network import BroadcastNetwork
 
 __all__ = ["verify_coloring", "assert_proper_coloring", "coloring_summary"]
@@ -24,14 +25,13 @@ def verify_coloring(
     num_colors = num_colors if num_colors is not None else net.delta + 1
     src, dst = net.edge_src, net.indices
     mono = (colors[src] >= 0) & (colors[src] == colors[dst])
-    used = colors[colors >= 0]
     return {
         "proper": not bool(mono.any()),
         "complete": bool((colors >= 0).all()),
-        "within_palette": bool((used < num_colors).all()) if used.size else True,
+        "within_palette": bool((colors < num_colors).all()),
         # each undirected monochromatic edge appears twice in CSR
         "monochromatic_edges": int(mono.sum()) // 2,
-        "colors_used": int(np.unique(used).size) if used.size else 0,
+        "colors_used": count_distinct_colors(colors),
     }
 
 

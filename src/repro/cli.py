@@ -68,6 +68,10 @@ _SERVE_FLAGS = {
 _SHARD_FLAGS = {"workers": "--workers"}
 """``ShardedColoring`` setting → the ``repro shard`` flag that sets it."""
 
+_RUNNER_FLAGS = {"workers": "--workers", "timeout_s": "--timeout"}
+"""``ParallelRunner`` setting → the ``repro sweep|compare|bench`` flag
+that sets it."""
+
 
 def _refused_flag(command: str, flags: dict[str, str], exc: ValueError) -> NoReturn:
     """Turn a constructor's refusal of a setting in ``flags`` (its message
@@ -236,25 +240,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 f"{r.cut_edges:9d}  {r.delta_interior:7d}  {r.colors_used:6d}  "
                 f"{r.rounds:6d}"
             )
-        if args.verbose:
-            rows = [
-                (r.shard, row)
-                for r in result.shard_reports
-                for row in r.reconcile_sweeps
-            ]
-            if rows:
-                print("reconcile sweeps:")
-                print("shard  sweep  victims  halo_nodes  repair_rounds   seconds")
-                for shard, row in sorted(
-                    rows, key=lambda item: (item[1]["sweep"], item[0])
-                ):
-                    print(
-                        f"{shard:5d}  {row['sweep']:5d}  {row['victims']:7d}  "
-                        f"{row['halo_nodes']:10d}  {row['repair_rounds']:13d}  "
-                        f"{row['seconds']:8.4f}"
-                    )
-            else:
-                print("reconcile sweeps: none (clean cut or k=1)")
         summary = {k: v for k, v in report.items() if k != "shards"}
         _emit(summary, False)
     ok = (
@@ -267,10 +252,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    """Build the trial runner from the shared --workers/--out/--resume flags."""
-    store = None
-    if args.out:
-        store = ResultStore(args.out, resume=args.resume)
+    """Build the trial runner from the shared --workers/--timeout/--out/
+    --resume flags.  The settings are checked before the store opens:
+    ``--no-resume`` truncates ``--out``."""
 
     def progress(done: int, total: int, result) -> None:
         tag = "cache" if result.cached else result.status
@@ -280,12 +264,17 @@ def _make_runner(args: argparse.Namespace) -> ParallelRunner:
             file=sys.stderr,
         )
 
-    return ParallelRunner(
-        workers=args.workers,
-        store=store,
-        timeout_s=args.timeout,
-        progress=progress if args.progress else None,
-    )
+    try:
+        runner = ParallelRunner(
+            workers=args.workers,
+            timeout_s=args.timeout,
+            progress=progress if args.progress else None,
+        )
+    except ValueError as exc:
+        _refused_flag(args.command, _RUNNER_FLAGS, exc)
+    if args.out:
+        runner.store = ResultStore(args.out, resume=args.resume)
+    return runner
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -507,32 +496,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         plan = FaultPlan.load(args.plan)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro chaos: cannot load --plan: {exc}")
-    # Per-target defaults mirror the chaos_* signatures; explicit flags win.
-    defaults = {
-        "shard": ("geometric", 2000, 12.0, 7),
-        "dynamic": ("gnp-churn", 800, 8.0, 3),
-        "serve": ("gnp-churn", 300, 8.0, 5),
-    }[args.target]
-    family = args.family if args.family is not None else defaults[0]
-    n = args.n if args.n is not None else defaults[1]
-    avg_degree = args.avg_degree if args.avg_degree is not None else defaults[2]
-    seed = args.seed if args.seed is not None else defaults[3]
+    # Only the flags the user gave: the chaos_* signatures hold the
+    # per-target defaults.
+    names = ("family", "n", "avg_degree", "seed") + (
+        ("k", "workers") if args.target == "shard" else ("batches",)
+    )
+    given = {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name) is not None
+    }
     if args.target == "shard":
         with _sigterm_as_sigint():
-            report = chaos_shard(
-                plan, family=family, n=n, avg_degree=avg_degree,
-                seed=seed, k=args.k, workers=args.workers,
-            )
+            report = chaos_shard(plan, **given)
     elif args.target == "dynamic":
-        report = chaos_dynamic(
-            plan, family=family, n=n, avg_degree=avg_degree,
-            seed=seed, batches=args.batches,
-        )
+        report = chaos_dynamic(plan, **given)
     else:
-        report = chaos_serve(
-            plan, family=family, n=n, avg_degree=avg_degree,
-            seed=seed, batches=args.batches,
-        )
+        report = chaos_serve(plan, **given)
     _emit(report, args.json)
     return 0 if report["oracle_ok"] else 1
 
@@ -653,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(1 = color shards inline, same results)")
     p_shard.add_argument("--victim", default="id", choices=VICTIM_POLICIES,
                          help="conflict victim selection during reconciliation")
-    p_shard.add_argument("--verbose", action="store_true",
-                         help="also print the per-sweep reconcile table "
-                              "(victims / halo / repair rounds / seconds per shard)")
     trace_flag(p_shard)
     p_shard.set_defaults(fn=cmd_shard)
 
@@ -767,11 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--n", type=int, default=None)
     p_chaos.add_argument("--avg-degree", type=float, default=None)
     p_chaos.add_argument("--seed", type=int, default=None)
-    p_chaos.add_argument("--k", type=int, default=4,
+    p_chaos.add_argument("--k", type=int, default=None,
                          help="shards (target=shard)")
-    p_chaos.add_argument("--workers", type=int, default=2,
+    p_chaos.add_argument("--workers", type=int, default=None,
                          help="shard worker pool size (target=shard)")
-    p_chaos.add_argument("--batches", type=int, default=8,
+    p_chaos.add_argument("--batches", type=int, default=None,
                          help="churn batches (target=dynamic/serve)")
     p_chaos.add_argument("--json", action="store_true")
     p_chaos.set_defaults(fn=cmd_chaos)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulator.network import BroadcastNetwork
+from repro.simulator.network import BroadcastNetwork, sorted_unique
 
 __all__ = [
     "ColoringState",
@@ -183,7 +183,7 @@ class ColoringState:
             return np.full(self.n, self.num_colors, dtype=np.int64)
         # Count distinct (src, color) pairs via sorting.
         pairs = src[ok].astype(np.int64) * (self.num_colors + 1) + dst_colors[ok]
-        uniq = np.unique(pairs)
+        uniq = sorted_unique(pairs)
         distinct = np.bincount(uniq // (self.num_colors + 1), minlength=self.n)
         return self.num_colors - distinct.astype(np.int64)
 
@@ -223,7 +223,7 @@ class ColoringState:
         in_interval = (cols >= lo_v[rows]) & (cols < hi_v[rows])
         rows, cols = rows[in_interval], cols[in_interval]
         span = self.num_colors + 1
-        keys = np.unique(rows * span + cols)
+        keys = sorted_unique(rows * span + cols)
         counts = np.bincount(keys // span, minlength=b)
         offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
         sizes = np.maximum(hi_v - lo_v, 0) - counts

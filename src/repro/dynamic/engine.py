@@ -80,29 +80,6 @@ def monochromatic_edges(
     return src[mono], dst[mono]
 
 
-def _palette_sizes(
-    net: BroadcastNetwork,
-    colors: np.ndarray,
-    num_colors: int,
-    only: np.ndarray,
-) -> np.ndarray:
-    """|Ψ(v)| under palette ``[num_colors]`` for the nodes of the bool
-    mask ``only``, read from their CSR rows alone — the node-set form of
-    :meth:`ColoringState.palette_sizes`, tolerant of out-of-range colors
-    (a neighbor colored beyond the palette forbids nothing inside it,
-    which matters mid-detect when Δ just shrank).  Entries outside
-    ``only`` are meaningless."""
-    src, dst = net.row_edges(np.flatnonzero(only))
-    dst_colors = colors[dst]
-    ok = (dst_colors >= 0) & (dst_colors < num_colors) & only[src]
-    if not ok.any():
-        return np.full(net.n, num_colors, dtype=np.int64)
-    pairs = src[ok].astype(np.int64) * (num_colors + 1) + dst_colors[ok]
-    uniq = np.unique(pairs)
-    distinct = np.bincount(uniq // (num_colors + 1), minlength=net.n)
-    return num_colors - distinct.astype(np.int64)
-
-
 def conflict_victims(
     net: BroadcastNetwork,
     colors: np.ndarray,
@@ -123,8 +100,9 @@ def conflict_victims(
 
     ``edges`` passes the ``(hi, lo)`` monochromatic pairs in when the
     caller knows where conflicts can be (the delta-routed detector passes
-    the monochromatic inserted edges); by default the whole CSR is
-    scanned (:func:`monochromatic_edges`).
+    the monochromatic inserted edges, the shard engine the monochromatic
+    cut edges); by default the whole CSR is scanned
+    (:func:`monochromatic_edges`).
     """
     if policy not in VICTIM_POLICIES:
         raise ValueError(
@@ -138,14 +116,17 @@ def conflict_victims(
     if policy == "id":
         out[hi] = True
         return out
-    if num_colors is None:
-        num_colors = net.delta + 1
-    # Palette sizes only for the conflict endpoints' neighborhoods — the
-    # conflict set is tiny next to the graph, so don't pay O(m log m).
+    # Palette sizes only for the conflict endpoints, read from their CSR
+    # rows: the conflict set is tiny next to the graph.  A neighbor
+    # colored beyond the palette (Δ just shrank) forbids nothing in it.
     endpoints = np.zeros(net.n, dtype=bool)
     endpoints[hi] = True
     endpoints[lo] = True
-    pal = _palette_sizes(net, colors, num_colors, only=endpoints)
+    nodes = np.flatnonzero(endpoints)
+    state = ColoringState(net, num_colors=num_colors)
+    state.colors = colors
+    pal = np.zeros(net.n, dtype=np.int64)
+    pal[nodes] = state.grouped_palettes(nodes).sizes
     pick_hi = pal[hi] >= pal[lo]
     out[hi[pick_hi]] = True
     out[lo[~pick_hi]] = True
@@ -163,8 +144,9 @@ def conflict_repair(
     phase: str = "repair",
     mt_label: str = "repair-mt",
 ) -> tuple[np.ndarray, bool, int]:
-    """The batched conflict-repair kernel shared by the dynamic engine and
-    the shard reconciler: re-color ``repair_set`` (uncolored node ids)
+    """The batched conflict-repair kernel shared by the dynamic engine
+    (once per batch) and the shard engine (once per run, on the cut's
+    victims): re-color ``repair_set`` (uncolored node ids) on ``net``
     against the fixed fringe by re-running the existing kernels —
     MultiTrial on ``[0, num_colors)`` when the set has at least
     :data:`REPAIR_MULTITRIAL_MIN` nodes, then TryColor rounds from true

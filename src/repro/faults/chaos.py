@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import ColoringConfig
+from repro.core.state import count_distinct_colors
 from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 from repro.graphs.families import make_churn, make_graph
@@ -347,12 +348,13 @@ def chaos_serve(
         "acked_before_crash": acked,
         "resumed_from_batch": resumed_from,
     }
+    final_colors = np.asarray(final_colors, dtype=np.int64)
     return _oracle(
         report,
-        np.asarray(final_colors, dtype=np.int64),
+        final_colors,
         reference.colors,
         bool(final_proper),
         bool(final_complete),
-        len({int(c) for c in final_colors if c >= 0}),
+        count_distinct_colors(final_colors),
         int(reference.net.delta) + 1,
     )

@@ -116,13 +116,19 @@ class ObsState:
         elif rec["id"] in stack:  # out-of-order close (RoundMetrics pairs)
             stack.remove(rec["id"])
         with self._lock:
-            if len(self.spans) < self.trace_buffer:
-                self.spans.append(rec)
-            else:
-                self.dropped += 1
-                self.registry.counter(
-                    "repro_obs_spans_dropped_total"
-                ).inc()
+            self.buffer_span(rec)
+
+    def buffer_span(self, rec: dict[str, Any]) -> bool:
+        """Append a closed span to the buffer, or, once the buffer holds
+        ``trace_buffer`` spans, drop it and count it in ``dropped`` and
+        ``repro_obs_spans_dropped_total``.  Returns whether it was kept.
+        The caller holds ``_lock``."""
+        if len(self.spans) < self.trace_buffer:
+            self.spans.append(rec)
+            return True
+        self.dropped += 1
+        self.registry.counter("repro_obs_spans_dropped_total").inc()
+        return False
 
     def take_spans(self) -> list[dict[str, Any]]:
         """Return and clear the span buffer."""
@@ -303,15 +309,8 @@ def adopt_spans(spans: Iterator[dict[str, Any]] | list[dict[str, Any]] | None) -
     state = _STATE
     if state is None or not spans:
         return 0
-    adopted = 0
     with state._lock:
-        for rec in spans:
-            if len(state.spans) < state.trace_buffer:
-                state.spans.append(rec)
-                adopted += 1
-            else:
-                state.dropped += 1
-    return adopted
+        return sum(state.buffer_span(rec) for rec in spans)
 
 
 def drain_metrics() -> dict[str, Any]:

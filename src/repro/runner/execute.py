@@ -23,6 +23,7 @@ from repro.baselines.johansson import johansson_coloring
 from repro.baselines.luby import luby_coloring
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
+from repro.core.state import count_distinct_colors
 from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 from repro.graphs.families import make_churn, make_graph
@@ -124,12 +125,11 @@ def _measure(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]:
     elif spec.algorithm in ("johansson", "luby"):
         fn = johansson_coloring if spec.algorithm == "johansson" else luby_coloring
         res = fn(net, seed=spec.algo_seed())
-        colors = res.colors
         payload.update(
             rounds=int(res.rounds),
             proper=bool(res.proper),
             complete=bool(res.complete),
-            num_colors_used=int(len({int(c) for c in colors if c >= 0})),
+            num_colors_used=count_distinct_colors(res.colors),
             total_bits=int(res.total_bits),
             bits_per_node=float(res.total_bits / max(net.n, 1)),
         )
@@ -233,7 +233,6 @@ def _measure_shard(spec: TrialSpec) -> tuple[dict[str, Any], dict[str, float]]:
         "reconcile_touched": int(res.reconcile_touched),
         "touched_fraction": float(res.touched_fraction),
         "reconcile_rounds": int(res.reconcile_rounds),
-        "reconcile_iterations": int(res.reconcile_iterations),
         "unresolved_conflicts": int(res.unresolved_conflicts),
         "total_bits": int(res.total_bits),
         "bits_per_node": float(res.total_bits / max(net.n, 1)),

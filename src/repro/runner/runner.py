@@ -21,6 +21,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.config import check_setting
 from repro.runner.execute import _pool_entry, run_trial
 from repro.runner.spec import TrialResult, TrialSpec, dedupe
 from repro.runner.store import ResultStore
@@ -72,14 +73,16 @@ class ParallelRunner:
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` (the default) executes inline in this process —
-        no pool, no pickling — which is also the reference path the
-        determinism tests compare multi-worker runs against.
+        Pool size, an int ≥ 1.  ``1`` (the default) executes inline in
+        this process — no pool, no pickling — which is also the
+        reference path the determinism tests compare multi-worker runs
+        against.
     store:
         Optional :class:`ResultStore`; hits skip execution, successful
         misses are appended.
     timeout_s:
-        Per-trial wall-clock budget, enforced inside the worker.
+        Per-trial wall-clock budget, enforced inside the worker: None
+        (no budget) or a finite number of seconds > 0.
     progress:
         Optional ``f(done, total, result)`` callback, called once per
         trial in completion order (progress is about liveness; result
@@ -93,7 +96,12 @@ class ParallelRunner:
         timeout_s: float | None = None,
         progress: ProgressFn | None = None,
     ):
-        self.workers = max(1, int(workers))
+        check_setting("workers", workers, "int", least=1)
+        if timeout_s is not None:
+            check_setting("timeout_s", timeout_s, "float")
+            if timeout_s <= 0:
+                raise ValueError(f"timeout_s must be > 0, got {timeout_s!r}")
+        self.workers = workers
         self.store = store
         self.timeout_s = timeout_s
         self.progress = progress

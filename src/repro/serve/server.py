@@ -52,7 +52,12 @@ from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 from repro.serve import protocol as wire
 from repro.serve.coalesce import coalesce_batches
-from repro.serve.snapshot import restore_engine, save_snapshot, sweep_stale_tmp
+from repro.serve.snapshot import (
+    SnapshotInfo,
+    restore_engine,
+    save_snapshot,
+    sweep_stale_tmp,
+)
 from repro.shard.engine import ShardedColoring
 
 __all__ = ["ColoringServer"]
@@ -422,7 +427,9 @@ class ColoringServer:
                     flush=True,
                 )
 
-    def _write_snapshot(self, path: str) -> None:
+    def _write_snapshot(self, path: str) -> SnapshotInfo:
+        """Save the engine to ``path`` and record it in the snapshot
+        stats and metrics; every snapshot the daemon writes goes here."""
         assert self.engine is not None
         t0 = time.perf_counter()
         info = save_snapshot(self.engine, path, keep=self.snapshot_keep)
@@ -432,6 +439,7 @@ class ColoringServer:
         self.last_snapshot_at = time.monotonic()
         obs.count("repro_serve_snapshots_total")
         obs.observe("repro_serve_snapshot_us", self.last_snapshot_seconds * 1e6)
+        return info
 
     # ------------------------------------------------------------------
     # Per-connection handler
@@ -708,7 +716,7 @@ class ColoringServer:
         )
 
     def _handle_snapshot(self, frame: wire.SnapshotRequest) -> wire.Frame:
-        engine = self._engine_or_raise(frame.id)
+        self._engine_or_raise(frame.id)
         path = frame.path or self.snapshot_path
         if not path:
             raise wire.ProtocolError(
@@ -716,19 +724,12 @@ class ColoringServer:
                 "no path: pass one in the request or start with --snapshot-path",
                 id=frame.id,
             )
-        t0 = time.perf_counter()
         try:
-            info = save_snapshot(engine, path, keep=self.snapshot_keep)
+            info = self._write_snapshot(path)
         except (OSError, faults.FaultInjected) as exc:
             raise wire.ProtocolError(
                 "snapshot-failed", f"cannot write {path}: {exc}", id=frame.id
             ) from exc
-        self.snapshots_written += 1
-        self.last_snapshot_index = info.batch_index
-        self.last_snapshot_seconds = time.perf_counter() - t0
-        self.last_snapshot_at = time.monotonic()
-        obs.count("repro_serve_snapshots_total")
-        obs.observe("repro_serve_snapshot_us", self.last_snapshot_seconds * 1e6)
         return wire.SnapshotSaved(
             id=frame.id,
             path=info.path,

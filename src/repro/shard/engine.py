@@ -28,21 +28,19 @@ The control flow of :class:`ShardedColoring.run`:
    them over the pipe); the per-shard :class:`RoundMetrics` fold into
    the driver's account by parallel composition (max rounds, summed
    traffic — :meth:`RoundMetrics.absorb_parallel`).
-4. **reconcile** — in the driver, shard by shard, via the
-   boundary-exchange protocol (:mod:`repro.shard.boundary`): each
-   sweep, every shard with work detects monochromatic edges among *its
-   own incident cut edges*, yields victims by the churn engine's
-   symmetric rule, and repairs them against the fixed fringe on a
-   halo-sized scratch network; the driver merges the returned
-   ``(node, color)`` deltas and re-checks the cut for convergence.
-   k=1 runs the same loop: with no cut and a complete interior coloring
-   it stops at its first check, so a one-shard run is bit for bit the
-   unsharded engine.
+4. **reconcile** — in the driver, the way the churn engine repairs a
+   batch (DESIGN.md §7): the boundary nodes exchange their colors in one
+   round, :func:`~repro.dynamic.engine.conflict_victims` picks one
+   endpoint of every monochromatic cut edge to lose its color, and one
+   :func:`~repro.dynamic.engine.conflict_repair` on the driver's network
+   recolors the victims and any uncolored straggler against the fixed
+   fringe.  k=1 has no cut and a complete interior coloring, so it
+   charges the exchange round and repairs nothing: a one-shard run is
+   bit for bit the unsharded engine.
 
 The proper-coloring invariant is thus re-established *by protocol*: no
-worker ever holds the whole graph, and each shard's repair reads only
-its cut slice and the CSR rows of its conflict endpoints and repair
-set.
+worker ever holds the whole graph, and the repair reads only the cut
+and the CSR rows of its conflict endpoints and repair set.
 """
 
 from __future__ import annotations
@@ -61,8 +59,9 @@ import numpy as np
 from repro import obs
 from repro.config import ColoringConfig, check_setting
 from repro.core.algorithm import BroadcastColoring
+from repro.core.state import count_distinct_colors
+from repro.dynamic.engine import conflict_repair, conflict_victims
 from repro.faults import plan as faults
-from repro.shard.boundary import CutPlan, repair_boundary
 from repro.shard.partition import Partition, partition_nodes
 from repro.shard.shm import ArenaDescriptor, ShmArena
 from repro.simulator.metrics import RoundMetrics
@@ -89,12 +88,6 @@ def _peak_rss_mb() -> float:
     kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
     return round(kb / 1024.0, 3)
 
-
-_RECONCILE_MAX_ITERS = 10
-"""Upper bound on detect→repair sweeps of the cross-shard reconciliation
-loop.  One sweep suffices when the repair kernel fully re-colors its
-victims (adoption is proper by construction); extra sweeps only fire
-when a repair stalls at the round cap."""
 
 _PARENT_POLL_S = 0.5
 """How often a pool worker checks that the process that started it is
@@ -143,7 +136,7 @@ class ShardReport:
     seconds: float
     cut_edges: int = 0
     """Cut edges incident to this shard, filled in by the driver from
-    its :class:`CutPlan` (the worker sees its interior only)."""
+    the partition's cut (the worker sees its interior only)."""
     cpu_seconds: float = 0.0
     """CPU time this shard's interior coloring consumed in its process
     (``time.process_time``).  On a host with fewer cores than workers the
@@ -155,13 +148,6 @@ class ShardReport:
     finished — the footprint evidence for the shm transport.  Like
     ``seconds`` it is an environment measurement, not part of the
     deterministic result."""
-    reconcile_sweeps: list = field(default_factory=list)
-    """Per-sweep reconciliation rows for this shard, one per sweep in
-    which it had work (none when the merge is already proper and
-    complete — always so at k=1, which has no cut).  Each row is
-    ``{"sweep", "victims", "halo_nodes", "repair_rounds", "seconds"}``,
-    so a slow sweep is visible, not only the totals.  Surfaced by
-    ``repro shard --verbose``."""
 
     def as_dict(self) -> dict:
         """JSON-safe flat dict of this shard's interior account (one row
@@ -180,7 +166,6 @@ class ShardReport:
             "seconds": round(self.seconds, 6),
             "cpu_seconds": round(self.cpu_seconds, 6),
             "peak_rss_mb": self.peak_rss_mb,
-            "reconcile_sweeps": [dict(row) for row in self.reconcile_sweeps],
         }
 
 
@@ -203,10 +188,11 @@ class ShardedResult:
     initial_conflicts: int
     """Monochromatic cut edges right after the merge (before any repair)."""
     reconcile_touched: int
-    """Nodes whose color changed during cut reconciliation."""
+    """Nodes the cut repair recolored: one victim per monochromatic cut
+    edge, plus any node the interior phase left uncolored."""
     reconcile_rounds: int
-    reconcile_iterations: int
     unresolved_conflicts: int
+    """Monochromatic cut edges after the repair."""
     rounds_interior: int
     """Parallel-composed interior rounds (max over shards)."""
     rounds_total: int
@@ -250,7 +236,6 @@ class ShardedResult:
             "reconcile_touched": self.reconcile_touched,
             "touched_fraction": round(self.touched_fraction, 6),
             "reconcile_rounds": self.reconcile_rounds,
-            "reconcile_iterations": self.reconcile_iterations,
             "unresolved_conflicts": self.unresolved_conflicts,
             "rounds_interior": self.rounds_interior,
             "rounds_total": self.rounds_total,
@@ -300,13 +285,12 @@ def _color_shard_inner(view: ShardView, cfg: ColoringConfig, attempt: int) -> di
     # fit O(log n_global) bits no matter which shard sends them.
     sub.bandwidth_bits = cfg.bandwidth_bits(view.n_global)
     result = BroadcastColoring(sub, cfg).run()
-    used = result.colors[result.colors >= 0]
     report = ShardReport(
         shard=view.shard,
         n_interior=view.n_interior,
         m_interior=int(sub.m),
         delta_interior=int(sub.delta),
-        colors_used=int(np.unique(used).size) if used.size else 0,
+        colors_used=count_distinct_colors(result.colors),
         rounds=int(result.rounds_total),
         total_bits=int(result.total_bits),
         proper=bool(result.proper),
@@ -588,8 +572,8 @@ class ShardedColoring:
     def run(self) -> ShardedResult:
         """Execute the full partitioned run: partition → pack (arena or
         views) → k interior colorings (pool or inline) → merge → cut
-        reconciliation, shard by shard in the driver.  Deterministic in
-        ``(graph, config)`` regardless of ``workers`` and transport."""
+        repair in the driver.  Deterministic in ``(graph, config)``
+        regardless of ``workers`` and transport."""
         cfg, net = self.cfg, self.net
         obs.count("repro_shard_runs_total")
         metrics = net.metrics
@@ -607,12 +591,16 @@ class ShardedColoring:
         # ---- 1. partition --------------------------------------------
         with metrics.time_phase("shard/partition"):
             part = partition_nodes(net, self.k, self.strategy, seed=cfg.seed)
-            plan = CutPlan.build(net.undirected_edges(), part.assignment, self.k)
+            cut = part.cut_edges(net)
+            boundary_count = int(part.boundary_mask(cut).sum())
+            # Each cut edge counts under both of its shards.
+            cut_per_shard = np.bincount(
+                part.assignment[cut.reshape(-1)], minlength=self.k
+            )
         self._part = part
         self._local = None
         self._views = {}
-        cut_edge_count = int(plan.cut.shape[0])
-        boundary = plan.boundary
+        cut_edge_count = int(cut.shape[0])
         obs.gauge_set("repro_shard_cut_edges", cut_edge_count, k=self.k)
 
         # ---- 1b. pack: a pooled run's arena, else extracted views ---
@@ -652,18 +640,14 @@ class ShardedColoring:
                 arena.unlink()
         shard_reports = [out["report"] for out in outs]
         for report in shard_reports:
-            s = report.shard
-            report.cut_edges = int(plan.indptr[s + 1] - plan.indptr[s])
+            report.cut_edges = int(cut_per_shard[report.shard])
         rounds_interior = max((r.rounds for r in shard_reports), default=0)
 
-        # ---- 4. cut reconciliation (in the driver, DESIGN.md §7) -----
-        num_colors = net.delta + 1
-        color_bits = bits_for_color(max(net.delta, 1))
-        touched = np.zeros(net.n, dtype=bool)
+        # ---- 4. cut repair (in the driver, DESIGN.md §7) -------------
         reconcile_rounds_before = metrics.rounds_in("shard/reconcile")
         with metrics.time_phase("shard/reconcile"):
-            initial_conflicts, iterations, unresolved = self._reconcile_boundary(
-                plan, colors, touched, num_colors, color_bits, shard_reports
+            colors, initial_conflicts, repaired, unresolved = self._reconcile(
+                cut, boundary_count, colors
             )
         reconcile_rounds = (
             metrics.rounds_in("shard/reconcile") - reconcile_rounds_before
@@ -673,7 +657,6 @@ class ShardedColoring:
         src, dst = net.edge_src, net.indices
         proper = not bool(((colors[src] >= 0) & (colors[src] == colors[dst])).any())
         complete = bool((colors >= 0).all())
-        used = colors[colors >= 0]
         return ShardedResult(
             colors=colors,
             n=net.n,
@@ -682,15 +665,14 @@ class ShardedColoring:
             delta=net.delta,
             proper=proper,
             complete=complete,
-            num_colors_used=int(np.unique(used).size) if used.size else 0,
+            num_colors_used=count_distinct_colors(colors),
             shard_sizes=[int(s) for s in part.sizes()],
             cut_edges=cut_edge_count,
             cut_fraction=cut_edge_count / max(net.m, 1),
-            boundary_nodes=int(boundary.size),
+            boundary_nodes=boundary_count,
             initial_conflicts=initial_conflicts,
-            reconcile_touched=int(touched.sum()),
+            reconcile_touched=repaired,
             reconcile_rounds=reconcile_rounds,
-            reconcile_iterations=iterations,
             unresolved_conflicts=unresolved,
             rounds_interior=rounds_interior,
             rounds_total=metrics.total_rounds - rounds_before,
@@ -732,89 +714,47 @@ class ShardedColoring:
     # ------------------------------------------------------------------
     # Reconciliation
     # ------------------------------------------------------------------
-    def _reconcile_boundary(
-        self,
-        plan: CutPlan,
-        colors: np.ndarray,
-        touched: np.ndarray,
-        num_colors: int,
-        color_bits: int,
-        shard_reports: list[ShardReport],
-    ) -> tuple[int, int, int]:
-        """The boundary-exchange sweep loop, for every k, run in the
-        driver: each shard with work repairs its own boundary with
-        :func:`repair_boundary` against the colors of the sweep's start,
-        then the driver merges the disjoint deltas and re-checks only
-        the cut.  At k=1 there is no cut, so the loop can only pick up
-        uncolored stragglers.  Each merged sweep appends a timing row to
-        the owning shard's :attr:`ShardReport.reconcile_sweeps`."""
+    def _reconcile(
+        self, cut: np.ndarray, boundary_count: int, colors: np.ndarray
+    ) -> tuple[np.ndarray, int, int, int]:
+        """The cut repair, run as the churn engine repairs a batch: the
+        ``boundary_count`` boundary nodes broadcast their colors in one
+        vector round; one endpoint of every monochromatic cut edge
+        (``cut``, u < v) loses its color
+        (:func:`~repro.dynamic.engine.conflict_victims`); and one
+        :func:`~repro.dynamic.engine.conflict_repair` on the driver's
+        network recolors those victims and every node the interior phase
+        left uncolored, against the fixed fringe.  Returns ``(colors,
+        initial_conflicts, repaired, unresolved)``: the monochromatic
+        cut edges before the repair, the size of the repair set, and the
+        monochromatic cut edges after it.  A repair that stalls at the
+        TryColor round cap leaves its stragglers uncolored."""
         cfg, net = self.cfg, self.net
-        metrics = net.metrics
-        cu_idx, cv_idx = plan.cut[:, 0], plan.cut[:, 1]
-        assignment = self._part.assignment
-        empty = np.empty(0, dtype=np.int64)
-        initial_conflicts = 0
-        iterations = 0
-        unresolved = 0
-        while iterations < _RECONCILE_MAX_ITERS:
-            # The exchange: every boundary node's color, one vector
-            # round per sweep.
-            net.account_vector_round(
-                int(plan.boundary.size), color_bits, phase="shard/reconcile"
-            )
-            cu, cv = colors[cu_idx], colors[cv_idx]
-            mono = (cu >= 0) & (cu == cv)
-            unresolved = int(mono.sum())
-            obs.gauge_set("repro_shard_unresolved_cut_conflicts", unresolved)
-            if iterations == 0:
-                initial_conflicts = unresolved
-            uncolored = np.flatnonzero(colors < 0)
-            if unresolved == 0 and uncolored.size == 0:
-                break
-            active = np.zeros(self.k, dtype=bool)
-            if unresolved:
-                active[np.unique(assignment[plan.cut[mono].reshape(-1)])] = True
-            extras: dict[int, np.ndarray] = {}
-            if uncolored.size:
-                own = assignment[uncolored]
-                for s in np.unique(own):
-                    extras[int(s)] = uncolored[own == s]
-                    active[s] = True
-            # Every shard repairs against the same colors: the merge
-            # waits until all of them are done.
-            outs = [
-                repair_boundary(
-                    net, assignment, colors, plan.edges_of(s), s,
-                    extras.get(s, empty), num_colors, cfg,
-                    self.seq.derive_seed("reconcile", s), iterations,
+        num_colors = net.delta + 1
+        net.account_vector_round(
+            boundary_count, bits_for_color(max(net.delta, 1)),
+            phase="shard/reconcile",
+        )
+        u, v = cut[:, 0], cut[:, 1]
+        mono = (colors[u] >= 0) & (colors[u] == colors[v])
+        initial_conflicts = int(mono.sum())
+        # Cut edges hold u < v, so (v, u) is the (hi, lo) pair the rule takes.
+        victims = conflict_victims(
+            net, colors, cfg.conflict_victim, num_colors, edges=(v[mono], u[mono])
+        )
+        repair = np.flatnonzero(victims | (colors < 0))
+        if repair.size:
+            colors[repair] = -1
+            with obs.span("shard.reconcile", repair=int(repair.size)):
+                colors, _, _ = conflict_repair(
+                    net, colors, repair, num_colors, cfg,
+                    self.seq.spawn("reconcile"),
+                    phase="shard/reconcile", mt_label="shard-mt",
                 )
-                for s in map(int, np.flatnonzero(active))
-            ]
-            # Merge: deltas are disjoint by ownership, so the order
-            # of application cannot matter.
-            for out in outs:
-                nodes = out["nodes"]
-                if nodes.size:
-                    colors[nodes] = out["colors"]
-                    touched[nodes] = True
-                shard_reports[out["shard"]].reconcile_sweeps.append(
-                    {
-                        "sweep": iterations,
-                        "victims": out["victims"],
-                        "halo_nodes": out["halo_nodes"],
-                        "repair_rounds": out["repair_rounds"],
-                        "seconds": round(out["seconds"], 6),
-                    }
-                )
-            metrics.absorb_parallel(
-                [out["metrics"] for out in outs], phase="shard/reconcile"
-            )
-            obs.count("repro_shard_reconcile_sweeps_total")
-            iterations += 1
-        if iterations == _RECONCILE_MAX_ITERS:
-            cu, cv = colors[cu_idx], colors[cv_idx]
-            unresolved = int(((cu >= 0) & (cu == cv)).sum())
-        return initial_conflicts, iterations, unresolved
+            mono = (colors[u] >= 0) & (colors[u] == colors[v])
+        unresolved = int(mono.sum())
+        obs.gauge_set("repro_shard_unresolved_cut_conflicts", unresolved)
+        return colors, initial_conflicts, int(repair.size), unresolved
 
     # ------------------------------------------------------------------
     # Interior supervision (DESIGN.md §9)

@@ -108,26 +108,33 @@ class Partition:
         return self.assignment[und[:, 0]] != self.assignment[und[:, 1]]
 
     def cut_edges(self, net: BroadcastNetwork) -> np.ndarray:
-        """The (c, 2) cut edge array (u < v, global ids)."""
+        """The (c, 2) cut edge array (u < v, global ids, in the order of
+        ``net.undirected_edges()``)."""
         return net.undirected_edges()[self.cut_mask(net)]
 
+    def boundary_mask(self, cut: np.ndarray) -> np.ndarray:
+        """Bool mask over the nodes: True on every endpoint of ``cut``
+        (:meth:`cut_edges`), the nodes that broadcast during
+        reconciliation.  Its sum is the boundary size."""
+        mask = np.zeros(self.assignment.size, dtype=bool)
+        mask[cut.reshape(-1)] = True
+        return mask
+
     def boundary_nodes(self, net: BroadcastNetwork) -> np.ndarray:
-        """Sorted ids of nodes incident to at least one cut edge — the
-        nodes that broadcast during reconciliation."""
-        cut = self.cut_edges(net)
-        return np.unique(cut.reshape(-1)) if cut.size else np.empty(0, np.int64)
+        """Sorted ids of nodes incident to at least one cut edge."""
+        return np.flatnonzero(self.boundary_mask(self.cut_edges(net)))
 
     def cut_stats(self, net: BroadcastNetwork) -> dict:
         """Partition-quality summary (cut size/fraction, boundary size,
         shard-balance extremes) — what the strategy comparisons report."""
-        cut = int(self.cut_mask(net).sum())
+        cut = self.cut_edges(net)
         sizes = self.sizes()
         return {
             "k": self.k,
             "strategy": self.strategy,
-            "cut_edges": cut,
-            "cut_fraction": cut / max(net.m, 1),
-            "boundary_nodes": int(self.boundary_nodes(net).size),
+            "cut_edges": int(cut.shape[0]),
+            "cut_fraction": cut.shape[0] / max(net.m, 1),
+            "boundary_nodes": int(self.boundary_mask(cut).sum()),
             "min_shard": int(sizes.min()) if sizes.size else 0,
             "max_shard": int(sizes.max()) if sizes.size else 0,
         }

@@ -37,6 +37,7 @@ __all__ = [
     "ShardView",
     "gather_csr_rows",
     "shard_view_from_csr",
+    "sorted_unique",
 ]
 
 
@@ -101,7 +102,8 @@ class ShardView:
     """One shard's worker-visible slice of a partitioned graph — everything
     a :mod:`repro.shard` worker is allowed to see (DESIGN.md §7): its
     interior (``nodes`` + ``interior_edges``), the worker's to color.
-    The cut is the driver's business (:class:`repro.shard.boundary.CutPlan`).
+    The cut is the driver's business
+    (:meth:`repro.shard.partition.Partition.cut_edges`).
     """
 
     shard: int
@@ -170,12 +172,27 @@ CSR build and :meth:`~BroadcastNetwork.apply_delta` encode the directed
 pair (u, v) as the int64 key ``u·n + v``, which is below n² ≤ 2⁶³."""
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-d integer array, which it sorts in
+    place: a sort and an adjacent-difference mask.  numpy 2.x runs
+    ``np.unique`` through a hash table, an order of magnitude slower on
+    int64 keys; this is the one dedup of packed integer keys."""
+    keys.sort()
+    if keys.size:
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if not fresh.all():
+            keys = keys[fresh]
+    return keys
+
+
 def _sorted_pairs(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """Undirected pairs (an (m, 2) array or a sequence of pairs) → the
     sorted unique *directed* pairs ``(src, dst)`` (both orientations,
     self-loops dropped; endpoints must lie in ``[0, n)``) — the one
-    routine behind the CSR build and each side of a delta.  A sort and an
-    adjacent-difference mask over the 2m keys ``src·n + dst``, then one
+    routine behind the CSR build and each side of a delta.
+    :func:`sorted_unique` over the 2m keys ``src·n + dst``, then one
     ``divmod`` back into ids: the (src, dst)-lexicographic order without
     a two-key sort."""
     if n > MAX_NODES:
@@ -192,14 +209,9 @@ def _sorted_pairs(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
         arr = arr[~loops]
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("edge endpoint out of range")
-    keys = np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
-    keys.sort()
-    if keys.size:
-        fresh = np.empty(keys.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        if not fresh.all():
-            keys = keys[fresh]
+    keys = sorted_unique(
+        np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+    )
     return np.divmod(keys, n)
 
 

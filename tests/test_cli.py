@@ -217,6 +217,29 @@ class TestRunnerBackedCommands:
         assert second["trials"]["cached"] == second["trials"]["trials"]
         assert first["rows"] == second["rows"]
 
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("sweep", "--workers", "0"), ("compare", "--timeout", "-1"),
+         ("bench", "--timeout", "0")],
+    )
+    def test_refused_runner_flag_named_before_store_opens(
+        self, command, flag, value, tmp_path
+    ):
+        """A refused ``--workers``/``--timeout`` exits naming the flag,
+        and ``--no-resume`` has not yet truncated ``--out``."""
+        store = tmp_path / "kept.jsonl"
+        store.write_text('{"kept": true}\n')
+        head = {
+            "sweep": SWEEP_ARGS,
+            "compare": ["compare", "--n", "96", "--seeds", "1"],
+            "bench": ["bench", "benchmarks/specs/quick.toml"],
+        }[command]
+        argv = head + [flag, value, "--out", str(store), "--no-resume"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str) and flag in exc.value.code
+        assert store.read_text() == '{"kept": true}\n'
+
     def test_sweep_no_resume_recomputes(self, capsys, tmp_path):
         store = str(tmp_path / "sweep.jsonl")
         assert main(SWEEP_ARGS + ["--out", store]) == 0

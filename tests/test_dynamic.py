@@ -734,6 +734,32 @@ class TestConflictVictims:
         net = BroadcastNetwork((3, [(0, 1), (1, 2)]))
         assert not conflict_victims(net, np.array([0, 1, 0])).any()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slack_matches_per_node_palette_oracle(self, seed):
+        """On random colorings whose colors reach past the palette (a
+        node left holding a color ≥ Δ+1 after Δ shrank), the ``"slack"``
+        victim of every monochromatic edge is the endpoint whose
+        ``ColoringState.palette`` is larger, ties to the larger id; the
+        out-of-range colors forbid nothing inside the palette."""
+        from repro.core.state import ColoringState
+        from repro.dynamic import conflict_victims
+        from repro.dynamic.engine import monochromatic_edges
+
+        rng = np.random.default_rng(seed)
+        net = BroadcastNetwork(gnp_graph(120, 0.08, seed=seed))
+        num_colors = int(rng.integers(2, net.delta + 2))
+        colors = rng.integers(-1, num_colors + 3, size=net.n).astype(np.int64)
+        state = ColoringState(net, num_colors=num_colors)
+        state.colors = colors
+        hi, lo = monochromatic_edges(net, colors)
+        assert hi.size and (colors >= num_colors).any()
+        want = np.zeros(net.n, dtype=bool)
+        for h, l in zip(hi.tolist(), lo.tolist()):
+            bigger_hi = state.palette(h).size >= state.palette(l).size
+            want[h if bigger_hi else l] = True
+        got = conflict_victims(net, colors, policy="slack", num_colors=num_colors)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("policy", ["id", "slack"])
     def test_invariant_holds_under_both_policies(self, policy):
         sched = make_churn("blobs-churn", 200, 16.0, seed=3, batches=4)

@@ -96,6 +96,19 @@ class TestPlane:
         assert len(spans) == 2
         assert "repro_obs_spans_dropped_total 3" in obs.render_metrics()
 
+    def test_adopted_spans_past_the_cap_are_counted(self):
+        """Spans adopted from a worker into a full buffer count in
+        ``repro_obs_spans_dropped_total`` as locally closed ones do."""
+        state = obs.enable(trace_buffer=2)
+        with obs.span("local"):
+            pass
+        foreign = [{"name": f"remote{i}", "ts": 1, "dur": 2, "pid": 999,
+                    "tid": 1, "id": 70 + i, "parent": 0, "attrs": {}}
+                   for i in range(4)]
+        assert obs.adopt_spans(foreign) == 1
+        assert state.dropped == 3
+        assert "repro_obs_spans_dropped_total 3" in obs.render_metrics()
+
     def test_enable_is_idempotent_and_ors(self):
         state = obs.enable(tracing=False, metrics=True)
         obs.count("kept_total")

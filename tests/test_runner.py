@@ -241,6 +241,22 @@ class TestParallelRunner:
         runner.run(specs)
         assert seen == [(i + 1, len(specs)) for i in range(len(specs))]
 
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("workers", 0), ("workers", -3), ("workers", 2.7), ("workers", True),
+            ("timeout_s", -1.0), ("timeout_s", 0), ("timeout_s", float("nan")),
+            ("timeout_s", float("inf")), ("timeout_s", "5"),
+        ],
+    )
+    def test_refuses_bad_settings(self, setting, value):
+        """A worker count below 1 or not an int, and a timeout that is not
+        a finite number > 0, are refused by name: ``workers=0`` used to
+        run inline, and a negative timeout timed out pooled trials that
+        an inline run completed."""
+        with pytest.raises(ValueError, match=f"^{setting} "):
+            ParallelRunner(**{setting: value})
+
 
 class TestAggregate:
     @pytest.fixture(scope="class")

@@ -26,11 +26,13 @@ from hypothesis import strategies as st
 from helpers import brute_force_proper, induced_subgraph_oracle
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
+from repro.core.state import ColoringState
 from repro.graphs.families import make_graph
 from repro.graphs.generators import geometric_graph, gnp_graph
 from repro.runner import ParallelRunner, ResultStore, TrialSpec, load_matrix
 from repro.runner.execute import run_trial
 from repro.shard import STRATEGIES, ShardedColoring, partition_nodes
+from repro.shard import engine as shard_engine
 from repro.shard.engine import _color_shard, _view_from_arena
 from repro.shard.shm import ShmArena, leaked_segments
 from repro.simulator.network import BroadcastNetwork, shard_view_from_csr
@@ -155,6 +157,9 @@ class TestPartition:
             if part.assignment[u] != part.assignment[v]
         }
         assert got == want
+        ends = sorted({x for edge in want for x in edge})
+        assert part.boundary_nodes(net).tolist() == ends
+        assert part.cut_stats(net)["boundary_nodes"] == len(ends)
 
     def test_greedy_beats_random_on_geometric(self):
         net = BroadcastNetwork(geometric_graph(1500, 0.06, seed=3))
@@ -287,11 +292,7 @@ class TestShardedColoring:
             env = ("seconds", "cpu_seconds", "peak_rss_mb", "transport")
             d = {k: v for k, v in d.items() if k not in env}
             d["shards"] = [
-                {
-                    k: ([{sk: sv for sk, sv in row.items() if sk not in env}
-                         for row in v] if k == "reconcile_sweeps" else v)
-                    for k, v in s.items() if k not in env
-                }
+                {k: v for k, v in s.items() if k not in env}
                 for s in d["shards"]
             ]
             return d
@@ -351,7 +352,64 @@ class TestShardedColoring:
         assert result.initial_conflicts > 0  # expander cut must conflict
         assert 0 < result.reconcile_touched <= result.n
         assert result.unresolved_conflicts == 0
-        assert result.reconcile_iterations >= 1
+
+    @pytest.mark.parametrize("victim", ["id", "slack"])
+    def test_cut_repaired_by_one_conflict_repair(self, victim, monkeypatch):
+        """A k=4 random-partition run repairs the cut with exactly one
+        ``conflict_repair`` call.  Its repair set is the victim rule's
+        endpoint of every monochromatic cut edge of the merged coloring
+        (the larger id; or, under ``"slack"``, the larger palette by the
+        per-node ``ColoringState.palette`` oracle, ties to the larger id)
+        plus that coloring's uncolored nodes, and every node outside it
+        keeps its merged interior color."""
+        calls = []
+        real = shard_engine.conflict_repair
+
+        def spy(net, colors, repair_set, *args, **kwargs):
+            calls.append(np.array(repair_set, copy=True))
+            return real(net, colors, repair_set, *args, **kwargs)
+
+        monkeypatch.setattr(shard_engine, "conflict_repair", spy)
+        net = BroadcastNetwork(gnp_graph(300, 0.05, seed=7))
+        cfg = shard_cfg(
+            seed=5, shard_k=4, shard_strategy="random", conflict_victim=victim
+        )
+        engine = ShardedColoring(net, cfg)
+        result = engine.run()
+        # The merge, rebuilt as the workers color it.
+        part = partition_nodes(net, 4, "random", seed=cfg.seed)
+        merged = np.full(net.n, -1, dtype=np.int64)
+        for i in range(4):
+            view = partition_view(net, part, i)
+            merged[view.nodes] = _color_shard(view, engine._shard_config(i))["colors"]
+        state = ColoringState(net)
+        state.colors = merged
+        want = set(np.flatnonzero(merged < 0).tolist())
+        for u, v in part.cut_edges(net).tolist():
+            if merged[u] < 0 or merged[u] != merged[v]:
+                continue
+            if victim == "slack" and state.palette(u).size > state.palette(v).size:
+                want.add(u)
+            else:
+                want.add(v)
+        assert result.initial_conflicts > 0 and result.unresolved_conflicts == 0
+        assert len(calls) == 1
+        assert calls[0].tolist() == sorted(want)
+        assert result.reconcile_touched == len(want)
+        kept = np.ones(net.n, dtype=bool)
+        kept[calls[0]] = False
+        assert np.array_equal(result.colors[kept], merged[kept])
+
+    def test_conflict_free_run_calls_no_repair(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            shard_engine, "conflict_repair", lambda *a, **kw: calls.append(a)
+        )
+        result = ShardedColoring(
+            gnp_graph(300, 0.05, seed=6), shard_cfg(seed=11, shard_k=1)
+        ).run()
+        assert result.initial_conflicts == 0 and result.complete
+        assert calls == []
 
     @pytest.mark.parametrize("victim", ["id", "slack"])
     def test_victim_policies_both_reconcile(self, victim):
