@@ -24,6 +24,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.config import ColoringConfig
@@ -79,7 +80,7 @@ def test_e16_throughput_tracked(tmp_path):
         if proc.poll() is None:
             proc.kill()
     served_bps = batches / max(served_s, 1e-9)
-    assert final.colors == engine.colors.tolist(), (
+    assert np.array_equal(final.colors, engine.colors), (
         "served run diverged from the in-process engine"
     )
 

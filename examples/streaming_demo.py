@@ -100,7 +100,7 @@ def main() -> None:
     engine = DynamicColoring(schedule.initial, ColoringConfig.practical(seed=seed))
     for batch in schedule:
         engine.apply_batch(batch)
-    assert final.colors == engine.colors.tolist(), "service diverged from engine"
+    assert np.array_equal(final.colors, engine.colors), "service diverged from engine"
     print("\nserved plan is bit-identical to the in-process engine; "
           "clean shutdown")
 

@@ -65,8 +65,12 @@ _SERVE_FLAGS = {
 """``ColoringServer`` setting → the ``repro serve`` flag that sets it
 (each flag's argparse ``dest`` is its setting's name)."""
 
-_SHARD_FLAGS = {"workers": "--workers"}
-"""``ShardedColoring`` setting → the ``repro shard`` flag that sets it."""
+_SHARD_FLAGS = {"workers": "--workers", "shard_k": "--k"}
+"""``ShardedColoring`` setting or config field → the ``repro shard`` (and
+``repro chaos shard``) flag that sets it."""
+
+_CHAOS_TARGETS = {"k": ("shard",), "workers": ("shard",), "batches": ("dynamic", "serve")}
+"""``repro chaos`` flag (by ``dest``) → the targets it applies to."""
 
 _RUNNER_FLAGS = {"workers": "--workers", "timeout_s": "--timeout"}
 """``ParallelRunner`` setting → the ``repro sweep|compare|bench`` flag
@@ -210,14 +214,14 @@ def _sigterm_as_sigint():
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    cfg = ColoringConfig.practical(
-        seed=args.seed,
-        shard_k=args.k,
-        shard_strategy=args.strategy,
-        conflict_victim=args.victim,
-    )
-    graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
     try:
+        cfg = ColoringConfig.practical(
+            seed=args.seed,
+            shard_k=args.k,
+            shard_strategy=args.strategy,
+            conflict_victim=args.victim,
+        )
+        graph = make_graph(args.family, args.n, args.avg_degree, args.seed)
         engine = ShardedColoring(graph, cfg, workers=args.workers)
     except ValueError as exc:
         _refused_flag("shard", _SHARD_FLAGS, exc)
@@ -498,17 +502,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro chaos: cannot load --plan: {exc}")
     # Only the flags the user gave: the chaos_* signatures hold the
     # per-target defaults.
-    names = ("family", "n", "avg_degree", "seed") + (
-        ("k", "workers") if args.target == "shard" else ("batches",)
-    )
+    names = ("family", "n", "avg_degree", "seed", *_CHAOS_TARGETS)
     given = {
         name: getattr(args, name)
         for name in names
         if getattr(args, name) is not None
     }
+    for name, targets in _CHAOS_TARGETS.items():
+        if name in given and args.target not in targets:
+            raise SystemExit(
+                f"repro chaos: --{name} does not apply to target "
+                f"{args.target} (only to {' / '.join(targets)})"
+            )
     if args.target == "shard":
-        with _sigterm_as_sigint():
-            report = chaos_shard(plan, **given)
+        try:
+            with _sigterm_as_sigint():
+                report = chaos_shard(plan, **given)
+        except ValueError as exc:
+            _refused_flag("chaos", _SHARD_FLAGS, exc)
     elif args.target == "dynamic":
         report = chaos_dynamic(plan, **given)
     else:

@@ -54,7 +54,7 @@ from repro.decomposition.acd import (
     decompose_distributed,
     decompose_exact,
 )
-from repro.simulator.metrics import RoundMetrics
+from repro.simulator.metrics import RoundMetrics, accrued
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
 
@@ -76,8 +76,13 @@ class ColoringResult:
     delta: int
     n: int
     rounds_total: int
+    """Rounds of this run; like ``rounds_cleanup``, ``total_bits``,
+    ``phase_rounds`` and ``phase_seconds`` it excludes what earlier runs
+    on the same network were billed."""
     rounds_cleanup: int
     max_message_bits: int
+    """The widest message the network has carried, over every run on it:
+    a running maximum, since ``RoundMetrics`` keeps no per-run one."""
     total_bits: int
     phase_rounds: dict[str, int]
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -154,6 +159,11 @@ class BroadcastColoring:
         # RoundMetrics emits (begin_phase/stop_timer) nest under it.
         run_span = obs.start_span("color.run", n=int(net.n))
         metrics = net.metrics
+        # The network's account runs across runs: the result reports the
+        # difference from where this run started.
+        rounds0 = metrics.phase_rounds()
+        bits0 = metrics.total_bits
+        seconds0 = dict(metrics.phase_seconds)
         state = ColoringState(net)
         reports: dict[str, Any] = {}
 
@@ -278,14 +288,8 @@ class BroadcastColoring:
         state.verify()
         metrics.stop_timer()
         obs.end_span(run_span)
-        phase_rounds = {
-            name: stats.rounds
-            for name, stats in metrics.phases.items()
-            if name != "total"
-        }
-        phase_seconds = {
-            name: float(secs) for name, secs in metrics.phase_seconds.items()
-        }
+        phase_rounds = accrued(rounds0, metrics.phase_rounds())
+        rounds_total = phase_rounds.pop("total", 0)
         return ColoringResult(
             colors=state.colors.copy(),
             proper=True,  # state.verify() above raised on any conflict
@@ -293,12 +297,12 @@ class BroadcastColoring:
             num_colors_used=state.count_colors_used(),
             delta=state.delta,
             n=state.n,
-            rounds_total=metrics.total_rounds,
-            rounds_cleanup=metrics.rounds_in("cleanup"),
+            rounds_total=rounds_total,
+            rounds_cleanup=phase_rounds.get("cleanup", 0),
             max_message_bits=metrics.max_message_bits,
-            total_bits=metrics.total_bits,
+            total_bits=metrics.total_bits - bits0,
             phase_rounds=phase_rounds,
-            phase_seconds=phase_seconds,
+            phase_seconds=accrued(seconds0, metrics.phase_seconds),
             reports=reports,
             metrics=metrics,
             clique_summary=info.summary(),

@@ -98,13 +98,15 @@ def chaos_shard(
         seed=seed, shard_k=k, shard_strategy=strategy
     )
     graph = make_graph(family, n, avg_degree, seed)
+    # Built first, so a bad ``workers`` is refused before the reference run.
+    engine = ShardedColoring(graph, cfg, workers=workers)
 
     with faults.suppressed():
         reference = ShardedColoring(graph, cfg, workers=1).run()
 
     faults.arm(plan)
     try:
-        chaos = ShardedColoring(graph, cfg, workers=workers).run()
+        chaos = engine.run()
         events = list(faults.fault_events())
     finally:
         faults.disarm()

@@ -28,8 +28,6 @@ import socket
 import time
 from types import TracebackType
 
-import numpy as np
-
 from repro.dynamic.events import UpdateBatch
 from repro.serve import protocol as wire
 
@@ -62,6 +60,22 @@ def _backoff_delay(
     digest = hashlib.blake2b(material, digest_size=8).digest()
     u = 0.5 + (int.from_bytes(digest, "big") % 4096) / 8192.0
     return min(float(cap), float(base) * (2.0 ** attempt)) * u
+
+
+def _open(
+    socket_path: str | None, host: str, port: int | None, timeout: float
+) -> socket.socket:
+    """One connect attempt; a socket whose connect fails is closed."""
+    if socket_path is None:
+        return socket.create_connection((host, port), timeout=timeout)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(socket_path)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 class ServeClient:
@@ -106,12 +120,7 @@ class ServeClient:
         endpoint = socket_path if socket_path is not None else f"{host}:{port}"
         for attempt in range(attempts):
             try:
-                if socket_path is not None:
-                    self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    self.sock.settimeout(timeout)
-                    self.sock.connect(socket_path)
-                else:
-                    self.sock = socket.create_connection((host, port), timeout=timeout)
+                self.sock = _open(socket_path, host, port, timeout)
                 break
             except OSError as exc:
                 last = exc
@@ -186,14 +195,13 @@ class ServeClient:
         return reply
 
     def load_graph(self, n: int, edges, **config) -> wire.GraphLoaded:
-        """Install the graph; keyword args become config overrides
-        (``seed=...``, ``initial="sharded"``, any ColoringConfig field)."""
-        edges_list = np.asarray(
-            edges if edges is not None else (), dtype=np.int64
-        ).reshape(-1, 2).tolist()
+        """Install the graph: ``edges`` is a (m, 2) int array (or anything
+        ``np.asarray`` makes one of); keyword args become config
+        overrides (``seed=...``, ``initial="sharded"``, any ColoringConfig
+        field)."""
         reply = self._rpc(
-            wire.LoadGraph(id=self._fresh_id(), n=int(n), edges=edges_list,
-                           config=config)
+            wire.LoadGraph(id=self._fresh_id(), n=int(n),
+                           edges=() if edges is None else edges, config=config)
         )
         assert isinstance(reply, wire.GraphLoaded)
         return reply
@@ -294,9 +302,9 @@ class ServeClient:
         return out
 
     def query_colors(self, nodes=None) -> wire.ColorsReply:
-        """Read the maintained coloring (all nodes, or a subset)."""
-        payload_nodes = None if nodes is None else [int(x) for x in nodes]
-        reply = self._rpc(wire.QueryColors(id=self._fresh_id(), nodes=payload_nodes))
+        """Read the maintained coloring (all nodes, or the int array
+        ``nodes``); the reply's ``colors`` is an int64 array."""
+        reply = self._rpc(wire.QueryColors(id=self._fresh_id(), nodes=nodes))
         assert isinstance(reply, wire.ColorsReply)
         return reply
 

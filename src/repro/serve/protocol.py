@@ -1,48 +1,39 @@
 """The ``repro serve`` wire protocol: frames, framing, validation.
 
-This module is the *normative registry* the documentation is linted
-against (docs/PROTOCOL.md, enforced by tests/test_docs.py): every frame
-type the service speaks is a dataclass registered in
-:data:`MESSAGE_TYPES`, every error code the server can emit is listed in
-:data:`ERROR_CODES`.  Change either and the docs-lint CI step fails
-until the spec is updated.
+This module is the *normative registry* docs/PROTOCOL.md is linted
+against (tests/test_docs.py): every frame type the service speaks is a
+dataclass registered in :data:`MESSAGE_TYPES`, every error code the
+server can emit is listed in :data:`ERROR_CODES`.  Change either and the
+docs-lint CI step fails until the spec is updated.
 
-Framing (docs/PROTOCOL.md §Framing)
------------------------------------
-A frame is a length-prefixed JSON line::
+A frame is a 4-byte big-endian length, then one JSON object ending in
+``\\n`` (docs/PROTOCOL.md §Framing).  Validation happens at decode time,
+from one schema: each frame's dataclass fields are its wire fields, the
+annotation names the field's check and the class's ``REQUIRED`` tuple
+names the fields a payload must carry.  :func:`decode_payload` dispatches
+on ``"type"`` and the one :meth:`Frame.from_payload` applies that schema,
+raising :class:`ProtocolError` with the error code the server echoes back
+in an ``error`` frame.  Every integer on the wire is a signed 64-bit
+integer, and a JSON boolean is never an integer.
 
-    +----------------+----------------------------------+
-    | 4 bytes, u32BE | <length> bytes of UTF-8 JSON     |
-    +----------------+----------------------------------+
-
-The JSON payload is one object terminated by ``\\n`` (the newline is
-included in the length, so a captured stream is also valid JSON lines).
-Frames larger than :data:`MAX_FRAME_BYTES` are rejected with
-``frame-too-large``.
-
-Every payload carries ``"type"`` (a :data:`MESSAGE_TYPES` key) and
-``"id"`` — the client-chosen correlation id echoed on the response.
-The pushed :class:`BatchReportFrame` is the one exception: it answers
-*one or more* requests (coalescing), so it carries ``"ids"`` instead.
-
-Validation happens at decode time, from one schema: each frame's
-dataclass fields are its wire fields, the annotation names the field's
-check and the class's ``REQUIRED`` tuple names the fields a payload must
-carry.  :func:`decode_payload` dispatches on ``"type"`` and the one
-:meth:`Frame.from_payload` applies that schema, raising
-:class:`ProtocolError` with the error code the server echoes back in an
-``error`` frame.  Every integer on the wire is a signed 64-bit integer,
-and a JSON boolean is never an integer.
+Integer arrays whose length follows n, m or the batch (edges, node ids,
+colours) travel *packed* (docs/PROTOCOL.md §Packed integer arrays): one
+JSON string holding standard padded base64 of little-endian int64, pairs
+row-major.  A packed field decodes with one ``b64decode`` and one
+``np.frombuffer`` into a read-only int64 array, so no Python object is
+built per entry at either end.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import struct
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import BinaryIO, Callable, ClassVar
+
+import numpy as np
 
 from repro.dynamic.events import UpdateBatch
 from repro.simulator.network import MAX_NODES
@@ -52,27 +43,8 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "Frame",
-    "Hello",
-    "LoadGraph",
-    "UpdateBatchFrame",
-    "QueryColors",
-    "QueryPalette",
-    "StatsRequest",
-    "MetricsRequest",
-    "SnapshotRequest",
-    "Ping",
-    "Shutdown",
-    "Welcome",
-    "Pong",
-    "GraphLoaded",
-    "BatchReportFrame",
-    "ColorsReply",
-    "PaletteReply",
-    "StatsReply",
-    "MetricsReply",
-    "SnapshotSaved",
-    "Goodbye",
-    "ErrorFrame",
+    "Ints",
+    "Pairs",
     "REQUEST_TYPES",
     "RESPONSE_TYPES",
     "MESSAGE_TYPES",
@@ -82,12 +54,13 @@ __all__ = [
     "read_frame",
     "write_frame",
     "read_frame_async",
-]
+]  # and every registered frame class, appended below its registry
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 """The wire-protocol version this build speaks.  Negotiated in
 ``hello``/``welcome``: the client offers a list, the server picks the
-highest it shares or rejects with ``bad-version``."""
+highest it shares or rejects with ``bad-version``.  Version 2 packs the
+integer arrays; a version-1 client gets ``bad-version``."""
 
 MAX_FRAME_BYTES = 1 << 26
 """Hard ceiling on one frame's JSON payload (64 MiB) — a corrupted or
@@ -186,16 +159,47 @@ def _int_list(value) -> list:
     return value
 
 
-def _pair_list(value) -> list:
-    if (
-        type(value) is not list
-        or set(map(type, value)) - {list}
-        or set(map(len, value)) - {2}
-        or set(map(type, flat := list(chain.from_iterable(value)))) - {int}
-    ):
-        raise ValueError("must be a list of [u, v] int pairs")
-    _in_int64(flat)
-    return value
+# The packed annotations: an int64 array of ids or colours, shape (k,),
+# or of pairs, shape (k, 2).
+Ints = Pairs = np.ndarray
+_PACKED_SHAPES = {"Ints": (-1,), "Pairs": (-1, 2)}
+
+
+def _as_packed(value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` (an array or a list) as a read-only int64 view of ``shape``."""
+    arr = np.asarray(value, dtype=np.int64).reshape(shape)
+    arr.flags.writeable = False
+    return arr
+
+
+def _pack(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<i8", copy=False).tobytes()).decode("ascii")
+
+
+def _unpacker(shape: tuple[int, ...]) -> Callable:
+    entry = 8 * (shape[1] if len(shape) > 1 else 1)
+
+    def check(value) -> np.ndarray:
+        if type(value) is not str:
+            raise ValueError(f"must be a packed int64 array, got {type(value).__name__}")
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"is not strict base64: {exc}") from None
+        if len(raw) % entry:
+            raise ValueError(
+                f"holds {len(raw)} bytes, not a whole number of {entry}-byte entries"
+            )
+        return np.frombuffer(raw, dtype="<i8").reshape(shape)
+
+    return check
+
+
+def _same(a, b) -> bool:
+    """Field equality; arrays compare exactly (dtype, shape, values)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
 
 
 _CHECKS: dict[str, Callable] = {
@@ -205,7 +209,7 @@ _CHECKS: dict[str, Callable] = {
     "bool": _scalar(bool),
     "dict": _scalar(dict),
     "list[int]": _int_list,
-    "list[list[int]]": _pair_list,
+    **{name: _unpacker(shape) for name, shape in _PACKED_SHAPES.items()},
 }
 """Field annotation (with any ``| None`` stripped) → its wire check: the
 check returns the decoded value or raises ``ValueError`` naming what the
@@ -215,32 +219,44 @@ field must be."""
 # ----------------------------------------------------------------------
 # Frame dataclasses
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Base class: a typed wire message.
 
     Subclasses set ``TYPE`` (the registry key) and declare their wire
     fields as dataclass fields, once: the annotation names the field's
     check (``int``, ``str``, ``bool``, ``dict``, ``float``,
-    ``list[int]``, ``list[list[int]]``, any of them ``| None``) and
-    ``REQUIRED`` names the fields a payload must carry; an absent or
-    null optional field takes the dataclass default.  The one
-    :meth:`from_payload` decodes every registered type from that schema.
-    All fields are plain JSON-safe python values — conversions to numpy
-    live at the edges (:meth:`UpdateBatchFrame.batch`), so
-    round-tripping a frame through :func:`encode_frame`/
-    :func:`decode_payload` is exact equality.
+    ``list[int]``, the packed ``Ints`` and ``Pairs``, any of them
+    ``| None``) and ``REQUIRED`` names the fields a payload must carry;
+    an absent or null optional field takes the dataclass default.  A
+    packed field holds a read-only int64 array, whether built from a list
+    or an array or decoded, and equality compares it exactly, so
+    encode → decode is the identity.
     """
 
     TYPE: ClassVar[str] = ""
     REQUIRED: ClassVar[tuple[str, ...]] = ("id",)
     id: int = 0
 
+    def __post_init__(self) -> None:
+        for name, _, _, shape in _SCHEMA[type(self)]:
+            value = getattr(self, name)
+            if shape is not None and value is not None:
+                object.__setattr__(self, name, _as_packed(value, shape))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
     def to_payload(self) -> dict:
         """The JSON object this frame serializes to."""
         out: dict = {"type": self.TYPE}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        for name, _, _, shape in _SCHEMA[type(self)]:
+            value = getattr(self, name)
+            out[name] = value if shape is None or value is None else _pack(value)
         return out
 
     @classmethod
@@ -250,7 +266,7 @@ class Frame:
         the payload's ``id`` when that is a valid int."""
         echo = _echo_id(payload)
         values = {}
-        for name, check, required in _SCHEMA[cls]:
+        for name, check, required, _ in _SCHEMA[cls]:
             value = payload.get(name)
             if value is None:
                 if required:
@@ -277,7 +293,7 @@ class Frame:
 
 
 # -- requests (client → server) ----------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hello(Frame):
     """Session opener; MUST be the first frame on a connection.
 
@@ -291,7 +307,7 @@ class Hello(Frame):
     client: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadGraph(Frame):
     """Install the graph the service maintains (replacing any previous
     one): ``n`` nodes, an explicit undirected edge list, and optional
@@ -304,7 +320,7 @@ class LoadGraph(Frame):
     TYPE: ClassVar[str] = "load_graph"
     REQUIRED: ClassVar[tuple[str, ...]] = ("id", "n")
     n: int = 0
-    edges: list[list[int]] = field(default_factory=list)
+    edges: Pairs = ()
     config: dict = field(default_factory=dict)
 
     def _problem(self) -> str | None:
@@ -317,7 +333,7 @@ class LoadGraph(Frame):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateBatchFrame(Frame):
     """One :class:`~repro.dynamic.UpdateBatch` of topology churn to
     ingest.  Answered asynchronously by a :class:`BatchReportFrame`
@@ -325,36 +341,35 @@ class UpdateBatchFrame(Frame):
     ``queue-full`` error when admission control rejects it."""
 
     TYPE: ClassVar[str] = "update_batch"
-    insert_edges: list[list[int]] = field(default_factory=list)
-    delete_edges: list[list[int]] = field(default_factory=list)
-    arrivals: list[int] = field(default_factory=list)
-    departures: list[int] = field(default_factory=list)
+    insert_edges: Pairs = ()
+    delete_edges: Pairs = ()
+    arrivals: Ints = ()
+    departures: Ints = ()
 
     @property
     def batch(self) -> UpdateBatch:
-        """The numpy event object the engine consumes (may raise
-        ``ValueError`` for e.g. a node arriving and departing at once —
-        the server maps that onto ``bad-payload``)."""
-        events = {f.name: getattr(self, f.name) for f in fields(UpdateBatch)}
-        return UpdateBatch(**events)
+        """The event object the engine consumes, over this frame's arrays
+        (may raise ``ValueError`` for e.g. a node arriving and departing
+        at once — the server maps that onto ``bad-payload``)."""
+        return UpdateBatch(**{f.name: getattr(self, f.name) for f in fields(UpdateBatch)})
 
     @classmethod
     def from_batch(cls, batch: UpdateBatch, id: int = 0) -> "UpdateBatchFrame":
-        """Wrap an in-memory :class:`UpdateBatch` for the wire."""
-        events = {f.name: getattr(batch, f.name).tolist() for f in fields(UpdateBatch)}
-        return cls(id=id, **events)
+        """Wrap an in-memory :class:`UpdateBatch` for the wire (its arrays,
+        not copies)."""
+        return cls(id=id, **{f.name: getattr(batch, f.name) for f in fields(UpdateBatch)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryColors(Frame):
     """Read the maintained coloring: all n entries (``nodes`` null) or
     the listed subset.  Departed nodes read as -1."""
 
     TYPE: ClassVar[str] = "query_colors"
-    nodes: list[int] | None = None
+    nodes: Ints | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryPalette(Frame):
     """Read one node's color and its free palette under the current
     [Δ_t+1] color space (free = not held by any colored neighbor)."""
@@ -364,7 +379,7 @@ class QueryPalette(Frame):
     node: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatsRequest(Frame):
     """Ask for the service counters (queue depth, applied/coalesced/
     rejected batches, fallbacks, invariants, round/bit totals)."""
@@ -372,7 +387,7 @@ class StatsRequest(Frame):
     TYPE: ClassVar[str] = "stats"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsRequest(Frame):
     """Ask for the Prometheus text exposition of the server's
     :mod:`repro.obs` registry — the same text ``--metrics-port`` serves
@@ -382,7 +397,7 @@ class MetricsRequest(Frame):
     TYPE: ClassVar[str] = "metrics"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotRequest(Frame):
     """Force a snapshot now, to ``path`` or the server's configured
     ``--snapshot-path``."""
@@ -391,7 +406,7 @@ class SnapshotRequest(Frame):
     path: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ping(Frame):
     """Liveness probe / idle-timeout heartbeat.  Costs the server nothing
     (answered inline by :class:`Pong`, never queued) and counts as
@@ -401,7 +416,7 @@ class Ping(Frame):
     TYPE: ClassVar[str] = "ping"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shutdown(Frame):
     """Stop the service: the server stops accepting work, drains the
     ingest queue, writes a final snapshot when configured, answers
@@ -411,7 +426,7 @@ class Shutdown(Frame):
 
 
 # -- responses (server → client) ---------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Welcome(Frame):
     """Successful :class:`Hello`: the negotiated version plus what the
     server already holds (``n`` null until ``load_graph``)."""
@@ -423,7 +438,7 @@ class Welcome(Frame):
     n: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphLoaded(Frame):
     """Successful :class:`LoadGraph`: the installed graph's shape and the
     cost of the initial coloring (``initial`` names which engine paid it:
@@ -431,8 +446,7 @@ class GraphLoaded(Frame):
 
     TYPE: ClassVar[str] = "graph_loaded"
     REQUIRED: ClassVar[tuple[str, ...]] = (
-        "id", "n", "m", "delta", "colors_used", "initial_rounds", "seconds",
-    )
+        "id", "n", "m", "delta", "colors_used", "initial_rounds", "seconds")
     n: int = 0
     m: int = 0
     delta: int = 0
@@ -442,7 +456,7 @@ class GraphLoaded(Frame):
     initial: str = "pipeline"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchReportFrame(Frame):
     """Pushed after the worker applies one engine batch: the
     :meth:`~repro.dynamic.BatchReport.as_dict` payload, the request ids
@@ -457,7 +471,7 @@ class BatchReportFrame(Frame):
     report: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorsReply(Frame):
     """Answer to :class:`QueryColors`: colors aligned with ``nodes``
     (or with 0..n-1 when ``nodes`` is null), plus the two invariant
@@ -465,13 +479,13 @@ class ColorsReply(Frame):
 
     TYPE: ClassVar[str] = "colors"
     REQUIRED: ClassVar[tuple[str, ...]] = ("id", "proper", "complete")
-    nodes: list[int] | None = None
-    colors: list[int] = field(default_factory=list)
+    nodes: Ints | None = None
+    colors: Ints = ()
     proper: bool = True
     complete: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PaletteReply(Frame):
     """Answer to :class:`QueryPalette`."""
 
@@ -480,10 +494,10 @@ class PaletteReply(Frame):
     node: int = 0
     color: int = -1
     num_colors: int = 0
-    free: list[int] = field(default_factory=list)
+    free: Ints = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatsReply(Frame):
     """Answer to :class:`StatsRequest`: one flat dict of counters
     (docs/PROTOCOL.md lists every key)."""
@@ -493,7 +507,7 @@ class StatsReply(Frame):
     stats: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReply(Frame):
     """Answer to :class:`MetricsRequest`: the Prometheus text exposition
     format 0.0.4 payload, verbatim (``''`` when the registry is
@@ -503,7 +517,7 @@ class MetricsReply(Frame):
     text: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotSaved(Frame):
     """Answer to :class:`SnapshotRequest`: where the snapshot landed and
     the batch index it captures (restores resume from there)."""
@@ -515,7 +529,7 @@ class SnapshotSaved(Frame):
     bytes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pong(Frame):
     """Answer to :class:`Ping`, echoing its ``id`` — receipt proves the
     server's event loop is alive (not just the TCP/unix socket)."""
@@ -523,14 +537,14 @@ class Pong(Frame):
     TYPE: ClassVar[str] = "pong"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Goodbye(Frame):
     """Answer to :class:`Shutdown` — the last frame the server sends."""
 
     TYPE: ClassVar[str] = "goodbye"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorFrame(Frame):
     """Any request can fail with this instead of its success reply.
     ``code`` ∈ :data:`ERROR_CODES`; ``retry_after`` (seconds) is set for
@@ -556,58 +570,38 @@ class ErrorFrame(Frame):
 # ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
-REQUEST_TYPES: dict[str, type[Frame]] = {
-    cls.TYPE: cls
-    for cls in (
-        Hello,
-        LoadGraph,
-        UpdateBatchFrame,
-        QueryColors,
-        QueryPalette,
-        StatsRequest,
-        MetricsRequest,
-        SnapshotRequest,
-        Ping,
-        Shutdown,
-    )
-}
+REQUEST_TYPES: dict[str, type[Frame]] = {cls.TYPE: cls for cls in (
+    Hello, LoadGraph, UpdateBatchFrame, QueryColors, QueryPalette,
+    StatsRequest, MetricsRequest, SnapshotRequest, Ping, Shutdown,
+)}
 """Frames a client may send (the ten verbs of the service)."""
 
-RESPONSE_TYPES: dict[str, type[Frame]] = {
-    cls.TYPE: cls
-    for cls in (
-        Welcome,
-        GraphLoaded,
-        BatchReportFrame,
-        ColorsReply,
-        PaletteReply,
-        StatsReply,
-        MetricsReply,
-        SnapshotSaved,
-        Pong,
-        Goodbye,
-        ErrorFrame,
-    )
-}
+RESPONSE_TYPES: dict[str, type[Frame]] = {cls.TYPE: cls for cls in (
+    Welcome, GraphLoaded, BatchReportFrame, ColorsReply, PaletteReply,
+    StatsReply, MetricsReply, SnapshotSaved, Pong, Goodbye, ErrorFrame,
+)}
 """Frames a server may send (one success shape per verb, plus the pushed
 batch report and the error frame)."""
 
 MESSAGE_TYPES: dict[str, type[Frame]] = {**REQUEST_TYPES, **RESPONSE_TYPES}
 """The complete registry — the docs-lint source of truth."""
 
+__all__ += [cls.__name__ for cls in MESSAGE_TYPES.values()]
 
-def _schema(cls: type[Frame]) -> tuple[tuple[str, Callable, bool], ...]:
-    """``(name, check, required)`` per field of ``cls``, in wire order.
-    A field whose annotation has no check, or a ``REQUIRED`` name that
-    is no field, fails here, at import."""
+
+def _schema(cls: type[Frame]) -> tuple[tuple[str, Callable, bool, tuple | None], ...]:
+    """``(name, check, required, packed shape or None)`` per field of
+    ``cls``, in wire order.  A field whose annotation has no check, or a
+    ``REQUIRED`` name that is no field, fails here, at import."""
     if not {f.name for f in fields(cls)}.issuperset(cls.REQUIRED):
         raise TypeError(f"{cls.__name__}.REQUIRED names no field: {cls.REQUIRED}")
     out = []
     for f in fields(cls):
-        check = _CHECKS.get(f.type.removesuffix(" | None"))
+        kind = f.type.removesuffix(" | None")
+        check = _CHECKS.get(kind)
         if check is None:
             raise TypeError(f"{cls.__name__}.{f.name}: no wire check for {f.type!r}")
-        out.append((f.name, check, f.name in cls.REQUIRED))
+        out.append((f.name, check, f.name in cls.REQUIRED, _PACKED_SHAPES.get(kind)))
     return tuple(out)
 
 

@@ -610,7 +610,7 @@ class ColoringServer:
             raise wire.ProtocolError(
                 "bad-payload", f"load_graph: {exc}", id=frame.id
             ) from exc
-        edges = np.asarray(frame.edges, dtype=np.int64).reshape(-1, 2)
+        edges = frame.edges
         if edges.size and (edges.min() < 0 or edges.max() >= frame.n):
             raise wire.ProtocolError(
                 "bad-payload", "load_graph: edge endpoint out of range", id=frame.id
@@ -676,10 +676,12 @@ class ColoringServer:
 
     def _handle_query_colors(self, frame: wire.QueryColors) -> wire.Frame:
         engine = self._engine_or_raise(frame.id)
-        if frame.nodes is None:
-            colors = engine.colors
+        nodes = frame.nodes
+        if nodes is None:
+            # A copy: the reply is encoded after an await, and a batch
+            # applied meanwhile rewrites the engine's array in place.
+            colors = engine.colors.copy()
         else:
-            nodes = np.asarray(frame.nodes, dtype=np.int64)
             if nodes.size and (nodes.min() < 0 or nodes.max() >= engine.n):
                 raise wire.ProtocolError(
                     "bad-payload", "query_colors: node id out of range", id=frame.id
@@ -687,8 +689,8 @@ class ColoringServer:
             colors = engine.colors[nodes]
         return wire.ColorsReply(
             id=frame.id,
-            nodes=frame.nodes,
-            colors=colors.tolist(),
+            nodes=nodes,
+            colors=colors,
             # The last audit's verdict: only batches change colors, so it
             # still holds; ``stats`` runs the full scan on demand.
             proper=engine.audited_proper,
@@ -712,7 +714,7 @@ class ColoringServer:
             node=frame.node,
             color=int(engine.colors[frame.node]),
             num_colors=num_colors,
-            free=free.tolist(),
+            free=free,
         )
 
     def _handle_snapshot(self, frame: wire.SnapshotRequest) -> wire.Frame:

@@ -64,7 +64,7 @@ from repro.dynamic.engine import conflict_repair, conflict_victims
 from repro.faults import plan as faults
 from repro.shard.partition import Partition, partition_nodes
 from repro.shard.shm import ArenaDescriptor, ShmArena
-from repro.simulator.metrics import RoundMetrics
+from repro.simulator.metrics import RoundMetrics, accrued
 from repro.simulator.network import (
     BroadcastNetwork,
     ShardView,
@@ -580,6 +580,7 @@ class ShardedColoring:
         t0 = time.perf_counter()
         rounds_before = metrics.total_rounds
         bits_before = metrics.total_bits
+        seconds_before = dict(metrics.phase_seconds)
         self._faults = {
             "retries": 0,
             "worker_crashes": 0,
@@ -681,8 +682,8 @@ class ShardedColoring:
             transport=transport,
             shard_reports=shard_reports,
             phase_seconds={
-                name: float(secs)
-                for name, secs in metrics.phase_seconds.items()
+                name: secs
+                for name, secs in accrued(seconds_before, metrics.phase_seconds).items()
                 if name.startswith("shard/")
             },
             faults=self._faults,

@@ -20,7 +20,15 @@ from typing import Iterable, Iterator
 
 from repro import obs
 
-__all__ = ["RoundMetrics", "PhaseStats"]
+__all__ = ["RoundMetrics", "PhaseStats", "accrued"]
+
+
+def accrued(before: dict, after: dict) -> dict:
+    """``after − before`` per key, over the keys that are new or moved: a
+    run on a network reports what it was billed, not the network's
+    running totals."""
+    return {key: value - before.get(key, 0) for key, value in after.items()
+            if value != before.get(key)}
 
 
 @dataclass
@@ -162,6 +170,10 @@ class RoundMetrics:
     @property
     def total_bits(self) -> int:
         return self.phases["total"].total_bits
+
+    def phase_rounds(self) -> dict[str, int]:
+        """Phase → rounds so far, including ``"total"``."""
+        return {name: stats.rounds for name, stats in self.phases.items()}
 
     def rounds_in(self, phase: str) -> int:
         return self.phases[phase].rounds if phase in self.phases else 0

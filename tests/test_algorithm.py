@@ -1,5 +1,7 @@
 """Integration tests: the full Algorithm 1 pipeline (Theorem 1)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,31 @@ class TestDecompositionModes:
         net = BroadcastNetwork(g, bandwidth_bits=cfg.bandwidth_bits(100))
         res = BroadcastColoring(net, cfg).run()
         assert res.proper and res.complete
+
+    def test_result_reports_only_its_own_run(self):
+        """Two runs on one network report the same totals: each result
+        used to carry the network's running totals (rounds 22, 44, 66
+        over three runs of one colouring)."""
+        cfg = ColoringConfig.practical(seed=4)
+        net = BroadcastNetwork(
+            geometric_graph(600, 0.08, seed=4), bandwidth_bits=cfg.bandwidth_bits(600)
+        )
+        first = BroadcastColoring(net, cfg).run()
+        t0 = time.perf_counter()
+        second = BroadcastColoring(net, cfg).run()
+        wall = time.perf_counter() - t0
+        assert np.array_equal(first.colors, second.colors)
+        assert second.rounds_total == first.rounds_total > 0
+        assert second.rounds_cleanup == first.rounds_cleanup
+        assert second.total_bits == first.total_bits > 0
+        assert second.phase_rounds == first.phase_rounds
+        assert sum(second.phase_rounds.values()) == second.rounds_total
+        assert set(second.phase_seconds) == set(first.phase_seconds)
+        assert 0 < sum(second.phase_seconds.values()) <= wall
+        # The network's own account still runs across both.
+        assert net.metrics.total_rounds == 2 * first.rounds_total
+        # A running maximum, documented as such.
+        assert second.max_message_bits == net.metrics.max_message_bits
 
 
 class TestPaperPreset:

@@ -1,11 +1,18 @@
 """Tests for the CLI (python -m repro ...)."""
 
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.cli import build_parser, main, make_graph
 from repro.simulator.network import BroadcastNetwork
+
+
+CHAOS_PLAN = str(
+    Path(__file__).resolve().parent.parent / "benchmarks" / "plans" / "faults_shard_crash.toml"
+)
 
 
 class TestMakeGraph:
@@ -130,6 +137,43 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["shard", "--n", "200", "--k", "2", "--workers", value])
         assert isinstance(exc.value.code, str) and "--workers" in exc.value.code
+
+    def test_shard_refuses_bad_k(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "--n", "200", "--k", "0"])
+        assert exc.value.code == "repro shard: --k: shard_k must be >= 1, got 0"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--workers", "repro chaos: --workers: workers must be >= 1, got 0"),
+        ("--k", "repro chaos: --k: shard_k must be >= 1, got 0"),
+    ])
+    def test_chaos_shard_refuses_bad_value_before_running(self, flag, message):
+        """``repro chaos shard --workers 0`` ended in a ``ValueError``
+        traceback after the reference run; it exits naming the flag, as
+        ``repro shard`` does, before any run."""
+        ran = AssertionError("a sharded run started")
+        with mock.patch("repro.shard.engine.ShardedColoring.run", side_effect=ran):
+            with pytest.raises(SystemExit) as exc:
+                main(["chaos", "shard", "--plan", CHAOS_PLAN, flag, "0"])
+        assert exc.value.code == message
+
+    @pytest.mark.parametrize("target, flags, named", [
+        ("dynamic", ["--k", "9", "--workers", "5"], "--k"),
+        ("serve", ["--workers", "2"], "--workers"),
+        ("shard", ["--batches", "3"], "--batches"),
+    ])
+    def test_chaos_refuses_flag_of_another_target(self, target, flags, named):
+        """A flag given to a target it does not apply to is refused,
+        naming it: ``repro chaos dynamic --k 9 --workers 5`` used to run
+        and ignore both."""
+        ran = mock.Mock(side_effect=AssertionError("a campaign started"))
+        with mock.patch.multiple(
+            "repro.faults", chaos_shard=ran, chaos_dynamic=ran, chaos_serve=ran
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["chaos", target, "--plan", CHAOS_PLAN, *flags])
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(f"repro chaos: {named} does not apply")
 
     def test_color_paper_constants(self, capsys):
         rc = main(["color", "--n", "200", "--paper-constants", "--json"])

@@ -740,7 +740,7 @@ class TestLiveDaemon:
             proc.wait(timeout=20)
         finally:
             stop(proc)
-        assert final.colors == reference.colors.tolist()
+        assert np.array_equal(final.colors, reference.colors)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,10 @@ Three layers of guarantees, in test-speed order:
   ``retry_after``, and enforce hello/version rules.
 """
 
+import json
 import os
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -294,8 +296,6 @@ class TestSnapshot:
         assert info2.batch_index == 1
 
     def test_future_format_rejected(self, tmp_path):
-        import json
-
         schedule, cfg = self.make_run()
         engine = DynamicColoring(schedule.initial, cfg)
         path = tmp_path / "state.npz"
@@ -310,7 +310,6 @@ class TestSnapshot:
 
     def test_unknown_config_field_rejected(self, tmp_path):
         import dataclasses
-        import json
 
         schedule, cfg = self.make_run()
         engine = DynamicColoring(schedule.initial, cfg)
@@ -329,8 +328,6 @@ class TestSnapshot:
     def rewrite_config(path, config):
         """Swap the config stored in the snapshot at ``path``, as an
         older build would have written it."""
-        import json
-
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             arrays = {k: data[k] for k in ("edges", "colors", "active")}
@@ -567,6 +564,34 @@ def stop(proc):
     proc.wait(timeout=10)
 
 
+def send_raw(client, payload: dict) -> None:
+    """Send ``payload`` as one frame, bypassing the frame classes (which
+    cannot build a malformed field)."""
+    body = json.dumps(payload).encode() + b"\n"
+    client.fp.write(struct.pack(">I", len(body)) + body)
+    client.fp.flush()
+
+
+class TestClientConnect:
+    def test_failed_connects_leave_no_socket_open(self, tmp_path):
+        """Each failed connect attempt closes its socket: the client used
+        to leave one open per attempt (a ResourceWarning under
+        ``python -X dev``)."""
+        made = []
+        real = socket.socket
+
+        def tracking(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(socket, "socket", tracking):
+            with pytest.raises(ConnectionError, match="3 attempt"):
+                ServeClient(socket_path=str(tmp_path / "none.sock"),
+                            retries=3, retry_delay=0.001)
+        assert len(made) == 3
+        assert all(sock.fileno() == -1 for sock in made)
+
+
 class TestLiveServer:
     def test_end_to_end_matches_in_process(self, tmp_path):
         seed = 2
@@ -595,7 +620,7 @@ class TestLiveServer:
                                  ColoringConfig.practical(seed=seed))
         for batch in schedule:
             engine.apply_batch(batch)
-        assert final.colors == engine.colors.tolist()
+        assert np.array_equal(final.colors, engine.colors)
         assert final.proper and final.complete
         assert stats["batches_applied"] == schedule.num_batches
         assert stats["batch_index"] == schedule.num_batches
@@ -642,7 +667,7 @@ class TestLiveServer:
                                     ColoringConfig.practical(seed=seed))
         for batch in batches:
             reference.apply_batch(batch)
-        assert final.colors == reference.colors.tolist()
+        assert np.array_equal(final.colors, reference.colors)
 
     def test_backpressure_queue_full_with_retry_after(self, tmp_path):
         seed = 5
@@ -690,13 +715,14 @@ class TestLiveServer:
             assert reply.code == "hello-required"
             client.close()
 
-            # Unknown version → bad-version.
-            client = ServeClient(socket_path=sock)
-            client.send(wire.Hello(id=1, versions=[999]))
-            reply = client.recv()
-            assert isinstance(reply, wire.ErrorFrame)
-            assert reply.code == "bad-version"
-            client.close()
+            # Unknown version, or version 1's unpacked lists → bad-version.
+            for versions in ([999], [1]):
+                client = ServeClient(socket_path=sock)
+                client.send(wire.Hello(id=1, versions=versions))
+                reply = client.recv()
+                assert isinstance(reply, wire.ErrorFrame)
+                assert reply.code == "bad-version"
+                client.close()
 
             with ServeClient(socket_path=sock) as client:
                 # Queries before load_graph → no-graph.
@@ -729,24 +755,27 @@ class TestLiveServer:
         """Regression: an id outside int64 decoded, then overflowed the
         daemon's int64 arrays and came back ``internal``; an integer
         literal past the interpreter's int-string limit escaped the
-        decoder and dropped the session without an error frame.  The
-        first is ``bad-payload`` echoing the request's id, the second
+        decoder and dropped the session without an error frame.  A packed
+        field cannot hold such an id, so what reaches it is a version-1
+        list or a corrupt string: each is ``bad-payload`` echoing the
+        request's id, as is a scalar id outside int64, the literal is
         ``bad-frame``, and the daemon keeps serving."""
         proc, sock = spawn_server(tmp_path)
         try:
             with ServeClient(socket_path=sock) as client:
                 client.load_graph(4, [[0, 1], [2, 3]], seed=1)
                 huge = 2**70
-                for frame in (
-                    wire.LoadGraph(id=30, n=4, edges=[[0, huge]]),
-                    wire.UpdateBatchFrame(id=31, insert_edges=[[0, huge]]),
-                    wire.UpdateBatchFrame(id=32, arrivals=[-huge]),
-                    wire.QueryColors(id=33, nodes=[huge]),
+                for payload in (
+                    {"type": "load_graph", "id": 30, "n": 4, "edges": [[0, huge]]},
+                    {"type": "update_batch", "id": 31, "insert_edges": [[0, 1]]},
+                    {"type": "update_batch", "id": 32, "arrivals": "AAAA!AAAAAA="},
+                    {"type": "query_colors", "id": 33, "nodes": "AAAAAAAAAA=="},
+                    {"type": "query_palette", "id": 34, "node": huge},
                 ):
-                    client.send(frame)
+                    send_raw(client, payload)
                     reply = client.recv()
                     assert isinstance(reply, wire.ErrorFrame)
-                    assert (reply.code, reply.id) == ("bad-payload", frame.id)
+                    assert (reply.code, reply.id) == ("bad-payload", payload["id"])
                 assert client.query_colors().complete
                 body = b'{"type": "stats", "id": ' + b"9" * 5000 + b"}\n"
                 client.fp.write(struct.pack(">I", len(body)) + body)
@@ -779,7 +808,7 @@ class TestLiveServer:
                 assert (reply.code, reply.id) == ("bad-payload", 40)
                 assert "n must be at most" in reply.message
                 assert client.stats()["n"] == 4
-                assert client.query_colors().colors == before.colors
+                assert np.array_equal(client.query_colors().colors, before.colors)
                 report = client.update_batch(UpdateBatch(insert_edges=[(1, 2)]))
                 assert report.report["proper"]
                 client.shutdown()
@@ -842,7 +871,7 @@ class TestLiveServer:
                     assert field in reply.message
                 stats = client.stats()
                 assert stats["graph_loaded"] and stats["n"] == loaded.n
-                assert client.query_colors().colors == before.colors
+                assert np.array_equal(client.query_colors().colors, before.colors)
                 present = {tuple(sorted(e)) for e in edges.tolist()}
                 new_edge = next(
                     (u, v) for u in range(n) for v in range(u + 1, n)
@@ -874,7 +903,7 @@ class TestLiveServer:
                 # the node's own color is always free.
                 assert pal.color in pal.free
                 subset = client.query_colors(nodes=[0])
-                assert subset.colors == [pal.color]
+                assert subset.colors.tolist() == [pal.color]
                 client.shutdown()
             proc.wait(timeout=20)
         finally:

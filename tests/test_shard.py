@@ -255,6 +255,23 @@ class TestShardedColoring:
         assert result.num_colors_used <= net.delta + 1
         assert result.proper and result.complete
 
+    def test_second_run_reports_only_itself(self):
+        """``phase_seconds`` used to add up over runs on one network
+        (``shard/partition`` 0.025, 0.034, 0.043 s); rounds and bits
+        already reported the run's own share."""
+        engine = ShardedColoring(gnp_graph(300, 0.03, seed=2), shard_cfg(seed=2, shard_k=3))
+        first = engine.run()
+        t0 = time.perf_counter()
+        second = engine.run()
+        wall = time.perf_counter() - t0
+        assert np.array_equal(first.colors, second.colors)
+        assert second.rounds_total == first.rounds_total > 0
+        assert second.total_bits == first.total_bits
+        assert set(second.phase_seconds) == set(first.phase_seconds) == {
+            "shard/partition", "shard/pack", "shard/interior", "shard/reconcile"
+        }
+        assert sum(second.phase_seconds.values()) <= wall
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_k1_identical_to_single_process(self, strategy):
         cfg = shard_cfg(seed=11)
